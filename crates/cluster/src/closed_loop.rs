@@ -1,4 +1,4 @@
-//! Closed-loop cluster engine: adaptive prefetching, optionally with
+//! Closed-loop proxy model: adaptive prefetching, optionally with
 //! cooperative caching.
 //!
 //! Each proxy is a real edge cache: a Zipf catalog with Markov client
@@ -30,21 +30,25 @@
 //!
 //! ## Event core vs drivers
 //!
-//! The module is an [`Engine`] — a **scope** of the simulation state
-//! (some subset of proxies and link servers, or all of them) plus one
-//! handler per event kind — while event *selection* lives in the
-//! [`crate::shard`] drivers: the single-threaded merge (the classic
-//! driver, and the parity oracle) and the conservative-window
-//! multi-threaded driver. Handlers never reach outside their scope:
-//! anything an event does to an entity at a later instant or in another
-//! scope is emitted as a timestamped [`Effect`] which the driver settles —
+//! The module is a [`ProxyModel`]: per-proxy caches, controllers,
+//! predictors and request sources, and what a request, a prefetch
+//! decision, a peer check, a delivery, a crash and a digest loss do to
+//! them. Everything between the proxies — link servers, propagation,
+//! faults and retries, effects across instants and scopes, tracing,
+//! recording, obs probes — is the shared transport of [`crate::engine`],
+//! the same one the open loop ([`crate::static_mode`]) runs on. Event
+//! *selection* lives in the [`crate::shard`] drivers: the single-threaded
+//! merge (the classic driver, and the parity oracle) and the
+//! conservative-window multi-threaded driver. Handlers never reach outside
+//! their **scope** (some subset of proxies and link servers, or all of
+//! them): anything an event does to an entity at a later instant or in
+//! another scope is a timestamped effect which the driver settles —
 //! depth-first at the same instant (reproducing inline handling
-//! bit-for-bit), through per-entity `TimedQueue`s when the topology's
-//! link latency puts it in the future, and across shard mailboxes when it
+//! bit-for-bit), through per-entity queues when the topology's link
+//! latency puts it in the future, and across shard mailboxes when it
 //! belongs to another thread. On zero-latency topologies every effect
-//! settles at its emission instant and the engine behaves exactly as the
-//! pre-shard monolith — pinned against the retired scan driver
-//! ([`crate::legacy`]) by the engine-parity tests.
+//! settles at its emission instant — pinned against the retired scan
+//! driver ([`crate::legacy`]) by the engine-parity tests.
 //!
 //! Digest refresh turned into a two-phase protocol so it shards: each
 //! scope builds per-proxy [`RefreshPayload`]s (delta streams, snapshots,
@@ -52,20 +56,18 @@
 //! compaction fallback), and the driver flushes them to the shared router
 //! at the epoch boundary.
 
-use crate::obs::{ClusterObs, EngineObs};
-use crate::report::{ClusterReport, CoopReport, LinkReport, NodeReport};
-use crate::shard::{
-    self, Effect, ShardRunner, CLASS_ARRIVE, CLASS_CHECK, CLASS_DELIVER, CLASS_DEPART, CLASS_FAIL,
-    CLASS_PREFETCH, CLASS_REQUEST, N_CLASSES,
+use crate::engine::{
+    settle_waiters, trace_job, trace_point, Dest, Job, JobKind, Ledger, ProxyModel, Transport,
 };
-use crate::sim::{proxy_seed, LinkState, Scope, ScopeIndex};
-use crate::topology::ShardPlan;
+use crate::report::NodeReport;
+use crate::shard::BoundaryEntry;
+use crate::sim::{proxy_seed, Scope};
 use crate::{
     AdaptiveWorkload, CandidateSource, DelayedHitsConfig, ProxyPolicy, RankingMode, Topology,
     TraceWorkload,
 };
 use cachesim::{
-    AccessKind, FetchOrigin, LruCache, Mshr, MshrAccess, MshrConfig, ReplacementCache, TaggedCache,
+    AccessKind, LruCache, Mshr, MshrAccess, MshrConfig, ReplacementCache, TaggedCache,
     ValueAwareCache, Waiter,
 };
 use coop::{CoopConfig, DeltaOp, RefreshPayload, RefreshStrategy, Router};
@@ -73,76 +75,13 @@ use predictor::{MarkovPredictor, OraclePredictor, Predictor};
 use prefetch_core::controller::{AdaptiveController, ControllerConfig};
 use prefetch_core::estimator::EntryStatus;
 use prefetch_core::AggregateDelay;
-use simcore::faults::{FaultConfig, FaultKind};
-use simcore::obs::ObsConfig;
 use simcore::rng::Rng;
-use simcore::sched::TimedQueue;
-use simcore::stats::{BatchMeans, Welford};
-use simcore::trace::{
-    self, SpanEvent, SpanKind, TraceBuf, TraceStore, TF_FALSE_HIT, TF_MEASURED, TF_PREFETCH,
-};
-use simcore::{Registry, Scheduler};
+use simcore::trace::{SpanKind, TF_FALSE_HIT, TF_MEASURED, TF_PREFETCH};
 use std::collections::{BinaryHeap, HashMap};
 use std::io::Read;
 use workload::events::TraceStream;
 use workload::synth_web::SynthWeb;
 use workload::{ItemId, TraceRecord};
-
-#[derive(Clone, Copy, Debug)]
-enum JobKind {
-    Demand { measured: bool },
-    Prefetch { measured: bool },
-}
-
-/// Where a transfer is being served from.
-#[derive(Clone, Copy, Debug)]
-enum Dest {
-    /// The item's origin shard, over the proxy's origin route.
-    Origin,
-    /// A peer proxy's cache, over the peer route.
-    Peer(u32),
-}
-
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Job {
-    /// Stable id: requesting proxy in the high bits, that proxy's job
-    /// sequence number in the low — allocation is per proxy, so ids are
-    /// identical under every sharding (they break `(time, id)` ties in
-    /// the pending queues).
-    id: u64,
-    proxy: u32,
-    shard: u32,
-    dest: Dest,
-    hop: usize,
-    size: f64,
-    /// Bytes this transfer has cost so far: `size`, plus `size` again for
-    /// every false-hit fallback path — the per-transfer quantity good/bad
-    /// prefetch accounting conserves.
-    spent: f64,
-    issued: f64,
-    item: ItemId,
-    kind: JobKind,
-    /// Whether this fetch owns an MSHR entry (false = a bypassed demand
-    /// fetch on a full table). Failure settlement reclassifies exactly
-    /// what the launch allocated.
-    tracked: bool,
-    /// Trace id when this job is head-sampled, 0 otherwise. Rides the job
-    /// through effects/mailboxes so cross-shard hops keep recording.
-    trace: u64,
-    /// Per-trace record counter: `(trace, tseq)` totally orders the job's
-    /// span records independent of sharding.
-    tseq: u32,
-}
-
-impl Job {
-    /// The link path this job is currently traversing.
-    fn path<'t>(&self, topology: &'t Topology) -> &'t [usize] {
-        match self.dest {
-            Dest::Origin => topology.route(self.proxy as usize, self.shard as usize),
-            Dest::Peer(q) => topology.peer_route(self.proxy as usize, q as usize),
-        }
-    }
-}
 
 /// A prefetch decision waiting out its pacing jitter before hitting the
 /// first link.
@@ -248,10 +187,10 @@ impl Store {
 
 /// The policy knobs the closed loop consults per event, identical whether
 /// the request stream is synthetic or replayed. Copied out of the workload
-/// at engine construction, so the hot path never branches on stream kind
-/// to read a threshold.
+/// at construction, so the hot path never branches on stream kind to read
+/// a threshold.
 #[derive(Clone, Copy)]
-pub(crate) struct Knobs {
+struct Knobs {
     cache_capacity: usize,
     cache_bytes: Option<f64>,
     max_candidates: usize,
@@ -270,7 +209,7 @@ pub(crate) enum EngineWorkload<'a> {
 }
 
 impl EngineWorkload<'_> {
-    pub(crate) fn knobs(&self) -> Knobs {
+    fn knobs(&self) -> Knobs {
         match self {
             EngineWorkload::Synth(w) => Knobs {
                 cache_capacity: w.cache_capacity,
@@ -352,6 +291,8 @@ impl Source {
     }
 }
 
+/// One proxy's model state; its request counters, access times, byte
+/// volumes and fault tallies live in the transport's [`Ledger`].
 struct ProxyState {
     rng: Rng,
     jitter_rng: Rng,
@@ -366,11 +307,6 @@ struct ProxyState {
     /// Per-key aggregate-delay scores — `Some` exactly under
     /// [`RankingMode::AggregateDelay`], charged at every settled fetch.
     agg: Option<AggregateDelay<ItemId>>,
-    /// Measured requests settled as delayed hits (waiters on an
-    /// outstanding fetch inside the measurement window).
-    delayed_hits: u64,
-    /// Residual waits of those measured delayed hits.
-    residual: Welford,
     delayed: BinaryHeap<PendingPrefetch>,
     /// Bytes spent on the prefetch transfer behind each *untagged* cache
     /// entry, credited to goodput once, on the entry's first use. Keyed by
@@ -379,224 +315,15 @@ struct ProxyState {
     /// most once and goodput can never exceed the prefetched volume.
     prefetch_cost: HashMap<ItemId, f64>,
     pending: Option<TraceRecord>,
-    job_seq: u64,
-    issued: u64,
-    access_times: BatchMeans,
-    retrievals: Welford,
-    total_job_time: f64,
-    hits: u64,
-    measured: u64,
-    prefetch_jobs: u64,
     threshold_sum: f64,
     threshold_n: u64,
-    demand_bytes: f64,
-    prefetch_bytes: f64,
     used_prefetch_bytes: f64,
     peer_bytes: f64,
     peer_fetches: u64,
     peer_false_hits: u64,
-    /// Fetch attempts declared failed at their timeout (fault runs only;
-    /// all of the following stay zero under an empty plan).
-    timeouts: u64,
-    /// Re-attempts the retry budget paid for after a timeout.
-    retries: u64,
-    /// Peer-routed fetches rerouted to the origin because their peer
-    /// route was dark at launch.
-    failovers: u64,
-    /// Fetches (demand and prefetch) that exhausted their attempt budget
-    /// and settled as failed.
-    failed_fetches: u64,
-    /// Measured requests (fetch owners and coalesced waiters) that
-    /// settled with a failure instead of data — the unavailability
-    /// numerator.
-    measured_failed: u64,
     /// Cache entries wiped by crashes plus digest delta ops dropped by
     /// crashes/digest-loss faults.
     lost_entries: u64,
-}
-
-/// One scope of closed-loop simulation state plus one handler per event
-/// kind. Drivers (`crate::shard`) own only event *selection* and effect
-/// routing; every state transition lives here, so no two drivers can
-/// diverge semantically.
-pub(crate) struct Engine<'a> {
-    topology: &'a Topology,
-    knobs: Knobs,
-    n_shards: u64,
-    pub(crate) scope: Scope,
-    /// Local link servers, indexed by scope-local link id.
-    pub(crate) links: Vec<LinkState>,
-    /// How this scope's proxies flush their digests at epoch boundaries.
-    refresh_strategy: RefreshStrategy,
-    /// Delta-stream length past which `Auto` ships a snapshot instead
-    /// (`⌈capacity · bits / 8⌉ / 9` ops — the E16 crossover).
-    delta_crossover: u64,
-    coop_on: bool,
-    /// Per-local-proxy digest-delta buffers: one op per cache-content
-    /// change since the last epoch boundary, drained into the refresh
-    /// payloads. Empty (never written) without a router.
-    deltas: Vec<Vec<DeltaOp>>,
-    proxies: Vec<ProxyState>,
-    /// Jobs currently on this scope's links, by job id. A job in a
-    /// pending queue or in flight to another shard lives in its
-    /// effect/queue entry instead.
-    jobs: HashMap<u64, Job>,
-    /// Per-local-link queued arrivals (latency topologies only).
-    arrivals: Vec<TimedQueue<Job>>,
-    /// Per-local-proxy queued peer-serve checks.
-    checks: Vec<TimedQueue<Job>>,
-    /// Per-local-proxy queued response deliveries (`false_hit` flagged).
-    delivers: Vec<TimedQueue<(Job, bool)>>,
-    /// Per-local-proxy queued fetch-failure settlements (fault runs only;
-    /// empty and never polled past its `None` head otherwise).
-    fails: Vec<TimedQueue<Job>>,
-    /// Cross-instant / cross-scope handoffs staged for the driver.
-    effects: Vec<Effect<Job>>,
-    /// Timer streams touched since the driver last re-synced.
-    dirty: Vec<(usize, usize)>,
-    t_end: f64,
-    warm: u64,
-    n_requests: u64,
-    /// Probe state when this run is observed; `None` (the default) keeps
-    /// every hook to a single branch.
-    obs: Option<Box<EngineObs>>,
-    /// Span buffer when this run is traced; same zero-overhead contract
-    /// as `obs`.
-    trace: Option<Box<TraceBuf>>,
-    /// Per-local-proxy recorded requests when this run records a trace
-    /// (`None`, the default, keeps the hook to one branch per request).
-    recorder: Option<Vec<Vec<TraceRecord>>>,
-    /// Client-id folding stride for the recorder: the recorded client is
-    /// `proxy + stride * client`, so replay can route each record back to
-    /// its source proxy by `client % stride`.
-    client_stride: u32,
-    /// Fault schedule and retry policy when this run injects faults;
-    /// `None` keeps every fault hook to one branch, and an **empty** plan
-    /// behaves bit-identically to `None` (every query answers healthy
-    /// without touching a float or an RNG).
-    faults: Option<&'a FaultConfig>,
-    /// The run seed — packet-loss rolls and backoff jitter are pure
-    /// hashes of it, never draws from the workload RNG streams.
-    seed: u64,
-    /// Per-local-proxy "ship a full snapshot at the next epoch boundary"
-    /// flags, set by crash/digest-loss faults (parallel to `deltas`).
-    force_snapshot: Vec<bool>,
-}
-
-/// Mirrors one access-time sample into the latency probe. A free function
-/// over the `obs` field alone, so call sites holding a `&mut` proxy can
-/// still record (disjoint-field borrows).
-#[inline]
-fn obs_lat(obs: &mut Option<Box<EngineObs>>, x: f64) {
-    if let Some(o) = obs.as_deref_mut() {
-        o.latency(x);
-    }
-}
-
-/// Appends one span record for a traced job and advances its per-trace
-/// sequence counter. Free function over the buffer alone (like
-/// [`obs_lat`]) so call sites holding a `&mut` proxy can record.
-#[inline]
-fn trace_job(
-    buf: &mut Option<Box<TraceBuf>>,
-    job: &mut Job,
-    t: f64,
-    kind: SpanKind,
-    entity: u64,
-    aux: f64,
-    flags: u8,
-) {
-    if let Some(b) = buf.as_deref_mut() {
-        if job.trace != 0 {
-            let seq = job.tseq;
-            job.tseq += 1;
-            b.push(SpanEvent {
-                trace: job.trace,
-                seq,
-                t,
-                kind,
-                entity,
-                aux,
-                item: job.item.0,
-                flags,
-            });
-        }
-    }
-}
-
-/// Appends a single-record trace (a cache hit or an in-flight wait).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn trace_point(
-    buf: &mut Option<Box<TraceBuf>>,
-    id: u64,
-    t: f64,
-    kind: SpanKind,
-    entity: u64,
-    aux: f64,
-    item: u64,
-    flags: u8,
-) {
-    if id != 0 {
-        if let Some(b) = buf.as_deref_mut() {
-            b.push(SpanEvent { trace: id, seq: 0, t, kind, entity, aux, item, flags });
-        }
-    }
-}
-
-/// Settles a completed MSHR entry's waiters at `t`, in FIFO order: one
-/// `Wait` span per waiter; measured waiters record their residual wait as
-/// an access time and count as **delayed hits**. Returns the sum of all
-/// waiters' residual waits — the aggregate-delay charge the blocking key
-/// accrues beyond the fetch's own latency. A free function (like
-/// [`obs_lat`]) so call sites holding a `&mut` proxy can settle.
-fn settle_waiters(
-    trace: &mut Option<Box<TraceBuf>>,
-    obs: &mut Option<Box<EngineObs>>,
-    p: &mut ProxyState,
-    waiters: &[Waiter],
-    t: f64,
-    proxy: u64,
-    item: u64,
-) -> f64 {
-    let mut residual_sum = 0.0;
-    for w in waiters {
-        let wf = if w.measured { TF_MEASURED } else { 0 };
-        trace_point(trace, w.trace, t, SpanKind::Wait, proxy, w.t, item, wf);
-        residual_sum += t - w.t;
-        if w.measured {
-            p.delayed_hits += 1;
-            p.residual.push(t - w.t);
-            p.access_times.push(t - w.t);
-            obs_lat(obs, t - w.t);
-        }
-    }
-    residual_sum
-}
-
-/// Settles the waiters of a **failed** fetch at `t`: their wait ends with
-/// a failure, not data, so they count toward unavailability instead of
-/// delayed hits. Each measured waiter still records the full wall-clock it
-/// spent blocked as an access time — graceful degradation is visible in
-/// `t̄`, not hidden from it.
-fn settle_failed_waiters(
-    trace: &mut Option<Box<TraceBuf>>,
-    obs: &mut Option<Box<EngineObs>>,
-    p: &mut ProxyState,
-    waiters: &[Waiter],
-    t: f64,
-    proxy: u64,
-    item: u64,
-) {
-    for w in waiters {
-        let wf = if w.measured { TF_MEASURED } else { 0 };
-        trace_point(trace, w.trace, t, SpanKind::Wait, proxy, w.t, item, wf);
-        if w.measured {
-            p.measured_failed += 1;
-            p.access_times.push(t - w.t);
-            obs_lat(obs, t - w.t);
-        }
-    }
 }
 
 /// Bookkeeping shared by every cache admission: drop evicted entries'
@@ -648,25 +375,34 @@ fn new_store(knobs: &Knobs) -> Store {
     }
 }
 
-impl<'a> Engine<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        topology: &'a Topology,
-        workload: EngineWorkload<'a>,
-        coop_cfg: Option<&CoopConfig>,
-        requests: usize,
-        warmup: usize,
-        seed: u64,
-        scope: Scope,
-        faults: Option<&'a FaultConfig>,
-    ) -> Self {
-        if let Some(fc) = faults {
-            fc.retry.validate();
-        }
-        let links: Vec<LinkState> =
-            scope.links.iter().map(|&g| LinkState::new(&topology.links()[g])).collect();
-        let knobs = workload.knobs();
+/// The closed-loop model of one scope's proxies.
+pub(crate) struct ClosedLoop {
+    knobs: Knobs,
+    /// How this scope's proxies flush their digests at epoch boundaries.
+    refresh_strategy: RefreshStrategy,
+    /// Delta-stream length past which `Auto` ships a snapshot instead
+    /// (`⌈capacity · bits / 8⌉ / 9` ops — the E16 crossover).
+    delta_crossover: u64,
+    coop_on: bool,
+    /// Per-local-proxy digest-delta buffers: one op per cache-content
+    /// change since the last epoch boundary, drained into the refresh
+    /// payloads. Empty (never written) without a router.
+    deltas: Vec<Vec<DeltaOp>>,
+    /// Per-local-proxy "ship a full snapshot at the next epoch boundary"
+    /// flags, set by crash/digest-loss faults (parallel to `deltas`).
+    force_snapshot: Vec<bool>,
+    proxies: Vec<ProxyState>,
+}
 
+impl ClosedLoop {
+    pub(crate) fn new(
+        topology: &Topology,
+        workload: EngineWorkload<'_>,
+        coop_cfg: Option<&CoopConfig>,
+        seed: u64,
+        scope: &Scope,
+    ) -> Self {
+        let knobs = workload.knobs();
         let proxies: Vec<ProxyState> = scope
             .proxies
             .iter()
@@ -732,32 +468,15 @@ impl<'a> Engine<'a> {
                     }),
                     agg: matches!(knobs.delayed.ranking, RankingMode::AggregateDelay)
                         .then(AggregateDelay::new),
-                    delayed_hits: 0,
-                    residual: Welford::new(),
                     delayed: BinaryHeap::new(),
                     prefetch_cost: HashMap::new(),
                     pending,
-                    job_seq: 0,
-                    issued: 0,
-                    access_times: BatchMeans::new(20),
-                    retrievals: Welford::new(),
-                    total_job_time: 0.0,
-                    hits: 0,
-                    measured: 0,
-                    prefetch_jobs: 0,
                     threshold_sum: 0.0,
                     threshold_n: 0,
-                    demand_bytes: 0.0,
-                    prefetch_bytes: 0.0,
                     used_prefetch_bytes: 0.0,
                     peer_bytes: 0.0,
                     peer_fetches: 0,
                     peer_false_hits: 0,
-                    timeouts: 0,
-                    retries: 0,
-                    failovers: 0,
-                    failed_fetches: 0,
-                    measured_failed: 0,
                     lost_entries: 0,
                 }
             })
@@ -767,389 +486,256 @@ impl<'a> Engine<'a> {
             Some(_) => vec![Vec::new(); proxies.len()],
             None => Vec::new(),
         };
-        let force_snapshot = vec![false; deltas.len()];
-        let delta_crossover = coop_cfg
-            .map(|c| c.digest.delta_crossover_ops(knobs.cache_capacity))
-            .unwrap_or(u64::MAX);
-        Engine {
-            topology,
+        ClosedLoop {
             knobs,
-            n_shards: topology.n_shards() as u64,
-            links,
             refresh_strategy: coop_cfg.map(|c| c.refresh).unwrap_or_default(),
-            delta_crossover,
+            delta_crossover: coop_cfg
+                .map(|c| c.digest.delta_crossover_ops(knobs.cache_capacity))
+                .unwrap_or(u64::MAX),
             coop_on: coop_cfg.is_some(),
+            force_snapshot: vec![false; deltas.len()],
             deltas,
             proxies,
-            jobs: HashMap::new(),
-            arrivals: (0..scope.links.len()).map(|_| TimedQueue::new()).collect(),
-            checks: (0..scope.proxies.len()).map(|_| TimedQueue::new()).collect(),
-            delivers: (0..scope.proxies.len()).map(|_| TimedQueue::new()).collect(),
-            fails: (0..scope.proxies.len()).map(|_| TimedQueue::new()).collect(),
-            effects: Vec::new(),
-            dirty: Vec::new(),
-            t_end: 0.0,
-            warm: warmup as u64,
-            n_requests: requests as u64,
-            scope,
-            obs: None,
-            trace: None,
-            recorder: None,
-            client_stride: topology.n_proxies() as u32,
-            faults,
-            seed,
-            force_snapshot,
         }
     }
+}
 
-    /// Arms this scope's request recorder: every issued request is kept as
-    /// a [`TraceRecord`] with the proxy folded into the client id.
-    pub(crate) fn attach_recorder(&mut self) {
-        self.recorder = Some(vec![Vec::new(); self.proxies.len()]);
-    }
+impl ProxyModel for ClosedLoop {
+    const PEERS: bool = true;
 
-    /// Takes this scope's recorded requests, tagged with global proxy ids.
-    pub(crate) fn take_recorded(&mut self) -> Vec<(usize, Vec<TraceRecord>)> {
-        match self.recorder.take() {
-            Some(parts) => self.scope.proxies.iter().copied().zip(parts).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Replay accounting for this scope: `(records consumed, max per-stream
-    /// resident bytes)`. `None` when no proxy replays a trace.
-    pub(crate) fn replay_stats(&self) -> Option<(u64, usize)> {
-        let mut any = false;
-        let (mut records, mut peak) = (0u64, 0usize);
-        for p in &self.proxies {
-            if let Source::Trace(feed) = &p.source {
-                any = true;
-                records += p.issued;
-                peak = peak.max(feed.stream.peak_resident_bytes());
-            }
-        }
-        any.then_some((records, peak))
-    }
-
-    /// Arms this scope's observability probes.
-    pub(crate) fn attach_obs(&mut self, o: EngineObs) {
-        self.obs = Some(Box::new(o));
-    }
-
-    /// Arms this scope's span buffer, head-sampling 1-in-`every`.
-    pub(crate) fn attach_trace(&mut self, every: u64) {
-        self.trace = Some(Box::new(TraceBuf::new(every)));
-    }
-
-    /// Takes this scope's recorded span events (empties the buffer).
-    pub(crate) fn take_trace_events(&mut self) -> Vec<SpanEvent> {
-        self.trace.take().map(|b| b.events).unwrap_or_default()
-    }
-
-    /// Flushes every sampling-grid point at or before `t`. Called at the
-    /// entry of every public handler (and the cross-shard `apply_now`
-    /// path) **before** any state mutation at `t`, so a grid point `g`
-    /// always samples "all events strictly before `g`" — the same state
-    /// under every sharding.
-    fn obs_tick(&mut self, t: f64) {
-        let Some(mut o) = self.obs.take() else { return };
-        let proxies = &self.proxies;
-        o.tick(t, &self.links, || {
-            let cache_bytes = proxies.iter().map(|p| p.cache.used_bytes()).sum();
-            let outstanding = proxies.iter().map(|p| p.mshr.len()).sum::<usize>() as f64;
-            (cache_bytes, outstanding)
-        });
-        self.obs = Some(o);
-    }
-
-    /// Final grid flush at the cluster-wide `t_end`, returning this
-    /// scope's registry for merging (`None` when unobserved).
-    pub(crate) fn obs_finish(&mut self, t_end: f64) -> Option<Registry> {
-        let mut o = self.obs.take()?;
-        let proxies = &self.proxies;
-        o.tick(t_end, &self.links, || {
-            let cache_bytes = proxies.iter().map(|p| p.cache.used_bytes()).sum();
-            let outstanding = proxies.iter().map(|p| p.mshr.len()).sum::<usize>() as f64;
-            (cache_bytes, outstanding)
-        });
-        Some(o.finish())
-    }
-
-    /// Local proxy count (the legacy scan's iteration bound).
-    #[cfg(feature = "legacy-oracle")]
-    pub(crate) fn n_proxies(&self) -> usize {
-        self.proxies.len()
-    }
-
-    /// When local proxy `i`'s next client request arrives, while its
-    /// stream has requests left (a replayed trace may also run dry).
-    pub(crate) fn request_due(&self, i: usize) -> Option<f64> {
-        let p = &self.proxies[i];
-        if p.issued >= self.n_requests {
+    /// While the stream has requests left (a replayed trace may also run
+    /// dry).
+    fn request_due(&self, tx: &Transport<'_>, i: usize) -> Option<f64> {
+        if tx.ledgers[i].issued >= tx.n_requests {
             return None;
         }
-        p.pending.map(|r| r.time)
+        self.proxies[i].pending.map(|r| r.time)
     }
 
-    /// When local proxy `i`'s earliest jittered prefetch decision comes
-    /// due. Pending prefetches are still issued after the request stream
-    /// ends so any waiters attached to them resolve.
-    pub(crate) fn prefetch_due(&self, i: usize) -> Option<f64> {
+    /// The earliest jittered prefetch decision. Pending prefetches are
+    /// still issued after the request stream ends so any waiters attached
+    /// to them resolve.
+    fn prefetch_due(&self, _tx: &Transport<'_>, i: usize) -> Option<f64> {
         self.proxies[i].delayed.peek().map(|d| d.due)
     }
 
-    /// Propagation latency into global link `g` at `now`, inflated by any
-    /// active degradation fault. The factor is 1.0 on healthy links and
-    /// the multiply is skipped entirely, so unfaulted latencies stay
-    /// bit-identical; a degrade fault guarantees factor ≥ 1, which keeps
-    /// conservative-window lookaheads sound.
-    fn entry_latency_at(&self, g: usize, now: f64) -> f64 {
-        let base = self.topology.entry_latency(g);
-        if let Some(fc) = self.faults {
-            let f = fc.plan.link_latency_factor(g, now);
-            if f != 1.0 {
-                return base * f;
+    fn on_request(&mut self, tx: &mut Transport<'_>, i: usize, router: Option<&Router>) {
+        let me = tx.scope.proxies[i];
+        let p = &mut self.proxies[i];
+        let req = p.pending.take().expect("request due");
+        p.pending = p.source.next_request(&mut p.rng);
+        let t = req.time;
+        let (in_window, rid) = tx.count_request(i);
+        if let Some(rec) = tx.recorder.as_mut() {
+            // Fold the proxy into the client id so replay can route the
+            // record back (`client % n_proxies == proxy`) while keeping
+            // the original client recoverable by division.
+            let stride = tx.topology.n_proxies() as u32;
+            rec[i].push(TraceRecord::new(t, me as u32 + stride * req.client, req.item, req.size));
+        }
+        let mf = if in_window { TF_MEASURED } else { 0 };
+        let lg = &mut tx.ledgers[i];
+
+        // One probe consults the cache *and* the outstanding-fetch table:
+        // a miss on an in-flight item joins the fetch's FIFO waiter queue
+        // (a delayed hit in the making) instead of authorising a second
+        // transfer.
+        let mut fetch = None;
+        let waiter = Waiter { t, measured: in_window, trace: rid };
+        match p.cache.probe_via(&mut p.mshr, req.item, t, req.size, waiter) {
+            MshrAccess::Hit(AccessKind::HitTagged) => {
+                p.controller.on_cache_hit(t, EntryStatus::Tagged, req.size);
+                trace_point(&mut tx.trace, rid, t, SpanKind::Hit, me as u64, 0.0, req.item.0, mf);
+                if in_window {
+                    lg.hit(&mut tx.obs);
+                }
+            }
+            MshrAccess::Hit(AccessKind::HitUntagged) => {
+                p.controller.on_cache_hit(t, EntryStatus::Untagged, req.size);
+                // First use of a prefetched entry: credit exactly what its
+                // transfer cost, once. The probe retags the entry, so a
+                // re-access is a tagged hit and cannot double-count.
+                let cost = p
+                    .prefetch_cost
+                    .remove(&req.item)
+                    .expect("untagged cache entry must have a recorded prefetch cost");
+                p.used_prefetch_bytes += cost;
+                trace_point(&mut tx.trace, rid, t, SpanKind::Hit, me as u64, 0.0, req.item.0, mf);
+                if in_window {
+                    lg.hit(&mut tx.obs);
+                }
+            }
+            MshrAccess::Hit(AccessKind::Miss) => unreachable!("probe_via maps misses"),
+            // Joined the in-flight fetch instead of duplicating the
+            // transfer; the waiter settles when that fetch lands.
+            MshrAccess::Coalesced => {
+                p.controller.on_miss(t, req.size);
+            }
+            MshrAccess::Fetch { tracked } => {
+                p.controller.on_miss(t, req.size);
+                lg.demand_bytes += req.size;
+                fetch = Some(tracked);
             }
         }
-        base
-    }
-
-    /// Summed return propagation of `route` at `now`, per-hop inflated
-    /// like [`Engine::entry_latency_at`].
-    fn return_latency_at(&self, route: &[usize], now: f64) -> f64 {
-        match self.faults {
-            Some(fc) => route
-                .iter()
-                .map(|&g| {
-                    let base = self.topology.entry_latency(g);
-                    let f = fc.plan.link_latency_factor(g, now);
-                    if f != 1.0 {
-                        base * f
-                    } else {
-                        base
-                    }
-                })
-                .sum(),
-            None => self.topology.return_latency(route),
+        if let Some(tracked) = fetch {
+            let job = Job {
+                id: tx.ledgers[i].next_job_id(me),
+                proxy: me as u32,
+                shard: (req.item.0 % tx.n_shards) as u32,
+                dest: resolve(router, me, req.item),
+                hop: 0,
+                size: req.size,
+                spent: req.size,
+                issued: t,
+                item: req.item,
+                kind: JobKind::Demand { measured: in_window },
+                tracked,
+                trace: rid,
+                tseq: 0,
+            };
+            tx.issue(job, t, t, mf);
         }
-    }
 
-    /// Stages `job`'s entry into global link `g` at `tau` (`now` plus the
-    /// link's propagation latency; equal to `now` on zero-latency hops).
-    fn send_arrive(&mut self, g: usize, now: f64, job: Job) {
-        let tau = now + self.entry_latency_at(g, now);
-        debug_assert!(tau >= now);
-        self.effects.push(Effect::Arrive { link: g as u32, t: tau, job });
-    }
-
-    /// Stages the peer-serve check of `job` at proxy `q` (the far end of
-    /// the peer route's last hop).
-    fn send_check(&mut self, last_link: usize, now: f64, job: Job) {
-        let Dest::Peer(q) = job.dest else { unreachable!("check on an origin transfer") };
-        let tau = now + self.entry_latency_at(last_link, now);
-        self.effects.push(Effect::Check { q, t: tau, job });
-    }
-
-    /// Stages `job`'s response delivery back at its requesting proxy,
-    /// after the return propagation of `route` — plus any active origin
-    /// brownout delay on origin responses.
-    fn send_deliver(&mut self, route: &[usize], now: f64, job: Job, false_hit: bool) {
-        let mut tau = now + self.return_latency_at(route, now);
-        if matches!(job.dest, Dest::Origin) {
-            if let Some(fc) = self.faults {
-                let d = fc.plan.origin_delay(now);
-                if d > 0.0 {
-                    tau += d;
+        // Predict and prefetch.
+        let knobs = &self.knobs;
+        p.predictor.observe(req.item);
+        let threshold = match knobs.policy {
+            ProxyPolicy::NoPrefetch => f64::INFINITY,
+            ProxyPolicy::FixedThreshold(th) => th,
+            ProxyPolicy::Adaptive => p.controller.policy().threshold,
+        };
+        if in_window && threshold.is_finite() {
+            p.threshold_sum += threshold;
+            p.threshold_n += 1;
+        }
+        if threshold.is_finite() {
+            let cands = p.predictor.candidates(knobs.max_candidates);
+            if let Some(o) = tx.obs.as_deref_mut() {
+                o.predictions(cands.len() as u64);
+            }
+            let size_aware =
+                knobs.delayed.size_aware && matches!(knobs.policy, ProxyPolicy::Adaptive);
+            let scale = tx.ledgers[i].retrievals.mean();
+            for (item, prob) in cands {
+                // The size is pure data (no RNG draw), so reading it before
+                // the acceptance check keeps draw order intact. On replay
+                // an unknown size means the item was never seen here — a
+                // Markov predictor cannot propose one, but skip defensively.
+                let Some(size) = p.source.size_of(item) else { continue };
+                // Byte-charged threshold: a candidate is compared against
+                // ρ̂′ scaled by its own size, so big speculative objects
+                // need proportionally higher confidence. Item-counted
+                // configs are the degenerate case (size = ŝ̄).
+                let mut th = if size_aware {
+                    p.controller.threshold_for_size(size).unwrap_or(1.0)
+                } else {
+                    threshold
+                };
+                // Aggregate-delay bias: keys that have been charged
+                // delayed-hit latency get a proportionally lower bar —
+                // prefetching them saves their whole waiter queue.
+                if let Some(agg) = p.agg.as_ref() {
+                    if scale > 0.0 {
+                        th = th * scale / (scale + agg.score(&item));
+                    }
+                }
+                // `reserve_prefetch` is the in-flight filter: false when
+                // the item already has an outstanding entry (or the table
+                // is full, dropping the candidate deterministically).
+                if prob > th && !p.cache.contains(&item) && p.mshr.reserve_prefetch(item, t, size) {
+                    let due = if knobs.prefetch_jitter > 0.0 {
+                        t + p.jitter_rng.exp(1.0 / knobs.prefetch_jitter)
+                    } else {
+                        t
+                    };
+                    p.delayed.push(PendingPrefetch {
+                        due,
+                        item,
+                        size,
+                        measured: in_window,
+                        decided: t,
+                    });
                 }
             }
         }
-        self.effects.push(Effect::Deliver { p: job.proxy, t: tau, job, false_hit });
     }
 
-    /// Any link on `job`'s current path down at `t`? Origin routes also
-    /// consult the origin's own blackout state. A pure query of the
-    /// static plan — identical under every sharding.
-    fn route_dark(&self, job: &Job, t: f64) -> bool {
-        let Some(fc) = self.faults else { return false };
-        if matches!(job.dest, Dest::Origin) && fc.plan.origin_dark(t) {
-            return true;
-        }
-        job.path(self.topology).iter().any(|&g| fc.plan.link_down(g, t))
-    }
-
-    /// Does attempt `attempt` of `job`, launched at `t`, make it? Dark
-    /// routes always fail; degraded links lose the attempt with a
-    /// deterministic per-`(job, attempt)` roll.
-    fn attempt_survives(&self, fc: &FaultConfig, job: &Job, attempt: u32, t: f64) -> bool {
-        if self.route_dark(job, t) {
-            return false;
-        }
-        !job.path(self.topology)
-            .iter()
-            .any(|&g| fc.plan.attempt_lost(self.seed, g, job.id, attempt, t))
-    }
-
-    /// Injects `job` onto the first link of its path at time `t`.
-    ///
-    /// Under a fault plan this is where the whole timeout–retry–backoff
-    /// schedule resolves, **analytically**: the plan is static, so each
-    /// attempt's fate (dark route, lost packet, or success) is a pure
-    /// function of its launch instant. Each failed attempt charges
-    /// `timeout + backoff(k)` of pure client-side wall clock (the lost
-    /// attempt never occupies a link); the surviving attempt enters the
-    /// network at its delayed instant; exhausting the budget stages a
-    /// `Fail` effect at the last attempt's timeout expiry. A dark peer
-    /// route fails over to the origin before spending an attempt — the
-    /// cooperative mesh degrades instead of stalling (quarantined crash
-    /// victims are already filtered at resolution). Speculative transfers
-    /// get exactly one attempt: a prefetch is never worth a retry budget.
-    fn launch(&mut self, t: f64, mut job: Job) {
-        let Some(fc) = self.faults else {
-            let first = job.path(self.topology)[0];
-            self.send_arrive(first, t, job);
-            return;
-        };
-        let attempts = match job.kind {
-            JobKind::Demand { .. } => fc.retry.attempts(),
-            JobKind::Prefetch { .. } => 1,
-        };
-        let mut t_att = t;
-        for attempt in 0..attempts {
-            if matches!(job.dest, Dest::Peer(_)) && self.route_dark(&job, t_att) {
-                let i = self.scope.proxy_local(job.proxy as usize).expect("launch in scope");
-                self.proxies[i].failovers += 1;
-                job.dest = Dest::Origin;
-                job.hop = 0;
+    /// A jittered prefetch decision comes due: launch it, unless the item
+    /// got cached meanwhile.
+    fn on_prefetch(&mut self, tx: &mut Transport<'_>, i: usize, router: Option<&Router>) {
+        let me = tx.scope.proxies[i];
+        let p = &mut self.proxies[i];
+        let pfx = p.delayed.pop().expect("pending prefetch");
+        if !p.cache.contains(&pfx.item) {
+            let lg = &mut tx.ledgers[i];
+            lg.prefetch_jobs += 1;
+            lg.prefetch_bytes += pfx.size;
+            let id = lg.next_job_id(me);
+            if let Some(o) = tx.obs.as_deref_mut() {
+                o.prefetch_issued();
             }
-            if self.attempt_survives(fc, &job, attempt, t_att) {
-                let first = job.path(self.topology)[0];
-                self.send_arrive(first, t_att, job);
-                return;
-            }
-            let i = self.scope.proxy_local(job.proxy as usize).expect("launch in scope");
-            self.proxies[i].timeouts += 1;
-            let expiry = t_att + fc.retry.timeout;
-            if attempt + 1 < attempts {
-                self.proxies[i].retries += 1;
-                let next = expiry + fc.retry.backoff(self.seed, job.id, attempt);
-                let jp = job.proxy as u64;
-                trace_job(&mut self.trace, &mut job, next, SpanKind::Retry, jp, expiry, 0);
-                t_att = next;
-            } else {
-                self.effects.push(Effect::Fail { p: job.proxy, t: expiry, job });
-                return;
+            let job = Job {
+                id,
+                proxy: me as u32,
+                shard: (pfx.item.0 % tx.n_shards) as u32,
+                dest: resolve(router, me, pfx.item),
+                hop: 0,
+                size: pfx.size,
+                spent: pfx.size,
+                issued: pfx.due,
+                item: pfx.item,
+                kind: JobKind::Prefetch { measured: pfx.measured },
+                tracked: true,
+                trace: tx.prefetch_trace(me, id),
+                tseq: 0,
+            };
+            let mf = if pfx.measured { TF_MEASURED } else { 0 };
+            tx.issue(job, pfx.due, pfx.decided, TF_PREFETCH | mf);
+        } else {
+            // Unreachable under the default unbounded coalescing table:
+            // the MSHR entry allocated at decision time reserves the item
+            // until this transfer (or its cancellation here) resolves —
+            // demand misses on a reserved item coalesce instead of
+            // fetching, and duplicate prefetch decisions are filtered on
+            // the table — so nothing can have cached the item since the
+            // decision checked it was absent. Pinned by
+            // `pending_prefetch_never_finds_item_cached`. With coalescing
+            // off, or a bounded table, an *untracked* concurrent demand
+            // fetch can legitimately land first and cache the item.
+            debug_assert!(
+                self.knobs.delayed.mshr_entries.is_some() || !self.knobs.delayed.coalesce,
+                "pending prefetch for item {:?} found it already cached",
+                pfx.item
+            );
+            // Cancel the reservation, resolving any waiters at the
+            // cancellation instant instead of silently dropping their
+            // measured access times (the waiter-leak bug).
+            if let Some(entry) = p.mshr.complete(&pfx.item) {
+                settle_waiters(
+                    &mut tx.trace,
+                    &mut tx.obs,
+                    &mut tx.ledgers[i],
+                    &entry.waiters,
+                    pfx.due,
+                    me as u64,
+                    pfx.item.0,
+                );
             }
         }
     }
 
-    /// A link departure event on local link `l` at time `t`.
-    pub(crate) fn on_link(&mut self, t: f64, l: usize) {
-        self.obs_tick(t);
-        self.t_end = t;
-        self.dirty.push((CLASS_DEPART, l));
-        let g_l = self.scope.links[l];
-        let done = self.links[l].on_event(t);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.jobs_completed(l, done.len());
-        }
-        let bandwidth = self.topology.links()[g_l].bandwidth;
-        for c in done {
-            let mut job = self.jobs.remove(&c.tag).expect("completed job on this scope's link");
-            self.links[l].bytes_carried += job.size;
-            let service = job.size / bandwidth;
-            trace_job(&mut self.trace, &mut job, t, SpanKind::Dequeue, g_l as u64, service, 0);
-            let route = job.path(self.topology);
-            if job.hop + 1 < route.len() {
-                let mut fwd = job;
-                fwd.hop += 1;
-                self.send_arrive(route[fwd.hop], t, fwd);
-                continue;
-            }
-            match job.dest {
-                // A peer transfer must find the entry actually present at
-                // the peer — checked at the peer itself (its cache is that
-                // shard's state), after the last hop's propagation.
-                Dest::Peer(_) => self.send_check(g_l, t, job),
-                Dest::Origin => self.send_deliver(route, t, job, false),
-            }
-        }
+    fn holds(&self, i: usize, item: ItemId) -> bool {
+        self.proxies[i].cache.contains(&item)
     }
 
-    /// Queued arrivals on local link `l` coming due at `t`, in
-    /// `(time, job id)` order.
-    pub(crate) fn on_arrivals(&mut self, t: f64, l: usize) {
-        self.obs_tick(t);
-        self.t_end = t;
-        while let Some(job) = self.arrivals[l].pop_due(t) {
-            self.arrive_now(l, t, job);
-        }
-        self.dirty.push((CLASS_ARRIVE, l));
-    }
-
-    /// `job` enters local link `l`'s server at `t`.
-    fn arrive_now(&mut self, l: usize, t: f64, mut job: Job) {
-        trace_job(
-            &mut self.trace,
-            &mut job,
-            t,
-            SpanKind::Enqueue,
-            self.scope.links[l] as u64,
-            0.0,
-            0,
-        );
-        self.jobs.insert(job.id, job);
-        self.links[l].arrive(t, job.size, job.id);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.job_arrived(l);
-        }
-        self.dirty.push((CLASS_DEPART, l));
-    }
-
-    /// Queued peer-serve checks at local proxy `i` coming due at `t`.
-    pub(crate) fn on_checks(&mut self, t: f64, i: usize) {
-        self.obs_tick(t);
-        self.t_end = t;
-        while let Some(job) = self.checks[i].pop_due(t) {
-            self.check_now(i, t, job);
-        }
-        self.dirty.push((CLASS_CHECK, i));
-    }
-
-    /// The peer-serve check of `job` at local proxy `i` (= `job.dest`'s
-    /// peer): does the peer actually hold the item? Either way the answer
-    /// travels back to the requester over the peer route.
-    fn check_now(&mut self, i: usize, t: f64, mut job: Job) {
-        self.t_end = t;
-        debug_assert!(matches!(job.dest, Dest::Peer(q) if self.scope.proxies[i] == q as usize));
-        let holds = self.proxies[i].cache.contains(&job.item);
-        trace_job(
-            &mut self.trace,
-            &mut job,
-            t,
-            SpanKind::Check,
-            self.scope.proxies[i] as u64,
-            if holds { 1.0 } else { 0.0 },
-            if holds { 0 } else { TF_FALSE_HIT },
-        );
-        let route = job.path(self.topology);
-        self.send_deliver(route, t, job, !holds);
-    }
-
-    /// Queued response deliveries at local proxy `i` coming due at `t`.
-    pub(crate) fn on_delivers(&mut self, t: f64, i: usize) {
-        self.obs_tick(t);
-        self.t_end = t;
-        while let Some((job, false_hit)) = self.delivers[i].pop_due(t) {
-            self.deliver_now(i, t, job, false_hit);
-        }
-        self.dirty.push((CLASS_DELIVER, i));
-    }
-
-    /// `job`'s response (or false-hit notification) lands at its
-    /// requesting proxy — local index `i`.
-    fn deliver_now(&mut self, i: usize, t: f64, mut job: Job, false_hit: bool) {
-        self.t_end = t;
-        debug_assert_eq!(self.scope.proxies[i], job.proxy as usize);
+    fn on_deliver(
+        &mut self,
+        tx: &mut Transport<'_>,
+        i: usize,
+        t: f64,
+        mut job: Job,
+        false_hit: bool,
+    ) {
         if false_hit {
             // Digest false hit: the transfer reached a peer that does not
             // hold the item (evicted since the last refresh, or a
@@ -1160,19 +746,20 @@ impl<'a> Engine<'a> {
             fwd.hop = 0;
             fwd.spent += fwd.size;
             let fp = fwd.proxy as u64;
-            trace_job(&mut self.trace, &mut fwd, t, SpanKind::Redirect, fp, 0.0, TF_FALSE_HIT);
-            let p = &mut self.proxies[i];
-            p.peer_false_hits += 1;
+            trace_job(&mut tx.trace, &mut fwd, t, SpanKind::Redirect, fp, 0.0, TF_FALSE_HIT);
+            self.proxies[i].peer_false_hits += 1;
+            let lg = &mut tx.ledgers[i];
             match job.kind {
-                JobKind::Demand { .. } => p.demand_bytes += job.size,
-                JobKind::Prefetch { .. } => p.prefetch_bytes += job.size,
+                JobKind::Demand { .. } => lg.demand_bytes += job.size,
+                JobKind::Prefetch { .. } => lg.prefetch_bytes += job.size,
             }
-            self.launch(t, fwd);
+            tx.launch(t, fwd);
             return;
         }
         let jp = job.proxy as u64;
-        trace_job(&mut self.trace, &mut job, t, SpanKind::Deliver, jp, 0.0, 0);
+        trace_job(&mut tx.trace, &mut job, t, SpanKind::Deliver, jp, 0.0, 0);
         let p = &mut self.proxies[i];
+        let lg = &mut tx.ledgers[i];
         if matches!(job.dest, Dest::Peer(_)) {
             p.peer_fetches += 1;
             p.peer_bytes += job.size;
@@ -1186,22 +773,11 @@ impl<'a> Engine<'a> {
                 // bypassed fetch itself, yields `None` here.
                 let entry = p.mshr.complete(&job.item);
                 if measured {
-                    let sojourn = t - job.issued;
-                    p.access_times.push(sojourn);
-                    p.retrievals.push(sojourn);
-                    p.total_job_time += sojourn;
-                    obs_lat(&mut self.obs, sojourn);
+                    lg.fetched(&mut tx.obs, t - job.issued);
                 }
                 let waiters = entry.map(|e| e.waiters).unwrap_or_default();
-                let residual_sum = settle_waiters(
-                    &mut self.trace,
-                    &mut self.obs,
-                    p,
-                    &waiters,
-                    t,
-                    job.proxy as u64,
-                    job.item.0,
-                );
+                let residual_sum =
+                    settle_waiters(&mut tx.trace, &mut tx.obs, lg, &waiters, t, jp, job.item.0);
                 if let Some(agg) = p.agg.as_mut() {
                     // The blocking fetch is charged its own latency plus
                     // every waiter's residual — the key's aggregate delay.
@@ -1211,28 +787,21 @@ impl<'a> Engine<'a> {
             }
             JobKind::Prefetch { measured } => {
                 if measured {
-                    p.total_job_time += t - job.issued;
+                    lg.total_job_time += t - job.issued;
                 }
                 let entry = p.mshr.complete(&job.item);
                 let waiters = entry.map(|e| e.waiters).unwrap_or_default();
                 if !waiters.is_empty() {
                     // The item was demanded while the prefetch was in
-                    // flight: it lands as a demand-fetched (tagged)
-                    // entry and the waiters' clocks stop now. The
-                    // transfer served real demand, so everything it
-                    // cost counts as used.
+                    // flight: it lands as a demand-fetched (tagged) entry
+                    // and the waiters' clocks stop now. The transfer
+                    // served real demand, so everything it cost counts as
+                    // used.
                     let (admitted, evicted) = p.cache.charge_after_fetch(job.item, job.size);
                     note_cache_change(&mut self.deltas, i, p, job.item, admitted, &evicted);
                     p.used_prefetch_bytes += job.spent;
-                    let residual_sum = settle_waiters(
-                        &mut self.trace,
-                        &mut self.obs,
-                        p,
-                        &waiters,
-                        t,
-                        job.proxy as u64,
-                        job.item.0,
-                    );
+                    let residual_sum =
+                        settle_waiters(&mut tx.trace, &mut tx.obs, lg, &waiters, t, jp, job.item.0);
                     if let Some(agg) = p.agg.as_mut() {
                         // A prefetch the demand stream caught up with:
                         // only the residuals were felt as delay.
@@ -1254,469 +823,37 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Queued fetch-failure settlements at local proxy `i` coming due at
-    /// `t` (fault runs only).
-    pub(crate) fn on_fails(&mut self, t: f64, i: usize) {
-        self.obs_tick(t);
-        self.t_end = t;
-        while let Some(job) = self.fails[i].pop_due(t) {
-            self.fail_now(i, t, job);
-        }
-        self.dirty.push((CLASS_FAIL, i));
+    fn mshr(&self, i: usize) -> Option<&Mshr<ItemId>> {
+        Some(&self.proxies[i].mshr)
     }
 
-    /// `job`'s fetch exhausted its attempt budget — settle it (and every
-    /// coalesced waiter) as **failed** at `t`, the last attempt's timeout
-    /// expiry. The MSHR entry is reclassified with a failure outcome so
-    /// the conservation law `origin_fetches + coalesced + failed ==
-    /// demand_misses` stays exact, and the bytes of the never-launched
-    /// leg are refunded: a transfer that never entered a link is client
-    /// pain, not network load.
-    fn fail_now(&mut self, i: usize, t: f64, mut job: Job) {
-        self.t_end = t;
-        debug_assert_eq!(self.scope.proxies[i], job.proxy as usize);
-        let jp = job.proxy as u64;
-        let pf = if matches!(job.kind, JobKind::Prefetch { .. }) { TF_PREFETCH } else { 0 };
-        trace_job(&mut self.trace, &mut job, t, SpanKind::Failed, jp, 0.0, pf);
+    fn mshr_mut(&mut self, i: usize) -> Option<&mut Mshr<ItemId>> {
+        Some(&mut self.proxies[i].mshr)
+    }
+
+    /// The data plane is lost: cached entries, the outstanding-fetch table
+    /// (drained by the engine), and the buffered digest stream. The
+    /// control plane (controller, predictor) survives the restart.
+    fn crash(&mut self, i: usize) {
         let p = &mut self.proxies[i];
-        p.failed_fetches += 1;
-        let entry = match job.kind {
-            JobKind::Demand { measured } => {
-                p.demand_bytes -= job.size;
-                if measured {
-                    let sojourn = t - job.issued;
-                    p.measured_failed += 1;
-                    p.access_times.push(sojourn);
-                    p.total_job_time += sojourn;
-                    obs_lat(&mut self.obs, sojourn);
-                }
-                if !job.tracked {
-                    // A bypassed fetch has no entry; reclassify by volume.
-                    p.mshr.fail_untracked(job.size);
-                    None
-                } else if p
-                    .mshr
-                    .entry(&job.item)
-                    .is_some_and(|e| e.origin == FetchOrigin::Demand && e.issued == job.issued)
-                {
-                    p.mshr.fail(&job.item)
-                } else {
-                    // The entry is gone (a crash drained and reclassified
-                    // it) or belongs to a newer fetch generation — nothing
-                    // of ours left to settle.
-                    None
-                }
-            }
-            JobKind::Prefetch { .. } => {
-                p.prefetch_bytes -= job.size;
-                if p.mshr.entry(&job.item).is_some_and(|e| e.origin == FetchOrigin::Prefetch) {
-                    // Duplicate reservations are filtered on the table, so
-                    // a Prefetch-origin entry for this item is this job's.
-                    p.mshr.fail(&job.item)
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(entry) = entry {
-            settle_failed_waiters(
-                &mut self.trace,
-                &mut self.obs,
-                p,
-                &entry.waiters,
-                t,
-                jp,
-                job.item.0,
-            );
+        p.lost_entries += p.cache.keys().len() as u64;
+        p.cache = new_store(&self.knobs);
+        p.prefetch_cost.clear();
+        if self.coop_on {
+            self.deltas[i].clear();
+            self.force_snapshot[i] = true;
         }
     }
 
-    /// A jittered prefetch decision of local proxy `i` coming due.
-    pub(crate) fn on_issue_prefetch(&mut self, i: usize, router: Option<&Router>) {
-        let me = self.scope.proxies[i];
-        let due = self.proxies[i].delayed.peek().expect("pending prefetch").due;
-        self.obs_tick(due);
-        let pfx = self.proxies[i].delayed.pop().expect("pending prefetch");
-        self.t_end = pfx.due;
-        self.dirty.push((CLASS_PREFETCH, i));
-        if !self.proxies[i].cache.contains(&pfx.item) {
-            let dest = resolve(router, me, pfx.item);
-            let shard = (pfx.item.0 % self.n_shards) as u32;
-            let id = {
-                let p = &mut self.proxies[i];
-                p.prefetch_jobs += 1;
-                p.prefetch_bytes += pfx.size;
-                p.job_seq += 1;
-                ((me as u64) << 40) | p.job_seq
-            };
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.prefetch_issued();
-            }
-            // The prefetch-id stream mirrors the job-id stream: the low 40
-            // bits of `id` are this proxy's job sequence number.
-            let tid = match self.trace.as_deref() {
-                Some(b) => b.admit(trace::prefetch_trace_id(me as u64, id & ((1 << 40) - 1))),
-                None => 0,
-            };
-            let mut job = Job {
-                id,
-                proxy: me as u32,
-                shard,
-                dest,
-                hop: 0,
-                size: pfx.size,
-                spent: pfx.size,
-                issued: pfx.due,
-                item: pfx.item,
-                kind: JobKind::Prefetch { measured: pfx.measured },
-                tracked: true,
-                trace: tid,
-                tseq: 0,
-            };
-            let mf = if pfx.measured { TF_MEASURED } else { 0 };
-            trace_job(
-                &mut self.trace,
-                &mut job,
-                pfx.due,
-                SpanKind::Issue,
-                me as u64,
-                pfx.decided,
-                TF_PREFETCH | mf,
-            );
-            self.launch(pfx.due, job);
-        } else {
-            // Unreachable under the default unbounded coalescing table:
-            // the MSHR entry allocated at decision time reserves the item
-            // until this transfer (or its cancellation here) resolves —
-            // demand misses on a reserved item coalesce instead of
-            // fetching, and duplicate prefetch decisions are filtered on
-            // the table — so nothing can have cached the item since the
-            // decision checked it was absent. Pinned by
-            // `pending_prefetch_never_finds_item_cached`. With coalescing
-            // off, or a bounded table, an *untracked* concurrent demand
-            // fetch can legitimately land first and cache the item.
-            debug_assert!(
-                self.knobs.delayed.mshr_entries.is_some() || !self.knobs.delayed.coalesce,
-                "pending prefetch for item {:?} found it already cached",
-                pfx.item
-            );
-            // Cancel the reservation, resolving any waiters at the
-            // cancellation instant instead of silently dropping their
-            // measured access times (the waiter-leak bug).
-            let p = &mut self.proxies[i];
-            if let Some(entry) = p.mshr.complete(&pfx.item) {
-                settle_waiters(
-                    &mut self.trace,
-                    &mut self.obs,
-                    p,
-                    &entry.waiters,
-                    pfx.due,
-                    me as u64,
-                    pfx.item.0,
-                );
-            }
+    fn digest_loss(&mut self, i: usize) {
+        if self.coop_on {
+            self.proxies[i].lost_entries += self.deltas[i].len() as u64;
+            self.deltas[i].clear();
+            self.force_snapshot[i] = true;
         }
     }
 
-    /// The next client request of local proxy `i`.
-    pub(crate) fn on_request(&mut self, i: usize, router: Option<&Router>) {
-        let me = self.scope.proxies[i];
-        let n_shards = self.n_shards;
-        let t_req = self.proxies[i].pending.expect("request due").time;
-        self.obs_tick(t_req);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.request();
-        }
-        let p = &mut self.proxies[i];
-        let req = p.pending.take().expect("request due");
-        p.pending = p.source.next_request(&mut p.rng);
-        let t = req.time;
-        self.t_end = t;
-        let idx = p.issued;
-        p.issued += 1;
-        if let Some(rec) = self.recorder.as_mut() {
-            // Fold the proxy into the client id so replay can route the
-            // record back (`client % n_proxies == proxy`) while keeping
-            // the original client recoverable by division.
-            rec[i].push(TraceRecord::new(
-                t,
-                me as u32 + self.client_stride * req.client,
-                req.item,
-                req.size,
-            ));
-        }
-        let in_window = idx >= self.warm;
-        let mut launch_demand = false;
-        let mut fetch_tracked = true;
-        // The request's head-sampling decision is a pure hash of
-        // `(proxy, request index)` — identical under every sharding.
-        let rid = match self.trace.as_deref() {
-            Some(b) => b.admit(trace::request_trace_id(me as u64, idx)),
-            None => 0,
-        };
-        let mf = if in_window { TF_MEASURED } else { 0 };
-
-        // One probe consults the cache *and* the outstanding-fetch table:
-        // a miss on an in-flight item joins the fetch's FIFO waiter queue
-        // (a delayed hit in the making) instead of authorising a second
-        // transfer.
-        let waiter = Waiter { t, measured: in_window, trace: rid };
-        match p.cache.probe_via(&mut p.mshr, req.item, t, req.size, waiter) {
-            MshrAccess::Hit(AccessKind::HitTagged) => {
-                p.controller.on_cache_hit(t, EntryStatus::Tagged, req.size);
-                trace_point(&mut self.trace, rid, t, SpanKind::Hit, me as u64, 0.0, req.item.0, mf);
-                if in_window {
-                    p.access_times.push(0.0);
-                    obs_lat(&mut self.obs, 0.0);
-                    p.hits += 1;
-                    p.measured += 1;
-                }
-            }
-            MshrAccess::Hit(AccessKind::HitUntagged) => {
-                p.controller.on_cache_hit(t, EntryStatus::Untagged, req.size);
-                // First use of a prefetched entry: credit exactly what its
-                // transfer cost, once. The probe retags the entry, so a
-                // re-access is a tagged hit and cannot double-count.
-                let cost = p
-                    .prefetch_cost
-                    .remove(&req.item)
-                    .expect("untagged cache entry must have a recorded prefetch cost");
-                p.used_prefetch_bytes += cost;
-                trace_point(&mut self.trace, rid, t, SpanKind::Hit, me as u64, 0.0, req.item.0, mf);
-                if in_window {
-                    p.access_times.push(0.0);
-                    obs_lat(&mut self.obs, 0.0);
-                    p.hits += 1;
-                    p.measured += 1;
-                }
-            }
-            MshrAccess::Hit(AccessKind::Miss) => unreachable!("probe_via maps misses"),
-            MshrAccess::Coalesced => {
-                // Joined the in-flight fetch instead of duplicating the
-                // transfer; the waiter settles when that fetch lands.
-                p.controller.on_miss(t, req.size);
-                if in_window {
-                    p.measured += 1;
-                }
-            }
-            MshrAccess::Fetch { tracked } => {
-                p.controller.on_miss(t, req.size);
-                if in_window {
-                    p.measured += 1;
-                }
-                p.demand_bytes += req.size;
-                launch_demand = true;
-                fetch_tracked = tracked;
-            }
-        }
-        if launch_demand {
-            let shard = (req.item.0 % n_shards) as u32;
-            let dest = resolve(router, me, req.item);
-            let id = {
-                let p = &mut self.proxies[i];
-                p.job_seq += 1;
-                ((me as u64) << 40) | p.job_seq
-            };
-            let mut job = Job {
-                id,
-                proxy: me as u32,
-                shard,
-                dest,
-                hop: 0,
-                size: req.size,
-                spent: req.size,
-                issued: t,
-                item: req.item,
-                kind: JobKind::Demand { measured: in_window },
-                tracked: fetch_tracked,
-                trace: rid,
-                tseq: 0,
-            };
-            trace_job(&mut self.trace, &mut job, t, SpanKind::Issue, me as u64, t, mf);
-            self.launch(t, job);
-        }
-
-        // Predict and prefetch.
-        let p = &mut self.proxies[i];
-        p.predictor.observe(req.item);
-        let threshold = match self.knobs.policy {
-            ProxyPolicy::NoPrefetch => f64::INFINITY,
-            ProxyPolicy::FixedThreshold(th) => th,
-            ProxyPolicy::Adaptive => p.controller.policy().threshold,
-        };
-        if in_window && threshold.is_finite() {
-            p.threshold_sum += threshold;
-            p.threshold_n += 1;
-        }
-        if threshold.is_finite() {
-            let cands = p.predictor.candidates(self.knobs.max_candidates);
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.predictions(cands.len() as u64);
-            }
-            let size_aware =
-                self.knobs.delayed.size_aware && matches!(self.knobs.policy, ProxyPolicy::Adaptive);
-            for (item, prob) in cands {
-                // The size is pure data (no RNG draw), so reading it before
-                // the acceptance check keeps draw order intact. On replay
-                // an unknown size means the item was never seen here — a
-                // Markov predictor cannot propose one, but skip defensively.
-                let Some(size) = p.source.size_of(item) else { continue };
-                // Byte-charged threshold: a candidate is compared against
-                // ρ̂′ scaled by its own size, so big speculative objects
-                // need proportionally higher confidence. Item-counted
-                // configs are the degenerate case (size = ŝ̄).
-                let mut th = if size_aware {
-                    p.controller.threshold_for_size(size).unwrap_or(1.0)
-                } else {
-                    threshold
-                };
-                // Aggregate-delay bias: keys that have been charged
-                // delayed-hit latency get a proportionally lower bar —
-                // prefetching them saves their whole waiter queue.
-                if let Some(agg) = p.agg.as_ref() {
-                    let scale = p.retrievals.mean();
-                    if scale > 0.0 {
-                        th = th * scale / (scale + agg.score(&item));
-                    }
-                }
-                // `reserve_prefetch` is the in-flight filter: false when
-                // the item already has an outstanding entry (or the table
-                // is full, dropping the candidate deterministically).
-                if prob > th && !p.cache.contains(&item) && p.mshr.reserve_prefetch(item, t, size) {
-                    let due = if self.knobs.prefetch_jitter > 0.0 {
-                        t + p.jitter_rng.exp(1.0 / self.knobs.prefetch_jitter)
-                    } else {
-                        t
-                    };
-                    p.delayed.push(PendingPrefetch {
-                        due,
-                        item,
-                        size,
-                        measured: in_window,
-                        decided: t,
-                    });
-                }
-            }
-        }
-        self.dirty.push((CLASS_REQUEST, i));
-        self.dirty.push((CLASS_PREFETCH, i));
-    }
-}
-
-impl shard::EngineCore for Engine<'_> {
-    type Job = Job;
-
-    fn class_counts(&self) -> [usize; N_CLASSES] {
-        let (l, p) = (self.links.len(), self.proxies.len());
-        [l, l, p, p, p, p, p]
-    }
-
-    fn global_id(&self, class: usize, idx: usize) -> usize {
-        match class {
-            CLASS_DEPART | CLASS_ARRIVE => self.scope.links[idx],
-            _ => self.scope.proxies[idx],
-        }
-    }
-
-    fn due(&self, class: usize, idx: usize) -> Option<f64> {
-        match class {
-            CLASS_DEPART => self.links[idx].next_event(),
-            CLASS_ARRIVE => self.arrivals[idx].next_time(),
-            CLASS_CHECK => self.checks[idx].next_time(),
-            CLASS_DELIVER => self.delivers[idx].next_time(),
-            CLASS_REQUEST => self.request_due(idx),
-            CLASS_PREFETCH => self.prefetch_due(idx),
-            CLASS_FAIL => self.fails[idx].next_time(),
-            _ => unreachable!("unknown class {class}"),
-        }
-    }
-
-    fn dispatch(&mut self, class: usize, idx: usize, t: f64, router: Option<&Router>) {
-        match class {
-            CLASS_DEPART => self.on_link(t, idx),
-            CLASS_ARRIVE => self.on_arrivals(t, idx),
-            CLASS_CHECK => self.on_checks(t, idx),
-            CLASS_DELIVER => self.on_delivers(t, idx),
-            CLASS_REQUEST => self.on_request(idx, router),
-            CLASS_PREFETCH => self.on_issue_prefetch(idx, router),
-            CLASS_FAIL => self.on_fails(t, idx),
-            _ => unreachable!("unknown class {class}"),
-        }
-    }
-
-    fn apply_now(&mut self, e: Effect<Job>, t: f64) {
-        debug_assert_eq!(e.time(), t);
-        // A same-instant effect can land on a scope whose own dispatch at
-        // `t` has not fired yet — tick first so grid samples stay "state
-        // before `t`" under every sharding.
-        self.obs_tick(t);
-        match e {
-            Effect::Arrive { link, job, .. } => {
-                let l = self.scope.link_local(link as usize).expect("arrive in scope");
-                self.arrive_now(l, t, job);
-            }
-            Effect::Check { q, job, .. } => {
-                let i = self.scope.proxy_local(q as usize).expect("check in scope");
-                self.check_now(i, t, job);
-            }
-            Effect::Deliver { p, job, false_hit, .. } => {
-                let i = self.scope.proxy_local(p as usize).expect("deliver in scope");
-                self.deliver_now(i, t, job, false_hit);
-            }
-            Effect::Fail { p, job, .. } => {
-                let i = self.scope.proxy_local(p as usize).expect("fail in scope");
-                self.fail_now(i, t, job);
-            }
-        }
-    }
-
-    fn enqueue(&mut self, e: Effect<Job>) {
-        match e {
-            Effect::Arrive { link, t, job } => {
-                let l = self.scope.link_local(link as usize).expect("arrive in scope");
-                self.arrivals[l].push(t, job.id, job);
-                self.dirty.push((CLASS_ARRIVE, l));
-            }
-            Effect::Check { q, t, job } => {
-                let i = self.scope.proxy_local(q as usize).expect("check in scope");
-                self.checks[i].push(t, job.id, job);
-                self.dirty.push((CLASS_CHECK, i));
-            }
-            Effect::Deliver { p, t, job, false_hit } => {
-                let i = self.scope.proxy_local(p as usize).expect("deliver in scope");
-                self.delivers[i].push(t, job.id, (job, false_hit));
-                self.dirty.push((CLASS_DELIVER, i));
-            }
-            Effect::Fail { p, t, job } => {
-                let i = self.scope.proxy_local(p as usize).expect("fail in scope");
-                self.fails[i].push(t, job.id, job);
-                self.dirty.push((CLASS_FAIL, i));
-            }
-        }
-    }
-
-    fn owns(&self, e: &Effect<Job>) -> bool {
-        match e {
-            Effect::Arrive { link, .. } => self.scope.link_local(*link as usize).is_some(),
-            Effect::Check { q, .. } => self.scope.proxy_local(*q as usize).is_some(),
-            Effect::Deliver { p, .. } => self.scope.proxy_local(*p as usize).is_some(),
-            Effect::Fail { p, .. } => self.scope.proxy_local(*p as usize).is_some(),
-        }
-    }
-
-    fn take_effects(&mut self, out: &mut Vec<Effect<Job>>) {
-        out.append(&mut self.effects);
-    }
-
-    fn drain_dirty(&mut self, out: &mut Vec<(usize, usize)>) {
-        out.append(&mut self.dirty);
-    }
-
-    fn sync_link_timer(&mut self, idx: usize, sched: &mut Scheduler, key: usize) {
-        self.links[idx].sync_timer(sched, key);
-    }
-
-    fn refresh_payloads(&mut self, out: &mut Vec<shard::BoundaryEntry>) {
+    fn refresh_payloads(&mut self, scope: &Scope, out: &mut Vec<BoundaryEntry>) {
         if !self.coop_on {
             return;
         }
@@ -1754,350 +891,58 @@ impl shard::EngineCore for Engine<'_> {
                     }
                 }
             };
-            out.push((self.scope.proxies[li], load, payload));
+            out.push((scope.proxies[li], load, payload));
         }
     }
 
-    fn apply_fault(&mut self, t: f64, kind: &FaultKind) {
-        match kind {
-            FaultKind::ProxyCrash { proxy } => {
-                let Some(i) = self.scope.proxy_local(*proxy) else { return };
-                self.t_end = self.t_end.max(t);
-                let jp = *proxy as u64;
-                let p = &mut self.proxies[i];
-                // The data plane is lost: cached entries, the outstanding
-                // fetch table, and the buffered digest stream. The control
-                // plane (controller, predictor) survives the restart, as
-                // does anything already in flight on the wire — a transfer
-                // launched before the crash still lands on the cold cache.
-                p.lost_entries += p.cache.keys().len() as u64;
-                p.cache = new_store(&self.knobs);
-                p.prefetch_cost.clear();
-                let drained = p.mshr.drain_failed();
-                for (item, entry) in &drained {
-                    if entry.origin == FetchOrigin::Demand {
-                        p.failed_fetches += 1;
-                    }
-                    settle_failed_waiters(
-                        &mut self.trace,
-                        &mut self.obs,
-                        p,
-                        &entry.waiters,
-                        t,
-                        jp,
-                        item.0,
-                    );
-                }
-                if self.coop_on {
-                    self.deltas[i].clear();
-                    self.force_snapshot[i] = true;
-                }
-            }
-            FaultKind::DigestLoss { proxy } => {
-                let Some(i) = self.scope.proxy_local(*proxy) else { return };
-                if self.coop_on {
-                    self.proxies[i].lost_entries += self.deltas[i].len() as u64;
-                    self.deltas[i].clear();
-                    self.force_snapshot[i] = true;
-                }
-            }
-            _ => debug_assert!(false, "non-boundary fault {kind:?} routed to an engine"),
-        }
-    }
-}
-
-/// Builds one proxy's report block.
-fn node_report(p: &ProxyState, proxy: usize, n_requests: u64, coop_on: bool) -> NodeReport {
-    let (mean_access, ci) = p.access_times.mean_ci();
-    let measured = p.measured.max(1);
-    // Every demand miss launched a fetch that succeeds, coalesced onto
-    // one, or failed — faults must not leak requests out of the ledger.
-    debug_assert!(
-        p.mshr.conservation_ok(),
-        "proxy {proxy}: MSHR conservation law violated \
-         (origin_fetches + coalesced + failed != demand_misses)"
-    );
-    // Per-distinct-entry accounting conserves prefetched bytes exactly:
-    // every transferred byte is either used (served a demand) or not — no
-    // clamp needed to keep goodput within the prefetched volume.
-    debug_assert!(
-        p.used_prefetch_bytes <= p.prefetch_bytes * (1.0 + 1e-9) + 1e-9,
-        "proxy {proxy}: goodput {} exceeds prefetched volume {}",
-        p.used_prefetch_bytes,
-        p.prefetch_bytes
-    );
-    let goodput = p.used_prefetch_bytes;
-    let badput = (p.prefetch_bytes - p.used_prefetch_bytes).max(0.0);
-    debug_assert!(
-        (goodput + badput - p.prefetch_bytes).abs() <= 1e-6 * p.prefetch_bytes.max(1.0),
-        "proxy {proxy}: goodput {goodput} + badput {badput} != prefetched {}",
-        p.prefetch_bytes
-    );
-    NodeReport {
-        proxy,
-        measured_requests: p.measured,
-        hit_ratio: p.hits as f64 / measured as f64,
-        mean_access_time: mean_access,
-        access_time_ci95: ci,
-        mean_retrieval_time: p.retrievals.mean(),
-        retrieval_per_request: p.total_job_time / measured as f64,
-        prefetches_per_request: p.prefetch_jobs as f64 / n_requests.max(1) as f64,
-        goodput_bytes: Some(goodput),
-        badput_bytes: Some(badput),
-        demand_bytes: p.demand_bytes,
-        cache_used_bytes: Some(p.cache.used_bytes()),
-        peer_bytes: coop_on.then_some(p.peer_bytes),
-        peer_fetches: coop_on.then_some(p.peer_fetches),
-        peer_false_hits: coop_on.then_some(p.peer_false_hits),
-        mean_threshold: (p.threshold_n > 0).then(|| p.threshold_sum / p.threshold_n as f64),
-        rho_prime_estimate: p.controller.rho_prime_estimate(),
-        h_prime_estimate: p.controller.h_prime_estimate(),
-        delayed_hits: Some(p.delayed_hits),
-        coalesced_requests: Some(p.mshr.coalesced()),
-        origin_fetches: Some(p.mshr.origin_fetches()),
-        mean_residual_wait: (p.delayed_hits > 0).then(|| p.residual.mean()),
-        mean_waiter_depth: p.mshr.waiter_depth_mean(),
-        mshr_rejections: Some(p.mshr.rejections()),
-        demand_misses: Some(p.mshr.demand_misses()),
-        mshr_failed: Some(p.mshr.failed()),
-        timeouts: p.timeouts,
-        retries: p.retries,
-        failovers: p.failovers,
-        failed_fetches: p.failed_fetches,
-        lost_entries: p.lost_entries,
-        unavailability: if p.measured > 0 {
-            p.measured_failed as f64 / p.measured as f64
-        } else {
-            0.0
-        },
-    }
-}
-
-/// Assembles the cluster report from the (possibly sharded) engine
-/// scopes, iterating every per-proxy and per-link aggregate in **global**
-/// index order so the floating-point reductions are identical under every
-/// partitioning.
-pub(crate) fn merge_reports(
-    topology: &Topology,
-    engines: Vec<Engine<'_>>,
-    router: Option<Router>,
-) -> ClusterReport {
-    let n_requests = engines[0].n_requests;
-    let t_end = engines.iter().map(|e| e.t_end).fold(0.0, f64::max);
-    let coop_on = router.is_some();
-
-    let n_proxies = topology.n_proxies();
-    let index = ScopeIndex::new(topology, engines.iter().map(|e| &e.scope));
-    let proxy = |g: usize| {
-        let (ei, li) = index.proxy(g);
-        &engines[ei].proxies[li]
-    };
-
-    let nodes: Vec<NodeReport> =
-        (0..n_proxies).map(|g| node_report(proxy(g), g, n_requests, coop_on)).collect();
-
-    let link_reports: Vec<LinkReport> = topology
-        .links()
-        .iter()
-        .enumerate()
-        .map(|(g, spec)| {
-            let (ei, li) = index.link(g);
-            let state = &engines[ei].links[li];
-            LinkReport {
-                name: spec.name.clone(),
-                utilisation: if t_end > 0.0 { state.busy_time() / t_end } else { 0.0 },
-                bytes_carried: state.bytes_carried,
-                jobs_completed: state.jobs_completed,
-            }
-        })
-        .collect();
-
-    let total_measured: u64 = nodes.iter().map(|n| n.measured_requests).sum();
-    let mean_access_time =
-        nodes.iter().map(|n| n.mean_access_time * n.measured_requests as f64).sum::<f64>()
-            / total_measured.max(1) as f64;
-    let total_bytes: f64 =
-        (0..n_proxies).map(|g| proxy(g).demand_bytes + proxy(g).prefetch_bytes).sum();
-
-    ClusterReport {
-        nodes,
-        links: link_reports,
-        mean_access_time,
-        bytes_per_request: total_bytes / (n_requests * n_proxies as u64).max(1) as f64,
-        duration: t_end,
-        coop: router.map(|r| CoopReport {
-            router: r.stats(),
-            peer_fetches: (0..n_proxies).map(|g| proxy(g).peer_fetches).sum(),
-            peer_false_hits: (0..n_proxies).map(|g| proxy(g).peer_false_hits).sum(),
-        }),
-    }
-}
-
-/// What replaying a trace cost: consumed records and the high-water mark
-/// of any single proxy's resident trace buffer — pinned O(chunk-size), not
-/// O(trace), by the replay tests.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReplayStats {
-    /// Records consumed across all proxies.
-    pub records_replayed: u64,
-    /// Max per-stream resident trace bytes observed.
-    pub peak_resident_bytes: usize,
-}
-
-/// Side outputs of a run beyond the report/obs pair.
-pub(crate) struct RunExtras {
-    /// The recorded request trace, merged in global time order, when
-    /// recording was requested.
-    pub(crate) recorded: Option<Vec<TraceRecord>>,
-    /// Replay accounting, when the workload replayed a trace.
-    pub(crate) replay: Option<ReplayStats>,
-}
-
-/// Merges per-proxy recorded request streams (each already time-ordered)
-/// into one globally ordered trace: by time, ties by global proxy id, then
-/// by per-proxy sequence — deterministic under every sharding.
-pub(crate) fn merge_recorded(parts: Vec<(usize, Vec<TraceRecord>)>) -> Vec<TraceRecord> {
-    let mut tagged: Vec<(usize, usize, TraceRecord)> = parts
-        .into_iter()
-        .flat_map(|(g, recs)| recs.into_iter().enumerate().map(move |(s, r)| (g, s, r)))
-        .collect();
-    tagged.sort_by(|a, b| a.2.time.total_cmp(&b.2.time).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-    tagged.into_iter().map(|(_, _, r)| r).collect()
-}
-
-/// Runs the closed loop partitioned by `plan` — the single-shard plan is
-/// the classic single-threaded driver — optionally with observability
-/// attached. The report is bit-identical with probes on or off (pinned by
-/// `obs_parity.rs`); the second return is `Some` exactly when an enabled
-/// config was passed. With `record` set, every issued request is captured
-/// and returned as a merged trace in [`RunExtras`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_observed(
-    topology: &Topology,
-    workload: EngineWorkload<'_>,
-    coop_cfg: Option<&CoopConfig>,
-    requests: usize,
-    warmup: usize,
-    seed: u64,
-    plan: &ShardPlan,
-    obs: Option<&ObsConfig>,
-    record: bool,
-    faults: Option<&FaultConfig>,
-) -> (ClusterReport, Option<ClusterObs>, RunExtras) {
-    let router =
-        coop_cfg.map(|c| Router::new(topology.n_proxies(), workload.knobs().cache_capacity, *c));
-    // Boundary faults (crashes, digest losses) apply at globally
-    // synchronised driver boundaries; everything else is a pure time
-    // query the engines make directly against the plan.
-    let boundary = faults.map(|f| f.plan.boundary_events()).unwrap_or_default();
-    let obs_cfg = obs.filter(|c| c.enabled);
-    // Series sample on the explicit grid, or the cooperative digest epoch
-    // when none was given; without either, series probes stay off.
-    let grid = match obs_cfg {
-        Some(c) if c.sample_every > 0.0 => c.sample_every,
-        Some(_) => coop_cfg.map(|c| c.digest.epoch).unwrap_or(0.0),
-        None => 0.0,
-    };
-    let trace_every = obs_cfg.map(|c| c.trace_every).unwrap_or(0);
-    let runners: Vec<ShardRunner<Engine<'_>>> = (0..plan.n_shards())
-        .map(|s| {
-            let scope = Scope::shard(topology, plan, s);
-            let mut engine =
-                Engine::new(topology, workload, coop_cfg, requests, warmup, seed, scope, faults);
-            if trace_every > 0 {
-                engine.attach_trace(trace_every);
-            }
-            if record {
-                engine.attach_recorder();
-            }
-            match obs_cfg {
-                Some(cfg) => {
-                    let probes = EngineObs::new(cfg, grid, topology, &engine.scope);
-                    engine.attach_obs(probes);
-                    ShardRunner::new(engine).with_obs(s, cfg)
-                }
-                None => ShardRunner::new(engine),
-            }
-        })
-        .collect();
-    let driver =
-        if plan.n_shards() > 1 && plan.lookahead() > 0.0 { "windowed" } else { "sequential" };
-    let (runners, router) = shard::drive(runners, router, plan, &boundary);
-
-    let mut engines = Vec::with_capacity(plan.n_shards());
-    let mut profiles = Vec::new();
-    let mut flight = Vec::new();
-    for r in runners {
-        let (core, robs) = r.into_parts();
-        if let Some(o) = robs {
-            flight.extend(o.flight.records());
-            profiles.push(o.profile);
-        }
-        engines.push(core);
+    fn cache_bytes(&self) -> f64 {
+        self.proxies.iter().map(|p| p.cache.used_bytes()).sum()
     }
 
-    let cluster_obs = obs_cfg.map(|_| {
-        let t_end = engines.iter().map(|e| e.t_end).fold(0.0, f64::max);
-        let registries: Vec<Registry> =
-            engines.iter_mut().filter_map(|e| e.obs_finish(t_end)).collect();
-        // Span buffers concatenate in shard order; the store's total sort
-        // makes the merge order-independent anyway.
-        let traces = (trace_every > 0).then(|| {
-            let mut events = Vec::new();
-            for e in &mut engines {
-                events.extend(e.take_trace_events());
-            }
-            TraceStore::from_events(events, trace_every)
-        });
-        let mut out = crate::obs::assemble(
-            registries,
-            profiles,
-            flight,
-            traces,
-            plan.n_shards(),
-            driver,
-            grid,
-            t_end,
+    fn report(&self, i: usize, lg: &Ledger, node: &mut NodeReport) {
+        let p = &self.proxies[i];
+        // Per-distinct-entry accounting conserves prefetched bytes exactly:
+        // every transferred byte is either used (served a demand) or not —
+        // no clamp needed to keep goodput within the prefetched volume.
+        debug_assert!(
+            p.used_prefetch_bytes <= lg.prefetch_bytes * (1.0 + 1e-9) + 1e-9,
+            "proxy {}: goodput {} exceeds prefetched volume {}",
+            node.proxy,
+            p.used_prefetch_bytes,
+            lg.prefetch_bytes
         );
-        // The router's counters become registry metrics (digest traffic is
-        // the cooperative layer's headline overhead).
-        if let Some(r) = router.as_ref() {
-            let s = r.stats();
-            for (name, v) in [
-                ("coop.digest_epochs", s.digest_epochs),
-                ("coop.vnode_migrations", s.vnode_migrations),
-                ("coop.digest_bytes", s.digest_bytes),
-                ("coop.delta_ops", s.delta_ops),
-                ("coop.delta_flushes", s.delta_flushes),
-                ("coop.snapshot_flushes", s.snapshot_flushes),
-            ] {
-                let id = out.registry.counter(name);
-                out.registry.inc(id, v);
-            }
+        let goodput = p.used_prefetch_bytes;
+        let badput = (lg.prefetch_bytes - p.used_prefetch_bytes).max(0.0);
+        debug_assert!(
+            (goodput + badput - lg.prefetch_bytes).abs() <= 1e-6 * lg.prefetch_bytes.max(1.0),
+            "proxy {}: goodput {goodput} + badput {badput} != prefetched {}",
+            node.proxy,
+            lg.prefetch_bytes
+        );
+        node.goodput_bytes = Some(goodput);
+        node.badput_bytes = Some(badput);
+        node.cache_used_bytes = Some(p.cache.used_bytes());
+        if self.coop_on {
+            node.peer_bytes = Some(p.peer_bytes);
+            node.peer_fetches = Some(p.peer_fetches);
+            node.peer_false_hits = Some(p.peer_false_hits);
         }
-        out
-    });
+        node.mean_threshold = (p.threshold_n > 0).then(|| p.threshold_sum / p.threshold_n as f64);
+        node.rho_prime_estimate = p.controller.rho_prime_estimate();
+        node.h_prime_estimate = p.controller.h_prime_estimate();
+        node.lost_entries = p.lost_entries;
+    }
 
-    let recorded = record.then(|| {
-        let mut parts = Vec::new();
-        for e in &mut engines {
-            parts.extend(e.take_recorded());
-        }
-        merge_recorded(parts)
-    });
-    let replay = {
+    fn replay_stats(&self, ledgers: &[Ledger]) -> Option<(u64, usize)> {
         let mut any = false;
         let (mut records, mut peak) = (0u64, 0usize);
-        for e in &engines {
-            if let Some((r, pk)) = e.replay_stats() {
+        for (p, lg) in self.proxies.iter().zip(ledgers) {
+            if let Source::Trace(feed) = &p.source {
                 any = true;
-                records += r;
-                peak = peak.max(pk);
+                records += lg.issued;
+                peak = peak.max(feed.stream.peak_resident_bytes());
             }
         }
-        any.then_some(ReplayStats { records_replayed: records, peak_resident_bytes: peak })
-    };
-    let extras = RunExtras { recorded, replay };
-
-    (merge_reports(topology, engines, router), cluster_obs, extras)
+        any.then_some((records, peak))
+    }
 }

@@ -1,0 +1,1284 @@
+//! The shared engine core: one transport, two proxy models.
+//!
+//! The paper's two proxy behaviours — the open-loop Model-A mechanism
+//! ([`crate::static_mode`]: Bernoulli hits, a Poissonised prefetch stream)
+//! and the adaptive closed loop ([`crate::closed_loop`]: real caches that
+//! prefetch when `p > H′(ρ′)`) — load *the same* network of queues:
+//! speculation is only extra arrival rate into it. This module is that
+//! network, written once.
+//!
+//! * [`Transport`] owns one scope's link servers, the jobs in service, the
+//!   per-entity arrival/check/deliver/fail queues, the effect and dirty
+//!   streams, the per-proxy [`Ledger`]s, span tracing, the request
+//!   recorder and the obs probes. [`Transport::launch`] resolves a fetch's
+//!   whole fault schedule — latency inflation, loss, timeout, retry,
+//!   backoff, peer failover — analytically at launch.
+//! * A [`ProxyModel`] is what differs between the behaviours: per-proxy
+//!   state, when requests and prefetches come due and what they do, what
+//!   a peer check, a delivery, a crash or a digest loss does to a proxy,
+//!   the digest refresh payloads, the cache-occupancy probe, and the
+//!   model's own report fields.
+//! * [`Engine`] pairs the two and implements [`EngineCore`], so every
+//!   driver (the sequential merge, the conservative windows, the legacy
+//!   scan) runs either model through the same code. [`Run::drive`] builds
+//!   one engine per shard, drives them, and merges the reports,
+//!   telemetry, recordings and replay accounting.
+//!
+//! The model is a type parameter, so every handler call is statically
+//! dispatched.
+//!
+//! ## Why an empty fault plan is bit-identical
+//!
+//! A run with an empty plan takes exactly the float path of a run without
+//! one: latency inflation multiplies only when a link's factor differs
+//! from one, the origin delay adds only when positive, loss rolls and
+//! backoff jitter are pure hashes of `(seed, job, attempt)` rather than
+//! draws from any workload stream, and boundary faults fire only from the
+//! plan's event list. Until a fault actually fires, the transport makes
+//! the same RNG draws, float operations and effect emissions as an
+//! unfaulted run.
+
+use crate::obs::{ClusterObs, EngineObs};
+use crate::report::{ClusterReport, CoopReport, LinkReport, NodeReport};
+use crate::shard::{
+    self, BoundaryEntry, Effect, EngineCore, ShardRunner, CLASS_ARRIVE, CLASS_CHECK, CLASS_DELIVER,
+    CLASS_DEPART, CLASS_FAIL, CLASS_PREFETCH, CLASS_REQUEST, N_CLASSES,
+};
+use crate::sim::{LinkState, Scope, ScopeIndex};
+use crate::topology::ShardPlan;
+use crate::Topology;
+use cachesim::{FetchOrigin, Mshr, Waiter};
+use coop::Router;
+use simcore::faults::{FaultConfig, FaultKind};
+use simcore::obs::ObsConfig;
+use simcore::sched::TimedQueue;
+use simcore::stats::{BatchMeans, Welford};
+use simcore::trace::{
+    self, SpanEvent, SpanKind, TraceBuf, TraceStore, TF_FALSE_HIT, TF_MEASURED, TF_PREFETCH,
+};
+use simcore::{Registry, Scheduler};
+use std::collections::HashMap;
+use workload::{ItemId, TraceRecord};
+
+/// Demand fetch or speculative transfer; `measured` marks jobs issued
+/// inside the measurement window.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum JobKind {
+    Demand { measured: bool },
+    Prefetch { measured: bool },
+}
+
+/// Where a transfer is being served from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Dest {
+    /// The item's origin shard, over the proxy's origin route.
+    Origin,
+    /// A peer proxy's cache, over the peer route.
+    Peer(u32),
+}
+
+/// One transfer in the network of queues.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Job {
+    /// Stable id: requesting proxy in the high bits, that proxy's job
+    /// sequence number in the low — allocation is per proxy, so ids are
+    /// identical under every sharding (they break `(time, id)` ties in
+    /// the pending queues).
+    pub(crate) id: u64,
+    pub(crate) proxy: u32,
+    pub(crate) shard: u32,
+    pub(crate) dest: Dest,
+    pub(crate) hop: usize,
+    pub(crate) size: f64,
+    /// Bytes this transfer has cost so far: `size`, plus `size` again for
+    /// every false-hit fallback path — the per-transfer quantity good/bad
+    /// prefetch accounting conserves.
+    pub(crate) spent: f64,
+    pub(crate) issued: f64,
+    /// The item fetched; `ItemId(u64::MAX)` for open-loop transfers of no
+    /// concrete item (the itemless flow and the Poissonised prefetches).
+    pub(crate) item: ItemId,
+    pub(crate) kind: JobKind,
+    /// Whether this fetch owns an MSHR entry (false = a bypassed demand
+    /// fetch on a full table). Failure settlement reclassifies exactly
+    /// what the launch allocated.
+    pub(crate) tracked: bool,
+    /// Trace id when this job is head-sampled, 0 otherwise. Rides the job
+    /// through effects/mailboxes so cross-shard hops keep recording.
+    pub(crate) trace: u64,
+    /// Per-trace record counter: `(trace, tseq)` totally orders the job's
+    /// span records independent of sharding.
+    pub(crate) tseq: u32,
+}
+
+impl Job {
+    /// The link path this job is currently traversing.
+    fn path<'t>(&self, topology: &'t Topology) -> &'t [usize] {
+        match self.dest {
+            Dest::Origin => topology.route(self.proxy as usize, self.shard as usize),
+            Dest::Peer(q) => topology.peer_route(self.proxy as usize, q as usize),
+        }
+    }
+}
+
+/// Mirrors one access-time sample into the latency probe. A free function
+/// over the `obs` field alone, so call sites holding a `&mut` ledger can
+/// still record (disjoint-field borrows).
+#[inline]
+fn obs_lat(obs: &mut Option<Box<EngineObs>>, x: f64) {
+    if let Some(o) = obs.as_deref_mut() {
+        o.latency(x);
+    }
+}
+
+/// Appends one span record for a traced job and advances its per-trace
+/// sequence counter. A free function over the buffer alone, so call sites
+/// holding a `&mut` proxy or ledger can record.
+#[inline]
+pub(crate) fn trace_job(
+    buf: &mut Option<Box<TraceBuf>>,
+    job: &mut Job,
+    t: f64,
+    kind: SpanKind,
+    entity: u64,
+    aux: f64,
+    flags: u8,
+) {
+    if let Some(b) = buf.as_deref_mut() {
+        if job.trace != 0 {
+            let seq = job.tseq;
+            job.tseq += 1;
+            b.push(SpanEvent {
+                trace: job.trace,
+                seq,
+                t,
+                kind,
+                entity,
+                aux,
+                item: job.item.0,
+                flags,
+            });
+        }
+    }
+}
+
+/// Appends a single-record trace (a cache hit or an in-flight wait).
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn trace_point(
+    buf: &mut Option<Box<TraceBuf>>,
+    id: u64,
+    t: f64,
+    kind: SpanKind,
+    entity: u64,
+    aux: f64,
+    item: u64,
+    flags: u8,
+) {
+    if id != 0 {
+        if let Some(b) = buf.as_deref_mut() {
+            b.push(SpanEvent { trace: id, seq: 0, t, kind, entity, aux, item, flags });
+        }
+    }
+}
+
+/// Per-proxy accounting every model keeps the same way: request and job
+/// counters, access-time statistics, byte volumes, delayed hits and fault
+/// tallies. The transport owns it (launch charges timeouts, retries and
+/// failovers here); the models' handlers feed the rest.
+pub(crate) struct Ledger {
+    job_seq: u64,
+    /// Requests issued so far, warm-up included.
+    pub(crate) issued: u64,
+    /// Requests issued inside the measurement window.
+    measured: u64,
+    /// Measured requests served at once.
+    hits: u64,
+    access_times: BatchMeans,
+    pub(crate) retrievals: Welford,
+    pub(crate) total_job_time: f64,
+    pub(crate) prefetch_jobs: u64,
+    pub(crate) demand_bytes: f64,
+    pub(crate) prefetch_bytes: f64,
+    /// Measured requests settled as delayed hits (waiters on an
+    /// outstanding fetch inside the measurement window).
+    delayed_hits: u64,
+    /// Residual waits of those measured delayed hits.
+    residual: Welford,
+    /// Fetch attempts declared failed at their timeout (fault runs only;
+    /// this and the following counters stay zero under an empty plan).
+    timeouts: u64,
+    /// Re-attempts the retry budget paid for after a timeout.
+    retries: u64,
+    /// Peer-routed fetches rerouted to the origin because their peer
+    /// route was dark at launch.
+    failovers: u64,
+    /// Fetches that exhausted their attempt budget (or were drained by a
+    /// crash) and settled as failed.
+    failed_fetches: u64,
+    /// Measured requests (fetch owners and coalesced waiters) that settled
+    /// with a failure instead of data — the unavailability numerator.
+    measured_failed: u64,
+}
+
+impl Ledger {
+    fn new() -> Ledger {
+        Ledger {
+            job_seq: 0,
+            issued: 0,
+            measured: 0,
+            hits: 0,
+            access_times: BatchMeans::new(20),
+            retrievals: Welford::new(),
+            total_job_time: 0.0,
+            prefetch_jobs: 0,
+            demand_bytes: 0.0,
+            prefetch_bytes: 0.0,
+            delayed_hits: 0,
+            residual: Welford::new(),
+            timeouts: 0,
+            retries: 0,
+            failovers: 0,
+            failed_fetches: 0,
+            measured_failed: 0,
+        }
+    }
+
+    /// The next job id of global proxy `proxy`.
+    pub(crate) fn next_job_id(&mut self, proxy: usize) -> u64 {
+        self.job_seq += 1;
+        ((proxy as u64) << 40) | self.job_seq
+    }
+
+    /// A measured request served at once: zero access time.
+    pub(crate) fn hit(&mut self, obs: &mut Option<Box<EngineObs>>) {
+        self.access_times.push(0.0);
+        obs_lat(obs, 0.0);
+        self.hits += 1;
+    }
+
+    /// A measured demand fetch landed after `sojourn`.
+    pub(crate) fn fetched(&mut self, obs: &mut Option<Box<EngineObs>>, sojourn: f64) {
+        self.access_times.push(sojourn);
+        self.retrievals.push(sojourn);
+        self.total_job_time += sojourn;
+        obs_lat(obs, sojourn);
+    }
+}
+
+/// Settles a completed MSHR entry's waiters at `t`, in FIFO order: one
+/// `Wait` span per waiter; measured waiters record their residual wait as
+/// an access time and count as **delayed hits**. Returns the sum of all
+/// waiters' residual waits — the aggregate-delay charge the blocking key
+/// accrues beyond the fetch's own latency.
+pub(crate) fn settle_waiters(
+    trace: &mut Option<Box<TraceBuf>>,
+    obs: &mut Option<Box<EngineObs>>,
+    lg: &mut Ledger,
+    waiters: &[Waiter],
+    t: f64,
+    proxy: u64,
+    item: u64,
+) -> f64 {
+    let mut residual_sum = 0.0;
+    for w in waiters {
+        let wf = if w.measured { TF_MEASURED } else { 0 };
+        trace_point(trace, w.trace, t, SpanKind::Wait, proxy, w.t, item, wf);
+        residual_sum += t - w.t;
+        if w.measured {
+            lg.delayed_hits += 1;
+            lg.residual.push(t - w.t);
+            lg.access_times.push(t - w.t);
+            obs_lat(obs, t - w.t);
+        }
+    }
+    residual_sum
+}
+
+/// Settles the waiters of a **failed** fetch at `t`: their wait ends with
+/// a failure, not data, so they count toward unavailability instead of
+/// delayed hits. Each measured waiter still records the full wall-clock it
+/// spent blocked as an access time — graceful degradation is visible in
+/// `t̄`, not hidden from it.
+fn settle_failed_waiters(
+    trace: &mut Option<Box<TraceBuf>>,
+    obs: &mut Option<Box<EngineObs>>,
+    lg: &mut Ledger,
+    waiters: &[Waiter],
+    t: f64,
+    proxy: u64,
+    item: u64,
+) {
+    for w in waiters {
+        let wf = if w.measured { TF_MEASURED } else { 0 };
+        trace_point(trace, w.trace, t, SpanKind::Wait, proxy, w.t, item, wf);
+        if w.measured {
+            lg.measured_failed += 1;
+            lg.access_times.push(t - w.t);
+            obs_lat(obs, t - w.t);
+        }
+    }
+}
+
+/// What one proxy behaviour adds to the shared transport. Handlers get the
+/// transport explicitly; proxy indices `i` are scope-local. The engine
+/// ticks the obs grid, advances the scope's clock, and re-arms the fired
+/// stream around every handler, so models only mutate state and issue
+/// transfers.
+pub(crate) trait ProxyModel: Send {
+    /// Whether transfers may be served by peers, so the peer-check event
+    /// class needs one stream per proxy.
+    const PEERS: bool;
+
+    /// When local proxy `i`'s next request arrives, while it has any left.
+    fn request_due(&self, tx: &Transport<'_>, i: usize) -> Option<f64>;
+    /// When local proxy `i`'s next prefetch issues.
+    fn prefetch_due(&self, tx: &Transport<'_>, i: usize) -> Option<f64>;
+    /// Serves local proxy `i`'s next request.
+    fn on_request(&mut self, tx: &mut Transport<'_>, i: usize, router: Option<&Router>);
+    /// Issues local proxy `i`'s next prefetch.
+    fn on_prefetch(&mut self, tx: &mut Transport<'_>, i: usize, router: Option<&Router>);
+    /// Does local proxy `i` hold `item` for a peer asking for it?
+    fn holds(&self, i: usize, item: ItemId) -> bool;
+    /// `job`'s response — or, with `false_hit`, a peer's "not here" —
+    /// lands at its requesting proxy, local index `i`, at `t`.
+    fn on_deliver(&mut self, tx: &mut Transport<'_>, i: usize, t: f64, job: Job, false_hit: bool);
+    /// Local proxy `i`'s outstanding-fetch table, if it keeps one.
+    fn mshr(&self, i: usize) -> Option<&Mshr<ItemId>>;
+    fn mshr_mut(&mut self, i: usize) -> Option<&mut Mshr<ItemId>>;
+    /// A crash wipes local proxy `i`'s data plane; the engine then drains
+    /// its outstanding-fetch table as failed.
+    fn crash(&mut self, _i: usize) {}
+    /// Local proxy `i`'s buffered digest stream is lost.
+    fn digest_loss(&mut self, _i: usize) {}
+    /// Appends the scope's digest refresh payloads at an epoch boundary.
+    fn refresh_payloads(&mut self, _scope: &Scope, _out: &mut Vec<BoundaryEntry>) {}
+    /// Bytes cached across the scope (the occupancy probe).
+    fn cache_bytes(&self) -> f64 {
+        0.0
+    }
+    /// Fills the model's own fields of local proxy `i`'s report.
+    fn report(&self, _i: usize, _lg: &Ledger, _node: &mut NodeReport) {}
+    /// `(records consumed, max per-stream resident bytes)` when the scope
+    /// replays a trace.
+    fn replay_stats(&self, _ledgers: &[Ledger]) -> Option<(u64, usize)> {
+        None
+    }
+}
+
+/// One scope's network of queues: everything between the proxies.
+pub(crate) struct Transport<'a> {
+    pub(crate) topology: &'a Topology,
+    /// Origin shards; items partition over them by `item % n_shards`.
+    pub(crate) n_shards: u64,
+    pub(crate) scope: Scope,
+    /// Local link servers, indexed by scope-local link id.
+    links: Vec<LinkState>,
+    /// Per-local-proxy accounting.
+    pub(crate) ledgers: Vec<Ledger>,
+    /// Jobs currently on this scope's links, by job id. A job in a pending
+    /// queue or in flight to another shard lives in its effect or queue
+    /// entry instead.
+    jobs: HashMap<u64, Job>,
+    /// Per-local-link queued arrivals (latency topologies only).
+    arrivals: Vec<TimedQueue<Job>>,
+    /// Per-local-proxy queued peer-serve checks.
+    checks: Vec<TimedQueue<Job>>,
+    /// Per-local-proxy queued response deliveries (`false_hit` flagged).
+    delivers: Vec<TimedQueue<(Job, bool)>>,
+    /// Per-local-proxy queued fetch-failure settlements (fault runs only).
+    fails: Vec<TimedQueue<Job>>,
+    /// Fault schedule and retry policy when this run injects faults;
+    /// `None` keeps every fault hook to one branch.
+    faults: Option<&'a FaultConfig>,
+    /// The run seed — packet-loss rolls and backoff jitter are pure hashes
+    /// of it, never draws from the workload RNG streams.
+    seed: u64,
+    /// Cross-instant / cross-scope handoffs staged for the driver.
+    effects: Vec<Effect<Job>>,
+    /// Timer streams touched since the driver last re-synced.
+    dirty: Vec<(usize, usize)>,
+    t_end: f64,
+    warm: u64,
+    pub(crate) n_requests: u64,
+    /// Probe state when this run is observed; `None` (the default) keeps
+    /// every hook to a single branch.
+    pub(crate) obs: Option<Box<EngineObs>>,
+    /// Span buffer when this run is traced; same zero-overhead contract.
+    pub(crate) trace: Option<Box<TraceBuf>>,
+    /// Per-local-proxy recorded requests when this run records a trace.
+    pub(crate) recorder: Option<Vec<Vec<TraceRecord>>>,
+}
+
+impl<'a> Transport<'a> {
+    fn new(run: &Run<'a>, scope: Scope) -> Self {
+        let topology = run.topology;
+        let trace_every = run.obs.filter(|c| c.enabled).map_or(0, |c| c.trace_every);
+        let (n_links, n_proxies) = (scope.links.len(), scope.proxies.len());
+        Transport {
+            topology,
+            n_shards: topology.n_shards() as u64,
+            links: scope.links.iter().map(|&g| LinkState::new(&topology.links()[g])).collect(),
+            ledgers: (0..n_proxies).map(|_| Ledger::new()).collect(),
+            jobs: HashMap::new(),
+            arrivals: (0..n_links).map(|_| TimedQueue::new()).collect(),
+            checks: (0..n_proxies).map(|_| TimedQueue::new()).collect(),
+            delivers: (0..n_proxies).map(|_| TimedQueue::new()).collect(),
+            fails: (0..n_proxies).map(|_| TimedQueue::new()).collect(),
+            faults: run.faults,
+            seed: run.seed,
+            effects: Vec::new(),
+            dirty: Vec::new(),
+            t_end: 0.0,
+            warm: run.warmup as u64,
+            n_requests: run.requests as u64,
+            obs: None,
+            trace: (trace_every > 0).then(|| Box::new(TraceBuf::new(trace_every))),
+            recorder: run.record.then(|| vec![Vec::new(); n_proxies]),
+            scope,
+        }
+    }
+
+    /// Counts local proxy `i`'s next request, returning whether it falls
+    /// inside the measurement window and its head-sampled trace id (a pure
+    /// hash of `(proxy, request index)`, identical under every sharding).
+    pub(crate) fn count_request(&mut self, i: usize) -> (bool, u64) {
+        let lg = &mut self.ledgers[i];
+        let idx = lg.issued;
+        lg.issued += 1;
+        let in_window = idx >= self.warm;
+        if in_window {
+            lg.measured += 1;
+        }
+        let me = self.scope.proxies[i] as u64;
+        let rid = self.trace.as_deref().map_or(0, |b| b.admit(trace::request_trace_id(me, idx)));
+        (in_window, rid)
+    }
+
+    /// Head-sampling decision for prefetch job `id` of global proxy `me`.
+    /// The prefetch-id stream mirrors the job-id stream: the low 40 bits
+    /// of `id` are the proxy's job sequence number.
+    pub(crate) fn prefetch_trace(&self, me: usize, id: u64) -> u64 {
+        self.trace
+            .as_deref()
+            .map_or(0, |b| b.admit(trace::prefetch_trace_id(me as u64, id & ((1 << 40) - 1))))
+    }
+
+    /// Propagation latency into global link `g` at `now`, inflated by any
+    /// active degradation fault. The factor is 1.0 on healthy links and
+    /// the multiply is skipped entirely, so unfaulted latencies stay
+    /// bit-identical; a degrade fault guarantees factor ≥ 1, which keeps
+    /// conservative-window lookaheads sound.
+    fn entry_latency_at(&self, g: usize, now: f64) -> f64 {
+        let base = self.topology.entry_latency(g);
+        if let Some(fc) = self.faults {
+            let f = fc.plan.link_latency_factor(g, now);
+            if f != 1.0 {
+                return base * f;
+            }
+        }
+        base
+    }
+
+    /// Summed return propagation of `route` at `now`, per-hop inflated
+    /// like [`Transport::entry_latency_at`].
+    fn return_latency_at(&self, route: &[usize], now: f64) -> f64 {
+        match self.faults {
+            Some(fc) => route
+                .iter()
+                .map(|&g| {
+                    let base = self.topology.entry_latency(g);
+                    let f = fc.plan.link_latency_factor(g, now);
+                    if f != 1.0 {
+                        base * f
+                    } else {
+                        base
+                    }
+                })
+                .sum(),
+            None => self.topology.return_latency(route),
+        }
+    }
+
+    /// Stages `job`'s entry into global link `g` at `now` plus the link's
+    /// propagation latency (equal to `now` on zero-latency hops).
+    fn send_arrive(&mut self, g: usize, now: f64, job: Job) {
+        let tau = now + self.entry_latency_at(g, now);
+        debug_assert!(tau >= now);
+        self.effects.push(Effect::Arrive { link: g as u32, t: tau, job });
+    }
+
+    /// Stages the peer-serve check of `job` at proxy `q` (the far end of
+    /// the peer route's last hop).
+    fn send_check(&mut self, last_link: usize, now: f64, job: Job) {
+        let Dest::Peer(q) = job.dest else { unreachable!("check on an origin transfer") };
+        let tau = now + self.entry_latency_at(last_link, now);
+        self.effects.push(Effect::Check { q, t: tau, job });
+    }
+
+    /// Stages `job`'s response delivery back at its requesting proxy,
+    /// after the return propagation of `route` — plus any active origin
+    /// brownout delay on origin responses.
+    fn send_deliver(&mut self, route: &[usize], now: f64, job: Job, false_hit: bool) {
+        let mut tau = now + self.return_latency_at(route, now);
+        if matches!(job.dest, Dest::Origin) {
+            if let Some(fc) = self.faults {
+                let d = fc.plan.origin_delay(now);
+                if d > 0.0 {
+                    tau += d;
+                }
+            }
+        }
+        self.effects.push(Effect::Deliver { p: job.proxy, t: tau, job, false_hit });
+    }
+
+    /// Any link on `job`'s current path down at `t`? Origin routes also
+    /// consult the origin's own blackout state. A pure query of the static
+    /// plan — identical under every sharding.
+    fn route_dark(&self, job: &Job, t: f64) -> bool {
+        let Some(fc) = self.faults else { return false };
+        if matches!(job.dest, Dest::Origin) && fc.plan.origin_dark(t) {
+            return true;
+        }
+        job.path(self.topology).iter().any(|&g| fc.plan.link_down(g, t))
+    }
+
+    /// Does attempt `attempt` of `job`, launched at `t`, make it? Dark
+    /// routes always fail; degraded links lose the attempt with a
+    /// deterministic per-`(job, attempt)` roll.
+    fn attempt_survives(&self, fc: &FaultConfig, job: &Job, attempt: u32, t: f64) -> bool {
+        if self.route_dark(job, t) {
+            return false;
+        }
+        !job.path(self.topology)
+            .iter()
+            .any(|&g| fc.plan.attempt_lost(self.seed, g, job.id, attempt, t))
+    }
+
+    /// Injects `job` onto the first link of its path at time `t`.
+    ///
+    /// Under a fault plan this is where the whole timeout–retry–backoff
+    /// schedule resolves, **analytically**: the plan is static, so each
+    /// attempt's fate (dark route, lost packet, or success) is a pure
+    /// function of its launch instant. Each failed attempt charges
+    /// `timeout + backoff(k)` of pure client-side wall clock (the lost
+    /// attempt never occupies a link); the surviving attempt enters the
+    /// network at its delayed instant; exhausting the budget stages a
+    /// `Fail` effect at the last attempt's timeout expiry. A dark peer
+    /// route fails over to the origin before spending an attempt — the
+    /// cooperative mesh degrades instead of stalling (quarantined crash
+    /// victims are already filtered at resolution). Speculative transfers
+    /// get exactly one attempt: a prefetch is never worth a retry budget.
+    pub(crate) fn launch(&mut self, t: f64, mut job: Job) {
+        let Some(fc) = self.faults else {
+            let first = job.path(self.topology)[0];
+            self.send_arrive(first, t, job);
+            return;
+        };
+        let attempts = match job.kind {
+            JobKind::Demand { .. } => fc.retry.attempts(),
+            JobKind::Prefetch { .. } => 1,
+        };
+        let i = self.scope.proxy_local(job.proxy as usize).expect("launch in scope");
+        let mut t_att = t;
+        for attempt in 0..attempts {
+            if matches!(job.dest, Dest::Peer(_)) && self.route_dark(&job, t_att) {
+                self.ledgers[i].failovers += 1;
+                job.dest = Dest::Origin;
+                job.hop = 0;
+            }
+            if self.attempt_survives(fc, &job, attempt, t_att) {
+                let first = job.path(self.topology)[0];
+                self.send_arrive(first, t_att, job);
+                return;
+            }
+            self.ledgers[i].timeouts += 1;
+            let expiry = t_att + fc.retry.timeout;
+            if attempt + 1 < attempts {
+                self.ledgers[i].retries += 1;
+                let next = expiry + fc.retry.backoff(self.seed, job.id, attempt);
+                let jp = job.proxy as u64;
+                trace_job(&mut self.trace, &mut job, next, SpanKind::Retry, jp, expiry, 0);
+                t_att = next;
+            } else {
+                self.effects.push(Effect::Fail { p: job.proxy, t: expiry, job });
+                return;
+            }
+        }
+    }
+
+    /// Traces `job`'s issue — `decided` is when the decision to fetch was
+    /// made — and launches it at `t`.
+    pub(crate) fn issue(&mut self, mut job: Job, t: f64, decided: f64, flags: u8) {
+        let jp = job.proxy as u64;
+        trace_job(&mut self.trace, &mut job, t, SpanKind::Issue, jp, decided, flags);
+        self.launch(t, job);
+    }
+
+    /// A link departure event on local link `l` at time `t`.
+    fn on_link(&mut self, t: f64, l: usize) {
+        let g_l = self.scope.links[l];
+        let done = self.links[l].on_event(t);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.jobs_completed(l, done.len());
+        }
+        let bandwidth = self.topology.links()[g_l].bandwidth;
+        for c in done {
+            let mut job = self.jobs.remove(&c.tag).expect("completed job on this scope's link");
+            self.links[l].bytes_carried += job.size;
+            let service = job.size / bandwidth;
+            trace_job(&mut self.trace, &mut job, t, SpanKind::Dequeue, g_l as u64, service, 0);
+            let route = job.path(self.topology);
+            if job.hop + 1 < route.len() {
+                // Tandem hop: forward to the next link unchanged.
+                let mut fwd = job;
+                fwd.hop += 1;
+                self.send_arrive(route[fwd.hop], t, fwd);
+                continue;
+            }
+            match job.dest {
+                // A peer transfer must find the entry actually present at
+                // the peer — checked at the peer itself (its cache is that
+                // shard's state), after the last hop's propagation.
+                Dest::Peer(_) => self.send_check(g_l, t, job),
+                Dest::Origin => self.send_deliver(route, t, job, false),
+            }
+        }
+    }
+
+    /// `job` enters local link `l`'s server at `t`.
+    fn arrive_now(&mut self, l: usize, t: f64, mut job: Job) {
+        let g_l = self.scope.links[l] as u64;
+        trace_job(&mut self.trace, &mut job, t, SpanKind::Enqueue, g_l, 0.0, 0);
+        self.jobs.insert(job.id, job);
+        self.links[l].arrive(t, job.size, job.id);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.job_arrived(l);
+        }
+        self.dirty.push((CLASS_DEPART, l));
+    }
+}
+
+/// One scope of simulation state — the shared transport plus a proxy
+/// model — with one handler per event kind. Drivers (`crate::shard`) own
+/// only event *selection* and effect routing; every state transition lives
+/// here or in the model, so no two drivers can diverge semantically.
+pub(crate) struct Engine<'a, M> {
+    tx: Transport<'a>,
+    model: M,
+}
+
+impl<M: ProxyModel> Engine<'_, M> {
+    /// `(cache occupancy bytes, outstanding fetches)` across the scope.
+    fn aggregates(&self) -> (f64, f64) {
+        let outstanding: usize =
+            (0..self.tx.scope.proxies.len()).map(|i| self.model.mshr(i).map_or(0, Mshr::len)).sum();
+        (self.model.cache_bytes(), outstanding as f64)
+    }
+
+    /// Flushes every sampling-grid point at or before `t`. Called at the
+    /// entry of every dispatch and `apply_now` **before** any state
+    /// mutation at `t`, so a grid point `g` always samples "all events
+    /// strictly before `g`" — the same state under every sharding.
+    fn obs_tick(&mut self, t: f64) {
+        let Some(mut o) = self.tx.obs.take() else { return };
+        o.tick(t, &self.tx.links, || self.aggregates());
+        self.tx.obs = Some(o);
+    }
+
+    /// Final grid flush at the cluster-wide `t_end`, returning this
+    /// scope's registry for merging (`None` when unobserved).
+    fn obs_finish(&mut self, t_end: f64) -> Option<Registry> {
+        let mut o = self.tx.obs.take()?;
+        o.tick(t_end, &self.tx.links, || self.aggregates());
+        Some(o.finish())
+    }
+
+    /// The peer-serve check of `job` at local proxy `i` (= `job.dest`'s
+    /// peer): does the peer actually hold the item? Either way the answer
+    /// travels back to the requester over the peer route.
+    fn check_now(&mut self, i: usize, t: f64, mut job: Job) {
+        let tx = &mut self.tx;
+        tx.t_end = t;
+        let me = tx.scope.proxies[i];
+        debug_assert!(matches!(job.dest, Dest::Peer(q) if me == q as usize));
+        let holds = self.model.holds(i, job.item);
+        let (aux, flags) = if holds { (1.0, 0) } else { (0.0, TF_FALSE_HIT) };
+        trace_job(&mut tx.trace, &mut job, t, SpanKind::Check, me as u64, aux, flags);
+        let route = job.path(tx.topology);
+        tx.send_deliver(route, t, job, !holds);
+    }
+
+    /// `job`'s response (or false-hit notice) lands at its requesting
+    /// proxy — local index `i` — and the model settles it.
+    fn deliver_now(&mut self, i: usize, t: f64, job: Job, false_hit: bool) {
+        self.tx.t_end = t;
+        debug_assert_eq!(self.tx.scope.proxies[i], job.proxy as usize);
+        self.model.on_deliver(&mut self.tx, i, t, job, false_hit);
+    }
+
+    /// `job`'s fetch exhausted its attempt budget — settle it (and every
+    /// coalesced waiter) as **failed** at `t`, the last attempt's timeout
+    /// expiry. The MSHR entry is reclassified with a failure outcome so
+    /// the conservation law `origin_fetches + coalesced + failed ==
+    /// demand_misses` stays exact, and the bytes of the never-launched leg
+    /// are refunded: a transfer that never entered a link is client pain,
+    /// not network load.
+    fn fail_now(&mut self, i: usize, t: f64, mut job: Job) {
+        let tx = &mut self.tx;
+        tx.t_end = t;
+        debug_assert_eq!(tx.scope.proxies[i], job.proxy as usize);
+        let jp = job.proxy as u64;
+        let pf = if matches!(job.kind, JobKind::Prefetch { .. }) { TF_PREFETCH } else { 0 };
+        trace_job(&mut tx.trace, &mut job, t, SpanKind::Failed, jp, 0.0, pf);
+        let lg = &mut tx.ledgers[i];
+        lg.failed_fetches += 1;
+        let mshr = self.model.mshr_mut(i);
+        let entry = match job.kind {
+            JobKind::Demand { measured } => {
+                lg.demand_bytes -= job.size;
+                if measured {
+                    let sojourn = t - job.issued;
+                    lg.measured_failed += 1;
+                    lg.access_times.push(sojourn);
+                    lg.total_job_time += sojourn;
+                    obs_lat(&mut tx.obs, sojourn);
+                }
+                mshr.and_then(|m| {
+                    if !job.tracked {
+                        // A bypassed fetch has no entry; reclassify by volume.
+                        m.fail_untracked(job.size);
+                        None
+                    } else if m
+                        .entry(&job.item)
+                        .is_some_and(|e| e.origin == FetchOrigin::Demand && e.issued == job.issued)
+                    {
+                        m.fail(&job.item)
+                    } else {
+                        // The entry is gone (a crash drained and reclassified
+                        // it) or belongs to a newer fetch generation — nothing
+                        // of ours left to settle.
+                        None
+                    }
+                })
+            }
+            JobKind::Prefetch { .. } => {
+                lg.prefetch_bytes -= job.size;
+                // Duplicate reservations are filtered on the table, so a
+                // Prefetch-origin entry for this item is this job's. (The
+                // open loop's itemless prefetches never match one.)
+                mshr.and_then(|m| {
+                    let ours =
+                        m.entry(&job.item).is_some_and(|e| e.origin == FetchOrigin::Prefetch);
+                    if ours {
+                        m.fail(&job.item)
+                    } else {
+                        None
+                    }
+                })
+            }
+        };
+        if let Some(entry) = entry {
+            settle_failed_waiters(
+                &mut tx.trace,
+                &mut tx.obs,
+                lg,
+                &entry.waiters,
+                t,
+                jp,
+                job.item.0,
+            );
+        }
+    }
+
+    /// A crash of local proxy `i` at `t`: the model drops its data plane,
+    /// and every outstanding fetch settles as failed — each drained demand
+    /// entry counts as a failed fetch, and its waiters end with a failure.
+    /// Anything already on the wire still lands, on a cold proxy.
+    fn crash(&mut self, i: usize, t: f64) {
+        let tx = &mut self.tx;
+        tx.t_end = tx.t_end.max(t);
+        self.model.crash(i);
+        let Some(mshr) = self.model.mshr_mut(i) else { return };
+        let jp = tx.scope.proxies[i] as u64;
+        let lg = &mut tx.ledgers[i];
+        for (item, entry) in mshr.drain_failed() {
+            if entry.origin == FetchOrigin::Demand {
+                lg.failed_fetches += 1;
+            }
+            settle_failed_waiters(&mut tx.trace, &mut tx.obs, lg, &entry.waiters, t, jp, item.0);
+        }
+    }
+}
+
+impl<M: ProxyModel> EngineCore for Engine<'_, M> {
+    type Job = Job;
+
+    fn class_counts(&self) -> [usize; N_CLASSES] {
+        let (l, p) = (self.tx.links.len(), self.tx.scope.proxies.len());
+        [l, l, if M::PEERS { p } else { 0 }, p, p, p, p]
+    }
+
+    fn global_id(&self, class: usize, idx: usize) -> usize {
+        match class {
+            CLASS_DEPART | CLASS_ARRIVE => self.tx.scope.links[idx],
+            _ => self.tx.scope.proxies[idx],
+        }
+    }
+
+    fn due(&self, class: usize, idx: usize) -> Option<f64> {
+        let tx = &self.tx;
+        match class {
+            CLASS_DEPART => tx.links[idx].next_event(),
+            CLASS_ARRIVE => tx.arrivals[idx].next_time(),
+            CLASS_CHECK => tx.checks[idx].next_time(),
+            CLASS_DELIVER => tx.delivers[idx].next_time(),
+            CLASS_REQUEST => self.model.request_due(tx, idx),
+            CLASS_PREFETCH => self.model.prefetch_due(tx, idx),
+            CLASS_FAIL => tx.fails[idx].next_time(),
+            _ => unreachable!("unknown class {class}"),
+        }
+    }
+
+    fn dispatch(&mut self, class: usize, idx: usize, t: f64, router: Option<&Router>) {
+        self.obs_tick(t);
+        self.tx.t_end = t;
+        match class {
+            CLASS_DEPART => self.tx.on_link(t, idx),
+            CLASS_ARRIVE => {
+                while let Some(job) = self.tx.arrivals[idx].pop_due(t) {
+                    self.tx.arrive_now(idx, t, job);
+                }
+            }
+            CLASS_CHECK => {
+                while let Some(job) = self.tx.checks[idx].pop_due(t) {
+                    self.check_now(idx, t, job);
+                }
+            }
+            CLASS_DELIVER => {
+                while let Some((job, false_hit)) = self.tx.delivers[idx].pop_due(t) {
+                    self.deliver_now(idx, t, job, false_hit);
+                }
+            }
+            CLASS_REQUEST => {
+                if let Some(o) = self.tx.obs.as_deref_mut() {
+                    o.request();
+                }
+                self.model.on_request(&mut self.tx, idx, router);
+            }
+            CLASS_PREFETCH => self.model.on_prefetch(&mut self.tx, idx, router),
+            CLASS_FAIL => {
+                while let Some(job) = self.tx.fails[idx].pop_due(t) {
+                    self.fail_now(idx, t, job);
+                }
+            }
+            _ => unreachable!("unknown class {class}"),
+        }
+        // The fired stream's due time moved; a request also arms (closed
+        // loop) or ends (open loop) its proxy's prefetch stream.
+        self.tx.dirty.push((class, idx));
+        if class == CLASS_REQUEST {
+            self.tx.dirty.push((CLASS_PREFETCH, idx));
+        }
+    }
+
+    fn apply_now(&mut self, e: Effect<Job>, t: f64) {
+        debug_assert_eq!(e.time(), t);
+        // A same-instant effect can land on a scope whose own dispatch at
+        // `t` has not fired yet — tick first so grid samples stay "state
+        // before `t`" under every sharding.
+        self.obs_tick(t);
+        match e {
+            Effect::Arrive { link, job, .. } => {
+                let l = self.tx.scope.link_local(link as usize).expect("arrive in scope");
+                self.tx.arrive_now(l, t, job);
+            }
+            Effect::Check { q, job, .. } => {
+                let i = self.tx.scope.proxy_local(q as usize).expect("check in scope");
+                self.check_now(i, t, job);
+            }
+            Effect::Deliver { p, job, false_hit, .. } => {
+                let i = self.tx.scope.proxy_local(p as usize).expect("deliver in scope");
+                self.deliver_now(i, t, job, false_hit);
+            }
+            Effect::Fail { p, job, .. } => {
+                let i = self.tx.scope.proxy_local(p as usize).expect("fail in scope");
+                self.fail_now(i, t, job);
+            }
+        }
+    }
+
+    fn enqueue(&mut self, e: Effect<Job>) {
+        let tx = &mut self.tx;
+        match e {
+            Effect::Arrive { link, t, job } => {
+                let l = tx.scope.link_local(link as usize).expect("arrive in scope");
+                tx.arrivals[l].push(t, job.id, job);
+                tx.dirty.push((CLASS_ARRIVE, l));
+            }
+            Effect::Check { q, t, job } => {
+                let i = tx.scope.proxy_local(q as usize).expect("check in scope");
+                tx.checks[i].push(t, job.id, job);
+                tx.dirty.push((CLASS_CHECK, i));
+            }
+            Effect::Deliver { p, t, job, false_hit } => {
+                let i = tx.scope.proxy_local(p as usize).expect("deliver in scope");
+                tx.delivers[i].push(t, job.id, (job, false_hit));
+                tx.dirty.push((CLASS_DELIVER, i));
+            }
+            Effect::Fail { p, t, job } => {
+                let i = tx.scope.proxy_local(p as usize).expect("fail in scope");
+                tx.fails[i].push(t, job.id, job);
+                tx.dirty.push((CLASS_FAIL, i));
+            }
+        }
+    }
+
+    fn owns(&self, e: &Effect<Job>) -> bool {
+        let scope = &self.tx.scope;
+        match e {
+            Effect::Arrive { link, .. } => scope.link_local(*link as usize).is_some(),
+            Effect::Check { q, .. } => scope.proxy_local(*q as usize).is_some(),
+            Effect::Deliver { p, .. } | Effect::Fail { p, .. } => {
+                scope.proxy_local(*p as usize).is_some()
+            }
+        }
+    }
+
+    fn take_effects(&mut self, out: &mut Vec<Effect<Job>>) {
+        out.append(&mut self.tx.effects);
+    }
+
+    fn drain_dirty(&mut self, out: &mut Vec<(usize, usize)>) {
+        out.append(&mut self.tx.dirty);
+    }
+
+    fn sync_link_timer(&mut self, idx: usize, sched: &mut Scheduler, key: usize) {
+        self.tx.links[idx].sync_timer(sched, key);
+    }
+
+    fn refresh_payloads(&mut self, out: &mut Vec<BoundaryEntry>) {
+        self.model.refresh_payloads(&self.tx.scope, out);
+    }
+
+    fn apply_fault(&mut self, t: f64, kind: &FaultKind) {
+        match *kind {
+            FaultKind::ProxyCrash { proxy } => {
+                if let Some(i) = self.tx.scope.proxy_local(proxy) {
+                    self.crash(i, t);
+                }
+            }
+            FaultKind::DigestLoss { proxy } => {
+                if let Some(i) = self.tx.scope.proxy_local(proxy) {
+                    self.model.digest_loss(i);
+                }
+            }
+            _ => debug_assert!(false, "non-boundary fault {kind:?} routed to an engine"),
+        }
+    }
+}
+
+/// Builds global proxy `proxy`'s report block (local index `i` of `e`):
+/// the ledger's fields, the outstanding-fetch table's when the model keeps
+/// one, then the model's own.
+fn node_report<M: ProxyModel>(
+    e: &Engine<'_, M>,
+    i: usize,
+    proxy: usize,
+    n_requests: u64,
+) -> NodeReport {
+    let lg = &e.tx.ledgers[i];
+    let mshr = e.model.mshr(i);
+    // Every demand miss launched a fetch that succeeds, coalesced onto
+    // one, or failed — faults must not leak requests out of the ledger.
+    debug_assert!(
+        mshr.is_none_or(Mshr::conservation_ok),
+        "proxy {proxy}: MSHR conservation law violated \
+         (origin_fetches + coalesced + failed != demand_misses)"
+    );
+    let (mean_access, ci) = lg.access_times.mean_ci();
+    let measured = lg.measured.max(1);
+    let mut node = NodeReport {
+        proxy,
+        measured_requests: lg.measured,
+        hit_ratio: lg.hits as f64 / measured as f64,
+        mean_access_time: mean_access,
+        access_time_ci95: ci,
+        mean_retrieval_time: lg.retrievals.mean(),
+        retrieval_per_request: lg.total_job_time / measured as f64,
+        prefetches_per_request: lg.prefetch_jobs as f64 / n_requests.max(1) as f64,
+        goodput_bytes: None,
+        badput_bytes: None,
+        demand_bytes: lg.demand_bytes,
+        cache_used_bytes: None,
+        peer_bytes: None,
+        peer_fetches: None,
+        peer_false_hits: None,
+        mean_threshold: None,
+        rho_prime_estimate: None,
+        h_prime_estimate: None,
+        delayed_hits: mshr.map(|_| lg.delayed_hits),
+        coalesced_requests: mshr.map(Mshr::coalesced),
+        origin_fetches: mshr.map(Mshr::origin_fetches),
+        mean_residual_wait: (lg.delayed_hits > 0).then(|| lg.residual.mean()),
+        mean_waiter_depth: mshr.and_then(Mshr::waiter_depth_mean),
+        mshr_rejections: mshr.map(Mshr::rejections),
+        demand_misses: mshr.map(Mshr::demand_misses),
+        mshr_failed: mshr.map(Mshr::failed),
+        timeouts: lg.timeouts,
+        retries: lg.retries,
+        failovers: lg.failovers,
+        failed_fetches: lg.failed_fetches,
+        lost_entries: 0,
+        unavailability: if lg.measured > 0 {
+            lg.measured_failed as f64 / lg.measured as f64
+        } else {
+            0.0
+        },
+    };
+    e.model.report(i, lg, &mut node);
+    node
+}
+
+/// Assembles the cluster report from the (possibly sharded) engine
+/// scopes, iterating every per-proxy and per-link aggregate in **global**
+/// index order so the floating-point reductions are identical under every
+/// partitioning.
+pub(crate) fn merge_reports<M: ProxyModel>(
+    topology: &Topology,
+    engines: Vec<Engine<'_, M>>,
+    router: Option<Router>,
+) -> ClusterReport {
+    let n_requests = engines[0].tx.n_requests;
+    let t_end = engines.iter().map(|e| e.tx.t_end).fold(0.0, f64::max);
+
+    let n_proxies = topology.n_proxies();
+    let index = ScopeIndex::new(topology, engines.iter().map(|e| &e.tx.scope));
+    let nodes: Vec<NodeReport> = (0..n_proxies)
+        .map(|g| {
+            let (ei, li) = index.proxy(g);
+            node_report(&engines[ei], li, g, n_requests)
+        })
+        .collect();
+
+    let links: Vec<LinkReport> = topology
+        .links()
+        .iter()
+        .enumerate()
+        .map(|(g, spec)| {
+            let (ei, li) = index.link(g);
+            let state = &engines[ei].tx.links[li];
+            LinkReport {
+                name: spec.name.clone(),
+                utilisation: if t_end > 0.0 { state.busy_time() / t_end } else { 0.0 },
+                bytes_carried: state.bytes_carried,
+                jobs_completed: state.jobs_completed,
+            }
+        })
+        .collect();
+
+    let total_measured: u64 = nodes.iter().map(|n| n.measured_requests).sum();
+    let mean_access_time =
+        nodes.iter().map(|n| n.mean_access_time * n.measured_requests as f64).sum::<f64>()
+            / total_measured.max(1) as f64;
+    let total_bytes: f64 = (0..n_proxies)
+        .map(|g| {
+            let (ei, li) = index.proxy(g);
+            let lg = &engines[ei].tx.ledgers[li];
+            lg.demand_bytes + lg.prefetch_bytes
+        })
+        .sum();
+    let coop = router.map(|r| CoopReport {
+        router: r.stats(),
+        peer_fetches: nodes.iter().filter_map(|n| n.peer_fetches).sum(),
+        peer_false_hits: nodes.iter().filter_map(|n| n.peer_false_hits).sum(),
+    });
+
+    ClusterReport {
+        nodes,
+        links,
+        mean_access_time,
+        bytes_per_request: total_bytes / (n_requests * n_proxies as u64).max(1) as f64,
+        duration: t_end,
+        coop,
+    }
+}
+
+/// What replaying a trace cost: consumed records and the high-water mark
+/// of any single proxy's resident trace buffer — pinned O(chunk-size), not
+/// O(trace), by the replay tests.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ReplayStats {
+    /// Records consumed across all proxies.
+    pub records_replayed: u64,
+    /// Max per-stream resident trace bytes observed.
+    pub peak_resident_bytes: usize,
+}
+
+/// Side outputs of a run beyond the report/obs pair.
+pub(crate) struct RunExtras {
+    /// The recorded request trace, merged in global time order, when
+    /// recording was requested.
+    pub(crate) recorded: Option<Vec<TraceRecord>>,
+    /// Replay accounting, when the workload replayed a trace.
+    pub(crate) replay: Option<ReplayStats>,
+}
+
+/// Merges per-proxy recorded request streams (each already time-ordered)
+/// into one globally ordered trace: by time, ties by global proxy id, then
+/// by per-proxy sequence — deterministic under every sharding.
+fn merge_recorded(parts: Vec<(usize, Vec<TraceRecord>)>) -> Vec<TraceRecord> {
+    let mut tagged: Vec<(usize, usize, TraceRecord)> = parts
+        .into_iter()
+        .flat_map(|(g, recs)| recs.into_iter().enumerate().map(move |(s, r)| (g, s, r)))
+        .collect();
+    tagged.sort_by(|a, b| a.2.time.total_cmp(&b.2.time).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+    tagged.into_iter().map(|(_, _, r)| r).collect()
+}
+
+/// One run's parameters, shared by every shard engine it builds.
+pub(crate) struct Run<'a> {
+    pub(crate) topology: &'a Topology,
+    pub(crate) requests: usize,
+    pub(crate) warmup: usize,
+    pub(crate) seed: u64,
+    pub(crate) plan: &'a ShardPlan,
+    /// Observability, when requested (a disabled config observes nothing).
+    pub(crate) obs: Option<&'a ObsConfig>,
+    /// Record every issued request.
+    pub(crate) record: bool,
+    pub(crate) faults: Option<&'a FaultConfig>,
+}
+
+impl<'a> Run<'a> {
+    /// The engine of shard `s`, its proxy model built by `model` over the
+    /// shard's scope.
+    pub(crate) fn shard<M: ProxyModel>(
+        &self,
+        s: usize,
+        model: impl FnOnce(&Scope) -> M,
+    ) -> Engine<'a, M> {
+        let scope = Scope::shard(self.topology, self.plan, s);
+        let model = model(&scope);
+        Engine { tx: Transport::new(self, scope), model }
+    }
+
+    /// Runs every shard of the plan under the driver it admits (see
+    /// [`shard::drive`]) and merges the results. The report is
+    /// bit-identical with observability, tracing or recording on or off
+    /// (pinned by `obs_parity.rs`, `trace_parity.rs`, `replay_parity.rs`);
+    /// the telemetry is `Some` exactly when an enabled obs config was
+    /// passed.
+    pub(crate) fn drive<M: ProxyModel>(
+        &self,
+        router: Option<Router>,
+        model: impl Fn(&Scope) -> M,
+    ) -> (ClusterReport, Option<ClusterObs>, RunExtras) {
+        // Validated here, once, so a bad policy fails before any shard is
+        // built.
+        if let Some(fc) = self.faults {
+            fc.retry.validate();
+        }
+        // Boundary faults (crashes, digest losses) apply at globally
+        // synchronised driver boundaries; everything else is a pure time
+        // query the transport makes directly against the plan.
+        let boundary = self.faults.map(|f| f.plan.boundary_events()).unwrap_or_default();
+        let obs_cfg = self.obs.filter(|c| c.enabled);
+        // Series sample on the explicit grid, or else on the cooperative
+        // digest epoch (a fresh router's next refresh is its first epoch
+        // boundary); without either, series probes stay off.
+        let grid = match obs_cfg {
+            Some(c) if c.sample_every > 0.0 => c.sample_every,
+            Some(_) => router.as_ref().map_or(0.0, Router::next_refresh),
+            None => 0.0,
+        };
+        let runners: Vec<ShardRunner<Engine<'a, M>>> = (0..self.plan.n_shards())
+            .map(|s| {
+                let mut engine = self.shard(s, &model);
+                match obs_cfg {
+                    Some(cfg) => {
+                        let probes = EngineObs::new(cfg, grid, self.topology, &engine.tx.scope);
+                        engine.tx.obs = Some(Box::new(probes));
+                        ShardRunner::new(engine).with_obs(s, cfg)
+                    }
+                    None => ShardRunner::new(engine),
+                }
+            })
+            .collect();
+        let (runners, router) = shard::drive(runners, router, self.plan, &boundary);
+
+        let mut engines = Vec::with_capacity(runners.len());
+        let mut profiles = Vec::new();
+        let mut flight = Vec::new();
+        for r in runners {
+            let (core, robs) = r.into_parts();
+            if let Some(o) = robs {
+                flight.extend(o.flight.records());
+                profiles.push(o.profile);
+            }
+            engines.push(core);
+        }
+
+        let cluster_obs = obs_cfg.map(|c| {
+            let t_end = engines.iter().map(|e| e.tx.t_end).fold(0.0, f64::max);
+            let registries: Vec<Registry> =
+                engines.iter_mut().filter_map(|e| e.obs_finish(t_end)).collect();
+            // Span buffers concatenate in shard order; the store's total
+            // sort makes the merge order-independent anyway.
+            let traces = (c.trace_every > 0).then(|| {
+                let mut events = Vec::new();
+                for e in &mut engines {
+                    events.extend(e.tx.trace.take().map(|b| b.events).unwrap_or_default());
+                }
+                TraceStore::from_events(events, c.trace_every)
+            });
+            let mut out = crate::obs::assemble(
+                registries,
+                profiles,
+                flight,
+                traces,
+                self.plan.n_shards(),
+                self.plan.driver_label(),
+                grid,
+                t_end,
+            );
+            // The router's counters become registry metrics (digest traffic
+            // is the cooperative layer's headline overhead).
+            if let Some(r) = router.as_ref() {
+                let s = r.stats();
+                for (name, v) in [
+                    ("coop.digest_epochs", s.digest_epochs),
+                    ("coop.vnode_migrations", s.vnode_migrations),
+                    ("coop.digest_bytes", s.digest_bytes),
+                    ("coop.delta_ops", s.delta_ops),
+                    ("coop.delta_flushes", s.delta_flushes),
+                    ("coop.snapshot_flushes", s.snapshot_flushes),
+                ] {
+                    let id = out.registry.counter(name);
+                    out.registry.inc(id, v);
+                }
+            }
+            out
+        });
+
+        let recorded = self.record.then(|| {
+            let mut parts = Vec::new();
+            for e in &mut engines {
+                let recs = e.tx.recorder.take().unwrap_or_default();
+                parts.extend(e.tx.scope.proxies.iter().copied().zip(recs));
+            }
+            merge_recorded(parts)
+        });
+        let replay = engines
+            .iter()
+            .filter_map(|e| e.model.replay_stats(&e.tx.ledgers))
+            .reduce(|(r1, p1), (r2, p2)| (r1 + r2, p1.max(p2)))
+            .map(|(records_replayed, peak_resident_bytes)| ReplayStats {
+                records_replayed,
+                peak_resident_bytes,
+            });
+
+        let report = merge_reports(self.topology, engines, router);
+        (report, cluster_obs, RunExtras { recorded, replay })
+    }
+}

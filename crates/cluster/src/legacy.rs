@@ -1,14 +1,15 @@
-//! The retired O(links + proxies) scan drivers, kept **only** as a parity
+//! The retired O(links + proxies) scan driver, kept **only** as a parity
 //! oracle.
 //!
-//! Before the indexed event scheduler (`simcore::sched`) landed, both
+//! Before the indexed event scheduler (`simcore::sched`) landed, the
 //! cluster engines selected the next event by scanning every link and
-//! every proxy per iteration. The scan is gone from the hot paths
-//! (`closed_loop`/`static_mode` now arm per-link/per-proxy timers and run
-//! under the `shard` drivers), but it survives here, driving the *same*
-//! `Engine` handler cores, so the engine-parity tests can pin that the
-//! scheduler rewrite changed event *selection cost* and nothing else: both
-//! drivers must produce byte-identical [`ClusterReport`]s.
+//! every proxy per iteration. The scan is gone from the hot paths (the
+//! engine core arms per-link/per-proxy timers and runs under the `shard`
+//! drivers), but it survives here, driving the *same* generic engine core
+//! ([`crate::engine`]) for either proxy model, so the engine-parity tests
+//! can pin that the scheduler rewrite changed event *selection cost* and
+//! nothing else: both drivers must produce byte-identical
+//! [`ClusterReport`]s.
 //!
 //! Compiled only under the `legacy-oracle` cargo feature (on by default
 //! for this crate, so `cargo test` keeps the parity suites; release
@@ -21,19 +22,25 @@
 //! topologies (every effect settles at its emission instant, inline —
 //! exactly the behaviour the pre-shard engines hard-coded).
 
+use crate::closed_loop::{ClosedLoop, EngineWorkload};
+use crate::engine::{merge_reports, ProxyModel, Run};
 use crate::report::ClusterReport;
-use crate::shard::{flush_boundary, BoundaryEntry, Effect, EngineCore};
-use crate::sim::{LinkState, Scope};
-use crate::{closed_loop, static_mode, ClusterConfig, Workload};
+use crate::shard::{
+    flush_boundary, Effect, EngineCore, CLASS_DEPART, CLASS_PREFETCH, CLASS_REQUEST,
+};
+use crate::sim::Scope;
+use crate::static_mode::OpenLoop;
+use crate::topology::ShardPlan;
+use crate::{ClusterConfig, Workload};
 use coop::Router;
 use std::collections::VecDeque;
 
-/// Earliest pending event over a set of links: `(time, link_index)`,
-/// lowest index first on ties — the O(links) scan the scheduler replaced.
-fn earliest_link_event(links: &[LinkState]) -> Option<(f64, usize)> {
+/// Earliest pending stream of `class`: `(time, local index)`, lowest
+/// index first on ties — the O(entities) scan the scheduler replaced.
+fn earliest<C: EngineCore>(core: &C, class: usize) -> Option<(f64, usize)> {
     let mut best: Option<(f64, usize)> = None;
-    for (i, l) in links.iter().enumerate() {
-        if let Some(t) = l.next_event() {
+    for i in 0..core.class_counts()[class] {
+        if let Some(t) = core.due(class, i) {
             if best.is_none_or(|(bt, _)| t < bt) {
                 best = Some((t, i));
             }
@@ -70,164 +77,84 @@ pub fn run(config: &ClusterConfig<'_>, seed: u64) -> ClusterReport {
         !config.topology.has_latency(),
         "the legacy scan predates link latency; use the shard drivers"
     );
-    let scope = Scope::full(&config.topology);
+    let topology = &config.topology;
+    // One shard: the whole topology with identity index maps.
+    let plan = ShardPlan::partition(topology, 1);
+    let run = Run {
+        topology,
+        requests: config.requests_per_proxy,
+        warmup: config.warmup_per_proxy,
+        seed,
+        plan: &plan,
+        obs: None,
+        record: false,
+        faults: None,
+    };
     match &config.workload {
-        Workload::Static(w) => {
-            let eng = static_mode::Engine::new(
-                &config.topology,
-                w,
-                config.requests_per_proxy,
-                config.warmup_per_proxy,
-                seed,
-                scope,
-                None,
-            );
-            run_static(&config.topology, eng)
-        }
-        Workload::Adaptive(w) => {
-            let eng = closed_loop::Engine::new(
-                &config.topology,
-                closed_loop::EngineWorkload::Synth(w),
-                None,
-                config.requests_per_proxy,
-                config.warmup_per_proxy,
-                seed,
-                scope,
-                None,
-            );
-            run_closed(&config.topology, eng, None)
-        }
+        Workload::Static(w) => scan(&run, None, |scope| OpenLoop::new(w, seed, scope)),
+        Workload::Adaptive(w) => scan(&run, None, |scope| {
+            ClosedLoop::new(topology, EngineWorkload::Synth(w), None, seed, scope)
+        }),
         Workload::Cooperative(w) => {
-            let eng = closed_loop::Engine::new(
-                &config.topology,
-                closed_loop::EngineWorkload::Synth(&w.base),
-                Some(&w.coop),
-                config.requests_per_proxy,
-                config.warmup_per_proxy,
-                seed,
-                scope,
-                None,
-            );
-            let router = Router::new(config.topology.n_proxies(), w.base.cache_capacity, w.coop);
-            run_closed(&config.topology, eng, Some(router))
+            let router = Router::new(topology.n_proxies(), w.base.cache_capacity, w.coop);
+            scan(&run, Some(router), |scope| {
+                ClosedLoop::new(
+                    topology,
+                    EngineWorkload::Synth(&w.base),
+                    Some(&w.coop),
+                    seed,
+                    scope,
+                )
+            })
         }
-        Workload::Trace(w) => {
-            let eng = closed_loop::Engine::new(
-                &config.topology,
-                closed_loop::EngineWorkload::Trace(w),
-                None,
-                config.requests_per_proxy,
-                config.warmup_per_proxy,
-                seed,
-                scope,
-                None,
-            );
-            run_closed(&config.topology, eng, None)
-        }
+        Workload::Trace(w) => scan(&run, None, |scope| {
+            ClosedLoop::new(topology, EngineWorkload::Trace(w), None, seed, scope)
+        }),
     }
 }
 
-/// The closed-loop scan loop: every iteration walks all links and all
-/// proxies for the earliest event. Tie order (links by index, then
-/// requests by proxy, then prefetches, refresh strictly last) matches the
-/// shard drivers' class layout exactly.
-fn run_closed(
-    topology: &crate::Topology,
-    mut eng: closed_loop::Engine<'_>,
+/// The scan loop: every iteration walks all links and all proxies for the
+/// earliest event. Tie order (links by index, then requests by proxy, then
+/// prefetches, refresh strictly last) matches the shard drivers' class
+/// layout exactly.
+fn scan<M: ProxyModel>(
+    run: &Run<'_>,
     mut router: Option<Router>,
+    model: impl FnOnce(&Scope) -> M,
 ) -> ClusterReport {
+    let mut eng = run.shard(0, model);
     let mut scratch = Vec::new();
     let mut dirty = Vec::new();
     loop {
-        let link_ev = earliest_link_event(&eng.links);
-        let mut req: Option<(f64, usize)> = None;
-        let mut pre: Option<(f64, usize)> = None;
-        for i in 0..eng.n_proxies() {
-            if let Some(t) = eng.request_due(i) {
-                if req.is_none_or(|(bt, _)| t < bt) {
-                    req = Some((t, i));
-                }
-            }
-            if let Some(t) = eng.prefetch_due(i) {
-                if pre.is_none_or(|(bt, _)| t < bt) {
-                    pre = Some((t, i));
-                }
-            }
-        }
-
-        let ts = link_ev.map_or(f64::INFINITY, |(t, _)| t);
-        let tr = req.map_or(f64::INFINITY, |(t, _)| t);
-        let tp = pre.map_or(f64::INFINITY, |(t, _)| t);
+        let link = earliest(&eng, CLASS_DEPART);
+        let req = earliest(&eng, CLASS_REQUEST);
+        let pre = earliest(&eng, CLASS_PREFETCH);
+        let at = |e: Option<(f64, usize)>| e.map_or(f64::INFINITY, |(t, _)| t);
+        let (ts, tr, tp) = (at(link), at(req), at(pre));
         if ts.is_infinite() && tr.is_infinite() && tp.is_infinite() {
             // Refresh boundaries beyond the last real event never fire.
             break;
         }
-        let tb = router.as_ref().map_or(f64::INFINITY, |r| r.next_refresh());
+        let tb = router.as_ref().map_or(f64::INFINITY, Router::next_refresh);
         if tb < ts && tb < tr && tb < tp {
-            let mut entries: Vec<BoundaryEntry> = Vec::new();
+            let mut entries = Vec::new();
             eng.refresh_payloads(&mut entries);
             flush_boundary(router.as_mut().expect("boundary without a router"), entries);
-        } else if ts <= tr && ts <= tp {
-            let (t, l) = link_ev.expect("link event");
-            eng.on_link(t, l);
-            settle(&mut eng, t, &mut scratch);
-        } else if tr <= tp {
-            let (t, i) = req.expect("request event");
-            eng.on_request(i, router.as_ref());
-            settle(&mut eng, t, &mut scratch);
-        } else {
-            let (t, i) = pre.expect("prefetch event");
-            eng.on_issue_prefetch(i, router.as_ref());
-            settle(&mut eng, t, &mut scratch);
+            continue;
         }
+        let (class, next) = if ts <= tr && ts <= tp {
+            (CLASS_DEPART, link)
+        } else if tr <= tp {
+            (CLASS_REQUEST, req)
+        } else {
+            (CLASS_PREFETCH, pre)
+        };
+        let (t, idx) = next.expect("a finite event");
+        eng.dispatch(class, idx, t, router.as_ref());
+        settle(&mut eng, t, &mut scratch);
         // The scan recomputes everything next iteration; no timers to sync.
         eng.drain_dirty(&mut dirty);
         dirty.clear();
     }
-    closed_loop::merge_reports(topology, vec![eng], router)
-}
-
-/// The open-loop scan loop, mirroring the closed-loop one (no refresh).
-fn run_static(topology: &crate::Topology, mut eng: static_mode::Engine<'_>) -> ClusterReport {
-    let mut scratch = Vec::new();
-    let mut dirty = Vec::new();
-    loop {
-        let link_ev = earliest_link_event(&eng.links);
-        let mut req: Option<(f64, usize)> = None;
-        let mut pre: Option<(f64, usize)> = None;
-        for i in 0..eng.n_proxies() {
-            if let Some(t) = eng.request_due(i) {
-                if req.is_none_or(|(bt, _)| t < bt) {
-                    req = Some((t, i));
-                }
-            }
-            if let Some(t) = eng.prefetch_due(i) {
-                if pre.is_none_or(|(bt, _)| t < bt) {
-                    pre = Some((t, i));
-                }
-            }
-        }
-
-        let ts = link_ev.map_or(f64::INFINITY, |(t, _)| t);
-        let tr = req.map_or(f64::INFINITY, |(t, _)| t);
-        let tp = pre.map_or(f64::INFINITY, |(t, _)| t);
-        if ts.is_infinite() && tr.is_infinite() && tp.is_infinite() {
-            break;
-        } else if ts <= tr && ts <= tp {
-            let (t, l) = link_ev.expect("link event");
-            eng.on_link(t, l);
-            settle(&mut eng, t, &mut scratch);
-        } else if tr <= tp {
-            let (t, i) = req.expect("request event");
-            eng.on_request(i);
-            settle(&mut eng, t, &mut scratch);
-        } else {
-            let (t, i) = pre.expect("prefetch event");
-            eng.on_prefetch(i);
-            settle(&mut eng, t, &mut scratch);
-        }
-        eng.drain_dirty(&mut dirty);
-        dirty.clear();
-    }
-    static_mode::merge_reports(topology, vec![eng])
+    merge_reports(run.topology, vec![eng], router)
 }

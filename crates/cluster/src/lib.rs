@@ -21,7 +21,7 @@
 //! load; [`network_load_curve`] sweeps prefetch volume for the cluster
 //! analogue of the paper's Figures 2–3.
 //!
-//! Both engines run on `simcore::sched`'s indexed event scheduler (one
+//! Every mode runs on `simcore::sched`'s indexed event scheduler (one
 //! timer per link / request stream / prefetch stream, plus a digest-
 //! refresh timer on the epoch grid), so per-event cost is O(log n) and
 //! 256-proxy meshes are routine (experiment E15). The retired
@@ -62,7 +62,15 @@
 //! serialise both halves with the workspace's hand-rolled JSON codec
 //! for the `OBS_cluster.json` artifact.
 //!
-//! ## Three engines, one API
+//! ## One engine core, two proxy models
+//!
+//! Prefetching only adds arrival rate to an unchanged network of queues,
+//! so every mode runs on one engine core: a shared transport (link
+//! servers, propagation, timeout–retry–backoff, cross-shard effects,
+//! tracing, recording, observability probes) parametrised by a *proxy
+//! model* — what a proxy does on a request, a prefetch, a peer check and
+//! a delivery. The open loop is one model; the closed loop, in its
+//! adaptive, cooperative and trace-replay forms, is the other.
 //!
 //! * **Open loop** ([`Workload::Static`]) — every proxy runs the paper's
 //!   Model-A mechanism (Bernoulli hits at `h′ + n̄(F)·p`, Poissonised
@@ -82,6 +90,8 @@
 //!   load-aware placement policy migrating virtual nodes on divergence.
 //!   With one proxy this reduces *exactly* to adaptive mode (pinned by
 //!   test to 1e-6), so cooperative results stay anchored too.
+//! * **Trace replay** ([`Workload::Trace`]) — the closed loop driven by a
+//!   recorded `.events` stream instead of the synthetic web model.
 //!
 //! ## Example
 //!
@@ -112,6 +122,7 @@
 
 mod closed_loop;
 mod curve;
+mod engine;
 #[cfg(feature = "legacy-oracle")]
 #[doc(hidden)]
 pub mod legacy;
@@ -122,8 +133,8 @@ mod sim;
 mod static_mode;
 mod topology;
 
-pub use closed_loop::ReplayStats;
 pub use curve::{network_load_curve, CurveSpec};
+pub use engine::ReplayStats;
 pub use obs::{report_to_json, ClusterObs};
 #[doc(hidden)]
 pub use report::parity;

@@ -73,7 +73,7 @@ use std::collections::VecDeque;
 use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
 
-/// Event classes, in same-instant firing order. Both engines and every
+/// Event classes, in same-instant firing order. The engine core and every
 /// driver build their key layouts from this sequence, so tie order is
 /// global: link departures < queued link arrivals < peer-serve checks <
 /// response deliveries < client requests < prefetch issues < fetch-
@@ -167,8 +167,9 @@ fn timed_wait(barrier: &Barrier, obs: &mut Option<Box<RunnerObs>>) {
 /// `(global proxy, load estimate, payload)`.
 pub(crate) type BoundaryEntry = (usize, f64, RefreshPayload);
 
-/// The driver-facing surface of a shard-local engine core. Both cluster
-/// engines implement it; the drivers below are generic over it.
+/// The driver-facing surface of a shard-local engine core
+/// (`crate::engine::Engine`, for either proxy model); the drivers below
+/// are generic over it.
 pub(crate) trait EngineCore: Send {
     type Job: Copy + Send;
 
@@ -690,7 +691,7 @@ pub(crate) fn drive<C: EngineCore>(
     plan: &ShardPlan,
     faults: &[FaultEvent],
 ) -> (Vec<ShardRunner<C>>, Option<Router>) {
-    if runners.len() > 1 && plan.lookahead() > 0.0 {
+    if plan.windowed() {
         drive_windowed(runners, router, plan, faults)
     } else {
         drive_sequential(runners, router, plan, faults)

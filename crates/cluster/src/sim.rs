@@ -1,11 +1,13 @@
 //! The cluster simulator facade and shared link/scope machinery.
 
-use crate::closed_loop::{self, EngineWorkload, ReplayStats, RunExtras};
+use crate::closed_loop::{ClosedLoop, EngineWorkload};
+use crate::engine::{ReplayStats, Run, RunExtras};
 use crate::obs::ClusterObs;
 use crate::report::ClusterReport;
-use crate::static_mode;
+use crate::static_mode::OpenLoop;
 use crate::topology::ShardPlan;
 use crate::{ClusterConfig, Topology, Workload};
+use coop::Router;
 use queueing::{Completion, FifoServer, PsServer, Server};
 use simcore::faults::FaultConfig;
 use simcore::obs::ObsConfig;
@@ -75,13 +77,7 @@ impl<'a> ClusterSim<'a> {
         faults: &FaultConfig,
         obs: &ObsConfig,
     ) -> (ClusterReport, ClusterObs) {
-        let plan = ShardPlan::partition(&self.config.topology, shards);
-        let driver = if shards > 1 && plan.lookahead() > 0.0 { "windowed" } else { "sequential" };
-        let wall = std::time::Instant::now();
-        let (report, obs_out, _) = self.run_on(seed, &plan, Some(obs), false, Some(faults));
-        let mut obs_out = obs_out.unwrap_or_else(|| ClusterObs::empty(shards, driver));
-        obs_out.wall_secs = wall.elapsed().as_secs_f64();
-        (report, obs_out)
+        self.observed(seed, shards, obs, Some(faults))
     }
 
     /// Runs the simulation while recording every issued request, returning
@@ -131,15 +127,29 @@ impl<'a> ClusterSim<'a> {
         shards: usize,
         obs: &ObsConfig,
     ) -> (ClusterReport, ClusterObs) {
+        self.observed(seed, shards, obs, None)
+    }
+
+    /// The observed runs' shared shell: times the whole run on the wall
+    /// clock, and stands in an empty telemetry shell when `obs` is
+    /// disabled.
+    fn observed(
+        &self,
+        seed: u64,
+        shards: usize,
+        obs: &ObsConfig,
+        faults: Option<&FaultConfig>,
+    ) -> (ClusterReport, ClusterObs) {
         let plan = ShardPlan::partition(&self.config.topology, shards);
-        let driver = if shards > 1 && plan.lookahead() > 0.0 { "windowed" } else { "sequential" };
         let wall = std::time::Instant::now();
-        let (report, obs_out, _) = self.run_on(seed, &plan, Some(obs), false, None);
-        let mut obs_out = obs_out.unwrap_or_else(|| ClusterObs::empty(shards, driver));
+        let (report, obs_out, _) = self.run_on(seed, &plan, Some(obs), false, faults);
+        let mut obs_out = obs_out.unwrap_or_else(|| ClusterObs::empty(shards, plan.driver_label()));
         obs_out.wall_secs = wall.elapsed().as_secs_f64();
         (report, obs_out)
     }
 
+    /// Picks the proxy model the workload needs and runs it on the shared
+    /// engine core.
     fn run_on(
         &self,
         seed: u64,
@@ -148,54 +158,33 @@ impl<'a> ClusterSim<'a> {
         record: bool,
         faults: Option<&FaultConfig>,
     ) -> (ClusterReport, Option<ClusterObs>, RunExtras) {
-        match &self.config.workload {
-            Workload::Static(w) => static_mode::run_observed(
-                &self.config.topology,
-                w,
-                self.config.requests_per_proxy,
-                self.config.warmup_per_proxy,
-                seed,
-                plan,
-                obs,
-                record,
-                faults,
-            ),
-            Workload::Adaptive(w) => closed_loop::run_observed(
-                &self.config.topology,
-                EngineWorkload::Synth(w),
-                None,
-                self.config.requests_per_proxy,
-                self.config.warmup_per_proxy,
-                seed,
-                plan,
-                obs,
-                record,
-                faults,
-            ),
-            Workload::Cooperative(w) => closed_loop::run_observed(
-                &self.config.topology,
-                EngineWorkload::Synth(&w.base),
-                Some(&w.coop),
-                self.config.requests_per_proxy,
-                self.config.warmup_per_proxy,
-                seed,
-                plan,
-                obs,
-                record,
-                faults,
-            ),
-            Workload::Trace(w) => closed_loop::run_observed(
-                &self.config.topology,
-                EngineWorkload::Trace(w),
-                None,
-                self.config.requests_per_proxy,
-                self.config.warmup_per_proxy,
-                seed,
-                plan,
-                obs,
-                record,
-                faults,
-            ),
+        let config = self.config;
+        let topology = &config.topology;
+        let run = Run {
+            topology,
+            requests: config.requests_per_proxy,
+            warmup: config.warmup_per_proxy,
+            seed,
+            plan,
+            obs,
+            record,
+            faults,
+        };
+        match &config.workload {
+            Workload::Static(w) => run.drive(None, |scope| OpenLoop::new(w, seed, scope)),
+            Workload::Adaptive(w) => run.drive(None, |scope| {
+                ClosedLoop::new(topology, EngineWorkload::Synth(w), None, seed, scope)
+            }),
+            Workload::Cooperative(w) => {
+                let router = Router::new(topology.n_proxies(), w.base.cache_capacity, w.coop);
+                run.drive(Some(router), |scope| {
+                    let synth = EngineWorkload::Synth(&w.base);
+                    ClosedLoop::new(topology, synth, Some(&w.coop), seed, scope)
+                })
+            }
+            Workload::Trace(w) => run.drive(None, |scope| {
+                ClosedLoop::new(topology, EngineWorkload::Trace(w), None, seed, scope)
+            }),
         }
     }
 }
@@ -212,10 +201,10 @@ pub(crate) fn proxy_seed(seed: u64, proxy: usize) -> u64 {
 }
 
 /// The slice of a topology one shard owns: its proxies and links, with
-/// global↔local index maps. The full scope (every entity, identity maps)
-/// is the single-threaded case — the engines are written against `Scope`
-/// exclusively, so the monolithic and sharded drivers run literally the
-/// same handler code.
+/// global↔local index maps. The single-shard scope (every entity,
+/// identity maps) is the single-threaded case — the engine core is
+/// written against `Scope` exclusively, so the monolithic and sharded
+/// drivers run literally the same handler code.
 pub(crate) struct Scope {
     /// Local → global link index.
     pub links: Vec<usize>,
@@ -228,19 +217,6 @@ pub(crate) struct Scope {
 const ABSENT: usize = usize::MAX;
 
 impl Scope {
-    /// The whole topology as one scope (used by the legacy scan driver;
-    /// the shard drivers build per-shard scopes, which degenerate to this
-    /// at one shard).
-    #[cfg(feature = "legacy-oracle")]
-    pub fn full(topology: &Topology) -> Scope {
-        Scope {
-            links: (0..topology.links().len()).collect(),
-            proxies: (0..topology.n_proxies()).collect(),
-            link_local: (0..topology.links().len()).collect(),
-            proxy_local: (0..topology.n_proxies()).collect(),
-        }
-    }
-
     /// The entities `plan` assigns to shard `s`, in ascending global
     /// order (so local tie order equals global tie order).
     pub fn shard(topology: &Topology, plan: &ShardPlan, s: usize) -> Scope {
@@ -273,11 +249,9 @@ impl Scope {
 }
 
 /// Global-order lookup over a set of scopes: which `(scope index, local
-/// index)` owns each global proxy and link. The report mergers iterate
+/// index)` owns each global proxy and link. The report merger iterates
 /// these tables in ascending global order, which is what keeps every
-/// floating-point reduction identical under every partitioning — both
-/// engines share this scaffolding so the contract cannot drift between
-/// them.
+/// floating-point reduction identical under every partitioning.
 pub(crate) struct ScopeIndex {
     proxy_at: Vec<(usize, usize)>,
     link_at: Vec<(usize, usize)>,

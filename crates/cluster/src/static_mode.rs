@@ -1,4 +1,4 @@
-//! Open-loop (Model-A mechanism) cluster engine.
+//! Open-loop (Model-A mechanism) proxy model.
 //!
 //! Each proxy reproduces `netsim::parametric`'s mechanism on its own RNG
 //! streams: Poisson(λ) user requests, Bernoulli hits at
@@ -9,58 +9,27 @@
 //! *identical* to `netsim::parametric::run` at the same seed; that parity
 //! is pinned by a test against 1e-6.
 //!
-//! Like the closed loop, the module is an [`Engine`] — a scope of state
-//! plus one handler per event kind — driven by the [`crate::shard`]
-//! drivers (single-threaded merge, or conservative windows across
-//! threads); the retired O(links + proxies) scan driver lives in
-//! [`crate::legacy`] and is pinned identical by the engine-parity tests.
+//! The module is a [`ProxyModel`] on the shared transport of
+//! [`crate::engine`] — the links, effects, fault handling, tracing,
+//! recording and obs probes the closed loop ([`crate::closed_loop`]) runs
+//! on — so the [`crate::shard`] drivers and the retired scan in
+//! [`crate::legacy`] drive it unchanged. Every open-loop transfer is an
+//! origin fetch.
 
-use crate::obs::{ClusterObs, EngineObs};
-use crate::report::{ClusterReport, LinkReport, NodeReport};
-use crate::shard::{
-    self, Effect, ShardRunner, CLASS_ARRIVE, CLASS_CHECK, CLASS_DELIVER, CLASS_DEPART, CLASS_FAIL,
-    CLASS_PREFETCH, CLASS_REQUEST, N_CLASSES,
+use crate::engine::{
+    settle_waiters, trace_job, trace_point, Dest, Job, JobKind, ProxyModel, Transport,
 };
-use crate::sim::{proxy_seed, LinkState, Scope, ScopeIndex};
-use crate::topology::ShardPlan;
-use crate::{StaticWorkload, Topology};
-use cachesim::{FetchDecision, FetchOrigin, Mshr, Waiter};
+use crate::sim::{proxy_seed, Scope};
+use crate::StaticWorkload;
+use cachesim::{FetchDecision, Mshr, Waiter};
 use coop::Router;
-use simcore::faults::{FaultConfig, FaultKind};
-use simcore::obs::ObsConfig;
 use simcore::rng::Rng;
-use simcore::sched::TimedQueue;
-use simcore::stats::{BatchMeans, Welford};
-use simcore::trace::{self, SpanEvent, SpanKind, TraceBuf, TraceStore, TF_MEASURED, TF_PREFETCH};
-use simcore::{Registry, Scheduler};
-use std::collections::HashMap;
+use simcore::trace::{SpanKind, TF_MEASURED, TF_PREFETCH};
 use workload::{ItemId, TraceRecord};
 
-#[derive(Clone, Copy, Debug)]
-enum JobKind {
-    Demand { measured: bool },
-    Prefetch { measured: bool },
-}
-
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Job {
-    /// Per-proxy sequential id (sharding-independent tie-breaker).
-    id: u64,
-    proxy: u32,
-    shard: u32,
-    hop: usize,
-    size: f64,
-    issued: f64,
-    /// Catalog item id of a demand fetch in catalog mode
-    /// ([`StaticWorkload::catalog_items`]); `u64::MAX` for the itemless
-    /// flow and for the Poissonised prefetch stream.
-    item: u64,
-    kind: JobKind,
-    /// Trace id when head-sampled, 0 otherwise (see the closed-loop twin).
-    trace: u64,
-    /// Per-trace record counter.
-    tseq: u32,
-}
+/// The item of open-loop transfers that fetch no concrete item: the
+/// itemless flow and the Poissonised prefetch stream.
+const NO_ITEM: ItemId = ItemId(u64::MAX);
 
 struct ProxyState {
     rng: Rng,
@@ -70,136 +39,23 @@ struct ProxyState {
     prefetch_rate: f64,
     next_request_t: f64,
     next_prefetch_t: f64,
-    job_seq: u64,
-    issued: u64,
     in_window: bool,
-    access_times: BatchMeans,
-    retrievals: Welford,
-    hits: u64,
-    total_job_time: f64,
-    prefetch_jobs: u64,
-    demand_bytes: f64,
-    prefetch_bytes: f64,
     /// Outstanding-fetch table in catalog mode (`Some` exactly when the
     /// workload sets [`StaticWorkload::catalog_items`]): misses for
     /// in-flight items coalesce onto the fetch's FIFO waiter queue
     /// instead of launching a second transfer.
-    mshr: Option<Mshr<u64>>,
-    /// Measured requests settled as delayed hits.
-    delayed_hits: u64,
-    /// Residual waits of those measured delayed hits.
-    residual: Welford,
-    /// Fetch attempts that expired without an answer (fault runs only).
-    timeouts: u64,
-    /// Retry attempts launched after a timeout (fault runs only).
-    retries: u64,
-    /// Fetches that exhausted their attempt budget (fault runs only).
-    failed_fetches: u64,
-    /// Measured requests that ended in failure instead of data.
-    measured_failed: u64,
+    mshr: Option<Mshr<ItemId>>,
 }
 
-/// One scope of open-loop simulation state plus one handler per event
-/// kind; drivers own only event selection and effect routing (see the
-/// closed-loop twin for the rationale).
-pub(crate) struct Engine<'a> {
-    topology: &'a Topology,
-    w: &'a StaticWorkload<'a>,
-    n_shards: u64,
-    pub(crate) scope: Scope,
-    pub(crate) links: Vec<LinkState>,
+/// The open-loop model of one scope's proxies.
+pub(crate) struct OpenLoop<'w> {
+    w: &'w StaticWorkload<'w>,
     proxies: Vec<ProxyState>,
-    jobs: HashMap<u64, Job>,
-    arrivals: Vec<TimedQueue<Job>>,
-    delivers: Vec<TimedQueue<(Job, bool)>>,
-    /// Analytically-resolved fetch failures pending settlement, one queue
-    /// per local proxy (empty without a fault plan).
-    fails: Vec<TimedQueue<Job>>,
-    /// The fault plan and retry policy, when this is a fault run.
-    faults: Option<&'a FaultConfig>,
-    /// The run seed (feeds the deterministic loss/backoff hashes).
-    seed: u64,
-    effects: Vec<Effect<Job>>,
-    dirty: Vec<(usize, usize)>,
-    t_end: f64,
-    warm: u64,
-    n_requests: u64,
-    /// Probe state when this run is observed (see the closed-loop twin).
-    obs: Option<Box<EngineObs>>,
-    /// Span buffer when this run is traced (see the closed-loop twin).
-    trace: Option<Box<TraceBuf>>,
-    /// Per-local-proxy recorded requests when this run records a trace.
-    /// Bernoulli hits record item `u64::MAX` and size 0 (the open loop
-    /// draws neither); catalog-mode misses record their item and size.
-    recorder: Option<Vec<Vec<TraceRecord>>>,
 }
 
-/// Appends one span record for a traced job (itemless jobs carry
-/// `u64::MAX` in the record; catalog-mode demand fetches their item id).
-#[inline]
-fn trace_job(
-    buf: &mut Option<Box<TraceBuf>>,
-    job: &mut Job,
-    t: f64,
-    kind: SpanKind,
-    entity: u64,
-    aux: f64,
-    flags: u8,
-) {
-    if let Some(b) = buf.as_deref_mut() {
-        if job.trace != 0 {
-            let seq = job.tseq;
-            job.tseq += 1;
-            b.push(SpanEvent {
-                trace: job.trace,
-                seq,
-                t,
-                kind,
-                entity,
-                aux,
-                item: job.item,
-                flags,
-            });
-        }
-    }
-}
-
-/// Appends a single-record trace (a Bernoulli hit or an in-flight wait).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn trace_point(
-    buf: &mut Option<Box<TraceBuf>>,
-    id: u64,
-    t: f64,
-    kind: SpanKind,
-    entity: u64,
-    aux: f64,
-    item: u64,
-    flags: u8,
-) {
-    if id != 0 {
-        if let Some(b) = buf.as_deref_mut() {
-            b.push(SpanEvent { trace: id, seq: 0, t, kind, entity, aux, item, flags });
-        }
-    }
-}
-
-impl<'a> Engine<'a> {
-    pub(crate) fn new(
-        topology: &'a Topology,
-        w: &'a StaticWorkload<'a>,
-        requests: usize,
-        warmup: usize,
-        seed: u64,
-        scope: Scope,
-        faults: Option<&'a FaultConfig>,
-    ) -> Self {
-        if let Some(fc) = faults {
-            fc.retry.validate();
-        }
-        let links: Vec<LinkState> =
-            scope.links.iter().map(|&g| LinkState::new(&topology.links()[g])).collect();
-        let proxies: Vec<ProxyState> = scope
+impl<'w> OpenLoop<'w> {
+    pub(crate) fn new(w: &'w StaticWorkload<'w>, seed: u64, scope: &Scope) -> Self {
+        let proxies = scope
             .proxies
             .iter()
             .map(|&i| {
@@ -224,932 +80,185 @@ impl<'a> Engine<'a> {
                     prefetch_rate,
                     next_request_t,
                     next_prefetch_t,
-                    job_seq: 0,
-                    issued: 0,
                     in_window: false,
-                    access_times: BatchMeans::new(20),
-                    retrievals: Welford::new(),
-                    hits: 0,
-                    total_job_time: 0.0,
-                    prefetch_jobs: 0,
-                    demand_bytes: 0.0,
-                    prefetch_bytes: 0.0,
                     mshr: w.catalog_items.map(|_| Mshr::unbounded()),
-                    delayed_hits: 0,
-                    residual: Welford::new(),
-                    timeouts: 0,
-                    retries: 0,
-                    failed_fetches: 0,
-                    measured_failed: 0,
                 }
             })
             .collect();
+        OpenLoop { w, proxies }
+    }
+}
 
-        Engine {
-            topology,
-            w,
-            n_shards: topology.n_shards() as u64,
-            links,
-            proxies,
-            jobs: HashMap::new(),
-            arrivals: (0..scope.links.len()).map(|_| TimedQueue::new()).collect(),
-            delivers: (0..scope.proxies.len()).map(|_| TimedQueue::new()).collect(),
-            fails: (0..scope.proxies.len()).map(|_| TimedQueue::new()).collect(),
-            faults,
-            seed,
-            effects: Vec::new(),
-            dirty: Vec::new(),
-            t_end: 0.0,
-            warm: warmup as u64,
-            n_requests: requests as u64,
-            scope,
-            obs: None,
-            trace: None,
-            recorder: None,
-        }
+impl ProxyModel for OpenLoop<'_> {
+    const PEERS: bool = false;
+
+    fn request_due(&self, tx: &Transport<'_>, i: usize) -> Option<f64> {
+        (tx.ledgers[i].issued < tx.n_requests).then_some(self.proxies[i].next_request_t)
     }
 
-    /// Arms this scope's observability probes.
-    pub(crate) fn attach_obs(&mut self, o: EngineObs) {
-        self.obs = Some(Box::new(o));
-    }
-
-    /// Arms this scope's request recorder (see the closed-loop twin).
-    pub(crate) fn attach_recorder(&mut self) {
-        self.recorder = Some(vec![Vec::new(); self.proxies.len()]);
-    }
-
-    /// Takes this scope's recorded requests, tagged with global proxy ids.
-    pub(crate) fn take_recorded(&mut self) -> Vec<(usize, Vec<TraceRecord>)> {
-        match self.recorder.take() {
-            Some(parts) => self.scope.proxies.iter().copied().zip(parts).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Arms this scope's span buffer, head-sampling 1-in-`every`.
-    pub(crate) fn attach_trace(&mut self, every: u64) {
-        self.trace = Some(Box::new(TraceBuf::new(every)));
-    }
-
-    /// Takes this scope's recorded span events (empties the buffer).
-    pub(crate) fn take_trace_events(&mut self) -> Vec<SpanEvent> {
-        self.trace.take().map(|b| b.events).unwrap_or_default()
-    }
-
-    /// Flushes sampling-grid points at or before `t` — entry of every
-    /// public handler, before any mutation at `t` (see the closed-loop
-    /// twin for the determinism argument). The open loop has no caches or
-    /// trackable prefetch set, so the aggregate probes report zero.
-    fn obs_tick(&mut self, t: f64) {
-        let Some(mut o) = self.obs.take() else { return };
-        let proxies = &self.proxies;
-        o.tick(t, &self.links, || {
-            let outstanding =
-                proxies.iter().map(|p| p.mshr.as_ref().map_or(0, Mshr::len)).sum::<usize>();
-            (0.0, outstanding as f64)
-        });
-        self.obs = Some(o);
-    }
-
-    /// Final grid flush at the cluster-wide `t_end`, returning this
-    /// scope's registry for merging (`None` when unobserved).
-    pub(crate) fn obs_finish(&mut self, t_end: f64) -> Option<Registry> {
-        let mut o = self.obs.take()?;
-        let proxies = &self.proxies;
-        o.tick(t_end, &self.links, || {
-            let outstanding =
-                proxies.iter().map(|p| p.mshr.as_ref().map_or(0, Mshr::len)).sum::<usize>();
-            (0.0, outstanding as f64)
-        });
-        Some(o.finish())
-    }
-
-    /// Local proxy count (the legacy scan's iteration bound).
-    #[cfg(feature = "legacy-oracle")]
-    pub(crate) fn n_proxies(&self) -> usize {
-        self.proxies.len()
-    }
-
-    /// When local proxy `i`'s next request arrives, while its stream is
-    /// live.
-    pub(crate) fn request_due(&self, i: usize) -> Option<f64> {
+    /// The prefetch stream of a proxy stops with its request stream.
+    fn prefetch_due(&self, tx: &Transport<'_>, i: usize) -> Option<f64> {
         let p = &self.proxies[i];
-        (p.issued < self.n_requests).then_some(p.next_request_t)
+        (tx.ledgers[i].issued < tx.n_requests && p.next_prefetch_t.is_finite())
+            .then_some(p.next_prefetch_t)
     }
 
-    /// When local proxy `i`'s next Poissonised prefetch fires. The
-    /// prefetch stream of a proxy stops with its request stream.
-    pub(crate) fn prefetch_due(&self, i: usize) -> Option<f64> {
-        let p = &self.proxies[i];
-        (p.issued < self.n_requests && p.next_prefetch_t.is_finite()).then_some(p.next_prefetch_t)
-    }
-
-    /// Entry propagation of global link `g` at `now`, inflated by the
-    /// plan's active degradation factor. Bit-identity: the multiply only
-    /// happens when the factor differs from one, so an empty plan never
-    /// touches the base latency's float path.
-    fn entry_latency_at(&self, g: usize, now: f64) -> f64 {
-        let base = self.topology.entry_latency(g);
-        if let Some(fc) = self.faults {
-            let f = fc.plan.link_latency_factor(g, now);
-            if f != 1.0 {
-                return base * f;
-            }
-        }
-        base
-    }
-
-    /// Summed return propagation of `route` at `now`, per-hop inflated
-    /// like [`Engine::entry_latency_at`].
-    fn return_latency_at(&self, route: &[usize], now: f64) -> f64 {
-        match self.faults {
-            Some(fc) => route
-                .iter()
-                .map(|&g| {
-                    let base = self.topology.entry_latency(g);
-                    let f = fc.plan.link_latency_factor(g, now);
-                    if f != 1.0 {
-                        base * f
-                    } else {
-                        base
-                    }
-                })
-                .sum(),
-            None => self.topology.return_latency(route),
-        }
-    }
-
-    fn send_arrive(&mut self, g: usize, now: f64, job: Job) {
-        let tau = now + self.entry_latency_at(g, now);
-        self.effects.push(Effect::Arrive { link: g as u32, t: tau, job });
-    }
-
-    /// Any link on `job`'s route down at `t`, or the origin blacked out?
-    /// A pure query of the static plan — identical under every sharding.
-    fn route_dark(&self, job: &Job, t: f64) -> bool {
-        let Some(fc) = self.faults else { return false };
-        if fc.plan.origin_dark(t) {
-            return true;
-        }
-        self.topology
-            .route(job.proxy as usize, job.shard as usize)
-            .iter()
-            .any(|&g| fc.plan.link_down(g, t))
-    }
-
-    /// Does attempt `attempt` of `job`, launched at `t`, make it?
-    fn attempt_survives(&self, fc: &FaultConfig, job: &Job, attempt: u32, t: f64) -> bool {
-        if self.route_dark(job, t) {
-            return false;
-        }
-        !self
-            .topology
-            .route(job.proxy as usize, job.shard as usize)
-            .iter()
-            .any(|&g| fc.plan.attempt_lost(self.seed, g, job.id, attempt, t))
-    }
-
-    /// Injects `job` onto the first link of its route at time `t`.
-    ///
-    /// Under a fault plan the whole timeout–retry–backoff schedule
-    /// resolves here, analytically: the plan is static, so each attempt's
-    /// fate is a pure function of its launch instant (see the closed-loop
-    /// twin for the full argument). Prefetches get exactly one attempt.
-    fn launch(&mut self, t: f64, mut job: Job) {
-        let Some(fc) = self.faults else {
-            let first = self.topology.route(job.proxy as usize, job.shard as usize)[0];
-            self.send_arrive(first, t, job);
-            return;
-        };
-        let attempts = match job.kind {
-            JobKind::Demand { .. } => fc.retry.attempts(),
-            JobKind::Prefetch { .. } => 1,
-        };
-        let mut t_att = t;
-        for attempt in 0..attempts {
-            if self.attempt_survives(fc, &job, attempt, t_att) {
-                let first = self.topology.route(job.proxy as usize, job.shard as usize)[0];
-                self.send_arrive(first, t_att, job);
-                return;
-            }
-            let i = self.scope.proxy_local(job.proxy as usize).expect("launch in scope");
-            self.proxies[i].timeouts += 1;
-            let expiry = t_att + fc.retry.timeout;
-            if attempt + 1 < attempts {
-                self.proxies[i].retries += 1;
-                let next = expiry + fc.retry.backoff(self.seed, job.id, attempt);
-                let jp = job.proxy as u64;
-                trace_job(&mut self.trace, &mut job, next, SpanKind::Retry, jp, expiry, 0);
-                t_att = next;
-            } else {
-                self.effects.push(Effect::Fail { p: job.proxy, t: expiry, job });
-                return;
-            }
-        }
-    }
-
-    /// A link departure event on local link `l` at time `t`.
-    pub(crate) fn on_link(&mut self, t: f64, l: usize) {
-        self.obs_tick(t);
-        self.t_end = t;
-        self.dirty.push((CLASS_DEPART, l));
-        let done = self.links[l].on_event(t);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.jobs_completed(l, done.len());
-        }
-        let g_l = self.scope.links[l];
-        let bandwidth = self.topology.links()[g_l].bandwidth;
-        for c in done {
-            let mut job = self.jobs.remove(&c.tag).expect("completed job on this scope's link");
-            self.links[l].bytes_carried += job.size;
-            let service = job.size / bandwidth;
-            trace_job(&mut self.trace, &mut job, t, SpanKind::Dequeue, g_l as u64, service, 0);
-            let route = self.topology.route(job.proxy as usize, job.shard as usize);
-            if job.hop + 1 < route.len() {
-                // Tandem hop: forward to the next link unchanged.
-                let mut fwd = job;
-                fwd.hop += 1;
-                self.send_arrive(route[fwd.hop], t, fwd);
-            } else {
-                let mut tau = t + self.return_latency_at(route, t);
-                // Every open-loop fetch is an origin fetch: a brownout
-                // inflates its response by the active delay.
-                if let Some(fc) = self.faults {
-                    let d = fc.plan.origin_delay(t);
-                    if d > 0.0 {
-                        tau += d;
-                    }
-                }
-                self.effects.push(Effect::Deliver { p: job.proxy, t: tau, job, false_hit: false });
-            }
-        }
-    }
-
-    /// Queued arrivals on local link `l` coming due at `t`.
-    pub(crate) fn on_arrivals(&mut self, t: f64, l: usize) {
-        self.obs_tick(t);
-        self.t_end = t;
-        while let Some(job) = self.arrivals[l].pop_due(t) {
-            self.arrive_now(l, t, job);
-        }
-        self.dirty.push((CLASS_ARRIVE, l));
-    }
-
-    fn arrive_now(&mut self, l: usize, t: f64, mut job: Job) {
-        trace_job(
-            &mut self.trace,
-            &mut job,
-            t,
-            SpanKind::Enqueue,
-            self.scope.links[l] as u64,
-            0.0,
-            0,
-        );
-        self.jobs.insert(job.id, job);
-        self.links[l].arrive(t, job.size, job.id);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.job_arrived(l);
-        }
-        self.dirty.push((CLASS_DEPART, l));
-    }
-
-    /// Queued deliveries at local proxy `i` coming due at `t`.
-    pub(crate) fn on_delivers(&mut self, t: f64, i: usize) {
-        self.obs_tick(t);
-        self.t_end = t;
-        while let Some((job, _)) = self.delivers[i].pop_due(t) {
-            self.deliver_now(i, t, job);
-        }
-        self.dirty.push((CLASS_DELIVER, i));
-    }
-
-    /// `job`'s response lands at its requesting proxy — local index `i`.
-    fn deliver_now(&mut self, i: usize, t: f64, mut job: Job) {
-        self.t_end = t;
-        debug_assert_eq!(self.scope.proxies[i], job.proxy as usize);
-        let jp = job.proxy as u64;
-        trace_job(&mut self.trace, &mut job, t, SpanKind::Deliver, jp, 0.0, 0);
-        let sojourn = t - job.issued;
-        let p = &mut self.proxies[i];
-        match job.kind {
-            JobKind::Demand { measured } => {
-                if measured {
-                    p.access_times.push(sojourn);
-                    p.retrievals.push(sojourn);
-                    p.total_job_time += sojourn;
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.latency(sojourn);
-                    }
-                }
-                // Catalog mode: the landing settles the item's
-                // outstanding entry — every coalesced waiter's clock
-                // stops now, in FIFO order.
-                if job.item != u64::MAX {
-                    if let Some(entry) = p.mshr.as_mut().and_then(|m| m.complete(&job.item)) {
-                        for w in &entry.waiters {
-                            let wf = if w.measured { TF_MEASURED } else { 0 };
-                            trace_point(
-                                &mut self.trace,
-                                w.trace,
-                                t,
-                                SpanKind::Wait,
-                                jp,
-                                w.t,
-                                job.item,
-                                wf,
-                            );
-                            if w.measured {
-                                p.delayed_hits += 1;
-                                p.residual.push(t - w.t);
-                                p.access_times.push(t - w.t);
-                                if let Some(o) = self.obs.as_deref_mut() {
-                                    o.latency(t - w.t);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            JobKind::Prefetch { measured } => {
-                if measured {
-                    p.total_job_time += sojourn;
-                }
-            }
-        }
-    }
-
-    /// The next user request of local proxy `i`.
-    pub(crate) fn on_request(&mut self, i: usize) {
-        let me = self.scope.proxies[i];
-        let n_shards = self.n_shards;
-        let t_req = self.proxies[i].next_request_t;
-        self.obs_tick(t_req);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.request();
-        }
+    fn on_request(&mut self, tx: &mut Transport<'_>, i: usize, _router: Option<&Router>) {
+        let me = tx.scope.proxies[i];
+        let n_shards = tx.n_shards;
         let p = &mut self.proxies[i];
         let t = p.next_request_t;
-        self.t_end = t;
-        let idx = p.issued;
-        p.issued += 1;
-        p.in_window = idx >= self.warm;
-        // Head sampling is a pure hash of `(proxy, request index)`.
-        let rid = match self.trace.as_deref() {
-            Some(b) => b.admit(trace::request_trace_id(me as u64, idx)),
-            None => 0,
-        };
-        let mf = if p.in_window { TF_MEASURED } else { 0 };
+        let (in_window, rid) = tx.count_request(i);
+        p.in_window = in_window;
+        let mf = if in_window { TF_MEASURED } else { 0 };
+        let lg = &mut tx.ledgers[i];
         if p.rng.chance(p.h) {
-            if let Some(rec) = self.recorder.as_mut() {
+            if let Some(rec) = tx.recorder.as_mut() {
                 // A Bernoulli hit draws no item or size; record the
                 // itemless sentinel so the stream stays replayable.
-                rec[i].push(TraceRecord::new(t, me as u32, ItemId(u64::MAX), 0.0));
+                rec[i].push(TraceRecord::new(t, me as u32, NO_ITEM, 0.0));
             }
-            if rid != 0 {
-                if let Some(b) = self.trace.as_deref_mut() {
-                    b.push(SpanEvent {
-                        trace: rid,
-                        seq: 0,
-                        t,
-                        kind: SpanKind::Hit,
-                        entity: me as u64,
-                        aux: 0.0,
-                        item: u64::MAX,
-                        flags: mf,
-                    });
-                }
-            }
+            trace_point(&mut tx.trace, rid, t, SpanKind::Hit, me as u64, 0.0, NO_ITEM.0, mf);
             if p.in_window {
-                p.access_times.push(0.0);
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.latency(0.0);
-                }
-                p.hits += 1;
+                lg.hit(&mut tx.obs);
             }
             p.next_request_t = t + p.rng.exp(p.lambda);
-        } else {
-            let size = self.w.size_dist.sample(&mut p.rng);
-            let measured = p.in_window;
-            // Catalog mode draws a concrete item id (shard = item mod
-            // n_shards) and consults the MSHR table — a miss for an
-            // in-flight item coalesces onto its waiter queue instead of
-            // launching a second transfer. The itemless flow keeps the
-            // exact draw order of `netsim::parametric` (a shard id is
-            // drawn only on sharded topologies).
-            let (item, shard, launch) = match self.w.catalog_items {
-                Some(n) => {
-                    let item = p.rng.below(n);
-                    let waiter = Waiter { t, measured, trace: rid };
-                    let decision = p
-                        .mshr
-                        .as_mut()
-                        .expect("catalog mode carries a table")
-                        .on_demand_miss(item, t, size, waiter);
-                    // Unbounded coalescing: never a bypass.
-                    (item, item % n_shards, decision == FetchDecision::Launch)
-                }
-                None => (u64::MAX, if n_shards > 1 { p.rng.below(n_shards) } else { 0 }, true),
-            };
-            if let Some(rec) = self.recorder.as_mut() {
-                rec[i].push(TraceRecord::new(t, me as u32, ItemId(item), size));
-            }
-            p.next_request_t = t + p.rng.exp(p.lambda);
-            if launch {
-                p.demand_bytes += size;
-                p.job_seq += 1;
-                let id = ((me as u64) << 40) | p.job_seq;
-                let mut job = Job {
-                    id,
-                    proxy: me as u32,
-                    shard: shard as u32,
-                    hop: 0,
-                    size,
-                    issued: t,
-                    item,
-                    kind: JobKind::Demand { measured },
-                    trace: rid,
-                    tseq: 0,
-                };
-                trace_job(&mut self.trace, &mut job, t, SpanKind::Issue, me as u64, t, mf);
-                self.launch(t, job);
-            }
-            // A coalesced miss records no job: its Wait span and access
-            // time land when the blocking fetch settles.
+            return;
         }
-        self.dirty.push((CLASS_REQUEST, i));
-        self.dirty.push((CLASS_PREFETCH, i));
+        let size = self.w.size_dist.sample(&mut p.rng);
+        let measured = p.in_window;
+        // Catalog mode draws a concrete item id (shard = item mod
+        // n_shards) and consults the MSHR table — a miss for an in-flight
+        // item coalesces onto its waiter queue instead of launching a
+        // second transfer. The itemless flow keeps the exact draw order
+        // of `netsim::parametric` (a shard id is drawn only on sharded
+        // topologies).
+        let (item, shard, launch) = match self.w.catalog_items {
+            Some(n) => {
+                let item = ItemId(p.rng.below(n));
+                let waiter = Waiter { t, measured, trace: rid };
+                let decision = p
+                    .mshr
+                    .as_mut()
+                    .expect("catalog mode carries a table")
+                    .on_demand_miss(item, t, size, waiter);
+                // Unbounded coalescing: never a bypass.
+                (item, item.0 % n_shards, decision == FetchDecision::Launch)
+            }
+            None => (NO_ITEM, if n_shards > 1 { p.rng.below(n_shards) } else { 0 }, true),
+        };
+        if let Some(rec) = tx.recorder.as_mut() {
+            rec[i].push(TraceRecord::new(t, me as u32, item, size));
+        }
+        p.next_request_t = t + p.rng.exp(p.lambda);
+        // A coalesced miss launches no job: its Wait span and access time
+        // land when the blocking fetch settles.
+        if launch {
+            lg.demand_bytes += size;
+            let job = Job {
+                id: lg.next_job_id(me),
+                proxy: me as u32,
+                shard: shard as u32,
+                dest: Dest::Origin,
+                hop: 0,
+                size,
+                spent: size,
+                issued: t,
+                item,
+                kind: JobKind::Demand { measured },
+                tracked: true,
+                trace: rid,
+                tseq: 0,
+            };
+            tx.issue(job, t, t, mf);
+        }
     }
 
-    /// The next Poissonised prefetch of local proxy `i`.
-    pub(crate) fn on_prefetch(&mut self, i: usize) {
-        let me = self.scope.proxies[i];
-        let n_shards = self.n_shards;
-        let t_pfx = self.proxies[i].next_prefetch_t;
-        self.obs_tick(t_pfx);
-        if let Some(o) = self.obs.as_deref_mut() {
+    /// The next Poissonised prefetch: abstract volume, not a concrete item
+    /// — it never touches the MSHR table.
+    fn on_prefetch(&mut self, tx: &mut Transport<'_>, i: usize, _router: Option<&Router>) {
+        let me = tx.scope.proxies[i];
+        if let Some(o) = tx.obs.as_deref_mut() {
             o.prefetch_issued();
         }
         let p = &mut self.proxies[i];
         let t = p.next_prefetch_t;
-        self.t_end = t;
         let size = self.w.size_dist.sample(&mut p.prefetch_rng);
-        let shard = if n_shards > 1 { p.prefetch_rng.below(n_shards) } else { 0 };
-        p.prefetch_jobs += 1;
-        p.prefetch_bytes += size;
-        let measured = p.in_window;
+        let shard = if tx.n_shards > 1 { p.prefetch_rng.below(tx.n_shards) } else { 0 };
+        let lg = &mut tx.ledgers[i];
+        lg.prefetch_jobs += 1;
+        lg.prefetch_bytes += size;
         p.next_prefetch_t = t + p.prefetch_rng.exp(p.prefetch_rate);
-        p.job_seq += 1;
-        let id = ((me as u64) << 40) | p.job_seq;
-        let tid = match self.trace.as_deref() {
-            Some(b) => b.admit(trace::prefetch_trace_id(me as u64, id & ((1 << 40) - 1))),
-            None => 0,
-        };
-        self.dirty.push((CLASS_PREFETCH, i));
-        let mut job = Job {
+        let id = lg.next_job_id(me);
+        let job = Job {
             id,
             proxy: me as u32,
             shard: shard as u32,
+            dest: Dest::Origin,
             hop: 0,
             size,
+            spent: size,
             issued: t,
-            // The Poissonised prefetch stream is abstract volume, not a
-            // concrete item — it never touches the MSHR table.
-            item: u64::MAX,
-            kind: JobKind::Prefetch { measured },
-            trace: tid,
+            item: NO_ITEM,
+            kind: JobKind::Prefetch { measured: p.in_window },
+            tracked: true,
+            trace: tx.prefetch_trace(me, id),
             tseq: 0,
         };
-        let mf = if measured { TF_MEASURED } else { 0 };
-        trace_job(&mut self.trace, &mut job, t, SpanKind::Issue, me as u64, t, TF_PREFETCH | mf);
-        self.launch(t, job);
+        let mf = if p.in_window { TF_MEASURED } else { 0 };
+        tx.issue(job, t, t, TF_PREFETCH | mf);
     }
 
-    /// Queued fetch-failure settlements at local proxy `i` coming due at
-    /// `t` (fault runs only).
-    pub(crate) fn on_fails(&mut self, t: f64, i: usize) {
-        self.obs_tick(t);
-        self.t_end = t;
-        while let Some(job) = self.fails[i].pop_due(t) {
-            self.fail_now(i, t, job);
-        }
-        self.dirty.push((CLASS_FAIL, i));
+    fn holds(&self, _i: usize, _item: ItemId) -> bool {
+        unreachable!("the open loop serves no peers")
     }
 
-    /// `job`'s fetch exhausted its attempt budget — settle it (and, in
-    /// catalog mode, every coalesced waiter) as failed at `t`, refunding
-    /// the never-launched transfer's bytes (see the closed-loop twin).
-    fn fail_now(&mut self, i: usize, t: f64, mut job: Job) {
-        self.t_end = t;
-        debug_assert_eq!(self.scope.proxies[i], job.proxy as usize);
+    fn on_deliver(
+        &mut self,
+        tx: &mut Transport<'_>,
+        i: usize,
+        t: f64,
+        mut job: Job,
+        _false_hit: bool,
+    ) {
         let jp = job.proxy as u64;
-        let pf = if matches!(job.kind, JobKind::Prefetch { .. }) { TF_PREFETCH } else { 0 };
-        trace_job(&mut self.trace, &mut job, t, SpanKind::Failed, jp, 0.0, pf);
-        let p = &mut self.proxies[i];
-        p.failed_fetches += 1;
+        trace_job(&mut tx.trace, &mut job, t, SpanKind::Deliver, jp, 0.0, 0);
+        let sojourn = t - job.issued;
+        let lg = &mut tx.ledgers[i];
         match job.kind {
             JobKind::Demand { measured } => {
-                p.demand_bytes -= job.size;
                 if measured {
-                    let sojourn = t - job.issued;
-                    p.measured_failed += 1;
-                    p.access_times.push(sojourn);
-                    p.total_job_time += sojourn;
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.latency(sojourn);
-                    }
+                    lg.fetched(&mut tx.obs, sojourn);
                 }
-                // Catalog mode: reclassify the outstanding entry as failed
-                // and settle its waiters — unless a crash already drained
-                // it (the generation guard on `issued`).
-                if job.item != u64::MAX {
-                    let entry = p.mshr.as_mut().and_then(|m| {
-                        m.entry(&job.item)
-                            .is_some_and(|e| {
-                                e.origin == FetchOrigin::Demand && e.issued == job.issued
-                            })
-                            .then(|| m.fail(&job.item))
-                            .flatten()
-                    });
-                    if let Some(entry) = entry {
-                        for w in &entry.waiters {
-                            let wf = if w.measured { TF_MEASURED } else { 0 };
-                            trace_point(
-                                &mut self.trace,
-                                w.trace,
-                                t,
-                                SpanKind::Wait,
-                                jp,
-                                w.t,
-                                job.item,
-                                wf,
-                            );
-                            if w.measured {
-                                p.measured_failed += 1;
-                                p.access_times.push(t - w.t);
-                                if let Some(o) = self.obs.as_deref_mut() {
-                                    o.latency(t - w.t);
-                                }
-                            }
-                        }
-                    }
+                // Catalog mode: the landing settles the item's outstanding
+                // entry — every coalesced waiter's clock stops now, in
+                // FIFO order.
+                let mshr = self.proxies[i].mshr.as_mut();
+                if let Some(entry) = mshr.and_then(|m| m.complete(&job.item)) {
+                    settle_waiters(
+                        &mut tx.trace,
+                        &mut tx.obs,
+                        lg,
+                        &entry.waiters,
+                        t,
+                        jp,
+                        job.item.0,
+                    );
                 }
             }
-            JobKind::Prefetch { .. } => {
-                // The Poissonised prefetch stream is itemless volume: no
-                // MSHR reservation to settle, just the byte refund.
-                p.prefetch_bytes -= job.size;
-            }
-        }
-    }
-}
-
-impl shard::EngineCore for Engine<'_> {
-    type Job = Job;
-
-    fn class_counts(&self) -> [usize; N_CLASSES] {
-        let (l, p) = (self.links.len(), self.proxies.len());
-        // No peer fabric in the open loop: the check class is empty.
-        [l, l, 0, p, p, p, p]
-    }
-
-    fn global_id(&self, class: usize, idx: usize) -> usize {
-        match class {
-            CLASS_DEPART | CLASS_ARRIVE => self.scope.links[idx],
-            _ => self.scope.proxies[idx],
-        }
-    }
-
-    fn due(&self, class: usize, idx: usize) -> Option<f64> {
-        match class {
-            CLASS_DEPART => self.links[idx].next_event(),
-            CLASS_ARRIVE => self.arrivals[idx].next_time(),
-            CLASS_CHECK => unreachable!("open loop has no peer checks"),
-            CLASS_DELIVER => self.delivers[idx].next_time(),
-            CLASS_REQUEST => self.request_due(idx),
-            CLASS_PREFETCH => self.prefetch_due(idx),
-            CLASS_FAIL => self.fails[idx].next_time(),
-            _ => unreachable!("unknown class {class}"),
-        }
-    }
-
-    fn dispatch(&mut self, class: usize, idx: usize, t: f64, _router: Option<&Router>) {
-        match class {
-            CLASS_DEPART => self.on_link(t, idx),
-            CLASS_ARRIVE => self.on_arrivals(t, idx),
-            CLASS_DELIVER => self.on_delivers(t, idx),
-            CLASS_REQUEST => self.on_request(idx),
-            CLASS_PREFETCH => self.on_prefetch(idx),
-            CLASS_FAIL => self.on_fails(t, idx),
-            _ => unreachable!("unknown class {class}"),
-        }
-    }
-
-    fn apply_now(&mut self, e: Effect<Job>, t: f64) {
-        debug_assert_eq!(e.time(), t);
-        // Tick before the mutation so grid samples stay "state before `t`"
-        // under every sharding (see the closed-loop twin).
-        self.obs_tick(t);
-        match e {
-            Effect::Arrive { link, job, .. } => {
-                let l = self.scope.link_local(link as usize).expect("arrive in scope");
-                self.arrive_now(l, t, job);
-            }
-            Effect::Check { .. } => unreachable!("open loop emits no checks"),
-            Effect::Deliver { p, job, .. } => {
-                let i = self.scope.proxy_local(p as usize).expect("deliver in scope");
-                self.deliver_now(i, t, job);
-            }
-            Effect::Fail { p, job, .. } => {
-                let i = self.scope.proxy_local(p as usize).expect("fail in scope");
-                self.fail_now(i, t, job);
-            }
-        }
-    }
-
-    fn enqueue(&mut self, e: Effect<Job>) {
-        match e {
-            Effect::Arrive { link, t, job } => {
-                let l = self.scope.link_local(link as usize).expect("arrive in scope");
-                self.arrivals[l].push(t, job.id, job);
-                self.dirty.push((CLASS_ARRIVE, l));
-            }
-            Effect::Check { .. } => unreachable!("open loop emits no checks"),
-            Effect::Deliver { p, t, job, false_hit } => {
-                let i = self.scope.proxy_local(p as usize).expect("deliver in scope");
-                self.delivers[i].push(t, job.id, (job, false_hit));
-                self.dirty.push((CLASS_DELIVER, i));
-            }
-            Effect::Fail { p, t, job } => {
-                let i = self.scope.proxy_local(p as usize).expect("fail in scope");
-                self.fails[i].push(t, job.id, job);
-                self.dirty.push((CLASS_FAIL, i));
-            }
-        }
-    }
-
-    fn owns(&self, e: &Effect<Job>) -> bool {
-        match e {
-            Effect::Arrive { link, .. } => self.scope.link_local(*link as usize).is_some(),
-            Effect::Check { .. } => false,
-            Effect::Deliver { p, .. } => self.scope.proxy_local(*p as usize).is_some(),
-            Effect::Fail { p, .. } => self.scope.proxy_local(*p as usize).is_some(),
-        }
-    }
-
-    fn take_effects(&mut self, out: &mut Vec<Effect<Job>>) {
-        out.append(&mut self.effects);
-    }
-
-    fn drain_dirty(&mut self, out: &mut Vec<(usize, usize)>) {
-        out.append(&mut self.dirty);
-    }
-
-    fn sync_link_timer(&mut self, idx: usize, sched: &mut Scheduler, key: usize) {
-        self.links[idx].sync_timer(sched, key);
-    }
-
-    fn refresh_payloads(&mut self, _out: &mut Vec<shard::BoundaryEntry>) {
-        // The open loop has no caches, hence no digests to flush.
-    }
-
-    fn apply_fault(&mut self, t: f64, kind: &FaultKind) {
-        match kind {
-            FaultKind::ProxyCrash { proxy } => {
-                let Some(i) = self.scope.proxy_local(*proxy) else { return };
-                // No cache to wipe in the open loop; a crash loses only
-                // the outstanding-fetch table (catalog mode), whose
-                // waiters settle with a failure outcome now.
-                self.t_end = self.t_end.max(t);
-                let jp = *proxy as u64;
-                let p = &mut self.proxies[i];
-                let drained = match p.mshr.as_mut() {
-                    Some(m) => m.drain_failed(),
-                    None => Vec::new(),
-                };
-                for (item, entry) in &drained {
-                    if entry.origin == FetchOrigin::Demand {
-                        p.failed_fetches += 1;
-                    }
-                    for w in &entry.waiters {
-                        let wf = if w.measured { TF_MEASURED } else { 0 };
-                        trace_point(
-                            &mut self.trace,
-                            w.trace,
-                            t,
-                            SpanKind::Wait,
-                            jp,
-                            w.t,
-                            *item,
-                            wf,
-                        );
-                        if w.measured {
-                            p.measured_failed += 1;
-                            p.access_times.push(t - w.t);
-                            if let Some(o) = self.obs.as_deref_mut() {
-                                o.latency(t - w.t);
-                            }
-                        }
-                    }
+            JobKind::Prefetch { measured } => {
+                if measured {
+                    lg.total_job_time += sojourn;
                 }
             }
-            // No digest fabric in the open loop: nothing to lose.
-            FaultKind::DigestLoss { .. } => {}
-            _ => debug_assert!(false, "non-boundary fault {kind:?} routed to an engine"),
         }
     }
-}
 
-/// Assembles the cluster report from the (possibly sharded) engine
-/// scopes, in global index order (see the closed-loop twin).
-pub(crate) fn merge_reports(topology: &Topology, engines: Vec<Engine<'_>>) -> ClusterReport {
-    let n_requests = engines[0].n_requests;
-    let warm = engines[0].warm;
-    let measured = n_requests - warm;
-    let t_end = engines.iter().map(|e| e.t_end).fold(0.0, f64::max);
-
-    let n_proxies = topology.n_proxies();
-    let index = ScopeIndex::new(topology, engines.iter().map(|e| &e.scope));
-    let proxy = |g: usize| {
-        let (ei, li) = index.proxy(g);
-        &engines[ei].proxies[li]
-    };
-
-    let nodes: Vec<NodeReport> = (0..n_proxies)
-        .map(|g| {
-            let p = proxy(g);
-            let (mean_access, ci) = p.access_times.mean_ci();
-            debug_assert!(
-                p.mshr.as_ref().is_none_or(Mshr::conservation_ok),
-                "proxy {g}: MSHR conservation law violated \
-                 (origin_fetches + coalesced + failed != demand_misses)"
-            );
-            NodeReport {
-                proxy: g,
-                measured_requests: measured,
-                hit_ratio: p.hits as f64 / measured as f64,
-                mean_access_time: mean_access,
-                access_time_ci95: ci,
-                mean_retrieval_time: p.retrievals.mean(),
-                retrieval_per_request: p.total_job_time / measured as f64,
-                prefetches_per_request: p.prefetch_jobs as f64 / n_requests as f64,
-                goodput_bytes: None,
-                badput_bytes: None,
-                demand_bytes: p.demand_bytes,
-                // The open loop models hits as Bernoulli draws — there
-                // is no cache to meter, hence no digest-delta stream
-                // to emit either.
-                cache_used_bytes: None,
-                peer_bytes: None,
-                peer_fetches: None,
-                peer_false_hits: None,
-                mean_threshold: None,
-                rho_prime_estimate: None,
-                h_prime_estimate: None,
-                delayed_hits: p.mshr.as_ref().map(|_| p.delayed_hits),
-                coalesced_requests: p.mshr.as_ref().map(Mshr::coalesced),
-                origin_fetches: p.mshr.as_ref().map(Mshr::origin_fetches),
-                mean_residual_wait: (p.delayed_hits > 0).then(|| p.residual.mean()),
-                mean_waiter_depth: p.mshr.as_ref().and_then(Mshr::waiter_depth_mean),
-                mshr_rejections: p.mshr.as_ref().map(Mshr::rejections),
-                demand_misses: p.mshr.as_ref().map(Mshr::demand_misses),
-                mshr_failed: p.mshr.as_ref().map(Mshr::failed),
-                timeouts: p.timeouts,
-                retries: p.retries,
-                // No peer fabric to fail over from, no cache or digest
-                // stream to lose.
-                failovers: 0,
-                failed_fetches: p.failed_fetches,
-                lost_entries: 0,
-                unavailability: if measured > 0 {
-                    p.measured_failed as f64 / measured as f64
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect();
-
-    let link_reports: Vec<LinkReport> = topology
-        .links()
-        .iter()
-        .enumerate()
-        .map(|(g, spec)| {
-            let (ei, li) = index.link(g);
-            let state = &engines[ei].links[li];
-            LinkReport {
-                name: spec.name.clone(),
-                utilisation: if t_end > 0.0 { state.busy_time() / t_end } else { 0.0 },
-                bytes_carried: state.bytes_carried,
-                jobs_completed: state.jobs_completed,
-            }
-        })
-        .collect();
-
-    let total_measured: u64 = measured * n_proxies as u64;
-    let mean_access_time =
-        nodes.iter().map(|n| n.mean_access_time * n.measured_requests as f64).sum::<f64>()
-            / total_measured as f64;
-    let total_bytes: f64 =
-        (0..n_proxies).map(|g| proxy(g).demand_bytes + proxy(g).prefetch_bytes).sum();
-
-    ClusterReport {
-        nodes,
-        links: link_reports,
-        mean_access_time,
-        bytes_per_request: total_bytes / (n_requests * n_proxies as u64) as f64,
-        duration: t_end,
-        coop: None,
-    }
-}
-
-/// Runs the open loop partitioned by `plan` — the single-shard plan is
-/// the classic single-threaded driver — optionally with observability
-/// attached (see the closed-loop twin).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_observed(
-    topology: &Topology,
-    w: &StaticWorkload<'_>,
-    requests: usize,
-    warmup: usize,
-    seed: u64,
-    plan: &ShardPlan,
-    obs: Option<&ObsConfig>,
-    record: bool,
-    faults: Option<&FaultConfig>,
-) -> (ClusterReport, Option<ClusterObs>, crate::closed_loop::RunExtras) {
-    let obs_cfg = obs.filter(|c| c.enabled);
-    let boundary = faults.map(|f| f.plan.boundary_events()).unwrap_or_default();
-    // The open loop has no digest epochs; series need an explicit grid.
-    let grid = obs_cfg.map(|c| c.sample_every.max(0.0)).unwrap_or(0.0);
-    let trace_every = obs_cfg.map(|c| c.trace_every).unwrap_or(0);
-    let runners: Vec<ShardRunner<Engine<'_>>> = (0..plan.n_shards())
-        .map(|s| {
-            let scope = Scope::shard(topology, plan, s);
-            let mut engine = Engine::new(topology, w, requests, warmup, seed, scope, faults);
-            if trace_every > 0 {
-                engine.attach_trace(trace_every);
-            }
-            if record {
-                engine.attach_recorder();
-            }
-            match obs_cfg {
-                Some(cfg) => {
-                    let probes = EngineObs::new(cfg, grid, topology, &engine.scope);
-                    engine.attach_obs(probes);
-                    ShardRunner::new(engine).with_obs(s, cfg)
-                }
-                None => ShardRunner::new(engine),
-            }
-        })
-        .collect();
-    let driver =
-        if plan.n_shards() > 1 && plan.lookahead() > 0.0 { "windowed" } else { "sequential" };
-    let (runners, _) = shard::drive(runners, None, plan, &boundary);
-
-    let mut engines = Vec::with_capacity(plan.n_shards());
-    let mut profiles = Vec::new();
-    let mut flight = Vec::new();
-    for r in runners {
-        let (core, robs) = r.into_parts();
-        if let Some(o) = robs {
-            flight.extend(o.flight.records());
-            profiles.push(o.profile);
-        }
-        engines.push(core);
+    fn mshr(&self, i: usize) -> Option<&Mshr<ItemId>> {
+        self.proxies[i].mshr.as_ref()
     }
 
-    let cluster_obs = obs_cfg.map(|_| {
-        let t_end = engines.iter().map(|e| e.t_end).fold(0.0, f64::max);
-        let registries: Vec<Registry> =
-            engines.iter_mut().filter_map(|e| e.obs_finish(t_end)).collect();
-        let traces = (trace_every > 0).then(|| {
-            let mut events = Vec::new();
-            for e in &mut engines {
-                events.extend(e.take_trace_events());
-            }
-            TraceStore::from_events(events, trace_every)
-        });
-        crate::obs::assemble(
-            registries,
-            profiles,
-            flight,
-            traces,
-            plan.n_shards(),
-            driver,
-            grid,
-            t_end,
-        )
-    });
-
-    let recorded = record.then(|| {
-        let mut parts = Vec::new();
-        for e in &mut engines {
-            parts.extend(e.take_recorded());
-        }
-        crate::closed_loop::merge_recorded(parts)
-    });
-    let extras = crate::closed_loop::RunExtras { recorded, replay: None };
-
-    (merge_reports(topology, engines), cluster_obs, extras)
+    fn mshr_mut(&mut self, i: usize) -> Option<&mut Mshr<ItemId>> {
+        self.proxies[i].mshr.as_mut()
+    }
 }

@@ -475,6 +475,22 @@ impl ShardPlan {
         self.lookahead
     }
 
+    /// Whether the conservative-window driver runs this plan: more than
+    /// one shard and a positive lookahead. Otherwise the shards merge on
+    /// one thread.
+    pub(crate) fn windowed(&self) -> bool {
+        self.n_shards > 1 && self.lookahead > 0.0
+    }
+
+    /// The driver name telemetry reports for this plan.
+    pub(crate) fn driver_label(&self) -> &'static str {
+        if self.windowed() {
+            "windowed"
+        } else {
+            "sequential"
+        }
+    }
+
     /// Number of links whose server lives on a different shard than at
     /// least one proxy routing over them — the cut the partitioning
     /// heuristic minimises (diagnostic, reported by E17).
