@@ -10,6 +10,13 @@
 //! prefetches traverse a route of queueing links; items are partitioned
 //! over origin shards by `item % n_shards`.
 //!
+//! Under [`AdaptiveWorkload::shared_structure_seed`], proxies with equal
+//! structural config (`n_items`, `branching`, `link_skew`, `mean_size`,
+//! `size_shape`) share one catalog, navigation chain and oracle successor
+//! table ([`SharedWebs`]), built once per run before any shard engine;
+//! each proxy keeps only its own cursor — client positions, arrival
+//! process and clock.
+//!
 //! Because every controller estimates `ρ̂′` from *its own* traffic, two
 //! proxies with different local load converge to different thresholds —
 //! the per-node divergence the cluster experiment (E13) demonstrates.
@@ -79,8 +86,9 @@ use simcore::rng::Rng;
 use simcore::trace::{SpanKind, TF_FALSE_HIT, TF_MEASURED, TF_PREFETCH};
 use std::collections::{BinaryHeap, HashMap};
 use std::io::Read;
+use std::sync::Arc;
 use workload::events::TraceStream;
-use workload::synth_web::SynthWeb;
+use workload::synth_web::{SynthWeb, SynthWebConfig, WebStructure};
 use workload::{ItemId, TraceRecord};
 
 /// A prefetch decision waiting out its pacing jitter before hitting the
@@ -200,18 +208,19 @@ struct Knobs {
 }
 
 /// What drives the closed loop: a synthetic workload (the classic
-/// adaptive/cooperative modes) or a recorded trace replayed from an
-/// `.events` source ([`crate::Workload::Trace`]).
+/// adaptive/cooperative modes) with the run's shared web structures, or a
+/// recorded trace replayed from an `.events` source
+/// ([`crate::Workload::Trace`]).
 #[derive(Clone, Copy)]
 pub(crate) enum EngineWorkload<'a> {
-    Synth(&'a AdaptiveWorkload),
+    Synth(&'a AdaptiveWorkload, &'a SharedWebs),
     Trace(&'a TraceWorkload),
 }
 
 impl EngineWorkload<'_> {
     fn knobs(&self) -> Knobs {
         match self {
-            EngineWorkload::Synth(w) => Knobs {
+            EngineWorkload::Synth(w, _) => Knobs {
                 cache_capacity: w.cache_capacity,
                 cache_bytes: w.cache_bytes,
                 max_candidates: w.max_candidates,
@@ -227,6 +236,76 @@ impl EngineWorkload<'_> {
                 policy: w.policy,
                 delayed: w.delayed,
             },
+        }
+    }
+}
+
+/// The [`SynthWebConfig`] fields that feed the structure draws, floats by
+/// bit pattern. The rate and the client count do not: proxies differing
+/// only in those walk the same structure.
+fn structure_key(c: &SynthWebConfig) -> [u64; 5] {
+    [
+        c.n_items as u64,
+        c.branching as u64,
+        c.link_skew.to_bits(),
+        c.mean_size.to_bits(),
+        c.size_shape.to_bits(),
+    ]
+}
+
+/// One shared web structure and what each proxy walking it copies.
+struct SharedWeb {
+    structure: Arc<WebStructure>,
+    /// The structure stream right after the structure draws. Each proxy
+    /// draws its client start positions from its own clone, exactly where
+    /// a private `SynthWeb::new` on the shared seed would.
+    rest: Rng,
+    /// The oracle over the structure's chain, when the workload asks for
+    /// oracle candidates.
+    oracle: Option<OraclePredictor>,
+}
+
+/// The immutable web structures of one run under
+/// [`AdaptiveWorkload::shared_structure_seed`]: one catalog, chain and
+/// oracle table per distinct [`structure_key`], built once per run and
+/// shared by every proxy with that key. Empty without a shared seed, when
+/// every proxy draws its own structure from its own stream.
+pub(crate) struct SharedWebs {
+    entries: Vec<([u64; 5], SharedWeb)>,
+}
+
+impl SharedWebs {
+    pub(crate) fn build(w: &AdaptiveWorkload) -> Self {
+        let mut entries: Vec<([u64; 5], SharedWeb)> = Vec::new();
+        let Some(seed) = w.shared_structure_seed else {
+            return SharedWebs { entries };
+        };
+        for cfg in &w.proxies {
+            let key = structure_key(cfg);
+            if entries.iter().any(|(k, _)| *k == key) {
+                continue;
+            }
+            let mut rest = Rng::new(seed);
+            let structure = WebStructure::new(cfg, &mut rest);
+            let oracle = matches!(w.predictor, CandidateSource::Oracle)
+                .then(|| OraclePredictor::from_chain(&structure.chain));
+            entries.push((key, SharedWeb { structure: Arc::new(structure), rest, oracle }));
+        }
+        SharedWebs { entries }
+    }
+
+    /// A proxy's request generator and oracle (when the workload asks for
+    /// one): over the shared structure for `cfg` if there is one, otherwise
+    /// over a private structure drawn from the proxy's own stream `rng`.
+    fn web(&self, cfg: &SynthWebConfig, rng: &mut Rng) -> (SynthWeb, Option<OraclePredictor>) {
+        let key = structure_key(cfg);
+        match self.entries.iter().find(|(k, _)| *k == key) {
+            Some((_, s)) => {
+                let web =
+                    SynthWeb::with_structure(*cfg, Arc::clone(&s.structure), &mut s.rest.clone());
+                (web, s.oracle.clone())
+            }
+            None => (SynthWeb::new(*cfg, rng), None),
         }
     }
 }
@@ -285,7 +364,7 @@ impl Source {
     /// which covers every Markov candidate.
     fn size_of(&self, item: ItemId) -> Option<f64> {
         match self {
-            Source::Synth(web) => Some(web.catalog.size(item)),
+            Source::Synth(web) => Some(web.structure().catalog.size(item)),
             Source::Trace(feed) => feed.sizes.get(&item).copied(),
         }
     }
@@ -413,24 +492,12 @@ impl ClosedLoop {
                 // recorded run reconstructs the identical jitter sequence.
                 let jitter_rng = rng.split();
                 let (mut source, predictor): (Source, Box<dyn Predictor + Send>) = match workload {
-                    EngineWorkload::Synth(w) => {
-                        let web_cfg = &w.proxies[i];
-                        // With a shared structure seed every proxy draws the
-                        // same catalog and navigation chain (the redundancy
-                        // cooperative caching removes); otherwise each
-                        // proxy's structure comes from its own stream,
-                        // exactly as before.
-                        let web = match w.shared_structure_seed {
-                            Some(s) => {
-                                let mut structure_rng = Rng::new(s);
-                                SynthWeb::new(*web_cfg, &mut structure_rng)
-                            }
-                            None => SynthWeb::new(*web_cfg, &mut rng),
-                        };
+                    EngineWorkload::Synth(w, webs) => {
+                        let (web, oracle) = webs.web(&w.proxies[i], &mut rng);
                         let predictor: Box<dyn Predictor + Send> = match w.predictor {
-                            CandidateSource::Oracle => {
-                                Box::new(OraclePredictor::from_chain(&web.chain))
-                            }
+                            CandidateSource::Oracle => Box::new(oracle.unwrap_or_else(|| {
+                                OraclePredictor::from_chain(&web.structure().chain)
+                            })),
                             CandidateSource::Markov1 => Box::new(MarkovPredictor::new(1)),
                         };
                         (Source::Synth(web), predictor)
@@ -944,5 +1011,103 @@ impl ProxyModel for ClosedLoop {
             }
         }
         any.then_some((records, peak))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topology::ShardPlan;
+
+    const SHARED_SEED: u64 = 99;
+
+    fn workload(proxies: Vec<SynthWebConfig>) -> AdaptiveWorkload {
+        AdaptiveWorkload {
+            proxies,
+            cache_capacity: 48,
+            cache_bytes: None,
+            max_candidates: 3,
+            prefetch_jitter: 0.01,
+            policy: ProxyPolicy::Adaptive,
+            predictor: CandidateSource::Oracle,
+            shared_structure_seed: Some(SHARED_SEED),
+            delayed: Default::default(),
+        }
+    }
+
+    /// The cooperative closed loop over every proxy of `topology`.
+    fn build(
+        topology: &Topology,
+        w: &AdaptiveWorkload,
+        webs: &SharedWebs,
+        seed: u64,
+    ) -> ClosedLoop {
+        let plan = ShardPlan::partition(topology, 1);
+        let scope = Scope::shard(topology, &plan, 0);
+        let coop = CoopConfig::default();
+        ClosedLoop::new(topology, EngineWorkload::Synth(w, webs), Some(&coop), seed, &scope)
+    }
+
+    fn structure(model: &ClosedLoop, i: usize) -> &Arc<WebStructure> {
+        match &model.proxies[i].source {
+            Source::Synth(web) => web.structure(),
+            Source::Trace(_) => unreachable!("synthetic workload"),
+        }
+    }
+
+    #[test]
+    fn proxies_with_a_shared_seed_share_one_structure() {
+        let topology = Topology::mesh(4, 50.0, 70.0, 45.0);
+        // Rate and client count differ per proxy; neither feeds the structure.
+        let w = workload(
+            (0..4)
+                .map(|i| SynthWebConfig {
+                    lambda: 10.0 + i as f64,
+                    n_clients: 4 + i,
+                    ..SynthWebConfig::default()
+                })
+                .collect(),
+        );
+        let webs = SharedWebs::build(&w);
+        assert_eq!(webs.entries.len(), 1);
+        let model = build(&topology, &w, &webs, 5);
+        for i in 1..4 {
+            assert!(Arc::ptr_eq(structure(&model, 0), structure(&model, i)), "proxy {i}");
+        }
+    }
+
+    #[test]
+    fn structural_fields_split_the_structure_and_keep_todays_streams() {
+        let topology = Topology::mesh(4, 50.0, 70.0, 45.0);
+        let cfgs: Vec<SynthWebConfig> = [500, 300, 500, 300]
+            .into_iter()
+            .enumerate()
+            .map(|(i, n_items)| SynthWebConfig {
+                n_items,
+                lambda: 12.0 + i as f64,
+                ..SynthWebConfig::default()
+            })
+            .collect();
+        let w = workload(cfgs.clone());
+        let webs = SharedWebs::build(&w);
+        assert_eq!(webs.entries.len(), 2);
+        let seed = 5;
+        let mut model = build(&topology, &w, &webs, seed);
+        assert!(Arc::ptr_eq(structure(&model, 0), structure(&model, 2)));
+        assert!(Arc::ptr_eq(structure(&model, 1), structure(&model, 3)));
+        assert!(!Arc::ptr_eq(structure(&model, 0), structure(&model, 1)));
+
+        // Each proxy's stream equals a private `SynthWeb::new` on the shared
+        // seed, driven by the proxy's own stream after its jitter split.
+        for (i, cfg) in cfgs.iter().enumerate() {
+            let mut rng = Rng::new(proxy_seed(seed, i));
+            let _jitter = rng.split();
+            let mut web = SynthWeb::new(*cfg, &mut Rng::new(SHARED_SEED));
+            let p = &mut model.proxies[i];
+            assert_eq!(p.pending, Some(web.next_request(&mut rng)), "proxy {i}");
+            for _ in 0..2_000 {
+                assert_eq!(p.source.next_request(&mut p.rng), Some(web.next_request(&mut rng)));
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@
 //! topologies (every effect settles at its emission instant, inline —
 //! exactly the behaviour the pre-shard engines hard-coded).
 
-use crate::closed_loop::{ClosedLoop, EngineWorkload};
+use crate::closed_loop::{ClosedLoop, EngineWorkload, SharedWebs};
 use crate::engine::{merge_reports, ProxyModel, Run};
 use crate::report::ClusterReport;
 use crate::shard::{
@@ -92,19 +92,18 @@ pub fn run(config: &ClusterConfig<'_>, seed: u64) -> ClusterReport {
     };
     match &config.workload {
         Workload::Static(w) => scan(&run, None, |scope| OpenLoop::new(w, seed, scope)),
-        Workload::Adaptive(w) => scan(&run, None, |scope| {
-            ClosedLoop::new(topology, EngineWorkload::Synth(w), None, seed, scope)
-        }),
+        Workload::Adaptive(w) => {
+            let webs = SharedWebs::build(w);
+            scan(&run, None, |scope| {
+                ClosedLoop::new(topology, EngineWorkload::Synth(w, &webs), None, seed, scope)
+            })
+        }
         Workload::Cooperative(w) => {
             let router = Router::new(topology.n_proxies(), w.base.cache_capacity, w.coop);
+            let webs = SharedWebs::build(&w.base);
             scan(&run, Some(router), |scope| {
-                ClosedLoop::new(
-                    topology,
-                    EngineWorkload::Synth(&w.base),
-                    Some(&w.coop),
-                    seed,
-                    scope,
-                )
+                let synth = EngineWorkload::Synth(&w.base, &webs);
+                ClosedLoop::new(topology, synth, Some(&w.coop), seed, scope)
             })
         }
         Workload::Trace(w) => scan(&run, None, |scope| {

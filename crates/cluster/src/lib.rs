@@ -227,8 +227,11 @@ pub struct AdaptiveWorkload {
     /// chain from this shared seed, so all proxies serve the *same* item
     /// universe with the same hot set — the cross-proxy redundancy
     /// cooperative caching exists to remove. Arrival randomness stays
-    /// per-proxy. `None` (the default situation) keeps fully independent
-    /// per-proxy structures, exactly as before.
+    /// per-proxy. Proxies with equal structural config (`n_items`,
+    /// `branching`, `link_skew`, `mean_size`, `size_shape`; not `lambda`
+    /// or `n_clients`) share one catalog, chain and oracle table, built
+    /// once per run. `None` (the default situation) keeps fully
+    /// independent per-proxy structures, exactly as before.
     pub shared_structure_seed: Option<u64>,
     /// Delayed-hits behaviour: MSHR table budget, miss coalescing,
     /// aggregate-delay ranking, and byte-charged prefetch thresholds.

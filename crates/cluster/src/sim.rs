@@ -1,6 +1,6 @@
 //! The cluster simulator facade and shared link/scope machinery.
 
-use crate::closed_loop::{ClosedLoop, EngineWorkload};
+use crate::closed_loop::{ClosedLoop, EngineWorkload, SharedWebs};
 use crate::engine::{ReplayStats, Run, RunExtras};
 use crate::obs::ClusterObs;
 use crate::report::ClusterReport;
@@ -172,13 +172,17 @@ impl<'a> ClusterSim<'a> {
         };
         match &config.workload {
             Workload::Static(w) => run.drive(None, |scope| OpenLoop::new(w, seed, scope)),
-            Workload::Adaptive(w) => run.drive(None, |scope| {
-                ClosedLoop::new(topology, EngineWorkload::Synth(w), None, seed, scope)
-            }),
+            Workload::Adaptive(w) => {
+                let webs = SharedWebs::build(w);
+                run.drive(None, |scope| {
+                    ClosedLoop::new(topology, EngineWorkload::Synth(w, &webs), None, seed, scope)
+                })
+            }
             Workload::Cooperative(w) => {
                 let router = Router::new(topology.n_proxies(), w.base.cache_capacity, w.coop);
+                let webs = SharedWebs::build(&w.base);
                 run.drive(Some(router), |scope| {
-                    let synth = EngineWorkload::Synth(&w.base);
+                    let synth = EngineWorkload::Synth(&w.base, &webs);
                     ClosedLoop::new(topology, synth, Some(&w.coop), seed, scope)
                 })
             }

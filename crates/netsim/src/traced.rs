@@ -53,7 +53,7 @@ pub enum PredictorKind {
 impl PredictorKind {
     fn build(&self, web: &SynthWeb) -> Box<dyn Predictor> {
         match self {
-            PredictorKind::Oracle => Box::new(OraclePredictor::from_chain(&web.chain)),
+            PredictorKind::Oracle => Box::new(OraclePredictor::from_chain(&web.structure().chain)),
             PredictorKind::Markov1 => Box::new(MarkovPredictor::new(1)),
             PredictorKind::Markov2 => Box::new(MarkovPredictor::new(2)),
             PredictorKind::Ppm2 => Box::new(PpmPredictor::new(2)),
@@ -434,7 +434,7 @@ pub fn run(config: &TracedConfig, seed: u64) -> TracedReport {
                         && !cl.inflight.contains(&item)
                     {
                         cl.inflight.insert(item);
-                        let size = web.catalog.size(item);
+                        let size = web.structure().catalog.size(item);
                         if config.prefetch_jitter > 0.0 {
                             let due = t + jitter_rng.exp(1.0 / config.prefetch_jitter);
                             delayed.push(PendingPrefetch { due, client: client_id, item, size });

@@ -7,33 +7,36 @@
 //! survives estimation noise.
 
 use crate::{sort_candidates, Predictor};
-use std::collections::HashMap;
+use std::sync::Arc;
 use workload::{ItemId, MarkovChain};
 
 /// Predictor with perfect knowledge of a first-order Markov source.
+///
+/// The successor table is immutable and shared: clones (one per walker of
+/// the same chain) share it and differ only in their current item.
+#[derive(Clone)]
 pub struct OraclePredictor {
-    successors: HashMap<ItemId, Vec<(ItemId, f64)>>,
+    /// Successor lists indexed by item, in [`MarkovChain::successors`] order.
+    successors: Arc<[Vec<(ItemId, f64)>]>,
     current: Option<ItemId>,
 }
 
 impl OraclePredictor {
     /// Snapshots the chain's transition structure.
     pub fn from_chain(chain: &MarkovChain) -> Self {
-        let mut successors = HashMap::with_capacity(chain.len());
-        for i in 0..chain.len() as u64 {
-            successors.insert(ItemId(i), chain.successors(ItemId(i)));
-        }
+        let successors = (0..chain.len() as u64).map(|i| chain.successors(ItemId(i))).collect();
         OraclePredictor { successors, current: None }
+    }
+
+    /// The current item's successor list (empty before the first
+    /// observation and for items outside the chain).
+    fn current_successors(&self) -> &[(ItemId, f64)] {
+        self.current.and_then(|cur| self.successors.get(cur.0 as usize)).map_or(&[], Vec::as_slice)
     }
 
     /// True `P(next = b | current)`.
     pub fn prob(&self, b: ItemId) -> f64 {
-        let Some(cur) = self.current else { return 0.0 };
-        self.successors
-            .get(&cur)
-            .and_then(|s| s.iter().find(|(id, _)| *id == b))
-            .map(|(_, p)| *p)
-            .unwrap_or(0.0)
+        self.current_successors().iter().find(|(id, _)| *id == b).map_or(0.0, |(_, p)| *p)
     }
 }
 
@@ -43,10 +46,7 @@ impl Predictor for OraclePredictor {
     }
 
     fn candidates(&self, max: usize) -> Vec<(ItemId, f64)> {
-        let Some(cur) = self.current else {
-            return Vec::new();
-        };
-        let mut v = self.successors.get(&cur).cloned().unwrap_or_default();
+        let mut v = self.current_successors().to_vec();
         sort_candidates(&mut v, max);
         v
     }
@@ -76,6 +76,19 @@ mod tests {
         }
         let c = o.candidates(3);
         assert_eq!(c, chain.successors(ItemId(4)));
+    }
+
+    #[test]
+    fn clones_share_the_table_but_not_the_cursor() {
+        let mut rng = Rng::new(4);
+        let chain = MarkovChain::random(20, 3, 0.5, &mut rng);
+        let mut a = OraclePredictor::from_chain(&chain);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.successors, &b.successors));
+        a.observe(ItemId(3));
+        b.observe(ItemId(11));
+        assert_eq!(a.candidates(3), chain.successors(ItemId(3)));
+        assert_eq!(b.candidates(3), chain.successors(ItemId(11)));
     }
 
     #[test]

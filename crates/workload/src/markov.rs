@@ -28,9 +28,11 @@ use simcore::rng::Rng;
 /// assert!(next.0 < 5);
 /// ```
 pub struct MarkovChain {
-    /// Row-stochastic transition matrix, dense.
-    rows: Vec<Vec<f64>>,
-    /// Alias samplers per row.
+    /// Per-row transitions with non-zero probability, `(successor, p)` in
+    /// ascending successor order.
+    rows: Vec<Vec<(usize, f64)>>,
+    /// Alias samplers per row, over the dense row (so draws do not depend
+    /// on the sparse representation).
     samplers: Vec<Discrete>,
     state: usize,
 }
@@ -39,15 +41,25 @@ impl MarkovChain {
     /// Builds a chain from a dense transition matrix (each row must be a
     /// probability vector).
     pub fn new(rows: Vec<Vec<f64>>) -> Self {
-        let n = rows.len();
+        MarkovChain::from_dense_rows(rows.len(), rows)
+    }
+
+    /// Validates and compiles `n` dense rows one at a time, so only one
+    /// dense row is alive at once.
+    fn from_dense_rows(n: usize, dense: impl IntoIterator<Item = Vec<f64>>) -> Self {
         assert!(n > 0, "empty chain");
-        for (i, row) in rows.iter().enumerate() {
+        let mut rows = Vec::with_capacity(n);
+        let mut samplers = Vec::with_capacity(n);
+        for (i, row) in dense.into_iter().enumerate() {
             assert_eq!(row.len(), n, "row {i} has wrong length");
             let sum: f64 = row.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "row {i} sums to {sum}");
             assert!(row.iter().all(|&p| p >= 0.0), "row {i} has negative entries");
+            samplers.push(Discrete::new(&row));
+            rows.push(
+                row.iter().enumerate().filter(|(_, &p)| p > 0.0).map(|(j, &p)| (j, p)).collect(),
+            );
         }
-        let samplers = rows.iter().map(|r| Discrete::new(r)).collect();
         MarkovChain { rows, samplers, state: 0 }
     }
 
@@ -58,8 +70,7 @@ impl MarkovChain {
     pub fn random(n: usize, branching: usize, skew: f64, rng: &mut Rng) -> Self {
         assert!(n >= 2 && branching >= 1 && branching <= n);
         assert!(skew > 0.0 && skew <= 1.0);
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
+        let dense = (0..n).map(|_| {
             let mut row = vec![0.0; n];
             // Pick `branching` distinct successors.
             let mut successors = Vec::with_capacity(branching);
@@ -81,9 +92,9 @@ impl MarkovChain {
             for (s, wt) in successors.iter().zip(&weights) {
                 row[*s] = wt / total;
             }
-            rows.push(row);
-        }
-        MarkovChain::new(rows)
+            row
+        });
+        MarkovChain::from_dense_rows(n, dense)
     }
 
     /// A noisy cycle: state `i` goes to `i+1 (mod n)` with probability
@@ -91,13 +102,12 @@ impl MarkovChain {
     /// deterministic (every access perfectly predictable).
     pub fn noisy_cycle(n: usize, noise: f64, _rng: &mut Rng) -> Self {
         assert!(n >= 2 && (0.0..=1.0).contains(&noise));
-        let mut rows = Vec::with_capacity(n);
-        for i in 0..n {
+        let dense = (0..n).map(|i| {
             let mut row = vec![noise / n as f64; n];
             row[(i + 1) % n] += 1.0 - noise;
-            rows.push(row);
-        }
-        MarkovChain::new(rows)
+            row
+        });
+        MarkovChain::from_dense_rows(n, dense)
     }
 
     /// Number of states.
@@ -111,18 +121,20 @@ impl MarkovChain {
 
     /// True transition probability `P[from][to]`.
     pub fn prob(&self, from: ItemId, to: ItemId) -> f64 {
-        self.rows[from.0 as usize][to.0 as usize]
+        let row = &self.rows[from.0 as usize];
+        assert!((to.0 as usize) < self.rows.len(), "state {} out of range", to.0);
+        match row.binary_search_by_key(&(to.0 as usize), |&(j, _)| j) {
+            Ok(k) => row[k].1,
+            Err(_) => 0.0,
+        }
     }
 
     /// The successors of `from` with non-zero probability, sorted by
     /// descending probability — the oracle candidate list.
     pub fn successors(&self, from: ItemId) -> Vec<(ItemId, f64)> {
-        let mut out: Vec<(ItemId, f64)> = self.rows[from.0 as usize]
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p > 0.0)
-            .map(|(j, &p)| (ItemId(j as u64), p))
-            .collect();
+        let mut out: Vec<(ItemId, f64)> =
+            self.rows[from.0 as usize].iter().map(|&(j, p)| (ItemId(j as u64), p)).collect();
+        // Stable: equal probabilities keep ascending successor order.
         out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
     }
@@ -138,6 +150,13 @@ impl MarkovChain {
         self.state = s.0 as usize;
     }
 
+    /// Draws the successor of `from` without touching the chain's own
+    /// state: the same draw as `set_state(from)` followed by `next_item`,
+    /// so one chain can drive many independent walkers through `&self`.
+    pub fn step(&self, from: ItemId, rng: &mut Rng) -> ItemId {
+        ItemId(self.samplers[from.0 as usize].sample_index(rng) as u64)
+    }
+
     /// Stationary distribution by power iteration (for tests/analysis).
     pub fn stationary(&self, iterations: usize) -> Vec<f64> {
         let n = self.rows.len();
@@ -149,10 +168,8 @@ impl MarkovChain {
                 if pi_i == 0.0 {
                     continue;
                 }
-                for (j, &p) in self.rows[i].iter().enumerate() {
-                    if p > 0.0 {
-                        next[j] += pi_i * p;
-                    }
+                for &(j, p) in &self.rows[i] {
+                    next[j] += pi_i * p;
                 }
             }
             core::mem::swap(&mut pi, &mut next);
@@ -167,10 +184,8 @@ impl MarkovChain {
         let mut h = 0.0;
         for (i, row) in self.rows.iter().enumerate() {
             let mut hi = 0.0;
-            for &p in row {
-                if p > 0.0 {
-                    hi -= p * p.log2();
-                }
+            for &(_, p) in row {
+                hi -= p * p.log2();
             }
             h += pi[i] * hi;
         }
@@ -180,8 +195,9 @@ impl MarkovChain {
 
 impl RequestStream for MarkovChain {
     fn next_item(&mut self, rng: &mut Rng) -> ItemId {
-        self.state = self.samplers[self.state].sample_index(rng);
-        ItemId(self.state as u64)
+        let next = self.step(self.state(), rng);
+        self.state = next.0 as usize;
+        next
     }
 }
 
@@ -278,6 +294,44 @@ mod tests {
             let emp = counts[i] as f64 / n as f64;
             assert!((emp - pi[i]).abs() < 0.01, "state {i}: {emp} vs {}", pi[i]);
         }
+    }
+
+    #[test]
+    fn step_matches_set_state_then_next_item() {
+        let mut build = Rng::new(8);
+        let mut walker = MarkovChain::random(40, 4, 0.5, &mut build);
+        let mut build = Rng::new(8);
+        let shared = MarkovChain::random(40, 4, 0.5, &mut build);
+        let (mut rng_a, mut rng_b) = (Rng::new(9), Rng::new(9));
+        let mut from = ItemId(0);
+        for k in 0..5_000u64 {
+            // Jump around so every row's sampler is exercised.
+            if k % 7 == 0 {
+                from = ItemId(k % 40);
+            }
+            walker.set_state(from);
+            let a = walker.next_item(&mut rng_a);
+            let b = shared.step(from, &mut rng_b);
+            assert_eq!(a, b, "draw {k} from {from:?}");
+            from = b;
+        }
+        assert_eq!(shared.state(), ItemId(0), "step must not move the chain's own state");
+    }
+
+    #[test]
+    fn sparse_rows_answer_like_the_dense_matrix() {
+        let dense = vec![vec![0.25, 0.0, 0.75], vec![0.0, 1.0, 0.0], vec![0.5, 0.25, 0.25]];
+        let chain = MarkovChain::new(dense.clone());
+        for (i, row) in dense.iter().enumerate() {
+            for (j, &p) in row.iter().enumerate() {
+                assert_eq!(chain.prob(ItemId(i as u64), ItemId(j as u64)), p);
+            }
+        }
+        // Ties keep ascending successor order.
+        assert_eq!(
+            chain.successors(ItemId(2)),
+            vec![(ItemId(0), 0.5), (ItemId(1), 0.25), (ItemId(2), 0.25)]
+        );
     }
 
     #[test]

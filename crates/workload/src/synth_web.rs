@@ -11,9 +11,9 @@ use crate::arrivals::{ArrivalProcess, PoissonArrivals};
 use crate::catalog::{Catalog, ItemId};
 use crate::markov::MarkovChain;
 use crate::trace::TraceRecord;
-use crate::RequestStream;
 use simcore::dist::BoundedPareto;
 use simcore::rng::Rng;
+use std::sync::Arc;
 
 /// Configuration of the synthetic proxy workload.
 #[derive(Clone, Copy, Debug)]
@@ -49,10 +49,33 @@ impl Default for SynthWebConfig {
     }
 }
 
-/// Generator state: shared navigation graph, per-client positions.
-pub struct SynthWeb {
+/// The immutable part of a synthetic web: the item catalog and the
+/// navigation chain. It depends only on the structural fields of a
+/// [`SynthWebConfig`] (`n_items`, `branching`, `link_skew`, `mean_size`,
+/// `size_shape`) and the draws that built it, so generators with equal
+/// structural config and structure stream can share one copy.
+pub struct WebStructure {
     pub catalog: Catalog,
     pub chain: MarkovChain,
+}
+
+impl WebStructure {
+    /// Draws the catalog, then the chain, from `rng`.
+    pub fn new(config: &SynthWebConfig, rng: &mut Rng) -> Self {
+        // Bounded Pareto sizes: cap at 50x the scale to keep the simulation's
+        // worst case sane while preserving heavy-tail shape.
+        let scale = config.mean_size * (config.size_shape - 1.0) / config.size_shape;
+        let size_dist = BoundedPareto::new(config.size_shape, scale, scale * 50.0);
+        let catalog = Catalog::with_sizes(config.n_items, 0.8, &size_dist, rng);
+        let chain = MarkovChain::random(config.n_items, config.branching, config.link_skew, rng);
+        WebStructure { catalog, chain }
+    }
+}
+
+/// Generator state: a (possibly shared) web structure, per-client
+/// positions, the arrival process and the clock.
+pub struct SynthWeb {
+    structure: Arc<WebStructure>,
     arrivals: PoissonArrivals,
     client_states: Vec<ItemId>,
     now: f64,
@@ -60,24 +83,37 @@ pub struct SynthWeb {
 }
 
 impl SynthWeb {
+    /// Draws a fresh structure and then the client start positions from
+    /// `rng`: [`WebStructure::new`] followed by [`SynthWeb::with_structure`].
     pub fn new(config: SynthWebConfig, rng: &mut Rng) -> Self {
+        let structure = Arc::new(WebStructure::new(&config, rng));
+        SynthWeb::with_structure(config, structure, rng)
+    }
+
+    /// A generator over an existing structure, drawing only the client
+    /// start positions from `rng`. The structure must have been built from
+    /// a config with the same structural fields as `config`.
+    pub fn with_structure(
+        config: SynthWebConfig,
+        structure: Arc<WebStructure>,
+        rng: &mut Rng,
+    ) -> Self {
         assert!(config.n_clients > 0 && config.n_items >= 2);
-        // Bounded Pareto sizes: cap at 50x the scale to keep the simulation's
-        // worst case sane while preserving heavy-tail shape.
-        let scale = config.mean_size * (config.size_shape - 1.0) / config.size_shape;
-        let size_dist = BoundedPareto::new(config.size_shape, scale, scale * 50.0);
-        let catalog = Catalog::with_sizes(config.n_items, 0.8, &size_dist, rng);
-        let chain = MarkovChain::random(config.n_items, config.branching, config.link_skew, rng);
+        assert_eq!(structure.catalog.len(), config.n_items, "structure built for another catalog");
         let client_states =
             (0..config.n_clients).map(|_| ItemId(rng.below(config.n_items as u64))).collect();
         SynthWeb {
-            catalog,
-            chain,
+            structure,
             arrivals: PoissonArrivals::new(config.lambda),
             client_states,
             now: 0.0,
             config,
         }
+    }
+
+    /// The (possibly shared) structure this generator walks.
+    pub fn structure(&self) -> &Arc<WebStructure> {
+        &self.structure
     }
 
     /// The configuration in force.
@@ -90,10 +126,9 @@ impl SynthWeb {
         self.now += self.arrivals.next_gap(rng);
         let client = rng.index(self.client_states.len());
         // Advance this client's navigation.
-        self.chain.set_state(self.client_states[client]);
-        let item = self.chain.next_item(rng);
+        let item = self.structure.chain.step(self.client_states[client], rng);
         self.client_states[client] = item;
-        TraceRecord::new(self.now, client as u32, item, self.catalog.size(item))
+        TraceRecord::new(self.now, client as u32, item, self.structure.catalog.size(item))
     }
 
     /// Generates a trace of `n` requests.
@@ -141,7 +176,7 @@ mod tests {
         let mut w = make(&mut rng);
         let trace = w.generate(1_000, &mut rng);
         for r in &trace {
-            assert_eq!(r.size, w.catalog.size(r.item));
+            assert_eq!(r.size, w.structure().catalog.size(r.item));
         }
     }
 
@@ -149,7 +184,7 @@ mod tests {
     fn mean_size_near_configured() {
         let mut rng = Rng::new(4);
         let w = make(&mut rng);
-        let m = w.catalog.mean_size();
+        let m = w.structure().catalog.mean_size();
         assert!((m - 1.0).abs() < 0.25, "mean size {m}");
     }
 
@@ -165,7 +200,7 @@ mod tests {
         for r in &trace {
             if let Some(prev) = last[r.client as usize] {
                 assert!(
-                    w.chain.prob(prev, r.item) > 0.0,
+                    w.structure().chain.prob(prev, r.item) > 0.0,
                     "client {} jumped {prev:?}→{:?} with zero probability",
                     r.client,
                     r.item
@@ -175,6 +210,24 @@ mod tests {
             last[r.client as usize] = Some(r.item);
         }
         assert!(checked > 10_000);
+    }
+
+    #[test]
+    fn shared_structure_yields_the_same_stream() {
+        let config = SynthWebConfig::default();
+        let mut rng = Rng::new(7);
+        let expected = SynthWeb::new(config, &mut rng).generate(10_000, &mut rng);
+
+        // Build the structure once; every walker continues from a clone of
+        // the post-structure stream, exactly where `new` would.
+        let mut rng = Rng::new(7);
+        let structure = Arc::new(WebStructure::new(&config, &mut rng));
+        for _ in 0..2 {
+            let mut walker_rng = rng.clone();
+            let mut web = SynthWeb::with_structure(config, Arc::clone(&structure), &mut walker_rng);
+            assert!(Arc::ptr_eq(web.structure(), &structure));
+            assert_eq!(web.generate(10_000, &mut walker_rng), expected);
+        }
     }
 
     #[test]
