@@ -11,6 +11,7 @@
 
 use simcore::Json;
 use std::path::Path;
+use std::process::ExitCode;
 
 /// Default artifact filename, resolved against the working directory (the
 /// repository root under `cargo run`, mirroring `BENCH_cluster.json`).
@@ -41,6 +42,37 @@ pub fn write_section(path: &Path, name: &str, section: Json) -> std::io::Result<
     std::fs::write(path, doc.render())
 }
 
+/// The `--check [path]` mode of the artifact-writing bins: no simulation,
+/// only a schema check of the artifact at `path`. Prints `<bin> --check:
+/// <path> ok` on success; otherwise names the unreadable file, the JSON
+/// parse error, or each error `schema_errors` found, and exits nonzero.
+pub fn check(bin: &str, path: &Path, schema_errors: fn(&Json) -> Vec<String>) -> ExitCode {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("{bin} --check: cannot read {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    let doc = match Json::parse(&text) {
+        Ok(d) => d,
+        Err(e) => {
+            eprintln!("{bin} --check: {} is not valid JSON: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    let errs = schema_errors(&doc);
+    if errs.is_empty() {
+        println!("{bin} --check: {} ok", path.display());
+        ExitCode::SUCCESS
+    } else {
+        for e in &errs {
+            eprintln!("{bin} --check: {} missing/invalid: {e}", path.display());
+        }
+        ExitCode::FAILURE
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,6 +97,29 @@ mod tests {
             "rewrite replaces the section"
         );
         assert_eq!(sections.get("b").and_then(|s| s.get("y")).and_then(Json::as_f64), Some(2.0));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn check_exits_nonzero_unless_the_schema_holds() {
+        fn needs_x(doc: &Json) -> Vec<String> {
+            match doc.get("sections").and_then(|s| s.get("x")) {
+                Some(_) => Vec::new(),
+                None => vec!["sections.x".to_string()],
+            }
+        }
+        let dir = std::env::temp_dir().join("obs_artifact_check");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(OBS_ARTIFACT);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(check("t", &path, needs_x), ExitCode::FAILURE, "unreadable");
+        std::fs::write(&path, "{not json").unwrap();
+        assert_eq!(check("t", &path, needs_x), ExitCode::FAILURE, "invalid JSON");
+        std::fs::remove_file(&path).unwrap();
+        write_section(&path, "y", Json::obj()).unwrap();
+        assert_eq!(check("t", &path, needs_x), ExitCode::FAILURE, "section missing");
+        write_section(&path, "x", Json::obj()).unwrap();
+        assert_eq!(check("t", &path, needs_x), ExitCode::SUCCESS);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,4 +1,5 @@
-//! Runs every experiment (E1–E18) and writes the reports under `results/`.
+//! Runs every experiment (E1–E22) and writes the reports under `results/`
+//! (or the directory given as the first argument).
 //!
 //! ```text
 //! cargo run --release -p harness --bin all
@@ -31,6 +32,10 @@ fn main() -> std::io::Result<()> {
         ("e16_delta", harness::experiments::e16_delta::render),
         ("e17_shard", harness::experiments::e17_shard::render),
         ("e18_obs", harness::experiments::e18_obs::render),
+        ("e19_trace", harness::experiments::e19_trace::render),
+        ("e20_delayed", harness::experiments::e20_delayed::render),
+        ("e21_replay", harness::experiments::e21_replay::render),
+        ("e22_chaos", harness::experiments::e22_chaos::render),
     ];
     for (name, render) in experiments {
         let start = Instant::now();

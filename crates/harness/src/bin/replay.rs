@@ -64,38 +64,11 @@ fn schema_errors(doc: &Json) -> Vec<String> {
     errs
 }
 
-fn check(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("replay --check: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("replay --check: {} is not valid JSON: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let errs = schema_errors(&doc);
-    if errs.is_empty() {
-        println!("replay --check: {} ok", path.display());
-        ExitCode::SUCCESS
-    } else {
-        for e in &errs {
-            eprintln!("replay --check: {} missing/invalid: {e}", path.display());
-        }
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--check") {
         let path = args.get(i + 1).map_or(OBS_ARTIFACT, String::as_str);
-        return check(Path::new(path));
+        return artifact::check("replay", Path::new(path), schema_errors);
     }
     let (n, shards, total) =
         if args.iter().any(|a| a == "--smoke") { e21_replay::SMOKE } else { e21_replay::FULL };

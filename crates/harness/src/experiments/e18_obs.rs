@@ -104,12 +104,6 @@ pub fn render() -> String {
     render_with(n, shards, total).0
 }
 
-/// Reduced CI dashboard.
-pub fn render_smoke() -> String {
-    let (n, shards, total) = SMOKE;
-    render_with(n, shards, total).0
-}
-
 /// Runs one observed sweep and renders the dashboard; returns the report
 /// text and the artifact section for `OBS_cluster.json`. Wall-clock
 /// telemetry goes to stderr (stdout stays byte-stable).

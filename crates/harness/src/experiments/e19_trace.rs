@@ -58,12 +58,6 @@ pub fn render() -> String {
     render_with(n, shards, total, every).0
 }
 
-/// Reduced CI report.
-pub fn render_smoke() -> String {
-    let (n, shards, total, every) = SMOKE;
-    render_with(n, shards, total, every).0
-}
-
 /// Per-class latency attribution: traces, measured share, mean latency,
 /// and the fraction of the class's total time in each bucket.
 pub fn attribution_table(store: &TraceStore) -> Table {

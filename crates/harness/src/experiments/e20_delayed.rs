@@ -165,12 +165,6 @@ pub fn render() -> String {
     render_with(n, shards, total).0
 }
 
-/// Reduced CI report.
-pub fn render_smoke() -> String {
-    let (n, shards, total) = SMOKE;
-    render_with(n, shards, total).0
-}
-
 fn pct(x: f64) -> String {
     format!("{:+.1}%", 100.0 * x)
 }

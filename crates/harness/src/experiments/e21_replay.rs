@@ -195,12 +195,6 @@ pub fn render() -> String {
     render_with(n, shards, total).0
 }
 
-/// Reduced CI report.
-pub fn render_smoke() -> String {
-    let (n, shards, total) = SMOKE;
-    render_with(n, shards, total).0
-}
-
 /// Runs one sweep; returns the report text and the `e21_replay` artifact
 /// section, and writes the recorded sample to [`E21_SAMPLE`].
 pub fn render_with(n_base: usize, shards: usize, total: usize) -> (String, Json) {

@@ -280,12 +280,6 @@ pub fn render() -> String {
     render_with(n, shards, requests).0
 }
 
-/// Reduced CI report.
-pub fn render_smoke() -> String {
-    let (n, shards, requests) = SMOKE;
-    render_with(n, shards, requests).0
-}
-
 /// Runs one sweep; returns the report text and the `e22_chaos` artifact
 /// section.
 pub fn render_with(n: usize, shards: usize, requests: usize) -> (String, Json) {

@@ -123,51 +123,6 @@ impl Sample for Erlang {
     }
 }
 
-/// Two-phase hyper-exponential: with probability `p1` draw Exp(`r1`),
-/// otherwise Exp(`r2`). High-variance (CV² > 1) service times.
-#[derive(Clone, Copy, Debug)]
-pub struct HyperExp {
-    pub p1: f64,
-    pub r1: f64,
-    pub r2: f64,
-}
-
-impl HyperExp {
-    pub fn new(p1: f64, r1: f64, r2: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p1) && r1 > 0.0 && r2 > 0.0);
-        HyperExp { p1, r1, r2 }
-    }
-
-    /// Builds a balanced hyper-exponential with the given mean and squared
-    /// coefficient of variation `cv2 >= 1`.
-    pub fn with_mean_cv2(mean: f64, cv2: f64) -> Self {
-        assert!(cv2 >= 1.0, "HyperExp requires CV² ≥ 1");
-        // Balanced means: p1/r1 = p2/r2 (each phase contributes half the mean).
-        let p1 = 0.5 * (1.0 + ((cv2 - 1.0) / (cv2 + 1.0)).sqrt());
-        let r1 = 2.0 * p1 / mean;
-        let r2 = 2.0 * (1.0 - p1) / mean;
-        HyperExp { p1, r1, r2 }
-    }
-}
-
-impl Sample for HyperExp {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        if rng.chance(self.p1) {
-            rng.exp(self.r1)
-        } else {
-            rng.exp(self.r2)
-        }
-    }
-    fn mean(&self) -> f64 {
-        self.p1 / self.r1 + (1.0 - self.p1) / self.r2
-    }
-    fn variance(&self) -> Option<f64> {
-        let m = self.mean();
-        let m2 = 2.0 * (self.p1 / (self.r1 * self.r1) + (1.0 - self.p1) / (self.r2 * self.r2));
-        Some(m2 - m * m)
-    }
-}
-
 /// Pareto (Lomax form shifted to `scale`): density `a·scaleᵃ/xᵃ⁺¹` for
 /// `x ≥ scale`. Heavy-tailed file sizes. Mean finite iff `shape > 1`.
 #[derive(Clone, Copy, Debug)]
@@ -246,96 +201,6 @@ impl Sample for BoundedPareto {
                 * (a / (a - 1.0))
                 * (l.powf(1.0 - a) - h.powf(1.0 - a))
         }
-    }
-}
-
-/// Log-normal: `exp(mu + sigma·Z)`.
-#[derive(Clone, Copy, Debug)]
-pub struct LogNormal {
-    pub mu: f64,
-    pub sigma: f64,
-}
-
-impl LogNormal {
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0);
-        LogNormal { mu, sigma }
-    }
-
-    /// Log-normal with the given arithmetic mean and squared coefficient of
-    /// variation.
-    pub fn with_mean_cv2(mean: f64, cv2: f64) -> Self {
-        assert!(mean > 0.0 && cv2 >= 0.0);
-        let sigma2 = (1.0 + cv2).ln();
-        let mu = mean.ln() - 0.5 * sigma2;
-        LogNormal { mu, sigma: sigma2.sqrt() }
-    }
-}
-
-impl Sample for LogNormal {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        (self.mu + self.sigma * rng.normal()).exp()
-    }
-    fn mean(&self) -> f64 {
-        (self.mu + 0.5 * self.sigma * self.sigma).exp()
-    }
-    fn variance(&self) -> Option<f64> {
-        let s2 = self.sigma * self.sigma;
-        let m = self.mean();
-        Some((s2.exp() - 1.0) * m * m)
-    }
-}
-
-/// Weibull with shape `k` and scale `lambda`.
-#[derive(Clone, Copy, Debug)]
-pub struct Weibull {
-    pub k: f64,
-    pub lambda: f64,
-}
-
-impl Weibull {
-    pub fn new(k: f64, lambda: f64) -> Self {
-        assert!(k > 0.0 && lambda > 0.0);
-        Weibull { k, lambda }
-    }
-}
-
-/// Lanczos approximation of the Gamma function (needed for the Weibull mean).
-fn gamma_fn(x: f64) -> f64 {
-    // Coefficients for g = 7, n = 9 (Numerical Recipes / Boost parameters).
-    const G: f64 = 7.0;
-    #[allow(clippy::excessive_precision, clippy::inconsistent_digit_grouping)]
-    const C: [f64; 9] = [
-        0.999_999_999_999_809_93,
-        676.520_368_121_885_1,
-        -1259.139_216_722_402_8,
-        771.323_428_777_653_13,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        core::f64::consts::PI / ((core::f64::consts::PI * x).sin() * gamma_fn(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = C[0];
-        let t = x + G + 0.5;
-        for (i, &c) in C.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * core::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
-impl Sample for Weibull {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        let u = 1.0 - rng.f64();
-        self.lambda * (-u.ln()).powf(1.0 / self.k)
-    }
-    fn mean(&self) -> f64 {
-        self.lambda * gamma_fn(1.0 + 1.0 / self.k)
     }
 }
 
@@ -537,16 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn hyperexp_matches_target_mean_and_cv2() {
-        let d = HyperExp::with_mean_cv2(1.0, 4.0);
-        assert!((d.mean() - 1.0).abs() < 1e-9, "analytic mean {}", d.mean());
-        let var = d.variance().unwrap();
-        assert!((var - 4.0).abs() < 1e-6, "analytic var {var}");
-        let m = empirical_mean(&d, 4, 400_000);
-        assert!((m - 1.0).abs() < 0.03, "empirical mean {m}");
-    }
-
-    #[test]
     fn pareto_with_mean() {
         let d = Pareto::with_mean(1.0, 2.5);
         assert!((d.mean() - 1.0).abs() < 1e-12);
@@ -564,31 +419,6 @@ mod tests {
         }
         let m = empirical_mean(&d, 7, 400_000);
         assert!((m - d.mean()).abs() / d.mean() < 0.05, "emp {m} vs analytic {}", d.mean());
-    }
-
-    #[test]
-    fn lognormal_with_mean_cv2() {
-        let d = LogNormal::with_mean_cv2(2.0, 1.5);
-        assert!((d.mean() - 2.0).abs() < 1e-9);
-        let m = empirical_mean(&d, 8, 400_000);
-        assert!((m - 2.0).abs() < 0.05, "empirical mean {m}");
-    }
-
-    #[test]
-    fn weibull_mean_exponential_case() {
-        // k = 1 reduces to Exponential(1/lambda).
-        let d = Weibull::new(1.0, 3.0);
-        assert!((d.mean() - 3.0).abs() < 1e-9, "mean {}", d.mean());
-        let m = empirical_mean(&d, 9, 200_000);
-        assert!((m - 3.0).abs() < 0.05, "empirical mean {m}");
-    }
-
-    #[test]
-    fn gamma_fn_known_values() {
-        assert!((gamma_fn(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma_fn(2.0) - 1.0).abs() < 1e-10);
-        assert!((gamma_fn(5.0) - 24.0).abs() < 1e-7);
-        assert!((gamma_fn(0.5) - core::f64::consts::PI.sqrt()).abs() < 1e-9);
     }
 
     #[test]

@@ -3,58 +3,71 @@
 //! This crate provides the simulation machinery that every other crate in the
 //! workspace builds on:
 //!
-//! * [`time`] — a virtual-time newtype ([`SimTime`]) with a total order.
-//! * [`rng`] — a hand-rolled, reproducible PRNG ([`rng::Pcg64`]-class
-//!   xoshiro256++ generator seeded through SplitMix64) with stream splitting
-//!   for parallel experiments.
-//! * [`dist`] — analytic sampling distributions (exponential, Pareto,
-//!   log-normal, Zipf, hyper-exponential, empirical, …) behind one
-//!   [`dist::Sample`] trait, each knowing its own analytic mean where it
-//!   exists.
-//! * [`event`] — a binary-heap event calendar with stable FIFO tie-breaking
-//!   and O(1) cancellation tokens.
-//! * [`sched`] — an indexed event scheduler ([`sched::Scheduler`]): a
-//!   binary-heap timer wheel over a fixed key space with generation-stamped
-//!   entries, so re-arming or cancelling a timer stream is O(log n)/O(1)
-//!   with lazy invalidation — the core the multi-node `cluster` engines
-//!   run on.
-//! * [`engine`] — the event loop ([`Engine`]) that owns the calendar and the
-//!   virtual clock.
+//! * [`sched`] — the event core. [`sched::Scheduler`] is a binary-heap timer
+//!   wheel over a fixed key space with generation-stamped entries, so
+//!   re-arming or cancelling a timer stream is O(log n)/O(1) with lazy
+//!   invalidation; [`sched::KeyLayout`] partitions the keys into classes
+//!   whose registration order is the same-instant firing order; and
+//!   [`sched::TimedQueue`] holds the payloads a timer stream delivers.
+//!   Both `cluster` proxy models run on it; the paper's single-server
+//!   models (`queueing`, `netsim`) need no scheduler and step their own
+//!   loops.
+//! * [`rng`] — a hand-rolled, reproducible PRNG ([`rng::Rng`], xoshiro256++
+//!   seeded through SplitMix64) with stream splitting for parallel
+//!   experiments.
+//! * [`dist`] — analytic sampling distributions (exponential, Erlang,
+//!   Pareto, Zipf, empirical, …) behind one [`dist::Sample`] trait, each
+//!   knowing its own analytic mean where it exists.
 //! * [`stats`] — streaming statistics: Welford moments, time-weighted
-//!   averages, histograms, P² quantile estimation, batch-means confidence
-//!   intervals.
+//!   averages, histograms, batch-means confidence intervals.
 //! * [`par`] — a small scoped-thread work-pool used to run
 //!   parameter sweeps in parallel with deterministic output ordering.
+//! * [`faults`] — deterministic fault plans (link, proxy and origin faults)
+//!   and the timeout–retry–backoff policy clients run under them.
 //! * [`obs`] — deterministic observability: a metrics registry (counters,
 //!   gauges, distributions, epoch-grid time series), a bounded
 //!   flight-recorder ring for parity debugging, and per-shard runtime
 //!   profiles. Off by default ([`obs::ObsConfig::off`]); when off,
 //!   instrumented hot paths pay one branch.
+//! * [`trace`] — causal spans whose segments tile each request's latency.
 //! * [`json`] — a dependency-free JSON value tree ([`json::Json`]) with a
 //!   deterministic renderer and a parser, for machine-readable artifacts
 //!   (`OBS_cluster.json`) and their CI schema checks.
 //!
-//! The engine is deliberately generic: the higher-level crates (`queueing`,
-//! `netsim`) define their own state types and schedule closures against them.
+//! The scheduler carries no payloads and no clock: the caller owns its state
+//! and its virtual time, arms one key per recurring timer stream, and
+//! handles each `(time, key)` that [`Scheduler::pop`] returns.
 //!
 //! ## Example
 //!
 //! ```
-//! use simcore::{Engine, SimTime};
+//! use simcore::KeyLayout;
 //!
-//! // Count how many events fire before t = 10.
-//! let mut engine: Engine<u32> = Engine::new();
-//! for i in 0..20 {
-//!     engine.schedule_at(SimTime::from_secs(i as f64), |_, count| *count += 1);
-//! }
+//! // Two timer classes; on a time tie, link completions fire before
+//! // arrivals because the link class was registered first.
+//! let mut layout = KeyLayout::new();
+//! let links = layout.class(1);
+//! let arrivals = layout.class(1);
+//! let mut sched = layout.scheduler();
+//! sched.schedule(layout.key(arrivals, 0), 0.0);
+//! sched.schedule(layout.key(links, 0), 10.0);
+//!
+//! // Count the arrivals up to t = 10: the stream re-arms itself once per
+//! // second, and the link timer at t = 10 ends the run.
 //! let mut count = 0u32;
-//! engine.run_until(SimTime::from_secs(10.0), &mut count);
-//! assert_eq!(count, 11); // t = 0..=10 inclusive
+//! while let Some((t, key)) = sched.pop() {
+//!     match layout.decode(key) {
+//!         (c, _) if c == arrivals => {
+//!             count += 1;
+//!             sched.schedule(key, t + 1.0);
+//!         }
+//!         _ => break,
+//!     }
+//! }
+//! assert_eq!(count, 10); // t = 0..=9; the arrival due at t = 10 loses the tie
 //! ```
 
 pub mod dist;
-pub mod engine;
-pub mod event;
 pub mod faults;
 pub mod json;
 pub mod obs;
@@ -62,31 +75,24 @@ pub mod par;
 pub mod rng;
 pub mod sched;
 pub mod stats;
-pub mod time;
 pub mod trace;
 
 pub use dist::Sample;
-pub use engine::Engine;
-pub use event::EventToken;
 pub use faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 pub use json::Json;
 pub use obs::{FlightRecord, FlightRecorder, ObsConfig, Registry, ShardProfile};
 pub use rng::Rng;
 pub use sched::{KeyLayout, Scheduler, TimedQueue};
 pub use stats::{BatchMeans, Histogram, TimeWeighted, Welford};
-pub use time::SimTime;
 pub use trace::{SpanEvent, SpanKind, Trace, TraceBuf, TraceClass, TraceStore};
 
 /// Convenient re-exports for downstream simulation code.
 pub mod prelude {
     pub use crate::dist::{self, Sample};
-    pub use crate::engine::Engine;
-    pub use crate::event::EventToken;
     pub use crate::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
     pub use crate::json::Json;
     pub use crate::obs::{ObsConfig, Registry};
     pub use crate::rng::Rng;
     pub use crate::sched::{KeyLayout, Scheduler, TimedQueue};
     pub use crate::stats::{BatchMeans, Histogram, TimeWeighted, Welford};
-    pub use crate::time::SimTime;
 }

@@ -105,11 +105,6 @@ impl ObsConfig {
         self.trace_every = every;
         self
     }
-
-    /// Builds the latency distribution this config describes.
-    pub fn latency_dist(&self) -> Dist {
-        Dist::with_histogram(self.latency_lo, self.latency_hi, self.latency_bins)
-    }
 }
 
 impl Default for ObsConfig {

@@ -1,13 +1,13 @@
 //! Indexed event scheduler: a binary-heap timer wheel over a fixed key
 //! space.
 //!
-//! Where [`crate::event::Calendar`] carries arbitrary payloads and cancels
-//! by opaque token, this module serves the other common discrete-event
-//! shape: a simulation with a *known set of recurring timer streams* (one
-//! per link, one per arrival process, one per periodic task), each of
-//! which is re-armed and invalidated many times over a run. Every stream
-//! owns a small-integer **key**; arming the key again simply replaces the
-//! previous deadline.
+//! This is the workspace's one event core. It serves a simulation with a
+//! *known set of recurring timer streams* (one per link, one per arrival
+//! process, one per periodic task), each of which is re-armed and
+//! invalidated many times over a run. Every stream owns a small-integer
+//! **key**; arming the key again simply replaces the previous deadline.
+//! The scheduler carries no payloads: a stream that delivers data keeps
+//! it in a [`TimedQueue`] and arms its key at the queue's next time.
 //!
 //! Invalidation is by **generation stamping**: each `schedule`/`cancel`
 //! bumps the key's generation, and heap entries carry the generation they

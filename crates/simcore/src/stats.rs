@@ -5,8 +5,6 @@
 //! * [`TimeWeighted`] — time-average of a piecewise-constant signal (e.g.
 //!   number-in-system), the workhorse for utilisation measurements.
 //! * [`Histogram`] — fixed-width linear histogram with overflow bucket.
-//! * [`P2Quantile`] — Jain & Chlamtac's P² streaming quantile estimator
-//!   (no sample storage).
 //! * [`BatchMeans`] — batch-means confidence intervals for correlated
 //!   steady-state output series.
 
@@ -301,113 +299,6 @@ impl Histogram {
     }
 }
 
-/// P² single-quantile streaming estimator (Jain & Chlamtac, 1985).
-#[derive(Clone, Debug)]
-pub struct P2Quantile {
-    q: f64,
-    heights: [f64; 5],
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-    count: usize,
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Estimator for the `q`-quantile, `0 < q < 1`.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0);
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            if self.initial.len() == 5 {
-                self.initial.sort_by(f64::total_cmp);
-                self.heights.copy_from_slice(&self.initial);
-            }
-            return;
-        }
-        // Find cell k such that heights[k] <= x < heights[k+1].
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-        // Adjust interior markers.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d_sign = d.signum();
-                let parabolic = self.parabolic(i, d_sign);
-                if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    self.heights[i] = parabolic;
-                } else {
-                    self.heights[i] = self.linear(i, d_sign);
-                }
-                self.positions[i] += d_sign;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current quantile estimate (exact for < 5 samples).
-    pub fn value(&self) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        if self.initial.len() < 5 {
-            let mut v = self.initial.clone();
-            v.sort_by(f64::total_cmp);
-            let idx = ((self.q * v.len() as f64).ceil() as usize).saturating_sub(1);
-            return v[idx.min(v.len() - 1)];
-        }
-        self.heights[2]
-    }
-}
-
 /// Batch-means analysis for autocorrelated steady-state series.
 ///
 /// Observations are grouped into `num_batches` equal batches; the batch means
@@ -473,47 +364,6 @@ impl BatchMeans {
         }
         (w.mean(), w.ci95_half_width())
     }
-}
-
-/// MSER-5 warm-up truncation (White, 1997).
-///
-/// Batches the series into groups of 5, then picks the truncation point
-/// `d*` minimising the standard error of the mean computed over the
-/// retained batches. Output analysis folklore: deleting the transient this
-/// way beats fixed-fraction rules when the warm-up length is unknown.
-///
-/// Returns `(raw_observations_to_discard, mean_over_retained)`. The search
-/// is restricted to the first half of the series (truncating more than
-/// half signals the run is too short to analyse — callers should extend
-/// it rather than trust the estimate).
-pub fn mser5_truncation(series: &[f64]) -> (usize, f64) {
-    const B: usize = 5;
-    let n_batches = series.len() / B;
-    if n_batches < 4 {
-        // Too short to batch meaningfully: keep everything.
-        let mean =
-            if series.is_empty() { 0.0 } else { series.iter().sum::<f64>() / series.len() as f64 };
-        return (0, mean);
-    }
-    let batch_means: Vec<f64> =
-        (0..n_batches).map(|b| series[b * B..(b + 1) * B].iter().sum::<f64>() / B as f64).collect();
-    // Suffix sums for O(1) mean/variance of each truncation candidate.
-    let mut best_d = 0;
-    let mut best_se = f64::INFINITY;
-    let mut best_mean = 0.0;
-    for d in 0..n_batches / 2 {
-        let tail = &batch_means[d..];
-        let m = tail.len() as f64;
-        let mean = tail.iter().sum::<f64>() / m;
-        let var = tail.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / m;
-        let se = (var / m).sqrt();
-        if se < best_se {
-            best_se = se;
-            best_d = d;
-            best_mean = mean;
-        }
-    }
-    (best_d * B, best_mean)
 }
 
 #[cfg(test)]
@@ -707,36 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn p2_estimates_median_of_uniform() {
-        let mut est = P2Quantile::new(0.5);
-        let mut rng = Rng::new(2);
-        for _ in 0..100_000 {
-            est.push(rng.f64());
-        }
-        assert!((est.value() - 0.5).abs() < 0.01, "median {}", est.value());
-    }
-
-    #[test]
-    fn p2_estimates_p99_of_exponential() {
-        let mut est = P2Quantile::new(0.99);
-        let mut rng = Rng::new(3);
-        for _ in 0..200_000 {
-            est.push(rng.exp(1.0));
-        }
-        let true_p99 = -(0.01f64).ln(); // ≈ 4.605
-        assert!((est.value() - true_p99).abs() / true_p99 < 0.05, "p99 {}", est.value());
-    }
-
-    #[test]
-    fn p2_small_sample_exact() {
-        let mut est = P2Quantile::new(0.5);
-        est.push(3.0);
-        est.push(1.0);
-        est.push(2.0);
-        assert_eq!(est.value(), 2.0);
-    }
-
-    #[test]
     fn batch_means_covers_true_mean() {
         // AR(1)-ish correlated series with mean 10.
         let mut rng = Rng::new(4);
@@ -760,44 +580,6 @@ mod tests {
         }
         let (mean, _) = bm.mean_ci();
         assert!((mean - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mser5_finds_transient() {
-        // Series with an obvious warm-up ramp followed by stationarity.
-        let mut rng = Rng::new(21);
-        let mut series = Vec::new();
-        for i in 0..200 {
-            // Transient: decays from 50 toward 10 over ~100 observations.
-            series.push(10.0 + 40.0 * (-(i as f64) / 30.0).exp() + rng.normal());
-        }
-        for _ in 0..2000 {
-            series.push(10.0 + rng.normal());
-        }
-        let (cut, mean) = mser5_truncation(&series);
-        assert!(cut >= 30, "should cut into the transient: {cut}");
-        assert!(cut <= 400, "should not over-truncate: {cut}");
-        assert!((mean - 10.0).abs() < 0.2, "mean {mean}");
-    }
-
-    #[test]
-    fn mser5_stationary_series_keeps_everything_early() {
-        let mut rng = Rng::new(22);
-        let series: Vec<f64> = (0..3000).map(|_| 5.0 + rng.normal()).collect();
-        let (cut, mean) = mser5_truncation(&series);
-        // No transient: the cut should be small (noise-level).
-        assert!(cut < series.len() / 4, "cut {cut}");
-        assert!((mean - 5.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn mser5_short_series_degenerates_gracefully() {
-        let (cut, mean) = mser5_truncation(&[1.0, 2.0, 3.0]);
-        assert_eq!(cut, 0);
-        assert!((mean - 2.0).abs() < 1e-12);
-        let (cut, mean) = mser5_truncation(&[]);
-        assert_eq!(cut, 0);
-        assert_eq!(mean, 0.0);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Versioned `.events` binary trace format with a streaming reader.
 //!
-//! The legacy [`crate::trace`] binary format is header-less: any byte blob
-//! whose length is a multiple of 28 decodes "successfully". For multi-GB
-//! recorded traces that is unacceptable, so this module defines the
-//! production format:
+//! The workspace's one binary trace format ([`crate::trace`] keeps JSON
+//! lines for human inspection). A magic, a version and a declared record
+//! count head the file, so a truncated or foreign blob is an error rather
+//! than a short trace:
 //!
 //! ```text
 //! magic "PFEV" (4 B) | version u16 LE | reserved u16 LE (0) | count u64 LE
 //! record * count, 28 B each: time f64 | client u32 | item u64 | size f64
 //! ```
 //!
-//! and two ways to consume it:
+//! Two ways to consume it:
 //!
 //! * [`TraceStream`] — chunked lazy iterator. Reads `chunk_records` records
 //!   into an internal buffer at a time, so peak resident memory is
@@ -37,7 +37,7 @@ pub const MAGIC: [u8; 4] = *b"PFEV";
 pub const VERSION: u16 = 1;
 /// Header size in bytes: magic + version + reserved + record count.
 pub const HEADER_BYTES: usize = 16;
-/// Record size in bytes (same layout as the legacy binary format).
+/// Record size in bytes.
 pub const RECORD_BYTES: usize = 28;
 /// Default chunk size for [`TraceStream`], in records (112 KiB resident).
 pub const DEFAULT_CHUNK_RECORDS: usize = 4096;
@@ -118,9 +118,8 @@ impl From<io::Error> for TraceError {
 }
 
 /// Validates one record: finite non-negative time and size, and time not
-/// before `prev_time`. Shared by the streaming reader, the writer, and the
-/// legacy [`crate::trace::decode_binary`] path.
-pub fn validate_record(rec: &TraceRecord, prev_time: Option<f64>) -> Result<(), String> {
+/// before `prev_time`. Shared by the streaming reader and the writer.
+fn validate_record(rec: &TraceRecord, prev_time: Option<f64>) -> Result<(), String> {
     if !rec.time.is_finite() {
         return Err(format!("non-finite time {:?}", rec.time));
     }
@@ -516,25 +515,41 @@ mod tests {
         assert!(matches!(last, Err(TraceError::TrailingBytes)));
     }
 
-    #[test]
-    fn decreasing_time_rejected_by_reader() {
-        let recs = vec![
-            TraceRecord::new(2.0, 0, ItemId(1), 1.0),
-            TraceRecord::new(1.0, 0, ItemId(2), 1.0),
-        ];
-        // Bypass the writer's validation by encoding by hand.
+    /// Encodes `recs` by hand, bypassing the writer's validation, so the
+    /// reader's own checks can be exercised.
+    fn hand_encoded(recs: &[TraceRecord]) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&0u16.to_le_bytes());
-        bytes.extend_from_slice(&2u64.to_le_bytes());
-        for r in &recs {
+        bytes.extend_from_slice(&(recs.len() as u64).to_le_bytes());
+        for r in recs {
             encode_record(r, &mut bytes);
         }
+        bytes
+    }
+
+    #[test]
+    fn decreasing_time_rejected_by_reader() {
+        let bytes = hand_encoded(&[
+            TraceRecord::new(2.0, 0, ItemId(1), 1.0),
+            TraceRecord::new(1.0, 0, ItemId(2), 1.0),
+        ]);
         let results: Vec<_> = TraceStream::open(&bytes[..]).unwrap().collect();
         assert!(results[0].is_ok());
         assert!(matches!(&results[1], Err(TraceError::BadRecord { index: 1, .. })));
         assert_eq!(results.len(), 2, "stream must fuse after the first error");
+    }
+
+    #[test]
+    fn reader_rejects_invalid_records() {
+        let negative_time = hand_encoded(&[TraceRecord::new(-1.0, 0, ItemId(1), 1.0)]);
+        let err = read_events(&negative_time).unwrap_err();
+        assert!(err.to_string().contains("negative time"), "{err}");
+
+        let nan_size = hand_encoded(&[TraceRecord::new(1.0, 0, ItemId(1), f64::NAN)]);
+        let err = read_events(&nan_size).unwrap_err();
+        assert!(err.to_string().contains("non-finite size"), "{err}");
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   setting); also the ground truth against which predictors are scored.
 //! * [`lru_stack`] — stack-distance streams with a *controllable* LRU hit
 //!   ratio, giving direct command of the paper's `h′` knob.
-//! * [`trace`] — serialisable trace records (JSON-lines and a compact
-//!   binary format) so experiments can be replayed.
-//! * [`events`] — the versioned `.events` binary trace format: a chunked
+//! * [`trace`] — trace records and their JSON-lines codec, for inspecting
+//!   and diffing a replayable request stream.
+//! * [`events`] — the one binary trace format, versioned `.events`: a chunked
 //!   [`TraceStream`] reader that validates records and never materializes
 //!   the trace, plus the matching [`EventsWriter`].
 //! * [`scale`] — [`TraceScaler`]: superpose K time-dilated copies of one

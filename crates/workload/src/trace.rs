@@ -1,11 +1,12 @@
-//! Trace records and serialisation.
+//! Trace records and their JSON-lines codec.
 //!
 //! Experiments can persist their request streams and replay them, so
-//! analytic and simulated runs see byte-identical workloads. Two formats:
-//!
-//! * **JSON lines** — greppable, diffable, slow; the codec is hand-rolled
-//!   (four flat numeric fields) so the workspace carries no JSON dependency;
-//! * **binary** — 28 bytes/record little-endian, for long traces.
+//! analytic and simulated runs see byte-identical workloads. The binary
+//! format for long traces is [`crate::events`] (`.events`); this module
+//! holds the [`TraceRecord`] both formats carry and the **JSON lines**
+//! codec for human inspection — greppable, diffable, slow. It is
+//! hand-rolled (four flat numeric fields) so the workspace carries no
+//! JSON dependency.
 
 use crate::catalog::ItemId;
 use std::io::{self, BufRead, Write};
@@ -155,55 +156,6 @@ impl<R: BufRead> TraceReader<R> {
     }
 }
 
-/// Encodes records into the compact binary format:
-/// `time:f64 | client:u32 | item:u64 | size:f64`, little-endian.
-pub fn encode_binary(records: &[TraceRecord]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(records.len() * 28);
-    for r in records {
-        buf.extend_from_slice(&r.time.to_le_bytes());
-        buf.extend_from_slice(&r.client.to_le_bytes());
-        buf.extend_from_slice(&r.item.0.to_le_bytes());
-        buf.extend_from_slice(&r.size.to_le_bytes());
-    }
-    buf
-}
-
-/// Decodes the binary format with the same per-record validation the
-/// `.events` streaming reader applies (finite non-negative time and size,
-/// non-decreasing time). Errors on trailing garbage. For old fixtures that
-/// predate validation, use [`decode_binary_unchecked`].
-pub fn decode_binary(buf: &[u8]) -> Result<Vec<TraceRecord>, String> {
-    let out = decode_binary_unchecked(buf)?;
-    let mut prev = None;
-    for (index, rec) in out.iter().enumerate() {
-        crate::events::validate_record(rec, prev)
-            .map_err(|reason| format!("record {index}: {reason}"))?;
-        prev = Some(rec.time);
-    }
-    Ok(out)
-}
-
-/// Decodes the binary format without record validation — the legacy
-/// behaviour, which accepts any 28-byte-multiple blob. Only length and
-/// alignment are checked.
-pub fn decode_binary_unchecked(buf: &[u8]) -> Result<Vec<TraceRecord>, String> {
-    const REC: usize = 8 + 4 + 8 + 8;
-    if !buf.len().is_multiple_of(REC) {
-        return Err(format!("trace length {} is not a multiple of {REC}", buf.len()));
-    }
-    let f64_at = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte slice"));
-    let mut out = Vec::with_capacity(buf.len() / REC);
-    for rec in buf.chunks_exact(REC) {
-        out.push(TraceRecord {
-            time: f64_at(&rec[0..8]),
-            client: u32::from_le_bytes(rec[8..12].try_into().expect("4-byte slice")),
-            item: ItemId(u64::from_le_bytes(rec[12..20].try_into().expect("8-byte slice"))),
-            size: f64_at(&rec[20..28]),
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,26 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let records = sample_records();
-        let buf = encode_binary(&records);
-        assert_eq!(buf.len(), 3 * 28);
-        let back = decode_binary(&buf).unwrap();
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn binary_rejects_truncated() {
-        let buf = encode_binary(&sample_records());
-        assert!(decode_binary(&buf[..buf.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn binary_empty_is_ok() {
-        assert_eq!(decode_binary(&[]).unwrap(), Vec::new());
-    }
-
-    #[test]
     fn json_write_rejects_non_finite_time() {
         let mut writer = TraceWriter::new(Vec::new());
         let rec = TraceRecord::new(f64::INFINITY, 0, ItemId(1), 1.0);
@@ -304,37 +236,5 @@ mod tests {
         let mut reader = TraceReader::new(text.as_bytes());
         let err = reader.read().unwrap_err();
         assert!(err.to_string().contains("duplicate field \"size\""), "{err}");
-    }
-
-    #[test]
-    fn binary_rejects_invalid_records() {
-        let negative_time = vec![TraceRecord::new(-1.0, 0, ItemId(1), 1.0)];
-        let err = decode_binary(&encode_binary(&negative_time)).unwrap_err();
-        assert!(err.contains("negative time"), "{err}");
-
-        let nan_size = vec![TraceRecord::new(1.0, 0, ItemId(1), f64::NAN)];
-        let err = decode_binary(&encode_binary(&nan_size)).unwrap_err();
-        assert!(err.contains("non-finite size"), "{err}");
-
-        let decreasing = vec![
-            TraceRecord::new(2.0, 0, ItemId(1), 1.0),
-            TraceRecord::new(1.0, 0, ItemId(2), 1.0),
-        ];
-        let err = decode_binary(&encode_binary(&decreasing)).unwrap_err();
-        assert!(err.starts_with("record 1:"), "{err}");
-    }
-
-    #[test]
-    fn binary_unchecked_keeps_legacy_behaviour() {
-        let soup = vec![
-            TraceRecord::new(f64::NAN, 7, ItemId(9), -3.0),
-            TraceRecord::new(-5.0, 1, ItemId(2), f64::INFINITY),
-        ];
-        let buf = encode_binary(&soup);
-        let back = decode_binary_unchecked(&buf).unwrap();
-        assert_eq!(back.len(), 2);
-        assert!(back[0].time.is_nan());
-        assert_eq!(back[1].size, f64::INFINITY);
-        assert!(decode_binary(&buf).is_err(), "checked path must reject the same bytes");
     }
 }

@@ -1,9 +1,9 @@
 //! Property tests for the trace codecs and the scaler.
 //!
 //! * **Round-trips** — arbitrary finite, time-ordered records survive the
-//!   JSON-lines codec, the legacy binary codec, and the versioned
-//!   `.events` streaming codec exactly (f64 `{:?}` rendering and the LE
-//!   byte layout are both lossless), at every chunk size.
+//!   JSON-lines codec and the versioned `.events` streaming codec exactly
+//!   (f64 `{:?}` rendering and the LE byte layout are both lossless), at
+//!   every chunk size.
 //! * **Corruption** — truncations, header bit-flips, and wrong versions
 //!   are *errors*, never panics, and never yield phantom records.
 //! * **Scaling** — a K-copy superposition has exactly K× the records,
@@ -14,7 +14,6 @@
 use proptest::prelude::*;
 use std::io::BufReader;
 use workload::events::{encode_events, RECORD_BYTES};
-use workload::trace::{decode_binary, encode_binary};
 use workload::{ItemId, TraceRecord, TraceScaler, TraceSource, TraceStream, TraceWriter};
 
 /// Finite records with non-decreasing times — what every recorder
@@ -75,14 +74,6 @@ proptest! {
         let decoded = workload::TraceReader::new(BufReader::new(&bytes[..]))
             .read_all()
             .expect("own output parses");
-        prop_assert_eq!(decoded, records);
-    }
-
-    /// Legacy-binary identity through the *validated* decoder.
-    #[test]
-    fn binary_roundtrip_is_identity(records in records_strategy(120)) {
-        let decoded = decode_binary(&encode_binary(&records))
-            .expect("ordered finite records validate");
         prop_assert_eq!(decoded, records);
     }
 

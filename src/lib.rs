@@ -40,7 +40,7 @@
 //! |-----------|-------|----------|
 //! | [`core`] | `prefetch-core` | the paper's equations: Models A/B/AB, thresholds, `G`, `C`, §4 estimator, adaptive controller |
 //! | [`queueing`] | `queueing` | M/G/1-PS theory + PS/RR/FIFO server simulations (with next-event revision counters) |
-//! | [`simcore`] | `simcore` | DES engine, indexed event scheduler (`sched`), PRNG, distributions, statistics |
+//! | [`simcore`] | `simcore` | indexed event scheduler (`sched`), PRNG, distributions, statistics, faults, observability |
 //! | [`workload`] | `workload` | catalogs, arrival processes, Markov streams, traces |
 //! | [`cachesim`] | `cachesim` | LRU/LFU/FIFO/CLOCK/random caches + §4 tagging |
 //! | [`predictor`] | `predictor` | Markov/PPM/LZ78/dependency-graph/oracle predictors |
@@ -382,8 +382,8 @@
 //! schema-checked in CI by `--bin replay -- --check` and covered by the
 //! sentinel. The codecs themselves are proptested
 //! (`workload/tests/trace_formats.rs`): arbitrary finite records
-//! round-trip JSON, legacy binary, and `.events` exactly; truncations,
-//! header bit-flips, and wrong versions are errors, never panics.
+//! round-trip JSON and `.events` exactly; truncations, header bit-flips,
+//! and wrong versions are errors, never panics.
 //!
 //! ## Fault injection: chaos you can diff
 //!

@@ -6,9 +6,7 @@ use speculative_prefetch::queueing::driver::{drive, poisson_arrivals};
 use speculative_prefetch::queueing::theory::MG1Ps;
 use speculative_prefetch::queueing::{PsServer, Server};
 use speculative_prefetch::simcore::dist::Exponential;
-use speculative_prefetch::simcore::engine::Engine;
 use speculative_prefetch::simcore::rng::Rng;
-use speculative_prefetch::simcore::time::SimTime;
 
 /// Mean number-in-system of M/M/1-PS equals ρ/(1−ρ) (and by Little's law,
 /// λ·E[T]).
@@ -78,30 +76,6 @@ fn response_is_linear_in_work_through_origin() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The engine fires events in timestamp order with FIFO ties, no matter
-    /// the schedule/cancel interleaving.
-    #[test]
-    fn engine_fires_in_order(ops in proptest::collection::vec((0.0f64..100.0, any::<bool>()), 1..80)) {
-        let mut engine: Engine<Vec<f64>> = Engine::new();
-        let mut tokens = Vec::new();
-        for &(t, cancel_prev) in &ops {
-            let tok = engine.schedule_at(SimTime::from_secs(t), move |e, log: &mut Vec<f64>| {
-                log.push(e.now().as_secs());
-            });
-            if cancel_prev {
-                if let Some(prev) = tokens.pop() {
-                    engine.cancel(prev);
-                }
-            }
-            tokens.push(tok);
-        }
-        let mut log = Vec::new();
-        engine.run(&mut log);
-        for w in log.windows(2) {
-            prop_assert!(w[0] <= w[1], "out of order: {log:?}");
-        }
-    }
 
     /// Busy time never exceeds elapsed time nor total work/capacity.
     #[test]

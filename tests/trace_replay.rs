@@ -1,13 +1,12 @@
 //! Trace persistence and replay: an experiment's workload can be written
-//! out (JSONL or binary), read back, and must drive the caches to
+//! out (JSONL or `.events` binary), read back, and must drive the caches to
 //! byte-identical results — the reproducibility spine of the harness.
 
 use speculative_prefetch::cachesim::{LruCache, ReplacementCache, TaggedCache};
 use speculative_prefetch::simcore::rng::Rng;
+use speculative_prefetch::workload::events::{encode_events, read_events};
 use speculative_prefetch::workload::synth_web::{SynthWeb, SynthWebConfig};
-use speculative_prefetch::workload::trace::{
-    decode_binary, encode_binary, TraceReader, TraceWriter,
-};
+use speculative_prefetch::workload::trace::{TraceReader, TraceWriter};
 use speculative_prefetch::workload::TraceRecord;
 
 fn make_trace(n: usize, seed: u64) -> Vec<TraceRecord> {
@@ -50,8 +49,8 @@ fn json_roundtrip_preserves_replay() {
 #[test]
 fn binary_roundtrip_is_bit_exact() {
     let trace = make_trace(20_000, 2);
-    let buf = encode_binary(&trace);
-    let replayed = decode_binary(&buf).unwrap();
+    let buf = encode_events(&trace).unwrap();
+    let replayed = read_events(&buf).unwrap();
     assert_eq!(replayed, trace, "binary format must be lossless");
     assert_eq!(cache_fingerprint(&trace), cache_fingerprint(&replayed));
 }
@@ -59,7 +58,7 @@ fn binary_roundtrip_is_bit_exact() {
 #[test]
 fn binary_is_much_smaller_than_json() {
     let trace = make_trace(5_000, 3);
-    let bin = encode_binary(&trace).len();
+    let bin = encode_events(&trace).unwrap().len();
     let mut writer = TraceWriter::new(Vec::new());
     for r in &trace {
         writer.write(r).unwrap();
