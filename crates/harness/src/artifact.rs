@@ -1,9 +1,9 @@
 //! The `OBS_cluster.json` observability artifact.
 //!
-//! The machine-readable twin of the experiment dashboards, living next to
-//! the bench shim's `BENCH_cluster.json`: one JSON document with named
-//! sections, each written by the experiment binary that produced it
-//! (`--bin obs` → `e18_obs`, `--bin shard` → `e17_strong_scaling`).
+//! The machine-readable twin of the experiment dashboards: one JSON
+//! document with named sections, each written by the experiment binary
+//! that produced it (`--bin obs` → `e18_obs`, `--bin shard` →
+//! `e17_strong_scaling`).
 //! Sections are merged read-modify-write through `simcore::Json::parse`,
 //! so successive binaries extend one artifact instead of clobbering each
 //! other — CI archives the result and schema-checks it with
@@ -14,7 +14,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 /// Default artifact filename, resolved against the working directory (the
-/// repository root under `cargo run`, mirroring `BENCH_cluster.json`).
+/// repository root under `cargo run`).
 pub const OBS_ARTIFACT: &str = "OBS_cluster.json";
 
 /// Chrome trace-event export written by `--bin trace` (E19): the full

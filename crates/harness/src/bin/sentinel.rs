@@ -1,11 +1,10 @@
-//! Regression sentinel: diffs the run artifacts against the committed
-//! baselines in `baselines/`, failing (exit 1) on any drift outside the
+//! Regression sentinel: diffs the run artifact against its committed
+//! baseline in `baselines/`, failing (exit 1) on any drift outside the
 //! tolerance bands — the CI gate that catches silent behaviour changes.
 //!
-//! Compared artifacts (when present in the baseline directory):
-//! * `OBS_cluster.json` — E17/E18/E19 telemetry (written by the smoke
-//!   binaries earlier in the CI run)
-//! * `crates/bench/BENCH_cluster.json` — the bench shim's trajectory
+//! The guarded artifact is `OBS_cluster.json`: the E17–E22 sections the
+//! `--smoke` binaries write earlier in the CI run. Timing is measured by
+//! the `perfbench/` package, not here.
 //!
 //! Wall-clock fields are excluded by schema ([`harness::sentinel`]);
 //! counters must match exactly; floats to 1e-9 relative. See
@@ -13,7 +12,7 @@
 //!
 //! Flags:
 //! * `--baselines <dir>` — baseline directory (default `baselines`)
-//! * `--update` — overwrite the baselines with the current artifacts
+//! * `--update` — overwrite the baseline with the current artifact
 //!   (run the smoke binaries first, then commit the result)
 
 use harness::sentinel::{compare, DEFAULT_REL_TOL};
@@ -22,10 +21,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// `(baseline filename, current artifact path)` pairs the sentinel guards.
-const ARTIFACTS: [(&str, &str); 2] = [
-    ("OBS_cluster.json", "OBS_cluster.json"),
-    ("BENCH_cluster.json", "crates/bench/BENCH_cluster.json"),
-];
+const ARTIFACTS: [(&str, &str); 1] = [("OBS_cluster.json", "OBS_cluster.json")];
 
 fn load(path: &Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path)

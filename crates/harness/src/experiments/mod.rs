@@ -1,6 +1,6 @@
 //! The experiment implementations (E1–E22). Each module exposes a
 //! `render()` returning the full plain-text report, plus structured data
-//! functions used by the integration tests and benches.
+//! functions used by the integration tests.
 
 pub mod e10_ablation;
 pub mod e11_wireless;

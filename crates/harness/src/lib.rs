@@ -26,17 +26,16 @@
 //! | `delayed` | (derived) | E20: delayed hits — MSHR coalescing win + aggregate-delay ranking inversion |
 //! | `replay` | (derived) | E21: streaming trace replay — record to `.events`, scale by superposition, replay bit-identically |
 //! | `chaos` | (derived) | E22: fault injection — link loss × prefetch aggressiveness, retries vs none, full-repertoire chaos showcase |
-//! | `sentinel` | — | regression gate: diffs `OBS_cluster.json`/`BENCH_cluster.json` against `baselines/` |
+//! | `sentinel` | — | regression gate: diffs `OBS_cluster.json` against `baselines/` |
 //! | `all` | — | runs everything, writes `results/*.txt` |
 //!
 //! The library half provides plain-text tables ([`report::Table`]), terminal
 //! line plots ([`asciiplot::Chart`] and [`asciiplot::sparkline`]) and the
 //! experiment implementations themselves (under [`experiments`]), so
-//! integration tests and benches can call them directly. The E17–E22
-//! binaries also write machine-readable sections into `OBS_cluster.json`
-//! (see [`artifact`]), the observability twin of the bench shim's
-//! `BENCH_cluster.json`; E18–E22 schema-check their section with
-//! `--check` ([`artifact::check`]).
+//! integration tests can call them directly. The E17–E22 binaries also
+//! write machine-readable sections into `OBS_cluster.json` (see
+//! [`artifact`]); E18–E22 schema-check their section with `--check`
+//! ([`artifact::check`]).
 
 pub mod artifact;
 pub mod asciiplot;

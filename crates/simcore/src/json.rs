@@ -1,8 +1,8 @@
 //! A minimal JSON document model: build, render, parse.
 //!
-//! The workspace deliberately carries no JSON dependency; the two codecs
-//! that existed before this module (trace records in `workload`, bench rows
-//! in the vendored `criterion`) are flat and hand-rolled per record type.
+//! The workspace deliberately carries no JSON dependency; the trace-record
+//! codec in `workload`, which predates this module, is flat and
+//! hand-rolled per record type.
 //! The observability layer needs nested documents — registries of series,
 //! per-shard profiles, merged artifacts — plus a *parser* so CI can
 //! schema-check the emitted artifact and experiment binaries can
@@ -328,12 +328,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // Both are ASCII and the input came from a `&str`, so
+                    // the run is whole UTF-8 characters.
+                    let run = &self.bytes[self.pos..];
+                    let len =
+                        run.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(run.len());
+                    out.push_str(std::str::from_utf8(&run[..len]).map_err(|e| e.to_string())?);
+                    self.pos += len;
                 }
             }
         }
@@ -449,6 +451,20 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("[1] trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn strings_roundtrip_multibyte_escapes_and_megabytes() {
+        let mixed = "é€😀 \" \\ / \n \t \r \u{8} \u{c} \u{1} end";
+        let doc = Json::arr([Json::str(mixed), Json::obj().set("clé€😀", Json::str("😀é"))]);
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+        // Every short escape and a `\u` escape, as other writers emit them.
+        let parsed = Json::parse(r#""\"\\\/\b\f\n\r\t\u00e9€""#).unwrap();
+        assert_eq!(parsed.as_str(), Some("\"\\/\u{8}\u{c}\n\r\t\u{e9}€"));
+        // 1.5 MB, with an escape after every multibyte run.
+        let big = Json::str("ab€\"".repeat(1 << 18));
+        assert_eq!(Json::parse(&big.render()).unwrap(), big);
+        assert_eq!(Json::parse("\"unterminated é\\n"), Err("unterminated string".to_string()));
     }
 
     #[test]

@@ -115,12 +115,13 @@
 //! `AdaptiveWorkload::cache_bytes` turns it on, and occupancy,
 //! goodput/badput, and digest traffic all come out denominated in the
 //! paper's unit — bytes. Experiment E16 (`cargo run --release --bin
-//! delta`) sweeps both refresh protocols across the E15 fabrics;
-//! `cargo bench -p bench --bench cluster` carries `delta_refresh_*` vs
-//! `full_rebuild_*` rows at router and whole-engine scope. A third
-//! strategy, [`coop::RefreshStrategy::Auto`], is the compaction fallback:
-//! each proxy ships whichever of the two forms is cheaper that boundary
-//! (crossover at `capacity · bits / 8 / 9` ops), with
+//! delta`) sweeps both refresh protocols across the E15 fabrics and
+//! prints each run's wall time to stderr; the traced run of the
+//! `perfbench/` benchmark times the router's delta apply against a full
+//! rebuild on the run's own churn (`coop.refresh_ns_per_epoch.*`). A
+//! third strategy, [`coop::RefreshStrategy::Auto`], is the compaction
+//! fallback: each proxy ships whichever of the two forms is cheaper that
+//! boundary (crossover at `capacity · bits / 8 / 9` ops), with
 //! [`coop::RouterStats`] metering which side fired.
 //!
 //! ## Sharded parallel event loops: conservative time windows
@@ -142,10 +143,11 @@
 //! merge of the shard schedulers, so sharding never changes an answer
 //! anywhere (pinned by `cluster/tests/shard_parity.rs`). Experiment E17
 //! (`cargo run --release --bin shard`) runs the strong-scaling ladder
-//! over 256- and 512-proxy latency meshes (~32k and ~131k PS links), and
-//! the bench suite's `sharded_coop_mesh_256proxies_{1,8}shards` rows pin
-//! the speedup measurement; every bench run also drops a
-//! machine-readable `BENCH_cluster.json` for cross-PR tracking.
+//! over 256- and 512-proxy latency meshes (~32k and ~131k PS links) and
+//! records each rung's wall time and `speedup_vs_1shard` in section
+//! `e17_strong_scaling` of `OBS_cluster.json`; `perfbench/`'s
+//! `coop_mesh_2shards` workload reports `shard.speedup_2v1` beside its
+//! window-drain and barrier-wait times.
 //!
 //! ## Observability: metrics, probes, and the runtime profiler
 //!
@@ -193,9 +195,9 @@
 //! renders the telemetry of a 64-proxy cooperative mesh as an ASCII
 //! dashboard (sparkline series via `harness::asciiplot::sparkline`,
 //! latency p50/p90/p99, per-shard profiler columns) and writes the
-//! machine-readable twin into `OBS_cluster.json` (section `e18_obs`,
-//! next to `BENCH_cluster.json`; E17's wall-clock scaling ladder lands
-//! in section `e17_strong_scaling`). CI schema-checks the artifact with
+//! machine-readable twin into `OBS_cluster.json` (section `e18_obs`;
+//! E17's wall-clock scaling ladder lands in section
+//! `e17_strong_scaling`). CI schema-checks the artifact with
 //! `--bin obs -- --check` and archives it on every push.
 //!
 //! ## Tracing: where each request's latency went
@@ -252,10 +254,9 @@
 //! (`TRACE_cluster.json`, loadable in Perfetto); `--bin obs -- --top-k
 //! N` appends the same slowest-traces view to the E18 dashboard. On top
 //! of the artifacts sits the regression sentinel (`cargo run --release
-//! --bin sentinel`): CI diffs `OBS_cluster.json` and
-//! `BENCH_cluster.json` against the committed `baselines/`, excluding
-//! wall-clock fields by schema, requiring counters exact and floats
-//! within 1e-9 (see `baselines/README.md`).
+//! --bin sentinel`): CI diffs `OBS_cluster.json` against the committed
+//! `baselines/`, excluding wall-clock fields by schema, requiring
+//! counters exact and floats within 1e-9 (see `baselines/README.md`).
 //!
 //! ## Delayed hits: misses on keys already in flight
 //!
