@@ -7,7 +7,7 @@
 
 use crate::ReplacementCache;
 use core::hash::Hash;
-use std::collections::HashMap;
+use simcore::hash::IdMap;
 
 struct Slot<K> {
     key: Option<K>,
@@ -17,7 +17,7 @@ struct Slot<K> {
 /// CLOCK cache.
 pub struct ClockCache<K> {
     slots: Vec<Slot<K>>,
-    map: HashMap<K, usize>,
+    map: IdMap<K, usize>,
     hand: usize,
     len: usize,
 }
@@ -27,7 +27,7 @@ impl<K: Copy + Eq + Hash> ClockCache<K> {
         assert!(capacity > 0);
         ClockCache {
             slots: (0..capacity).map(|_| Slot { key: None, referenced: false }).collect(),
-            map: HashMap::with_capacity(capacity + 1),
+            map: IdMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             hand: 0,
             len: 0,
         }

@@ -4,15 +4,16 @@
 
 use crate::{ByteCapacity, ChargeOutcome, ReplacementCache};
 use core::hash::Hash;
-use std::collections::{HashMap, HashSet, VecDeque};
+use simcore::hash::{IdMap, IdSet};
+use std::collections::VecDeque;
 
 /// FIFO cache.
 pub struct FifoCache<K> {
-    set: HashSet<K>,
+    set: IdSet<K>,
     queue: VecDeque<K>,
     capacity: usize,
     byte_capacity: f64,
-    sizes: HashMap<K, f64>,
+    sizes: IdMap<K, f64>,
     used_bytes: f64,
 }
 
@@ -28,11 +29,11 @@ impl<K: Copy + Eq + Hash> FifoCache<K> {
         assert!(capacity > 0);
         assert!(byte_capacity > 0.0, "byte capacity must be positive");
         FifoCache {
-            set: HashSet::with_capacity(capacity + 1),
+            set: IdSet::with_capacity_and_hasher(capacity + 1, Default::default()),
             queue: VecDeque::with_capacity(capacity + 1),
             capacity,
             byte_capacity,
-            sizes: HashMap::new(),
+            sizes: IdMap::default(),
             used_bytes: 0.0,
         }
     }

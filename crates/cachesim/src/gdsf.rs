@@ -12,7 +12,8 @@
 
 use crate::ReplacementCache;
 use core::hash::Hash;
-use std::collections::{BTreeSet, HashMap};
+use simcore::hash::IdMap;
+use std::collections::BTreeSet;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct HValue(f64);
@@ -39,7 +40,7 @@ struct Entry {
 /// GDSF cache over keys with explicit sizes (use
 /// [`GdsfCache::insert_sized`]; the plain `insert` assumes unit size).
 pub struct GdsfCache<K> {
-    map: HashMap<K, Entry>,
+    map: IdMap<K, Entry>,
     order: BTreeSet<(HValue, u64, K)>,
     capacity: usize,
     inflation: f64,
@@ -50,7 +51,7 @@ impl<K: Copy + Eq + Hash + Ord> GdsfCache<K> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         GdsfCache {
-            map: HashMap::with_capacity(capacity + 1),
+            map: IdMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             order: BTreeSet::new(),
             capacity,
             inflation: 0.0,

@@ -6,7 +6,8 @@
 
 use crate::ReplacementCache;
 use core::hash::Hash;
-use std::collections::{BTreeSet, HashMap};
+use simcore::hash::IdMap;
+use std::collections::BTreeSet;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Meta {
@@ -16,7 +17,7 @@ struct Meta {
 
 /// LFU cache with LRU tie-breaking.
 pub struct LfuCache<K> {
-    map: HashMap<K, Meta>,
+    map: IdMap<K, Meta>,
     order: BTreeSet<(u64, u64, K)>,
     capacity: usize,
     next_seq: u64,
@@ -26,7 +27,7 @@ impl<K: Copy + Eq + Hash + Ord> LfuCache<K> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         LfuCache {
-            map: HashMap::with_capacity(capacity + 1),
+            map: IdMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             order: BTreeSet::new(),
             capacity,
             next_seq: 0,

@@ -1,12 +1,12 @@
 //! Least-recently-used cache in O(1) per operation.
 //!
 //! An intrusive doubly-linked list over a slab (`Vec` of nodes with
-//! index links) tracks recency; a `HashMap` gives O(1) key → node lookup.
+//! index links) tracks recency; an `IdMap` gives O(1) key → node lookup.
 //! No unsafe code, no pointer juggling — indices are the links.
 
 use crate::{ByteCapacity, ChargeOutcome, ReplacementCache};
 use core::hash::Hash;
-use std::collections::HashMap;
+use simcore::hash::IdMap;
 
 const NIL: usize = usize::MAX;
 
@@ -19,7 +19,7 @@ struct Node<K> {
 
 /// O(1) LRU cache.
 pub struct LruCache<K> {
-    map: HashMap<K, usize>,
+    map: IdMap<K, usize>,
     nodes: Vec<Node<K>>,
     free: Vec<usize>,
     head: usize, // MRU
@@ -41,7 +41,7 @@ impl<K: Copy + Eq + Hash> LruCache<K> {
         assert!(capacity > 0, "capacity must be positive");
         assert!(byte_capacity > 0.0, "byte capacity must be positive");
         LruCache {
-            map: HashMap::with_capacity(capacity + 1),
+            map: IdMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,

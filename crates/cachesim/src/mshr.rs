@@ -47,7 +47,7 @@
 use crate::tagged::{AccessKind, TaggedCache};
 use crate::ReplacementCache;
 use core::hash::Hash;
-use std::collections::HashMap;
+use simcore::hash::IdMap;
 
 /// Who launched the outstanding fetch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,7 +142,7 @@ pub enum MshrAccess {
 /// The outstanding-fetch table.
 pub struct Mshr<K> {
     config: MshrConfig,
-    table: HashMap<K, MshrEntry>,
+    table: IdMap<K, MshrEntry>,
     demand_misses: u64,
     origin_fetches: u64,
     origin_bytes: f64,
@@ -160,7 +160,7 @@ impl<K: Copy + Eq + Hash> Mshr<K> {
         }
         Mshr {
             config,
-            table: HashMap::new(),
+            table: IdMap::default(),
             demand_misses: 0,
             origin_fetches: 0,
             origin_bytes: 0.0,

@@ -7,12 +7,12 @@
 
 use crate::ReplacementCache;
 use core::hash::Hash;
+use simcore::hash::IdMap;
 use simcore::rng::Rng;
-use std::collections::HashMap;
 
 /// Random-replacement cache with an owned, seeded PRNG (deterministic).
 pub struct RandomCache<K> {
-    map: HashMap<K, usize>,
+    map: IdMap<K, usize>,
     slots: Vec<K>,
     capacity: usize,
     rng: Rng,
@@ -22,7 +22,7 @@ impl<K: Copy + Eq + Hash> RandomCache<K> {
     pub fn new(capacity: usize, seed: u64) -> Self {
         assert!(capacity > 0);
         RandomCache {
-            map: HashMap::with_capacity(capacity + 1),
+            map: IdMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             slots: Vec::with_capacity(capacity),
             capacity,
             rng: Rng::new(seed),

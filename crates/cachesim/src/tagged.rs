@@ -18,7 +18,7 @@
 
 use crate::{ByteCapacity, ReplacementCache};
 use core::hash::Hash;
-use std::collections::HashMap;
+use simcore::hash::IdMap;
 
 /// Paper §4 tag state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,7 +64,7 @@ impl AccessKind {
 /// ```
 pub struct TaggedCache<K, C> {
     inner: C,
-    tags: HashMap<K, Tag>,
+    tags: IdMap<K, Tag>,
     n_access: u64,
     n_hit: u64,
     real_hits: u64,
@@ -77,7 +77,7 @@ impl<K: Copy + Eq + Hash, C: ReplacementCache<K>> TaggedCache<K, C> {
     pub fn new(inner: C) -> Self {
         TaggedCache {
             inner,
-            tags: HashMap::new(),
+            tags: IdMap::default(),
             n_access: 0,
             n_hit: 0,
             real_hits: 0,

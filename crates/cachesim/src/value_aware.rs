@@ -15,7 +15,8 @@
 
 use crate::{ByteCapacity, ChargeOutcome, ReplacementCache};
 use core::hash::Hash;
-use std::collections::{BTreeSet, HashMap};
+use simcore::hash::IdMap;
+use std::collections::BTreeSet;
 
 /// Total-ordered f64 wrapper (keys in the eviction order set).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,7 +43,7 @@ struct Entry {
 
 /// Cache that evicts the minimum-value entry (ties: oldest).
 pub struct ValueAwareCache<K> {
-    map: HashMap<K, Entry>,
+    map: IdMap<K, Entry>,
     order: BTreeSet<(OrdF64, u64, K)>,
     capacity: usize,
     byte_capacity: f64,
@@ -62,7 +63,7 @@ impl<K: Copy + Eq + Hash + Ord> ValueAwareCache<K> {
         assert!(capacity > 0);
         assert!(byte_capacity > 0.0, "byte capacity must be positive");
         ValueAwareCache {
-            map: HashMap::with_capacity(capacity + 1),
+            map: IdMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             order: BTreeSet::new(),
             capacity,
             byte_capacity,

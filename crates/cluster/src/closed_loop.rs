@@ -82,9 +82,10 @@ use predictor::{MarkovPredictor, OraclePredictor, Predictor};
 use prefetch_core::controller::{AdaptiveController, ControllerConfig};
 use prefetch_core::estimator::EntryStatus;
 use prefetch_core::AggregateDelay;
+use simcore::hash::IdMap;
 use simcore::rng::Rng;
 use simcore::trace::{SpanKind, TF_FALSE_HIT, TF_MEASURED, TF_PREFETCH};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::io::Read;
 use std::sync::Arc;
 use workload::events::TraceStream;
@@ -322,7 +323,7 @@ struct TraceFeed {
     /// Sizes learned from consumed records. With a Markov predictor every
     /// candidate is a previously observed item, so this table answers
     /// exactly the lookups the synthetic catalog would.
-    sizes: HashMap<ItemId, f64>,
+    sizes: IdMap<ItemId, f64>,
 }
 
 /// Per-proxy request source: the synthetic web model, or a trace feed.
@@ -392,7 +393,7 @@ struct ProxyState {
     /// item; an entry is removed exactly when the item's untagged copy is
     /// first accessed, so each distinct prefetched entry is counted at
     /// most once and goodput can never exceed the prefetched volume.
-    prefetch_cost: HashMap<ItemId, f64>,
+    prefetch_cost: IdMap<ItemId, f64>,
     pending: Option<TraceRecord>,
     threshold_sum: f64,
     threshold_n: u64,
@@ -514,7 +515,7 @@ impl ClosedLoop {
                                 .expect("validated trace source"),
                             me: i as u32,
                             stride: topology.n_proxies() as u32,
-                            sizes: HashMap::new(),
+                            sizes: IdMap::default(),
                         };
                         (Source::Trace(feed), Box::new(MarkovPredictor::new(1)))
                     }
@@ -536,7 +537,7 @@ impl ClosedLoop {
                     agg: matches!(knobs.delayed.ranking, RankingMode::AggregateDelay)
                         .then(AggregateDelay::new),
                     delayed: BinaryHeap::new(),
-                    prefetch_cost: HashMap::new(),
+                    prefetch_cost: IdMap::default(),
                     pending,
                     threshold_sum: 0.0,
                     threshold_n: 0,

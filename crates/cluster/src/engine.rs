@@ -7,12 +7,12 @@
 //! speculation is only extra arrival rate into it. This module is that
 //! network, written once.
 //!
-//! * [`Transport`] owns one scope's link servers, the jobs in service, the
-//!   per-entity arrival/check/deliver/fail queues, the effect and dirty
-//!   streams, the per-proxy [`Ledger`]s, span tracing, the request
-//!   recorder and the obs probes. [`Transport::launch`] resolves a fetch's
-//!   whole fault schedule — latency inflation, loss, timeout, retry,
-//!   backoff, peer failover — analytically at launch.
+//! * [`Transport`] owns one scope's link servers, the slab of jobs in
+//!   service, the per-entity arrival/check/deliver/fail queues, the effect
+//!   and dirty streams, the per-proxy [`Ledger`]s, span tracing, the
+//!   request recorder and the obs probes. [`Transport::launch`] resolves
+//!   a fetch's whole fault schedule — latency inflation, loss, timeout,
+//!   retry, backoff, peer failover — analytically at launch.
 //! * A [`ProxyModel`] is what differs between the behaviours: per-proxy
 //!   state, when requests and prefetches come due and what they do, what
 //!   a peer check, a delivery, a crash or a digest loss does to a proxy,
@@ -49,6 +49,7 @@ use crate::topology::ShardPlan;
 use crate::Topology;
 use cachesim::{FetchOrigin, Mshr, Waiter};
 use coop::Router;
+use queueing::Completion;
 use simcore::faults::{FaultConfig, FaultKind};
 use simcore::obs::ObsConfig;
 use simcore::sched::TimedQueue;
@@ -57,7 +58,6 @@ use simcore::trace::{
     self, SpanEvent, SpanKind, TraceBuf, TraceStore, TF_FALSE_HIT, TF_MEASURED, TF_PREFETCH,
 };
 use simcore::{Registry, Scheduler};
-use std::collections::HashMap;
 use workload::{ItemId, TraceRecord};
 
 /// Demand fetch or speculative transfer; `measured` marks jobs issued
@@ -367,6 +367,13 @@ pub(crate) trait ProxyModel: Send {
 }
 
 /// One scope's network of queues: everything between the proxies.
+///
+/// A job on one of the scope's links lives in the transport's slab, and the
+/// link server carries only its `u32` slot: entering a link parks the job
+/// in a free slot, leaving it frees the slot again. One slab serves every
+/// link of the scope, so a link costs no per-job table of its own, and the
+/// departures of every link event drain through one reused buffer: a link
+/// event allocates nothing once the slab and the buffer have grown.
 pub(crate) struct Transport<'a> {
     pub(crate) topology: &'a Topology,
     /// Origin shards; items partition over them by `item % n_shards`.
@@ -376,10 +383,14 @@ pub(crate) struct Transport<'a> {
     links: Vec<LinkState>,
     /// Per-local-proxy accounting.
     pub(crate) ledgers: Vec<Ledger>,
-    /// Jobs currently on this scope's links, by job id. A job in a pending
+    /// Jobs currently on this scope's links, by slot. A job in a pending
     /// queue or in flight to another shard lives in its effect or queue
     /// entry instead.
-    jobs: HashMap<u64, Job>,
+    slab: Vec<Job>,
+    /// Slab slots free for reuse; every slot is free once all links idle.
+    free: Vec<u32>,
+    /// Departure buffer reused by every link event.
+    done: Vec<Completion<u32>>,
     /// Per-local-link queued arrivals (latency topologies only).
     arrivals: Vec<TimedQueue<Job>>,
     /// Per-local-proxy queued peer-serve checks.
@@ -420,7 +431,9 @@ impl<'a> Transport<'a> {
             n_shards: topology.n_shards() as u64,
             links: scope.links.iter().map(|&g| LinkState::new(&topology.links()[g])).collect(),
             ledgers: (0..n_proxies).map(|_| Ledger::new()).collect(),
-            jobs: HashMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            done: Vec::new(),
             arrivals: (0..n_links).map(|_| TimedQueue::new()).collect(),
             checks: (0..n_proxies).map(|_| TimedQueue::new()).collect(),
             delivers: (0..n_proxies).map(|_| TimedQueue::new()).collect(),
@@ -618,13 +631,17 @@ impl<'a> Transport<'a> {
     /// A link departure event on local link `l` at time `t`.
     fn on_link(&mut self, t: f64, l: usize) {
         let g_l = self.scope.links[l];
-        let done = self.links[l].on_event(t);
+        // Taken out for the loop, whose body needs `&mut self`; put back
+        // (empty, capacity kept) at the end.
+        let mut done = std::mem::take(&mut self.done);
+        self.links[l].on_event(t, &mut done);
         if let Some(o) = self.obs.as_deref_mut() {
             o.jobs_completed(l, done.len());
         }
         let bandwidth = self.topology.links()[g_l].bandwidth;
-        for c in done {
-            let mut job = self.jobs.remove(&c.tag).expect("completed job on this scope's link");
+        for c in done.drain(..) {
+            let mut job = self.slab[c.tag as usize];
+            self.free.push(c.tag);
             self.links[l].bytes_carried += job.size;
             let service = job.size / bandwidth;
             trace_job(&mut self.trace, &mut job, t, SpanKind::Dequeue, g_l as u64, service, 0);
@@ -644,14 +661,25 @@ impl<'a> Transport<'a> {
                 Dest::Origin => self.send_deliver(route, t, job, false),
             }
         }
+        self.done = done;
     }
 
     /// `job` enters local link `l`'s server at `t`.
     fn arrive_now(&mut self, l: usize, t: f64, mut job: Job) {
         let g_l = self.scope.links[l] as u64;
         trace_job(&mut self.trace, &mut job, t, SpanKind::Enqueue, g_l, 0.0, 0);
-        self.jobs.insert(job.id, job);
-        self.links[l].arrive(t, job.size, job.id);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = job;
+                slot
+            }
+            None => {
+                self.slab.push(job);
+                u32::try_from(self.slab.len() - 1)
+                    .expect("fewer than 2^32 jobs on one scope's links")
+            }
+        };
+        self.links[l].arrive(t, job.size, slot);
         if let Some(o) = self.obs.as_deref_mut() {
             o.job_arrived(l);
         }
@@ -1280,5 +1308,117 @@ impl<'a> Run<'a> {
 
         let report = merge_reports(self.topology, engines, router);
         (report, cluster_obs, RunExtras { recorded, replay })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::closed_loop::{ClosedLoop, EngineWorkload, SharedWebs};
+    use crate::shard::ShardRunner;
+    use crate::static_mode::OpenLoop;
+    use crate::{
+        AdaptiveWorkload, CandidateSource, CooperativeWorkload, ProxyPolicy, StaticProxy,
+        StaticWorkload,
+    };
+    use coop::CoopConfig;
+    use simcore::dist::Exponential;
+    use simcore::faults::{FaultEvent, FaultPlan, RetryPolicy};
+    use workload::synth_web::SynthWebConfig;
+
+    /// Drives every shard of a `shards`-way run to its end and checks that
+    /// each scope's job slab is entirely free again: every link has idled,
+    /// and no job was stranded in its slot.
+    fn assert_slabs_free<M: ProxyModel>(
+        topology: &Topology,
+        shards: usize,
+        faults: Option<&FaultConfig>,
+        router: Option<Router>,
+        model: impl Fn(&Scope) -> M,
+    ) {
+        let plan = ShardPlan::partition(topology, shards);
+        let run = Run {
+            topology,
+            requests: 600,
+            warmup: 120,
+            seed: 7,
+            plan: &plan,
+            obs: None,
+            record: false,
+            faults,
+        };
+        let boundary = faults.map(|f| f.plan.boundary_events()).unwrap_or_default();
+        let runners = (0..shards).map(|s| ShardRunner::new(run.shard(s, &model))).collect();
+        let (runners, _) = shard::drive(runners, router, &plan, &boundary);
+        for (s, r) in runners.into_iter().enumerate() {
+            let tx = r.into_parts().0.tx;
+            assert!(!tx.slab.is_empty(), "shard {s}: no job ever entered a link");
+            assert!(tx.links.iter().all(|l| l.next_event().is_none()), "shard {s}: a link is busy");
+            assert_eq!(tx.free.len(), tx.slab.len(), "shard {s}: jobs left in the slab");
+        }
+    }
+
+    fn adaptive(n: usize) -> AdaptiveWorkload {
+        AdaptiveWorkload {
+            proxies: (0..n)
+                .map(|_| SynthWebConfig {
+                    lambda: 12.0,
+                    link_skew: 0.3,
+                    ..SynthWebConfig::default()
+                })
+                .collect(),
+            cache_capacity: 32,
+            cache_bytes: None,
+            max_candidates: 3,
+            prefetch_jitter: 0.01,
+            policy: ProxyPolicy::Adaptive,
+            predictor: CandidateSource::Oracle,
+            shared_structure_seed: Some(99),
+            delayed: Default::default(),
+        }
+    }
+
+    #[test]
+    fn open_loop_catalog_run_frees_every_slot() {
+        let topology = Topology::sharded_origin(4, 2, 25.0, 12.0);
+        let size = Exponential::with_mean(1.0);
+        let w = StaticWorkload {
+            proxies: vec![StaticProxy { lambda: 14.0, h_prime: 0.3, n_f: 0.5, p: 0.8 }; 4],
+            size_dist: &size,
+            catalog_items: Some(40),
+        };
+        assert_slabs_free(&topology, 1, None, None, |scope| OpenLoop::new(&w, 7, scope));
+    }
+
+    /// A proxy crash drains the proxy's outstanding-fetch table, but its
+    /// jobs already on links still run to completion and leave their slots.
+    #[test]
+    fn closed_loop_run_with_a_proxy_crash_frees_every_slot() {
+        let topology = Topology::sharded_origin(4, 2, 45.0, 80.0);
+        let w = adaptive(4);
+        let webs = SharedWebs::build(&w);
+        let faults = FaultConfig {
+            plan: FaultPlan::new(vec![
+                FaultEvent { t: 10.0, kind: FaultKind::ProxyCrash { proxy: 1 } },
+                FaultEvent { t: 20.0, kind: FaultKind::LinkDown { link: 0 } },
+                FaultEvent { t: 24.0, kind: FaultKind::LinkUp { link: 0 } },
+            ]),
+            retry: RetryPolicy::default(),
+        };
+        assert_slabs_free(&topology, 1, Some(&faults), None, |scope| {
+            ClosedLoop::new(&topology, EngineWorkload::Synth(&w, &webs), None, 7, scope)
+        });
+    }
+
+    #[test]
+    fn cooperative_run_at_two_shards_frees_every_slot() {
+        let topology = Topology::mesh_with_latency(4, 50.0, 150.0, 45.0, 0.05);
+        let w = CooperativeWorkload { base: adaptive(4), coop: CoopConfig::default() };
+        let webs = SharedWebs::build(&w.base);
+        let router = Router::new(4, w.base.cache_capacity, w.coop);
+        assert_slabs_free(&topology, 2, None, Some(router), |scope| {
+            let synth = EngineWorkload::Synth(&w.base, &webs);
+            ClosedLoop::new(&topology, synth, Some(&w.coop), 7, scope)
+        });
     }
 }

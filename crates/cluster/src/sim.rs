@@ -290,7 +290,8 @@ impl ScopeIndex {
     }
 }
 
-/// One topology link instantiated as a queueing server.
+/// One topology link instantiated as a queueing server. The server's tags
+/// are slot handles into the owning transport's job slab.
 pub(crate) struct LinkState {
     server: LinkServer,
     pub bytes_carried: f64,
@@ -301,8 +302,8 @@ pub(crate) struct LinkState {
 }
 
 enum LinkServer {
-    Ps(PsServer<u64>),
-    Fifo(FifoServer<u64>),
+    Ps(PsServer<u32>),
+    Fifo(FifoServer<u32>),
 }
 
 impl LinkState {
@@ -314,10 +315,10 @@ impl LinkState {
         LinkState { server, bytes_carried: 0.0, jobs_completed: 0, synced_rev: 0 }
     }
 
-    pub fn arrive(&mut self, t: f64, work: f64, job: u64) {
+    pub fn arrive(&mut self, t: f64, work: f64, slot: u32) {
         match &mut self.server {
-            LinkServer::Ps(s) => s.arrive(t, work, job),
-            LinkServer::Fifo(s) => s.arrive(t, work, job),
+            LinkServer::Ps(s) => s.arrive(t, work, slot),
+            LinkServer::Fifo(s) => s.arrive(t, work, slot),
         }
     }
 
@@ -328,13 +329,14 @@ impl LinkState {
         }
     }
 
-    pub fn on_event(&mut self, t: f64) -> Vec<Completion<u64>> {
-        let done = match &mut self.server {
-            LinkServer::Ps(s) => s.on_event(t),
-            LinkServer::Fifo(s) => s.on_event(t),
-        };
-        self.jobs_completed += done.len() as u64;
-        done
+    /// Appends the departures at `t` to `out` (see [`Server::on_event`]).
+    pub fn on_event(&mut self, t: f64, out: &mut Vec<Completion<u32>>) {
+        let before = out.len();
+        match &mut self.server {
+            LinkServer::Ps(s) => s.on_event(t, out),
+            LinkServer::Fifo(s) => s.on_event(t, out),
+        }
+        self.jobs_completed += (out.len() - before) as u64;
     }
 
     pub fn busy_time(&self) -> f64 {

@@ -33,7 +33,7 @@
 use crate::digest::{DeltaDigest, DeltaOp, DELTA_OP_WIRE_BYTES};
 use crate::placement::Placement;
 use crate::CoopConfig;
-use std::collections::{HashMap, HashSet};
+use simcore::hash::{IdMap, IdSet};
 
 /// Where a miss (or prefetch) should be served from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,11 +108,11 @@ pub struct Router {
     /// knowledge *as of the last refresh boundary* — it goes stale
     /// together with the digests, preserving the staleness-false-hit
     /// semantics.
-    holders: HashMap<u64, Vec<u32>>,
+    holders: IdMap<u64, Vec<u32>>,
     /// The exact key set each proxy currently advertises — the baseline a
     /// [`RefreshPayload::Snapshot`] is diffed against so snapshot flushes
     /// reduce to the equivalent delta ops.
-    advertised: Vec<HashSet<u64>>,
+    advertised: Vec<IdSet<u64>>,
     /// Proxies whose advertised state was wiped by a crash and who have
     /// not flushed a fresh payload since — their claims are void until
     /// their next digest epoch ([`Router::quarantine`]).
@@ -144,8 +144,8 @@ impl Router {
         Router {
             placement: Placement::new(n_nodes, config.vnodes, config.placement),
             digests,
-            holders: HashMap::new(),
-            advertised: vec![HashSet::new(); n_nodes],
+            holders: IdMap::default(),
+            advertised: vec![IdSet::default(); n_nodes],
             quarantined: vec![false; n_nodes],
             epoch: config.digest.epoch,
             next_refresh: config.digest.epoch,
@@ -275,7 +275,7 @@ impl Router {
     /// bytes, never advertised state.
     fn flush_snapshot(&mut self, proxy: usize, keys: Vec<u64>) {
         self.quarantined[proxy] = false;
-        let next: HashSet<u64> = keys.into_iter().collect();
+        let next: IdSet<u64> = keys.into_iter().collect();
         // Sorted diffs so the op application order is a pure function of
         // the sets, not of hash iteration order.
         let mut evicted: Vec<u64> = self.advertised[proxy].difference(&next).copied().collect();

@@ -107,6 +107,7 @@ pub fn run(config: &WirelessConfig, policy: WirelessPolicy, seed: u64) -> Wirele
     let threshold_at = |b: f64| f_prime * c.lambda * c.mean_size / b;
 
     let mut server: PsServer<Job> = PsServer::new(c.b_good);
+    let mut done = Vec::new();
     let mut good = true;
     let mut next_switch = channel_rng.exp(1.0 / c.good_sojourn);
 
@@ -133,8 +134,9 @@ pub fn run(config: &WirelessConfig, policy: WirelessPolicy, seed: u64) -> Wirele
             break;
         }
         if ts <= tr && ts <= tsw {
-            for done in server.on_event(ts) {
-                if let Job::Demand { idx, issued: t0 } = done.tag {
+            server.on_event(ts, &mut done);
+            for c in done.drain(..) {
+                if let Job::Demand { idx, issued: t0 } = c.tag {
                     if idx >= warm {
                         access_times.push(ts - t0);
                     }

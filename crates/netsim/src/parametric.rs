@@ -96,6 +96,7 @@ pub fn run(config: &ParametricConfig<'_>, seed: u64) -> ParametricReport {
     let h = (params.h_prime + config.n_f * config.p).min(1.0);
 
     let mut server: PsServer<JobKind> = PsServer::new(params.bandwidth);
+    let mut done = Vec::new();
     let mut access_times = BatchMeans::new(20);
     let mut retrievals = Welford::new();
     let mut hits = 0u64;
@@ -144,7 +145,8 @@ pub fn run(config: &ParametricConfig<'_>, seed: u64) -> ParametricReport {
         match ev {
             Ev::Server(t) => {
                 t_end = t;
-                for c in server.on_event(t) {
+                server.on_event(t, &mut done);
+                for c in done.drain(..) {
                     match c.tag {
                         JobKind::Demand { idx, issued: t0 } => {
                             let sojourn = t - t0;

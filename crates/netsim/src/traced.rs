@@ -25,9 +25,9 @@ use predictor::{
 use prefetch_core::controller::{AdaptiveController, ControllerConfig};
 use prefetch_core::estimator::EntryStatus;
 use queueing::{PsServer, Server};
+use simcore::hash::{IdMap, IdSet};
 use simcore::rng::Rng;
 use simcore::stats::BatchMeans;
-use std::collections::HashSet;
 use workload::synth_web::{SynthWeb, SynthWebConfig};
 use workload::ItemId;
 
@@ -216,7 +216,7 @@ struct Client {
     cache: TaggedCache<ItemId, LruCache<ItemId>>,
     twin: LruCache<ItemId>,
     predictor: Box<dyn Predictor>,
-    inflight: HashSet<ItemId>,
+    inflight: IdSet<ItemId>,
 }
 
 /// Runs the end-to-end simulation.
@@ -230,12 +230,13 @@ pub fn run(config: &TracedConfig, seed: u64) -> TracedReport {
             cache: TaggedCache::new(LruCache::new(config.cache_capacity)),
             twin: LruCache::new(config.cache_capacity),
             predictor: config.predictor.build(&web),
-            inflight: HashSet::new(),
+            inflight: IdSet::default(),
         })
         .collect();
 
     let mut controller = AdaptiveController::new(ControllerConfig::model_a(config.bandwidth));
     let mut server: PsServer<Job> = PsServer::new(config.bandwidth);
+    let mut done = Vec::new();
 
     let mut access_times = BatchMeans::new(20);
     let mut hits = 0u64;
@@ -258,8 +259,7 @@ pub fn run(config: &TracedConfig, seed: u64) -> TracedReport {
     let mut delayed: std::collections::BinaryHeap<PendingPrefetch> = Default::default();
     // Requests that missed while a fetch for the same (client, item) was
     // already in flight wait for that fetch instead of duplicating it.
-    let mut waiters: std::collections::HashMap<(u32, ItemId), Vec<(f64, bool)>> =
-        Default::default();
+    let mut waiters: IdMap<(u32, ItemId), Vec<(f64, bool)>> = IdMap::default();
 
     #[derive(PartialEq)]
     enum Ev {
@@ -309,7 +309,8 @@ pub fn run(config: &TracedConfig, seed: u64) -> TracedReport {
         if ev == Ev::Server {
             let t = ts;
             t_end = t;
-            for c in server.on_event(t) {
+            server.on_event(t, &mut done);
+            for c in done.drain(..) {
                 match c.tag {
                     Job::Demand { client, item, issued: t0, measured: m } => {
                         let cl = &mut clients[client as usize];

@@ -10,7 +10,7 @@
 //! resources traffic.
 
 use crate::{sort_candidates, Predictor};
-use std::collections::HashMap;
+use simcore::hash::IdMap;
 use workload::ItemId;
 
 /// Dependency graph with a fixed lookahead window.
@@ -19,9 +19,9 @@ pub struct DependencyGraph {
     /// Recent requests, oldest first, at most `window` entries.
     recent: Vec<ItemId>,
     /// a → (b → count of b within w after a).
-    arcs: HashMap<ItemId, HashMap<ItemId, u64>>,
+    arcs: IdMap<ItemId, IdMap<ItemId, u64>>,
     /// a → number of occurrences of a.
-    occurrences: HashMap<ItemId, u64>,
+    occurrences: IdMap<ItemId, u64>,
     current: Option<ItemId>,
 }
 
@@ -31,8 +31,8 @@ impl DependencyGraph {
         DependencyGraph {
             window,
             recent: Vec::new(),
-            arcs: HashMap::new(),
-            occurrences: HashMap::new(),
+            arcs: IdMap::default(),
+            occurrences: IdMap::default(),
             current: None,
         }
     }

@@ -8,7 +8,7 @@
 //! a *calibrated* blend plugs straight into the threshold rule.
 
 use crate::{sort_candidates, Predictor};
-use std::collections::HashMap;
+use simcore::hash::IdMap;
 use workload::ItemId;
 
 struct Member {
@@ -69,7 +69,7 @@ impl Predictor for Ensemble {
 
     fn candidates(&self, max: usize) -> Vec<(ItemId, f64)> {
         let weights = self.weights();
-        let mut blended: HashMap<ItemId, f64> = HashMap::new();
+        let mut blended: IdMap<ItemId, f64> = IdMap::default();
         for (m, w) in self.members.iter().zip(weights) {
             for (id, p) in m.predictor.candidates(max * 2) {
                 *blended.entry(id).or_insert(0.0) += w * p;

@@ -8,7 +8,7 @@
 //! process — the theoretical anchor of the paper's "access models" lineage.
 
 use crate::{sort_candidates, Predictor};
-use std::collections::HashMap;
+use simcore::hash::IdMap;
 use workload::ItemId;
 
 /// Node index in the parse tree.
@@ -17,9 +17,9 @@ type NodeId = usize;
 /// LZ78 incremental parse-tree predictor.
 pub struct Lz78Predictor {
     /// Edges: (node, symbol) → child node.
-    edges: HashMap<(NodeId, ItemId), NodeId>,
+    edges: IdMap<(NodeId, ItemId), NodeId>,
     /// children[node] = (symbol → visit count of that edge).
-    children: Vec<HashMap<ItemId, u64>>,
+    children: Vec<IdMap<ItemId, u64>>,
     /// Total edge traversals out of each node.
     totals: Vec<u64>,
     /// Current position in the tree (prediction context).
@@ -35,8 +35,8 @@ impl Default for Lz78Predictor {
 impl Lz78Predictor {
     pub fn new() -> Self {
         Lz78Predictor {
-            edges: HashMap::new(),
-            children: vec![HashMap::new()],
+            edges: IdMap::default(),
+            children: vec![IdMap::default()],
             totals: vec![0],
             cursor: 0,
         }
@@ -62,7 +62,7 @@ impl Predictor for Lz78Predictor {
                 // New phrase: grow the tree, restart at the root (classic
                 // LZ78 parse boundary).
                 let node = self.children.len();
-                self.children.push(HashMap::new());
+                self.children.push(IdMap::default());
                 self.totals.push(0);
                 self.edges.insert((self.cursor, item), node);
                 self.cursor = 0;
@@ -89,7 +89,7 @@ impl Predictor for Lz78Predictor {
 
     fn reset(&mut self) {
         self.edges.clear();
-        self.children = vec![HashMap::new()];
+        self.children = vec![IdMap::default()];
         self.totals = vec![0];
         self.cursor = 0;
     }

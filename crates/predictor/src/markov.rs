@@ -5,7 +5,7 @@
 //! Order 1 is the textbook case the paper's related work builds on.
 
 use crate::{sort_candidates, Predictor};
-use std::collections::HashMap;
+use simcore::hash::IdMap;
 use workload::ItemId;
 
 /// Order-k Markov predictor.
@@ -30,13 +30,13 @@ pub struct MarkovPredictor {
     /// Rolling context of the last `order` items.
     context: Vec<ItemId>,
     /// context-key → (next → count, total).
-    table: HashMap<Vec<ItemId>, (HashMap<ItemId, u64>, u64)>,
+    table: IdMap<Vec<ItemId>, (IdMap<ItemId, u64>, u64)>,
 }
 
 impl MarkovPredictor {
     pub fn new(order: usize) -> Self {
         assert!(order >= 1, "order must be at least 1");
-        MarkovPredictor { order, context: Vec::new(), table: HashMap::new() }
+        MarkovPredictor { order, context: Vec::new(), table: IdMap::default() }
     }
 
     pub fn order(&self) -> usize {
@@ -65,10 +65,15 @@ impl MarkovPredictor {
 impl Predictor for MarkovPredictor {
     fn observe(&mut self, item: ItemId) {
         if self.context.len() == self.order {
-            let entry =
-                self.table.entry(self.context.clone()).or_insert_with(|| (HashMap::new(), 0));
-            *entry.0.entry(item).or_insert(0) += 1;
-            entry.1 += 1;
+            // Look the context up by reference: only a context seen for the
+            // first time is cloned into a key.
+            if let Some((counts, total)) = self.table.get_mut(&self.context) {
+                *counts.entry(item).or_insert(0) += 1;
+                *total += 1;
+            } else {
+                let counts = IdMap::from_iter([(item, 1)]);
+                self.table.insert(self.context.clone(), (counts, 1));
+            }
         }
         self.context.push(item);
         if self.context.len() > self.order {

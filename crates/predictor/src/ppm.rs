@@ -8,17 +8,17 @@
 //! Vitter & Krishnan.
 
 use crate::{sort_candidates, Predictor};
-use std::collections::HashMap;
+use simcore::hash::IdMap;
 use workload::ItemId;
 
 struct ContextStats {
-    counts: HashMap<ItemId, u64>,
+    counts: IdMap<ItemId, u64>,
     total: u64,
 }
 
 impl ContextStats {
     fn new() -> Self {
-        ContextStats { counts: HashMap::new(), total: 0 }
+        ContextStats { counts: IdMap::default(), total: 0 }
     }
     fn add(&mut self, item: ItemId) {
         *self.counts.entry(item).or_insert(0) += 1;
@@ -41,7 +41,7 @@ pub struct PpmPredictor {
     max_order: usize,
     history: Vec<ItemId>,
     /// Per order (1..=k): context → stats. Order 0 lives in `order0`.
-    tables: Vec<HashMap<Vec<ItemId>, ContextStats>>,
+    tables: Vec<IdMap<Vec<ItemId>, ContextStats>>,
     order0: ContextStats,
 }
 
@@ -51,14 +51,14 @@ impl PpmPredictor {
         PpmPredictor {
             max_order,
             history: Vec::new(),
-            tables: (0..max_order).map(|_| HashMap::new()).collect(),
+            tables: (0..max_order).map(|_| IdMap::default()).collect(),
             order0: ContextStats::new(),
         }
     }
 
     /// Blended probability distribution over next items.
-    fn blended(&self) -> HashMap<ItemId, f64> {
-        let mut out: HashMap<ItemId, f64> = HashMap::new();
+    fn blended(&self) -> IdMap<ItemId, f64> {
+        let mut out: IdMap<ItemId, f64> = IdMap::default();
         let mut carry = 1.0; // probability mass not yet assigned
 
         // From longest matched context down to order 1.

@@ -27,30 +27,23 @@ impl Departure {
 pub fn drive<S: Server<usize>>(server: &mut S, arrivals: &[(f64, f64)]) -> Vec<Departure> {
     debug_assert!(arrivals.windows(2).all(|w| w[0].0 <= w[1].0), "arrivals must be sorted");
     let mut out: Vec<Departure> = Vec::with_capacity(arrivals.len());
-    let mut push = |c: Completion<usize>, arrivals: &[(f64, f64)]| {
-        let (arrived, work) = arrivals[c.tag];
-        out.push(Departure { arrived, departed: c.time, work });
-    };
+    let mut done: Vec<Completion<usize>> = Vec::new();
     let mut i = 0;
     loop {
         let next_arrival = arrivals.get(i).map(|a| a.0);
         match (server.next_event(), next_arrival) {
-            (Some(te), Some(ta)) if te <= ta => {
-                for c in server.on_event(te) {
-                    push(c, arrivals);
-                }
-            }
+            (Some(te), Some(ta)) if te <= ta => server.on_event(te, &mut done),
             (_, Some(ta)) => {
                 server.arrive(ta, arrivals[i].1, i);
                 i += 1;
             }
-            (Some(te), None) => {
-                for c in server.on_event(te) {
-                    push(c, arrivals);
-                }
-            }
+            (Some(te), None) => server.on_event(te, &mut done),
             (None, None) => break,
         }
+        out.extend(done.drain(..).map(|c| {
+            let (arrived, work) = arrivals[c.tag];
+            Departure { arrived, departed: c.time, work }
+        }));
     }
     out
 }

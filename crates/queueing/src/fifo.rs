@@ -57,14 +57,14 @@ impl<T> Server<T> for FifoServer<T> {
         self.head_done
     }
 
-    fn on_event(&mut self, t: f64) -> Vec<Completion<T>> {
+    fn on_event(&mut self, t: f64, out: &mut Vec<Completion<T>>) {
         debug_assert!(self.head_done.is_some());
         debug_assert!((t - self.head_done.unwrap()).abs() < 1e-6);
         self.busy += t - self.tnow;
         self.tnow = t;
         let job = self.queue.pop_front().expect("job in service");
         self.start_head();
-        vec![Completion { time: t, tag: job.tag }]
+        out.push(Completion { time: t, tag: job.tag });
     }
 
     fn in_system(&self) -> usize {
@@ -89,23 +89,22 @@ mod tests {
     fn run(cap: f64, arrivals: &[(f64, f64)]) -> Vec<(usize, f64)> {
         let mut server = FifoServer::new(cap);
         let mut out = Vec::new();
+        let mut done = Vec::new();
         let mut i = 0;
         loop {
             let next_arrival = arrivals.get(i).map(|a| a.0);
             match (server.next_event(), next_arrival) {
                 (Some(te), Some(ta)) if te <= ta => {
-                    for c in server.on_event(te) {
-                        out.push((c.tag, c.time));
-                    }
+                    server.on_event(te, &mut done);
+                    out.extend(done.drain(..).map(|c| (c.tag, c.time)));
                 }
                 (_, Some(ta)) => {
                     server.arrive(ta, arrivals[i].1, i);
                     i += 1;
                 }
                 (Some(te), None) => {
-                    for c in server.on_event(te) {
-                        out.push((c.tag, c.time));
-                    }
+                    server.on_event(te, &mut done);
+                    out.extend(done.drain(..).map(|c| (c.tag, c.time)));
                 }
                 (None, None) => break,
             }
@@ -147,7 +146,7 @@ mod tests {
         server.arrive(0.5, 1.0, 1usize);
         assert_eq!(server.revision(), r1, "joining a busy queue leaves next_event alone");
         let t = server.next_event().unwrap();
-        server.on_event(t);
+        server.on_event(t, &mut Vec::new());
         assert!(server.revision() > r1, "a departure starts the next head");
     }
 
@@ -156,10 +155,10 @@ mod tests {
         let mut server = FifoServer::new(1.0);
         server.arrive(0.0, 1.0, 0usize);
         let t = server.next_event().unwrap();
-        server.on_event(t);
+        server.on_event(t, &mut Vec::new());
         server.arrive(5.0, 2.0, 1usize);
         let t = server.next_event().unwrap();
-        server.on_event(t);
+        server.on_event(t, &mut Vec::new());
         assert!((server.busy_time() - 3.0).abs() < 1e-9);
     }
 }

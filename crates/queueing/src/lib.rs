@@ -24,6 +24,11 @@
 //!   paper's analysis needs PS.
 //! * [`driver`] — a harness that feeds an arrival trace through any
 //!   [`Server`] and records per-job response times.
+//!
+//! Departures come out through a buffer the owner passes in:
+//! [`Server::on_event`] appends the jobs that completed and leaves earlier
+//! entries alone, so an owner that clears and reuses one buffer handles
+//! every event without allocating.
 
 pub mod driver;
 pub mod fifo;
@@ -51,9 +56,11 @@ pub struct Completion<T> {
 /// needs attention. The contract:
 ///
 /// 1. `arrive` and `on_event` must be called with non-decreasing times;
-/// 2. the owner must call `on_event(t)` at exactly `t = next_event()` before
-///    advancing past it (arrivals in between are allowed and invalidate the
-///    previous `next_event`).
+/// 2. the owner must call `on_event(t, out)` at exactly `t = next_event()`
+///    before advancing past it (arrivals in between are allowed and
+///    invalidate the previous `next_event`);
+/// 3. `on_event` appends the completions to the owner's `out` buffer and
+///    never reads, reorders or removes what `out` already holds.
 pub trait Server<T> {
     /// A job of `work` units arrives at time `t`.
     fn arrive(&mut self, t: f64, work: f64, tag: T);
@@ -62,9 +69,9 @@ pub trait Server<T> {
     /// reschedule), or `None` when idle.
     fn next_event(&self) -> Option<f64>;
 
-    /// Handles the event at `t` (must equal `next_event()`); returns any jobs
-    /// that completed at `t`.
-    fn on_event(&mut self, t: f64) -> Vec<Completion<T>>;
+    /// Handles the event at `t` (must equal `next_event()`), appending any
+    /// jobs that completed at `t` to `out`.
+    fn on_event(&mut self, t: f64, out: &mut Vec<Completion<T>>);
 
     /// Number of jobs currently in the system.
     fn in_system(&self) -> usize;
@@ -80,4 +87,54 @@ pub trait Server<T> {
     /// leave the next departure untouched (e.g. joining a busy FIFO queue)
     /// cost no heap churn.
     fn revision(&self) -> u64;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Starts jobs of `works` together at t = 0 (tags `job-<i>`, owned
+    /// strings) and drains `server` into one buffer that already holds an
+    /// earlier entry, checking the [`Server::on_event`] contract at every
+    /// event. Returns the tags of each event that completed anything.
+    fn drain_all(server: &mut impl Server<String>, works: &[f64]) -> Vec<Vec<String>> {
+        for (i, &w) in works.iter().enumerate() {
+            server.arrive(0.0, w, format!("job-{i}"));
+        }
+        let mut out = vec![Completion { time: -1.0, tag: "earlier".to_string() }];
+        let mut groups = Vec::new();
+        while let Some(t) = server.next_event() {
+            let before = out.clone();
+            server.on_event(t, &mut out);
+            assert_eq!(out[..before.len()], before[..], "on_event touched earlier entries");
+            let new = &out[before.len()..];
+            assert!(new.iter().all(|c| c.time == t), "completions stamped with the event time");
+            if !new.is_empty() {
+                groups.push(new.iter().map(|c| c.tag.clone()).collect());
+            }
+        }
+        assert_eq!(server.in_system(), 0, "the final drain empties the server");
+        assert_eq!(out.len(), works.len() + 1);
+        groups
+    }
+
+    #[test]
+    fn on_event_appends_to_the_callers_buffer() {
+        let works = [2.0, 1.0, 2.0, 1.0];
+        // PS: the two short jobs share one finish virtual time and leave in
+        // one event, ordered by arrival sequence; then the two long ones.
+        assert_eq!(
+            drain_all(&mut PsServer::new(1.0), &works),
+            [["job-1", "job-3"], ["job-0", "job-2"]]
+        );
+        assert_eq!(
+            drain_all(&mut FifoServer::new(1.0), &works),
+            [["job-0"], ["job-1"], ["job-2"], ["job-3"]]
+        );
+        // Half-second quanta: the short jobs finish in the second round.
+        assert_eq!(
+            drain_all(&mut RrServer::new(1.0, 0.5), &works),
+            [["job-1"], ["job-3"], ["job-0"], ["job-2"]]
+        );
+    }
 }

@@ -9,31 +9,36 @@
 //! virtual time gives O(log n) arrivals and departures, independent of how
 //! many service-rate changes occur in between (a naive implementation is
 //! O(n) per event).
+//!
+//! Each job's tag lives in its heap entry, beside the `(finish_v, seq)`
+//! key the heap orders by, so a departure pops the tag with the key and
+//! the server keeps no second per-job table.
 
 use crate::{Completion, Server};
 use simcore::stats::TimeWeighted;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-#[derive(Debug)]
-struct PsEntry {
+/// One job in service, ordered by `(finish_v, seq)` alone: `seq` is unique
+/// per server, so the tag never takes part in a comparison.
+struct PsEntry<T> {
     finish_v: f64,
     seq: u64,
-    slot: usize,
+    tag: T,
 }
 
-impl PartialEq for PsEntry {
+impl<T> PartialEq for PsEntry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.finish_v == other.finish_v && self.seq == other.seq
     }
 }
-impl Eq for PsEntry {}
-impl PartialOrd for PsEntry {
+impl<T> Eq for PsEntry<T> {}
+impl<T> PartialOrd for PsEntry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for PsEntry {
+impl<T> Ord for PsEntry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed for min-heap behaviour inside BinaryHeap.
         other.finish_v.total_cmp(&self.finish_v).then_with(|| other.seq.cmp(&self.seq))
@@ -49,20 +54,20 @@ impl Ord for PsEntry {
 /// server.arrive(0.0, 4.0, "a");        // alone: rate 2 → would finish at t=2
 /// server.arrive(1.0, 1.0, "b");        // now sharing: rate 1 each
 /// // "b" needs 1 unit at rate 1 → done at t=2; "a" then finishes at t=2.5.
+/// let mut done = Vec::new();
 /// let t = server.next_event().unwrap();
 /// assert!((t - 2.0).abs() < 1e-9);
-/// assert_eq!(server.on_event(t)[0].tag, "b");
+/// server.on_event(t, &mut done);
 /// let t = server.next_event().unwrap();
 /// assert!((t - 2.5).abs() < 1e-9);
-/// assert_eq!(server.on_event(t)[0].tag, "a");
+/// server.on_event(t, &mut done);
+/// assert_eq!(done.iter().map(|c| c.tag).collect::<Vec<_>>(), ["b", "a"]);
 /// ```
 pub struct PsServer<T> {
     capacity: f64,
     tnow: f64,
     vnow: f64,
-    heap: BinaryHeap<PsEntry>,
-    tags: Vec<Option<T>>,
-    free_slots: Vec<usize>,
+    heap: BinaryHeap<PsEntry<T>>,
     next_seq: u64,
     busy: f64,
     work_done: f64,
@@ -79,8 +84,6 @@ impl<T> PsServer<T> {
             tnow: 0.0,
             vnow: 0.0,
             heap: BinaryHeap::new(),
-            tags: Vec::new(),
-            free_slots: Vec::new(),
             next_seq: 0,
             busy: 0.0,
             work_done: 0.0,
@@ -145,26 +148,15 @@ impl<T> PsServer<T> {
         }
         self.tnow = t;
     }
-
-    fn alloc_slot(&mut self, tag: T) -> usize {
-        if let Some(slot) = self.free_slots.pop() {
-            self.tags[slot] = Some(tag);
-            slot
-        } else {
-            self.tags.push(Some(tag));
-            self.tags.len() - 1
-        }
-    }
 }
 
 impl<T> Server<T> for PsServer<T> {
     fn arrive(&mut self, t: f64, work: f64, tag: T) {
         assert!(work > 0.0, "job work must be positive");
         self.advance_clock(t);
-        let slot = self.alloc_slot(tag);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(PsEntry { finish_v: self.vnow + work, seq, slot });
+        self.heap.push(PsEntry { finish_v: self.vnow + work, seq, tag });
         self.in_system.set(t, self.heap.len() as f64);
         // Every arrival changes the sharing rate, so every departure moves.
         self.revision += 1;
@@ -177,9 +169,8 @@ impl<T> Server<T> for PsServer<T> {
         })
     }
 
-    fn on_event(&mut self, t: f64) -> Vec<Completion<T>> {
+    fn on_event(&mut self, t: f64, out: &mut Vec<Completion<T>>) {
         self.advance_clock(t);
-        let mut out = Vec::new();
         // Pop every job whose finish virtual time has been reached
         // (simultaneous departures share the same finish_v up to fp noise).
         while let Some(top) = self.heap.peek() {
@@ -189,16 +180,13 @@ impl<T> Server<T> for PsServer<T> {
                 if e.finish_v > self.vnow {
                     self.vnow = e.finish_v;
                 }
-                let tag = self.tags[e.slot].take().expect("job tag present");
-                self.free_slots.push(e.slot);
-                out.push(Completion { time: t, tag });
+                out.push(Completion { time: t, tag: e.tag });
             } else {
                 break;
             }
         }
         self.in_system.set(t, self.heap.len() as f64);
         self.revision += 1;
-        out
     }
 
     fn in_system(&self) -> usize {
@@ -222,23 +210,22 @@ mod tests {
     fn run_to_completion(cap: f64, arrivals: &[(f64, f64)]) -> Vec<(usize, f64)> {
         let mut server = PsServer::new(cap);
         let mut out = Vec::new();
+        let mut done = Vec::new();
         let mut i = 0;
         loop {
             let next_arrival = arrivals.get(i).map(|a| a.0);
             match (server.next_event(), next_arrival) {
                 (Some(te), Some(ta)) if te <= ta => {
-                    for c in server.on_event(te) {
-                        out.push((c.tag, c.time));
-                    }
+                    server.on_event(te, &mut done);
+                    out.extend(done.drain(..).map(|c| (c.tag, c.time)));
                 }
                 (_, Some(ta)) => {
                     server.arrive(ta, arrivals[i].1, i);
                     i += 1;
                 }
                 (Some(te), None) => {
-                    for c in server.on_event(te) {
-                        out.push((c.tag, c.time));
-                    }
+                    server.on_event(te, &mut done);
+                    out.extend(done.drain(..).map(|c| (c.tag, c.time)));
                 }
                 (None, None) => break,
             }
@@ -299,6 +286,7 @@ mod tests {
             (0..50).map(|i| (i as f64 * 0.3, 1.0 + (i % 5) as f64)).collect();
         let total_work: f64 = arrivals.iter().map(|a| a.1).sum();
         let mut server = PsServer::new(2.0);
+        let mut done = Vec::new();
         let mut i = 0;
         let mut last_t = 0.0;
         loop {
@@ -306,7 +294,7 @@ mod tests {
             match (server.next_event(), next_arrival) {
                 (Some(te), Some(ta)) if te <= ta => {
                     last_t = te;
-                    server.on_event(te);
+                    server.on_event(te, &mut done);
                 }
                 (_, Some(ta)) => {
                     server.arrive(ta, arrivals[i].1, i);
@@ -314,7 +302,7 @@ mod tests {
                 }
                 (Some(te), None) => {
                     last_t = te;
-                    server.on_event(te);
+                    server.on_event(te, &mut done);
                 }
                 (None, None) => break,
             }
@@ -343,7 +331,7 @@ mod tests {
         server.arrive(0.0, 5.0, 0usize);
         let t = server.next_event().unwrap();
         assert!((t - 5.0).abs() < 1e-9);
-        server.on_event(t);
+        server.on_event(t, &mut Vec::new());
         assert!((server.utilisation(10.0) - 0.5).abs() < 1e-9);
         assert!((server.mean_in_system(10.0) - 0.5).abs() < 1e-9);
     }
@@ -358,7 +346,8 @@ mod tests {
         server.set_capacity(0.5, 5.0);
         let t = server.next_event().unwrap();
         assert!((t - 1.5).abs() < 1e-9, "departure {t}");
-        let done = server.on_event(t);
+        let mut done = Vec::new();
+        server.on_event(t, &mut done);
         assert_eq!(done.len(), 1);
     }
 
@@ -373,7 +362,8 @@ mod tests {
         server.set_capacity(1.0, 2.0);
         let t = server.next_event().unwrap();
         assert!((t - 6.0).abs() < 1e-9, "departure {t}");
-        let done = server.on_event(t);
+        let mut done = Vec::new();
+        server.on_event(t, &mut done);
         assert_eq!(done.len(), 2);
     }
 
@@ -399,24 +389,23 @@ mod tests {
         let r2 = server.revision();
         assert!(r2 > r1, "a second arrival reshuffles departures");
         let t = server.next_event().unwrap();
-        server.on_event(t);
+        server.on_event(t, &mut Vec::new());
         assert!(server.revision() > r2);
     }
 
     #[test]
     fn slot_reuse_does_not_corrupt_tags() {
         let mut server = PsServer::new(1.0);
+        let mut done = Vec::new();
         server.arrive(0.0, 1.0, "a");
         let t1 = server.next_event().unwrap();
-        let c = server.on_event(t1);
-        assert_eq!(c[0].tag, "a");
+        server.on_event(t1, &mut done);
         server.arrive(2.0, 1.0, "b");
         server.arrive(2.0, 2.0, "c");
         let t2 = server.next_event().unwrap();
-        let c = server.on_event(t2);
-        assert_eq!(c[0].tag, "b");
+        server.on_event(t2, &mut done);
         let t3 = server.next_event().unwrap();
-        let c = server.on_event(t3);
-        assert_eq!(c[0].tag, "c");
+        server.on_event(t3, &mut done);
+        assert_eq!(done.iter().map(|c| c.tag).collect::<Vec<_>>(), ["a", "b", "c"]);
     }
 }

@@ -73,12 +73,11 @@ impl<T> Server<T> for RrServer<T> {
         self.slice_end
     }
 
-    fn on_event(&mut self, t: f64) -> Vec<Completion<T>> {
+    fn on_event(&mut self, t: f64, out: &mut Vec<Completion<T>>) {
         debug_assert!(self.slice_end.is_some(), "on_event with no slice running");
         debug_assert!((t - self.slice_end.unwrap()).abs() < 1e-6);
         self.busy += t - self.tnow;
         self.tnow = t;
-        let mut out = Vec::new();
         let mut head = self.queue.pop_front().expect("slice implies a head job");
         head.remaining -= self.slice_work;
         if head.remaining <= 1e-9 {
@@ -87,7 +86,6 @@ impl<T> Server<T> for RrServer<T> {
             self.queue.push_back(head);
         }
         self.start_slice();
-        out
     }
 
     fn in_system(&self) -> usize {
@@ -112,23 +110,22 @@ mod tests {
     fn run(cap: f64, quantum: f64, arrivals: &[(f64, f64)]) -> Vec<(usize, f64)> {
         let mut server = RrServer::new(cap, quantum);
         let mut out = Vec::new();
+        let mut done = Vec::new();
         let mut i = 0;
         loop {
             let next_arrival = arrivals.get(i).map(|a| a.0);
             match (server.next_event(), next_arrival) {
                 (Some(te), Some(ta)) if te <= ta => {
-                    for c in server.on_event(te) {
-                        out.push((c.tag, c.time));
-                    }
+                    server.on_event(te, &mut done);
+                    out.extend(done.drain(..).map(|c| (c.tag, c.time)));
                 }
                 (_, Some(ta)) => {
                     server.arrive(ta, arrivals[i].1, i);
                     i += 1;
                 }
                 (Some(te), None) => {
-                    for c in server.on_event(te) {
-                        out.push((c.tag, c.time));
-                    }
+                    server.on_event(te, &mut done);
+                    out.extend(done.drain(..).map(|c| (c.tag, c.time)));
                 }
                 (None, None) => break,
             }

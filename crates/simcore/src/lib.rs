@@ -22,6 +22,9 @@
 //!   averages, histograms, batch-means confidence intervals.
 //! * [`par`] — a small scoped-thread work-pool used to run
 //!   parameter sweeps in parallel with deterministic output ordering.
+//! * [`hash`] — [`hash::IdMap`] and [`hash::IdSet`], std maps under a
+//!   fixed FxHash-style hasher for the integer ids every cache, predictor
+//!   and router lookup is keyed by.
 //! * [`faults`] — deterministic fault plans (link, proxy and origin faults)
 //!   and the timeout–retry–backoff policy clients run under them.
 //! * [`obs`] — deterministic observability: a metrics registry (counters,
@@ -69,6 +72,7 @@
 
 pub mod dist;
 pub mod faults;
+pub mod hash;
 pub mod json;
 pub mod obs;
 pub mod par;

@@ -494,6 +494,9 @@ pub struct ShardProfile {
     pub effects_sent: u64,
     /// Messages drained from this shard's mailbox, per exchange.
     pub mail_in: Welford,
+    /// Messages drained in total: an exact count, which `mail_in`'s
+    /// `count × mean` is not.
+    pub mailbox_msgs: u64,
     /// Largest single mailbox drain.
     pub mailbox_hwm: u64,
     /// Deepest scheduler heap observed (live + stale entries).
@@ -513,6 +516,7 @@ impl ShardProfile {
             events: 0,
             effects_sent: 0,
             mail_in: Welford::new(),
+            mailbox_msgs: 0,
             mailbox_hwm: 0,
             heap_depth_hwm: 0,
             window_wall: Welford::new(),
@@ -523,6 +527,7 @@ impl ShardProfile {
     /// Notes a mailbox drain of `n` messages.
     pub fn mailbox_drained(&mut self, n: usize) {
         self.mail_in.push(n as f64);
+        self.mailbox_msgs += n as u64;
         self.mailbox_hwm = self.mailbox_hwm.max(n as u64);
     }
 
@@ -541,7 +546,7 @@ impl ShardProfile {
             .set("refreshes", Json::num(self.refreshes as f64))
             .set("events", Json::num(self.events as f64))
             .set("effects_sent", Json::num(self.effects_sent as f64))
-            .set("mailbox_msgs", Json::num(self.mail_in.count() as f64 * self.mail_in.mean()))
+            .set("mailbox_msgs", Json::num(self.mailbox_msgs as f64))
             .set("mailbox_drains", Json::num(self.mail_in.count() as f64))
             .set("mailbox_hwm", Json::num(self.mailbox_hwm as f64))
             .set("heap_depth_hwm", Json::num(self.heap_depth_hwm as f64))
@@ -692,6 +697,12 @@ mod tests {
         assert_eq!(doc.get("mailbox_msgs").and_then(Json::as_f64), Some(6.0));
         assert_eq!(doc.get("heap_depth_hwm").and_then(Json::as_f64), Some(17.0));
         assert!(doc.get("barrier_wall_secs").is_some());
+        // Drains of 5, 1, 0, 0, 0, 1: the Welford's count × mean gives
+        // 6.999999999999999, the message count is exactly 7.
+        for n in [0, 0, 0, 1] {
+            p.mailbox_drained(n);
+        }
+        assert_eq!(p.to_json().get("mailbox_msgs").and_then(Json::as_f64), Some(7.0));
     }
 
     #[test]
