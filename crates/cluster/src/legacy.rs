@@ -26,14 +26,13 @@ use crate::closed_loop::{ClosedLoop, EngineWorkload, SharedWebs};
 use crate::engine::{merge_reports, ProxyModel, Run};
 use crate::report::ClusterReport;
 use crate::shard::{
-    flush_boundary, Effect, EngineCore, CLASS_DEPART, CLASS_PREFETCH, CLASS_REQUEST,
+    flush_boundary, push_effects, Effect, EngineCore, CLASS_DEPART, CLASS_PREFETCH, CLASS_REQUEST,
 };
 use crate::sim::Scope;
 use crate::static_mode::OpenLoop;
 use crate::topology::ShardPlan;
 use crate::{ClusterConfig, Workload};
 use coop::Router;
-use std::collections::VecDeque;
 
 /// Earliest pending stream of `class`: `(time, local index)`, lowest
 /// index first on ties — the O(entities) scan the scheduler replaced.
@@ -53,18 +52,14 @@ fn earliest<C: EngineCore>(core: &C, class: usize) -> Option<(f64, usize)> {
 /// zero-latency topologies the scan supports, every effect applies at its
 /// emission instant, children-before-siblings — byte-identical to the
 /// nesting the pre-shard engines executed inline.
-fn settle<C: EngineCore>(core: &mut C, t: f64, scratch: &mut Vec<Effect<C::Job>>) {
-    let mut dq: VecDeque<Effect<C::Job>> = VecDeque::new();
-    core.take_effects(scratch);
-    dq.extend(scratch.drain(..));
-    while let Some(e) = dq.pop_front() {
+fn settle<C: EngineCore>(core: &mut C, t: f64, stack: &mut Vec<Effect<C::Job>>) {
+    debug_assert!(stack.is_empty());
+    push_effects(core, stack);
+    while let Some(e) = stack.pop() {
         debug_assert!(core.owns(&e), "legacy scan runs one full scope");
         debug_assert_eq!(e.time(), t, "legacy scan supports zero-latency topologies only");
         core.apply_now(e, t);
-        core.take_effects(scratch);
-        for child in scratch.drain(..).rev() {
-            dq.push_front(child);
-        }
+        push_effects(core, stack);
     }
 }
 
@@ -122,7 +117,7 @@ fn scan<M: ProxyModel>(
     model: impl FnOnce(&Scope) -> M,
 ) -> ClusterReport {
     let mut eng = run.shard(0, model);
-    let mut scratch = Vec::new();
+    let mut stack = Vec::new();
     let mut dirty = Vec::new();
     loop {
         let link = earliest(&eng, CLASS_DEPART);
@@ -150,7 +145,7 @@ fn scan<M: ProxyModel>(
         };
         let (t, idx) = next.expect("a finite event");
         eng.dispatch(class, idx, t, router.as_ref());
-        settle(&mut eng, t, &mut scratch);
+        settle(&mut eng, t, &mut stack);
         // The scan recomputes everything next iteration; no timers to sync.
         eng.drain_dirty(&mut dirty);
         dirty.clear();

@@ -69,7 +69,6 @@ use simcore::obs::{FlightKind, FlightRecord, FlightRecorder, ObsConfig};
 use simcore::par::{Mailboxes, TimeBoard};
 use simcore::sched::{KeyLayout, Scheduler};
 use simcore::ShardProfile;
-use std::collections::VecDeque;
 use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
 
@@ -216,8 +215,8 @@ pub(crate) struct ShardRunner<C: EngineCore> {
     sched: Scheduler,
     layout: KeyLayout,
     dirty: Vec<(usize, usize)>,
-    staged: Vec<Effect<C::Job>>,
-    dq: VecDeque<Effect<C::Job>>,
+    /// Same-instant settlement stack (see [`push_effects`]).
+    stack: Vec<Effect<C::Job>>,
     obs: Option<Box<RunnerObs>>,
 }
 
@@ -236,15 +235,7 @@ impl<C: EngineCore> ShardRunner<C> {
                 }
             }
         }
-        ShardRunner {
-            core,
-            sched,
-            layout,
-            dirty: Vec::new(),
-            staged: Vec::new(),
-            dq: VecDeque::new(),
-            obs: None,
-        }
+        ShardRunner { core, sched, layout, dirty: Vec::new(), stack: Vec::new(), obs: None }
     }
 
     /// Arms this runner's profiler and flight recorder.
@@ -257,8 +248,13 @@ impl<C: EngineCore> ShardRunner<C> {
     }
 
     /// Tears the runner apart after a drive: the engine core plus whatever
-    /// observability state accumulated.
-    pub(crate) fn into_parts(self) -> (C, Option<Box<RunnerObs>>) {
+    /// observability state accumulated, with the scheduler's work counters
+    /// copied into the profile.
+    pub(crate) fn into_parts(mut self) -> (C, Option<Box<RunnerObs>>) {
+        if let Some(o) = &mut self.obs {
+            o.profile.sched_arms = self.sched.arms();
+            o.profile.sched_cancels = self.sched.cancels();
+        }
         (self.core, self.obs)
     }
 
@@ -278,7 +274,7 @@ impl<C: EngineCore> ShardRunner<C> {
     /// Earliest pending `(time, global rank)`; rank is class-major so
     /// cross-shard comparisons reproduce a single global scheduler's tie
     /// order.
-    pub(crate) fn peek(&mut self) -> Option<(f64, u64)> {
+    pub(crate) fn peek(&self) -> Option<(f64, u64)> {
         self.sched.peek().map(|(t, key)| {
             let (class, idx) = self.layout.decode(key);
             (t, ((class as u64) << 48) | self.core.global_id(class, idx) as u64)
@@ -286,7 +282,7 @@ impl<C: EngineCore> ShardRunner<C> {
     }
 
     /// Earliest pending event time.
-    pub(crate) fn next_time(&mut self) -> Option<f64> {
+    pub(crate) fn next_time(&self) -> Option<f64> {
         self.sched.peek().map(|(t, _)| t)
     }
 
@@ -294,7 +290,7 @@ impl<C: EngineCore> ShardRunner<C> {
     /// settle them — the sequential driver settles globally).
     fn step(&mut self, router: Option<&Router>) -> f64 {
         if let Some(o) = &mut self.obs {
-            o.profile.heap_depth(self.sched.heap_depth());
+            o.profile.heap_depth(self.sched.len());
         }
         let (t, key) = self.sched.pop().expect("step on an idle shard");
         let (class, idx) = self.layout.decode(key);
@@ -330,7 +326,7 @@ impl<C: EngineCore> ShardRunner<C> {
         self.core.enqueue(e);
         self.resync();
         if let Some(o) = &mut self.obs {
-            o.profile.heap_depth(self.sched.heap_depth());
+            o.profile.heap_depth(self.sched.len());
         }
     }
 
@@ -356,16 +352,16 @@ impl<C: EngineCore> ShardRunner<C> {
         }
     }
 
-    /// Depth-first settlement of the effects staged by the last dispatch:
-    /// a same-instant local effect is applied immediately and its children
-    /// are processed before its siblings — reproducing the call-nesting a
-    /// monolithic engine's inline handling produced. Future local effects
-    /// are queued; out-of-scope effects go to `send`.
+    /// Depth-first settlement, on the runner's stack, of the effects
+    /// staged by the last dispatch: a same-instant local effect is applied
+    /// immediately and its children are processed before its siblings —
+    /// reproducing the call-nesting a monolithic engine's inline handling
+    /// produced. Future local effects are queued; out-of-scope effects go
+    /// to `send`.
     fn settle_local(&mut self, t: f64, send: &mut impl FnMut(Effect<C::Job>)) {
-        self.core.take_effects(&mut self.staged);
-        debug_assert!(self.dq.is_empty());
-        self.dq.extend(self.staged.drain(..));
-        while let Some(e) = self.dq.pop_front() {
+        debug_assert!(self.stack.is_empty());
+        push_effects(&mut self.core, &mut self.stack);
+        while let Some(e) = self.stack.pop() {
             if !self.core.owns(&e) {
                 debug_assert!(e.time() > t, "cross-shard handoff with zero delay in a window");
                 send(e);
@@ -373,16 +369,23 @@ impl<C: EngineCore> ShardRunner<C> {
             }
             if e.time() == t {
                 self.core.apply_now(e, t);
-                self.core.take_effects(&mut self.staged);
-                for child in self.staged.drain(..).rev() {
-                    self.dq.push_front(child);
-                }
+                push_effects(&mut self.core, &mut self.stack);
             } else {
                 self.core.enqueue(e);
             }
         }
         self.resync();
     }
+}
+
+/// Moves the effects `core` emitted since the last take onto the top of a
+/// depth-first settlement `stack`, reversed so that they pop in emission
+/// order: an applied effect's children settle before its siblings, and
+/// siblings in the order they were emitted.
+pub(crate) fn push_effects<C: EngineCore>(core: &mut C, stack: &mut Vec<Effect<C::Job>>) {
+    let base = stack.len();
+    core.take_effects(stack);
+    stack[base..].reverse();
 }
 
 /// Sorts one boundary's payload entries by proxy and applies them to the
@@ -440,13 +443,12 @@ pub(crate) fn drive_sequential<C: EngineCore>(
     plan: &ShardPlan,
     faults: &[FaultEvent],
 ) -> (Vec<ShardRunner<C>>, Option<Router>) {
-    let mut dq: VecDeque<Effect<C::Job>> = VecDeque::new();
-    let mut staged: Vec<Effect<C::Job>> = Vec::new();
+    let mut stack: Vec<Effect<C::Job>> = Vec::new();
     let mut fi = 0usize;
     loop {
         // The globally earliest (time, rank) across shards.
         let mut best: Option<(f64, u64, usize)> = None;
-        for (i, runner) in runners.iter_mut().enumerate() {
+        for (i, runner) in runners.iter().enumerate() {
             if let Some((t, rank)) = runner.peek() {
                 let better = match best {
                     None => true,
@@ -478,22 +480,19 @@ pub(crate) fn drive_sequential<C: EngineCore>(
         }
 
         runners[who].step(router.as_ref());
-        runners[who].core.take_effects(&mut staged);
-        debug_assert!(dq.is_empty());
-        dq.extend(staged.drain(..));
-        // Global depth-first settlement: an effect's children (emitted by
-        // applying it, possibly on another shard) run before its siblings,
-        // reproducing the monolithic engine's inline nesting exactly.
-        while let Some(e) = dq.pop_front() {
+        debug_assert!(stack.is_empty());
+        push_effects(&mut runners[who].core, &mut stack);
+        // Global depth-first settlement on one stack: an effect's children
+        // (emitted by applying it, possibly on another shard) run before
+        // its siblings, reproducing the monolithic engine's inline nesting
+        // exactly.
+        while let Some(e) = stack.pop() {
             let owner = e.owner(plan);
             let runner = &mut runners[owner];
             debug_assert!(runner.core.owns(&e));
             if e.time() == t {
                 runner.core.apply_now(e, t);
-                runner.core.take_effects(&mut staged);
-                for child in staged.drain(..).rev() {
-                    dq.push_front(child);
-                }
+                push_effects(&mut runner.core, &mut stack);
             } else {
                 runner.core.enqueue(e);
             }

@@ -19,6 +19,9 @@ use simcore::Json;
 use std::path::Path;
 use std::process::ExitCode;
 
+/// Per-shard scheduler counters every `e18_obs.profiles[]` row must carry.
+const SCHED_COUNTERS: [&str; 3] = ["heap_depth_hwm", "sched_arms", "sched_cancels"];
+
 /// Validates the artifact's shape; returns the errors found (empty = ok).
 fn schema_errors(doc: &Json) -> Vec<String> {
     let mut errs = Vec::new();
@@ -62,6 +65,15 @@ fn schema_errors(doc: &Json) -> Vec<String> {
             })
     });
     require("e18_obs.profiles[]: barrier_wall_secs + mailbox stats per shard", profiles_ok);
+    // Scheduler work counters: non-negative integers in every profile row.
+    let counters_ok = e18.get("profiles").and_then(Json::as_arr).is_some_and(|rows| {
+        rows.iter().all(|p| {
+            SCHED_COUNTERS.iter().all(|&field| {
+                p.get(field).and_then(Json::as_f64).is_some_and(|v| v >= 0.0 && v.fract() == 0.0)
+            })
+        })
+    });
+    require("e18_obs.profiles[]: integral heap_depth_hwm, sched_arms, sched_cancels", counters_ok);
     require(
         "e18_obs.preds_per_sec: number",
         e18.get("preds_per_sec").and_then(Json::as_f64).is_some(),
@@ -96,4 +108,57 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A minimal artifact that passes the schema check, with one profile
+    /// row built by `profile`.
+    fn artifact(profile: Json) -> Json {
+        let series = Json::obj().set("0", Json::Arr(vec![Json::num(0.5)]));
+        let latency =
+            ["p50", "p90", "p99"].into_iter().fold(Json::obj(), |l, q| l.set(q, Json::num(1.0)));
+        let e18 = Json::obj()
+            .set("link_util", Json::obj().set("series", series))
+            .set("latency", latency)
+            .set("profiles", Json::Arr(vec![profile]))
+            .set("preds_per_sec", Json::num(1.0));
+        Json::obj()
+            .set("artifact", Json::str("OBS_cluster"))
+            .set("sections", Json::obj().set("e18_obs", e18))
+    }
+
+    fn profile() -> Json {
+        Json::obj()
+            .set("barrier_wall_secs", Json::obj().set("mean", Json::num(0.0)))
+            .set("mailbox_hwm", Json::num(2.0))
+            .set("mailbox_drains", Json::num(4.0))
+            .set("heap_depth_hwm", Json::num(52.0))
+            .set("sched_arms", Json::num(1200.0))
+            .set("sched_cancels", Json::num(3.0))
+    }
+
+    #[test]
+    fn complete_profile_passes() {
+        assert_eq!(schema_errors(&artifact(profile())), Vec::<String>::new());
+    }
+
+    #[test]
+    fn profile_without_a_scheduler_counter_fails() {
+        for field in SCHED_COUNTERS {
+            let Json::Obj(mut fields) = profile() else { unreachable!() };
+            fields.retain(|(k, _)| k != field);
+            let errs = schema_errors(&artifact(Json::Obj(fields)));
+            assert_eq!(errs.len(), 1, "dropping {field}: {errs:?}");
+            assert!(errs[0].contains("sched_arms"), "{errs:?}");
+        }
+    }
+
+    #[test]
+    fn fractional_scheduler_counter_fails() {
+        let errs = schema_errors(&artifact(profile().set("sched_arms", Json::num(1200.5))));
+        assert_eq!(errs.len(), 1, "{errs:?}");
+    }
 }

@@ -218,6 +218,8 @@ fn render_impl(
             "mail mean",
             "mail hwm",
             "heap hwm",
+            "arms",
+            "cancels",
         ],
     );
     for p in &obs.profiles {
@@ -230,6 +232,8 @@ fn render_impl(
             if p.mail_in.count() > 0 { f(p.mail_in.mean(), 2) } else { "-".into() },
             p.mailbox_hwm.to_string(),
             p.heap_depth_hwm.to_string(),
+            p.sched_arms.to_string(),
+            p.sched_cancels.to_string(),
         ]);
     }
     out.push_str(&prof.render());

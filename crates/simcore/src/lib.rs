@@ -3,11 +3,12 @@
 //! This crate provides the simulation machinery that every other crate in the
 //! workspace builds on:
 //!
-//! * [`sched`] — the event core. [`sched::Scheduler`] is a binary-heap timer
-//!   wheel over a fixed key space with generation-stamped entries, so
-//!   re-arming or cancelling a timer stream is O(log n)/O(1) with lazy
-//!   invalidation; [`sched::KeyLayout`] partitions the keys into classes
-//!   whose registration order is the same-instant firing order; and
+//! * [`sched`] — the event core. [`sched::Scheduler`] is a position-tracked
+//!   4-ary min-heap over a fixed key space holding one entry per armed
+//!   timer, so re-arming or cancelling a timer stream moves its entry in
+//!   place in O(log n) and `peek` is O(1); [`sched::KeyLayout`]
+//!   partitions the keys into classes whose registration order is the
+//!   same-instant firing order; and
 //!   [`sched::TimedQueue`] holds the payloads a timer stream delivers.
 //!   Both `cluster` proxy models run on it; the paper's single-server
 //!   models (`queueing`, `netsim`) need no scheduler and step their own

@@ -499,8 +499,13 @@ pub struct ShardProfile {
     pub mailbox_msgs: u64,
     /// Largest single mailbox drain.
     pub mailbox_hwm: u64,
-    /// Deepest scheduler heap observed (live + stale entries).
+    /// Most timers armed at once in this shard's scheduler (its heap
+    /// depth: the heap holds one entry per armed timer).
     pub heap_depth_hwm: usize,
+    /// Scheduler arms (first arms and re-arms), construction included.
+    pub sched_arms: u64,
+    /// Armed scheduler timers cancelled before they fired.
+    pub sched_cancels: u64,
     /// Wall seconds per window drain (non-deterministic).
     pub window_wall: Welford,
     /// Wall seconds per barrier wait (non-deterministic).
@@ -519,6 +524,8 @@ impl ShardProfile {
             mailbox_msgs: 0,
             mailbox_hwm: 0,
             heap_depth_hwm: 0,
+            sched_arms: 0,
+            sched_cancels: 0,
             window_wall: Welford::new(),
             barrier_wall: Welford::new(),
         }
@@ -550,6 +557,8 @@ impl ShardProfile {
             .set("mailbox_drains", Json::num(self.mail_in.count() as f64))
             .set("mailbox_hwm", Json::num(self.mailbox_hwm as f64))
             .set("heap_depth_hwm", Json::num(self.heap_depth_hwm as f64))
+            .set("sched_arms", Json::num(self.sched_arms as f64))
+            .set("sched_cancels", Json::num(self.sched_cancels as f64))
             .set("window_wall_secs", welford_json(&self.window_wall))
             .set("barrier_wall_secs", welford_json(&self.barrier_wall))
     }
@@ -691,11 +700,15 @@ mod tests {
         p.mailbox_drained(5);
         p.mailbox_drained(1);
         p.heap_depth(17);
+        p.sched_arms = 1200;
+        p.sched_cancels = 3;
         let doc = p.to_json();
         assert_eq!(doc.get("shard").and_then(Json::as_f64), Some(2.0));
         assert_eq!(doc.get("mailbox_hwm").and_then(Json::as_f64), Some(5.0));
         assert_eq!(doc.get("mailbox_msgs").and_then(Json::as_f64), Some(6.0));
         assert_eq!(doc.get("heap_depth_hwm").and_then(Json::as_f64), Some(17.0));
+        assert_eq!(doc.get("sched_arms").and_then(Json::as_f64), Some(1200.0));
+        assert_eq!(doc.get("sched_cancels").and_then(Json::as_f64), Some(3.0));
         assert!(doc.get("barrier_wall_secs").is_some());
         // Drains of 5, 1, 0, 0, 0, 1: the Welford's count × mean gives
         // 6.999999999999999, the message count is exactly 7.

@@ -1,19 +1,21 @@
-//! Indexed event scheduler: a binary-heap timer wheel over a fixed key
-//! space.
+//! Indexed event scheduler: a position-tracked 4-ary min-heap of timers
+//! over a fixed key space.
 //!
 //! This is the workspace's one event core. It serves a simulation with a
 //! *known set of recurring timer streams* (one per link, one per arrival
 //! process, one per periodic task), each of which is re-armed and
-//! invalidated many times over a run. Every stream owns a small-integer
+//! cancelled many times over a run. Every stream owns a small-integer
 //! **key**; arming the key again simply replaces the previous deadline.
 //! The scheduler carries no payloads: a stream that delivers data keeps
 //! it in a [`TimedQueue`] and arms its key at the queue's next time.
 //!
-//! Invalidation is by **generation stamping**: each `schedule`/`cancel`
-//! bumps the key's generation, and heap entries carry the generation they
-//! were pushed with, so a superseded entry is skipped lazily when it
-//! surfaces — `schedule` and `pop` are O(log n), `cancel` and `armed` are
-//! O(1), and no heap surgery is ever needed.
+//! The heap holds **exactly one entry per armed key**, and a per-key
+//! position table says where it sits. A re-arm rewrites the key's entry
+//! and sifts it in place; a cancel removes it in place. So `schedule`,
+//! `cancel` and `pop` are O(log n), `peek` and `armed` are O(1), and the
+//! heap never holds a superseded deadline. Each entry packs
+//! `(time, key)` into one `u128` whose integer order is the
+//! `(f64::total_cmp, key)` order, so a sift step is one integer compare.
 //!
 //! Determinism: [`Scheduler::pop`] yields events in nondecreasing time,
 //! and simultaneous events fire in ascending key order. Callers that need
@@ -27,7 +29,7 @@
 //! let mut sched = Scheduler::with_timers(3);
 //! sched.schedule(2, 5.0);
 //! sched.schedule(0, 9.0);
-//! sched.schedule(2, 1.0); // re-arm: the 5.0 entry is now stale
+//! sched.schedule(2, 1.0); // re-arm: replaces the 5.0 deadline
 //! assert_eq!(sched.pop(), Some((1.0, 2)));
 //! assert_eq!(sched.pop(), Some((9.0, 0)));
 //! assert_eq!(sched.pop(), None);
@@ -54,6 +56,8 @@ pub struct KeyLayout {
     /// `offsets[c]..offsets[c] + counts[c]` is class `c`'s key range.
     offsets: Vec<usize>,
     counts: Vec<usize>,
+    /// `classes[key]`: the `(class, index)` the key addresses.
+    classes: Vec<(u32, u32)>,
 }
 
 impl KeyLayout {
@@ -65,18 +69,16 @@ impl KeyLayout {
     /// Registers the next class with `count` timer streams; returns its
     /// class index. Classes fire in registration order on time ties.
     pub fn class(&mut self, count: usize) -> usize {
-        let offset = self.n_keys();
-        self.offsets.push(offset);
+        let class = self.offsets.len();
+        self.offsets.push(self.n_keys());
         self.counts.push(count);
-        self.offsets.len() - 1
+        self.classes.extend((0..count).map(|idx| (class as u32, idx as u32)));
+        class
     }
 
     /// Total keys across all classes.
     pub fn n_keys(&self) -> usize {
-        match (self.offsets.last(), self.counts.last()) {
-            (Some(o), Some(c)) => o + c,
-            _ => 0,
-        }
+        self.classes.len()
     }
 
     /// Number of streams in `class`.
@@ -92,15 +94,8 @@ impl KeyLayout {
 
     /// Inverse of [`KeyLayout::key`]: which `(class, index)` a key is.
     pub fn decode(&self, key: usize) -> (usize, usize) {
-        // Layouts have a handful of classes; a linear scan beats a binary
-        // search at these sizes and keeps ties in registration order.
-        for (c, (&offset, &count)) in self.offsets.iter().zip(&self.counts).enumerate() {
-            if key < offset + count {
-                debug_assert!(key >= offset);
-                return (c, key - offset);
-            }
-        }
-        panic!("key {key} beyond layout ({} keys)", self.n_keys());
+        let (class, idx) = self.classes[key];
+        (class as usize, idx as usize)
     }
 
     /// A scheduler provisioned with one timer per key of this layout.
@@ -191,53 +186,50 @@ impl<T> TimedQueue<T> {
     }
 }
 
-/// A heap entry: deadline, owning key, and the generation it was armed
-/// under (stale once the key's generation moves on).
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    time: f64,
-    key: usize,
-    gen: u64,
+/// Marks a disarmed key in [`Scheduler`]'s position table.
+const DISARMED: u32 = u32::MAX;
+
+/// Heap arity: four children per node halves the depth of a binary heap,
+/// and a node's children share one or two cache lines.
+const ARITY: usize = 4;
+
+/// Packs `(t, key)` into one integer whose unsigned order is the
+/// `(f64::total_cmp(t), key)` order: the time's bits are mapped so that
+/// their unsigned order matches `total_cmp` (sign bit flipped for
+/// non-negative values, every bit flipped for negative ones) and sit
+/// above the key.
+#[inline]
+fn pack(t: f64, key: usize) -> u128 {
+    let bits = t.to_bits();
+    let ordered = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
+    ((ordered as u128) << 64) | key as u128
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first, and
-        // on time ties the lowest key. Generation only breaks ties between
-        // a live entry and stale ones of the same key at the same time.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.key.cmp(&self.key))
-            .then_with(|| other.gen.cmp(&self.gen))
-    }
+/// The deadline packed into an entry (inverse of [`pack`]'s time map).
+#[inline]
+fn entry_time(e: u128) -> f64 {
+    let ordered = (e >> 64) as u64;
+    f64::from_bits(ordered ^ (((!ordered as i64) >> 63) as u64 | (1 << 63)))
 }
 
-/// Per-key state: the current generation and the armed deadline, if any.
-#[derive(Clone, Copy, Debug, Default)]
-struct Slot {
-    gen: u64,
-    armed: Option<f64>,
+/// The key packed into an entry.
+#[inline]
+fn entry_key(e: u128) -> usize {
+    e as u64 as usize
 }
 
-/// Indexed timer scheduler with O(log n) arm/re-arm, O(1) cancel, and
-/// stable ascending-key tie order.
+/// Indexed timer scheduler: a position-tracked 4-ary min-heap holding
+/// exactly one entry per armed key, ordered by `(time, key)`.
 #[derive(Default)]
 pub struct Scheduler {
-    heap: BinaryHeap<Entry>,
-    slots: Vec<Slot>,
-    live: usize,
+    /// Packed `(time, key)` entries ([`pack`]), a 4-ary min-heap.
+    heap: Vec<u128>,
+    /// `pos[key]`: index of the key's entry in `heap`, or [`DISARMED`].
+    pos: Vec<u32>,
+    /// Arms performed (first arms and re-arms).
+    arms: u64,
+    /// Armed keys disarmed by [`Scheduler::cancel`].
+    cancels: u64,
 }
 
 impl Scheduler {
@@ -248,61 +240,80 @@ impl Scheduler {
 
     /// A scheduler with keys `0..n`, all disarmed.
     pub fn with_timers(n: usize) -> Self {
-        Scheduler { heap: BinaryHeap::new(), slots: vec![Slot::default(); n], live: 0 }
+        assert!(n <= DISARMED as usize, "{n} timer keys overflow the position table");
+        Scheduler { heap: Vec::new(), pos: vec![DISARMED; n], arms: 0, cancels: 0 }
     }
 
     /// Registers one more timer stream; returns its key (sequential).
     pub fn add_timer(&mut self) -> usize {
-        self.slots.push(Slot::default());
-        self.slots.len() - 1
+        assert!(self.pos.len() < DISARMED as usize, "timer keys overflow the position table");
+        self.pos.push(DISARMED);
+        self.pos.len() - 1
     }
 
     /// Number of registered timer keys (armed or not).
     pub fn n_timers(&self) -> usize {
-        self.slots.len()
+        self.pos.len()
     }
 
-    /// Number of currently armed timers.
+    /// Number of currently armed timers — also the heap's size, since the
+    /// heap holds one entry per armed key and nothing else.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
-    /// Physical heap depth, counting lazily-invalidated (stale) entries
-    /// still awaiting their pop — the number [`Scheduler::len`] hides. A
-    /// profiler watches this: a heap far deeper than the live count means
-    /// re-arm churn is piling up garbage.
-    pub fn heap_depth(&self) -> usize {
-        self.heap.len()
+    /// Arms performed so far, first arms and re-arms alike (a
+    /// [`Scheduler::sync`] to an unchanged deadline is not one).
+    pub fn arms(&self) -> u64 {
+        self.arms
+    }
+
+    /// Armed timers disarmed by [`Scheduler::cancel`] (or a
+    /// [`Scheduler::sync`] to `None`) so far; pops are not counted.
+    pub fn cancels(&self) -> u64 {
+        self.cancels
     }
 
     /// The deadline `key` is armed for, if any.
     pub fn armed(&self, key: usize) -> Option<f64> {
-        self.slots[key].armed
+        match self.pos[key] {
+            DISARMED => None,
+            i => Some(entry_time(self.heap[i as usize])),
+        }
     }
 
-    /// Arms (or re-arms) `key` to fire at absolute time `t`. Any previous
-    /// deadline of this key is invalidated.
+    /// Arms (or re-arms) `key` to fire at absolute time `t`, replacing any
+    /// previous deadline of this key in place.
     pub fn schedule(&mut self, key: usize, t: f64) {
         assert!(t.is_finite(), "timer {key} armed at non-finite time {t}");
-        let slot = &mut self.slots[key];
-        if slot.armed.is_none() {
-            self.live += 1;
+        self.arms += 1;
+        let e = pack(t, key);
+        match self.pos[key] {
+            DISARMED => {
+                self.heap.push(e);
+                self.sift_up(self.heap.len() - 1, e);
+            }
+            i => {
+                let i = i as usize;
+                if e < self.heap[i] {
+                    self.sift_up(i, e);
+                } else {
+                    self.sift_down(i, e);
+                }
+            }
         }
-        slot.gen += 1;
-        slot.armed = Some(t);
-        self.heap.push(Entry { time: t, key, gen: slot.gen });
     }
 
     /// Disarms `key`; a no-op when it is not armed.
     pub fn cancel(&mut self, key: usize) {
-        let slot = &mut self.slots[key];
-        if slot.armed.take().is_some() {
-            slot.gen += 1;
-            self.live -= 1;
+        let i = self.pos[key];
+        if i != DISARMED {
+            self.cancels += 1;
+            self.remove_at(i as usize);
         }
     }
 
@@ -310,7 +321,7 @@ impl Scheduler {
     /// the heap untouched when the deadline is unchanged (the cheap path
     /// for owners that re-sync after every state change).
     pub fn sync(&mut self, key: usize, t: Option<f64>) {
-        if self.slots[key].armed == t {
+        if self.armed(key) == t {
             return;
         }
         match t {
@@ -319,31 +330,74 @@ impl Scheduler {
         }
     }
 
-    /// Discards stale entries sitting on top of the heap.
-    fn skim(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            let slot = &self.slots[top.key];
-            if slot.gen == top.gen && slot.armed.is_some() {
-                break;
-            }
-            self.heap.pop();
-        }
-    }
-
     /// Earliest armed `(time, key)` without firing it.
-    pub fn peek(&mut self) -> Option<(f64, usize)> {
-        self.skim();
-        self.heap.peek().map(|e| (e.time, e.key))
+    pub fn peek(&self) -> Option<(f64, usize)> {
+        self.heap.first().map(|&e| (entry_time(e), entry_key(e)))
     }
 
     /// Fires the earliest armed timer: returns `(time, key)` and disarms
     /// the key (re-arm it to keep the stream going).
     pub fn pop(&mut self) -> Option<(f64, usize)> {
-        self.skim();
-        let e = self.heap.pop()?;
-        self.slots[e.key].armed = None;
-        self.live -= 1;
-        Some((e.time, e.key))
+        let &top = self.heap.first()?;
+        self.remove_at(0);
+        Some((entry_time(top), entry_key(top)))
+    }
+
+    /// Removes the entry at heap index `i` and disarms its key.
+    fn remove_at(&mut self, i: usize) {
+        let removed = self.heap[i];
+        self.pos[entry_key(removed)] = DISARMED;
+        let last = self.heap.pop().expect("removing from a non-empty heap");
+        if i < self.heap.len() {
+            if last < removed {
+                self.sift_up(i, last);
+            } else {
+                self.sift_down(i, last);
+            }
+        }
+    }
+
+    /// Places `e` at or above index `i`, moving larger ancestors down.
+    fn sift_up(&mut self, mut i: usize, e: u128) {
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            let p = self.heap[parent];
+            if p <= e {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[entry_key(p)] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = e;
+        self.pos[entry_key(e)] = i as u32;
+    }
+
+    /// Places `e` at or below index `i`, moving smaller children up.
+    fn sift_down(&mut self, mut i: usize, e: u128) {
+        let n = self.heap.len();
+        loop {
+            let first = ARITY * i + 1;
+            if first >= n {
+                break;
+            }
+            let mut child = first;
+            let mut c = self.heap[first];
+            for j in first + 1..(first + ARITY).min(n) {
+                if self.heap[j] < c {
+                    child = j;
+                    c = self.heap[j];
+                }
+            }
+            if e <= c {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[entry_key(c)] = i as u32;
+            i = child;
+        }
+        self.heap[i] = e;
+        self.pos[entry_key(e)] = i as u32;
     }
 }
 
@@ -387,7 +441,7 @@ mod tests {
         assert_eq!(drain(&mut s), vec![(1.0, 0), (2.0, 1)]);
 
         s.schedule(0, 1.0);
-        s.schedule(0, 9.0); // later: the 1.0 entry must be skipped
+        s.schedule(0, 9.0); // later: the 1.0 deadline must not fire
         s.schedule(1, 3.0);
         assert_eq!(drain(&mut s), vec![(3.0, 1), (9.0, 0)]);
     }
@@ -420,13 +474,17 @@ mod tests {
     fn sync_skips_heap_churn_on_unchanged_deadline() {
         let mut s = Scheduler::with_timers(1);
         s.sync(0, Some(4.0));
-        let gen_before = s.slots[0].gen;
+        assert_eq!(s.arms(), 1);
         s.sync(0, Some(4.0)); // identical deadline: no re-arm
-        assert_eq!(s.slots[0].gen, gen_before);
+        assert_eq!(s.arms(), 1);
+        s.sync(0, Some(5.0)); // moved deadline: a re-arm
+        assert_eq!(s.arms(), 2);
         s.sync(0, None);
         assert!(s.is_empty());
+        assert_eq!(s.cancels(), 1);
         s.sync(0, None); // disarming a disarmed key: no-op
         assert!(s.is_empty());
+        assert_eq!((s.arms(), s.cancels()), (2, 1));
     }
 
     #[test]
@@ -448,6 +506,39 @@ mod tests {
         assert_eq!(s.peek(), Some((2.0, 1)));
         assert_eq!(s.pop(), Some((2.0, 1)));
         assert_eq!(s.peek(), Some((8.0, 2)));
+    }
+
+    #[test]
+    fn packed_entries_order_like_total_cmp_then_key() {
+        let times = [f64::MIN, -3.5, -1e-300, -0.0, 0.0, 1e-300, 2.0, f64::MAX];
+        for &a in &times {
+            assert_eq!(entry_time(pack(a, 7)).to_bits(), a.to_bits(), "round trip of {a}");
+            for &b in &times {
+                for (ka, kb) in [(0, 0), (0, 1), (1, 0), (usize::MAX >> 1, 2)] {
+                    let expected = a.total_cmp(&b).then(ka.cmp(&kb));
+                    assert_eq!(
+                        pack(a, ka).cmp(&pack(b, kb)),
+                        expected,
+                        "({a}, {ka}) vs ({b}, {kb})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heap_holds_one_entry_per_armed_key() {
+        let mut s = Scheduler::with_timers(3);
+        for round in 0..10 {
+            for key in 0..3 {
+                s.schedule(key, (round * 3 + key) as f64);
+            }
+            assert_eq!(s.heap.len(), 3, "re-arms replace entries in place");
+        }
+        s.cancel(1);
+        assert_eq!(s.heap.len(), 2);
+        assert_eq!(s.arms(), 30);
+        assert_eq!(s.cancels(), 1);
     }
 
     #[test]

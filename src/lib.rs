@@ -84,16 +84,20 @@
 //! ## Scaling the event loop: `simcore::sched`
 //!
 //! Both cluster engines run on [`simcore::sched::Scheduler`], an indexed
-//! event scheduler: a binary-heap timer wheel over a fixed key space —
-//! one timer per link (re-armed from the queueing server's `next_event`
-//! only when its [`queueing::Server::revision`] counter moved), one
-//! request-arrival and one pending-prefetch timer per proxy, and one
-//! digest-refresh timer pinned to the epoch grid `k · epoch`. Re-arming
-//! bumps the key's generation and stale heap entries are skipped lazily,
-//! so every event costs O(log n) instead of the former O(links + proxies)
-//! scan; simultaneous events fire in ascending key order, which keeps
-//! runs bit-deterministic (pinned by old-vs-new engine parity tests
-//! against the retired scan driver in `cluster::legacy`). Experiment E15
+//! event queue: a 4-ary min-heap over a fixed key space with one timer
+//! per event stream — a departure timer per link (re-armed from the
+//! queueing server's `next_event` only when its
+//! [`queueing::Server::revision`] counter moved), a queued-arrival timer
+//! per link, and per proxy a peer-check (cooperative model only),
+//! delivery, request, prefetch and fetch-failure timer. The heap holds
+//! one entry per armed timer, and a position table lets a re-arm or
+//! cancel move that entry in place, so no stale entry is ever popped.
+//! Every event costs O(log n) instead of the former O(links + proxies)
+//! scan. Simultaneous events fire in ascending key
+//! order, which keeps runs bit-deterministic (pinned by old-vs-new engine
+//! parity tests against the retired scan driver in `cluster::legacy`).
+//! Digest refreshes are not timers: the shard drivers stop at
+//! `coop::Router::next_refresh` boundaries between events. Experiment E15
 //! (`cargo run --release --bin scale`) sweeps 64/128/256-proxy peer
 //! meshes — ~32k queueing links at the top end — on that core.
 //!
