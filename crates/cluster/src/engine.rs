@@ -19,10 +19,10 @@
 //!   the digest refresh payloads, the cache-occupancy probe, and the
 //!   model's own report fields.
 //! * [`Engine`] pairs the two and implements [`EngineCore`], so every
-//!   driver (the sequential merge, the conservative windows, the legacy
-//!   scan) runs either model through the same code. [`Run::drive`] builds
-//!   one engine per shard, drives them, and merges the reports,
-//!   telemetry, recordings and replay accounting.
+//!   driver (the one-shard loop, the sequential merge, the conservative
+//!   windows, the legacy scan) runs either model through the same code.
+//!   [`Run::drive`] builds one engine per shard, drives them, and merges
+//!   the reports, telemetry, recordings and replay accounting.
 //!
 //! The model is a type parameter, so every handler call is statically
 //! dispatched.
@@ -687,6 +687,17 @@ impl<'a> Transport<'a> {
     }
 }
 
+/// Moves every element of `src` to the end of `out`. The drivers hand in
+/// an empty `out` on almost every event, and then the two buffers are
+/// swapped instead of copied (an append copies through a `memcpy` call).
+fn move_into<T>(src: &mut Vec<T>, out: &mut Vec<T>) {
+    if out.is_empty() {
+        std::mem::swap(src, out);
+    } else {
+        out.append(src);
+    }
+}
+
 /// One scope of simulation state — the shared transport plus a proxy
 /// model — with one handler per event kind. Drivers (`crate::shard`) own
 /// only event *selection* and effect routing; every state transition lives
@@ -974,11 +985,11 @@ impl<M: ProxyModel> EngineCore for Engine<'_, M> {
     }
 
     fn take_effects(&mut self, out: &mut Vec<Effect<Job>>) {
-        out.append(&mut self.tx.effects);
+        move_into(&mut self.tx.effects, out);
     }
 
     fn drain_dirty(&mut self, out: &mut Vec<(usize, usize)>) {
-        out.append(&mut self.tx.dirty);
+        move_into(&mut self.tx.dirty, out);
     }
 
     fn sync_link_timer(&mut self, idx: usize, sched: &mut Scheduler, key: usize) {

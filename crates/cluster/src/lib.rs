@@ -139,6 +139,7 @@ pub use obs::{report_to_json, ClusterObs};
 #[doc(hidden)]
 pub use report::parity;
 pub use report::{ClusterReport, CoopReport, CurvePoint, LinkReport, NodeReport};
+pub use shard::EVENT_CLASS_NAMES;
 pub use sim::ClusterSim;
 pub use topology::{Discipline, Link, ShardPlan, Topology, TopologyBuilder};
 pub use workload::TraceSource;

@@ -1,6 +1,6 @@
 //! Sharded event-loop drivers: conservative time windows over
-//! `simcore::sched`, with the single-threaded merge as the degenerate (and
-//! oracle) case.
+//! `simcore::sched`, with a one-shard loop and a single-threaded merge for
+//! the plans that admit no parallel windows.
 //!
 //! ## The protocol
 //!
@@ -15,9 +15,13 @@
 //! pure functions of the topology and the emitting shard's deterministic
 //! state, never of which shard owns what.
 //!
-//! Two drivers execute the same shard set:
+//! Three drivers execute a shard set; [`drive`] picks one from the plan:
 //!
-//! * [`drive_sequential`] — one thread merges the shard schedulers,
+//! * [`drive_single`] — a one-shard plan has nothing to merge, so its one
+//!   runner drains its scheduler through the window loop up to the next
+//!   boundary (fault or digest refresh), inclusively, then applies that
+//!   boundary. This is the classic single-threaded engine driver.
+//! * [`drive_sequential`] — one thread merges several shard schedulers,
 //!   always firing the globally earliest `(time, class, entity)` event and
 //!   applying same-instant effects depth-first, exactly the order a single
 //!   monolithic scheduler would produce. This is the parity oracle, and
@@ -33,6 +37,9 @@
 //!   parallel (posting cross-shard effects to `simcore::par::Mailboxes`),
 //!   and a barrier exchanges the mail before the next horizon is computed
 //!   from the shards' published next-event times (`simcore::par::TimeBoard`).
+//!
+//! All three share the boundary rules: events at a boundary instant fire
+//! before it, and a fault goes before a refresh at the same instant.
 //!
 //! ## Why determinism holds
 //!
@@ -86,6 +93,11 @@ pub(crate) const CLASS_REQUEST: usize = 4;
 pub(crate) const CLASS_PREFETCH: usize = 5;
 pub(crate) const CLASS_FAIL: usize = 6;
 pub(crate) const N_CLASSES: usize = 7;
+
+/// Names of the event classes, in class order: the columns of a
+/// profile's `events_by_class` counts.
+pub const EVENT_CLASS_NAMES: [&str; N_CLASSES] =
+    ["depart", "arrive", "check", "deliver", "request", "prefetch", "fail"];
 
 /// A timestamped handoff between entities — possibly across shards. `J`
 /// is the engine's job type; effects carry the whole job so a transfer
@@ -241,7 +253,7 @@ impl<C: EngineCore> ShardRunner<C> {
     /// Arms this runner's profiler and flight recorder.
     pub(crate) fn with_obs(mut self, shard: usize, cfg: &ObsConfig) -> Self {
         self.obs = Some(Box::new(RunnerObs {
-            profile: ShardProfile::new(shard),
+            profile: ShardProfile::new(shard, N_CLASSES),
             flight: FlightRecorder::new(cfg.flight_capacity),
         }));
         self
@@ -287,7 +299,7 @@ impl<C: EngineCore> ShardRunner<C> {
     }
 
     /// Fires the earliest event and stages its effects (does **not**
-    /// settle them — the sequential driver settles globally).
+    /// settle them — the sequential merge settles globally).
     fn step(&mut self, router: Option<&Router>) -> f64 {
         if let Some(o) = &mut self.obs {
             o.profile.heap_depth(self.sched.len());
@@ -296,6 +308,7 @@ impl<C: EngineCore> ShardRunner<C> {
         let (class, idx) = self.layout.decode(key);
         if let Some(o) = &mut self.obs {
             o.profile.events += 1;
+            o.profile.events_by_class[class] += 1;
             o.flight.record(FlightRecord {
                 t,
                 shard: o.profile.shard as u32,
@@ -430,11 +443,44 @@ fn fault_all<C: EngineCore>(
     }
 }
 
-/// Single-threaded driver: merges the shard schedulers into the global
-/// `(time, rank)` order, with depth-first cross-shard effect settlement at
-/// each instant. With one full-scope shard this **is** the classic
-/// single-threaded engine driver; with several shards it is the oracle the
-/// windowed driver is pinned against — and the required fallback when the
+/// One-shard driver: the lone runner owns every entity, so there is no
+/// cross-shard merge. It drains its scheduler through the window loop up
+/// to the next boundary (a boundary fault or the router's next digest
+/// refresh), inclusively, since events at a boundary instant fire first;
+/// then it applies that boundary, a fault before a refresh on ties. A
+/// boundary past the last event is never applied, as in the other
+/// drivers.
+fn drive_single<C: EngineCore>(
+    mut runners: Vec<ShardRunner<C>>,
+    mut router: Option<Router>,
+    faults: &[FaultEvent],
+) -> (Vec<ShardRunner<C>>, Option<Router>) {
+    debug_assert_eq!(runners.len(), 1);
+    let mut fi = 0usize;
+    loop {
+        let next_fault = faults.get(fi).map_or(f64::INFINITY, |e| e.t);
+        let next_refresh = router.as_ref().map_or(f64::INFINITY, Router::next_refresh);
+        runners[0].run_window(next_fault.min(next_refresh), true, router.as_ref(), &mut |_| {
+            unreachable!("a one-shard plan owns every entity")
+        });
+        if runners[0].next_time().is_none() {
+            break;
+        }
+        if next_fault <= next_refresh {
+            fault_all(router.as_mut(), &mut runners, &faults[fi]);
+            fi += 1;
+        } else {
+            let r = router.as_mut().expect("a finite refresh boundary has a router");
+            refresh_all(r, &mut runners);
+        }
+    }
+    (runners, router)
+}
+
+/// Single-threaded merge of several shards: fires the globally earliest
+/// `(time, rank)` event across the shard schedulers, with depth-first
+/// cross-shard effect settlement at each instant. It is the oracle the
+/// windowed driver is pinned against, and the required fallback when the
 /// partition's lookahead is zero (a conservative window of width zero
 /// admits no parallel execution at all).
 pub(crate) fn drive_sequential<C: EngineCore>(
@@ -681,16 +727,18 @@ pub(crate) fn drive_windowed<C: EngineCore>(
     (runners, router)
 }
 
-/// Chooses the driver a plan admits: windows when the lookahead is
-/// positive and there is more than one shard, the sequential merge
-/// otherwise.
+/// Chooses the driver a plan admits: the one-shard loop for a single
+/// shard, windows when there are several shards and the lookahead is
+/// positive, the sequential merge otherwise.
 pub(crate) fn drive<C: EngineCore>(
     runners: Vec<ShardRunner<C>>,
     router: Option<Router>,
     plan: &ShardPlan,
     faults: &[FaultEvent],
 ) -> (Vec<ShardRunner<C>>, Option<Router>) {
-    if plan.windowed() {
+    if plan.n_shards() == 1 {
+        drive_single(runners, router, faults)
+    } else if plan.windowed() {
         drive_windowed(runners, router, plan, faults)
     } else {
         drive_sequential(runners, router, plan, faults)

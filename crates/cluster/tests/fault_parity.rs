@@ -184,6 +184,41 @@ fn fault_runs_are_shard_independent_on_every_engine() {
     }
 }
 
+/// A boundary fault at exactly an event's instant: the event fires
+/// before the boundary on every driver. The crash time and victim come
+/// from a request in the recorded trace (the recorder folds the issuing
+/// proxy into the client id), so the crashed proxy's own request and its
+/// crash tie. On the cooperative mesh (digest refreshes on) the one-shard
+/// loop must match the windowed driver at 2 and 4 shards; on a
+/// zero-latency `sharded_origin` topology it must match the sequential
+/// merge at 2 shards.
+#[test]
+fn crash_at_a_request_instant_is_shard_independent() {
+    let crash_at_request = |config: &ClusterConfig<'_>, seed: u64| {
+        let (_, trace) = ClusterSim::new(config).run_recorded(seed, 1);
+        let rec = &trace[trace.len() / 2];
+        let proxy = rec.client as usize % config.topology.n_proxies();
+        let crash = FaultEvent { t: rec.time, kind: FaultKind::ProxyCrash { proxy } };
+        (proxy, FaultConfig { plan: FaultPlan::new(vec![crash]), retry: RetryPolicy::default() })
+    };
+
+    let coop = coop_config(4, 0.05, 700);
+    let (victim, fc) = crash_at_request(&coop, 59);
+    let sim = ClusterSim::new(&coop);
+    let base = sim.run_faulted(59, 1, &fc);
+    assert!(base.nodes[victim].lost_entries > 0, "coop: crash wiped nothing");
+    for shards in [2, 4] {
+        assert_eq!(sim.run_faulted(59, shards, &fc), base, "coop: crash tie at {shards} shards");
+    }
+
+    let origin = adaptive_config();
+    let (victim, fc) = crash_at_request(&origin, 61);
+    let sim = ClusterSim::new(&origin);
+    let base = sim.run_faulted(61, 1, &fc);
+    assert!(base.nodes[victim].lost_entries > 0, "sharded_origin: crash wiped nothing");
+    assert_eq!(sim.run_faulted(61, 2, &fc), base, "sharded_origin: crash tie at 2 shards");
+}
+
 /// Traces under faults: bit-identical stores across shard counts, every
 /// trace still tiles its latency exactly (now with `Timeout`/`Backoff`
 /// segments), and failed fetches surface as `TraceClass::Failed`.

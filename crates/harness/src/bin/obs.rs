@@ -74,6 +74,18 @@ fn schema_errors(doc: &Json) -> Vec<String> {
         })
     });
     require("e18_obs.profiles[]: integral heap_depth_hwm, sched_arms, sched_cancels", counters_ok);
+    // Events per class: integral counts that add up to the row's events.
+    let by_class_ok = e18.get("profiles").and_then(Json::as_arr).is_some_and(|rows| {
+        rows.iter().all(|p| {
+            let counts: Option<Vec<f64>> =
+                p.get("events_by_class").and_then(Json::as_arr).and_then(|a| {
+                    a.iter().map(|v| v.as_f64().filter(|v| *v >= 0.0 && v.fract() == 0.0)).collect()
+                });
+            let events = p.get("events").and_then(Json::as_f64);
+            counts.zip(events).is_some_and(|(c, e)| c.iter().sum::<f64>() == e)
+        })
+    });
+    require("e18_obs.profiles[]: integral events_by_class summing to events", by_class_ok);
     require(
         "e18_obs.preds_per_sec: number",
         e18.get("preds_per_sec").and_then(Json::as_f64).is_some(),
@@ -138,6 +150,8 @@ mod tests {
             .set("heap_depth_hwm", Json::num(52.0))
             .set("sched_arms", Json::num(1200.0))
             .set("sched_cancels", Json::num(3.0))
+            .set("events", Json::num(900.0))
+            .set("events_by_class", Json::Arr([500.0, 0.0, 400.0].map(Json::num).to_vec()))
     }
 
     #[test]
@@ -154,6 +168,18 @@ mod tests {
             assert_eq!(errs.len(), 1, "dropping {field}: {errs:?}");
             assert!(errs[0].contains("sched_arms"), "{errs:?}");
         }
+    }
+
+    #[test]
+    fn events_by_class_must_sum_to_events() {
+        let wrong_sum = profile().set("events", Json::num(901.0));
+        let errs = schema_errors(&artifact(wrong_sum));
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("events_by_class"), "{errs:?}");
+
+        let fractional = Json::Arr([500.5, 0.0, 399.5].map(Json::num).to_vec());
+        let errs = schema_errors(&artifact(profile().set("events_by_class", fractional)));
+        assert_eq!(errs.len(), 1, "{errs:?}");
     }
 
     #[test]

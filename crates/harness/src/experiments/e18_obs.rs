@@ -20,7 +20,7 @@ use crate::asciiplot::sparkline;
 use crate::report::{f, Table};
 use cluster::{
     AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterObs, ClusterReport, ClusterSim,
-    CooperativeWorkload, ProxyPolicy, Topology, Workload,
+    CooperativeWorkload, ProxyPolicy, Topology, Workload, EVENT_CLASS_NAMES,
 };
 use coop::{CoopConfig, DigestConfig, PlacementPolicy};
 use simcore::{Json, ObsConfig};
@@ -237,6 +237,19 @@ fn render_impl(
         ]);
     }
     out.push_str(&prof.render());
+
+    // -- per-shard events by class (sums to the profile's events column) ------
+    out.push('\n');
+    let headers: Vec<&str> = std::iter::once("shard").chain(EVENT_CLASS_NAMES).collect();
+    let mut by_class = Table::new("Events per event class (sum = events)", &headers);
+    for p in &obs.profiles {
+        by_class.row(
+            std::iter::once(p.shard.to_string())
+                .chain(p.events_by_class.iter().map(u64::to_string))
+                .collect(),
+        );
+    }
+    out.push_str(&by_class.render());
 
     // -- flight recorder ------------------------------------------------------
     if let (Some(first), Some(last)) = (obs.flight.first(), obs.flight.last()) {

@@ -6,10 +6,11 @@
 //! * [`sched`] — the event core. [`sched::Scheduler`] is a position-tracked
 //!   4-ary min-heap over a fixed key space holding one entry per armed
 //!   timer, so re-arming or cancelling a timer stream moves its entry in
-//!   place in O(log n) and `peek` is O(1); [`sched::KeyLayout`]
-//!   partitions the keys into classes whose registration order is the
-//!   same-instant firing order; and
-//!   [`sched::TimedQueue`] holds the payloads a timer stream delivers.
+//!   place in O(log n), `pop` removes the root bottom-up, and `peek` is
+//!   O(1); [`sched::KeyLayout`] partitions the keys into classes whose
+//!   registration order is the same-instant firing order; and
+//!   [`sched::TimedQueue`], a sorted ring that appends in-order pushes,
+//!   holds the payloads a timer stream delivers.
 //!   Both `cluster` proxy models run on it; the paper's single-server
 //!   models (`queueing`, `netsim`) need no scheduler and step their own
 //!   loops.

@@ -484,12 +484,16 @@ impl FlightRecorder {
 #[derive(Clone, Debug)]
 pub struct ShardProfile {
     pub shard: usize,
-    /// Conservative windows driven (0 under the sequential driver).
+    /// Conservative windows driven (0 outside the windowed driver).
     pub windows: u64,
     /// Digest-refresh rounds participated in.
     pub refreshes: u64,
     /// Events dispatched by this shard's scheduler.
     pub events: u64,
+    /// `events` split by event class: entry `c` counts the dispatches of
+    /// class `c`, in the driver's class order, so the entries sum to
+    /// `events`.
+    pub events_by_class: Vec<u64>,
     /// Cross-shard effects posted to other shards' mailboxes.
     pub effects_sent: u64,
     /// Messages drained from this shard's mailbox, per exchange.
@@ -513,12 +517,15 @@ pub struct ShardProfile {
 }
 
 impl ShardProfile {
-    pub fn new(shard: usize) -> Self {
+    /// An empty profile of shard `shard`, counting `n_classes` event
+    /// classes.
+    pub fn new(shard: usize, n_classes: usize) -> Self {
         ShardProfile {
             shard,
             windows: 0,
             refreshes: 0,
             events: 0,
+            events_by_class: vec![0; n_classes],
             effects_sent: 0,
             mail_in: Welford::new(),
             mailbox_msgs: 0,
@@ -552,6 +559,10 @@ impl ShardProfile {
             .set("windows", Json::num(self.windows as f64))
             .set("refreshes", Json::num(self.refreshes as f64))
             .set("events", Json::num(self.events as f64))
+            .set(
+                "events_by_class",
+                Json::Arr(self.events_by_class.iter().map(|&n| Json::num(n as f64)).collect()),
+            )
             .set("effects_sent", Json::num(self.effects_sent as f64))
             .set("mailbox_msgs", Json::num(self.mailbox_msgs as f64))
             .set("mailbox_drains", Json::num(self.mail_in.count() as f64))
@@ -694,9 +705,10 @@ mod tests {
 
     #[test]
     fn profile_json_has_expected_fields() {
-        let mut p = ShardProfile::new(2);
+        let mut p = ShardProfile::new(2, 3);
         p.windows = 10;
         p.events = 1000;
+        p.events_by_class = vec![600, 0, 400];
         p.mailbox_drained(5);
         p.mailbox_drained(1);
         p.heap_depth(17);
@@ -709,6 +721,14 @@ mod tests {
         assert_eq!(doc.get("heap_depth_hwm").and_then(Json::as_f64), Some(17.0));
         assert_eq!(doc.get("sched_arms").and_then(Json::as_f64), Some(1200.0));
         assert_eq!(doc.get("sched_cancels").and_then(Json::as_f64), Some(3.0));
+        let by_class: Vec<f64> = doc
+            .get("events_by_class")
+            .and_then(Json::as_arr)
+            .expect("events_by_class array")
+            .iter()
+            .filter_map(Json::as_f64)
+            .collect();
+        assert_eq!(by_class, [600.0, 0.0, 400.0]);
         assert!(doc.get("barrier_wall_secs").is_some());
         // Drains of 5, 1, 0, 0, 0, 1: the Welford's count × mean gives
         // 6.999999999999999, the message count is exactly 7.

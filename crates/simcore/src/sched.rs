@@ -17,6 +17,15 @@
 //! `(time, key)` into one `u128` whose integer order is the
 //! `(f64::total_cmp, key)` order, so a sift step is one integer compare.
 //!
+//! [`Scheduler::pop`] removes the root **bottom-up**: it walks the hole
+//! from the root down the min-child path to a leaf, without comparing
+//! against the heap's last entry, and then sifts that last entry up from
+//! the leaf. An entry from the bottom level seldom climbs far, so the walk
+//! saves most of the comparisons a classic sift-down makes against it at
+//! every level. The smallest of a full group of four
+//! children is picked by a two-level tournament (two independent pairwise
+//! compares, then one), not a serial scan.
+//!
 //! Determinism: [`Scheduler::pop`] yields events in nondecreasing time,
 //! and simultaneous events fire in ascending key order. Callers that need
 //! a specific same-instant ordering (the `cluster` engines fire link
@@ -35,8 +44,7 @@
 //! assert_eq!(sched.pop(), None);
 //! ```
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// A partition of a scheduler's key space into ordered **classes** — the
 /// shard-handle API the `cluster` drivers build their timer layouts on.
@@ -114,39 +122,21 @@ impl KeyLayout {
 /// insertion order**, which is what makes a mailbox-fed queue
 /// deterministic: messages arriving from concurrent senders are sequenced
 /// by their timestamps and stable ids, never by delivery race.
+///
+/// The queue is a sorted ring: a `VecDeque` of entries in ascending
+/// `(time, id)` order, packed like the scheduler's. A push that sorts
+/// after the back is appended, which is the common case (fixed-latency
+/// handoffs onto a link arrive in time order); any other push is inserted
+/// at its sorted position. `pop_due` pops the front.
 #[derive(Debug)]
 pub struct TimedQueue<T> {
-    heap: BinaryHeap<TimedEntry<T>>,
-}
-
-#[derive(Debug)]
-struct TimedEntry<T> {
-    time: f64,
-    id: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for TimedEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl<T> Eq for TimedEntry<T> {}
-impl<T> PartialOrd for TimedEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for TimedEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: earliest (time, id) first out of the max-heap.
-        other.time.total_cmp(&self.time).then_with(|| other.id.cmp(&self.id))
-    }
+    /// `(pack(time, id), payload)`, ascending.
+    ring: VecDeque<(u128, T)>,
 }
 
 impl<T> Default for TimedQueue<T> {
     fn default() -> Self {
-        TimedQueue { heap: BinaryHeap::new() }
+        TimedQueue { ring: VecDeque::new() }
     }
 }
 
@@ -159,30 +149,36 @@ impl<T> TimedQueue<T> {
     /// must be unique per pending entry for the order to be total).
     pub fn push(&mut self, time: f64, id: u64, payload: T) {
         assert!(time.is_finite(), "queued entry at non-finite time {time}");
-        self.heap.push(TimedEntry { time, id, payload });
+        let e = pack(time, id);
+        if self.ring.back().is_none_or(|&(back, _)| back <= e) {
+            self.ring.push_back((e, payload));
+        } else {
+            let i = self.ring.partition_point(|&(x, _)| x <= e);
+            self.ring.insert(i, (e, payload));
+        }
     }
 
     /// When the earliest pending entry is due.
     pub fn next_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
+        self.ring.front().map(|&(e, _)| entry_time(e))
     }
 
     /// Pops the earliest entry if it is due exactly at `time` — drivers
     /// drain a fired instant with `while let Some(x) = q.pop_due(t)`.
     pub fn pop_due(&mut self, time: f64) -> Option<T> {
-        if self.heap.peek().is_some_and(|e| e.time == time) {
-            Some(self.heap.pop().expect("peeked entry").payload)
+        if self.ring.front().is_some_and(|&(e, _)| entry_time(e) == time) {
+            self.ring.pop_front().map(|(_, payload)| payload)
         } else {
             None
         }
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.ring.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.ring.is_empty()
     }
 }
 
@@ -197,9 +193,9 @@ const ARITY: usize = 4;
 /// `(f64::total_cmp(t), key)` order: the time's bits are mapped so that
 /// their unsigned order matches `total_cmp` (sign bit flipped for
 /// non-negative values, every bit flipped for negative ones) and sit
-/// above the key.
+/// above the key. [`TimedQueue`] packs `(time, id)` the same way.
 #[inline]
-fn pack(t: f64, key: usize) -> u128 {
+fn pack(t: f64, key: u64) -> u128 {
     let bits = t.to_bits();
     let ordered = bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63));
     ((ordered as u128) << 64) | key as u128
@@ -216,6 +212,28 @@ fn entry_time(e: u128) -> f64 {
 #[inline]
 fn entry_key(e: u128) -> usize {
     e as u64 as usize
+}
+
+/// Index of the smallest entry among `heap[first..n]`, a sibling group of
+/// at most [`ARITY`] children. A full group is decided by a two-level
+/// tournament: the two pairwise compares are independent, so they overlap
+/// in the pipeline where a serial scan would chain three.
+#[inline]
+fn min_child(heap: &[u128], first: usize, n: usize) -> usize {
+    if first + ARITY <= n {
+        let g = &heap[first..first + ARITY];
+        let a = usize::from(g[1] < g[0]);
+        let b = 2 + usize::from(g[3] < g[2]);
+        first + if g[b] < g[a] { b } else { a }
+    } else {
+        let mut m = first;
+        for j in first + 1..n {
+            if heap[j] < heap[m] {
+                m = j;
+            }
+        }
+        m
+    }
 }
 
 /// Indexed timer scheduler: a position-tracked 4-ary min-heap holding
@@ -291,7 +309,7 @@ impl Scheduler {
     pub fn schedule(&mut self, key: usize, t: f64) {
         assert!(t.is_finite(), "timer {key} armed at non-finite time {t}");
         self.arms += 1;
-        let e = pack(t, key);
+        let e = pack(t, key as u64);
         match self.pos[key] {
             DISARMED => {
                 self.heap.push(e);
@@ -336,10 +354,30 @@ impl Scheduler {
     }
 
     /// Fires the earliest armed timer: returns `(time, key)` and disarms
-    /// the key (re-arm it to keep the stream going).
+    /// the key (re-arm it to keep the stream going). Removes the root
+    /// bottom-up (see the module docs).
     pub fn pop(&mut self) -> Option<(f64, usize)> {
         let &top = self.heap.first()?;
-        self.remove_at(0);
+        self.pos[entry_key(top)] = DISARMED;
+        let last = self.heap.pop().expect("popping a non-empty heap");
+        let n = self.heap.len();
+        if n > 0 {
+            // Walk the hole at the root down the min-child path to a leaf,
+            // then refill it from the former last entry.
+            let mut i = 0;
+            loop {
+                let first = ARITY * i + 1;
+                if first >= n {
+                    break;
+                }
+                let child = min_child(&self.heap, first, n);
+                let c = self.heap[child];
+                self.heap[i] = c;
+                self.pos[entry_key(c)] = i as u32;
+                i = child;
+            }
+            self.sift_up(i, last);
+        }
         Some((entry_time(top), entry_key(top)))
     }
 
@@ -381,14 +419,8 @@ impl Scheduler {
             if first >= n {
                 break;
             }
-            let mut child = first;
-            let mut c = self.heap[first];
-            for j in first + 1..(first + ARITY).min(n) {
-                if self.heap[j] < c {
-                    child = j;
-                    c = self.heap[j];
-                }
-            }
+            let child = min_child(&self.heap, first, n);
+            let c = self.heap[child];
             if e <= c {
                 break;
             }
@@ -514,7 +546,7 @@ mod tests {
         for &a in &times {
             assert_eq!(entry_time(pack(a, 7)).to_bits(), a.to_bits(), "round trip of {a}");
             for &b in &times {
-                for (ka, kb) in [(0, 0), (0, 1), (1, 0), (usize::MAX >> 1, 2)] {
+                for (ka, kb) in [(0, 0), (0, 1), (1, 0), (u64::MAX, 2)] {
                     let expected = a.total_cmp(&b).then(ka.cmp(&kb));
                     assert_eq!(
                         pack(a, ka).cmp(&pack(b, kb)),

@@ -2,9 +2,13 @@
 //! interleavings of arm / re-arm / cancel / pop, events fire in
 //! nondecreasing time with a stable ascending-key tie order, and every
 //! fired event matches the *latest* deadline its key was armed with, with
-//! no superseded entry left behind in the heap.
+//! no superseded entry left behind in the heap. The op scripts run on a
+//! small key space (a shallow heap) and on a large one (a heap four or
+//! more levels deep, with partly filled last sibling groups). A second
+//! family replays `TimedQueue` pushes and pops against a sorted mirror.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use simcore::sched::{KeyLayout, Scheduler, TimedQueue};
 
 /// One scripted operation against the scheduler.
@@ -55,56 +59,141 @@ fn bits(ev: Option<(f64, usize)>) -> Option<(u64, usize)> {
     ev.map(|(t, k)| (t.to_bits(), k))
 }
 
+/// A 4-ary heap of at least this many entries has an entry on level 4
+/// (levels 0–3 hold 1 + 4 + 16 + 64 = 85 entries).
+const DEPTH_4_LEN: usize = 86;
+
+/// Replays an op script against a scheduler over `n_keys` keys and a
+/// mirror of "latest deadline per key" state: every pop returns exactly
+/// the earliest (time, key) armed in the mirror, so the full pop sequence
+/// is nondecreasing in time, ties resolve by ascending key, and superseded
+/// or cancelled deadlines never fire. After every op, `peek` agrees with
+/// the mirror's minimum, `armed` with every key's mirrored deadline, and
+/// the heap holds no more entries than there are armed keys.
+///
+/// Returns the largest heap size reached and whether a pop walked a heap
+/// of at least [`DEPTH_4_LEN`] entries whose last sibling group was
+/// partly filled.
+fn replay(n_keys: usize, ops: &[Op]) -> Result<(usize, bool), TestCaseError> {
+    let mut sched = Scheduler::with_timers(n_keys);
+    let mut mirror: Vec<Option<f64>> = vec![None; n_keys];
+    let (mut max_len, mut deep_partial_pop) = (0, false);
+    for &op in ops {
+        match op {
+            Op::Schedule { key, t } => {
+                sched.schedule(key, t);
+                mirror[key] = Some(t);
+            }
+            Op::Sync { key, t } => {
+                sched.sync(key, t);
+                // `sync` compares with `==`, so re-syncing `-0.0` onto
+                // an armed `0.0` (or back) keeps the armed encoding.
+                if mirror[key] != t {
+                    mirror[key] = t;
+                }
+            }
+            Op::Cancel { key } => {
+                sched.cancel(key);
+                mirror[key] = None;
+            }
+            Op::Peek => {
+                prop_assert_eq!(bits(sched.peek()), bits(mirror_min(&mirror)));
+            }
+            Op::Pop => {
+                // The hole walk runs over the n = len - 1 entries left
+                // once the root leaves. Children of node p sit at
+                // 4p+1..=4p+4, so their last group is full exactly when
+                // n % 4 == 1.
+                let n = sched.len().saturating_sub(1);
+                deep_partial_pop |= n >= DEPTH_4_LEN && n % 4 != 1;
+                let expected = mirror_min(&mirror);
+                prop_assert_eq!(bits(sched.pop()), bits(expected));
+                if let Some((_, k)) = expected {
+                    mirror[k] = None;
+                }
+            }
+        }
+        // `len` is the heap's size: equal to the armed count means no
+        // stale entry survives a re-arm, cancel or pop.
+        prop_assert_eq!(sched.len(), mirror.iter().flatten().count());
+        prop_assert_eq!(bits(sched.peek()), bits(mirror_min(&mirror)));
+        for (key, &t) in mirror.iter().enumerate() {
+            prop_assert_eq!(sched.armed(key).map(f64::to_bits), t.map(f64::to_bits));
+        }
+        max_len = max_len.max(sched.len());
+    }
+    Ok((max_len, deep_partial_pop))
+}
+
+/// One scripted operation against a [`TimedQueue`].
+#[derive(Clone, Copy, Debug)]
+enum QueueOp {
+    /// Push at `t` under `id` (skipped when `id` is already pending).
+    Push { t: f64, id: u64 },
+    /// Push `step` after the latest pending time: with `step > 0` the
+    /// append fast path, with `step == 0` a tie with the back entry.
+    PushAfterBack { step: f64, id: u64 },
+    /// `pop_due` at `at`, or at the earliest pending time when `None`.
+    Pop { at: Option<f64> },
+}
+
+fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
+    (0u32..10, time_strategy(), 0u64..48, 0u32..3).prop_map(|(kind, t, id, step)| match kind {
+        0..=3 => QueueOp::Push { t, id },
+        4..=5 => QueueOp::PushAfterBack { step: f64::from(step) * 0.5, id },
+        6..=8 => QueueOp::Pop { at: None },
+        _ => QueueOp::Pop { at: Some(t) },
+    })
+}
+
 proptest! {
-    /// Replaying any op script against a mirror of "latest deadline per
-    /// key" state: every pop returns exactly the earliest (time, key)
-    /// armed in the mirror, so the full pop sequence is nondecreasing in
-    /// time, ties resolve by ascending key, and superseded or cancelled
-    /// deadlines never fire. After every op, `peek` agrees with the
-    /// mirror's minimum, `armed` with every key's mirrored deadline, and
-    /// the heap holds no more entries than there are armed keys.
+    /// The op-script property on a shallow heap of 12 keys.
     #[test]
     fn pop_always_returns_the_earliest_live_deadline(
         ops in proptest::collection::vec(op_strategy(12), 1..400),
     ) {
-        let mut sched = Scheduler::with_timers(12);
-        let mut mirror: Vec<Option<f64>> = vec![None; 12];
+        replay(12, &ops)?;
+    }
+
+    /// The TimedQueue under interleaved pushes and pops, checked at every
+    /// step against a mirror kept sorted in `(total_cmp time, id)` order:
+    /// out-of-order pushes land at their sorted position, equal times pop
+    /// by ascending id, `-0.0` sorts before `0.0` (and `pop_due`, which
+    /// compares with `==`, treats them as one instant), and in-order
+    /// pushes take the append path.
+    #[test]
+    fn timed_queue_matches_a_sorted_mirror(
+        ops in proptest::collection::vec(queue_op_strategy(), 1..300),
+    ) {
+        let mut q = TimedQueue::new();
+        let mut mirror: Vec<(f64, u64)> = Vec::new();
         for op in ops {
-            match op {
-                Op::Schedule { key, t } => {
-                    sched.schedule(key, t);
-                    mirror[key] = Some(t);
+            let push = match op {
+                QueueOp::Push { t, id } => Some((t, id)),
+                QueueOp::PushAfterBack { step, id } => {
+                    Some((mirror.last().map_or(0.0, |&(back, _)| back) + step, id))
                 }
-                Op::Sync { key, t } => {
-                    sched.sync(key, t);
-                    // `sync` compares with `==`, so re-syncing `-0.0` onto
-                    // an armed `0.0` (or back) keeps the armed encoding.
-                    if mirror[key] != t {
-                        mirror[key] = t;
-                    }
+                QueueOp::Pop { at } => {
+                    let t = at.or(mirror.first().map(|&(front, _)| front)).unwrap_or(0.0);
+                    let due = mirror.first().is_some_and(|&(front, _)| front == t);
+                    let expected = due.then(|| mirror.remove(0));
+                    prop_assert_eq!(q.pop_due(t), expected.map(|(t, id)| (t.to_bits(), id)));
+                    None
                 }
-                Op::Cancel { key } => {
-                    sched.cancel(key);
-                    mirror[key] = None;
-                }
-                Op::Peek => {
-                    prop_assert_eq!(bits(sched.peek()), bits(mirror_min(&mirror)));
-                }
-                Op::Pop => {
-                    let expected = mirror_min(&mirror);
-                    prop_assert_eq!(bits(sched.pop()), bits(expected));
-                    if let Some((_, k)) = expected {
-                        mirror[k] = None;
-                    }
-                }
+            };
+            let fresh = |&(_, id): &(f64, u64)| mirror.iter().all(|&(_, pending)| pending != id);
+            if let Some((t, id)) = push.filter(fresh) {
+                q.push(t, id, (t.to_bits(), id));
+                let at = mirror
+                    .partition_point(|&(mt, mid)| mt.total_cmp(&t).then(mid.cmp(&id)).is_lt());
+                mirror.insert(at, (t, id));
             }
-            // `len` is the heap's size: equal to the armed count means no
-            // stale entry survives a re-arm, cancel or pop.
-            prop_assert_eq!(sched.len(), mirror.iter().flatten().count());
-            prop_assert_eq!(bits(sched.peek()), bits(mirror_min(&mirror)));
-            for (key, &t) in mirror.iter().enumerate() {
-                prop_assert_eq!(sched.armed(key).map(f64::to_bits), t.map(f64::to_bits));
-            }
+            prop_assert_eq!(q.len(), mirror.len());
+            prop_assert_eq!(q.is_empty(), mirror.is_empty());
+            prop_assert_eq!(
+                q.next_time().map(f64::to_bits),
+                mirror.first().map(|&(t, _)| t.to_bits())
+            );
         }
     }
 
@@ -241,6 +330,23 @@ proptest! {
                 pair[0].0 < pair[1].0 || (pair[0].0 == pair[1].0 && pair[0].1 < pair[1].1)
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The op-script property on 256 keys with long scripts: the heap
+    /// grows to four or more levels, and pops run with the last sibling
+    /// group partly filled, so the bottom-up hole walk, the tournament
+    /// and the partial-group scan all meet deep heaps.
+    #[test]
+    fn deep_heap_pops_return_the_earliest_live_deadline(
+        ops in proptest::collection::vec(op_strategy(256), 1_500..3_000),
+    ) {
+        let (max_len, deep_partial_pop) = replay(256, &ops)?;
+        prop_assert!(max_len >= DEPTH_4_LEN, "heap peaked at {} entries", max_len);
+        prop_assert!(deep_partial_pop, "no pop on a deep heap with a partial last group");
     }
 }
 

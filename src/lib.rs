@@ -91,13 +91,19 @@
 //! per link, and per proxy a peer-check (cooperative model only),
 //! delivery, request, prefetch and fetch-failure timer. The heap holds
 //! one entry per armed timer, and a position table lets a re-arm or
-//! cancel move that entry in place, so no stale entry is ever popped.
-//! Every event costs O(log n) instead of the former O(links + proxies)
-//! scan. Simultaneous events fire in ascending key
+//! cancel move that entry in place, so no stale entry is ever popped; a
+//! pop walks the hole from the root to a leaf along the smaller children
+//! and refills it from below. Every event costs O(log n) instead of the
+//! former O(links + proxies) scan. The payloads a timer delivers wait in
+//! a [`simcore::sched::TimedQueue`], a ring kept sorted by
+//! `(time, id)` that appends the in-order pushes fixed-latency links
+//! produce. Simultaneous events fire in ascending key
 //! order, which keeps runs bit-deterministic (pinned by old-vs-new engine
 //! parity tests against the retired scan driver in `cluster::legacy`).
-//! Digest refreshes are not timers: the shard drivers stop at
-//! `coop::Router::next_refresh` boundaries between events. Experiment E15
+//! Digest refreshes and boundary faults are not timers: the shard drivers
+//! stop at them between events. A one-shard run drains its scheduler
+//! straight up to the next such boundary; only several shards need the
+//! cross-shard merge or the conservative windows. Experiment E15
 //! (`cargo run --release --bin scale`) sweeps 64/128/256-proxy peer
 //! meshes — ~32k queueing links at the top end — on that core.
 //!
