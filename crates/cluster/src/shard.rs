@@ -26,17 +26,22 @@
 //!   applying same-instant effects depth-first, exactly the order a single
 //!   monolithic scheduler would produce. This is the parity oracle, and
 //!   the fallback whenever the partition's lookahead is zero.
-//! * [`drive_windowed`] — one thread per shard plus a coordinator,
+//! * [`drive_windowed`] — one thread per shard and no coordinator,
 //!   synchronised with the classic **conservative time-window** scheme:
 //!   with `L = plan.lookahead()` (the minimum propagation delay of any
 //!   cross-shard handoff) and `T` the globally earliest pending event,
 //!   every event in `[T, T + L)` can be executed without seeing any other
 //!   shard's window — an effect emitted at `t ≥ T` arrives at
-//!   `t + delay ≥ T + L`, past the window's end. Each round the
-//!   coordinator publishes the horizon, shards drain their windows in
-//!   parallel (posting cross-shard effects to `simcore::par::Mailboxes`),
-//!   and a barrier exchanges the mail before the next horizon is computed
-//!   from the shards' published next-event times (`simcore::par::TimeBoard`).
+//!   `t + delay ≥ T + L`, past the window's end. Each round every shard
+//!   computes the same horizon from the shards' published times
+//!   (`simcore::par::TimeBoard`), accepts the mail sent to it in the
+//!   previous round, and drains its window, posting cross-shard effects
+//!   to `simcore::par::Mailboxes`. It then publishes the minimum of its
+//!   next local event and the earliest effect it sent, and waits at the
+//!   round's one barrier. Accepting mail only enqueues, so the minimum
+//!   over the shards is the earliest event pending anywhere. Boards and
+//!   inboxes alternate by round parity, so no round overwrites what
+//!   another shard may still read.
 //!
 //! All three share the boundary rules: events at a boundary instant fire
 //! before it, and a fault goes before a refresh at the same instant.
@@ -63,9 +68,12 @@
 //!
 //! Digest refreshes are the one global synchronisation: the horizon never
 //! crosses the next epoch boundary, and when every shard's next event lies
-//! beyond it the coordinator collects per-proxy payloads
-//! ([`coop::RefreshPayload`]) at a barrier, applies them to the shared
-//! router, and only then opens the next window. Between boundaries the
+//! beyond it each shard posts its per-proxy payloads
+//! ([`coop::RefreshPayload`]) and waits at a barrier; shard 0's thread
+//! then applies them to the shared router, and a second barrier holds
+//! every shard until it has, so the next window sees the refreshed
+//! router. A boundary fault takes the same two barriers (shard 0
+//! quarantines a crashed proxy between them). Between boundaries the
 //! router is immutable, so shards read it lock-free in spirit (a shared
 //! `RwLock` read guard held for the whole window).
 
@@ -73,10 +81,10 @@ use crate::topology::ShardPlan;
 use coop::{RefreshPayload, Router};
 use simcore::faults::{FaultEvent, FaultKind};
 use simcore::obs::{FlightKind, FlightRecord, FlightRecorder, ObsConfig};
-use simcore::par::{Mailboxes, TimeBoard};
+use simcore::par::{BarrierPoisoned, Mailboxes, ShardBarrier, TimeBoard};
 use simcore::sched::{KeyLayout, Scheduler};
 use simcore::ShardProfile;
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 /// Event classes, in same-instant firing order. The engine core and every
@@ -161,7 +169,7 @@ pub(crate) struct RunnerObs {
 
 /// Waits on `barrier`, charging the wait to the shard's barrier-wall
 /// profile when observability is on.
-fn timed_wait(barrier: &Barrier, obs: &mut Option<Box<RunnerObs>>) {
+fn timed_wait(barrier: &ShardBarrier, obs: &mut Option<Box<RunnerObs>>) {
     match obs.as_deref_mut() {
         Some(o) => {
             let t0 = Instant::now();
@@ -548,23 +556,180 @@ pub(crate) fn drive_sequential<C: EngineCore>(
     (runners, router)
 }
 
-/// What the coordinator asks the shard threads to do next.
+/// What a shard thread does in one round of the windowed driver. Every
+/// thread decides the round itself, with [`next_round`], from state all
+/// threads share, so all of them take the same decision (`None` once
+/// every shard is idle: all threads stop).
 #[derive(Clone, Copy, Debug)]
 enum Round {
     /// Drain the window up to `limit` (inclusive at the pre-refresh
     /// boundary sweep).
     Window { limit: f64, inclusive: bool },
-    /// Build and publish refresh payloads for the armed epoch boundary.
+    /// Build and publish refresh payloads for the armed epoch boundary;
+    /// shard 0 then flushes them into the router.
     Refresh,
-    /// Apply a boundary fault: each shard handles its share of the
-    /// faulted entity; the coordinator quarantines the router afterwards.
-    Fault { t: f64, kind: FaultKind },
-    /// All shards idle: exit.
-    Stop,
+    /// Apply the next boundary fault: each shard handles its share of the
+    /// faulted entity; shard 0 then quarantines the router.
+    Fault,
+}
+
+/// The round rule: given the global minimum `t_min` of the shards'
+/// published times, the router's next refresh and the next fault's
+/// instant (`+∞` when there is none), what the round does, or `None` when every shard is idle. A
+/// boundary strictly before `t_min` is applied (a fault before a refresh
+/// on ties, matching the sequential driver); otherwise the window runs to
+/// `t_min + lookahead`, clipped at the next boundary.
+fn next_round(t_min: f64, next_refresh: f64, next_fault: f64, lookahead: f64) -> Option<Round> {
+    if t_min.is_infinite() {
+        return None;
+    }
+    let boundary = next_fault.min(next_refresh);
+    if boundary < t_min {
+        return Some(if next_fault <= next_refresh { Round::Fault } else { Round::Refresh });
+    }
+    // Events exactly at a boundary precede it: sweep them (and only them)
+    // inclusively.
+    if t_min == boundary {
+        return Some(Round::Window { limit: boundary, inclusive: true });
+    }
+    let limit = (t_min + lookahead).min(boundary);
+    assert!(
+        limit > t_min,
+        "window [{t_min}, {limit}) collapsed — lookahead {lookahead} under-flows the time magnitude"
+    );
+    Some(Round::Window { limit, inclusive: false })
+}
+
+/// The state the windowed driver's shard threads share. The boards and
+/// inboxes are double-buffered by round parity: in round `k` a shard reads
+/// `boards[k % 2]` and drains `mail[k % 2]`, and publishes to and sends
+/// into the other slot, which no shard reads until round `k + 1`.
+struct Shared<'a, J> {
+    plan: &'a ShardPlan,
+    faults: &'a [FaultEvent],
+    boards: [TimeBoard; 2],
+    mail: [Mailboxes<Effect<J>>; 2],
+    barrier: ShardBarrier,
+    router: RwLock<Option<Router>>,
+    payloads: Mutex<Vec<BoundaryEntry>>,
+}
+
+/// One shard thread of [`drive_windowed`]: rounds until every shard is
+/// idle.
+fn run_shard<C: EngineCore>(me: usize, runner: &mut ShardRunner<C>, s: &Shared<'_, C::Job>) {
+    let mut fi = 0usize;
+    let mut parity = 0usize;
+    loop {
+        let next_refresh = s
+            .router
+            .read()
+            .expect("router poisoned")
+            .as_ref()
+            .map_or(f64::INFINITY, Router::next_refresh);
+        let next_fault = s.faults.get(fi).map_or(f64::INFINITY, |e| e.t);
+        let Some(round) =
+            next_round(s.boards[parity].min(), next_refresh, next_fault, s.plan.lookahead())
+        else {
+            break;
+        };
+        // The mail sent to this shard in the previous round, accepted
+        // before this round builds payloads, applies a fault or drains a
+        // window.
+        let msgs = s.mail[parity].drain(me);
+        if let Some(o) = &mut runner.obs {
+            o.profile.mailbox_drained(msgs.len());
+        }
+        let local_next = runner.next_time().unwrap_or(f64::INFINITY);
+        let mut earliest_in = f64::INFINITY;
+        for e in msgs {
+            earliest_in = earliest_in.min(e.time());
+            runner.accept(e);
+        }
+        debug_assert_eq!(
+            runner.next_time().unwrap_or(f64::INFINITY),
+            local_next.min(earliest_in),
+            "accepting mail must only enqueue: the published horizon relies on it"
+        );
+        let next = parity ^ 1;
+        match round {
+            Round::Window { limit, inclusive } => {
+                let timer = runner.obs.is_some().then(Instant::now);
+                let mut sent = 0u64;
+                let mut earliest_sent = f64::INFINITY;
+                {
+                    let guard = s.router.read().expect("router poisoned");
+                    runner.run_window(limit, inclusive, guard.as_ref(), &mut |e| {
+                        let dest = e.owner(s.plan);
+                        debug_assert_ne!(dest, me, "local effect routed to the mailboxes");
+                        sent += 1;
+                        earliest_sent = earliest_sent.min(e.time());
+                        s.mail[next].send(dest, e);
+                    });
+                }
+                if let Some(o) = &mut runner.obs {
+                    o.profile.windows += 1;
+                    o.profile.effects_sent += sent;
+                    if let Some(t0) = timer {
+                        o.profile.window_wall.push(t0.elapsed().as_secs_f64());
+                    }
+                }
+                // Accepting only enqueues, so the minimum over all shards
+                // of this value is the earliest time pending anywhere once
+                // the mail is in: the next round's horizon.
+                let local = runner.next_time().unwrap_or(f64::INFINITY);
+                s.boards[next].publish(me, Some(local.min(earliest_sent)));
+                timed_wait(&s.barrier, &mut runner.obs);
+            }
+            Round::Refresh => {
+                runner
+                    .core
+                    .refresh_payloads(&mut s.payloads.lock().expect("payload sink poisoned"));
+                if let Some(o) = &mut runner.obs {
+                    o.profile.refreshes += 1;
+                }
+                s.boards[next].publish(me, runner.next_time());
+                timed_wait(&s.barrier, &mut runner.obs);
+                if me == 0 {
+                    let entries =
+                        std::mem::take(&mut *s.payloads.lock().expect("payload sink poisoned"));
+                    let mut router = s.router.write().expect("router poisoned");
+                    flush_boundary(
+                        router.as_mut().expect("refresh round without a router"),
+                        entries,
+                    );
+                }
+                timed_wait(&s.barrier, &mut runner.obs);
+            }
+            Round::Fault => {
+                // Each scope mutates only the entities it owns, so the
+                // parallel application is race-free; the router-side
+                // quarantine is shard 0's.
+                let ev = &s.faults[fi];
+                runner.core.apply_fault(ev.t, &ev.kind);
+                runner.resync();
+                s.boards[next].publish(me, runner.next_time());
+                timed_wait(&s.barrier, &mut runner.obs);
+                if let (0, FaultKind::ProxyCrash { proxy }) = (me, ev.kind) {
+                    if let Some(r) = s.router.write().expect("router poisoned").as_mut() {
+                        r.quarantine(proxy);
+                    }
+                }
+                timed_wait(&s.barrier, &mut runner.obs);
+                fi += 1;
+            }
+        }
+        parity = next;
+    }
 }
 
 /// Multi-threaded conservative-window driver: one `std::thread::scope`
-/// worker per shard plus the calling thread as coordinator. Requires
+/// thread per shard, with no coordinator — the calling thread only joins.
+/// Each round, every shard thread decides the round itself from the
+/// shared time board, the router's next refresh and its own fault cursor
+/// (see [`next_round`]). A window round ends at one barrier, a boundary
+/// round at two: shard 0 flushes or quarantines the router between them.
+/// A panic on any shard thread poisons the barrier, so its peers unwind
+/// instead of hanging, and the first panic is re-raised here. Requires
 /// `plan.lookahead() > 0` — callers fall back to [`drive_sequential`]
 /// otherwise. Produces bit-identical state evolution to the sequential
 /// driver (see the module docs for the argument; `shard_parity.rs` for the
@@ -575,155 +740,42 @@ pub(crate) fn drive_windowed<C: EngineCore>(
     plan: &ShardPlan,
     faults: &[FaultEvent],
 ) -> (Vec<ShardRunner<C>>, Option<Router>) {
-    let lookahead = plan.lookahead();
-    assert!(lookahead > 0.0, "windowed driver needs positive lookahead");
+    assert!(plan.lookahead() > 0.0, "windowed driver needs positive lookahead");
     let n = runners.len();
-
-    let board = TimeBoard::new(n);
-    for (i, runner) in runners.iter_mut().enumerate() {
-        board.publish(i, runner.next_time());
+    let shared = Shared {
+        plan,
+        faults,
+        boards: [TimeBoard::new(n), TimeBoard::new(n)],
+        mail: [Mailboxes::new(n), Mailboxes::new(n)],
+        barrier: ShardBarrier::new(n),
+        router: RwLock::new(router),
+        payloads: Mutex::new(Vec::new()),
+    };
+    for (i, runner) in runners.iter().enumerate() {
+        shared.boards[0].publish(i, runner.next_time());
     }
-    let mail: Mailboxes<Effect<C::Job>> = Mailboxes::new(n);
-    // Workers + coordinator: three waits per round (publish horizon; work;
-    // exchange mail and publish times).
-    let barrier = Barrier::new(n + 1);
-    let round = Mutex::new(Round::Stop);
-    let router_cell = RwLock::new(router);
-    let payload_cell: Mutex<Vec<BoundaryEntry>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
-        for (me, runner) in runners.iter_mut().enumerate() {
-            let (board, mail, barrier, round) = (&board, &mail, &barrier, &round);
-            let (router_cell, payload_cell) = (&router_cell, &payload_cell);
-            scope.spawn(move || loop {
-                timed_wait(barrier, &mut runner.obs);
-                let what = *round.lock().expect("round descriptor poisoned");
-                match what {
-                    Round::Stop => break,
-                    Round::Window { limit, inclusive } => {
-                        let timer = runner.obs.is_some().then(Instant::now);
-                        let mut sent = 0u64;
-                        {
-                            let guard = router_cell.read().expect("router poisoned");
-                            runner.run_window(limit, inclusive, guard.as_ref(), &mut |e| {
-                                let dest = e.owner(plan);
-                                debug_assert_ne!(dest, me, "local effect routed to the mailboxes");
-                                sent += 1;
-                                mail.send(dest, e);
-                            });
-                        }
-                        if let Some(o) = &mut runner.obs {
-                            o.profile.windows += 1;
-                            o.profile.effects_sent += sent;
-                            if let Some(t0) = timer {
-                                o.profile.window_wall.push(t0.elapsed().as_secs_f64());
-                            }
-                        }
-                    }
-                    Round::Refresh => {
-                        {
-                            let mut sink = payload_cell.lock().expect("payload sink poisoned");
-                            runner.core.refresh_payloads(&mut sink);
-                        }
-                        if let Some(o) = &mut runner.obs {
-                            o.profile.refreshes += 1;
-                        }
-                    }
-                    Round::Fault { t, kind } => {
-                        // Each scope mutates only the entities it owns, so
-                        // the parallel application is race-free; the
-                        // router-side quarantine is the coordinator's.
-                        runner.core.apply_fault(t, &kind);
-                        runner.resync();
-                    }
-                }
-                timed_wait(barrier, &mut runner.obs);
-                // Exchange phase: everyone's sends for this round are in
-                // (the barrier above orders them); drain ours and publish
-                // our next pending time for the coordinator's horizon.
-                let msgs = mail.drain(me);
-                if let Some(o) = &mut runner.obs {
-                    o.profile.mailbox_drained(msgs.len());
-                }
-                for e in msgs {
-                    runner.accept(e);
-                }
-                board.publish(me, runner.next_time());
-                timed_wait(barrier, &mut runner.obs);
-            });
-        }
-
-        // Coordinator.
-        let mut fi = 0usize;
-        loop {
-            let t_min = board.min();
-            let next_refresh =
-                router_cell.read().expect("router poisoned").as_ref().map(|r| r.next_refresh());
-            let next_fault = faults.get(fi).map(|e| e.t).unwrap_or(f64::INFINITY);
-            // The earliest pending boundary of either kind; ties go to the
-            // fault, matching the sequential driver.
-            let boundary = next_refresh.map_or(next_fault, |r| next_fault.min(r));
-            let what = if t_min.is_infinite() {
-                Round::Stop
-            } else if boundary < t_min {
-                if next_fault <= next_refresh.unwrap_or(f64::INFINITY) {
-                    let ev = &faults[fi];
-                    Round::Fault { t: ev.t, kind: ev.kind }
-                } else {
-                    Round::Refresh
-                }
-            } else {
-                let (limit, inclusive) = if boundary.is_finite() {
-                    // Events exactly at a boundary precede it: sweep them
-                    // (and only them) inclusively.
-                    if t_min == boundary {
-                        (boundary, true)
-                    } else {
-                        ((t_min + lookahead).min(boundary), false)
-                    }
-                } else {
-                    (t_min + lookahead, false)
-                };
-                assert!(
-                    inclusive || limit > t_min,
-                    "window [{t_min}, {limit}) collapsed — lookahead {lookahead} \
-                     under-flows the time magnitude"
-                );
-                Round::Window { limit, inclusive }
-            };
-            *round.lock().expect("round descriptor poisoned") = what;
-            barrier.wait();
-            if matches!(what, Round::Stop) {
-                break;
-            }
-            barrier.wait();
-            match what {
-                Round::Refresh => {
-                    // Workers are in the exchange phase and never touch the
-                    // router there; apply the boundary while they drain mail.
-                    let entries = std::mem::take(&mut *payload_cell.lock().expect("payload sink"));
-                    let mut guard = router_cell.write().expect("router poisoned");
-                    flush_boundary(
-                        guard.as_mut().expect("refresh round without a router"),
-                        entries,
-                    );
-                }
-                Round::Fault { kind, .. } => {
-                    if let FaultKind::ProxyCrash { proxy } = kind {
-                        let mut guard = router_cell.write().expect("router poisoned");
-                        if let Some(r) = guard.as_mut() {
-                            r.quarantine(proxy);
-                        }
-                    }
-                    fi += 1;
-                }
-                _ => {}
-            }
-            barrier.wait();
+        let shared = &shared;
+        let handles: Vec<_> = runners
+            .iter_mut()
+            .enumerate()
+            .map(|(me, runner)| {
+                scope.spawn(move || {
+                    let _poison = shared.barrier.guard();
+                    run_shard(me, runner, shared);
+                })
+            })
+            .collect();
+        // Peers of a panicking shard unwind with `BarrierPoisoned`;
+        // re-raise the panic that caused theirs.
+        let panics = handles.into_iter().filter_map(|h| h.join().err());
+        if let Some(payload) = panics.min_by_key(|p| p.is::<BarrierPoisoned>()) {
+            std::panic::resume_unwind(payload);
         }
     });
 
-    let router = router_cell.into_inner().expect("router poisoned");
+    let router = shared.router.into_inner().expect("router poisoned");
     (runners, router)
 }
 

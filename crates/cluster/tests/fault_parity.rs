@@ -163,7 +163,7 @@ fn fault_runs_are_bit_identical_across_shard_counts() {
     assert!(base.failed_fetches() > 0, "plan produced no failures");
     assert!(base.retries() > 0, "plan produced no retries");
     assert!(base.nodes[1].lost_entries > 0, "crash wiped nothing");
-    for shards in [2, 4, 8] {
+    for shards in [2, 3, 4, 8] {
         let report = sim.run_faulted(23, shards, &fc);
         assert_eq!(report, base, "chaos plan at {shards} shards vs 1 shard");
     }

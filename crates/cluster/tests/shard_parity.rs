@@ -18,7 +18,7 @@ use coop::{CoopConfig, DigestConfig, PlacementPolicy, RefreshStrategy};
 use simcore::dist::Exponential;
 use workload::synth_web::SynthWebConfig;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const SHARD_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
 fn assert_shard_counts_agree(config: &ClusterConfig<'_>, seed: u64, label: &str) {
     let oracle = ClusterSim::new(config).run(seed);

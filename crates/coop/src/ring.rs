@@ -46,21 +46,16 @@ impl HashRing {
     pub fn with_weights(weights: &[usize]) -> Self {
         assert!(!weights.is_empty(), "ring needs at least one node");
         assert!(weights.iter().any(|&w| w > 0), "ring needs at least one virtual node");
-        let mut ring = HashRing { points: Vec::new(), weights: weights.to_vec() };
-        ring.rebuild();
-        ring
-    }
-
-    fn rebuild(&mut self) {
-        self.points.clear();
-        for (node, &w) in self.weights.iter().enumerate() {
+        let mut points = Vec::new();
+        for (node, &w) in weights.iter().enumerate() {
             for replica in 0..w {
-                self.points.push((hash_vnode(node, replica), node));
+                points.push((hash_vnode(node, replica), node));
             }
         }
         // Position ties (astronomically unlikely) break by node id so the
         // ring is a pure function of the weights.
-        self.points.sort_unstable();
+        points.sort_unstable();
+        HashRing { points, weights: weights.to_vec() }
     }
 
     /// Number of nodes (including weight-0 ones).
@@ -79,19 +74,36 @@ impl HashRing {
     }
 
     /// Changes `node`'s weight; only keys adjacent to the added/removed
-    /// virtual nodes move.
+    /// virtual nodes move. The ring is edited in place: each added or
+    /// removed virtual node is found by binary search on the sorted
+    /// points, so the result equals a ring rebuilt from the new weights
+    /// at the cost of the changed virtual nodes only.
     pub fn set_weight(&mut self, node: usize, vnodes: usize) {
         assert!(node < self.weights.len());
+        let old = self.weights[node];
+        assert!(
+            vnodes > 0 || self.weights.iter().enumerate().any(|(n, &w)| n != node && w > 0),
+            "cannot empty the ring"
+        );
+        for replica in vnodes..old {
+            let point = (hash_vnode(node, replica), node);
+            let idx = self.points.binary_search(&point).expect("virtual node on the ring");
+            self.points.remove(idx);
+        }
+        for replica in old..vnodes {
+            let point = (hash_vnode(node, replica), node);
+            let idx = self.points.partition_point(|&p| p < point);
+            self.points.insert(idx, point);
+        }
         self.weights[node] = vnodes;
-        assert!(self.weights.iter().any(|&w| w > 0), "cannot empty the ring");
-        self.rebuild();
     }
 
     /// Adds a node with the given weight; returns its id.
     pub fn add_node(&mut self, vnodes: usize) -> usize {
-        self.weights.push(vnodes);
-        self.rebuild();
-        self.weights.len() - 1
+        self.weights.push(0);
+        let node = self.weights.len() - 1;
+        self.set_weight(node, vnodes);
+        node
     }
 
     /// Removes `node` from the ring (weight 0). Its keys redistribute to
@@ -112,6 +124,7 @@ impl HashRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn owner_is_deterministic_and_in_range() {
@@ -191,6 +204,43 @@ mod tests {
             }
         }
         assert!(to_1 > 0 && from_0 > 0, "to_1 {to_1} from_0 {from_0}");
+    }
+
+    proptest! {
+        /// Editing the ring in place is invisible: after any sequence of
+        /// weight changes, joins and leaves, the points equal those of a
+        /// ring built from scratch with the final weights.
+        #[test]
+        fn edits_match_a_ring_built_from_the_weights(
+            weights in proptest::collection::vec(0usize..12, 1..6),
+            ops in proptest::collection::vec((0usize..3, 0usize..8, 0usize..24), 0..24),
+        ) {
+            let mut weights = weights;
+            weights[0] += 1;
+            let mut ring = HashRing::with_weights(&weights);
+            for (op, pick, vnodes) in ops {
+                let node = pick % weights.len();
+                let others_live =
+                    weights.iter().enumerate().any(|(n, &w)| n != node && w > 0);
+                match op {
+                    0 if vnodes > 0 || others_live => {
+                        ring.set_weight(node, vnodes);
+                        weights[node] = vnodes;
+                    }
+                    1 => {
+                        prop_assert_eq!(ring.add_node(vnodes), weights.len());
+                        weights.push(vnodes);
+                    }
+                    2 if others_live => {
+                        ring.remove_node(node);
+                        weights[node] = 0;
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(&ring.points, &HashRing::with_weights(&weights).points);
+                prop_assert_eq!(&ring.weights, &weights);
+            }
+        }
     }
 
     #[test]

@@ -512,7 +512,8 @@ pub struct ShardProfile {
     pub sched_cancels: u64,
     /// Wall seconds per window drain (non-deterministic).
     pub window_wall: Welford,
-    /// Wall seconds per barrier wait (non-deterministic).
+    /// Wall seconds per barrier wait (non-deterministic): one wait per
+    /// window round, two per refresh or fault round.
     pub barrier_wall: Welford,
 }
 

@@ -8,25 +8,29 @@
 //!   times) and results land in their input slots, so output order is
 //!   deterministic regardless of scheduling.
 //! * **Conservative-window shard synchronization** ([`Mailboxes`],
-//!   [`TimeBoard`]) — the building blocks for a *single* simulation split
-//!   across threads: per-shard message inboxes filled concurrently during a
-//!   window and drained at its barrier, and an atomic board where each
-//!   shard publishes its next-event time so a coordinator can compute the
-//!   global horizon. Determinism is the callers' contract: receivers must
+//!   [`TimeBoard`], [`ShardBarrier`]) — the building blocks for a *single*
+//!   simulation split across threads: per-shard message inboxes filled
+//!   concurrently during a window and drained after the window's barrier,
+//!   an atomic board where each shard publishes its next-event time so
+//!   that every shard can compute the same global horizon, and a barrier
+//!   that a panicking shard cannot hang. A driver that needs one barrier
+//!   per window keeps two inboxes and two boards and alternates them by
+//!   round parity. Determinism is the callers' contract: receivers must
 //!   sequence drained messages by their own timestamps/ids (e.g. via
 //!   `sched::TimedQueue`), never by delivery order, which these primitives
 //!   deliberately leave unspecified.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// One message inbox per shard, safe to fill from any thread.
 ///
 /// During a window every shard pushes cross-shard messages into the
-/// destination's inbox; at the barrier each shard [`Mailboxes::drain`]s its
-/// own. The drain order is whatever the send interleaving produced —
-/// receivers must re-sequence by message timestamp (the cluster drivers
-/// feed a `TimedQueue`, which orders by `(time, id)`).
+/// destination's inbox; once the window's barrier has passed, each shard
+/// [`Mailboxes::drain`]s its own. The drain order is whatever the send
+/// interleaving produced — receivers must re-sequence by message
+/// timestamp (the cluster drivers feed a `TimedQueue`, which orders by
+/// `(time, id)`).
 pub struct Mailboxes<M> {
     boxes: Vec<Mutex<Vec<M>>>,
 }
@@ -55,9 +59,10 @@ impl<M> Mailboxes<M> {
 /// — monotone under `u64` comparison for the non-negative times simulations
 /// use, though [`TimeBoard::min`] decodes and compares as `f64` anyway).
 ///
-/// Shards publish their next pending event time at each barrier; the
-/// coordinator reads the global minimum to size the next conservative
-/// window. `f64::INFINITY` means "idle — nothing pending".
+/// Each shard publishes its next pending event time before a barrier;
+/// after it, every shard reads the same global minimum and sizes the next
+/// conservative window from it. `f64::INFINITY` means "idle — nothing
+/// pending".
 pub struct TimeBoard {
     slots: Vec<AtomicU64>,
 }
@@ -83,6 +88,107 @@ impl TimeBoard {
     /// The minimum published time across all shards (`+∞` when all idle).
     pub fn min(&self) -> f64 {
         (0..self.slots.len()).map(|i| self.get(i)).fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// The panic payload of a wait on a poisoned [`ShardBarrier`]: a peer
+/// panicked first, and this party's panic only echoes it.
+#[derive(Debug)]
+pub struct BarrierPoisoned;
+
+/// A reusable barrier for a fixed party of threads that a panic cannot
+/// hang.
+///
+/// `std::sync::Barrier` has no poisoning: when one party panics, its
+/// peers wait forever. Here a party that unwinds while holding its
+/// [`ShardBarrier::guard`] poisons the barrier, and every current and
+/// later waiter then unwinds with a [`BarrierPoisoned`] payload instead of
+/// blocking, so the scope that spawned the parties fails rather than
+/// hangs.
+pub struct ShardBarrier {
+    parties: usize,
+    state: Mutex<BarrierState>,
+    released: Condvar,
+}
+
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    poisoned: bool,
+}
+
+impl ShardBarrier {
+    /// A barrier that releases once `parties` threads wait on it.
+    pub fn new(parties: usize) -> Self {
+        assert!(parties > 0, "a barrier needs at least one party");
+        ShardBarrier {
+            parties,
+            state: Mutex::new(BarrierState { arrived: 0, generation: 0, poisoned: false }),
+            released: Condvar::new(),
+        }
+    }
+
+    // Every update of the state is a single store and nothing panics
+    // while the lock is held, so a poisoned mutex still holds valid state.
+    fn lock(&self) -> MutexGuard<'_, BarrierState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until all parties have called `wait` in this generation.
+    ///
+    /// # Panics
+    /// Unwinds with [`BarrierPoisoned`] if the barrier is or becomes
+    /// poisoned before this generation is released. The unwind skips the
+    /// panic hook, so only the panic that poisoned the barrier is printed.
+    pub fn wait(&self) {
+        let mut state = self.lock();
+        if !state.poisoned {
+            state.arrived += 1;
+            if state.arrived == self.parties {
+                state.arrived = 0;
+                state.generation = state.generation.wrapping_add(1);
+                self.released.notify_all();
+                return;
+            }
+            let generation = state.generation;
+            while state.generation == generation && !state.poisoned {
+                state = self.released.wait(state).unwrap_or_else(PoisonError::into_inner);
+            }
+            if state.generation != generation {
+                return;
+            }
+        }
+        drop(state);
+        std::panic::resume_unwind(Box::new(BarrierPoisoned));
+    }
+
+    /// Poisons the barrier and wakes every waiter.
+    pub fn poison(&self) {
+        self.lock().poisoned = true;
+        self.released.notify_all();
+    }
+
+    /// A guard that poisons the barrier if it is dropped while its thread
+    /// unwinds. Each party holds one for as long as it may wait.
+    pub fn guard(&self) -> PoisonOnUnwind<'_> {
+        PoisonOnUnwind(self)
+    }
+
+    /// Parties currently blocked in this generation.
+    #[cfg(test)]
+    fn waiting(&self) -> usize {
+        self.lock().arrived
+    }
+}
+
+/// Poisons its [`ShardBarrier`] when dropped during a panic.
+pub struct PoisonOnUnwind<'a>(&'a ShardBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
     }
 }
 
@@ -253,6 +359,53 @@ mod tests {
             (0..4).flat_map(|s| (0..100).map(move |i| (s, i))).collect();
         assert_eq!(got, expect);
         assert!(boxes.drain(0).is_empty(), "drain empties the inbox");
+    }
+
+    #[test]
+    fn shard_barrier_releases_each_generation_together() {
+        let parties = 3;
+        let barrier = ShardBarrier::new(parties);
+        let arrived = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..parties {
+                let (barrier, arrived) = (&barrier, &arrived);
+                scope.spawn(move || {
+                    for round in 1..=50 {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        barrier.wait();
+                        assert_eq!(arrived.load(Ordering::SeqCst), round * parties);
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_panicking_party_releases_its_waiting_peer() {
+        let barrier = ShardBarrier::new(2);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                let barrier = &barrier;
+                let waiter = scope.spawn(move || {
+                    let _poison = barrier.guard();
+                    barrier.wait();
+                });
+                scope.spawn(move || {
+                    let _poison = barrier.guard();
+                    // Fail only once the peer is blocked in `wait`.
+                    while barrier.waiting() == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("shard failed mid-run");
+                });
+                let echo = waiter.join().expect_err("the waiter must not return normally");
+                assert!(echo.is::<BarrierPoisoned>(), "the waiter unwinds with the poison payload");
+            })
+        }));
+        assert!(outcome.is_err(), "the scope fails with the panicking party");
+        let late = std::panic::catch_unwind(|| barrier.wait());
+        assert!(late.expect_err("a poisoned barrier never blocks").is::<BarrierPoisoned>());
     }
 
     #[test]
