@@ -2,7 +2,7 @@
 //! don't refresh. The cheapest policy and the weakest — used as a baseline
 //! in cache-policy comparisons.
 
-use crate::{ByteCapacity, ChargeOutcome, ReplacementCache};
+use crate::{ByteCapacity, ReplacementCache};
 use core::hash::Hash;
 use simcore::hash::{IdMap, IdSet};
 use std::collections::VecDeque;
@@ -129,16 +129,14 @@ impl<K: Copy + Eq + Hash> ByteCapacity<K> for FifoCache<K> {
         self.set.contains(k).then(|| self.sizes.get(k).copied().unwrap_or(0.0))
     }
 
-    fn charge(&mut self, k: K, bytes: f64) -> ChargeOutcome<K> {
+    fn charge(&mut self, k: K, bytes: f64, evicted: &mut Vec<K>) -> bool {
         assert!(bytes >= 0.0 && bytes.is_finite(), "bad entry size {bytes}");
         if bytes > self.byte_capacity {
-            let mut evicted = Vec::new();
             if self.remove(&k) {
                 evicted.push(k);
             }
-            return ChargeOutcome { admitted: false, evicted };
+            return false;
         }
-        let mut evicted = Vec::new();
         if self.set.contains(&k) {
             // FIFO keeps admission order: re-charging swaps the size only.
             self.used_bytes += bytes - self.sizes.get(&k).copied().unwrap_or(0.0);
@@ -160,7 +158,7 @@ impl<K: Copy + Eq + Hash> ByteCapacity<K> for FifoCache<K> {
                     None => break,
                 }
             }
-            return ChargeOutcome { admitted: true, evicted };
+            return true;
         }
         while self.set.len() == self.capacity || self.used_bytes + bytes > self.byte_capacity {
             match self.evict_oldest() {
@@ -169,7 +167,7 @@ impl<K: Copy + Eq + Hash> ByteCapacity<K> for FifoCache<K> {
             }
         }
         self.note_admit(k, bytes);
-        ChargeOutcome { admitted: true, evicted }
+        true
     }
 }
 

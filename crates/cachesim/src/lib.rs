@@ -29,7 +29,8 @@
 //! [`TaggedCache`] over either) carry a second budget in bytes:
 //! [`ByteCapacity::charge`] admits a key with an explicit size and evicts
 //! in policy order until **both** the entry-count and the byte budgets
-//! hold, returning every victim (byte-driven eviction can claim several).
+//! hold, appending every victim to a caller-owned buffer (byte-driven
+//! eviction can claim several).
 //! With an unbounded byte budget (the plain constructors) `charge`
 //! reproduces [`ReplacementCache::insert`] exactly, so item-counted
 //! simulations are the degenerate case, not a separate code path.
@@ -94,17 +95,6 @@ pub trait ReplacementCache<K: Copy + Eq + Hash> {
     fn keys(&self) -> Vec<K>;
 }
 
-/// Outcome of a byte-charged admission ([`ByteCapacity::charge`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChargeOutcome<K> {
-    /// Whether `k` resides in the cache after the call. `false` only when
-    /// the entry alone exceeds the byte budget (it is never admitted, and
-    /// a previously cached copy is evicted).
-    pub admitted: bool,
-    /// Keys evicted to make room, in the policy's eviction order.
-    pub evicted: Vec<K>,
-}
-
 /// A cache with a second budget denominated in bytes.
 ///
 /// Implementors keep the [`ReplacementCache`] entry-count budget *and* a
@@ -127,8 +117,14 @@ pub trait ByteCapacity<K: Copy + Eq + Hash>: ReplacementCache<K> {
     /// the entry-count and the byte budgets hold. Charging a present key
     /// refreshes its replacement metadata (like
     /// [`ReplacementCache::insert`]) and re-charges its size. An entry
-    /// larger than the whole byte budget is rejected, never admitted.
-    fn charge(&mut self, k: K, bytes: f64) -> ChargeOutcome<K>;
+    /// larger than the whole byte budget is rejected, never admitted (and
+    /// a previously cached copy is evicted).
+    ///
+    /// Returns whether `k` resides in the cache afterwards, and *appends*
+    /// the evicted keys to `evicted` in the policy's eviction order — the
+    /// buffer is the caller's, so a simulation loop reuses one allocation
+    /// for every admission.
+    fn charge(&mut self, k: K, bytes: f64, evicted: &mut Vec<K>) -> bool;
 }
 
 #[cfg(test)]

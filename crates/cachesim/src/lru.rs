@@ -4,7 +4,7 @@
 //! index links) tracks recency; an `IdMap` gives O(1) key → node lookup.
 //! No unsafe code, no pointer juggling — indices are the links.
 
-use crate::{ByteCapacity, ChargeOutcome, ReplacementCache};
+use crate::{ByteCapacity, ReplacementCache};
 use core::hash::Hash;
 use simcore::hash::IdMap;
 
@@ -198,32 +198,29 @@ impl<K: Copy + Eq + Hash> ByteCapacity<K> for LruCache<K> {
         self.map.get(k).map(|&idx| self.nodes[idx].bytes)
     }
 
-    fn charge(&mut self, k: K, bytes: f64) -> ChargeOutcome<K> {
+    fn charge(&mut self, k: K, bytes: f64, evicted: &mut Vec<K>) -> bool {
         assert!(bytes >= 0.0 && bytes.is_finite(), "bad entry size {bytes}");
         if bytes > self.byte_capacity {
             // The entry alone busts the byte budget: never admit it (and
             // drop any previously cached, smaller copy).
-            let mut evicted = Vec::new();
             if self.remove(&k) {
                 evicted.push(k);
             }
-            return ChargeOutcome { admitted: false, evicted };
+            return false;
         }
         if let Some(&idx) = self.map.get(&k) {
             // Re-charge in place: refresh recency, swap the size.
             self.used_bytes += bytes - self.nodes[idx].bytes;
             self.nodes[idx].bytes = bytes;
             self.move_to_front(idx);
-            let mut evicted = Vec::new();
             // `k` fits alone (checked above), so stop once it is the only
             // entry left — the guard also keeps f64 residue in the ledger
             // from "evicting" `k` itself.
             while self.used_bytes > self.byte_capacity && self.map.len() > 1 {
                 evicted.push(self.evict_lru());
             }
-            return ChargeOutcome { admitted: true, evicted };
+            return true;
         }
-        let mut evicted = Vec::new();
         // The emptiness guard mirrors the FIFO twin: ledger residue must
         // not drive eviction of nothing.
         while !self.map.is_empty()
@@ -235,7 +232,7 @@ impl<K: Copy + Eq + Hash> ByteCapacity<K> for LruCache<K> {
         self.push_front(idx);
         self.map.insert(k, idx);
         self.used_bytes += bytes;
-        ChargeOutcome { admitted: true, evicted }
+        true
     }
 }
 

@@ -98,11 +98,10 @@ impl<K: Copy + Eq + Hash, C: ReplacementCache<K>> TaggedCache<K, C> {
         evicted
     }
 
-    fn note_evictions(&mut self, evicted: Vec<K>) -> Vec<K> {
-        for v in &evicted {
-            self.note_eviction(Some(*v));
+    fn note_evictions(&mut self, evicted: &[K]) {
+        for &v in evicted {
+            self.note_eviction(Some(v));
         }
-        evicted
     }
 
     /// A user access to `k`. Returns its classification; on miss, the item
@@ -125,16 +124,24 @@ impl<K: Copy + Eq + Hash, C: ReplacementCache<K>> TaggedCache<K, C> {
         self.n_access += 1;
         if self.inner.touch(k) {
             self.real_hits += 1;
-            let tag = self.tags.get(&k).copied().unwrap_or(Tag::Tagged);
-            let kind = match tag {
-                Tag::Tagged => {
+            match self.tags.get_mut(&k) {
+                // The first use of a prefetched entry tags it.
+                Some(tag @ Tag::Untagged) => {
+                    *tag = Tag::Tagged;
+                    AccessKind::HitUntagged
+                }
+                Some(Tag::Tagged) => {
                     self.n_hit += 1;
                     AccessKind::HitTagged
                 }
-                Tag::Untagged => AccessKind::HitUntagged,
-            };
-            self.tags.insert(k, Tag::Tagged);
-            kind
+                // Admitted around the tag map (through `inner_mut`): an
+                // untracked entry counts as tagged, and is tracked from now.
+                None => {
+                    self.tags.insert(k, Tag::Tagged);
+                    self.n_hit += 1;
+                    AccessKind::HitTagged
+                }
+            }
         } else {
             AccessKind::Miss
         }
@@ -249,37 +256,53 @@ impl<K: Copy + Eq + Hash, C: ByteCapacity<K>> TaggedCache<K, C> {
     /// demand-fetched item (tag: tagged) charging `bytes`. Returns whether
     /// the entry was *newly* admitted (false when a concurrent fetch
     /// already admitted it, or the entry alone exceeds the byte budget)
-    /// and the evicted keys.
-    pub fn charge_after_fetch(&mut self, k: K, bytes: f64) -> (bool, Vec<K>) {
+    /// and appends the evicted keys to `evicted`, a caller-owned buffer
+    /// (see [`ByteCapacity::charge`]).
+    pub fn charge_after_fetch_into(&mut self, k: K, bytes: f64, evicted: &mut Vec<K>) -> bool {
         if self.inner.contains(&k) {
             // Concurrent fetch already admitted it; just ensure the tag.
             self.tags.insert(k, Tag::Tagged);
-            return (false, Vec::new());
+            return false;
         }
-        let outcome = self.inner.charge(k, bytes);
-        let evicted = self.note_evictions(outcome.evicted);
-        if outcome.admitted {
+        let from = evicted.len();
+        let admitted = self.inner.charge(k, bytes, evicted);
+        self.note_evictions(&evicted[from..]);
+        if admitted {
             self.tags.insert(k, Tag::Tagged);
         }
-        (outcome.admitted, evicted)
+        admitted
     }
 
     /// Byte-charged [`TaggedCache::prefetch_insert`]: a prefetch insertion
     /// of `k` (tag: untagged, not a user access) charging `bytes`.
     /// Prefetching an already-cached item is a no-op (its tag is
-    /// preserved). Returns whether the entry was newly admitted, and the
-    /// evicted keys.
-    pub fn charge_prefetch(&mut self, k: K, bytes: f64) -> (bool, Vec<K>) {
+    /// preserved). Returns whether the entry was newly admitted, and
+    /// appends the evicted keys to `evicted`.
+    pub fn charge_prefetch_into(&mut self, k: K, bytes: f64, evicted: &mut Vec<K>) -> bool {
         self.prefetch_inserts += 1;
         if self.inner.contains(&k) {
-            return (false, Vec::new());
+            return false;
         }
-        let outcome = self.inner.charge(k, bytes);
-        let evicted = self.note_evictions(outcome.evicted);
-        if outcome.admitted {
+        let from = evicted.len();
+        let admitted = self.inner.charge(k, bytes, evicted);
+        self.note_evictions(&evicted[from..]);
+        if admitted {
             self.tags.insert(k, Tag::Untagged);
         }
-        (outcome.admitted, evicted)
+        admitted
+    }
+
+    /// [`TaggedCache::charge_after_fetch_into`] with a fresh buffer:
+    /// whether the entry was newly admitted, and the evicted keys.
+    pub fn charge_after_fetch(&mut self, k: K, bytes: f64) -> (bool, Vec<K>) {
+        let mut evicted = Vec::new();
+        (self.charge_after_fetch_into(k, bytes, &mut evicted), evicted)
+    }
+
+    /// [`TaggedCache::charge_prefetch_into`] with a fresh buffer.
+    pub fn charge_prefetch(&mut self, k: K, bytes: f64) -> (bool, Vec<K>) {
+        let mut evicted = Vec::new();
+        (self.charge_prefetch_into(k, bytes, &mut evicted), evicted)
     }
 
     /// Occupancy of the wrapped cache in bytes.

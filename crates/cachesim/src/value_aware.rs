@@ -13,7 +13,7 @@
 //! accumulated residual waits charged to the key) while keeping the
 //! byte-denominated occupancy accounting of the size-aware caches.
 
-use crate::{ByteCapacity, ChargeOutcome, ReplacementCache};
+use crate::{ByteCapacity, ReplacementCache};
 use core::hash::Hash;
 use simcore::hash::IdMap;
 use std::collections::BTreeSet;
@@ -199,16 +199,15 @@ impl<K: Copy + Eq + Hash + Ord> ByteCapacity<K> for ValueAwareCache<K> {
         self.map.get(k).map(|e| e.bytes)
     }
 
-    fn charge(&mut self, k: K, bytes: f64) -> ChargeOutcome<K> {
+    fn charge(&mut self, k: K, bytes: f64, evicted: &mut Vec<K>) -> bool {
         assert!(bytes >= 0.0 && bytes.is_finite(), "bad entry size {bytes}");
         if bytes > self.byte_capacity {
             // The entry alone busts the byte budget: never admit it (and
             // drop any previously cached, smaller copy).
-            let mut evicted = Vec::new();
             if self.remove(&k) {
                 evicted.push(k);
             }
-            return ChargeOutcome { admitted: false, evicted };
+            return false;
         }
         if self.map.contains_key(&k) {
             // Re-charge in place, mirroring `insert` on a present key: the
@@ -220,7 +219,6 @@ impl<K: Copy + Eq + Hash + Ord> ByteCapacity<K> for ValueAwareCache<K> {
                 e.bytes = bytes;
             }
             self.set_value(k, 0.0);
-            let mut evicted = Vec::new();
             // `k` fits alone (checked above) and, having just been reset to
             // value 0, may itself be the minimum — evict around it.
             while self.used_bytes > self.byte_capacity && self.map.len() > 1 {
@@ -229,9 +227,8 @@ impl<K: Copy + Eq + Hash + Ord> ByteCapacity<K> for ValueAwareCache<K> {
                     None => break,
                 }
             }
-            return ChargeOutcome { admitted: true, evicted };
+            return true;
         }
-        let mut evicted = Vec::new();
         // The emptiness guard mirrors the LRU twin: ledger residue must
         // not drive eviction of nothing.
         while !self.map.is_empty()
@@ -240,7 +237,7 @@ impl<K: Copy + Eq + Hash + Ord> ByteCapacity<K> for ValueAwareCache<K> {
             evicted.push(self.evict_min());
         }
         self.admit(k, 0.0, bytes);
-        ChargeOutcome { admitted: true, evicted }
+        true
     }
 }
 
@@ -318,14 +315,14 @@ mod tests {
     #[test]
     fn byte_budget_evicts_minimum_value_first() {
         let mut c = ValueAwareCache::with_byte_capacity(8, 10.0);
-        c.charge(1, 4.0);
+        let mut evicted = Vec::new();
+        c.charge(1, 4.0, &mut evicted);
         c.set_value(1, 0.9);
-        c.charge(2, 4.0);
+        c.charge(2, 4.0, &mut evicted);
         c.set_value(2, 0.1);
         // 4 + 4 + 4 > 10 → evicts the min-value entry (2), not the oldest.
-        let out = c.charge(3, 4.0);
-        assert!(out.admitted);
-        assert_eq!(out.evicted, vec![2]);
+        assert!(c.charge(3, 4.0, &mut evicted));
+        assert_eq!(evicted, vec![2]);
         assert!(c.contains(&1));
         assert_eq!(c.used_bytes(), 8.0);
         assert_eq!(c.entry_bytes(&3), Some(4.0));
@@ -334,10 +331,10 @@ mod tests {
     #[test]
     fn oversized_entry_is_rejected() {
         let mut c = ValueAwareCache::with_byte_capacity(4, 10.0);
-        c.charge(1, 4.0);
-        let out = c.charge(2, 11.0);
-        assert!(!out.admitted);
-        assert!(out.evicted.is_empty());
+        let mut evicted = Vec::new();
+        c.charge(1, 4.0, &mut evicted);
+        assert!(!c.charge(2, 11.0, &mut evicted));
+        assert!(evicted.is_empty());
         assert!(c.contains(&1));
     }
 
@@ -349,8 +346,9 @@ mod tests {
         let mut b = ValueAwareCache::new(3);
         for k in [5u32, 9, 5, 1, 7, 3] {
             let ia = a.insert(k);
-            let ob = b.charge(k, 2.0);
-            assert_eq!(ia.into_iter().collect::<Vec<_>>(), ob.evicted);
+            let mut evicted = Vec::new();
+            b.charge(k, 2.0, &mut evicted);
+            assert_eq!(ia.into_iter().collect::<Vec<_>>(), evicted);
         }
         let mut ka = a.keys();
         let mut kb = b.keys();

@@ -62,15 +62,16 @@ fn drive<C: ByteCapacity<u32>>(
         match op {
             Op::Charge(k, bytes) => {
                 let before: Vec<u32> = cache.keys();
-                let outcome = cache.charge(k, bytes);
+                let mut evicted = Vec::new();
+                let admitted = cache.charge(k, bytes, &mut evicted);
                 if bytes <= cache.byte_capacity() {
-                    prop_assert!(outcome.admitted, "{label}: fitting entry rejected");
+                    prop_assert!(admitted, "{label}: fitting entry rejected");
                     prop_assert!(cache.contains(&k));
                 } else {
-                    prop_assert!(!outcome.admitted, "{label}: oversized entry admitted");
+                    prop_assert!(!admitted, "{label}: oversized entry admitted");
                     prop_assert!(!cache.contains(&k));
                 }
-                for v in &outcome.evicted {
+                for v in &evicted {
                     prop_assert!(
                         before.contains(v),
                         "{label}: evicted {v} was not cached beforehand"
@@ -104,8 +105,8 @@ fn exact_budget_charge_after_residue_is_admitted() {
         let mut lru = LruCache::with_byte_capacity(8, budget);
         let mut fifo = FifoCache::with_byte_capacity(8, budget);
         for (i, &s) in sizes.iter().enumerate() {
-            lru.charge(i as u32, s);
-            fifo.charge(i as u32, s);
+            lru.charge(i as u32, s, &mut Vec::new());
+            fifo.charge(i as u32, s, &mut Vec::new());
         }
         for i in 0..sizes.len() as u32 {
             lru.remove(&i);
@@ -113,8 +114,8 @@ fn exact_budget_charge_after_residue_is_admitted() {
         }
         assert_eq!(lru.used_bytes(), 0.0, "lru ledger residue after drain");
         assert_eq!(fifo.used_bytes(), 0.0, "fifo ledger residue after drain");
-        assert!(lru.charge(9, budget).admitted, "exact-budget charge rejected by lru");
-        assert!(fifo.charge(9, budget).admitted, "exact-budget charge rejected by fifo");
+        assert!(lru.charge(9, budget, &mut Vec::new()), "exact-budget charge rejected by lru");
+        assert!(fifo.charge(9, budget, &mut Vec::new()), "exact-budget charge rejected by fifo");
     }
 }
 
@@ -166,10 +167,11 @@ proptest! {
         let mut by_charge = LruCache::with_byte_capacity(capacity, f64::INFINITY);
         let mut by_insert = LruCache::new(capacity);
         for &k in &keys {
-            let outcome = by_charge.charge(k, 1.0);
+            let mut charged_out = Vec::new();
+            let admitted = by_charge.charge(k, 1.0, &mut charged_out);
             let evicted = by_insert.insert(k);
-            prop_assert!(outcome.admitted);
-            prop_assert_eq!(outcome.evicted, evicted.into_iter().collect::<Vec<_>>());
+            prop_assert!(admitted);
+            prop_assert_eq!(charged_out, evicted.into_iter().collect::<Vec<_>>());
             prop_assert_eq!(by_charge.keys(), by_insert.keys());
         }
     }

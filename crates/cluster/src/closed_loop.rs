@@ -157,17 +157,17 @@ impl Store {
         }
     }
 
-    fn charge_after_fetch(&mut self, k: ItemId, bytes: f64) -> (bool, Vec<ItemId>) {
+    fn charge_after_fetch(&mut self, k: ItemId, bytes: f64, evicted: &mut Vec<ItemId>) -> bool {
         match self {
-            Store::Lru(c) => c.charge_after_fetch(k, bytes),
-            Store::Ranked(c) => c.charge_after_fetch(k, bytes),
+            Store::Lru(c) => c.charge_after_fetch_into(k, bytes, evicted),
+            Store::Ranked(c) => c.charge_after_fetch_into(k, bytes, evicted),
         }
     }
 
-    fn charge_prefetch(&mut self, k: ItemId, bytes: f64) -> (bool, Vec<ItemId>) {
+    fn charge_prefetch(&mut self, k: ItemId, bytes: f64, evicted: &mut Vec<ItemId>) -> bool {
         match self {
-            Store::Lru(c) => c.charge_prefetch(k, bytes),
-            Store::Ranked(c) => c.charge_prefetch(k, bytes),
+            Store::Lru(c) => c.charge_prefetch_into(k, bytes, evicted),
+            Store::Ranked(c) => c.charge_prefetch_into(k, bytes, evicted),
         }
     }
 
@@ -472,6 +472,10 @@ pub(crate) struct ClosedLoop {
     /// flags, set by crash/digest-loss faults (parallel to `deltas`).
     force_snapshot: Vec<bool>,
     proxies: Vec<ProxyState>,
+    /// Reused buffers for one request's prefetch candidates and one cache
+    /// admission's victims, so the per-event path allocates neither.
+    candidates: Vec<(ItemId, f64)>,
+    evicted: Vec<ItemId>,
 }
 
 impl ClosedLoop {
@@ -564,6 +568,8 @@ impl ClosedLoop {
             force_snapshot: vec![false; deltas.len()],
             deltas,
             proxies,
+            candidates: Vec::new(),
+            evicted: Vec::new(),
         }
     }
 }
@@ -677,14 +683,15 @@ impl ProxyModel for ClosedLoop {
             p.threshold_n += 1;
         }
         if threshold.is_finite() {
-            let cands = p.predictor.candidates(knobs.max_candidates);
+            let cands = &mut self.candidates;
+            p.predictor.candidates_into(knobs.max_candidates, cands);
             if let Some(o) = tx.obs.as_deref_mut() {
                 o.predictions(cands.len() as u64);
             }
             let size_aware =
                 knobs.delayed.size_aware && matches!(knobs.policy, ProxyPolicy::Adaptive);
             let scale = tx.ledgers[i].retrievals.mean();
-            for (item, prob) in cands {
+            for &(item, prob) in cands.iter() {
                 // The size is pure data (no RNG draw), so reading it before
                 // the acceptance check keeps draw order intact. On replay
                 // an unknown size means the item was never seen here — a
@@ -834,8 +841,10 @@ impl ProxyModel for ClosedLoop {
         }
         match job.kind {
             JobKind::Demand { measured } => {
-                let (admitted, evicted) = p.cache.charge_after_fetch(job.item, job.size);
-                note_cache_change(&mut self.deltas, i, p, job.item, admitted, &evicted);
+                let evicted = &mut self.evicted;
+                evicted.clear();
+                let admitted = p.cache.charge_after_fetch(job.item, job.size, evicted);
+                note_cache_change(&mut self.deltas, i, p, job.item, admitted, evicted);
                 // Any landing of the key's data ends the wait — an entry
                 // already settled by a concurrent (bypassed) fetch, or a
                 // bypassed fetch itself, yields `None` here.
@@ -865,8 +874,10 @@ impl ProxyModel for ClosedLoop {
                     // and the waiters' clocks stop now. The transfer
                     // served real demand, so everything it cost counts as
                     // used.
-                    let (admitted, evicted) = p.cache.charge_after_fetch(job.item, job.size);
-                    note_cache_change(&mut self.deltas, i, p, job.item, admitted, &evicted);
+                    let evicted = &mut self.evicted;
+                    evicted.clear();
+                    let admitted = p.cache.charge_after_fetch(job.item, job.size, evicted);
+                    note_cache_change(&mut self.deltas, i, p, job.item, admitted, evicted);
                     p.used_prefetch_bytes += job.spent;
                     let residual_sum =
                         settle_waiters(&mut tx.trace, &mut tx.obs, lg, &waiters, t, jp, job.item.0);
@@ -877,8 +888,10 @@ impl ProxyModel for ClosedLoop {
                         p.cache.set_value(job.item, score);
                     }
                 } else {
-                    let (admitted, evicted) = p.cache.charge_prefetch(job.item, job.size);
-                    note_cache_change(&mut self.deltas, i, p, job.item, admitted, &evicted);
+                    let evicted = &mut self.evicted;
+                    evicted.clear();
+                    let admitted = p.cache.charge_prefetch(job.item, job.size, evicted);
+                    note_cache_change(&mut self.deltas, i, p, job.item, admitted, evicted);
                     if admitted {
                         p.controller.on_prefetch_insert();
                         p.prefetch_cost.insert(job.item, job.spent);

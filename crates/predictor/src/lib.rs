@@ -49,6 +49,16 @@ pub trait Predictor {
     /// to 1 (the tail is truncated).
     fn candidates(&self, max: usize) -> Vec<(ItemId, f64)>;
 
+    /// [`Predictor::candidates`] into a caller-owned buffer: `out` is
+    /// cleared, then receives exactly the list `candidates(max)` returns.
+    /// Callers on a hot path keep one buffer and reuse its allocation;
+    /// predictors that can write their list in place override this (the
+    /// default collects `candidates` and moves it in).
+    fn candidates_into(&self, max: usize, out: &mut Vec<(ItemId, f64)>) {
+        out.clear();
+        out.append(&mut self.candidates(max));
+    }
+
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
 

@@ -4,11 +4,16 @@
 //! items; predicted probability is the empirical conditional frequency.
 //! Order 1 is the textbook case the paper's related work builds on.
 
-use crate::{sort_candidates, Predictor};
+use crate::Predictor;
 use simcore::hash::IdMap;
 use workload::ItemId;
 
 /// Order-k Markov predictor.
+///
+/// Each context keeps its successors in candidate order — count
+/// descending, id ascending — maintained on every [`Predictor::observe`],
+/// so a candidate list is a prefix copy. Order-1 contexts are keyed by the
+/// item itself; longer contexts by the item sequence.
 ///
 /// ```
 /// use predictor::{MarkovPredictor, Predictor};
@@ -29,14 +34,74 @@ pub struct MarkovPredictor {
     order: usize,
     /// Rolling context of the last `order` items.
     context: Vec<ItemId>,
-    /// context-key → (next → count, total).
-    table: IdMap<Vec<ItemId>, (IdMap<ItemId, u64>, u64)>,
+    /// Order 1: previous item → its successors.
+    first: IdMap<ItemId, Successors>,
+    /// Orders ≥ 2: context → its successors.
+    longer: IdMap<Vec<ItemId>, Successors>,
+}
+
+/// The successor counts of one context, kept sorted by count descending,
+/// id ascending — the canonical candidate order, since every probability
+/// of a context shares the denominator `total`.
+#[derive(Default)]
+struct Successors {
+    counts: Vec<(ItemId, u64)>,
+    total: u64,
+}
+
+impl Successors {
+    fn single(item: ItemId) -> Self {
+        Successors { counts: vec![(item, 1)], total: 1 }
+    }
+
+    /// Counts one more `item`. The bumped entry moves up past those it now
+    /// outranks; frequent successors sit at the front, so the search for
+    /// them is short.
+    fn bump(&mut self, item: ItemId) {
+        self.total += 1;
+        let mut i = match self.counts.iter().position(|&(id, _)| id == item) {
+            Some(i) => {
+                self.counts[i].1 += 1;
+                i
+            }
+            None => {
+                self.counts.push((item, 1));
+                self.counts.len() - 1
+            }
+        };
+        let (id, c) = self.counts[i];
+        while i > 0 {
+            let (pid, pc) = self.counts[i - 1];
+            if pc > c || (pc == c && pid < id) {
+                break;
+            }
+            self.counts.swap(i, i - 1);
+            i -= 1;
+        }
+    }
+
+    fn prob(&self, next: ItemId) -> f64 {
+        self.counts
+            .iter()
+            .find(|&&(id, _)| id == next)
+            .map_or(0.0, |&(_, c)| c as f64 / self.total as f64)
+    }
+
+    fn top_into(&self, max: usize, out: &mut Vec<(ItemId, f64)>) {
+        let total = self.total as f64;
+        out.extend(self.counts.iter().take(max).map(|&(id, c)| (id, c as f64 / total)));
+    }
 }
 
 impl MarkovPredictor {
     pub fn new(order: usize) -> Self {
         assert!(order >= 1, "order must be at least 1");
-        MarkovPredictor { order, context: Vec::new(), table: IdMap::default() }
+        MarkovPredictor {
+            order,
+            context: Vec::new(),
+            first: IdMap::default(),
+            longer: IdMap::default(),
+        }
     }
 
     pub fn order(&self) -> usize {
@@ -45,34 +110,41 @@ impl MarkovPredictor {
 
     /// Number of distinct contexts learned.
     pub fn contexts(&self) -> usize {
-        self.table.len()
+        self.first.len() + self.longer.len()
+    }
+
+    /// The successors of the current context, once it is full and seen.
+    fn current(&self) -> Option<&Successors> {
+        match self.context.as_slice() {
+            [item] if self.order == 1 => self.first.get(item),
+            ctx if ctx.len() == self.order => self.longer.get(ctx),
+            _ => None,
+        }
     }
 
     /// Estimated `P(next | current context)` for one item.
     pub fn prob(&self, next: ItemId) -> f64 {
-        if self.context.len() < self.order {
-            return 0.0;
-        }
-        match self.table.get(&self.context) {
-            Some((counts, total)) if *total > 0 => {
-                counts.get(&next).copied().unwrap_or(0) as f64 / *total as f64
-            }
-            _ => 0.0,
-        }
+        self.current().map_or(0.0, |s| s.prob(next))
     }
 }
 
 impl Predictor for MarkovPredictor {
     fn observe(&mut self, item: ItemId) {
+        if self.order == 1 {
+            if let Some(&prev) = self.context.first() {
+                self.first.entry(prev).or_default().bump(item);
+            }
+            self.context.clear();
+            self.context.push(item);
+            return;
+        }
         if self.context.len() == self.order {
             // Look the context up by reference: only a context seen for the
             // first time is cloned into a key.
-            if let Some((counts, total)) = self.table.get_mut(&self.context) {
-                *counts.entry(item).or_insert(0) += 1;
-                *total += 1;
+            if let Some(succ) = self.longer.get_mut(&self.context) {
+                succ.bump(item);
             } else {
-                let counts = IdMap::from_iter([(item, 1)]);
-                self.table.insert(self.context.clone(), (counts, 1));
+                self.longer.insert(self.context.clone(), Successors::single(item));
             }
         }
         self.context.push(item);
@@ -82,19 +154,16 @@ impl Predictor for MarkovPredictor {
     }
 
     fn candidates(&self, max: usize) -> Vec<(ItemId, f64)> {
-        if self.context.len() < self.order {
-            return Vec::new();
-        }
-        let Some((counts, total)) = self.table.get(&self.context) else {
-            return Vec::new();
-        };
-        if *total == 0 {
-            return Vec::new();
-        }
-        let mut v: Vec<(ItemId, f64)> =
-            counts.iter().map(|(&id, &c)| (id, c as f64 / *total as f64)).collect();
-        sort_candidates(&mut v, max);
+        let mut v = Vec::new();
+        self.candidates_into(max, &mut v);
         v
+    }
+
+    fn candidates_into(&self, max: usize, out: &mut Vec<(ItemId, f64)>) {
+        out.clear();
+        if let Some(succ) = self.current() {
+            succ.top_into(max, out);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -103,7 +172,8 @@ impl Predictor for MarkovPredictor {
 
     fn reset(&mut self) {
         self.context.clear();
-        self.table.clear();
+        self.first.clear();
+        self.longer.clear();
     }
 }
 

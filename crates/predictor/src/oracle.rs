@@ -6,7 +6,7 @@
 //! predictor against the oracle quantifies how much of the analytic gain
 //! survives estimation noise.
 
-use crate::{sort_candidates, Predictor};
+use crate::Predictor;
 use std::sync::Arc;
 use workload::{ItemId, MarkovChain};
 
@@ -16,7 +16,9 @@ use workload::{ItemId, MarkovChain};
 /// the same chain) share it and differ only in their current item.
 #[derive(Clone)]
 pub struct OraclePredictor {
-    /// Successor lists indexed by item, in [`MarkovChain::successors`] order.
+    /// Successor lists indexed by item, in [`MarkovChain::successors`]
+    /// order — descending probability, ascending id among ties, which is
+    /// the canonical candidate order — so a candidate list is a prefix.
     successors: Arc<[Vec<(ItemId, f64)>]>,
     current: Option<ItemId>,
 }
@@ -34,6 +36,12 @@ impl OraclePredictor {
         self.current.and_then(|cur| self.successors.get(cur.0 as usize)).map_or(&[], Vec::as_slice)
     }
 
+    /// The first `max` candidates: a prefix, the list being pre-ordered.
+    fn top(&self, max: usize) -> &[(ItemId, f64)] {
+        let s = self.current_successors();
+        &s[..max.min(s.len())]
+    }
+
     /// True `P(next = b | current)`.
     pub fn prob(&self, b: ItemId) -> f64 {
         self.current_successors().iter().find(|(id, _)| *id == b).map_or(0.0, |(_, p)| *p)
@@ -46,9 +54,12 @@ impl Predictor for OraclePredictor {
     }
 
     fn candidates(&self, max: usize) -> Vec<(ItemId, f64)> {
-        let mut v = self.current_successors().to_vec();
-        sort_candidates(&mut v, max);
-        v
+        self.top(max).to_vec()
+    }
+
+    fn candidates_into(&self, max: usize, out: &mut Vec<(ItemId, f64)>) {
+        out.clear();
+        out.extend_from_slice(self.top(max));
     }
 
     fn name(&self) -> &'static str {

@@ -304,6 +304,13 @@ impl Discrete {
         self.weights_sum
     }
 
+    /// The alias table's `(prob, alias)` entry for outcome `i`: a draw of
+    /// `i` returns `i` when its uniform variate is below `prob`, `alias`
+    /// otherwise.
+    pub fn entry(&self, i: usize) -> (f64, usize) {
+        (self.prob[i], self.alias[i] as usize)
+    }
+
     /// Draws an outcome index in O(1).
     #[inline]
     pub fn sample_index(&self, rng: &mut Rng) -> usize {

@@ -10,6 +10,7 @@
 //! * [`markov`] — Markov-chain reference streams: the classic model under
 //!   which speculative prediction is well-posed (Vitter & Krishnan's
 //!   setting); also the ground truth against which predictors are scored.
+//!   Rows draw through [`alias`]'s sparse alias rows, O(non-zeros) each.
 //! * [`lru_stack`] — stack-distance streams with a *controllable* LRU hit
 //!   ratio, giving direct command of the paper's `h′` knob.
 //! * [`trace`] — trace records and their JSON-lines codec, for inspecting
@@ -23,6 +24,7 @@
 //!   above (the substitution for the proprietary proxy logs of the era;
 //!   see DESIGN.md §7).
 
+pub mod alias;
 pub mod arrivals;
 pub mod catalog;
 pub mod events;

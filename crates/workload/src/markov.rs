@@ -6,12 +6,24 @@
 //! exactly the `p` in the paper's model. The chain doubles as ground truth
 //! for scoring the `predictor` crate.
 
+use crate::alias::{AliasRow, AliasRows, AliasRowsBuilder};
 use crate::catalog::ItemId;
 use crate::RequestStream;
-use simcore::dist::Discrete;
 use simcore::rng::Rng;
 
 /// A first-order Markov chain over `n` items.
+///
+/// Rows are stored sparsely, in flat CSR arrays (all rows' entries back
+/// to back, plus one offset per row): the non-zero transitions, and one
+/// sparse alias sampler per row ([`AliasRows`]). A row with `k` non-zero
+/// transitions costs O(k) memory and build time whatever `n` is, so a
+/// [`MarkovChain::random`] chain holds O(n·branching) state, not an n×n
+/// table, and a draw touches a few hundred bytes of its row.
+///
+/// **Draw contract.** [`MarkovChain::step`] consumes exactly the variates
+/// of `simcore::dist::Discrete::sample_index` over the dense row
+/// (`rng.index(n)`, then `rng.f64()`) and returns the same successor: the
+/// sparse sampler reproduces the dense Vose alias table entry for entry.
 ///
 /// ```
 /// use simcore::rng::Rng;
@@ -28,39 +40,72 @@ use simcore::rng::Rng;
 /// assert!(next.0 < 5);
 /// ```
 pub struct MarkovChain {
-    /// Per-row transitions with non-zero probability, `(successor, p)` in
-    /// ascending successor order.
-    rows: Vec<Vec<(usize, f64)>>,
-    /// Alias samplers per row, over the dense row (so draws do not depend
-    /// on the sparse representation).
-    samplers: Vec<Discrete>,
+    /// Row `i`'s transitions with non-zero probability, `(successor, p)`
+    /// in ascending successor order, are `succ[succ_at[i]..succ_at[i + 1]]`.
+    succ: Vec<(u32, f64)>,
+    succ_at: Vec<usize>,
+    /// Row `i`'s sampler is `samplers.row(i)`.
+    samplers: AliasRows,
     state: usize,
+}
+
+/// Validates and compiles rows one at a time into a [`MarkovChain`].
+struct RowsBuilder {
+    n: usize,
+    succ: Vec<(u32, f64)>,
+    succ_at: Vec<usize>,
+    samplers: AliasRowsBuilder,
+}
+
+impl RowsBuilder {
+    fn new(n: usize) -> Self {
+        assert!(n > 0, "empty chain");
+        RowsBuilder { n, succ: Vec::new(), succ_at: vec![0], samplers: AliasRowsBuilder::new(n) }
+    }
+
+    /// Appends the next row from its non-zero `(successor, p)` entries in
+    /// ascending successor order.
+    fn push(&mut self, entries: &[(u32, f64)]) {
+        let i = self.succ_at.len() - 1;
+        assert!(i < self.n, "more than {} rows", self.n);
+        // Left to right, like the sum over the dense row (zeros add nothing).
+        let sum: f64 = entries.iter().map(|&(_, p)| p).sum();
+        assert!((sum - 1.0).abs() < 1e-9, "row {i} sums to {sum}");
+        assert!(entries.iter().all(|&(_, p)| p >= 0.0), "row {i} has negative entries");
+        self.samplers.push(entries);
+        self.succ.extend(entries.iter().filter(|&&(_, p)| p > 0.0));
+        self.succ_at.push(self.succ.len());
+    }
+
+    fn finish(mut self) -> MarkovChain {
+        assert_eq!(self.succ_at.len(), self.n + 1, "chain needs {} rows", self.n);
+        self.succ.shrink_to_fit();
+        MarkovChain {
+            succ: self.succ,
+            succ_at: self.succ_at,
+            samplers: self.samplers.finish(),
+            state: 0,
+        }
+    }
 }
 
 impl MarkovChain {
     /// Builds a chain from a dense transition matrix (each row must be a
     /// probability vector).
     pub fn new(rows: Vec<Vec<f64>>) -> Self {
-        MarkovChain::from_dense_rows(rows.len(), rows)
-    }
-
-    /// Validates and compiles `n` dense rows one at a time, so only one
-    /// dense row is alive at once.
-    fn from_dense_rows(n: usize, dense: impl IntoIterator<Item = Vec<f64>>) -> Self {
-        assert!(n > 0, "empty chain");
-        let mut rows = Vec::with_capacity(n);
-        let mut samplers = Vec::with_capacity(n);
-        for (i, row) in dense.into_iter().enumerate() {
+        let n = rows.len();
+        let mut b = RowsBuilder::new(n);
+        let mut entries = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.len(), n, "row {i} has wrong length");
-            let sum: f64 = row.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "row {i} sums to {sum}");
-            assert!(row.iter().all(|&p| p >= 0.0), "row {i} has negative entries");
-            samplers.push(Discrete::new(&row));
-            rows.push(
-                row.iter().enumerate().filter(|(_, &p)| p > 0.0).map(|(j, &p)| (j, p)).collect(),
+            entries.clear();
+            // Negative (and NaN) entries stay in so the row checks see them.
+            entries.extend(
+                row.iter().enumerate().filter(|(_, &p)| p != 0.0).map(|(j, &p)| (j as u32, p)),
             );
+            b.push(&entries);
         }
-        MarkovChain { rows, samplers, state: 0 }
+        b.finish()
     }
 
     /// A random sparse chain: from each state, `branching` successors with
@@ -70,31 +115,31 @@ impl MarkovChain {
     pub fn random(n: usize, branching: usize, skew: f64, rng: &mut Rng) -> Self {
         assert!(n >= 2 && branching >= 1 && branching <= n);
         assert!(skew > 0.0 && skew <= 1.0);
-        let dense = (0..n).map(|_| {
-            let mut row = vec![0.0; n];
-            // Pick `branching` distinct successors.
-            let mut successors = Vec::with_capacity(branching);
-            while successors.len() < branching {
-                let s = rng.index(n);
-                if !successors.contains(&s) {
-                    successors.push(s);
+        let mut b = RowsBuilder::new(n);
+        // Geometric weights: skew^0, skew^1, ... normalised.
+        let mut weights = Vec::with_capacity(branching);
+        let mut w = 1.0;
+        let mut total = 0.0;
+        for _ in 0..branching {
+            weights.push(w);
+            total += w;
+            w *= skew;
+        }
+        let mut entries: Vec<(u32, f64)> = Vec::with_capacity(branching);
+        for _ in 0..n {
+            // Pick `branching` distinct successors; the k-th drawn gets
+            // the k-th weight.
+            entries.clear();
+            while entries.len() < branching {
+                let s = rng.index(n) as u32;
+                if !entries.iter().any(|&(j, _)| j == s) {
+                    entries.push((s, weights[entries.len()] / total));
                 }
             }
-            // Geometric weights: skew^0, skew^1, ... normalised.
-            let mut w = 1.0;
-            let mut total = 0.0;
-            let mut weights = Vec::with_capacity(branching);
-            for _ in 0..branching {
-                weights.push(w);
-                total += w;
-                w *= skew;
-            }
-            for (s, wt) in successors.iter().zip(&weights) {
-                row[*s] = wt / total;
-            }
-            row
-        });
-        MarkovChain::from_dense_rows(n, dense)
+            entries.sort_unstable_by_key(|&(j, _)| j);
+            b.push(&entries);
+        }
+        b.finish()
     }
 
     /// A noisy cycle: state `i` goes to `i+1 (mod n)` with probability
@@ -102,28 +147,54 @@ impl MarkovChain {
     /// deterministic (every access perfectly predictable).
     pub fn noisy_cycle(n: usize, noise: f64, _rng: &mut Rng) -> Self {
         assert!(n >= 2 && (0.0..=1.0).contains(&noise));
-        let dense = (0..n).map(|i| {
-            let mut row = vec![noise / n as f64; n];
-            row[(i + 1) % n] += 1.0 - noise;
-            row
-        });
-        MarkovChain::from_dense_rows(n, dense)
+        let mut b = RowsBuilder::new(n);
+        let mut entries = Vec::with_capacity(n);
+        for i in 0..n {
+            let next = (i + 1) % n;
+            entries.clear();
+            entries.extend((0..n).filter_map(|j| {
+                let mut p = noise / n as f64;
+                if j == next {
+                    p += 1.0 - noise;
+                }
+                (p != 0.0).then_some((j as u32, p))
+            }));
+            b.push(&entries);
+        }
+        b.finish()
+    }
+
+    /// Row `i`'s non-zero transitions, ascending successor order.
+    fn row(&self, i: usize) -> &[(u32, f64)] {
+        &self.succ[self.succ_at[i]..self.succ_at[i + 1]]
+    }
+
+    /// The alias sampler [`MarkovChain::step`] draws `from`'s successor
+    /// with.
+    pub fn sampler(&self, from: ItemId) -> AliasRow<'_> {
+        self.samplers.row(from.0 as usize)
+    }
+
+    /// Heap bytes of the alias samplers: O(n·branching) for a
+    /// [`MarkovChain::random`] chain.
+    pub fn sampler_bytes(&self) -> usize {
+        self.samplers.heap_bytes()
     }
 
     /// Number of states.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.succ_at.len() - 1
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// True transition probability `P[from][to]`.
     pub fn prob(&self, from: ItemId, to: ItemId) -> f64 {
-        let row = &self.rows[from.0 as usize];
-        assert!((to.0 as usize) < self.rows.len(), "state {} out of range", to.0);
-        match row.binary_search_by_key(&(to.0 as usize), |&(j, _)| j) {
+        let row = self.row(from.0 as usize);
+        assert!((to.0 as usize) < self.len(), "state {} out of range", to.0);
+        match row.binary_search_by_key(&to.0, |&(j, _)| j as u64) {
             Ok(k) => row[k].1,
             Err(_) => 0.0,
         }
@@ -133,7 +204,7 @@ impl MarkovChain {
     /// descending probability — the oracle candidate list.
     pub fn successors(&self, from: ItemId) -> Vec<(ItemId, f64)> {
         let mut out: Vec<(ItemId, f64)> =
-            self.rows[from.0 as usize].iter().map(|&(j, p)| (ItemId(j as u64), p)).collect();
+            self.row(from.0 as usize).iter().map(|&(j, p)| (ItemId(j as u64), p)).collect();
         // Stable: equal probabilities keep ascending successor order.
         out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
@@ -146,7 +217,7 @@ impl MarkovChain {
 
     /// Jumps to a specific state.
     pub fn set_state(&mut self, s: ItemId) {
-        assert!((s.0 as usize) < self.rows.len());
+        assert!((s.0 as usize) < self.len());
         self.state = s.0 as usize;
     }
 
@@ -154,12 +225,12 @@ impl MarkovChain {
     /// state: the same draw as `set_state(from)` followed by `next_item`,
     /// so one chain can drive many independent walkers through `&self`.
     pub fn step(&self, from: ItemId, rng: &mut Rng) -> ItemId {
-        ItemId(self.samplers[from.0 as usize].sample_index(rng) as u64)
+        ItemId(self.sampler(from).sample_index(rng) as u64)
     }
 
     /// Stationary distribution by power iteration (for tests/analysis).
     pub fn stationary(&self, iterations: usize) -> Vec<f64> {
-        let n = self.rows.len();
+        let n = self.len();
         let mut pi = vec![1.0 / n as f64; n];
         let mut next = vec![0.0; n];
         for _ in 0..iterations {
@@ -168,8 +239,8 @@ impl MarkovChain {
                 if pi_i == 0.0 {
                     continue;
                 }
-                for &(j, p) in &self.rows[i] {
-                    next[j] += pi_i * p;
+                for &(j, p) in self.row(i) {
+                    next[j as usize] += pi_i * p;
                 }
             }
             core::mem::swap(&mut pi, &mut next);
@@ -182,12 +253,12 @@ impl MarkovChain {
     pub fn entropy_rate(&self, iterations: usize) -> f64 {
         let pi = self.stationary(iterations);
         let mut h = 0.0;
-        for (i, row) in self.rows.iter().enumerate() {
+        for (i, &pi_i) in pi.iter().enumerate() {
             let mut hi = 0.0;
-            for &(_, p) in row {
+            for &(_, p) in self.row(i) {
                 hi -= p * p.log2();
             }
-            h += pi[i] * hi;
+            h += pi_i * hi;
         }
         h
     }
