@@ -59,11 +59,6 @@ impl<K: Copy + Eq + Hash + Ord> GdsfCache<K> {
         }
     }
 
-    /// Current aging level `L`.
-    pub fn inflation(&self) -> f64 {
-        self.inflation
-    }
-
     fn priority(&self, freq: u64, size: f64) -> HValue {
         HValue(self.inflation + freq as f64 / size.max(1e-12))
     }
@@ -96,11 +91,6 @@ impl<K: Copy + Eq + Hash + Ord> GdsfCache<K> {
         }
         self.reinsert(k, 1, size);
         evicted
-    }
-
-    /// Access frequency of a cached key.
-    pub fn frequency(&self, k: &K) -> Option<u64> {
-        self.map.get(k).map(|e| e.freq)
     }
 }
 
@@ -192,7 +182,7 @@ mod tests {
 
         // A new small item now enters with H = L + 1 = 1.5 > 1: evicts the
         // old H = 1 entries despite equal size/frequency — aging at work.
-        assert!(c.inflation() > 0.0);
+        assert!(c.inflation > 0.0);
         let evicted = c.insert_sized(4, 1.0).unwrap();
         assert!(evicted == 1 || evicted == 3);
         assert!(c.contains(&4));

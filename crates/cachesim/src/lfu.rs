@@ -44,11 +44,6 @@ impl<K: Copy + Eq + Hash + Ord> LfuCache<K> {
         self.order.remove(&old);
         self.order.insert(new);
     }
-
-    /// Access frequency of a cached key.
-    pub fn frequency(&self, k: &K) -> Option<u64> {
-        self.map.get(k).map(|m| m.freq)
-    }
 }
 
 impl<K: Copy + Eq + Hash + Ord> ReplacementCache<K> for LfuCache<K> {
@@ -130,7 +125,7 @@ mod tests {
         c.touch(2);
         // Frequencies: 1→3, 2→2, 3→1. Victim is 3.
         assert_eq!(c.insert(4), Some(3));
-        assert_eq!(c.frequency(&1), Some(3));
+        assert_eq!(c.map.get(&1).map(|m| m.freq), Some(3));
     }
 
     #[test]
@@ -146,10 +141,10 @@ mod tests {
     fn frequency_counts_inserts_and_touches() {
         let mut c = LfuCache::new(2);
         c.insert(5);
-        assert_eq!(c.frequency(&5), Some(1));
+        assert_eq!(c.map.get(&5).map(|m| m.freq), Some(1));
         c.insert(5); // counts as a touch
         c.touch(5);
-        assert_eq!(c.frequency(&5), Some(3));
+        assert_eq!(c.map.get(&5).map(|m| m.freq), Some(3));
     }
 
     #[test]

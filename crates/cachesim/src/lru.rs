@@ -113,11 +113,6 @@ impl<K: Copy + Eq + Hash> LruCache<K> {
         }
     }
 
-    /// The key that would be evicted next (the LRU entry).
-    pub fn peek_lru(&self) -> Option<K> {
-        (self.tail != NIL).then(|| self.nodes[self.tail].key)
-    }
-
     /// Keys from most- to least-recently used.
     pub fn keys_mru_first(&self) -> Vec<K> {
         let mut out = Vec::with_capacity(self.map.len());
@@ -269,19 +264,6 @@ mod tests {
         c.insert(2);
         c.insert(1); // refresh
         assert_eq!(c.insert(3), Some(2));
-    }
-
-    #[test]
-    fn peek_lru_matches_eviction() {
-        let mut c = LruCache::new(3);
-        for k in [10, 20, 30] {
-            c.insert(k);
-        }
-        c.touch(10);
-        let predicted = c.peek_lru().unwrap();
-        let evicted = c.insert(40).unwrap();
-        assert_eq!(predicted, evicted);
-        assert_eq!(evicted, 20);
     }
 
     #[test]

@@ -177,15 +177,6 @@ impl<K: Copy + Eq + Hash> Mshr<K> {
         Mshr::new(MshrConfig::default())
     }
 
-    pub fn config(&self) -> MshrConfig {
-        self.config
-    }
-
-    /// Whether demand misses coalesce onto in-flight entries.
-    pub fn coalescing(&self) -> bool {
-        self.config.coalesce
-    }
-
     /// Whether `k` has an outstanding entry.
     pub fn contains(&self, k: &K) -> bool {
         self.table.contains_key(k)

@@ -34,11 +34,6 @@ impl<K: Copy + Eq + Hash> SlruCache<K> {
         }
     }
 
-    /// Whether a key currently sits in the protected segment.
-    pub fn is_protected(&self, k: &K) -> bool {
-        self.protected.contains(k)
-    }
-
     fn promote(&mut self, k: K) {
         self.probation.remove(&k);
         if let Some(demoted) = self.protected.insert(k) {
@@ -110,9 +105,9 @@ mod tests {
     fn first_touch_is_probationary_second_promotes() {
         let mut c = SlruCache::with_segments(2, 2);
         c.insert(1);
-        assert!(!c.is_protected(&1));
+        assert!(!c.protected.contains(&1));
         assert!(c.touch(1));
-        assert!(c.is_protected(&1));
+        assert!(c.protected.contains(&1));
     }
 
     #[test]
@@ -142,9 +137,9 @@ mod tests {
         c.touch(1); // 1 protected
         c.insert(2);
         c.touch(2); // 2 protected, 1 demoted to probation
-        assert!(c.is_protected(&2));
+        assert!(c.protected.contains(&2));
         assert!(c.contains(&1));
-        assert!(!c.is_protected(&1));
+        assert!(!c.protected.contains(&1));
     }
 
     #[test]

@@ -41,13 +41,6 @@ pub enum AccessKind {
     Miss,
 }
 
-impl AccessKind {
-    /// Was this a real cache hit?
-    pub fn is_hit(&self) -> bool {
-        !matches!(self, AccessKind::Miss)
-    }
-}
-
 /// Instrumented cache implementing the §4 estimator.
 ///
 /// ```
@@ -308,12 +301,6 @@ impl<K: Copy + Eq + Hash, C: ByteCapacity<K>> TaggedCache<K, C> {
     /// Occupancy of the wrapped cache in bytes.
     pub fn used_bytes(&self) -> f64 {
         self.inner.used_bytes()
-    }
-
-    /// Byte budget of the wrapped cache (`f64::INFINITY` when the cache
-    /// only counts entries).
-    pub fn byte_capacity(&self) -> f64 {
-        self.inner.byte_capacity()
     }
 }
 

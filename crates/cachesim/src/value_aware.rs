@@ -133,16 +133,6 @@ impl<K: Copy + Eq + Hash + Ord> ValueAwareCache<K> {
             self.order.insert((OrdF64(v), seq, k));
         }
     }
-
-    /// Current value of an entry.
-    pub fn value(&self, k: &K) -> Option<f64> {
-        self.map.get(k).map(|e| e.value.0)
-    }
-
-    /// The key that would be evicted next, with its value.
-    pub fn peek_min(&self) -> Option<(K, f64)> {
-        self.order.iter().next().map(|&(v, _, k)| (k, v.0))
-    }
 }
 
 impl<K: Copy + Eq + Hash + Ord> ReplacementCache<K> for ValueAwareCache<K> {
@@ -262,7 +252,7 @@ mod tests {
         c.insert_valued(2, 0.1);
         c.insert_valued(3, 0.5);
         assert_eq!(c.insert_valued(4, 0.7), Some(2));
-        assert_eq!(c.peek_min(), Some((3, 0.5)));
+        assert_eq!(c.insert_valued(5, 0.7), Some(3));
     }
 
     #[test]
@@ -307,7 +297,7 @@ mod tests {
         c.insert_valued(1, 0.1);
         c.insert_valued(2, 0.2);
         assert_eq!(c.insert_valued(1, 0.9), None);
-        assert_eq!(c.value(&1), Some(0.9));
+        assert_eq!(c.map[&1].value.0, 0.9);
         // Now 2 is the minimum.
         assert_eq!(c.insert_valued(3, 0.5), Some(2));
     }

@@ -6,7 +6,7 @@
 //! every proxy per iteration. The scan is gone from the hot paths (the
 //! engine core arms per-link/per-proxy timers and runs under the `shard`
 //! drivers), but it survives here, driving the *same* generic engine core
-//! ([`crate::engine`]) for either proxy model, so the engine-parity tests
+//! (`crate::engine`) for either proxy model, so the engine-parity tests
 //! can pin that the scheduler rewrite changed event *selection cost* and
 //! nothing else: both drivers must produce byte-identical
 //! [`ClusterReport`]s.

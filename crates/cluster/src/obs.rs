@@ -299,7 +299,7 @@ impl ClusterObs {
     }
 
     /// Renders the run's telemetry as one JSON object. Per-link series are
-    /// capped at [`MAX_LINK_SERIES`] (backbone first, then busiest by mean
+    /// capped at `MAX_LINK_SERIES` (backbone first, then busiest by mean
     /// utilisation); `links_total`/`links_reported` record the elision.
     pub fn to_json(&self) -> Json {
         let mut counters = Json::obj();

@@ -619,6 +619,7 @@ struct Shared<'a, J> {
 fn run_shard<C: EngineCore>(me: usize, runner: &mut ShardRunner<C>, s: &Shared<'_, C::Job>) {
     let mut fi = 0usize;
     let mut parity = 0usize;
+    let mut inbox = Vec::new();
     loop {
         let next_refresh = s
             .router
@@ -635,13 +636,13 @@ fn run_shard<C: EngineCore>(me: usize, runner: &mut ShardRunner<C>, s: &Shared<'
         // The mail sent to this shard in the previous round, accepted
         // before this round builds payloads, applies a fault or drains a
         // window.
-        let msgs = s.mail[parity].drain(me);
+        s.mail[parity].drain_into(me, &mut inbox);
         if let Some(o) = &mut runner.obs {
-            o.profile.mailbox_drained(msgs.len());
+            o.profile.mailbox_drained(inbox.len());
         }
         let local_next = runner.next_time().unwrap_or(f64::INFINITY);
         let mut earliest_in = f64::INFINITY;
-        for e in msgs {
+        for e in inbox.drain(..) {
             earliest_in = earliest_in.min(e.time());
             runner.accept(e);
         }
@@ -663,7 +664,7 @@ fn run_shard<C: EngineCore>(me: usize, runner: &mut ShardRunner<C>, s: &Shared<'
                         debug_assert_ne!(dest, me, "local effect routed to the mailboxes");
                         sent += 1;
                         earliest_sent = earliest_sent.min(e.time());
-                        s.mail[next].send(dest, e);
+                        s.mail[next].send(me, dest, e);
                     });
                 }
                 if let Some(o) = &mut runner.obs {

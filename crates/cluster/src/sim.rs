@@ -37,7 +37,7 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Runs the simulation partitioned into `shards` shard-local event
-    /// loops (see [`crate::shard`] for the protocol). Deterministic in
+    /// loops (see the `shard` module for the protocol). Deterministic in
     /// `seed` **and in `shards`**: the report is bit-identical to
     /// [`ClusterSim::run`] for every shard count — the property
     /// `cluster/tests/shard_parity.rs` pins. Shards execute on their own

@@ -165,6 +165,30 @@ fn telemetry_is_deterministic_across_shardings() {
     }
 }
 
+/// Every integral field of a shard's profile is a pure function of the
+/// schedule, so two runs at the same shard count agree on all of them.
+/// At 4 shards each inbox has several senders; the mailboxes deliver
+/// sender by sender, so the order in which a shard re-arms its timers for
+/// accepted mail, and with it `sched_arms` and `sched_cancels`, does not
+/// depend on thread timing.
+#[test]
+fn shard_profiles_are_deterministic_at_four_shards() {
+    fn integral(p: &simcore::ShardProfile) -> impl PartialEq + std::fmt::Debug {
+        (
+            (p.shard, p.windows, p.refreshes, p.events, p.events_by_class.clone()),
+            (p.effects_sent, p.mailbox_msgs, p.mailbox_hwm, p.mail_in.count()),
+            (p.heap_depth_hwm, p.sched_arms, p.sched_cancels),
+        )
+    }
+    let config = coop_config(0.05);
+    let (_, a) = ClusterSim::new(&config).run_observed(7, 4, &probes());
+    let (_, b) = ClusterSim::new(&config).run_observed(7, 4, &probes());
+    assert_eq!(a.profiles.len(), 4);
+    for (pa, pb) in a.profiles.iter().zip(&b.profiles) {
+        assert_eq!(integral(pa), integral(pb), "shard {} profile", pa.shard);
+    }
+}
+
 #[test]
 fn telemetry_content_is_populated() {
     let config = coop_config(0.05);

@@ -6,7 +6,7 @@
 //! against the *advertised* summary, which has two error modes:
 //!
 //! * **structural false positives** — the Bloom filter itself, bounded by
-//!   `(1 − e^{−kn/m})^k` ([`BloomFilter::fp_bound`], pinned by proptest);
+//!   `(1 − e^{−kn/m})^k` ([`DigestConfig::fp_bound`], pinned by proptest);
 //! * **staleness false hits** — the filter was true at refresh time but
 //!   the peer has since evicted the entry. The digest layer cannot see
 //!   these; the router absorbs them by falling back to the origin.
@@ -75,8 +75,9 @@ impl DigestConfig {
 
     /// The delta-stream length at which a snapshot becomes the cheaper
     /// flush for a cache of `capacity` entries — `capacity · bits / 8 / 9`
-    /// ops; see [`DeltaDigest::delta_crossover_ops`], with which this
-    /// always agrees.
+    /// ops (snapshot bytes over [`DELTA_OP_WIRE_BYTES`]). A stream of
+    /// **more** than this many ops costs more wire bytes than shipping the
+    /// whole bit projection.
     pub fn delta_crossover_ops(&self, capacity: usize) -> u64 {
         self.snapshot_wire_bytes(capacity) / DELTA_OP_WIRE_BYTES
     }
@@ -101,7 +102,7 @@ pub enum RefreshStrategy {
     FullRebuild,
     /// Per proxy, per boundary: ship whichever is cheaper on the wire —
     /// the delta stream, or a full snapshot once the stream has outgrown
-    /// it. The crossover is [`DeltaDigest::delta_crossover_ops`]
+    /// it. The crossover is [`DigestConfig::delta_crossover_ops`]
     /// (`⌈m/8⌉ / 9` ops, i.e. `capacity · bits / 8 / 9` at standard
     /// provisioning — the point E16 measures): below it a delta flush is
     /// strictly smaller, above it the snapshot is, so `Auto` never ships
@@ -146,7 +147,6 @@ pub struct BloomFilter {
     words: Vec<u64>,
     m: u64,
     k: u32,
-    inserted: u64,
 }
 
 impl BloomFilter {
@@ -155,7 +155,7 @@ impl BloomFilter {
     pub fn for_capacity(capacity: usize, bits_per_entry: usize, hashes: usize) -> Self {
         assert!(capacity > 0 && bits_per_entry > 0 && hashes > 0);
         let m = provision(capacity, bits_per_entry);
-        BloomFilter { words: vec![0; m.div_ceil(64) as usize], m, k: hashes as u32, inserted: 0 }
+        BloomFilter { words: vec![0; m.div_ceil(64) as usize], m, k: hashes as u32 }
     }
 
     /// Sets the key's probe bits.
@@ -165,41 +165,16 @@ impl BloomFilter {
             let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.m;
             self.words[(bit / 64) as usize] |= 1 << (bit % 64);
         }
-        self.inserted += 1;
     }
 
     /// Whether all probe bits are set (no false negatives; false positives
-    /// at the [`BloomFilter::fp_bound`] rate).
+    /// at the [`DigestConfig::fp_bound`] rate at capacity).
     pub fn contains(&self, key: u64) -> bool {
         let (h1, h2) = probes(key);
         (0..self.k).all(|i| {
             let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.m;
             self.words[(bit / 64) as usize] & (1 << (bit % 64)) != 0
         })
-    }
-
-    /// Resets the filter for the next epoch.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.inserted = 0;
-    }
-
-    /// Bits provisioned (`m`).
-    pub fn bits(&self) -> u64 {
-        self.m
-    }
-
-    /// Keys inserted since the last [`BloomFilter::clear`].
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
-    /// Analytic false-positive bound `(1 − e^{−kn/m})^k` at the current
-    /// occupancy `n`.
-    pub fn fp_bound(&self) -> f64 {
-        let k = self.k as f64;
-        let n = self.inserted as f64;
-        (1.0 - (-k * n / self.m as f64).exp()).powf(k)
     }
 }
 
@@ -288,11 +263,6 @@ impl DeltaDigest {
         self.live = 0;
     }
 
-    /// Slots provisioned (`m`).
-    pub fn bits(&self) -> u64 {
-        self.m
-    }
-
     /// Keys currently summarised (inserts minus removes).
     pub fn live(&self) -> u64 {
         self.live
@@ -303,15 +273,6 @@ impl DeltaDigest {
     /// regardless of how the sender maintains its counters.
     pub fn snapshot_wire_bytes(&self) -> u64 {
         self.m.div_ceil(8)
-    }
-
-    /// The delta-stream length at which a full snapshot becomes the
-    /// cheaper flush: `⌈m/8⌉ / 9` ops (snapshot bytes over
-    /// [`DELTA_OP_WIRE_BYTES`]). A stream of **more** than this many ops
-    /// costs more wire bytes than shipping the whole bit projection —
-    /// [`RefreshStrategy::Auto`]'s per-proxy decision point.
-    pub fn delta_crossover_ops(&self) -> u64 {
-        self.snapshot_wire_bytes() / DELTA_OP_WIRE_BYTES
     }
 }
 
@@ -331,17 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_the_filter() {
-        let mut f = BloomFilter::for_capacity(64, 10, 4);
-        for key in 0..64u64 {
-            f.insert(key);
-        }
-        f.clear();
-        assert_eq!(f.inserted(), 0);
-        assert!((0..64u64).all(|k| !f.contains(k)));
-    }
-
-    #[test]
     fn fp_rate_tracks_analytic_bound() {
         // 10 bits/entry, 4 hashes → bound ≈ 1.2%.
         let mut f = BloomFilter::for_capacity(1_000, 10, 4);
@@ -350,19 +300,9 @@ mod tests {
         }
         let false_positives =
             (1_000_000..1_100_000u64).filter(|&k| f.contains(k)).count() as f64 / 100_000.0;
-        let bound = f.fp_bound();
+        let bound = DigestConfig { epoch: 1.0, bits_per_entry: 10, hashes: 4 }.fp_bound();
         assert!(bound < 0.02, "bound {bound}");
         assert!(false_positives < 2.0 * bound + 0.005, "fp {false_positives} vs bound {bound}");
-    }
-
-    #[test]
-    fn config_bound_matches_filter_bound_at_capacity() {
-        let cfg = DigestConfig { epoch: 1.0, bits_per_entry: 10, hashes: 4 };
-        let mut f = BloomFilter::for_capacity(500, cfg.bits_per_entry, cfg.hashes);
-        for key in 0..500u64 {
-            f.insert(key);
-        }
-        assert!((f.fp_bound() - cfg.fp_bound()).abs() < 1e-9);
     }
 
     #[test]
@@ -414,6 +354,6 @@ mod tests {
     #[test]
     fn snapshot_wire_bytes_is_bit_projection_size() {
         let d = DeltaDigest::for_capacity(100, 10, 4);
-        assert_eq!(d.snapshot_wire_bytes(), d.bits().div_ceil(8));
+        assert_eq!(d.snapshot_wire_bytes(), d.m.div_ceil(8));
     }
 }

@@ -82,11 +82,6 @@ impl Placement {
     pub fn migrations(&self) -> u64 {
         self.migrations
     }
-
-    /// The underlying ring (read-only).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
 }
 
 #[cfg(test)]
@@ -106,9 +101,9 @@ mod tests {
         let mut p = Placement::new(3, 32, policy);
         let moved = p.observe_load(&[0.1, 0.8, 0.4]);
         assert_eq!(moved, 4);
-        assert_eq!(p.ring().weight(1), 28, "hot proxy sheds vnodes");
-        assert_eq!(p.ring().weight(0), 36, "cold proxy gains them");
-        assert_eq!(p.ring().weight(2), 32, "bystander untouched");
+        assert_eq!(p.ring.weight(1), 28, "hot proxy sheds vnodes");
+        assert_eq!(p.ring.weight(0), 36, "cold proxy gains them");
+        assert_eq!(p.ring.weight(2), 32, "bystander untouched");
         assert_eq!(p.migrations(), 4);
     }
 
@@ -124,7 +119,7 @@ mod tests {
         let policy = PlacementPolicy::LoadAware { divergence: 0.1, step: 100, min_vnodes: 8 };
         let mut p = Placement::new(2, 16, policy);
         assert_eq!(p.observe_load(&[0.9, 0.1]), 8, "clamped to weight − min_vnodes");
-        assert_eq!(p.ring().weight(0), 8);
+        assert_eq!(p.ring.weight(0), 8);
         // Fully drained to the floor: no further migration possible.
         assert_eq!(p.observe_load(&[0.9, 0.1]), 0);
     }

@@ -68,11 +68,6 @@ impl HashRing {
         self.weights[node]
     }
 
-    /// Total virtual nodes on the ring.
-    pub fn total_vnodes(&self) -> usize {
-        self.points.len()
-    }
-
     /// Changes `node`'s weight; only keys adjacent to the added/removed
     /// virtual nodes move. The ring is edited in place: each added or
     /// removed virtual node is found by binary search on the sorted

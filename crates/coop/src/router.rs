@@ -157,11 +157,6 @@ impl Router {
         }
     }
 
-    /// Whether a digest refresh is due at virtual time `t`.
-    pub fn refresh_due(&self, t: f64) -> bool {
-        t >= self.next_refresh
-    }
-
     /// The next epoch boundary a refresh is scheduled for. Boundaries sit
     /// on the fixed grid `k · epoch`, so an event-driven host can arm a
     /// timer here and fire [`Router::refresh`] / [`Router::apply_deltas`]
@@ -212,7 +207,7 @@ impl Router {
     /// the holder index from `contents(proxy)` and feeds the per-proxy
     /// load estimates to the placement policy. O(proxies × capacity) work
     /// and `n · ⌈m/8⌉` exchange bytes — the parity oracle for
-    /// [`Router::apply_deltas`]. Call when [`Router::refresh_due`]; the
+    /// [`Router::apply_deltas`]. Call at [`Router::next_refresh`]; the
     /// next refresh stays on the epoch grid.
     pub fn refresh(&mut self, t: f64, contents: impl Fn(usize) -> Vec<u64>, loads: &[f64]) {
         self.holders.clear();
@@ -322,13 +317,6 @@ impl Router {
         self.finish_boundary(t, loads);
     }
 
-    /// Whether a delta stream of `ops` ops should fall back to a snapshot
-    /// for `proxy` under [`crate::RefreshStrategy::Auto`] — true past the wire
-    /// crossover [`DeltaDigest::delta_crossover_ops`].
-    pub fn snapshot_cheaper(&self, proxy: usize, ops: usize) -> bool {
-        ops as u64 > self.digests[proxy].delta_crossover_ops()
-    }
-
     /// Resolves a miss/prefetch for `key` at proxy `me`: the placement
     /// owner's digest first, then the holder index in cyclic order from
     /// `owner + 1` — O(holders of `key`), not O(proxies).
@@ -388,11 +376,6 @@ impl Router {
         self.digests[p].clear();
         self.quarantined[p] = true;
         keys.len() as u64
-    }
-
-    /// Whether proxy `p` is quarantined (crashed and not yet re-advertised).
-    pub fn is_quarantined(&self, p: usize) -> bool {
-        self.quarantined[p]
     }
 
     /// Activity counters.
@@ -489,7 +472,7 @@ mod tests {
 
         let wiped = r.quarantine(holder);
         assert_eq!(wiped, 1);
-        assert!(r.is_quarantined(holder));
+        assert!(r.quarantined[holder]);
         assert_eq!(r.resolve(me, key), Resolution::Origin, "crashed holder must not be returned");
 
         // The proxy's next digest epoch re-admits it with live contents.
@@ -500,7 +483,7 @@ mod tests {
             })
             .collect();
         r.apply_payloads(10.0, payloads, &[0.0; 4]);
-        assert!(!r.is_quarantined(holder));
+        assert!(!r.quarantined[holder]);
         assert_eq!(r.resolve(me, key), Resolution::Peer(holder));
     }
 
@@ -522,11 +505,9 @@ mod tests {
     #[test]
     fn refresh_epochs_advance() {
         let mut r = router(2);
-        assert!(!r.refresh_due(1.0));
-        assert!(r.refresh_due(5.0));
+        assert_eq!(r.next_refresh(), 5.0);
         r.refresh(5.0, |_| vec![], &[0.0; 2]);
-        assert!(!r.refresh_due(9.0));
-        assert!(r.refresh_due(10.0));
+        assert_eq!(r.next_refresh(), 10.0);
         assert_eq!(r.stats().digest_epochs, 1);
     }
 
@@ -658,8 +639,7 @@ mod tests {
         // capacity 64 × 10 bits → m = 640 slots → 80-byte snapshot →
         // crossover at ⌊80 / 9⌋ = 8 ops.
         let r = router(2);
-        assert!(!r.snapshot_cheaper(0, 8), "at the crossover deltas still win (ties go to deltas)");
-        assert!(r.snapshot_cheaper(0, 9), "past the crossover the snapshot is cheaper");
+        assert_eq!(r.digests[0].snapshot_wire_bytes() / DELTA_OP_WIRE_BYTES, 8);
         // The metered costs agree with the decision rule around the
         // boundary: 9 ops cost more wire bytes than one snapshot, 8 less.
         for (ops, cheaper) in [(8u64, false), (9, true)] {

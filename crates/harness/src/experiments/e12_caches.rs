@@ -14,7 +14,8 @@ use cachesim::{
 use simcore::rng::Rng;
 use workload::{Catalog, ItemId, LruStackStream, MarkovChain, RequestStream};
 
-/// Owning IRM stream (the library's `IrmStream` borrows its catalog).
+/// Independent reference model (IRM): IID draws from the catalog's
+/// popularity law.
 struct OwnedIrm {
     catalog: Catalog,
 }

@@ -110,11 +110,6 @@ pub fn render() -> String {
     render_with(&SIZES, &SHARD_COUNTS, TOTAL_REQUESTS)
 }
 
-/// Reduced CI report.
-pub fn render_smoke() -> String {
-    render_with(&SMOKE_SIZES, &SMOKE_SHARD_COUNTS, SMOKE_TOTAL_REQUESTS)
-}
-
 /// Report over caller-chosen fabric sizes, shard ladder, and budget.
 pub fn render_with(sizes: &[usize], shard_counts: &[usize], total_requests: usize) -> String {
     render_with_rows(sizes, shard_counts, total_requests).0
@@ -257,7 +252,7 @@ mod tests {
 
     #[test]
     fn render_smoke_contains_all_sections() {
-        let report = render_smoke();
+        let report = render_with(&SMOKE_SIZES, &SMOKE_SHARD_COUNTS, SMOKE_TOTAL_REQUESTS);
         assert!(report.contains("strong scaling"));
         assert!(report.contains("Shard ladder"));
         assert!(report.contains("bit-identical"));

@@ -15,17 +15,6 @@ use super::paper;
 /// Cache sizes explored.
 pub const CACHE_SIZES: [f64; 3] = [5.0, 20.0, 100.0];
 
-/// Figure-1 analogue: `p_th(s) = f′λs/b + h′/n̄(C)`.
-pub fn threshold_curve(h_prime: f64, bandwidth: f64, n_c: f64, s_points: usize) -> Vec<(f64, f64)> {
-    (0..=s_points)
-        .map(|i| {
-            let s = 10.0 * i as f64 / s_points as f64;
-            let pth = (1.0 - h_prime) * paper::LAMBDA * s / bandwidth + h_prime / n_c;
-            (s, pth)
-        })
-        .collect()
-}
-
 /// Figure-2 analogue: `(n̄(F), G_B)` stable points.
 pub fn g_curve(h_prime: f64, p: f64, n_c: f64, nf_points: usize) -> Vec<(f64, f64)> {
     let params =
@@ -129,15 +118,6 @@ pub fn render() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn threshold_curves_offset_by_eviction_value() {
-        let base = threshold_curve(0.3, 50.0, 1e12, 10); // n(C)→∞ ≈ model A
-        let small = threshold_curve(0.3, 50.0, 5.0, 10);
-        for (a, b) in base.iter().zip(&small) {
-            assert!((b.1 - a.1 - 0.06).abs() < 1e-9);
-        }
-    }
 
     #[test]
     fn h_zero_panel_equals_model_a() {

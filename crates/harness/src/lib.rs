@@ -42,16 +42,6 @@ pub mod asciiplot;
 pub mod experiments;
 pub mod report;
 pub mod sentinel;
-pub mod sweep;
-
-/// Formats an optional quantity, rendering instability as the paper's
-/// figures do (the curve leaves the plot).
-pub fn fmt_opt(v: Option<f64>, precision: usize) -> String {
-    match v {
-        Some(x) => format!("{x:.precision$}"),
-        None => "unstable".to_string(),
-    }
-}
 
 /// Relative error |measured − predicted| / |predicted| (NaN-safe).
 pub fn rel_err(measured: f64, predicted: f64) -> f64 {
@@ -65,12 +55,6 @@ pub fn rel_err(measured: f64, predicted: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fmt_opt_renders_both_cases() {
-        assert_eq!(fmt_opt(Some(0.123456), 3), "0.123");
-        assert_eq!(fmt_opt(None, 3), "unstable");
-    }
 
     #[test]
     fn rel_err_basics() {

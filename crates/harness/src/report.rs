@@ -1,4 +1,4 @@
-//! Plain-text tables and CSV output for experiment reports.
+//! Plain-text tables for experiment reports.
 
 use std::fmt::Write as _;
 
@@ -24,14 +24,6 @@ impl Table {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
         self
-    }
-
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the aligned table.
@@ -73,24 +65,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (headers + rows, comma-separated, quoted as needed).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let _ =
-            writeln!(out, "{}", self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-        }
-        out
-    }
 }
 
 /// Helper: format an `f64` cell.
@@ -121,15 +95,6 @@ mod tests {
     fn row_width_mismatch_panics() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new("t", &["a", "b"]);
-        t.row(vec!["x,y".into(), "has \"quote\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"has \"\"quote\"\"\""));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! each request: the paper models the server as M/G/1 with total arrival
 //! rate `(1−h+n̄(F))λ`, which presumes Poisson superposition. Issuing
 //! `n̄(F)` jobs at the very instant of each request creates batch arrivals
-//! (M^[X]/G/1), measurably inflating sojourns above `x̄/(1−ρ)` — a real
+//! (`M^[X]/G/1`), measurably inflating sojourns above `x̄/(1−ρ)` — a real
 //! second-order effect the paper's model ignores; we quantify it in
 //! EXPERIMENTS.md (E7) and keep the mechanism faithful to the assumption
 //! here.
@@ -24,7 +24,7 @@
 //! and compared against the closed forms. PS insensitivity means any size
 //! distribution with mean `s̄` must reproduce them.
 
-use prefetch_core::{ModelA, SystemParams};
+use prefetch_core::SystemParams;
 use queueing::{PsServer, Server};
 use simcore::dist::Sample;
 use simcore::rng::Rng;
@@ -236,15 +236,16 @@ pub fn run_with_baseline(
     (base, with, g)
 }
 
-/// The model-A prediction for this configuration (for comparison columns).
-pub fn predicted(config: &ParametricConfig<'_>) -> ModelA {
-    ModelA::new(config.params, config.n_f, config.p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prefetch_core::ModelA;
     use simcore::dist::{Exponential, Pareto};
+
+    /// The model-A prediction for this configuration.
+    fn predicted(config: &ParametricConfig<'_>) -> ModelA {
+        ModelA::new(config.params, config.n_f, config.p)
+    }
 
     const N: usize = 120_000;
     const WARM: usize = 20_000;

@@ -120,7 +120,7 @@ pub struct TracedConfig {
     pub max_candidates: usize,
     /// Mean of the exponential delay between a prefetch decision and the
     /// job's issue. Zero issues prefetches at the request instant, which
-    /// creates batch arrivals at the link (M^[X]/G/1) and measurably
+    /// creates batch arrivals at the link (`M^[X]/G/1`) and measurably
     /// inflates *demand* sojourns — real prefetchers pace their traffic,
     /// and the paper's M/G/1 model assumes Poisson superposition.
     pub prefetch_jitter: f64,

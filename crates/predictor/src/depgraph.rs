@@ -36,25 +36,6 @@ impl DependencyGraph {
             current: None,
         }
     }
-
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Predicted `P(next-window contains b | current = a)`.
-    pub fn prob(&self, a: ItemId, b: ItemId) -> f64 {
-        let occ = self.occurrences.get(&a).copied().unwrap_or(0);
-        if occ == 0 {
-            return 0.0;
-        }
-        let c = self.arcs.get(&a).and_then(|m| m.get(&b)).copied().unwrap_or(0);
-        (c as f64 / occ as f64).min(1.0)
-    }
-
-    /// Number of nodes with outgoing arcs.
-    pub fn nodes(&self) -> usize {
-        self.arcs.len()
-    }
 }
 
 impl Predictor for DependencyGraph {
@@ -106,6 +87,16 @@ impl Predictor for DependencyGraph {
 mod tests {
     use super::*;
 
+    /// The learned `P(next-window contains b | current = a)`.
+    fn prob(g: &DependencyGraph, a: ItemId, b: ItemId) -> f64 {
+        let occ = g.occurrences.get(&a).copied().unwrap_or(0);
+        if occ == 0 {
+            return 0.0;
+        }
+        let c = g.arcs.get(&a).and_then(|m| m.get(&b)).copied().unwrap_or(0);
+        (c as f64 / occ as f64).min(1.0)
+    }
+
     #[test]
     fn captures_within_window_dependencies() {
         let mut g = DependencyGraph::new(2);
@@ -116,9 +107,9 @@ mod tests {
             g.observe(ItemId(3));
         }
         // 2 follows 1 within the window every time.
-        assert!((g.prob(ItemId(1), ItemId(2)) - 1.0).abs() < 1e-9);
+        assert!((prob(&g, ItemId(1), ItemId(2)) - 1.0).abs() < 1e-9);
         // 3 follows 1 within window 2 as well.
-        assert!((g.prob(ItemId(1), ItemId(3)) - 1.0).abs() < 0.05);
+        assert!((prob(&g, ItemId(1), ItemId(3)) - 1.0).abs() < 0.05);
     }
 
     #[test]
@@ -129,9 +120,9 @@ mod tests {
             g.observe(ItemId(2));
             g.observe(ItemId(3));
         }
-        assert!(g.prob(ItemId(1), ItemId(2)) > 0.95);
+        assert!(prob(&g, ItemId(1), ItemId(2)) > 0.95);
         // With window 1, 3 never directly follows 1.
-        assert_eq!(g.prob(ItemId(1), ItemId(3)), 0.0);
+        assert_eq!(prob(&g, ItemId(1), ItemId(3)), 0.0);
     }
 
     #[test]
@@ -155,7 +146,7 @@ mod tests {
         for _ in 0..20 {
             g.observe(ItemId(5));
         }
-        assert_eq!(g.prob(ItemId(5), ItemId(5)), 0.0);
+        assert_eq!(prob(&g, ItemId(5), ItemId(5)), 0.0);
         assert!(g.candidates(5).is_empty());
     }
 
@@ -176,6 +167,6 @@ mod tests {
             g.observe(ItemId(2));
             g.observe(ItemId(2));
         }
-        assert!(g.prob(ItemId(1), ItemId(2)) <= 1.0);
+        assert!(prob(&g, ItemId(1), ItemId(2)) <= 1.0);
     }
 }

@@ -39,11 +39,6 @@ impl Ensemble {
         }
     }
 
-    /// Current accuracy score of each member, in construction order.
-    pub fn scores(&self) -> Vec<f64> {
-        self.members.iter().map(|m| m.score).collect()
-    }
-
     fn weights(&self) -> Vec<f64> {
         let total: f64 = self.members.iter().map(|m| m.score).sum();
         if total <= 0.0 {
@@ -132,7 +127,7 @@ mod tests {
         for _ in 0..60_000 {
             e.observe(chain.next_item(&mut rng));
         }
-        let scores = e.scores();
+        let scores = e.members.iter().map(|m| m.score).collect::<Vec<_>>();
         assert!(scores[0] > 0.6, "markov score {scores:?}");
         assert!(scores[0] >= scores[1] - 0.05, "scores {scores:?}");
     }
@@ -178,6 +173,6 @@ mod tests {
         }
         e.reset();
         assert!(e.candidates(3).is_empty());
-        assert_eq!(e.scores(), vec![0.5, 0.5]);
+        assert_eq!(e.members.iter().map(|m| m.score).collect::<Vec<_>>(), vec![0.5, 0.5]);
     }
 }

@@ -15,14 +15,12 @@
 //! * [`lz78`] — the Vitter–Krishnan LZ78 parse-tree predictor;
 //! * [`oracle`] — ground-truth probabilities from the generating Markov
 //!   chain (isolates policy behaviour from estimation error);
-//! * [`eval`] — scoring: hit@k, coverage, calibration.
 //!
 //! All predictors implement [`Predictor`]: observe the stream one item at a
 //! time, emit probability-ranked candidates for the *next* access.
 
 pub mod depgraph;
 pub mod ensemble;
-pub mod eval;
 pub mod lz78;
 pub mod markov;
 pub mod oracle;
@@ -30,7 +28,6 @@ pub mod ppm;
 
 pub use depgraph::DependencyGraph;
 pub use ensemble::Ensemble;
-pub use eval::{evaluate, EvalReport};
 pub use lz78::Lz78Predictor;
 pub use markov::MarkovPredictor;
 pub use oracle::OraclePredictor;

@@ -41,11 +41,6 @@ impl Lz78Predictor {
             cursor: 0,
         }
     }
-
-    /// Number of nodes in the parse tree.
-    pub fn nodes(&self) -> usize {
-        self.children.len()
-    }
 }
 
 impl Predictor for Lz78Predictor {
@@ -104,12 +99,12 @@ mod tests {
     #[test]
     fn tree_grows_with_new_phrases() {
         let mut p = Lz78Predictor::new();
-        assert_eq!(p.nodes(), 1);
+        assert_eq!(p.children.len(), 1);
         p.observe(ItemId(1)); // new phrase "1"
-        assert_eq!(p.nodes(), 2);
+        assert_eq!(p.children.len(), 2);
         p.observe(ItemId(1)); // known "1" → walk down
         p.observe(ItemId(2)); // new phrase "1 2"
-        assert_eq!(p.nodes(), 3);
+        assert_eq!(p.children.len(), 3);
     }
 
     #[test]
@@ -177,7 +172,7 @@ mod tests {
             p.observe(ItemId(i % 3));
         }
         p.reset();
-        assert_eq!(p.nodes(), 1);
+        assert_eq!(p.children.len(), 1);
         assert!(p.candidates(3).is_empty());
     }
 

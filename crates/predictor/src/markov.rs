@@ -104,10 +104,6 @@ impl MarkovPredictor {
         }
     }
 
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
     /// Number of distinct contexts learned.
     pub fn contexts(&self) -> usize {
         self.first.len() + self.longer.len()

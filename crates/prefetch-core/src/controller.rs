@@ -10,7 +10,6 @@
 
 use crate::estimator::{EntryStatus, Ewma, HPrimeEstimator, RateEstimator};
 use crate::threshold::ThresholdPolicy;
-use crate::InteractionModel;
 
 /// Configuration for [`AdaptiveController`].
 #[derive(Clone, Copy, Debug)]
@@ -21,38 +20,12 @@ pub struct ControllerConfig {
     pub rate_alpha: f64,
     /// EWMA weight for the mean-size estimator.
     pub size_alpha: f64,
-    /// Interaction model to assume; model B needs `n_c`/`n_f` estimates.
-    pub model: InteractionModel,
-    /// `n̄(C)` estimate for model B (ignored under model A).
-    pub n_c: f64,
-    /// `n̄(F)` estimate for model B (ignored under model A).
-    pub n_f: f64,
 }
 
 impl ControllerConfig {
     /// Model-A defaults with moderate smoothing.
     pub fn model_a(bandwidth: f64) -> Self {
-        ControllerConfig {
-            bandwidth,
-            rate_alpha: 0.02,
-            size_alpha: 0.02,
-            model: InteractionModel::EvictZeroValue,
-            n_c: 1.0,
-            n_f: 0.0,
-        }
-    }
-
-    /// Model-B defaults.
-    pub fn model_b(bandwidth: f64, n_c: f64, n_f: f64) -> Self {
-        assert!(n_c > 0.0 && n_f >= 0.0 && n_f < n_c);
-        ControllerConfig {
-            bandwidth,
-            rate_alpha: 0.02,
-            size_alpha: 0.02,
-            model: InteractionModel::EvictAverageValue,
-            n_c,
-            n_f,
-        }
+        ControllerConfig { bandwidth, rate_alpha: 0.02, size_alpha: 0.02 }
     }
 }
 
@@ -97,14 +70,9 @@ impl AdaptiveController {
         self.h_prime.on_miss()
     }
 
-    /// Current `ĥ′` under the configured interaction model.
+    /// Current `ĥ′` (model A).
     pub fn h_prime_estimate(&self) -> Option<f64> {
-        match self.config.model {
-            InteractionModel::EvictZeroValue => self.h_prime.estimate_model_a(),
-            InteractionModel::EvictAverageValue => {
-                self.h_prime.estimate_model_b(self.config.n_c, self.config.n_f)
-            }
-        }
+        self.h_prime.estimate_model_a()
     }
 
     /// Current `λ̂`.
@@ -125,15 +93,9 @@ impl AdaptiveController {
         Some((1.0 - h) * l * s / self.config.bandwidth)
     }
 
-    /// Current threshold `p̂_th` (model A: `ρ̂′`; model B: `ρ̂′ + ĥ′/n̄(C)`).
+    /// Current threshold `p̂_th = ρ̂′` (model A).
     pub fn threshold_estimate(&self) -> Option<f64> {
-        let rho = self.rho_prime_estimate()?;
-        match self.config.model {
-            InteractionModel::EvictZeroValue => Some(rho),
-            InteractionModel::EvictAverageValue => {
-                Some(rho + self.h_prime_estimate()? / self.config.n_c)
-            }
-        }
+        self.rho_prime_estimate()
     }
 
     /// Current policy. Until the estimators warm up, returns a maximally
@@ -141,8 +103,8 @@ impl AdaptiveController {
     /// no information risks degrading service, so the controller fails safe.
     pub fn policy(&self) -> ThresholdPolicy {
         match self.threshold_estimate() {
-            Some(th) => ThresholdPolicy::new(th.min(1.0), self.config.model),
-            None => ThresholdPolicy::new(1.0, self.config.model),
+            Some(th) => ThresholdPolicy::new(th.min(1.0)),
+            None => ThresholdPolicy::new(1.0),
         }
     }
 
@@ -153,22 +115,14 @@ impl AdaptiveController {
     /// items implicitly assumes `s = ŝ̄`. Charging by bytes scales the
     /// utilisation term by the candidate's actual cost on the wire:
     /// fetching `s` bytes occupies the path for `s/b`, so the break-even
-    /// probability is `ρ̂′·s/ŝ̄` (the model-B displacement term `ĥ′/n̄(C)`
-    /// counts entries and is not scaled). A candidate of exactly mean size
+    /// probability is `ρ̂′·s/ŝ̄`. A candidate of exactly mean size
     /// reproduces [`AdaptiveController::threshold_estimate`] — item-counted
     /// configs are the degenerate case of the byte path, not a separate
     /// policy. Clamped to 1; `None` while the estimators are cold.
     pub fn threshold_for_size(&self, size: f64) -> Option<f64> {
         assert!(size > 0.0 && size.is_finite(), "bad candidate size {size}");
         let s_bar = self.mean_size_estimate()?;
-        let scaled = self.rho_prime_estimate()? * size / s_bar;
-        let th = match self.config.model {
-            InteractionModel::EvictZeroValue => scaled,
-            InteractionModel::EvictAverageValue => {
-                scaled + self.h_prime_estimate()? / self.config.n_c
-            }
-        };
-        Some(th.min(1.0))
+        Some((self.rho_prime_estimate()? * size / s_bar).min(1.0))
     }
 }
 
@@ -230,26 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn model_b_threshold_larger() {
-        let mut a = AdaptiveController::new(ControllerConfig::model_a(50.0));
-        let mut b = AdaptiveController::new(ControllerConfig::model_b(50.0, 10.0, 1.0));
-        let mut t = 0.0;
-        for i in 0..5000 {
-            t += 1.0 / 30.0;
-            if i % 2 == 0 {
-                a.on_cache_hit(t, EntryStatus::Tagged, 1.0);
-                b.on_cache_hit(t, EntryStatus::Tagged, 1.0);
-            } else {
-                a.on_miss(t, 1.0);
-                b.on_miss(t, 1.0);
-            }
-        }
-        let tha = a.threshold_estimate().unwrap();
-        let thb = b.threshold_estimate().unwrap();
-        assert!(thb > tha, "B {thb} must exceed A {tha}");
-    }
-
-    #[test]
     fn adapts_to_load_change() {
         // Rate doubles mid-stream: the threshold must rise.
         let mut ctl = AdaptiveController::new(ControllerConfig::model_a(50.0));
@@ -270,27 +204,25 @@ mod tests {
     #[test]
     fn item_counted_threshold_is_degenerate_case_of_byte_path() {
         // Charging a mean-sized candidate by bytes must reproduce the
-        // item-counted threshold bit-for-bit, under both models.
-        for cfg in [ControllerConfig::model_a(50.0), ControllerConfig::model_b(50.0, 10.0, 1.0)] {
-            let mut ctl = AdaptiveController::new(cfg);
-            let mut t = 0.0;
-            for i in 0..5000 {
-                t += 1.0 / 30.0;
-                let size = if i % 2 == 0 { 0.5 } else { 1.5 };
-                if i % 10 < 3 {
-                    ctl.on_cache_hit(t, EntryStatus::Tagged, size);
-                } else {
-                    ctl.on_miss(t, size);
-                }
+        // item-counted threshold bit-for-bit.
+        let mut ctl = AdaptiveController::new(ControllerConfig::model_a(50.0));
+        let mut t = 0.0;
+        for i in 0..5000 {
+            t += 1.0 / 30.0;
+            let size = if i % 2 == 0 { 0.5 } else { 1.5 };
+            if i % 10 < 3 {
+                ctl.on_cache_hit(t, EntryStatus::Tagged, size);
+            } else {
+                ctl.on_miss(t, size);
             }
-            let s_bar = ctl.mean_size_estimate().unwrap();
-            assert_eq!(ctl.threshold_for_size(s_bar), Some(ctl.policy().threshold));
-            // Byte-charging is monotone in size: bigger candidates need a
-            // higher access probability to pay for their transfer.
-            let small = ctl.threshold_for_size(0.5 * s_bar).unwrap();
-            let big = ctl.threshold_for_size(2.0 * s_bar).unwrap();
-            assert!(small < ctl.policy().threshold && ctl.policy().threshold < big);
         }
+        let s_bar = ctl.mean_size_estimate().unwrap();
+        assert_eq!(ctl.threshold_for_size(s_bar), Some(ctl.policy().threshold));
+        // Byte-charging is monotone in size: bigger candidates need a
+        // higher access probability to pay for their transfer.
+        let small = ctl.threshold_for_size(0.5 * s_bar).unwrap();
+        let big = ctl.threshold_for_size(2.0 * s_bar).unwrap();
+        assert!(small < ctl.policy().threshold && ctl.policy().threshold < big);
     }
 
     #[test]

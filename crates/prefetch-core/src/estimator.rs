@@ -87,69 +87,6 @@ impl HPrimeEstimator {
         assert!(n_f < n_c, "model B correction requires n̄(F) < n̄(C)");
         self.estimate_model_a().map(|e| (e * n_c / (n_c - n_f)).min(1.0))
     }
-
-    /// Resets the counters (e.g. at a measurement-epoch boundary).
-    pub fn reset(&mut self) {
-        self.n_access = 0;
-        self.n_hit = 0;
-    }
-
-    /// Merges another estimator's counts into this one.
-    pub fn merge(&mut self, other: &HPrimeEstimator) {
-        self.n_access += other.n_access;
-        self.n_hit += other.n_hit;
-    }
-}
-
-/// Sliding-window variant: estimates over the last `window` accesses by
-/// cycling two half-window estimators (a standard rotation trick — memory
-/// O(1), the estimate covers between `window/2` and `window` accesses).
-#[derive(Clone, Debug)]
-pub struct SlidingHPrime {
-    current: HPrimeEstimator,
-    previous: HPrimeEstimator,
-    half_window: u64,
-}
-
-impl SlidingHPrime {
-    pub fn new(window: u64) -> Self {
-        assert!(window >= 2);
-        SlidingHPrime {
-            current: HPrimeEstimator::new(),
-            previous: HPrimeEstimator::new(),
-            half_window: window / 2,
-        }
-    }
-
-    fn rotate_if_full(&mut self) {
-        if self.current.n_access >= self.half_window {
-            self.previous = self.current;
-            self.current = HPrimeEstimator::new();
-        }
-    }
-
-    pub fn on_prefetch_insert(&mut self) -> EntryStatus {
-        self.current.on_prefetch_insert()
-    }
-
-    pub fn on_cache_hit(&mut self, status: EntryStatus) -> EntryStatus {
-        let s = self.current.on_cache_hit(status);
-        self.rotate_if_full();
-        s
-    }
-
-    pub fn on_miss(&mut self) -> EntryStatus {
-        let s = self.current.on_miss();
-        self.rotate_if_full();
-        s
-    }
-
-    /// Model-A estimate over the combined window.
-    pub fn estimate_model_a(&self) -> Option<f64> {
-        let mut combined = self.previous;
-        combined.merge(&self.current);
-        combined.estimate_model_a()
-    }
 }
 
 /// Exponentially weighted moving average with bias-corrected warm-up.
@@ -286,37 +223,6 @@ mod tests {
     fn model_b_requires_nf_below_nc() {
         let est = HPrimeEstimator::new();
         let _ = est.estimate_model_b(10.0, 10.0);
-    }
-
-    #[test]
-    fn reset_and_merge() {
-        let mut a = HPrimeEstimator::new();
-        a.on_miss();
-        a.on_cache_hit(EntryStatus::Tagged);
-        let mut b = HPrimeEstimator::new();
-        b.on_cache_hit(EntryStatus::Tagged);
-        b.on_cache_hit(EntryStatus::Tagged);
-        a.merge(&b);
-        assert_eq!(a.accesses(), 4);
-        assert_eq!(a.counterfactual_hits(), 3);
-        a.reset();
-        assert_eq!(a.accesses(), 0);
-        assert!(a.estimate_model_a().is_none());
-    }
-
-    #[test]
-    fn sliding_window_tracks_regime_change() {
-        let mut est = SlidingHPrime::new(200);
-        // Regime 1: 100% counterfactual hits.
-        for _ in 0..500 {
-            est.on_cache_hit(EntryStatus::Tagged);
-        }
-        assert!(est.estimate_model_a().unwrap() > 0.99);
-        // Regime 2: all misses. After enough events the window forgets.
-        for _ in 0..500 {
-            est.on_miss();
-        }
-        assert!(est.estimate_model_a().unwrap() < 0.01);
     }
 
     #[test]

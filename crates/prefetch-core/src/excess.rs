@@ -28,21 +28,6 @@ pub fn excess_cost(rho_prime: f64, rho: f64, lambda: f64) -> Option<f64> {
         .then(|| (rho - rho_prime) / (lambda * (1.0 - rho) * (1.0 - rho_prime)))
 }
 
-/// Marginal cost of raising utilisation from `rho` by an infinitesimal
-/// amount: `dR/dρ = 1/(λ(1−ρ)²)`. Quantifies load impedance directly —
-/// strictly increasing in `ρ`.
-pub fn marginal_cost(rho: f64, lambda: f64) -> Option<f64> {
-    assert!(lambda > 0.0);
-    (rho < 1.0).then(|| 1.0 / (lambda * (1.0 - rho) * (1.0 - rho)))
-}
-
-/// The utilisation increment caused by prefetching `n_f` items of
-/// probability `p` per request, under interaction model A:
-/// `Δρ = n̄(F)(1−p)·λs̄/b` (from eq 8 minus ρ′).
-pub fn delta_rho_model_a(n_f: f64, p: f64, lambda: f64, mean_size: f64, bandwidth: f64) -> f64 {
-    n_f * (1.0 - p) * lambda * mean_size / bandwidth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,7 +62,6 @@ mod tests {
         assert!(excess_cost(0.6, 1.0, 30.0).is_none());
         assert!(excess_cost(1.0, 0.6, 30.0).is_none());
         assert!(retrieval_per_request(1.2, 30.0).is_none());
-        assert!(marginal_cost(1.0, 30.0).is_none());
     }
 
     #[test]
@@ -89,18 +73,6 @@ mod tests {
         assert!(high > low, "high-load cost {high} must exceed low-load cost {low}");
         // And the ratio is substantial: (1-.7)(1-.8) vs (1-.2)(1-.3) → ~9.3x.
         assert!(high / low > 9.0);
-    }
-
-    #[test]
-    fn marginal_cost_is_increasing() {
-        let lambda = 30.0;
-        let mut last = 0.0;
-        for i in 0..9 {
-            let rho = i as f64 / 10.0;
-            let mc = marginal_cost(rho, lambda).unwrap();
-            assert!(mc > last);
-            last = mc;
-        }
     }
 
     #[test]
@@ -117,16 +89,6 @@ mod tests {
             assert!(c > last, "C({rho}) = {c} after {last}");
             last = c;
         }
-    }
-
-    #[test]
-    fn delta_rho_model_a_matches_model() {
-        use crate::model_a::ModelA;
-        use crate::params::SystemParams;
-        let params = SystemParams::paper_figure2(0.3);
-        let m = ModelA::new(params, 0.8, 0.55);
-        let delta = delta_rho_model_a(0.8, 0.55, 30.0, 1.0, 50.0);
-        assert!((m.utilisation() - params.rho_prime() - delta).abs() < 1e-12);
     }
 
     #[test]

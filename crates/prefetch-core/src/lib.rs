@@ -55,7 +55,6 @@ pub mod model_a;
 pub mod model_ab;
 pub mod model_b;
 pub mod params;
-pub mod qos;
 pub mod ranking;
 pub mod sensitivity;
 pub mod threshold;
@@ -69,16 +68,6 @@ pub use params::{ParamError, SystemParams};
 pub use ranking::AggregateDelay;
 pub use threshold::{OptimalMixPolicy, PrefetchDecision, ThresholdPolicy};
 
-/// Which prefetch-cache interaction model a computation assumes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum InteractionModel {
-    /// Model A: prefetched items evict zero-value cache entries (paper §3.1).
-    EvictZeroValue,
-    /// Model B: every cache entry carries `h′/n̄(C)` of the hit ratio
-    /// (paper §3.2).
-    EvictAverageValue,
-}
-
 /// Feasibility of the conditions (12) / (20) that make `G > 0` derivable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Conditions {
@@ -89,15 +78,6 @@ pub struct Conditions {
     pub stable_without_prefetch: bool,
     /// Condition 3: capacity covers demand + prefetch traffic.
     pub stable_with_prefetch: bool,
-}
-
-impl Conditions {
-    /// All three conditions hold (guaranteeing `G > 0`).
-    pub fn all(&self) -> bool {
-        self.probability_above_threshold
-            && self.stable_without_prefetch
-            && self.stable_with_prefetch
-    }
 }
 
 /// A full evaluation of a prefetching configuration: every quantity the

@@ -45,12 +45,6 @@ impl ModelA {
         self.params.h_prime + self.n_f * self.p
     }
 
-    /// Whether this configuration respects the probabilistic consistency
-    /// bound `n̄(F) ≤ max(np) = f′/p` (eq 6).
-    pub fn is_consistent(&self) -> bool {
-        self.p == 0.0 || self.n_f <= self.params.f_prime() / self.p + 1e-12
-    }
-
     /// Server utilisation with prefetching:
     /// `ρ = (1 − h + n̄(F))·λ·s̄/b` (eq 8).
     pub fn utilisation(&self) -> f64 {
@@ -111,20 +105,6 @@ impl ModelA {
     /// improves mean access time iff its access probability exceeds this.
     pub fn threshold(&self) -> f64 {
         self.params.rho_prime()
-    }
-
-    /// Limit on `n̄(F)` from condition 3 of (12):
-    /// `n̄(F) < (b − f′λs̄) / ((1−p)λs̄)`. `None` when `p = 1`
-    /// (no limit — prefetches are always useful work).
-    pub fn nf_limit(&self) -> Option<f64> {
-        let sp = &self.params;
-        if self.p >= 1.0 {
-            return None;
-        }
-        Some(
-            (sp.bandwidth - sp.f_prime() * sp.lambda * sp.mean_size)
-                / ((1.0 - self.p) * sp.lambda * sp.mean_size),
-        )
     }
 
     /// The three conditions of (12).
@@ -258,7 +238,9 @@ mod tests {
         let params = fig2_params(0.0);
         // p above threshold, light prefetch volume: all conditions hold.
         let c = ModelA::new(params, 0.5, 0.9).conditions();
-        assert!(c.all());
+        assert!(
+            c.probability_above_threshold && c.stable_without_prefetch && c.stable_with_prefetch
+        );
         // p below threshold: condition 1 fails.
         let c = ModelA::new(params, 0.5, 0.3).conditions();
         assert!(!c.probability_above_threshold);
@@ -269,29 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn nf_limit_under_marginal_bandwidth_is_max_np() {
-        // Eq (14): with b barely above f′λs̄/p, the n̄(F) limit from
-        // condition 3 approaches f′/p = max(np) — hence condition 3 is
-        // redundant.
-        let p = 0.5;
-        let h_prime: f64 = 0.2;
-        let f_prime = 1.0 - h_prime;
-        let lambda = 10.0;
-        let s = 1.0;
-        let b = f_prime * lambda * s / p * 1.0001; // just over the threshold b
-        let params = SystemParams::new(lambda, b, s, h_prime).unwrap();
-        let m = ModelA::new(params, 1.0, p);
-        let limit = m.nf_limit().unwrap();
-        let max_np = params.max_prefetch_count(p);
-        assert!((limit - max_np).abs() / max_np < 0.01, "limit {limit} vs max_np {max_np}");
-        // And the limit always exceeds max_np when condition 1 holds.
-        assert!(limit >= max_np - 1e-9);
-    }
-
-    #[test]
     fn p_equal_one_has_no_nf_limit() {
         let m = ModelA::new(fig2_params(0.0), 1.0, 1.0);
-        assert!(m.nf_limit().is_none());
+        // Condition 3 of (12) bounds n̄(F) only through (1−p): at p = 1 it
+        // holds for any prefetch volume.
+        assert!(ModelA::new(fig2_params(0.0), 1e6, 1.0).conditions().stable_with_prefetch);
         // With p = 1 prefetching is informed, not speculative: every
         // prefetch substitutes one demand fetch, so utilisation is unchanged.
         assert!((m.utilisation() - m.params.rho_prime()).abs() < 1e-12);
@@ -309,21 +273,14 @@ mod tests {
     }
 
     #[test]
-    fn consistency_bound_eq6() {
-        let params = fig2_params(0.3); // f′ = 0.7
-        assert!(ModelA::new(params, 1.0, 0.7).is_consistent()); // nf = f′/p exactly
-        assert!(!ModelA::new(params, 1.5, 0.7).is_consistent());
-        assert!(ModelA::new(params, 100.0, 0.0).is_consistent()); // p = 0 vacuous
-    }
-
-    #[test]
     fn evaluation_is_coherent() {
         let m = ModelA::new(fig2_params(0.3), 0.5, 0.8);
         let e = m.evaluate();
         assert_eq!(e.hit_ratio, m.hit_ratio());
         assert_eq!(e.utilisation, m.utilisation());
         assert_eq!(e.improvement, m.improvement());
-        assert!(e.conditions.all());
+        assert_eq!(e.conditions, m.conditions());
+        assert!(e.conditions.probability_above_threshold && e.conditions.stable_with_prefetch);
         // t̄′ − t̄ must equal G.
         let g = m.params.access_time().unwrap() - e.access_time.unwrap();
         assert!((g - e.improvement.unwrap()).abs() < 1e-12);

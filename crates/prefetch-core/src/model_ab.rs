@@ -24,7 +24,6 @@ use crate::excess;
 use crate::model_a::ModelA;
 use crate::model_b::ModelB;
 use crate::params::SystemParams;
-use crate::{Conditions, Evaluation};
 
 /// The generalised eviction model: each prefetch evicts an entry worth `q`
 /// of hit ratio.
@@ -65,11 +64,6 @@ impl ModelAb {
     /// Hit ratio `h = h′ − n̄(F)·q + n̄(F)·p` (unclamped).
     pub fn hit_ratio_raw(&self) -> f64 {
         self.params.h_prime + self.n_f * (self.p - self.evict_value)
-    }
-
-    /// Hit ratio clamped to `[0, 1]`.
-    pub fn hit_ratio(&self) -> f64 {
-        self.hit_ratio_raw().clamp(0.0, 1.0)
     }
 
     /// Server utilisation `ρ = (1 − h + n̄(F))λs̄/b`.
@@ -118,38 +112,9 @@ impl ModelAb {
         self.params.rho_prime() + self.evict_value
     }
 
-    /// The analogue of conditions (12)/(20).
-    pub fn conditions(&self) -> Conditions {
-        let sp = &self.params;
-        let b = sp.bandwidth;
-        let s = sp.mean_size;
-        let l = sp.lambda;
-        let fp = sp.f_prime();
-        let pq = self.p - self.evict_value;
-        Conditions {
-            probability_above_threshold: pq * b - fp * l * s > 0.0,
-            stable_without_prefetch: b - fp * l * s > 0.0,
-            stable_with_prefetch: b - fp * l * s - self.n_f * (1.0 - pq) * l * s > 0.0,
-        }
-    }
-
     /// Excess retrieval cost (eq 27) — the formula is interaction-agnostic.
     pub fn excess_cost(&self) -> Option<f64> {
         excess::excess_cost(self.params.rho_prime(), self.utilisation(), self.params.lambda)
-    }
-
-    /// Everything at once.
-    pub fn evaluate(&self) -> Evaluation {
-        Evaluation {
-            hit_ratio: self.hit_ratio(),
-            utilisation: self.utilisation(),
-            retrieval_time: self.retrieval_time(),
-            access_time: self.access_time(),
-            improvement: self.improvement(),
-            excess_cost: self.excess_cost(),
-            threshold: self.threshold(),
-            conditions: self.conditions(),
-        }
     }
 }
 

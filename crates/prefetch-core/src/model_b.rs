@@ -15,7 +15,6 @@
 
 use crate::excess;
 use crate::params::SystemParams;
-use crate::{Conditions, Evaluation};
 
 /// A Model-B prefetching configuration: like [`crate::ModelA`] plus the
 /// average cache population `n̄(C)`.
@@ -109,50 +108,9 @@ impl ModelB {
         self.params.rho_prime() + self.eviction_value()
     }
 
-    /// Limit on `n̄(F)` under marginal bandwidth (eq 22):
-    /// `n̄(F) < f′/(p − h′/n̄(C))`. `None` when `p ≤ h′/n̄(C)`
-    /// (prefetching such items can never pay, there is no meaningful limit).
-    pub fn nf_limit_marginal(&self) -> Option<f64> {
-        let ev = self.eviction_value();
-        (self.p > ev).then(|| self.params.f_prime() / (self.p - ev))
-    }
-
-    /// The three conditions of (20).
-    pub fn conditions(&self) -> Conditions {
-        let sp = &self.params;
-        let b = sp.bandwidth;
-        let s = sp.mean_size;
-        let l = sp.lambda;
-        let fp = sp.f_prime();
-        let hp = sp.h_prime;
-        Conditions {
-            probability_above_threshold: self.p * b - fp * l * s - b * hp / self.n_c > 0.0,
-            stable_without_prefetch: b - fp * l * s > 0.0,
-            stable_with_prefetch: b
-                - fp * l * s
-                - self.n_f / self.n_c * hp * s * l
-                - self.n_f * (1.0 - self.p) * l * s
-                > 0.0,
-        }
-    }
-
     /// Excess retrieval cost `C = R − R′` (eq 27).
     pub fn excess_cost(&self) -> Option<f64> {
         excess::excess_cost(self.params.rho_prime(), self.utilisation(), self.params.lambda)
-    }
-
-    /// Everything at once, for the experiment harness.
-    pub fn evaluate(&self) -> Evaluation {
-        Evaluation {
-            hit_ratio: self.hit_ratio(),
-            utilisation: self.utilisation(),
-            retrieval_time: self.retrieval_time(),
-            access_time: self.access_time(),
-            improvement: self.improvement(),
-            excess_cost: self.excess_cost(),
-            threshold: self.threshold(),
-            conditions: self.conditions(),
-        }
     }
 }
 
@@ -262,19 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn nf_limit_marginal_exceeds_max_np_eq22() {
-        // Eq (22) commentary: f′/(p − h′/n̄(C)) > f′/p = max(np), hence
-        // condition 3 is redundant.
-        let params = fig2_params(0.3);
-        let m = ModelB::new(params, 1.0, 0.5, 10.0);
-        let lim = m.nf_limit_marginal().unwrap();
-        assert!(lim > params.max_prefetch_count(0.5));
-        // p below eviction value: no limit.
-        let m = ModelB::new(params, 1.0, 0.01, 10.0);
-        assert!(m.nf_limit_marginal().is_none());
-    }
-
-    #[test]
     fn model_b_threshold_requires_more_than_a() {
         // An item profitable under A can be unprofitable under B with a
         // small cache: pick p between the two thresholds.
@@ -285,14 +230,5 @@ mod tests {
         let b = ModelB::new(params, 0.5, p, nc).improvement().unwrap();
         assert!(a > 0.0, "model A says prefetch: {a}");
         assert!(b < 0.0, "model B says don't: {b}");
-    }
-
-    #[test]
-    fn evaluation_coherence() {
-        let m = ModelB::new(fig2_params(0.3), 0.5, 0.8, 25.0);
-        let e = m.evaluate();
-        assert!(e.conditions.all());
-        assert_eq!(e.threshold, m.threshold());
-        assert!(e.improvement.unwrap() > 0.0);
     }
 }

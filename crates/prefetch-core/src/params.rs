@@ -85,13 +85,6 @@ impl SystemParams {
         1.0 - self.h_prime
     }
 
-    /// Mean service time of one item, `x = s̄/b` (eq 3; zero startup
-    /// latency assumed).
-    #[inline]
-    pub fn service_time(&self) -> f64 {
-        self.mean_size / self.bandwidth
-    }
-
     /// Baseline utilisation `ρ′ = f′λs̄/b`.
     #[inline]
     pub fn rho_prime(&self) -> f64 {
@@ -132,13 +125,6 @@ impl SystemParams {
     pub fn max_prefetch_count(&self, p: f64) -> f64 {
         assert!(p > 0.0, "access probability must be positive");
         self.f_prime() / p
-    }
-
-    /// Returns a copy with a different hit ratio (used by estimators).
-    pub fn with_h_prime(mut self, h_prime: f64) -> Self {
-        assert!((0.0..=1.0).contains(&h_prime));
-        self.h_prime = h_prime;
-        self
     }
 }
 
@@ -194,7 +180,7 @@ mod tests {
     #[test]
     fn caching_reduces_utilisation() {
         let p0 = SystemParams::new(30.0, 50.0, 1.0, 0.0).unwrap();
-        let p3 = p0.with_h_prime(0.3);
+        let p3 = SystemParams::new(30.0, 50.0, 1.0, 0.3).unwrap();
         assert!(p3.rho_prime() < p0.rho_prime());
         assert!((p3.rho_prime() - 0.7 * p0.rho_prime()).abs() < 1e-12);
     }
@@ -228,6 +214,6 @@ mod tests {
         let p = SystemParams::paper_figure2(0.3);
         let q = p;
         assert_eq!(p, q);
-        assert_ne!(p, q.with_h_prime(0.4));
+        assert_ne!(p, SystemParams::paper_figure2(0.4));
     }
 }

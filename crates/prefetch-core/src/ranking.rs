@@ -22,13 +22,11 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default)]
 pub struct AggregateDelay<K> {
     scores: HashMap<K, f64>,
-    total: f64,
-    charges: u64,
 }
 
 impl<K: Copy + Eq + Hash> AggregateDelay<K> {
     pub fn new() -> Self {
-        AggregateDelay { scores: HashMap::new(), total: 0.0, charges: 0 }
+        AggregateDelay { scores: HashMap::new() }
     }
 
     /// Charges `delay` seconds of aggregate delay to `k` (the key whose
@@ -36,8 +34,6 @@ impl<K: Copy + Eq + Hash> AggregateDelay<K> {
     /// score.
     pub fn charge(&mut self, k: K, delay: f64) -> f64 {
         debug_assert!(delay >= 0.0, "negative delay {delay}");
-        self.total += delay;
-        self.charges += 1;
         let score = self.scores.entry(k).or_insert(0.0);
         *score += delay;
         *score
@@ -46,25 +42,6 @@ impl<K: Copy + Eq + Hash> AggregateDelay<K> {
     /// Accumulated aggregate delay of `k` (0 for never-charged keys).
     pub fn score(&self, k: &K) -> f64 {
         self.scores.get(k).copied().unwrap_or(0.0)
-    }
-
-    /// Sum of all charged delay.
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-
-    /// Number of charges recorded.
-    pub fn charges(&self) -> u64 {
-        self.charges
-    }
-
-    /// Number of distinct keys charged.
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
     }
 }
 
@@ -81,9 +58,6 @@ mod tests {
         agg.charge(2, 1.0);
         assert_eq!(agg.score(&1), 0.75);
         assert_eq!(agg.score(&2), 1.0);
-        assert_eq!(agg.total(), 1.75);
-        assert_eq!(agg.charges(), 3);
-        assert_eq!(agg.len(), 2);
     }
 
     #[test]

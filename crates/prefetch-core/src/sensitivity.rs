@@ -67,34 +67,6 @@ pub fn marginal_threshold(params: &SystemParams, h_extra: f64, volume: f64) -> O
     (denom > 0.0).then(|| (1.0 - h) * params.lambda * params.mean_size / denom)
 }
 
-/// `∂p_th/∂λ = f′s̄/b`: how fast the profitability bar rises with load.
-pub fn dthreshold_dlambda(params: &SystemParams) -> f64 {
-    params.f_prime() * params.mean_size / params.bandwidth
-}
-
-/// `∂p_th/∂h′ = −λs̄/b` (model A): better caching *lowers* the bar —
-/// counterintuitive but direct from `p_th = (1−h′)λs̄/b`.
-pub fn dthreshold_dhprime(params: &SystemParams) -> f64 {
-    -params.lambda * params.mean_size / params.bandwidth
-}
-
-/// Solves for the `n̄(F)` at which model-A utilisation reaches `rho_target`
-/// (< 1): how much prefetch volume fits in the remaining capacity.
-/// `None` if already above the target with no prefetching, or `p = 1`
-/// (volume never moves utilisation).
-pub fn nf_for_utilisation(params: &SystemParams, p: f64, rho_target: f64) -> Option<f64> {
-    assert!((0.0..1.0).contains(&rho_target));
-    let rho0 = params.rho_prime();
-    if rho0 > rho_target {
-        return None;
-    }
-    let per_item = (1.0 - p) * params.lambda * params.mean_size / params.bandwidth;
-    if per_item <= 0.0 {
-        return None;
-    }
-    Some((rho_target - rho0) / per_item)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,44 +131,5 @@ mod tests {
                 .unwrap();
         assert!(ModelA::new(stable, n_f, p).is_stable());
         assert!(!ModelA::new(unstable, n_f, p).is_stable());
-    }
-
-    #[test]
-    fn derivative_signs() {
-        let params = SystemParams::paper_figure2(0.3);
-        assert!(dthreshold_dlambda(&params) > 0.0);
-        assert!(dthreshold_dhprime(&params) < 0.0);
-    }
-
-    #[test]
-    fn derivatives_match_finite_differences() {
-        let params = SystemParams::paper_figure2(0.3);
-        let eps = 1e-6;
-        let p_hi = SystemParams::new(
-            params.lambda + eps,
-            params.bandwidth,
-            params.mean_size,
-            params.h_prime,
-        )
-        .unwrap();
-        let fd_lambda = (p_hi.rho_prime() - params.rho_prime()) / eps;
-        assert!((fd_lambda - dthreshold_dlambda(&params)).abs() < 1e-6);
-
-        let p_hh = params.with_h_prime(params.h_prime + eps);
-        let fd_h = (p_hh.rho_prime() - params.rho_prime()) / eps;
-        assert!((fd_h - dthreshold_dhprime(&params)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn nf_for_utilisation_solves_model_a() {
-        let params = SystemParams::paper_figure2(0.3); // ρ′ = 0.42
-        let p = 0.5;
-        let nf = nf_for_utilisation(&params, p, 0.9).unwrap();
-        let m = ModelA::new(params, nf, p);
-        assert!((m.utilisation() - 0.9).abs() < 1e-9);
-        // Already saturated target.
-        assert!(nf_for_utilisation(&params, p, 0.3).is_none());
-        // p = 1 never moves utilisation.
-        assert!(nf_for_utilisation(&params, 1.0, 0.9).is_none());
     }
 }

@@ -1,90 +1,48 @@
 //! The paper's headline policy: *prefetch exclusively all items with access
 //! probability above `p_th`*.
 //!
-//! [`ThresholdPolicy`] turns a predictor's candidate list — `(item,
-//! probability)` pairs — into a prefetch decision. Because G is monotone in
+//! [`ThresholdPolicy`] decides each predictor candidate — an `(item,
+//! probability)` pair — on its own. Because G is monotone in
 //! `n̄(F)` once `p > p_th` (paper §3.1), the optimal policy has no volume
 //! knob: every candidate above the threshold is taken, every one below is
 //! dropped.
 
-use crate::model_ab::ModelAb;
 use crate::params::SystemParams;
-use crate::InteractionModel;
 
 /// A threshold-based prefetch policy.
 #[derive(Clone, Copy, Debug)]
 pub struct ThresholdPolicy {
     /// `p_th`: candidates must *strictly exceed* this to be prefetched.
     pub threshold: f64,
-    /// Which interaction model produced the threshold (bookkeeping).
-    pub model: InteractionModel,
 }
 
-/// The outcome of applying a [`ThresholdPolicy`] to a candidate list.
+/// The outcome of [`OptimalMixPolicy::decide`] on a candidate list.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrefetchDecision<I> {
     /// Candidates to prefetch, in descending probability order.
     pub selected: Vec<(I, f64)>,
-    /// Candidates rejected (below threshold), in descending probability order.
+    /// Candidates rejected, in descending probability order.
     pub rejected: Vec<(I, f64)>,
     /// The threshold that was applied.
     pub threshold: f64,
 }
 
-impl<I> PrefetchDecision<I> {
-    /// Number of selected items (`n̄(F)` contribution of this decision).
-    pub fn volume(&self) -> usize {
-        self.selected.len()
-    }
-
-    /// Expected number of future hits among the selected items (Σp).
-    pub fn expected_hits(&self) -> f64 {
-        self.selected.iter().map(|(_, p)| p).sum()
-    }
-}
-
 impl ThresholdPolicy {
     /// Policy from an explicit threshold.
-    pub fn new(threshold: f64, model: InteractionModel) -> Self {
+    pub fn new(threshold: f64) -> Self {
         assert!(threshold >= 0.0);
-        ThresholdPolicy { threshold, model }
+        ThresholdPolicy { threshold }
     }
 
     /// Model-A policy: `p_th = ρ′` (eq 13).
     pub fn from_model_a(params: &SystemParams) -> Self {
-        ThresholdPolicy::new(params.rho_prime(), InteractionModel::EvictZeroValue)
-    }
-
-    /// Model-B policy: `p_th = ρ′ + h′/n̄(C)` (eq 21).
-    pub fn from_model_b(params: &SystemParams, n_c: f64) -> Self {
-        assert!(n_c > 0.0);
-        ThresholdPolicy::new(
-            params.rho_prime() + params.h_prime / n_c,
-            InteractionModel::EvictAverageValue,
-        )
+        ThresholdPolicy::new(params.rho_prime())
     }
 
     /// Should an item with access probability `p` be prefetched?
     #[inline]
     pub fn should_prefetch(&self, p: f64) -> bool {
         p > self.threshold
-    }
-
-    /// Partitions candidates into selected/rejected, both sorted by
-    /// descending probability. NaN probabilities are rejected.
-    pub fn decide<I>(&self, candidates: impl IntoIterator<Item = (I, f64)>) -> PrefetchDecision<I> {
-        let mut selected = Vec::new();
-        let mut rejected = Vec::new();
-        for (item, p) in candidates {
-            if p.is_finite() && self.should_prefetch(p) {
-                selected.push((item, p));
-            } else {
-                rejected.push((item, p));
-            }
-        }
-        selected.sort_by(|a, b| b.1.total_cmp(&a.1));
-        rejected.sort_by(|a, b| b.1.total_cmp(&a.1));
-        PrefetchDecision { selected, rejected, threshold: self.threshold }
     }
 }
 
@@ -160,36 +118,6 @@ impl OptimalMixPolicy {
     }
 }
 
-/// Marginal access improvement of prefetching *one more* item of
-/// probability `p`, per user request, at the current operating point:
-/// `∂G/∂n̄(F)` of the AB-family formula evaluated at `n̄(F) = n_f`.
-///
-/// Used to *rank* heterogeneous candidates; its sign at any `n_f` equals
-/// the sign of `p − p_th`, so ranking is consistent with the policy.
-pub fn marginal_improvement(params: &SystemParams, n_f: f64, p: f64, evict_value: f64) -> f64 {
-    // G(n) = K·n / (D1·(D1 − n·c)) with
-    //   K  = s̄(p'b − f′λs̄),  p' = p − q
-    //   c  = (1 − p')λs̄, D1 = b − f′λs̄
-    // dG/dn = K·D1 / (D1(D1 − n·c))² · D1 … compute by quotient rule.
-    let b = params.bandwidth;
-    let s = params.mean_size;
-    let l = params.lambda;
-    let fp = params.f_prime();
-    let pq = p - evict_value;
-    let k = s * (pq * b - fp * l * s);
-    let c = (1.0 - pq) * l * s;
-    let d1 = b - fp * l * s;
-    let d2 = d1 - n_f * c;
-    // G = K n / (d1 d2); dG/dn = K (d2 + n c) / (d1 d2²) = K d1 / (d1 d2²)
-    //   (since d2 + n·c = d1).
-    k / (d2 * d2)
-}
-
-// Quiet an unused-import warning in non-test builds: ModelAb is referenced
-// in the doc comment derivation and used directly by tests.
-#[allow(unused_imports)]
-use ModelAb as _ModelAbForDocs;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,67 +135,6 @@ mod tests {
         assert!(!pol.should_prefetch(0.41));
     }
 
-    #[test]
-    fn model_b_threshold_adds_eviction_value() {
-        let pol = ThresholdPolicy::from_model_b(&params(), 10.0);
-        assert!((pol.threshold - 0.45).abs() < 1e-12);
-    }
-
-    #[test]
-    fn decide_partitions_and_sorts() {
-        let pol = ThresholdPolicy::new(0.5, InteractionModel::EvictZeroValue);
-        let d = pol.decide(vec![("a", 0.6), ("b", 0.2), ("c", 0.9), ("d", 0.5)]);
-        assert_eq!(d.selected, vec![("c", 0.9), ("a", 0.6)]);
-        assert_eq!(d.rejected, vec![("d", 0.5), ("b", 0.2)]);
-        assert_eq!(d.volume(), 2);
-        assert!((d.expected_hits() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nan_probabilities_are_rejected() {
-        let pol = ThresholdPolicy::new(0.1, InteractionModel::EvictZeroValue);
-        let d = pol.decide(vec![(1u32, f64::NAN), (2, 0.5)]);
-        assert_eq!(d.selected.len(), 1);
-        assert_eq!(d.selected[0].0, 2);
-        assert_eq!(d.rejected.len(), 1);
-    }
-
-    #[test]
-    fn empty_candidates() {
-        let pol = ThresholdPolicy::from_model_a(&params());
-        let d = pol.decide(Vec::<(u64, f64)>::new());
-        assert_eq!(d.volume(), 0);
-        assert_eq!(d.expected_hits(), 0.0);
-    }
-
-    #[test]
-    fn marginal_improvement_sign_matches_threshold() {
-        let sp = params();
-        for p10 in 1..=9 {
-            let p = p10 as f64 / 10.0;
-            let m = marginal_improvement(&sp, 0.0, p, 0.0);
-            if p > 0.42 + 1e-9 {
-                assert!(m > 0.0, "marginal({p}) = {m}");
-            } else if p < 0.42 - 1e-9 {
-                assert!(m < 0.0, "marginal({p}) = {m}");
-            }
-        }
-    }
-
-    #[test]
-    fn marginal_improvement_matches_finite_difference() {
-        let sp = params();
-        let n_f = 0.5;
-        let p = 0.8;
-        let eps = 1e-6;
-        use crate::model_ab::ModelAb;
-        let g1 = ModelAb::new(sp, n_f + eps, p, 0.0).improvement_raw();
-        let g0 = ModelAb::new(sp, n_f, p, 0.0).improvement_raw();
-        let fd = (g1 - g0) / eps;
-        let analytic = marginal_improvement(&sp, n_f, p, 0.0);
-        assert!((fd - analytic).abs() / analytic.abs() < 1e-4, "fd {fd} vs {analytic}");
-    }
-
     /// Roomier parameters for the mixed-candidate tests: ρ′ = 0.21, so
     /// consistent candidate sets (h′ + Σp ≤ 1) have headroom.
     fn roomy_params() -> SystemParams {
@@ -283,10 +150,10 @@ mod tests {
         let pol = OptimalMixPolicy::new(sp);
         let above: Vec<(u32, f64)> = (0..3).map(|i| (i, 0.22)).collect();
         let (d, _) = pol.decide(above);
-        assert_eq!(d.volume(), 3, "{d:?}");
+        assert_eq!(d.selected.len(), 3, "{d:?}");
         let below: Vec<(u32, f64)> = (0..3).map(|i| (i, 0.2)).collect();
         let (d, _) = pol.decide(below);
-        assert_eq!(d.volume(), 0, "{d:?}");
+        assert_eq!(d.selected.len(), 0, "{d:?}");
     }
 
     #[test]
@@ -297,11 +164,11 @@ mod tests {
         let sp = roomy_params();
         let pol = OptimalMixPolicy::new(sp);
         let (d, final_th) = pol.decide(vec![("a", 0.5), ("b", 0.15)]);
-        assert_eq!(d.volume(), 2, "both should be included: {d:?}");
+        assert_eq!(d.selected.len(), 2, "both should be included: {d:?}");
         assert!(final_th < 0.15, "final marginal threshold {final_th}");
         // The paper's fixed rule takes only one.
-        let fixed = ThresholdPolicy::from_model_a(&sp).decide(vec![("a", 0.5), ("b", 0.15)]);
-        assert_eq!(fixed.volume(), 1);
+        let fixed = ThresholdPolicy::from_model_a(&sp);
+        assert!(fixed.should_prefetch(0.5) && !fixed.should_prefetch(0.15));
     }
 
     #[test]
@@ -326,30 +193,13 @@ mod tests {
         let many: Vec<(u32, f64)> = (0..50).map(|i| (i, 0.5)).collect();
         let (d, _) = pol.decide(many);
         // Taking all 50 would give volume·λ·s̄ = 1500 ≫ b = 50.
-        assert!(d.volume() < 50);
+        assert!(d.selected.len() < 50);
         // And the chosen configuration is stable.
         let h_extra: f64 = d.selected.iter().map(|(_, p)| p).sum();
-        let rho =
-            (1.0 - (sp.h_prime + h_extra).min(1.0) + d.volume() as f64) * sp.lambda * sp.mean_size
-                / sp.bandwidth;
+        let rho = (1.0 - (sp.h_prime + h_extra).min(1.0) + d.selected.len() as f64)
+            * sp.lambda
+            * sp.mean_size
+            / sp.bandwidth;
         assert!(rho < 1.0, "rho {rho}");
-    }
-
-    #[test]
-    fn greedy_by_marginal_equals_threshold_policy() {
-        // Selecting every candidate with positive marginal improvement is
-        // the same set as the threshold policy selects.
-        let sp = params();
-        let pol = ThresholdPolicy::from_model_a(&sp);
-        let candidates: Vec<(u32, f64)> = (0..20).map(|i| (i, (i as f64 + 0.5) / 20.0)).collect();
-        let d = pol.decide(candidates.clone());
-        let by_marginal: Vec<u32> = candidates
-            .iter()
-            .filter(|(_, p)| marginal_improvement(&sp, 0.0, *p, 0.0) > 0.0)
-            .map(|(i, _)| *i)
-            .collect();
-        let mut selected: Vec<u32> = d.selected.iter().map(|(i, _)| *i).collect();
-        selected.sort_unstable();
-        assert_eq!(selected, by_marginal);
     }
 }

@@ -92,10 +92,6 @@ impl<T> PsServer<T> {
         }
     }
 
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// Changes the service capacity at time `t` — a time-varying link
     /// (e.g. a wireless channel alternating between good and bad states).
     ///

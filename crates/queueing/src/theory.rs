@@ -124,9 +124,9 @@ impl MM1 {
 #[derive(Clone, Copy, Debug)]
 pub struct MG1Fifo {
     pub lambda: f64,
-    /// Mean service time E[S] (seconds).
+    /// Mean service time `E[S]` (seconds).
     pub es: f64,
-    /// Second moment of service time E[S²] (seconds²).
+    /// Second moment of service time `E[S²]` (seconds²).
     pub es2: f64,
 }
 

@@ -15,43 +15,50 @@
 //!   that every shard can compute the same global horizon, and a barrier
 //!   that a panicking shard cannot hang. A driver that needs one barrier
 //!   per window keeps two inboxes and two boards and alternates them by
-//!   round parity. Determinism is the callers' contract: receivers must
-//!   sequence drained messages by their own timestamps/ids (e.g. via
-//!   `sched::TimedQueue`), never by delivery order, which these primitives
-//!   deliberately leave unspecified.
+//!   round parity. Delivery order is deterministic: a drain yields the
+//!   messages of sender 0, then sender 1, and so on, each sender's in the
+//!   order it sent them, whatever the thread interleaving. Receivers still
+//!   sequence what they accept by their own timestamps/ids (e.g. via
+//!   `sched::TimedQueue`); the fixed delivery order only keeps per-shard
+//!   bookkeeping of the accepts themselves, such as scheduler re-arm
+//!   counts, reproducible.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// One message inbox per shard, safe to fill from any thread.
+/// Per-shard message inboxes, safe to fill from any thread, with one
+/// slot per (receiver, sender) pair.
 ///
-/// During a window every shard pushes cross-shard messages into the
-/// destination's inbox; once the window's barrier has passed, each shard
-/// [`Mailboxes::drain`]s its own. The drain order is whatever the send
-/// interleaving produced — receivers must re-sequence by message
-/// timestamp (the cluster drivers feed a `TimedQueue`, which orders by
-/// `(time, id)`).
+/// During a window every shard pushes cross-shard messages into its own
+/// slot of the destination's inbox; once the window's barrier has passed,
+/// each shard [`Mailboxes::drain_into`]s its own inbox. Each slot has a
+/// single writer, so the drain order — sender by sender, in send order
+/// within a sender — depends only on what each shard sent, never on how
+/// the sending threads interleaved.
 pub struct Mailboxes<M> {
-    boxes: Vec<Mutex<Vec<M>>>,
+    n: usize,
+    /// `slots[to * n + from]`: messages from shard `from` to shard `to`.
+    slots: Vec<Mutex<Vec<M>>>,
 }
 
 impl<M> Mailboxes<M> {
     pub fn new(n: usize) -> Self {
-        Mailboxes { boxes: (0..n).map(|_| Mutex::new(Vec::new())).collect() }
+        Mailboxes { n, slots: (0..n * n).map(|_| Mutex::new(Vec::new())).collect() }
     }
 
-    pub fn n(&self) -> usize {
-        self.boxes.len()
+    /// Appends `msg`, sent by shard `from`, to shard `to`'s inbox.
+    pub fn send(&self, from: usize, to: usize, msg: M) {
+        self.slots[to * self.n + from].lock().expect("mailbox poisoned").push(msg);
     }
 
-    /// Appends `msg` to shard `to`'s inbox.
-    pub fn send(&self, to: usize, msg: M) {
-        self.boxes[to].lock().expect("mailbox poisoned").push(msg);
-    }
-
-    /// Takes everything currently in shard `me`'s inbox.
-    pub fn drain(&self, me: usize) -> Vec<M> {
-        std::mem::take(&mut *self.boxes[me].lock().expect("mailbox poisoned"))
+    /// Moves everything in shard `me`'s inbox to the end of `out`: sender
+    /// 0's messages first, each sender's in the order it sent them. The
+    /// slots keep their capacity, so a caller that reuses `out` allocates
+    /// nothing once the buffers have grown.
+    pub fn drain_into(&self, me: usize, out: &mut Vec<M>) {
+        for slot in &self.slots[me * self.n..(me + 1) * self.n] {
+            out.append(&mut slot.lock().expect("mailbox poisoned"));
+        }
     }
 }
 
@@ -340,25 +347,43 @@ mod tests {
 
     #[test]
     fn mailboxes_collect_concurrent_sends() {
-        let boxes: Mailboxes<(usize, u64)> = Mailboxes::new(2);
+        let boxes: Mailboxes<(usize, u64)> = Mailboxes::new(4);
         std::thread::scope(|scope| {
             for sender in 0..4usize {
                 let boxes = &boxes;
                 scope.spawn(move || {
                     for i in 0..100u64 {
-                        boxes.send((sender + i as usize) % 2, (sender, i));
+                        boxes.send(sender, (sender + i as usize) % 2, (sender, i));
                     }
                 });
             }
         });
-        let mut got: Vec<(usize, u64)> = boxes.drain(0);
-        got.extend(boxes.drain(1));
+        let mut got: Vec<(usize, u64)> = Vec::new();
+        boxes.drain_into(0, &mut got);
+        boxes.drain_into(1, &mut got);
         assert_eq!(got.len(), 400, "no message lost or duplicated");
         got.sort_unstable();
         let expect: Vec<(usize, u64)> =
             (0..4).flat_map(|s| (0..100).map(move |i| (s, i))).collect();
         assert_eq!(got, expect);
-        assert!(boxes.drain(0).is_empty(), "drain empties the inbox");
+        let mut rest = Vec::new();
+        boxes.drain_into(0, &mut rest);
+        assert!(rest.is_empty(), "drain empties the inbox");
+    }
+
+    #[test]
+    fn mailboxes_drain_in_sender_order() {
+        let boxes: Mailboxes<&str> = Mailboxes::new(3);
+        boxes.send(2, 0, "from 2, first");
+        boxes.send(1, 0, "from 1, first");
+        boxes.send(2, 0, "from 2, second");
+        boxes.send(1, 0, "from 1, second");
+        let mut got = vec!["already there"];
+        boxes.drain_into(0, &mut got);
+        assert_eq!(
+            got,
+            ["already there", "from 1, first", "from 1, second", "from 2, first", "from 2, second"]
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * **Report-bit-identical on/off.** Recording only *reads* simulation
 //!   state: no RNG draw, no event, nothing fed back.
 //! * **Deterministic head sampling.** A request's trace id is a pure hash
-//!   of its `(proxy, sequence)` coordinates ([`trace_id`], built on
+//!   of its `(proxy, sequence)` coordinates (`trace_id`, built on
 //!   [`crate::rng::stream_seed`]-style mixing), so whether a request is
 //!   sampled is independent of sharding, timing, and every other request.
 //! * **Bit-identical across shard counts.** Raw [`SpanEvent`]s carry a

@@ -79,15 +79,6 @@ pub struct AliasRows {
 }
 
 impl AliasRows {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.guide.len() / self.buckets
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.guide.is_empty()
-    }
-
     /// Heap bytes held by the rows (pieces and guide).
     pub fn heap_bytes(&self) -> usize {
         self.pieces.capacity() * std::mem::size_of::<AliasPiece>()
@@ -334,7 +325,7 @@ mod tests {
     #[test]
     fn rows_are_independent() {
         let rows = rows(6, &[&[(0, 1.0)], &[(5, 1.0)], &[(1, 0.5), (4, 0.5)]]);
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.guide.len() / rows.buckets, 3);
         assert_eq!(
             rows.row(1).pieces(),
             &[

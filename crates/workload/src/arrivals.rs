@@ -1,9 +1,6 @@
 //! Arrival processes — the `λ` axis of the model.
 //!
-//! The paper assumes Poisson arrivals (the M in M/G/1). The MMPP variant
-//! exists to probe robustness: the threshold formula only knows the *mean*
-//! rate, so bursty arrivals stress the adaptive controller (experiment E8
-//! sensitivity runs).
+//! The paper assumes Poisson arrivals (the M in M/G/1).
 
 use simcore::rng::Rng;
 
@@ -11,9 +8,6 @@ use simcore::rng::Rng;
 pub trait ArrivalProcess {
     /// Time until the next arrival (strictly positive).
     fn next_gap(&mut self, rng: &mut Rng) -> f64;
-
-    /// Long-run mean arrival rate.
-    fn mean_rate(&self) -> f64;
 }
 
 /// Poisson process: exponential gaps at rate `lambda`.
@@ -33,99 +27,6 @@ impl ArrivalProcess for PoissonArrivals {
     fn next_gap(&mut self, rng: &mut Rng) -> f64 {
         rng.exp(self.lambda)
     }
-    fn mean_rate(&self) -> f64 {
-        self.lambda
-    }
-}
-
-/// Deterministic arrivals: constant gap `1/rate`.
-#[derive(Clone, Copy, Debug)]
-pub struct DeterministicArrivals {
-    pub rate: f64,
-}
-
-impl DeterministicArrivals {
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0);
-        DeterministicArrivals { rate }
-    }
-}
-
-impl ArrivalProcess for DeterministicArrivals {
-    fn next_gap(&mut self, _rng: &mut Rng) -> f64 {
-        1.0 / self.rate
-    }
-    fn mean_rate(&self) -> f64 {
-        self.rate
-    }
-}
-
-/// Two-state Markov-modulated Poisson process: alternates between a quiet
-/// state (rate `rate0`) and a bursty state (rate `rate1`), with exponential
-/// sojourn times of means `1/switch0` and `1/switch1`.
-#[derive(Clone, Copy, Debug)]
-pub struct Mmpp2 {
-    pub rate0: f64,
-    pub rate1: f64,
-    pub switch0: f64,
-    pub switch1: f64,
-    state: bool,
-    /// Time left in the current state.
-    residual: f64,
-}
-
-impl Mmpp2 {
-    pub fn new(rate0: f64, rate1: f64, switch0: f64, switch1: f64) -> Self {
-        assert!(rate0 > 0.0 && rate1 > 0.0 && switch0 > 0.0 && switch1 > 0.0);
-        Mmpp2 { rate0, rate1, switch0, switch1, state: false, residual: 0.0 }
-    }
-
-    fn current_rate(&self) -> f64 {
-        if self.state {
-            self.rate1
-        } else {
-            self.rate0
-        }
-    }
-}
-
-impl ArrivalProcess for Mmpp2 {
-    fn next_gap(&mut self, rng: &mut Rng) -> f64 {
-        let mut gap = 0.0;
-        loop {
-            if self.residual <= 0.0 {
-                let switch = if self.state { self.switch1 } else { self.switch0 };
-                self.residual = rng.exp(switch);
-            }
-            let candidate = rng.exp(self.current_rate());
-            if candidate <= self.residual {
-                self.residual -= candidate;
-                return gap + candidate;
-            }
-            // No arrival before the state switch: consume the sojourn and flip.
-            gap += self.residual;
-            self.residual = 0.0;
-            self.state = !self.state;
-        }
-    }
-
-    fn mean_rate(&self) -> f64 {
-        // Stationary state probabilities ∝ mean sojourn times.
-        let m0 = 1.0 / self.switch0;
-        let m1 = 1.0 / self.switch1;
-        (self.rate0 * m0 + self.rate1 * m1) / (m0 + m1)
-    }
-}
-
-/// Materialises the first `n` arrival instants of a process.
-pub fn arrival_times(process: &mut dyn ArrivalProcess, n: usize, rng: &mut Rng) -> Vec<f64> {
-    let mut t = 0.0;
-    (0..n)
-        .map(|_| {
-            t += process.next_gap(rng);
-            t
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -134,8 +35,8 @@ mod tests {
 
     fn empirical_rate(p: &mut dyn ArrivalProcess, n: usize, seed: u64) -> f64 {
         let mut rng = Rng::new(seed);
-        let times = arrival_times(p, n, &mut rng);
-        (n - 1) as f64 / (times[n - 1] - times[0])
+        let span: f64 = (0..n).map(|_| p.next_gap(&mut rng)).sum();
+        n as f64 / span
     }
 
     #[test]
@@ -143,7 +44,6 @@ mod tests {
         let mut p = PoissonArrivals::new(30.0);
         let r = empirical_rate(&mut p, 100_000, 1);
         assert!((r - 30.0).abs() < 0.5, "rate {r}");
-        assert_eq!(p.mean_rate(), 30.0);
     }
 
     #[test]
@@ -158,51 +58,14 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_gaps() {
-        let mut rng = Rng::new(3);
-        let mut p = DeterministicArrivals::new(4.0);
-        for _ in 0..10 {
-            assert_eq!(p.next_gap(&mut rng), 0.25);
-        }
-    }
-
-    #[test]
-    fn mmpp_mean_rate_formula() {
-        // Equal sojourns: mean rate is the average of the two rates.
-        let p = Mmpp2::new(10.0, 50.0, 1.0, 1.0);
-        assert!((p.mean_rate() - 30.0).abs() < 1e-12);
-        // Spends 3x longer in quiet state.
-        let p = Mmpp2::new(10.0, 50.0, 1.0, 3.0);
-        let expect = (10.0 * 1.0 + 50.0 * (1.0 / 3.0)) / (1.0 + 1.0 / 3.0);
-        assert!((p.mean_rate() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mmpp_empirical_rate_matches() {
-        let mut p = Mmpp2::new(10.0, 50.0, 0.5, 0.5);
-        let r = empirical_rate(&mut p, 200_000, 4);
-        assert!((r - p.mean_rate()).abs() / p.mean_rate() < 0.05, "rate {r}");
-    }
-
-    #[test]
-    fn mmpp_is_burstier_than_poisson() {
-        // Index of dispersion of counts > 1 for MMPP: approximate via gap CV².
-        let mut rng = Rng::new(5);
-        let mut p = Mmpp2::new(5.0, 100.0, 2.0, 2.0);
-        let gaps: Vec<f64> = (0..200_000).map(|_| p.next_gap(&mut rng)).collect();
-        let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gaps.len() as f64;
-        let cv2 = var / (mean * mean);
-        assert!(cv2 > 1.3, "cv² {cv2} should exceed Poisson's 1");
-    }
-
-    #[test]
     fn arrival_times_are_increasing() {
         let mut rng = Rng::new(6);
         let mut p = PoissonArrivals::new(100.0);
-        let times = arrival_times(&mut p, 1000, &mut rng);
-        for w in times.windows(2) {
-            assert!(w[1] > w[0]);
+        let mut t = 0.0;
+        for _ in 0..1000 {
+            let next = t + p.next_gap(&mut rng);
+            assert!(next > t);
+            t = next;
         }
     }
 }

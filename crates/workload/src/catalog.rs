@@ -23,7 +23,6 @@ impl core::fmt::Display for ItemId {
 pub struct Catalog {
     sizes: Vec<f64>,
     popularity: Zipf,
-    mean_size: f64,
 }
 
 impl Catalog {
@@ -31,20 +30,13 @@ impl Catalog {
     pub fn with_sizes(n: usize, exponent: f64, size_dist: &dyn Sample, rng: &mut Rng) -> Self {
         assert!(n > 0);
         let sizes: Vec<f64> = (0..n).map(|_| size_dist.sample(rng)).collect();
-        let mean_size = sizes.iter().sum::<f64>() / n as f64;
-        Catalog { sizes, popularity: Zipf::new(n, exponent), mean_size }
+        Catalog { sizes, popularity: Zipf::new(n, exponent) }
     }
 
     /// `n` items, Zipf popularity, all sizes equal to `size`.
     pub fn zipf(n: usize, exponent: f64, size: f64, _rng: &mut Rng) -> Self {
         assert!(n > 0 && size > 0.0);
-        Catalog { sizes: vec![size; n], popularity: Zipf::new(n, exponent), mean_size: size }
-    }
-
-    /// Uniform popularity (Zipf exponent 0).
-    pub fn uniform(n: usize, size: f64) -> Self {
-        assert!(n > 0 && size > 0.0);
-        Catalog { sizes: vec![size; n], popularity: Zipf::new(n, 0.0), mean_size: size }
+        Catalog { sizes: vec![size; n], popularity: Zipf::new(n, exponent) }
     }
 
     /// Number of items.
@@ -61,30 +53,9 @@ impl Catalog {
         self.sizes[id.0 as usize]
     }
 
-    /// Arithmetic mean item size (unweighted by popularity).
-    pub fn mean_size(&self) -> f64 {
-        self.mean_size
-    }
-
-    /// Popularity-weighted mean size — the `s̄` a request stream actually
-    /// experiences under the IRM.
-    pub fn request_weighted_mean_size(&self) -> f64 {
-        (0..self.sizes.len()).map(|i| self.popularity.prob(i) * self.sizes[i]).sum()
-    }
-
-    /// Request probability of an item under the popularity law.
-    pub fn popularity(&self, id: ItemId) -> f64 {
-        self.popularity.prob(id.0 as usize)
-    }
-
     /// Draws an item according to popularity.
     pub fn sample(&self, rng: &mut Rng) -> ItemId {
         ItemId(self.popularity.sample_rank(rng) as u64)
-    }
-
-    /// Items sorted by descending popularity (identity order for Zipf).
-    pub fn by_popularity(&self) -> impl Iterator<Item = ItemId> + '_ {
-        (0..self.sizes.len() as u64).map(ItemId)
     }
 }
 
@@ -99,25 +70,6 @@ mod tests {
         let c = Catalog::zipf(1000, 0.8, 2.0, &mut rng);
         assert_eq!(c.len(), 1000);
         assert_eq!(c.size(ItemId(5)), 2.0);
-        assert_eq!(c.mean_size(), 2.0);
-        assert!((c.request_weighted_mean_size() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn popularity_is_monotone_decreasing() {
-        let mut rng = Rng::new(2);
-        let c = Catalog::zipf(100, 1.0, 1.0, &mut rng);
-        for i in 1..100 {
-            assert!(c.popularity(ItemId(i - 1)) > c.popularity(ItemId(i)));
-        }
-    }
-
-    #[test]
-    fn uniform_catalog_equal_probabilities() {
-        let c = Catalog::uniform(50, 1.0);
-        for i in 0..50 {
-            assert!((c.popularity(ItemId(i)) - 0.02).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -130,26 +82,16 @@ mod tests {
             counts[c.sample(&mut rng).0 as usize] += 1;
         }
         let p0 = counts[0] as f64 / n as f64;
-        assert!((p0 - c.popularity(ItemId(0))).abs() < 0.01);
+        assert!((p0 - Zipf::new(10, 1.0).prob(0)).abs() < 0.01);
     }
 
     #[test]
     fn heterogeneous_sizes_weighted_mean() {
         let mut rng = Rng::new(4);
         let c = Catalog::with_sizes(5000, 0.0, &Pareto::with_mean(3.0, 2.5), &mut rng);
-        // Uniform popularity: weighted mean = arithmetic mean.
-        assert!((c.request_weighted_mean_size() - c.mean_size()).abs() < 1e-9);
-        assert!((c.mean_size() - 3.0).abs() < 0.3);
-    }
-
-    #[test]
-    fn weighted_mean_differs_with_skew() {
-        // Make item 0 huge: under Zipf the weighted mean exceeds the
-        // arithmetic mean noticeably.
-        let mut rng = Rng::new(5);
-        let mut c = Catalog::zipf(100, 1.2, 1.0, &mut rng);
-        c.sizes[0] = 100.0;
-        c.mean_size = c.sizes.iter().sum::<f64>() / 100.0;
-        assert!(c.request_weighted_mean_size() > c.mean_size());
+        // Uniform popularity: the request-weighted mean is the arithmetic
+        // mean of the drawn sizes.
+        let mean = (0..5000).map(|i| c.size(ItemId(i))).sum::<f64>() / 5000.0;
+        assert!((mean - 3.0).abs() < 0.3);
     }
 }

@@ -1,7 +1,6 @@
 //! Versioned `.events` binary trace format with a streaming reader.
 //!
-//! The workspace's one binary trace format ([`crate::trace`] keeps JSON
-//! lines for human inspection). A magic, a version and a declared record
+//! The workspace's one trace format. A magic, a version and a declared record
 //! count head the file, so a truncated or foreign blob is an error rather
 //! than a short trace:
 //!
@@ -165,7 +164,6 @@ fn encode_record(rec: &TraceRecord, buf: &mut Vec<u8>) {
 /// After the first error the stream fuses and yields `None`.
 pub struct TraceStream<R: Read> {
     input: R,
-    version: u16,
     count: u64,
     yielded: u64,
     buf: Vec<u8>,
@@ -213,7 +211,6 @@ impl<R: Read> TraceStream<R> {
         let count = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
         Ok(TraceStream {
             input,
-            version,
             count,
             yielded: 0,
             buf: Vec::new(),
@@ -228,11 +225,6 @@ impl<R: Read> TraceStream<R> {
     /// Record count declared in the header.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Format version read from the header.
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Largest trace buffer held at any point so far (bytes). Pinned at
@@ -336,11 +328,6 @@ impl<W: Write> EventsWriter<W> {
         Ok(())
     }
 
-    /// Records written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
     /// Flushes and returns the sink; errors unless exactly the declared
     /// number of records was written.
     pub fn finish(mut self) -> Result<W, TraceError> {
@@ -418,14 +405,6 @@ impl TraceSource {
             TraceSource::Bytes(b) => Box::new(io::Cursor::new(ArcBytes(Arc::clone(b)))),
         };
         TraceStream::with_chunk(reader, chunk_records)
-    }
-
-    /// Record count declared in the source's header.
-    pub fn count(&self) -> Result<u64, TraceError> {
-        // Explicit form: `Iterator::count` would shadow the inherent
-        // accessor on a by-value stream.
-        let stream = self.open(1)?;
-        Ok(TraceStream::count(&stream))
     }
 }
 
@@ -573,7 +552,7 @@ mod tests {
     fn source_opens_independent_streams() {
         let recs = sample();
         let src = TraceSource::from_records(&recs).unwrap();
-        assert_eq!(src.count().unwrap(), recs.len() as u64);
+        assert_eq!(TraceStream::count(&src.open(1).unwrap()), recs.len() as u64);
         let a: Vec<_> = src.open(2).unwrap().map(Result::unwrap).collect();
         let b: Vec<_> = src.open(64).unwrap().map(Result::unwrap).collect();
         assert_eq!(a, recs);

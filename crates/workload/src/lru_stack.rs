@@ -40,16 +40,6 @@ impl LruStackStream {
         }
     }
 
-    /// The hit ratio the stream is designed to produce.
-    pub fn target_hit(&self) -> f64 {
-        self.target_hit
-    }
-
-    /// The LRU capacity the stream is calibrated for.
-    pub fn reuse_depth(&self) -> usize {
-        self.reuse_depth
-    }
-
     fn fresh_item(&mut self) -> ItemId {
         let id = ItemId(self.next_id);
         self.next_id += 1;

@@ -215,52 +215,11 @@ impl MarkovChain {
         ItemId(self.state as u64)
     }
 
-    /// Jumps to a specific state.
-    pub fn set_state(&mut self, s: ItemId) {
-        assert!((s.0 as usize) < self.len());
-        self.state = s.0 as usize;
-    }
-
     /// Draws the successor of `from` without touching the chain's own
-    /// state: the same draw as `set_state(from)` followed by `next_item`,
-    /// so one chain can drive many independent walkers through `&self`.
+    /// state: the same draw `next_item` makes from state `from`, so one
+    /// chain can drive many independent walkers through `&self`.
     pub fn step(&self, from: ItemId, rng: &mut Rng) -> ItemId {
         ItemId(self.sampler(from).sample_index(rng) as u64)
-    }
-
-    /// Stationary distribution by power iteration (for tests/analysis).
-    pub fn stationary(&self, iterations: usize) -> Vec<f64> {
-        let n = self.len();
-        let mut pi = vec![1.0 / n as f64; n];
-        let mut next = vec![0.0; n];
-        for _ in 0..iterations {
-            next.iter_mut().for_each(|x| *x = 0.0);
-            for (i, &pi_i) in pi.iter().enumerate() {
-                if pi_i == 0.0 {
-                    continue;
-                }
-                for &(j, p) in self.row(i) {
-                    next[j as usize] += pi_i * p;
-                }
-            }
-            core::mem::swap(&mut pi, &mut next);
-        }
-        pi
-    }
-
-    /// Entropy rate (bits/request) under the stationary distribution —
-    /// the information-theoretic predictability of the stream.
-    pub fn entropy_rate(&self, iterations: usize) -> f64 {
-        let pi = self.stationary(iterations);
-        let mut h = 0.0;
-        for (i, &pi_i) in pi.iter().enumerate() {
-            let mut hi = 0.0;
-            for &(_, p) in self.row(i) {
-                hi -= p * p.log2();
-            }
-            h += pi_i * hi;
-        }
-        h
     }
 }
 
@@ -330,32 +289,27 @@ mod tests {
         assert_eq!(succ.len(), 10);
     }
 
-    #[test]
-    fn deterministic_cycle_entropy_zero() {
-        let mut rng = Rng::new(4);
-        let chain = MarkovChain::noisy_cycle(8, 0.0, &mut rng);
-        assert!(chain.entropy_rate(200) < 1e-9);
-        // And noise raises entropy.
-        let noisy = MarkovChain::noisy_cycle(8, 0.5, &mut rng);
-        assert!(noisy.entropy_rate(200) > 1.0);
-    }
-
-    #[test]
-    fn stationary_distribution_of_doubly_stochastic_is_uniform() {
-        let mut rng = Rng::new(5);
-        // noisy_cycle rows are doubly stochastic (column sums = 1 too).
-        let chain = MarkovChain::noisy_cycle(6, 0.3, &mut rng);
-        let pi = chain.stationary(500);
-        for &p in &pi {
-            assert!((p - 1.0 / 6.0).abs() < 1e-9, "pi {pi:?}");
+    /// Stationary distribution by power iteration over the sparse rows.
+    fn stationary(chain: &MarkovChain, iterations: usize) -> Vec<f64> {
+        let n = chain.len();
+        let mut pi = vec![1.0 / n as f64; n];
+        for _ in 0..iterations {
+            let mut next = vec![0.0; n];
+            for (i, &pi_i) in pi.iter().enumerate() {
+                for &(j, p) in chain.row(i) {
+                    next[j as usize] += pi_i * p;
+                }
+            }
+            pi = next;
         }
+        pi
     }
 
     #[test]
     fn stationary_matches_empirical_visits() {
         let mut rng = Rng::new(6);
         let mut chain = MarkovChain::random(20, 3, 0.4, &mut rng);
-        let pi = chain.stationary(1000);
+        let pi = stationary(&chain, 1000);
         let mut counts = [0usize; 20];
         let n = 400_000;
         for _ in 0..n {
@@ -380,7 +334,7 @@ mod tests {
             if k % 7 == 0 {
                 from = ItemId(k % 40);
             }
-            walker.set_state(from);
+            walker.state = from.0 as usize;
             let a = walker.next_item(&mut rng_a);
             let b = shared.step(from, &mut rng_b);
             assert_eq!(a, b, "draw {k} from {from:?}");

@@ -107,16 +107,6 @@ pub struct ScaledStream<R: Read> {
 }
 
 impl<R: Read> ScaledStream<R> {
-    /// Total records the merge will yield (sum of the copies' counts).
-    pub fn count(&self) -> u64 {
-        self.streams.iter().map(|s| s.count()).sum()
-    }
-
-    /// Sum of the underlying streams' resident high-water marks.
-    pub fn peak_resident_bytes(&self) -> usize {
-        self.streams.iter().map(|s| s.peak_resident_bytes()).sum()
-    }
-
     fn pull(&mut self, copy: usize) -> Result<(), TraceError> {
         self.heads[copy] = match self.streams[copy].next() {
             Some(Ok(rec)) => Some(self.scaler.transform(copy as u32, rec)),

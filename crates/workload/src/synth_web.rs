@@ -79,7 +79,6 @@ pub struct SynthWeb {
     arrivals: PoissonArrivals,
     client_states: Vec<ItemId>,
     now: f64,
-    config: SynthWebConfig,
 }
 
 impl SynthWeb {
@@ -107,18 +106,12 @@ impl SynthWeb {
             arrivals: PoissonArrivals::new(config.lambda),
             client_states,
             now: 0.0,
-            config,
         }
     }
 
     /// The (possibly shared) structure this generator walks.
     pub fn structure(&self) -> &Arc<WebStructure> {
         &self.structure
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &SynthWebConfig {
-        &self.config
     }
 
     /// Generates the next request.
@@ -184,7 +177,9 @@ mod tests {
     fn mean_size_near_configured() {
         let mut rng = Rng::new(4);
         let w = make(&mut rng);
-        let m = w.structure().catalog.mean_size();
+        let catalog = &w.structure().catalog;
+        let m = (0..catalog.len()).map(|i| catalog.size(ItemId(i as u64))).sum::<f64>()
+            / catalog.len() as f64;
         assert!((m - 1.0).abs() < 0.25, "mean size {m}");
     }
 

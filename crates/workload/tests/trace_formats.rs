@@ -1,9 +1,8 @@
-//! Property tests for the trace codecs and the scaler.
+//! Property tests for the `.events` codec and the scaler.
 //!
 //! * **Round-trips** — arbitrary finite, time-ordered records survive the
-//!   JSON-lines codec and the versioned `.events` streaming codec exactly
-//!   (f64 `{:?}` rendering and the LE byte layout are both lossless), at
-//!   every chunk size.
+//!   versioned `.events` streaming codec exactly (the LE byte layout is
+//!   lossless), at every chunk size.
 //! * **Corruption** — truncations, header bit-flips, and wrong versions
 //!   are *errors*, never panics, and never yield phantom records.
 //! * **Scaling** — a K-copy superposition has exactly K× the records,
@@ -12,9 +11,8 @@
 //!   eager one.
 
 use proptest::prelude::*;
-use std::io::BufReader;
 use workload::events::{encode_events, RECORD_BYTES};
-use workload::{ItemId, TraceRecord, TraceScaler, TraceSource, TraceStream, TraceWriter};
+use workload::{ItemId, TraceRecord, TraceScaler, TraceSource, TraceStream};
 
 /// Finite records with non-decreasing times — what every recorder
 /// produces and every validated decoder demands. Items stay below 2^20
@@ -60,21 +58,6 @@ proptest! {
             "resident {} bytes exceeds one {}-record chunk",
             stream.peak_resident_bytes(), chunk
         );
-    }
-
-    /// JSON-lines identity: `{:?}` float rendering round-trips f64
-    /// exactly, so the decoded records equal the originals bit-for-bit.
-    #[test]
-    fn json_roundtrip_is_identity(records in records_strategy(80)) {
-        let mut w = TraceWriter::new(Vec::new());
-        for rec in &records {
-            w.write(rec).expect("finite records serialise");
-        }
-        let bytes = w.into_inner();
-        let decoded = workload::TraceReader::new(BufReader::new(&bytes[..]))
-            .read_all()
-            .expect("own output parses");
-        prop_assert_eq!(decoded, records);
     }
 
     /// Any strict prefix of an `.events` encoding is an error — in the

@@ -30,8 +30,8 @@
 //!
 //! // The optimal policy: prefetch *exactly* the candidates above ρ′.
 //! let policy = ThresholdPolicy::from_model_a(&params);
-//! let decision = policy.decide(vec![("logo.png", 0.9), ("search", 0.1)]);
-//! assert_eq!(decision.selected.len(), 1); // only logo.png clears 0.42
+//! assert!(policy.should_prefetch(0.9)); // p = 0.9 clears 0.42
+//! assert!(!policy.should_prefetch(0.1));
 //! ```
 //!
 //! ## Crate map
@@ -391,10 +391,10 @@
 //! `e21_replay` of `OBS_cluster.json` (records/sec, peak resident trace
 //! bytes, hit-ratio and network-load deltas vs the synthetic source),
 //! schema-checked in CI by `--bin replay -- --check` and covered by the
-//! sentinel. The codecs themselves are proptested
+//! sentinel. The codec itself is proptested
 //! (`workload/tests/trace_formats.rs`): arbitrary finite records
-//! round-trip JSON and `.events` exactly; truncations, header bit-flips,
-//! and wrong versions are errors, never panics.
+//! round-trip `.events` exactly; truncations, header bit-flips, and wrong
+//! versions are errors, never panics.
 //!
 //! ## Fault injection: chaos you can diff
 //!

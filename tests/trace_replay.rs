@@ -1,12 +1,11 @@
 //! Trace persistence and replay: an experiment's workload can be written
-//! out (JSONL or `.events` binary), read back, and must drive the caches to
+//! out as a binary `.events` trace, read back, and must drive the caches to
 //! byte-identical results — the reproducibility spine of the harness.
 
 use speculative_prefetch::cachesim::{LruCache, ReplacementCache, TaggedCache};
 use speculative_prefetch::simcore::rng::Rng;
 use speculative_prefetch::workload::events::{encode_events, read_events};
 use speculative_prefetch::workload::synth_web::{SynthWeb, SynthWebConfig};
-use speculative_prefetch::workload::trace::{TraceReader, TraceWriter};
 use speculative_prefetch::workload::TraceRecord;
 
 fn make_trace(n: usize, seed: u64) -> Vec<TraceRecord> {
@@ -33,38 +32,12 @@ fn cache_fingerprint(trace: &[TraceRecord]) -> (u64, u64, Vec<u64>) {
 }
 
 #[test]
-fn json_roundtrip_preserves_replay() {
-    let trace = make_trace(20_000, 1);
-    let mut writer = TraceWriter::new(Vec::new());
-    for r in &trace {
-        writer.write(r).unwrap();
-    }
-    let bytes = writer.into_inner();
-    let mut reader = TraceReader::new(&bytes[..]);
-    let replayed = reader.read_all().unwrap();
-    assert_eq!(replayed.len(), trace.len());
-    assert_eq!(cache_fingerprint(&trace), cache_fingerprint(&replayed));
-}
-
-#[test]
 fn binary_roundtrip_is_bit_exact() {
     let trace = make_trace(20_000, 2);
     let buf = encode_events(&trace).unwrap();
     let replayed = read_events(&buf).unwrap();
     assert_eq!(replayed, trace, "binary format must be lossless");
     assert_eq!(cache_fingerprint(&trace), cache_fingerprint(&replayed));
-}
-
-#[test]
-fn binary_is_much_smaller_than_json() {
-    let trace = make_trace(5_000, 3);
-    let bin = encode_events(&trace).unwrap().len();
-    let mut writer = TraceWriter::new(Vec::new());
-    for r in &trace {
-        writer.write(r).unwrap();
-    }
-    let json = writer.into_inner().len();
-    assert!(bin * 2 < json, "binary {bin} vs json {json}");
 }
 
 #[test]
