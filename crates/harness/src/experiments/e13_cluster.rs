@@ -17,6 +17,7 @@
 //! Plus the cluster-scope Figure 2/3 analogue: `G` and excess network
 //! load vs prefetch volume, at p above and below the threshold.
 
+use crate::experiments::{Rendered, Size};
 use crate::report::{f, Table};
 use cluster::{
     network_load_curve, AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterReport,
@@ -31,8 +32,8 @@ const WARMUP: usize = 10_000;
 const SEED: u64 = 13;
 
 /// Reduced problem size for the CI smoke invocation (`--smoke`).
-pub const SMOKE_REQUESTS: usize = 4_000;
-pub const SMOKE_WARMUP: usize = 800;
+const SMOKE_REQUESTS: usize = 4_000;
+const SMOKE_WARMUP: usize = 800;
 
 /// Runs the open-loop cluster with the same parameters at every proxy.
 pub fn run_static(
@@ -91,14 +92,9 @@ pub fn run_adaptive(
     ClusterSim::new(&config).run(seed)
 }
 
-/// Full-size report.
-pub fn render() -> String {
-    render_with(REQUESTS, WARMUP)
-}
-
-/// Report at a caller-chosen problem size (the CI smoke run uses
-/// [`SMOKE_REQUESTS`]).
-pub fn render_with(requests: usize, warmup: usize) -> String {
+/// The report at `size`.
+pub fn render(size: Size) -> Rendered {
+    let (requests, warmup) = size.pick((REQUESTS, WARMUP), (SMOKE_REQUESTS, SMOKE_WARMUP));
     let mut out = String::new();
     out.push_str("# E13 — speculative prefetching across a multi-node cluster\n");
     out.push_str("# every link is a PS queue; every proxy a cache + controller\n\n");
@@ -239,7 +235,7 @@ pub fn render_with(requests: usize, warmup: usize) -> String {
          near-certain items while the idle one speculates freely, which is\n\
          exactly the paper's single-node rule applied node-by-node.\n",
     );
-    out
+    Rendered::text(out)
 }
 
 #[cfg(test)]
@@ -248,7 +244,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_sections() {
-        let report = render();
+        let report = render(Size::Full).report;
         assert!(report.contains("closed forms"));
         assert!(report.contains("shared backbone"));
         assert!(report.contains("G and excess load"));

@@ -18,6 +18,7 @@
 //! 4. **Load-aware placement** — heterogeneous per-proxy load with the
 //!    migration policy on: virtual nodes drain from the hot proxy.
 
+use crate::experiments::{Rendered, Size};
 use crate::report::{f, Table};
 use cluster::{
     AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterReport, ClusterSim,
@@ -32,8 +33,8 @@ const WARMUP: usize = 6_000;
 const SEED: u64 = 14;
 
 /// Reduced problem size for the CI smoke invocation (`--smoke`).
-pub const SMOKE_REQUESTS: usize = 3_000;
-pub const SMOKE_WARMUP: usize = 600;
+const SMOKE_REQUESTS: usize = 3_000;
+const SMOKE_WARMUP: usize = 600;
 
 /// Identical item universe at every proxy (shared structure seed): the
 /// maximally redundant deployment cooperation is built for.
@@ -83,14 +84,9 @@ fn mean_hit_ratio(report: &ClusterReport) -> f64 {
     report.nodes.iter().map(|n| n.hit_ratio).sum::<f64>() / report.nodes.len() as f64
 }
 
-/// Full-size report.
-pub fn render() -> String {
-    render_with(REQUESTS, WARMUP)
-}
-
-/// Report at a caller-chosen problem size (the CI smoke run uses
-/// [`SMOKE_REQUESTS`]).
-pub fn render_with(requests: usize, warmup: usize) -> String {
+/// The report at `size`.
+pub fn render(size: Size) -> Rendered {
+    let (requests, warmup) = size.pick((REQUESTS, WARMUP), (SMOKE_REQUESTS, SMOKE_WARMUP));
     let n = 3;
     let lambdas = vec![14.0; n];
     let mesh = || Topology::mesh(n, 50.0, 70.0, 45.0);
@@ -260,7 +256,7 @@ pub fn render_with(requests: usize, warmup: usize) -> String {
          virtual nodes off the hot proxy; the ring buys cooperation with n\n\
          links instead of n(n-1)/2 at a small multi-hop latency premium.\n",
     );
-    out
+    Rendered::text(out)
 }
 
 #[cfg(test)]
@@ -272,7 +268,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_sections() {
-        let report = render_with(SMOKE_REQUESTS, SMOKE_WARMUP);
+        let report = render(Size::Smoke).report;
         assert!(report.contains("Backbone relief"));
         assert!(report.contains("Digest epoch x placement x prefetch policy"));
         assert!(report.contains("full mesh vs ring"));

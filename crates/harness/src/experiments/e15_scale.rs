@@ -17,6 +17,7 @@
 //! harness binary must diff empty); wall-clock event-loop throughput is
 //! printed to stderr.
 
+use crate::experiments::{Rendered, Size};
 use crate::report::{f, Table};
 use cluster::{
     AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterReport, ClusterSim,
@@ -35,10 +36,10 @@ pub const SIZES: [usize; 3] = [64, 128, 256];
 
 /// Total requests across the cluster at full size (split evenly over the
 /// proxies, so bigger fabrics stress breadth, not per-proxy depth).
-pub const TOTAL_REQUESTS: usize = 96_000;
+const TOTAL_REQUESTS: usize = 96_000;
 
 /// Reduced total for the CI smoke invocation (`--smoke`).
-pub const SMOKE_TOTAL_REQUESTS: usize = 24_000;
+const SMOKE_TOTAL_REQUESTS: usize = 24_000;
 
 /// A peer mesh whose backbone scales with the proxy count (fixed per-proxy
 /// headroom, so every size runs at a comparable utilisation).
@@ -99,14 +100,9 @@ pub fn run_at(n_proxies: usize, cooperative: bool, total_requests: usize) -> (Cl
     (report, start.elapsed().as_secs_f64())
 }
 
-/// Full-size report.
-pub fn render() -> String {
-    render_with(TOTAL_REQUESTS)
-}
-
-/// Report at a caller-chosen total request budget (the CI smoke run uses
-/// [`SMOKE_TOTAL_REQUESTS`]).
-pub fn render_with(total_requests: usize) -> String {
+/// The report at `size`.
+pub fn render(size: Size) -> Rendered {
+    let total_requests = size.pick(TOTAL_REQUESTS, SMOKE_TOTAL_REQUESTS);
     let mut out = String::new();
     out.push_str("# E15 — cluster scale sweep (indexed event scheduler)\n");
     out.push_str("# peer meshes at 64/128/256 proxies; every link its own PS queue\n");
@@ -160,7 +156,7 @@ pub fn render_with(total_requests: usize) -> String {
          and grid-pinned digest epochs behave identically at 256 proxies as\n\
          at 3 (same code, same timers, bigger key space).\n",
     );
-    out
+    Rendered::text(out)
 }
 
 #[cfg(test)]
@@ -169,7 +165,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_sections() {
-        let report = render_with(SMOKE_TOTAL_REQUESTS);
+        let report = render(Size::Smoke).report;
         assert!(report.contains("scale sweep"));
         assert!(report.contains("Adaptive vs cooperative at scale"));
         assert!(report.contains("256"));

@@ -28,6 +28,7 @@
 //! which side fired. The stdout report carries only seeded,
 //! deterministic metrics; wall-clock goes to stderr.
 
+use crate::experiments::{Rendered, Size};
 use crate::report::{f, Table};
 use cluster::{
     AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterReport, ClusterSim,
@@ -49,10 +50,10 @@ pub const CACHE_CAPACITY: usize = 192;
 pub const CACHE_BYTES: f64 = 160.0;
 
 /// Total requests across the cluster at full size.
-pub const TOTAL_REQUESTS: usize = 96_000;
+const TOTAL_REQUESTS: usize = 96_000;
 
 /// Reduced total for the CI smoke invocation (`--smoke`).
-pub const SMOKE_TOTAL_REQUESTS: usize = 24_000;
+const SMOKE_TOTAL_REQUESTS: usize = 24_000;
 
 /// A peer mesh whose backbone scales with the proxy count.
 fn scaled_mesh(n_proxies: usize) -> Topology {
@@ -115,14 +116,9 @@ pub fn run_at(
     (report, start.elapsed().as_secs_f64())
 }
 
-/// Full-size report.
-pub fn render() -> String {
-    render_with(TOTAL_REQUESTS)
-}
-
-/// Report at a caller-chosen total request budget (the CI smoke run uses
-/// [`SMOKE_TOTAL_REQUESTS`]).
-pub fn render_with(total_requests: usize) -> String {
+/// The report at `size`.
+pub fn render(size: Size) -> Rendered {
+    let total_requests = size.pick(TOTAL_REQUESTS, SMOKE_TOTAL_REQUESTS);
     let mut out = String::new();
     out.push_str("# E16 — incremental digest deltas + byte-addressed caches\n");
     out.push_str("# delta streams vs full snapshot rebuilds over 64/128/256-proxy\n");
@@ -220,7 +216,7 @@ pub fn render_with(total_requests: usize) -> String {
          byte budget at every size while the item count floats with the\n\
          size mix.\n",
     );
-    out
+    Rendered::text(out)
 }
 
 #[cfg(test)]
@@ -229,7 +225,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_sections() {
-        let report = render_with(SMOKE_TOTAL_REQUESTS);
+        let report = render(Size::Smoke).report;
         assert!(report.contains("digest deltas"));
         assert!(report.contains("full rebuild"));
         assert!(report.contains("Delta exchange traffic"));

@@ -19,82 +19,31 @@
 //! The 512-proxy point (~131k PS links) is the fabric the single-threaded
 //! sweeps never attempted.
 
+use crate::experiments::e18_obs::{config, LATENCY};
+use crate::experiments::{Rendered, Size};
 use crate::report::{f, Table};
-use cluster::{
-    AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterReport, ClusterSim,
-    CooperativeWorkload, ProxyPolicy, ShardPlan, Topology, Workload,
-};
-use coop::{CoopConfig, DigestConfig, PlacementPolicy};
+use cluster::{ClusterReport, ClusterSim, ShardPlan};
 use simcore::Json;
 use std::time::Instant;
-use workload::synth_web::SynthWebConfig;
 
 const SEED: u64 = 17;
-const LAMBDA: f64 = 14.0;
-
-/// Propagation latency on every mesh link (seconds of virtual time) —
-/// the conservative lookahead each window runs on.
-pub const LATENCY: f64 = 0.05;
 
 /// Fabric sizes of the full sweep: the E15 ceiling, and the point past
 /// it that the single-threaded driver made impractical.
-pub const SIZES: [usize; 2] = [256, 512];
+const SIZES: [usize; 2] = [256, 512];
 
 /// Shard counts of the strong-scaling ladder.
-pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Total requests across the cluster at full size.
-pub const TOTAL_REQUESTS: usize = 96_000;
+const TOTAL_REQUESTS: usize = 96_000;
 
 /// Reduced sweep for the CI smoke invocation (`--smoke`): one modest
 /// fabric, shards ∈ {1, 2}, so the parallel path is exercised on every
 /// push without dominating the pipeline.
-pub const SMOKE_SIZES: [usize; 1] = [96];
-pub const SMOKE_SHARD_COUNTS: [usize; 2] = [1, 2];
-pub const SMOKE_TOTAL_REQUESTS: usize = 12_000;
-
-/// The E15 mesh with propagation latency: backbone scaled with the proxy
-/// count, every link carrying [`LATENCY`].
-fn latency_mesh(n_proxies: usize) -> Topology {
-    Topology::mesh_with_latency(n_proxies, 50.0, 25.0 * n_proxies as f64, 45.0, LATENCY)
-}
-
-fn workload(n_proxies: usize) -> AdaptiveWorkload {
-    AdaptiveWorkload {
-        proxies: (0..n_proxies)
-            .map(|_| SynthWebConfig { lambda: LAMBDA, link_skew: 0.3, ..SynthWebConfig::default() })
-            .collect(),
-        cache_capacity: 48,
-        cache_bytes: None,
-        max_candidates: 3,
-        prefetch_jitter: 0.01,
-        policy: ProxyPolicy::Adaptive,
-        predictor: CandidateSource::Oracle,
-        shared_structure_seed: Some(99),
-        delayed: Default::default(),
-    }
-}
-
-fn requests_per_proxy(n_proxies: usize, total_requests: usize) -> usize {
-    (total_requests / n_proxies).max(60)
-}
-
-fn config(n_proxies: usize, total_requests: usize) -> ClusterConfig<'static> {
-    let requests = requests_per_proxy(n_proxies, total_requests);
-    ClusterConfig {
-        topology: latency_mesh(n_proxies),
-        workload: Workload::Cooperative(CooperativeWorkload {
-            base: workload(n_proxies),
-            coop: CoopConfig {
-                placement: PlacementPolicy::LoadAware { divergence: 0.05, step: 4, min_vnodes: 8 },
-                digest: DigestConfig { epoch: 2.0, bits_per_entry: 10, hashes: 4 },
-                ..CoopConfig::default()
-            },
-        }),
-        requests_per_proxy: requests,
-        warmup_per_proxy: requests / 5,
-    }
-}
+const SMOKE_SIZES: [usize; 1] = [96];
+const SMOKE_SHARD_COUNTS: [usize; 2] = [1, 2];
+const SMOKE_TOTAL_REQUESTS: usize = 12_000;
 
 /// Runs one fabric at one shard count; returns the report and wall time.
 pub fn run_at(n_proxies: usize, shards: usize, total_requests: usize) -> (ClusterReport, f64) {
@@ -105,25 +54,15 @@ pub fn run_at(n_proxies: usize, shards: usize, total_requests: usize) -> (Cluste
     (report, start.elapsed().as_secs_f64())
 }
 
-/// Full-size report.
-pub fn render() -> String {
-    render_with(&SIZES, &SHARD_COUNTS, TOTAL_REQUESTS)
-}
-
-/// Report over caller-chosen fabric sizes, shard ladder, and budget.
-pub fn render_with(sizes: &[usize], shard_counts: &[usize], total_requests: usize) -> String {
-    render_with_rows(sizes, shard_counts, total_requests).0
-}
-
-/// Like [`render_with`], also returning the wall-clock ladder as
-/// structured rows for the `e17_strong_scaling` section of
-/// `OBS_cluster.json` — the same numbers the stderr lines carry, which
-/// is why stdout stays byte-identical: timings never print there.
-pub fn render_with_rows(
-    sizes: &[usize],
-    shard_counts: &[usize],
-    total_requests: usize,
-) -> (String, Json) {
+/// The report at `size`, with the wall-clock ladder as structured rows
+/// for the `e17_strong_scaling` section of `OBS_cluster.json` — the same
+/// numbers the stderr lines carry, which is why stdout stays
+/// byte-identical: timings never print there.
+pub fn render(size: Size) -> Rendered {
+    let (sizes, shard_counts, total_requests): (&[usize], &[usize], usize) = size.pick(
+        (&SIZES, &SHARD_COUNTS, TOTAL_REQUESTS),
+        (&SMOKE_SIZES, &SMOKE_SHARD_COUNTS, SMOKE_TOTAL_REQUESTS),
+    );
     let mut rows: Vec<Json> = Vec::new();
     let mut out = String::new();
     out.push_str("# E17 — sharded parallel cluster engine (strong scaling)\n");
@@ -149,8 +88,9 @@ pub fn render_with_rows(
         ],
     );
     for &n in sizes {
-        let topology = latency_mesh(n);
-        let requests_total = (requests_per_proxy(n, total_requests) * n) as u64;
+        let config = config(n, total_requests);
+        let topology = &config.topology;
+        let requests_total = (config.requests_per_proxy * n) as u64;
         // Untimed warm-up: the first run at a new fabric size pays
         // allocator growth and page faults that later runs do not; timing
         // it as the 1-shard baseline would flatter every speedup ratio.
@@ -196,7 +136,7 @@ pub fn render_with_rows(
                     .set("kreq_per_sec", Json::num(requests_total as f64 / wall / 1e3))
                     .set("speedup_vs_1shard", speedup.map_or(Json::Null, Json::num)),
             );
-            let plan = ShardPlan::partition(&topology, shards);
+            let plan = ShardPlan::partition(topology, shards);
             let hit = r.nodes.iter().map(|node| node.hit_ratio).sum::<f64>() / r.nodes.len() as f64;
             let peer_share = match &r.coop {
                 Some(c) => {
@@ -209,7 +149,7 @@ pub fn render_with_rows(
                 n.to_string(),
                 r.links.len().to_string(),
                 shards.to_string(),
-                plan.edge_cut(&topology).to_string(),
+                plan.edge_cut(topology).to_string(),
                 f(plan.lookahead(), 3),
                 f(hit, 3),
                 f(r.mean_access_time, 5),
@@ -243,7 +183,7 @@ pub fn render_with_rows(
         .set("lookahead", Json::num(LATENCY))
         .set("total_requests", Json::num(total_requests as f64))
         .set("rows", Json::Arr(rows));
-    (out, section)
+    Rendered { report: out, section: Some(section), files: Vec::new() }
 }
 
 #[cfg(test)]
@@ -252,7 +192,7 @@ mod tests {
 
     #[test]
     fn render_smoke_contains_all_sections() {
-        let report = render_with(&SMOKE_SIZES, &SMOKE_SHARD_COUNTS, SMOKE_TOTAL_REQUESTS);
+        let report = render(Size::Smoke).report;
         assert!(report.contains("strong scaling"));
         assert!(report.contains("Shard ladder"));
         assert!(report.contains("bit-identical"));
@@ -260,7 +200,7 @@ mod tests {
 
     #[test]
     fn e17_mesh_admits_a_positive_lookahead() {
-        let topology = latency_mesh(SMOKE_SIZES[0]);
+        let topology = config(SMOKE_SIZES[0], SMOKE_TOTAL_REQUESTS).topology;
         for &shards in &SHARD_COUNTS {
             let plan = ShardPlan::partition(&topology, shards);
             if shards > 1 {

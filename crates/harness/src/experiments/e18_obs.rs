@@ -17,6 +17,7 @@
 //! the JSON artifact, exactly like E17's scaling numbers.
 
 use crate::asciiplot::sparkline;
+use crate::experiments::{Rendered, Size};
 use crate::report::{f, Table};
 use cluster::{
     AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterObs, ClusterReport, ClusterSim,
@@ -29,23 +30,23 @@ use workload::synth_web::SynthWebConfig;
 const SEED: u64 = 18;
 const LAMBDA: f64 = 14.0;
 
-/// Propagation latency on every mesh link — the conservative lookahead,
-/// same WAN model as E17.
+/// Propagation latency on every mesh link (seconds of virtual time) —
+/// the conservative lookahead each window of E17's shard ladder runs on.
 pub const LATENCY: f64 = 0.05;
 
 /// Full sweep: the 64-proxy cooperative mesh at 4 shards.
-pub const FULL: (usize, usize, usize) = (64, 4, 24_000);
+const FULL: (usize, usize, usize) = (64, 4, 24_000);
 
 /// Reduced CI sweep (`--smoke`): 16 proxies at 2 shards, still through
 /// the windowed driver so the profiler columns are exercised.
-pub const SMOKE: (usize, usize, usize) = (16, 2, 6_000);
+const SMOKE: (usize, usize, usize) = (16, 2, 6_000);
 
 /// Sparkline width of the dashboard's series column.
 const SPARK_W: usize = 48;
 
-/// The cooperative latency-mesh fabric E18 observes and E19 traces —
-/// shared so the trace experiment's attribution describes the same run
-/// family the dashboard summarizes.
+/// The cooperative latency-mesh fabric E17 scales, E18 observes and E19
+/// traces — shared so the shard ladder, the dashboard and the trace
+/// attribution describe the same run family.
 pub fn config(n_proxies: usize, total_requests: usize) -> ClusterConfig<'static> {
     let requests = (total_requests / n_proxies).max(60);
     ClusterConfig {
@@ -98,38 +99,23 @@ pub fn run_observed(n_proxies: usize, shards: usize, total: usize) -> (ClusterRe
     ClusterSim::new(&config).run_observed(SEED, shards, &probes())
 }
 
-/// Full-size dashboard (64-proxy mesh).
-pub fn render() -> String {
-    let (n, shards, total) = FULL;
-    render_with(n, shards, total).0
+/// Runs one observed sweep at `size` and renders the dashboard, with the
+/// artifact section for `OBS_cluster.json`. Wall-clock telemetry goes to
+/// stderr (stdout stays byte-stable).
+pub fn render(size: Size) -> Rendered {
+    dashboard(size, 0)
 }
 
-/// Runs one observed sweep and renders the dashboard; returns the report
-/// text and the artifact section for `OBS_cluster.json`. Wall-clock
-/// telemetry goes to stderr (stdout stays byte-stable).
-pub fn render_with(n_proxies: usize, shards: usize, total_requests: usize) -> (String, Json) {
-    render_impl(n_proxies, shards, total_requests, 0)
+/// Like [`render`], but with span tracing on (the `--top-k` flag): the
+/// dashboard gains E19's `k` slowest traces. Tracing is a pure observer
+/// (`cluster/tests/trace_parity.rs` pins the report bit-identical either
+/// way), so every other section is unchanged.
+pub fn render_top_k(size: Size, k: usize) -> Rendered {
+    dashboard(size, k.max(1))
 }
 
-/// Like [`render_with`], but with span tracing on (the `--top-k` flag):
-/// the dashboard gains E19's slowest-traces table. Tracing is a pure
-/// observer (`cluster/tests/trace_parity.rs` pins the report
-/// bit-identical either way), so every other section is unchanged.
-pub fn render_with_top_k(
-    n_proxies: usize,
-    shards: usize,
-    total_requests: usize,
-    k: usize,
-) -> (String, Json) {
-    render_impl(n_proxies, shards, total_requests, k.max(1))
-}
-
-fn render_impl(
-    n_proxies: usize,
-    shards: usize,
-    total_requests: usize,
-    top_k: usize,
-) -> (String, Json) {
+fn dashboard(size: Size, top_k: usize) -> Rendered {
+    let (n_proxies, shards, total_requests) = size.pick(FULL, SMOKE);
     let cfg = config(n_proxies, total_requests);
     let mut probe_set = probes();
     if top_k > 0 {
@@ -294,7 +280,7 @@ fn render_impl(
         .set("n_proxies", Json::num(n_proxies as f64))
         .set("mean_access_time", Json::num(report.mean_access_time))
         .set("report", cluster::report_to_json(&report));
-    (out, section)
+    Rendered { report: out, section: Some(section), files: Vec::new() }
 }
 
 #[cfg(test)]
@@ -303,10 +289,8 @@ mod tests {
 
     #[test]
     fn smoke_dashboard_contains_all_sections() {
-        let (text, section) = {
-            let (n, shards, total) = SMOKE;
-            render_with(n, shards, total)
-        };
+        let Rendered { report: text, section, .. } = render(Size::Smoke);
+        let section = section.expect("E18 writes a section");
         assert!(text.contains("Epoch-grid probes"));
         assert!(text.contains("backbone util"));
         assert!(text.contains("Request latency"));
@@ -323,8 +307,8 @@ mod tests {
 
     #[test]
     fn top_k_flag_appends_the_slowest_traces() {
-        let (n, shards, total) = SMOKE;
-        let (text, section) = render_with_top_k(n, shards, total, 3);
+        let Rendered { report: text, section, .. } = render_top_k(Size::Smoke, 3);
+        let section = section.expect("E18 writes a section");
         assert!(text.contains("Top-3 slowest traces"));
         // Tracing also lands in the artifact section.
         assert!(section.get("trace").and_then(|t| t.get("traces")).is_some());
@@ -332,7 +316,6 @@ mod tests {
 
     #[test]
     fn smoke_dashboard_is_deterministic() {
-        let (n, shards, total) = SMOKE;
-        assert_eq!(render_with(n, shards, total).0, render_with(n, shards, total).0);
+        assert_eq!(render(Size::Smoke).report, render(Size::Smoke).report);
     }
 }

@@ -21,7 +21,9 @@
 //! trace-event JSON (`TRACE_cluster.json`, loadable in Perfetto /
 //! `chrome://tracing`) for interactive inspection.
 
+use crate::artifact::TRACE_ARTIFACT;
 use crate::experiments::e18_obs;
+use crate::experiments::{Rendered, Size};
 use crate::report::{f, Table};
 use cluster::{ClusterObs, ClusterReport, ClusterSim};
 use simcore::trace::{TraceStore, BUCKETS};
@@ -31,11 +33,11 @@ const SEED: u64 = 19;
 
 /// Full sweep: the 32-proxy cooperative mesh at 4 shards, tracing one
 /// request in 2.
-pub const FULL: (usize, usize, usize, u64) = (32, 4, 12_800, 2);
+const FULL: (usize, usize, usize, u64) = (32, 4, 12_800, 2);
 
 /// Reduced CI sweep (`--smoke`): 8 proxies at 2 shards, every request
 /// traced.
-pub const SMOKE: (usize, usize, usize, u64) = (8, 2, 2_400, 1);
+const SMOKE: (usize, usize, usize, u64) = (8, 2, 2_400, 1);
 
 /// Slowest-traces rows in the report and the artifact.
 pub const TOP_K: usize = 8;
@@ -50,12 +52,6 @@ pub fn run_traced(
     let config = e18_obs::config(n_proxies, total);
     let probes = e18_obs::probes().with_trace_every(every);
     ClusterSim::new(&config).run_observed(SEED, shards, &probes)
-}
-
-/// Full-size report.
-pub fn render() -> String {
-    let (n, shards, total, every) = FULL;
-    render_with(n, shards, total, every).0
 }
 
 /// Per-class latency attribution: traces, measured share, mean latency,
@@ -117,14 +113,11 @@ pub fn max_residual(store: &TraceStore) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Runs one traced sweep; returns the report text, the `e19_trace`
-/// artifact section, and the Chrome trace-event export.
-pub fn render_with(
-    n_proxies: usize,
-    shards: usize,
-    total_requests: usize,
-    every: u64,
-) -> (String, Json, Json) {
+/// Runs one traced sweep at `size`; returns the report text, the
+/// `e19_trace` artifact section, and the Chrome trace-event export
+/// ([`TRACE_ARTIFACT`]).
+pub fn render(size: Size) -> Rendered {
+    let (n_proxies, shards, total_requests, every) = size.pick(FULL, SMOKE);
     let (report, obs) = run_traced(n_proxies, shards, total_requests, every);
     let store = obs.traces.as_ref().expect("trace probes were on");
 
@@ -174,8 +167,8 @@ pub fn render_with(
         .set("shards", Json::num(shards as f64))
         .set("max_residual", Json::num(max_residual(store)))
         .set("mean_access_time", Json::num(report.mean_access_time));
-    let chrome = store.chrome_json();
-    (out, section, chrome)
+    let chrome = store.chrome_json().render().into_bytes();
+    Rendered { report: out, section: Some(section), files: vec![(TRACE_ARTIFACT, chrome)] }
 }
 
 #[cfg(test)]
@@ -184,8 +177,8 @@ mod tests {
 
     #[test]
     fn smoke_report_contains_all_sections() {
-        let (n, shards, total, every) = SMOKE;
-        let (text, section, chrome) = render_with(n, shards, total, every);
+        let Rendered { report: text, section, files } = render(Size::Smoke);
+        let section = section.expect("E19 writes a section");
         assert!(text.contains("Latency attribution"));
         assert!(text.contains("slowest traces"));
         assert!(text.contains("Conservation"));
@@ -197,14 +190,15 @@ mod tests {
         assert!(!section.get("slowest").and_then(Json::as_arr).unwrap().is_empty());
         assert!(section.get("max_residual").and_then(Json::as_f64).unwrap() <= 1e-9);
 
+        let [(name, chrome)] = &files[..] else { panic!("one Chrome export: {}", files.len()) };
+        assert_eq!(*name, TRACE_ARTIFACT);
+        let chrome = Json::parse(std::str::from_utf8(chrome).unwrap()).unwrap();
         let events = chrome.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert!(!events.is_empty());
-        assert!(Json::parse(&chrome.render()).is_ok());
     }
 
     #[test]
     fn smoke_report_is_deterministic() {
-        let (n, shards, total, every) = SMOKE;
-        assert_eq!(render_with(n, shards, total, every).0, render_with(n, shards, total, every).0);
+        assert_eq!(render(Size::Smoke).report, render(Size::Smoke).report);
     }
 }

@@ -31,6 +31,7 @@
 //! land in the `e20_delayed` section of `OBS_cluster.json` for the
 //! regression sentinel.
 
+use crate::experiments::{Rendered, Size};
 use crate::report::{f, Table};
 use cluster::{
     AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterReport, ClusterSim, DelayedHitsConfig,
@@ -52,11 +53,11 @@ pub const LATENCIES: [f64; 3] = [0.01, 0.16, 1.28];
 pub const LOADS: [f64; 2] = [1.0, 1.25];
 
 /// Full sweep: 8 proxies, 4 shards, 3 latencies × 2 loads.
-pub const FULL: (usize, usize, usize) = (8, 4, 24_000);
+const FULL: (usize, usize, usize) = (8, 4, 24_000);
 
 /// Reduced CI sweep (`--smoke`): 4 proxies at 2 shards — still through
 /// the windowed driver, still covering the full grid.
-pub const SMOKE: (usize, usize, usize) = (4, 2, 6_000);
+const SMOKE: (usize, usize, usize) = (4, 2, 6_000);
 
 /// The adaptive mesh one cell simulates: a slow, latency-bearing backbone
 /// shared by heterogeneous proxies, item universes small enough that
@@ -159,19 +160,14 @@ pub fn run_grid(n_proxies: usize, shards: usize, total: usize) -> Vec<Cell> {
     cells
 }
 
-/// Full-size report.
-pub fn render() -> String {
-    let (n, shards, total) = FULL;
-    render_with(n, shards, total).0
-}
-
 fn pct(x: f64) -> String {
     format!("{:+.1}%", 100.0 * x)
 }
 
-/// Runs one sweep; returns the report text and the `e20_delayed` artifact
-/// section.
-pub fn render_with(n_proxies: usize, shards: usize, total: usize) -> (String, Json) {
+/// Runs one sweep at `size`; returns the report text and the
+/// `e20_delayed` artifact section.
+pub fn render(size: Size) -> Rendered {
+    let (n_proxies, shards, total) = size.pick(FULL, SMOKE);
     let t0 = std::time::Instant::now();
     let cells = run_grid(n_proxies, shards, total);
 
@@ -257,7 +253,7 @@ pub fn render_with(n_proxies: usize, shards: usize, total: usize) -> (String, Js
         t0.elapsed().as_secs_f64()
     );
 
-    (out, section(&cells, n_proxies, shards))
+    Rendered { report: out, section: Some(section(&cells, n_proxies, shards)), files: Vec::new() }
 }
 
 /// The high-latency, base-load cell the win assertions pin.
@@ -341,7 +337,6 @@ mod tests {
 
     #[test]
     fn smoke_report_is_deterministic() {
-        let (n, shards, total) = SMOKE;
-        assert_eq!(render_with(n, shards, total).0, render_with(n, shards, total).0);
+        assert_eq!(render(Size::Smoke).report, render(Size::Smoke).report);
     }
 }

@@ -28,13 +28,14 @@
 //! throughput (`records_per_sec`) goes to stderr and the artifact, where
 //! the sentinel's rate-suffix rule keeps it out of the tolerance bands.
 
+use crate::experiments::{Rendered, Size};
 use crate::report::{f, Table};
 use cluster::{
     AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterReport, ClusterSim, DelayedHitsConfig,
     ProxyPolicy, ReplayStats, Topology, TraceSource, TraceWorkload, Workload,
 };
 use simcore::Json;
-use workload::events::{write_events_file, RECORD_BYTES};
+use workload::events::{encode_events, RECORD_BYTES};
 use workload::synth_web::SynthWebConfig;
 use workload::{TraceRecord, TraceScaler};
 
@@ -51,11 +52,11 @@ pub const CHUNK_RECORDS: usize = 1024;
 pub const E21_SAMPLE: &str = "E21_trace_sample.events";
 
 /// Full sweep: a 16-proxy capture replayed up to a 256-proxy mesh.
-pub const FULL: (usize, usize, usize) = (16, 8, 32_000);
+const FULL: (usize, usize, usize) = (16, 8, 32_000);
 
 /// Reduced CI sweep (`--smoke`): a 2-proxy capture replayed up to a
 /// 32-proxy mesh, still through the windowed driver.
-pub const SMOKE: (usize, usize, usize) = (2, 2, 1_600);
+const SMOKE: (usize, usize, usize) = (2, 2, 1_600);
 
 /// The latency mesh both sides run on. Bandwidth scales with the proxy
 /// count so the backbone's per-proxy share stays constant across scales.
@@ -189,21 +190,13 @@ pub fn run(n_base: usize, shards: usize, total: usize) -> Outcome {
     Outcome { n_base, shards, source, trace, runs }
 }
 
-/// Full-size report.
-pub fn render() -> String {
-    let (n, shards, total) = FULL;
-    render_with(n, shards, total).0
-}
-
-/// Runs one sweep; returns the report text and the `e21_replay` artifact
-/// section, and writes the recorded sample to [`E21_SAMPLE`].
-pub fn render_with(n_base: usize, shards: usize, total: usize) -> (String, Json) {
+/// Runs one sweep at `size`; returns the report text, the `e21_replay`
+/// artifact section, and the recorded sample as [`E21_SAMPLE`] bytes.
+pub fn render(size: Size) -> Rendered {
+    let (n_base, shards, total) = size.pick(FULL, SMOKE);
     let t0 = std::time::Instant::now();
     let outcome = run(n_base, shards, total);
-
-    if let Err(e) = write_events_file(std::path::Path::new(E21_SAMPLE), &outcome.trace) {
-        eprintln!("e21: could not write {E21_SAMPLE}: {e}");
-    }
+    let sample = encode_events(&outcome.trace).expect("recorded trace encodes");
 
     let mut out = String::new();
     out.push_str("# E21 — streaming trace replay: record, scale, replay\n");
@@ -271,8 +264,7 @@ pub fn render_with(n_base: usize, shards: usize, total: usize) -> (String, Json)
     }
     eprintln!("e21: total {:.2}s wall", t0.elapsed().as_secs_f64());
 
-    let section = section(&outcome);
-    (out, section)
+    Rendered { report: out, section: Some(section(&outcome)), files: vec![(E21_SAMPLE, sample)] }
 }
 
 fn scale_json(r: &ScaleRun, source_hit: f64, source_load: f64) -> Json {
@@ -345,7 +337,6 @@ mod tests {
 
     #[test]
     fn smoke_report_is_deterministic() {
-        let (n, shards, total) = SMOKE;
-        assert_eq!(render_with(n, shards, total).0, render_with(n, shards, total).0);
+        assert_eq!(render(Size::Smoke).report, render(Size::Smoke).report);
     }
 }

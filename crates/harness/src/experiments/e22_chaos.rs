@@ -37,6 +37,7 @@
 //!   mesh loses a large fraction of its requests;
 //! * `mshr_conservation_ok` — the conservation law held on every run.
 
+use crate::experiments::{Rendered, Size};
 use crate::report::{f, Table};
 use cluster::{
     AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterReport, ClusterSim,
@@ -63,10 +64,10 @@ pub const POLICIES: [(&str, ProxyPolicy); 3] = [
 
 /// Full sweep: an 8-proxy mesh, 2 shards (windowed driver), 1600
 /// requests per proxy.
-pub const FULL: (usize, usize, usize) = (8, 2, 1_600);
+const FULL: (usize, usize, usize) = (8, 2, 1_600);
 
 /// Reduced CI sweep (`--smoke`): 4 proxies, 2 shards, 400 per proxy.
-pub const SMOKE: (usize, usize, usize) = (4, 2, 400);
+const SMOKE: (usize, usize, usize) = (4, 2, 400);
 
 /// The same latency mesh shape as E21: backbone bandwidth scales with
 /// the proxy count so its per-proxy share stays constant.
@@ -274,15 +275,10 @@ pub fn run(n: usize, shards: usize, requests: usize) -> Outcome {
     Outcome { n_proxies: n, shards, cells, showcase, zero_fault_identical }
 }
 
-/// Full-size report.
-pub fn render() -> String {
-    let (n, shards, requests) = FULL;
-    render_with(n, shards, requests).0
-}
-
-/// Runs one sweep; returns the report text and the `e22_chaos` artifact
-/// section.
-pub fn render_with(n: usize, shards: usize, requests: usize) -> (String, Json) {
+/// Runs one sweep at `size`; returns the report text and the `e22_chaos`
+/// artifact section.
+pub fn render(size: Size) -> Rendered {
+    let (n, shards, requests) = size.pick(FULL, SMOKE);
     let t0 = std::time::Instant::now();
     let outcome = run(n, shards, requests);
 
@@ -350,8 +346,7 @@ pub fn render_with(n: usize, shards: usize, requests: usize) -> (String, Json) {
 
     eprintln!("e22: total {:.2}s wall", t0.elapsed().as_secs_f64());
 
-    let section = section(&outcome);
-    (out, section)
+    Rendered { report: out, section: Some(section(&outcome)), files: Vec::new() }
 }
 
 fn cell_json(c: &Cell) -> Json {
@@ -425,7 +420,6 @@ mod tests {
 
     #[test]
     fn smoke_report_is_deterministic() {
-        let (n, shards, requests) = SMOKE;
-        assert_eq!(render_with(n, shards, requests).0, render_with(n, shards, requests).0);
+        assert_eq!(render(Size::Smoke).report, render(Size::Smoke).report);
     }
 }

@@ -1,9 +1,10 @@
 //! # harness — regenerates every figure of the paper, plus validation
 //!
-//! One binary per experiment (run with `--release`):
+//! One binary, `harness`, with one command per experiment (run with
+//! `cargo run --release -p harness -- <command>`):
 //!
-//! | Binary | Paper artefact | Experiment |
-//! |--------|----------------|------------|
+//! | Command | Paper artefact | Experiment |
+//! |---------|----------------|------------|
 //! | `fig1` | Figure 1 | E1: `p_th` vs `s̄` for `b ∈ {50..450}`, panels `h′∈{0,0.3}` |
 //! | `fig2` | Figure 2 | E2: `G` vs `n̄(F)` for `p ∈ {0.1..0.9}` |
 //! | `fig3` | Figure 3 | E3: `C` vs `n̄(F)` for `p ∈ {0.1..0.9}` |
@@ -27,15 +28,17 @@
 //! | `replay` | (derived) | E21: streaming trace replay — record to `.events`, scale by superposition, replay bit-identically |
 //! | `chaos` | (derived) | E22: fault injection — link loss × prefetch aggressiveness, retries vs none, full-repertoire chaos showcase |
 //! | `sentinel` | — | regression gate: diffs `OBS_cluster.json` against `baselines/` |
-//! | `all` | — | runs everything, writes `results/*.txt` |
+//! | `all` | — | runs every experiment, writes `results/*.txt` |
 //!
-//! The library half provides plain-text tables ([`report::Table`]), terminal
-//! line plots ([`asciiplot::Chart`] and [`asciiplot::sparkline`]) and the
+//! E13–E22 take `--smoke` for the reduced size CI runs. The binary
+//! dispatches over one table, [`experiments::EXPERIMENTS`]; the library
+//! half provides it, plain-text tables ([`report::Table`]), terminal line
+//! plots ([`asciiplot::Chart`] and [`asciiplot::sparkline`]) and the
 //! experiment implementations themselves (under [`experiments`]), so
-//! integration tests can call them directly. The E17–E22 binaries also
-//! write machine-readable sections into `OBS_cluster.json` (see
-//! [`artifact`]); E18–E22 schema-check their section with `--check`
-//! ([`artifact::check`]).
+//! integration tests can call them directly. E17–E22 also write
+//! machine-readable sections into `OBS_cluster.json` (see [`artifact`]);
+//! E18–E22 schema-check their section with `--check`, against their rows
+//! of the schema table ([`artifact::check`]).
 
 pub mod artifact;
 pub mod asciiplot;

@@ -16,8 +16,14 @@
 //! tight enough that a real change (±10% on a latency, one extra event)
 //! is caught. Structure is exact: a missing, extra, or type-changed field
 //! is drift.
+//!
+//! [`run`] is the `harness sentinel` command CI runs after the smoke
+//! experiments have written the artifact.
 
+use crate::artifact::OBS_ARTIFACT;
 use simcore::Json;
+use std::path::Path;
+use std::process::ExitCode;
 
 /// Relative tolerance on non-integral floats.
 pub const DEFAULT_REL_TOL: f64 = 1e-9;
@@ -143,6 +149,73 @@ fn walk(base: &Json, cur: &Json, path: &mut String, rel_tol: f64, drifts: &mut V
             }
         }
     }
+}
+
+fn read(path: &Path) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Json::parse(&text).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))
+}
+
+/// The `harness sentinel` command: diffs [`OBS_ARTIFACT`] in the working
+/// directory against its baseline in `dir`, failing (exit 1) on any drift
+/// outside the tolerance bands. With `update`, overwrites the baseline
+/// with the current artifact instead.
+pub fn run(dir: &Path, update: bool) -> ExitCode {
+    let baseline = dir.join(OBS_ARTIFACT);
+    let current = Path::new(OBS_ARTIFACT);
+    if update {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("sentinel --update: cannot create {}: {e}", dir.display());
+            return ExitCode::FAILURE;
+        }
+        // Parse-and-render rather than copy: verifies the artifact and
+        // normalizes it through the same codec the comparison uses.
+        let written =
+            read(current).map_err(|e| format!("skipping {OBS_ARTIFACT}: {e}")).and_then(|doc| {
+                std::fs::write(&baseline, doc.render())
+                    .map_err(|e| format!("cannot write {}: {e}", baseline.display()))
+            });
+        return match written {
+            Ok(()) => {
+                println!("sentinel: updated {}", baseline.display());
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("sentinel --update: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
+    if !baseline.exists() {
+        eprintln!("sentinel: no baseline {}, skipping", baseline.display());
+        eprintln!("sentinel: nothing checked (no baselines found in {})", dir.display());
+        return ExitCode::FAILURE;
+    }
+    let total = match (read(&baseline), read(current)) {
+        (Ok(base), Ok(cur)) => {
+            let drifts = compare(&base, &cur, DEFAULT_REL_TOL);
+            if drifts.is_empty() {
+                println!("sentinel: {OBS_ARTIFACT} matches {}", baseline.display());
+                println!("sentinel: 1 artifact(s) within tolerance bands");
+                return ExitCode::SUCCESS;
+            }
+            eprintln!("sentinel: {OBS_ARTIFACT} drifted from {}:", baseline.display());
+            for d in &drifts {
+                eprintln!("  {d}");
+            }
+            drifts.len()
+        }
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("sentinel: {e}");
+            1
+        }
+    };
+    eprintln!(
+        "sentinel: {total} drift(s). If intentional, refresh with \
+         `cargo run --release -p harness -- sentinel --update` and commit."
+    );
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]

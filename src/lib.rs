@@ -47,7 +47,7 @@
 //! | [`netsim`] | `netsim` | parametric + trace-driven end-to-end simulators |
 //! | [`cluster`] | `cluster` | multi-node network-of-queues simulator (topologies, per-link `ρ`, per-node adaptive control, cooperative mode) |
 //! | [`coop`] | `coop` | cooperative caching: consistent-hash placement, Bloom digests + incremental delta exchange, peer/origin routing |
-//! | [`harness`] | `harness` | experiment reports E1–E22 (figures + validation + cluster + cooperation + scale + digest deltas + observability + delayed hits + trace replay + fault injection) |
+//! | [`harness`] | `harness` | the `harness` binary: experiment reports E1–E22 (figures + validation + cluster + cooperation + scale + digest deltas + observability + delayed hits + trace replay + fault injection) |
 //!
 //! ## Scaling out: the `cluster` layer
 //!
@@ -59,7 +59,7 @@
 //! its own online threshold controller. The degenerate one-proxy topology
 //! reproduces `netsim::parametric` *exactly* (pinned by test to 1e-6), so
 //! cluster results stay anchored to the validated single-path models;
-//! experiment E13 (`cargo run --release --bin cluster`) and
+//! experiment E13 (`cargo run --release -p harness -- cluster`) and
 //! `examples/edge_cluster.rs` show per-proxy thresholds diverging with
 //! local load — the paper's rule, applied node by node, needs no
 //! coordination.
@@ -76,7 +76,7 @@
 //! and a [`coop::Router`] resolves every miss/prefetch to a peer or the
 //! origin. `cluster::Workload::Cooperative` runs it over
 //! [`cluster::Topology::mesh`]/[`cluster::Topology::ring`] peer links:
-//! experiment E14 (`cargo run --release --bin coop`) and
+//! experiment E14 (`cargo run --release -p harness -- coop`) and
 //! `examples/coop_mesh.rs` show backbone bytes dropping at equal hit
 //! ratio, and a single-proxy cooperative run reproducing plain adaptive
 //! mode to 1e-6.
@@ -104,7 +104,7 @@
 //! stop at them between events. A one-shard run drains its scheduler
 //! straight up to the next such boundary; only several shards need the
 //! cross-shard merge or the conservative windows. Experiment E15
-//! (`cargo run --release --bin scale`) sweeps 64/128/256-proxy peer
+//! (`cargo run --release -p harness -- scale`) sweeps 64/128/256-proxy peer
 //! meshes — ~32k queueing links at the top end — on that core.
 //!
 //! ## Deltas on the wire: incremental digests + byte-addressed caches
@@ -124,7 +124,7 @@
 //! adds a byte budget with multi-victim eviction, `cluster`'s
 //! `AdaptiveWorkload::cache_bytes` turns it on, and occupancy,
 //! goodput/badput, and digest traffic all come out denominated in the
-//! paper's unit — bytes. Experiment E16 (`cargo run --release --bin
+//! paper's unit — bytes. Experiment E16 (`cargo run --release -p harness --
 //! delta`) sweeps both refresh protocols across the E15 fabrics and
 //! prints each run's wall time to stderr; the traced run of the
 //! `perfbench/` benchmark times the router's delta apply against a full
@@ -152,7 +152,7 @@
 //! — zero-latency topologies (lookahead 0) fall back to a single-thread
 //! merge of the shard schedulers, so sharding never changes an answer
 //! anywhere (pinned by `cluster/tests/shard_parity.rs`). Experiment E17
-//! (`cargo run --release --bin shard`) runs the strong-scaling ladder
+//! (`cargo run --release -p harness -- shard`) runs the strong-scaling ladder
 //! over 256- and 512-proxy latency meshes (~32k and ~131k PS links) and
 //! records each rung's wall time and `speedup_vs_1shard` in section
 //! `e17_strong_scaling` of `OBS_cluster.json`; `perfbench/`'s
@@ -201,14 +201,14 @@
 //! run-to-run, and they live strictly in the telemetry, never the
 //! report. **Zero overhead when off:** with the default
 //! [`simcore::ObsConfig::off`] the engines carry a `None` sink and every
-//! hook is one branch. Experiment E18 (`cargo run --release --bin obs`)
+//! hook is one branch. Experiment E18 (`cargo run --release -p harness -- obs`)
 //! renders the telemetry of a 64-proxy cooperative mesh as an ASCII
 //! dashboard (sparkline series via `harness::asciiplot::sparkline`,
 //! latency p50/p90/p99, per-shard profiler columns) and writes the
 //! machine-readable twin into `OBS_cluster.json` (section `e18_obs`;
 //! E17's wall-clock scaling ladder lands in section
 //! `e17_strong_scaling`). CI schema-checks the artifact with
-//! `--bin obs -- --check` and archives it on every push.
+//! `harness obs --check` and archives it on every push.
 //!
 //! ## Tracing: where each request's latency went
 //!
@@ -257,14 +257,14 @@
 //! on or off, traces are bit-identical across shard counts, and the
 //! default `trace_every = 0` costs one branch per seam
 //! (`cluster/tests/trace_parity.rs`, plus proptests in
-//! `trace_properties.rs`). Experiment E19 (`cargo run --release --bin
+//! `trace_properties.rs`). Experiment E19 (`cargo run --release -p harness --
 //! trace`) renders the per-class latency-attribution table and the top-K
 //! slowest traces, writes section `e19_trace` of `OBS_cluster.json`, and
 //! exports the span set as Chrome trace-event JSON
-//! (`TRACE_cluster.json`, loadable in Perfetto); `--bin obs -- --top-k
+//! (`TRACE_cluster.json`, loadable in Perfetto); `harness obs --top-k
 //! N` appends the same slowest-traces view to the E18 dashboard. On top
-//! of the artifacts sits the regression sentinel (`cargo run --release
-//! --bin sentinel`): CI diffs `OBS_cluster.json` against the committed
+//! of the artifacts sits the regression sentinel (`cargo run --release -p harness
+//! -- sentinel`): CI diffs `OBS_cluster.json` against the committed
 //! `baselines/`, excluding wall-clock fields by schema, requiring
 //! counters exact and floats within 1e-9 (see `baselines/README.md`).
 //!
@@ -285,7 +285,7 @@
 //! [`cluster::RankingMode::AggregateDelay`] switches eviction from
 //! recency to *aggregate delay* — keep the keys whose absence has cost
 //! the most total waiting, which beats LRU once fetch windows are long
-//! (experiment E20, `cargo run --release --bin delayed`):
+//! (experiment E20, `cargo run --release -p harness -- delayed`):
 //!
 //! ```
 //! use cluster::{ClusterSim, DelayedHitsConfig};
@@ -385,12 +385,12 @@
 //! One capture also scales: [`workload::TraceScaler`] superposes K
 //! time-dilated copies with disjoint key spaces (a lazy K-way merge —
 //! memory stays O(K × chunk)), modelling K independent populations on a
-//! K×-bigger fabric. Experiment E21 (`cargo run --release --bin replay`)
+//! K×-bigger fabric. Experiment E21 (`cargo run --release -p harness -- replay`)
 //! runs the whole pipeline — record, write the `.events` sample, scale
 //! ×{1, 4, 16}, replay up to a 256-proxy mesh — and writes section
 //! `e21_replay` of `OBS_cluster.json` (records/sec, peak resident trace
 //! bytes, hit-ratio and network-load deltas vs the synthetic source),
-//! schema-checked in CI by `--bin replay -- --check` and covered by the
+//! schema-checked in CI by `harness replay --check` and covered by the
 //! sentinel. The codec itself is proptested
 //! (`workload/tests/trace_formats.rs`): arbitrary finite records
 //! round-trip `.events` exactly; truncations, header bit-flips, and wrong
@@ -465,13 +465,13 @@
 //! `Timeout`/`Backoff` segments tile the latency exactly; per-node
 //! counters (`timeouts`, `retries`, `failovers`, `failed_fetches`,
 //! `lost_entries`, `unavailability`) land in [`cluster::NodeReport`].
-//! Experiment E22 (`cargo run --release --bin chaos`) sweeps link loss ×
+//! Experiment E22 (`cargo run --release -p harness -- chaos`) sweeps link loss ×
 //! prefetch aggressiveness, with and without retries, and pins the
 //! punchline: retries degrade gracefully where single-attempt fetching
 //! collapses — but speculative prefetches get exactly one attempt, so
 //! aggressive prefetching *widens* the failure surface as demand
 //! coalesces onto unprotected in-flight fetches. Section `e22_chaos` of
-//! `OBS_cluster.json` is schema-checked in CI by `--bin chaos -- --check`
+//! `OBS_cluster.json` is schema-checked in CI by `harness chaos --check`
 //! and covered by the sentinel.
 
 pub use cachesim;
