@@ -44,9 +44,9 @@
 //! faults and retries, effects across instants and scopes, tracing,
 //! recording, obs probes — is the shared transport of [`crate::engine`],
 //! the same one the open loop ([`crate::static_mode`]) runs on. Event
-//! *selection* lives in the [`crate::shard`] drivers: the single-threaded
-//! merge (the classic driver, and the parity oracle) and the
-//! conservative-window multi-threaded driver. Handlers never reach outside
+//! *selection* lives in the [`crate::shard`] driver, conservative time
+//! windows over one thread per shard (the calling thread for one shard).
+//! Handlers never reach outside
 //! their **scope** (some subset of proxies and link servers, or all of
 //! them): anything an event does to an entity at a later instant or in
 //! another scope is a timestamped effect which the driver settles —

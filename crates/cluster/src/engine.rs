@@ -18,11 +18,12 @@
 //!   a peer check, a delivery, a crash or a digest loss does to a proxy,
 //!   the digest refresh payloads, the cache-occupancy probe, and the
 //!   model's own report fields.
-//! * [`Engine`] pairs the two and implements [`EngineCore`], so every
-//!   driver (the one-shard loop, the sequential merge, the conservative
-//!   windows, the legacy scan) runs either model through the same code.
-//!   [`Run::drive`] builds one engine per shard, drives them, and merges
-//!   the reports, telemetry, recordings and replay accounting.
+//! * [`Engine`] pairs the two and exposes the driver-facing surface
+//!   (event streams, dispatch, effects, boundaries), so the
+//!   conservative-window driver (`crate::shard`) and the legacy scan run
+//!   either model through the same code. [`Run::drive`] builds one engine
+//!   per shard, drives them, and merges the reports, telemetry,
+//!   recordings and replay accounting.
 //!
 //! The model is a type parameter, so every handler call is statically
 //! dispatched.
@@ -41,7 +42,7 @@
 use crate::obs::{ClusterObs, EngineObs};
 use crate::report::{ClusterReport, CoopReport, LinkReport, NodeReport};
 use crate::shard::{
-    self, BoundaryEntry, Effect, EngineCore, ShardRunner, CLASS_ARRIVE, CLASS_CHECK, CLASS_DELIVER,
+    self, BoundaryEntry, Effect, ShardRunner, CLASS_ARRIVE, CLASS_CHECK, CLASS_DELIVER,
     CLASS_DEPART, CLASS_FAIL, CLASS_PREFETCH, CLASS_REQUEST, N_CLASSES,
 };
 use crate::sim::{LinkState, Scope, ScopeIndex};
@@ -406,7 +407,7 @@ pub(crate) struct Transport<'a> {
     /// of it, never draws from the workload RNG streams.
     seed: u64,
     /// Cross-instant / cross-scope handoffs staged for the driver.
-    effects: Vec<Effect<Job>>,
+    effects: Vec<Effect>,
     /// Timer streams touched since the driver last re-synced.
     dirty: Vec<(usize, usize)>,
     t_end: f64,
@@ -699,9 +700,10 @@ fn move_into<T>(src: &mut Vec<T>, out: &mut Vec<T>) {
 }
 
 /// One scope of simulation state — the shared transport plus a proxy
-/// model — with one handler per event kind. Drivers (`crate::shard`) own
-/// only event *selection* and effect routing; every state transition lives
-/// here or in the model, so no two drivers can diverge semantically.
+/// model — with one handler per event kind. Drivers (`crate::shard` and
+/// the legacy scan) own only event *selection* and effect routing; every
+/// state transition lives here or in the model, so no two drivers can
+/// diverge semantically.
 pub(crate) struct Engine<'a, M> {
     tx: Transport<'a>,
     model: M,
@@ -850,22 +852,26 @@ impl<M: ProxyModel> Engine<'_, M> {
     }
 }
 
-impl<M: ProxyModel> EngineCore for Engine<'_, M> {
-    type Job = Job;
-
-    fn class_counts(&self) -> [usize; N_CLASSES] {
+/// The driver-facing surface: event streams addressed as `(class, local
+/// index)`, their dispatch, effect exchange and the boundary hooks.
+impl<M: ProxyModel> Engine<'_, M> {
+    /// Local stream counts per class, in class order.
+    pub(crate) fn class_counts(&self) -> [usize; N_CLASSES] {
         let (l, p) = (self.tx.links.len(), self.tx.scope.proxies.len());
         [l, l, if M::PEERS { p } else { 0 }, p, p, p, p]
     }
 
-    fn global_id(&self, class: usize, idx: usize) -> usize {
+    /// Global entity id of local stream `(class, idx)` — the global tie
+    /// rank within the class.
+    pub(crate) fn global_id(&self, class: usize, idx: usize) -> usize {
         match class {
             CLASS_DEPART | CLASS_ARRIVE => self.tx.scope.links[idx],
             _ => self.tx.scope.proxies[idx],
         }
     }
 
-    fn due(&self, class: usize, idx: usize) -> Option<f64> {
+    /// Next due time of local stream `(class, idx)`.
+    pub(crate) fn due(&self, class: usize, idx: usize) -> Option<f64> {
         let tx = &self.tx;
         match class {
             CLASS_DEPART => tx.links[idx].next_event(),
@@ -879,7 +885,10 @@ impl<M: ProxyModel> EngineCore for Engine<'_, M> {
         }
     }
 
-    fn dispatch(&mut self, class: usize, idx: usize, t: f64, router: Option<&Router>) {
+    /// Fires stream `(class, idx)` at `t`. Consequences for entities in
+    /// scope at later times are queued internally; every handoff at the
+    /// same instant or out of scope is emitted as an [`Effect`].
+    pub(crate) fn dispatch(&mut self, class: usize, idx: usize, t: f64, router: Option<&Router>) {
         self.obs_tick(t);
         self.tx.t_end = t;
         match class {
@@ -921,7 +930,9 @@ impl<M: ProxyModel> EngineCore for Engine<'_, M> {
         }
     }
 
-    fn apply_now(&mut self, e: Effect<Job>, t: f64) {
+    /// Applies an effect owned by this scope *now*, at its timestamp
+    /// (`e.time() == t`). May emit further effects.
+    pub(crate) fn apply_now(&mut self, e: Effect, t: f64) {
         debug_assert_eq!(e.time(), t);
         // A same-instant effect can land on a scope whose own dispatch at
         // `t` has not fired yet — tick first so grid samples stay "state
@@ -947,7 +958,8 @@ impl<M: ProxyModel> EngineCore for Engine<'_, M> {
         }
     }
 
-    fn enqueue(&mut self, e: Effect<Job>) {
+    /// Queues an effect owned by this scope for its (future) timestamp.
+    pub(crate) fn enqueue(&mut self, e: Effect) {
         let tx = &mut self.tx;
         match e {
             Effect::Arrive { link, t, job } => {
@@ -973,7 +985,8 @@ impl<M: ProxyModel> EngineCore for Engine<'_, M> {
         }
     }
 
-    fn owns(&self, e: &Effect<Job>) -> bool {
+    /// Whether this scope owns the entity the effect targets.
+    pub(crate) fn owns(&self, e: &Effect) -> bool {
         let scope = &self.tx.scope;
         match e {
             Effect::Arrive { link, .. } => scope.link_local(*link as usize).is_some(),
@@ -984,23 +997,33 @@ impl<M: ProxyModel> EngineCore for Engine<'_, M> {
         }
     }
 
-    fn take_effects(&mut self, out: &mut Vec<Effect<Job>>) {
+    /// Moves the effects emitted since the last take into `out`,
+    /// preserving emission order.
+    pub(crate) fn take_effects(&mut self, out: &mut Vec<Effect>) {
         move_into(&mut self.tx.effects, out);
     }
 
-    fn drain_dirty(&mut self, out: &mut Vec<(usize, usize)>) {
+    /// Streams touched since the last drain, as `(class, local idx)`.
+    pub(crate) fn drain_dirty(&mut self, out: &mut Vec<(usize, usize)>) {
         move_into(&mut self.tx.dirty, out);
     }
 
-    fn sync_link_timer(&mut self, idx: usize, sched: &mut Scheduler, key: usize) {
+    /// Re-arms local link `idx`'s departure timer under `key` (the
+    /// server-revision fast path).
+    pub(crate) fn sync_link_timer(&mut self, idx: usize, sched: &mut Scheduler, key: usize) {
         self.tx.links[idx].sync_timer(sched, key);
     }
 
-    fn refresh_payloads(&mut self, out: &mut Vec<BoundaryEntry>) {
+    /// Appends this scope's boundary payloads (cooperative models only).
+    pub(crate) fn refresh_payloads(&mut self, out: &mut Vec<BoundaryEntry>) {
         self.model.refresh_payloads(&self.tx.scope, out);
     }
 
-    fn apply_fault(&mut self, t: f64, kind: &FaultKind) {
+    /// Applies a boundary fault (proxy crash / digest loss) at `t` to
+    /// whatever part of the faulted entity this scope owns; a no-op for
+    /// scopes that own none of it. Router-side consequences (quarantine)
+    /// are the driver's job.
+    pub(crate) fn apply_fault(&mut self, t: f64, kind: &FaultKind) {
         match *kind {
             FaultKind::ProxyCrash { proxy } => {
                 if let Some(i) = self.tx.scope.proxy_local(proxy) {
@@ -1181,7 +1204,11 @@ pub(crate) struct Run<'a> {
     pub(crate) requests: usize,
     pub(crate) warmup: usize,
     pub(crate) seed: u64,
+    /// The plan the driver executes.
     pub(crate) plan: &'a ShardPlan,
+    /// The shard count telemetry reports: the requested count clamped to
+    /// the proxy count, which a zero-lookahead cut runs as one shard.
+    pub(crate) shards: usize,
     /// Observability, when requested (a disabled config observes nothing).
     pub(crate) obs: Option<&'a ObsConfig>,
     /// Record every issued request.
@@ -1202,12 +1229,11 @@ impl<'a> Run<'a> {
         Engine { tx: Transport::new(self, scope), model }
     }
 
-    /// Runs every shard of the plan under the driver it admits (see
-    /// [`shard::drive`]) and merges the results. The report is
-    /// bit-identical with observability, tracing or recording on or off
-    /// (pinned by `obs_parity.rs`, `trace_parity.rs`, `replay_parity.rs`);
-    /// the telemetry is `Some` exactly when an enabled obs config was
-    /// passed.
+    /// Runs every shard of the plan under [`shard::drive`] and merges the
+    /// results. The report is bit-identical with observability, tracing or
+    /// recording on or off (pinned by `obs_parity.rs`, `trace_parity.rs`,
+    /// `replay_parity.rs`); the telemetry is `Some` exactly when an obs
+    /// config was passed, and an empty shell when that config is disabled.
     pub(crate) fn drive<M: ProxyModel>(
         &self,
         router: Option<Router>,
@@ -1231,7 +1257,7 @@ impl<'a> Run<'a> {
             Some(_) => router.as_ref().map_or(0.0, Router::next_refresh),
             None => 0.0,
         };
-        let runners: Vec<ShardRunner<Engine<'a, M>>> = (0..self.plan.n_shards())
+        let runners: Vec<ShardRunner<'a, M>> = (0..self.plan.n_shards())
             .map(|s| {
                 let mut engine = self.shard(s, &model);
                 match obs_cfg {
@@ -1258,7 +1284,10 @@ impl<'a> Run<'a> {
             engines.push(core);
         }
 
-        let cluster_obs = obs_cfg.map(|c| {
+        let cluster_obs = self.obs.map(|c| {
+            if !c.enabled {
+                return ClusterObs::empty(self.shards, self.plan.driver_label());
+            }
             let t_end = engines.iter().map(|e| e.tx.t_end).fold(0.0, f64::max);
             let registries: Vec<Registry> =
                 engines.iter_mut().filter_map(|e| e.obs_finish(t_end)).collect();
@@ -1276,7 +1305,7 @@ impl<'a> Run<'a> {
                 profiles,
                 flight,
                 traces,
-                self.plan.n_shards(),
+                self.shards,
                 self.plan.driver_label(),
                 grid,
                 t_end,
@@ -1354,6 +1383,7 @@ mod tests {
             warmup: 120,
             seed: 7,
             plan: &plan,
+            shards,
             obs: None,
             record: false,
             faults,

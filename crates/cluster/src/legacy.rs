@@ -5,7 +5,7 @@
 //! cluster engines selected the next event by scanning every link and
 //! every proxy per iteration. The scan is gone from the hot paths (the
 //! engine core arms per-link/per-proxy timers and runs under the `shard`
-//! drivers), but it survives here, driving the *same* generic engine core
+//! driver), but it survives here, driving the *same* generic engine core
 //! (`crate::engine`) for either proxy model, so the engine-parity tests
 //! can pin that the scheduler rewrite changed event *selection cost* and
 //! nothing else: both drivers must produce byte-identical
@@ -23,10 +23,10 @@
 //! exactly the behaviour the pre-shard engines hard-coded).
 
 use crate::closed_loop::{ClosedLoop, EngineWorkload, SharedWebs};
-use crate::engine::{merge_reports, ProxyModel, Run};
+use crate::engine::{merge_reports, Engine, ProxyModel, Run};
 use crate::report::ClusterReport;
 use crate::shard::{
-    flush_boundary, push_effects, Effect, EngineCore, CLASS_DEPART, CLASS_PREFETCH, CLASS_REQUEST,
+    flush_boundary, push_effects, Effect, CLASS_DEPART, CLASS_PREFETCH, CLASS_REQUEST,
 };
 use crate::sim::Scope;
 use crate::static_mode::OpenLoop;
@@ -36,7 +36,7 @@ use coop::Router;
 
 /// Earliest pending stream of `class`: `(time, local index)`, lowest
 /// index first on ties — the O(entities) scan the scheduler replaced.
-fn earliest<C: EngineCore>(core: &C, class: usize) -> Option<(f64, usize)> {
+fn earliest<M: ProxyModel>(core: &Engine<'_, M>, class: usize) -> Option<(f64, usize)> {
     let mut best: Option<(f64, usize)> = None;
     for i in 0..core.class_counts()[class] {
         if let Some(t) = core.due(class, i) {
@@ -52,7 +52,7 @@ fn earliest<C: EngineCore>(core: &C, class: usize) -> Option<(f64, usize)> {
 /// zero-latency topologies the scan supports, every effect applies at its
 /// emission instant, children-before-siblings — byte-identical to the
 /// nesting the pre-shard engines executed inline.
-fn settle<C: EngineCore>(core: &mut C, t: f64, stack: &mut Vec<Effect<C::Job>>) {
+fn settle<M: ProxyModel>(core: &mut Engine<'_, M>, t: f64, stack: &mut Vec<Effect>) {
     debug_assert!(stack.is_empty());
     push_effects(core, stack);
     while let Some(e) = stack.pop() {
@@ -70,7 +70,7 @@ pub fn run(config: &ClusterConfig<'_>, seed: u64) -> ClusterReport {
     config.validate();
     assert!(
         !config.topology.has_latency(),
-        "the legacy scan predates link latency; use the shard drivers"
+        "the legacy scan predates link latency; use the shard driver"
     );
     let topology = &config.topology;
     // One shard: the whole topology with identity index maps.
@@ -81,6 +81,7 @@ pub fn run(config: &ClusterConfig<'_>, seed: u64) -> ClusterReport {
         warmup: config.warmup_per_proxy,
         seed,
         plan: &plan,
+        shards: 1,
         obs: None,
         record: false,
         faults: None,
@@ -109,7 +110,7 @@ pub fn run(config: &ClusterConfig<'_>, seed: u64) -> ClusterReport {
 
 /// The scan loop: every iteration walks all links and all proxies for the
 /// earliest event. Tie order (links by index, then requests by proxy, then
-/// prefetches, refresh strictly last) matches the shard drivers' class
+/// prefetches, refresh strictly last) matches the shard driver's class
 /// layout exactly.
 fn scan<M: ProxyModel>(
     run: &Run<'_>,

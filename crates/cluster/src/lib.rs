@@ -42,8 +42,10 @@
 //! mailboxes. Determinism is contractual, not statistical: for a fixed
 //! seed the [`ClusterReport`] is **bit-identical** across shard counts
 //! and equal to the single-threaded [`ClusterSim::run`] (pinned by
-//! `tests/shard_parity.rs`) — on zero-latency topologies the lookahead is
-//! zero, no window is admissible, and the shards merge on one thread
+//! `tests/shard_parity.rs`). One driver runs every plan: a one-shard plan
+//! crosses nothing, so its lookahead is infinite and it runs on the
+//! calling thread; on zero-latency topologies a multi-shard cut has
+//! lookahead zero, admits no window, and runs as the one-shard plan
 //! instead. Experiment E17 drives the strong-scaling ladder over
 //! 256/512-proxy latency meshes (~32k/~131k PS links).
 //!

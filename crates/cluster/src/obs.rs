@@ -222,9 +222,11 @@ pub struct ClusterObs {
     /// Flight-recorder survivors across all shards, ordered by
     /// `(time, shard)`.
     pub flight: Vec<FlightRecord>,
-    /// Shards the run used.
+    /// Shards the run was asked for, clamped to the proxy count (a
+    /// zero-lookahead cut reports its count but runs as one shard).
     pub shards: usize,
-    /// Which driver ran: `"windowed"` or `"sequential"`.
+    /// How the driver ran: `"windowed"` when shards ran on their own
+    /// threads, `"sequential"` for the one-thread run.
     pub driver: &'static str,
     /// Sampling grid the series used (`0` when series were disabled).
     pub grid: f64,

@@ -1,6 +1,5 @@
-//! Sharded event-loop drivers: conservative time windows over
-//! `simcore::sched`, with a one-shard loop and a single-threaded merge for
-//! the plans that admit no parallel windows.
+//! The sharded event-loop driver: conservative time windows over
+//! `simcore::sched`, one loop for every shard count.
 //!
 //! ## The protocol
 //!
@@ -15,36 +14,40 @@
 //! pure functions of the topology and the emitting shard's deterministic
 //! state, never of which shard owns what.
 //!
-//! Three drivers execute a shard set; [`drive`] picks one from the plan:
+//! One driver, [`drive`], executes every plan with the classic
+//! **conservative time-window** scheme: with `L = plan.lookahead()` (the
+//! minimum propagation delay of any cross-shard handoff) and `T` the
+//! globally earliest pending event, every event in `[T, T + L)` can be
+//! executed without seeing any other shard's window — an effect emitted at
+//! `t ≥ T` arrives at `t + delay ≥ T + L`, past the window's end. Each
+//! round every shard computes the same horizon from the shards' published
+//! times (`simcore::par::TimeBoard`), accepts the mail sent to it in the
+//! previous round, and drains its window, posting cross-shard effects to
+//! `simcore::par::Mailboxes`. It then publishes the minimum of its next
+//! local event and the earliest effect it sent, and waits at the round's
+//! one barrier. Accepting mail only enqueues, so the minimum over the
+//! shards is the earliest event pending anywhere. Boards and inboxes
+//! alternate by round parity, so no round overwrites what another shard
+//! may still read.
 //!
-//! * [`drive_single`] — a one-shard plan has nothing to merge, so its one
-//!   runner drains its scheduler through the window loop up to the next
-//!   boundary (fault or digest refresh), inclusively, then applies that
-//!   boundary. This is the classic single-threaded engine driver.
-//! * [`drive_sequential`] — one thread merges several shard schedulers,
-//!   always firing the globally earliest `(time, class, entity)` event and
-//!   applying same-instant effects depth-first, exactly the order a single
-//!   monolithic scheduler would produce. This is the parity oracle, and
-//!   the fallback whenever the partition's lookahead is zero.
-//! * [`drive_windowed`] — one thread per shard and no coordinator,
-//!   synchronised with the classic **conservative time-window** scheme:
-//!   with `L = plan.lookahead()` (the minimum propagation delay of any
-//!   cross-shard handoff) and `T` the globally earliest pending event,
-//!   every event in `[T, T + L)` can be executed without seeing any other
-//!   shard's window — an effect emitted at `t ≥ T` arrives at
-//!   `t + delay ≥ T + L`, past the window's end. Each round every shard
-//!   computes the same horizon from the shards' published times
-//!   (`simcore::par::TimeBoard`), accepts the mail sent to it in the
-//!   previous round, and drains its window, posting cross-shard effects
-//!   to `simcore::par::Mailboxes`. It then publishes the minimum of its
-//!   next local event and the earliest effect it sent, and waits at the
-//!   round's one barrier. Accepting mail only enqueues, so the minimum
-//!   over the shards is the earliest event pending anywhere. Boards and
-//!   inboxes alternate by round parity, so no round overwrites what
-//!   another shard may still read.
+//! Several shards run one thread each. A one-shard plan crosses nothing,
+//! so its lookahead is `+∞`: it runs on the calling thread, one window
+//! per boundary interval. A multi-shard cut with zero lookahead admits no
+//! window at all; `ClusterSim` runs it as the one-shard plan, which the
+//! determinism contract makes indistinguishable.
 //!
-//! All three share the boundary rules: events at a boundary instant fire
-//! before it, and a fault goes before a refresh at the same instant.
+//! ## Boundary rules
+//!
+//! Boundaries are the boundary faults (proxy crashes, digest losses) and
+//! the router's digest refreshes. [`next_round`] decides every round:
+//!
+//! * a window never crosses the next boundary;
+//! * events exactly at a boundary instant fire before it, in an inclusive
+//!   sweep of that instant alone;
+//! * a boundary strictly before every pending event is applied, a fault
+//!   before a refresh at the same instant (a crash's forced-snapshot
+//!   recovery must be visible to the refresh that follows it);
+//! * a boundary past the last event is never applied.
 //!
 //! ## Why determinism holds
 //!
@@ -77,6 +80,7 @@
 //! router is immutable, so shards read it lock-free in spirit (a shared
 //! `RwLock` read guard held for the whole window).
 
+use crate::engine::{Engine, Job, ProxyModel};
 use crate::topology::ShardPlan;
 use coop::{RefreshPayload, Router};
 use simcore::faults::{FaultEvent, FaultKind};
@@ -87,12 +91,12 @@ use simcore::ShardProfile;
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
-/// Event classes, in same-instant firing order. The engine core and every
+/// Event classes, in same-instant firing order. The engine core and the
 /// driver build their key layouts from this sequence, so tie order is
 /// global: link departures < queued link arrivals < peer-serve checks <
 /// response deliveries < client requests < prefetch issues < fetch-
-/// failure settlements (< digest refresh, which the drivers order
-/// strictly last themselves).
+/// failure settlements (< digest refresh, which the driver orders
+/// strictly last itself).
 pub(crate) const CLASS_DEPART: usize = 0;
 pub(crate) const CLASS_ARRIVE: usize = 1;
 pub(crate) const CLASS_CHECK: usize = 2;
@@ -107,29 +111,29 @@ pub(crate) const N_CLASSES: usize = 7;
 pub const EVENT_CLASS_NAMES: [&str; N_CLASSES] =
     ["depart", "arrive", "check", "deliver", "request", "prefetch", "fail"];
 
-/// A timestamped handoff between entities — possibly across shards. `J`
-/// is the engine's job type; effects carry the whole job so a transfer
-/// migrates between shards with its accounting intact.
+/// A timestamped handoff between entities — possibly across shards.
+/// Effects carry the whole job so a transfer migrates between shards with
+/// its accounting intact.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Effect<J> {
+pub(crate) enum Effect {
     /// `job` enters link `link`'s queue at `t`.
-    Arrive { link: u32, t: f64, job: J },
+    Arrive { link: u32, t: f64, job: Job },
     /// A peer transfer for `job` reaches proxy `q` at `t`; `q` checks its
     /// cache and answers with a `Deliver` (serve or false hit).
-    Check { q: u32, t: f64, job: J },
+    Check { q: u32, t: f64, job: Job },
     /// `job`'s response reaches its requesting proxy `p` at `t`;
     /// `false_hit` marks a peer that turned out not to hold the item (the
     /// requester then falls back to the origin).
-    Deliver { p: u32, t: f64, job: J, false_hit: bool },
+    Deliver { p: u32, t: f64, job: Job, false_hit: bool },
     /// `job`'s fetch exhausted its retry budget; the failure settles at
     /// its requesting proxy `p` at `t` (the last attempt's timeout
     /// expiry). Always same-shard — the attempt schedule is resolved at
     /// the requester — but carried as an effect so the settlement fires
     /// in global `(time, rank)` order like every other handoff.
-    Fail { p: u32, t: f64, job: J },
+    Fail { p: u32, t: f64, job: Job },
 }
 
-impl<J> Effect<J> {
+impl Effect {
     pub(crate) fn time(&self) -> f64 {
         match self {
             Effect::Arrive { t, .. }
@@ -140,7 +144,7 @@ impl<J> Effect<J> {
     }
 
     /// The shard that must execute this effect.
-    pub(crate) fn owner(&self, plan: &ShardPlan) -> usize {
+    fn owner(&self, plan: &ShardPlan) -> usize {
         match self {
             Effect::Arrive { link, .. } => plan.link_shard(*link as usize),
             Effect::Check { q, .. } => plan.proxy_shard(*q as usize),
@@ -186,62 +190,21 @@ fn timed_wait(barrier: &ShardBarrier, obs: &mut Option<Box<RunnerObs>>) {
 /// `(global proxy, load estimate, payload)`.
 pub(crate) type BoundaryEntry = (usize, f64, RefreshPayload);
 
-/// The driver-facing surface of a shard-local engine core
-/// (`crate::engine::Engine`, for either proxy model); the drivers below
-/// are generic over it.
-pub(crate) trait EngineCore: Send {
-    type Job: Copy + Send;
-
-    /// Local stream counts per class, in class order.
-    fn class_counts(&self) -> [usize; N_CLASSES];
-    /// Global entity id of local stream `(class, idx)` — the global tie
-    /// rank within the class.
-    fn global_id(&self, class: usize, idx: usize) -> usize;
-    /// Next due time of local stream `(class, idx)`.
-    fn due(&self, class: usize, idx: usize) -> Option<f64>;
-    /// Fires stream `(class, idx)` at `t`. Consequences for entities in
-    /// scope at later times are queued internally; every handoff at the
-    /// same instant or out of scope is emitted as an [`Effect`].
-    fn dispatch(&mut self, class: usize, idx: usize, t: f64, router: Option<&Router>);
-    /// Applies an effect owned by this scope *now*, at its timestamp
-    /// (`e.time() == t`). May emit further effects.
-    fn apply_now(&mut self, e: Effect<Self::Job>, t: f64);
-    /// Queues an effect owned by this scope for its (future) timestamp.
-    fn enqueue(&mut self, e: Effect<Self::Job>);
-    /// Whether this scope owns the entity the effect targets.
-    fn owns(&self, e: &Effect<Self::Job>) -> bool;
-    /// Moves the effects emitted since the last take into `out`,
-    /// preserving emission order.
-    fn take_effects(&mut self, out: &mut Vec<Effect<Self::Job>>);
-    /// Streams touched since the last drain, as `(class, local idx)`.
-    fn drain_dirty(&mut self, out: &mut Vec<(usize, usize)>);
-    /// Re-arms local link `idx`'s departure timer under `key` (the
-    /// server-revision fast path).
-    fn sync_link_timer(&mut self, idx: usize, sched: &mut Scheduler, key: usize);
-    /// Appends this scope's boundary payloads (cooperative engines only).
-    fn refresh_payloads(&mut self, out: &mut Vec<BoundaryEntry>);
-    /// Applies a boundary fault (proxy crash / digest loss) at `t` to
-    /// whatever part of the faulted entity this scope owns; a no-op for
-    /// scopes that own none of it. Router-side consequences (quarantine)
-    /// are the driver's job.
-    fn apply_fault(&mut self, t: f64, kind: &FaultKind);
-}
-
 /// A shard bundled with its scheduler: owns event *selection* for one
 /// scope, the way `closed_loop::run`'s single scheduler used to for the
 /// whole topology.
-pub(crate) struct ShardRunner<C: EngineCore> {
-    pub(crate) core: C,
+pub(crate) struct ShardRunner<'a, M> {
+    core: Engine<'a, M>,
     sched: Scheduler,
     layout: KeyLayout,
     dirty: Vec<(usize, usize)>,
     /// Same-instant settlement stack (see [`push_effects`]).
-    stack: Vec<Effect<C::Job>>,
+    stack: Vec<Effect>,
     obs: Option<Box<RunnerObs>>,
 }
 
-impl<C: EngineCore> ShardRunner<C> {
-    pub(crate) fn new(core: C) -> Self {
+impl<'a, M: ProxyModel> ShardRunner<'a, M> {
+    pub(crate) fn new(core: Engine<'a, M>) -> Self {
         let counts = core.class_counts();
         let mut layout = KeyLayout::new();
         for count in counts {
@@ -270,7 +233,7 @@ impl<C: EngineCore> ShardRunner<C> {
     /// Tears the runner apart after a drive: the engine core plus whatever
     /// observability state accumulated, with the scheduler's work counters
     /// copied into the profile.
-    pub(crate) fn into_parts(mut self) -> (C, Option<Box<RunnerObs>>) {
+    pub(crate) fn into_parts(mut self) -> (Engine<'a, M>, Option<Box<RunnerObs>>) {
         if let Some(o) = &mut self.obs {
             o.profile.sched_arms = self.sched.arms();
             o.profile.sched_cancels = self.sched.cancels();
@@ -291,23 +254,13 @@ impl<C: EngineCore> ShardRunner<C> {
         }
     }
 
-    /// Earliest pending `(time, global rank)`; rank is class-major so
-    /// cross-shard comparisons reproduce a single global scheduler's tie
-    /// order.
-    pub(crate) fn peek(&self) -> Option<(f64, u64)> {
-        self.sched.peek().map(|(t, key)| {
-            let (class, idx) = self.layout.decode(key);
-            (t, ((class as u64) << 48) | self.core.global_id(class, idx) as u64)
-        })
-    }
-
     /// Earliest pending event time.
-    pub(crate) fn next_time(&self) -> Option<f64> {
+    fn next_time(&self) -> Option<f64> {
         self.sched.peek().map(|(t, _)| t)
     }
 
     /// Fires the earliest event and stages its effects (does **not**
-    /// settle them — the sequential merge settles globally).
+    /// settle them — [`ShardRunner::settle_local`] does).
     fn step(&mut self, router: Option<&Router>) -> f64 {
         if let Some(o) = &mut self.obs {
             o.profile.heap_depth(self.sched.len());
@@ -332,7 +285,7 @@ impl<C: EngineCore> ShardRunner<C> {
 
     /// Queues an incoming (strictly future — the lookahead guarantees
     /// it) cross-shard effect delivered at a window barrier.
-    pub(crate) fn accept(&mut self, e: Effect<C::Job>) {
+    fn accept(&mut self, e: Effect) {
         debug_assert!(self.core.owns(&e));
         if let Some(o) = &mut self.obs {
             let (class, entity) = e.trace_id();
@@ -360,7 +313,7 @@ impl<C: EngineCore> ShardRunner<C> {
         limit: f64,
         inclusive: bool,
         router: Option<&Router>,
-        send: &mut impl FnMut(Effect<C::Job>),
+        send: &mut impl FnMut(Effect),
     ) {
         loop {
             match self.sched.peek() {
@@ -379,7 +332,7 @@ impl<C: EngineCore> ShardRunner<C> {
     /// reproducing the call-nesting a monolithic engine's inline handling
     /// produced. Future local effects are queued; out-of-scope effects go
     /// to `send`.
-    fn settle_local(&mut self, t: f64, send: &mut impl FnMut(Effect<C::Job>)) {
+    fn settle_local(&mut self, t: f64, send: &mut impl FnMut(Effect)) {
         debug_assert!(self.stack.is_empty());
         push_effects(&mut self.core, &mut self.stack);
         while let Some(e) = self.stack.pop() {
@@ -403,15 +356,15 @@ impl<C: EngineCore> ShardRunner<C> {
 /// depth-first settlement `stack`, reversed so that they pop in emission
 /// order: an applied effect's children settle before its siblings, and
 /// siblings in the order they were emitted.
-pub(crate) fn push_effects<C: EngineCore>(core: &mut C, stack: &mut Vec<Effect<C::Job>>) {
+pub(crate) fn push_effects<M: ProxyModel>(core: &mut Engine<'_, M>, stack: &mut Vec<Effect>) {
     let base = stack.len();
     core.take_effects(stack);
     stack[base..].reverse();
 }
 
 /// Sorts one boundary's payload entries by proxy and applies them to the
-/// router at the epoch boundary it has armed. Shared by every driver (and
-/// the legacy scan), so refresh semantics cannot diverge.
+/// router at the epoch boundary it has armed. Shared by the driver and the
+/// legacy scan, so refresh semantics cannot diverge.
 pub(crate) fn flush_boundary(router: &mut Router, mut entries: Vec<BoundaryEntry>) {
     let t = router.next_refresh();
     entries.sort_by_key(|&(proxy, _, _)| proxy);
@@ -421,146 +374,11 @@ pub(crate) fn flush_boundary(router: &mut Router, mut entries: Vec<BoundaryEntry
     router.apply_payloads(t, payloads, &loads);
 }
 
-/// Collects every shard's boundary payloads and flushes them.
-fn refresh_all<C: EngineCore>(router: &mut Router, runners: &mut [ShardRunner<C>]) {
-    let mut entries: Vec<BoundaryEntry> = Vec::new();
-    for runner in runners.iter_mut() {
-        runner.core.refresh_payloads(&mut entries);
-        if let Some(o) = &mut runner.obs {
-            o.profile.refreshes += 1;
-        }
-    }
-    flush_boundary(router, entries);
-}
-
-/// Applies one boundary fault: every scope handles its share of the
-/// faulted entity, and a crash additionally quarantines the proxy's
-/// advertised state in the router. Shared by both drivers so crash
-/// semantics cannot diverge.
-fn fault_all<C: EngineCore>(
-    router: Option<&mut Router>,
-    runners: &mut [ShardRunner<C>],
-    ev: &FaultEvent,
-) {
-    for runner in runners.iter_mut() {
-        runner.core.apply_fault(ev.t, &ev.kind);
-        runner.resync();
-    }
-    if let (Some(r), FaultKind::ProxyCrash { proxy }) = (router, &ev.kind) {
-        r.quarantine(*proxy);
-    }
-}
-
-/// One-shard driver: the lone runner owns every entity, so there is no
-/// cross-shard merge. It drains its scheduler through the window loop up
-/// to the next boundary (a boundary fault or the router's next digest
-/// refresh), inclusively, since events at a boundary instant fire first;
-/// then it applies that boundary, a fault before a refresh on ties. A
-/// boundary past the last event is never applied, as in the other
-/// drivers.
-fn drive_single<C: EngineCore>(
-    mut runners: Vec<ShardRunner<C>>,
-    mut router: Option<Router>,
-    faults: &[FaultEvent],
-) -> (Vec<ShardRunner<C>>, Option<Router>) {
-    debug_assert_eq!(runners.len(), 1);
-    let mut fi = 0usize;
-    loop {
-        let next_fault = faults.get(fi).map_or(f64::INFINITY, |e| e.t);
-        let next_refresh = router.as_ref().map_or(f64::INFINITY, Router::next_refresh);
-        runners[0].run_window(next_fault.min(next_refresh), true, router.as_ref(), &mut |_| {
-            unreachable!("a one-shard plan owns every entity")
-        });
-        if runners[0].next_time().is_none() {
-            break;
-        }
-        if next_fault <= next_refresh {
-            fault_all(router.as_mut(), &mut runners, &faults[fi]);
-            fi += 1;
-        } else {
-            let r = router.as_mut().expect("a finite refresh boundary has a router");
-            refresh_all(r, &mut runners);
-        }
-    }
-    (runners, router)
-}
-
-/// Single-threaded merge of several shards: fires the globally earliest
-/// `(time, rank)` event across the shard schedulers, with depth-first
-/// cross-shard effect settlement at each instant. It is the oracle the
-/// windowed driver is pinned against, and the required fallback when the
-/// partition's lookahead is zero (a conservative window of width zero
-/// admits no parallel execution at all).
-pub(crate) fn drive_sequential<C: EngineCore>(
-    mut runners: Vec<ShardRunner<C>>,
-    mut router: Option<Router>,
-    plan: &ShardPlan,
-    faults: &[FaultEvent],
-) -> (Vec<ShardRunner<C>>, Option<Router>) {
-    let mut stack: Vec<Effect<C::Job>> = Vec::new();
-    let mut fi = 0usize;
-    loop {
-        // The globally earliest (time, rank) across shards.
-        let mut best: Option<(f64, u64, usize)> = None;
-        for (i, runner) in runners.iter().enumerate() {
-            if let Some((t, rank)) = runner.peek() {
-                let better = match best {
-                    None => true,
-                    Some((bt, br, _)) => t < bt || (t == bt && rank < br),
-                };
-                if better {
-                    best = Some((t, rank, i));
-                }
-            }
-        }
-        let Some((t, _, who)) = best else { break };
-
-        // Boundary faults and epoch refreshes strictly between events
-        // fire first (events at the boundary instant win), faults before
-        // refreshes on ties — a crash's force-snapshot recovery must be
-        // visible to the boundary that follows it.
-        let next_fault = faults.get(fi).map(|e| e.t).unwrap_or(f64::INFINITY);
-        let next_refresh = router.as_ref().map(|r| r.next_refresh()).unwrap_or(f64::INFINITY);
-        if next_fault < t && next_fault <= next_refresh {
-            fault_all(router.as_mut(), &mut runners, &faults[fi]);
-            fi += 1;
-            continue;
-        }
-        if let Some(r) = router.as_mut() {
-            if r.next_refresh() < t {
-                refresh_all(r, &mut runners);
-                continue;
-            }
-        }
-
-        runners[who].step(router.as_ref());
-        debug_assert!(stack.is_empty());
-        push_effects(&mut runners[who].core, &mut stack);
-        // Global depth-first settlement on one stack: an effect's children
-        // (emitted by applying it, possibly on another shard) run before
-        // its siblings, reproducing the monolithic engine's inline nesting
-        // exactly.
-        while let Some(e) = stack.pop() {
-            let owner = e.owner(plan);
-            let runner = &mut runners[owner];
-            debug_assert!(runner.core.owns(&e));
-            if e.time() == t {
-                runner.core.apply_now(e, t);
-                push_effects(&mut runner.core, &mut stack);
-            } else {
-                runner.core.enqueue(e);
-            }
-            runner.resync();
-        }
-    }
-    (runners, router)
-}
-
-/// What a shard thread does in one round of the windowed driver. Every
-/// thread decides the round itself, with [`next_round`], from state all
-/// threads share, so all of them take the same decision (`None` once
-/// every shard is idle: all threads stop).
-#[derive(Clone, Copy, Debug)]
+/// What a shard does in one round of the driver. Every shard decides the
+/// round itself, with [`next_round`], from state all shards share, so all
+/// of them take the same decision (`None` once every shard is idle: all
+/// shards stop).
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Round {
     /// Drain the window up to `limit` (inclusive at the pre-refresh
     /// boundary sweep).
@@ -575,10 +393,11 @@ enum Round {
 
 /// The round rule: given the global minimum `t_min` of the shards'
 /// published times, the router's next refresh and the next fault's
-/// instant (`+∞` when there is none), what the round does, or `None` when every shard is idle. A
-/// boundary strictly before `t_min` is applied (a fault before a refresh
-/// on ties, matching the sequential driver); otherwise the window runs to
-/// `t_min + lookahead`, clipped at the next boundary.
+/// instant (`+∞` when there is none), what the round does, or `None` when
+/// every shard is idle. A boundary strictly before `t_min` is applied, a
+/// fault before a refresh on ties; otherwise the window runs to
+/// `t_min + lookahead`, clipped at the next boundary. A one-shard plan's
+/// lookahead is `+∞`, so its windows run from boundary to boundary.
 fn next_round(t_min: f64, next_refresh: f64, next_fault: f64, lookahead: f64) -> Option<Round> {
     if t_min.is_infinite() {
         return None;
@@ -600,23 +419,22 @@ fn next_round(t_min: f64, next_refresh: f64, next_fault: f64, lookahead: f64) ->
     Some(Round::Window { limit, inclusive: false })
 }
 
-/// The state the windowed driver's shard threads share. The boards and
+/// The state the driver's shards share. The boards and
 /// inboxes are double-buffered by round parity: in round `k` a shard reads
 /// `boards[k % 2]` and drains `mail[k % 2]`, and publishes to and sends
 /// into the other slot, which no shard reads until round `k + 1`.
-struct Shared<'a, J> {
+struct Shared<'a> {
     plan: &'a ShardPlan,
     faults: &'a [FaultEvent],
     boards: [TimeBoard; 2],
-    mail: [Mailboxes<Effect<J>>; 2],
+    mail: [Mailboxes<Effect>; 2],
     barrier: ShardBarrier,
     router: RwLock<Option<Router>>,
     payloads: Mutex<Vec<BoundaryEntry>>,
 }
 
-/// One shard thread of [`drive_windowed`]: rounds until every shard is
-/// idle.
-fn run_shard<C: EngineCore>(me: usize, runner: &mut ShardRunner<C>, s: &Shared<'_, C::Job>) {
+/// One shard of [`drive`]: rounds until every shard is idle.
+fn run_shard<M: ProxyModel>(me: usize, runner: &mut ShardRunner<'_, M>, s: &Shared<'_>) {
     let mut fi = 0usize;
     let mut parity = 0usize;
     let mut inbox = Vec::new();
@@ -723,25 +541,23 @@ fn run_shard<C: EngineCore>(me: usize, runner: &mut ShardRunner<C>, s: &Shared<'
     }
 }
 
-/// Multi-threaded conservative-window driver: one `std::thread::scope`
-/// thread per shard, with no coordinator — the calling thread only joins.
-/// Each round, every shard thread decides the round itself from the
-/// shared time board, the router's next refresh and its own fault cursor
-/// (see [`next_round`]). A window round ends at one barrier, a boundary
-/// round at two: shard 0 flushes or quarantines the router between them.
-/// A panic on any shard thread poisons the barrier, so its peers unwind
-/// instead of hanging, and the first panic is re-raised here. Requires
-/// `plan.lookahead() > 0` — callers fall back to [`drive_sequential`]
-/// otherwise. Produces bit-identical state evolution to the sequential
-/// driver (see the module docs for the argument; `shard_parity.rs` for the
-/// pin).
-pub(crate) fn drive_windowed<C: EngineCore>(
-    mut runners: Vec<ShardRunner<C>>,
+/// Runs every shard of `plan` to the end, under the conservative-window
+/// protocol. A one-shard plan runs on the calling thread: its lookahead is
+/// `+∞`, so it takes one window round per boundary interval. Several
+/// shards run one `std::thread::scope` thread each, with no coordinator —
+/// the calling thread only joins. A panic on any shard thread poisons the
+/// barrier, so its peers unwind instead of hanging, and the first panic
+/// is re-raised here. Requires `plan.lookahead() > 0`: `ClusterSim` runs a
+/// multi-shard cut with zero lookahead as the one-shard plan. Every shard
+/// count evolves the same state (see the module docs for the argument;
+/// `shard_parity.rs` for the pin).
+pub(crate) fn drive<'a, M: ProxyModel>(
+    mut runners: Vec<ShardRunner<'a, M>>,
     router: Option<Router>,
     plan: &ShardPlan,
     faults: &[FaultEvent],
-) -> (Vec<ShardRunner<C>>, Option<Router>) {
-    assert!(plan.lookahead() > 0.0, "windowed driver needs positive lookahead");
+) -> (Vec<ShardRunner<'a, M>>, Option<Router>) {
+    assert!(plan.lookahead() > 0.0, "a multi-shard cut with zero lookahead admits no window");
     let n = runners.len();
     let shared = Shared {
         plan,
@@ -756,44 +572,73 @@ pub(crate) fn drive_windowed<C: EngineCore>(
         shared.boards[0].publish(i, runner.next_time());
     }
 
-    std::thread::scope(|scope| {
-        let shared = &shared;
-        let handles: Vec<_> = runners
-            .iter_mut()
-            .enumerate()
-            .map(|(me, runner)| {
-                scope.spawn(move || {
-                    let _poison = shared.barrier.guard();
-                    run_shard(me, runner, shared);
+    if let [runner] = &mut runners[..] {
+        run_shard(0, runner, &shared);
+    } else {
+        std::thread::scope(|scope| {
+            let shared = &shared;
+            let handles: Vec<_> = runners
+                .iter_mut()
+                .enumerate()
+                .map(|(me, runner)| {
+                    scope.spawn(move || {
+                        let _poison = shared.barrier.guard();
+                        run_shard(me, runner, shared);
+                    })
                 })
-            })
-            .collect();
-        // Peers of a panicking shard unwind with `BarrierPoisoned`;
-        // re-raise the panic that caused theirs.
-        let panics = handles.into_iter().filter_map(|h| h.join().err());
-        if let Some(payload) = panics.min_by_key(|p| p.is::<BarrierPoisoned>()) {
-            std::panic::resume_unwind(payload);
-        }
-    });
+                .collect();
+            // Peers of a panicking shard unwind with `BarrierPoisoned`;
+            // re-raise the panic that caused theirs.
+            let panics = handles.into_iter().filter_map(|h| h.join().err());
+            if let Some(payload) = panics.min_by_key(|p| p.is::<BarrierPoisoned>()) {
+                std::panic::resume_unwind(payload);
+            }
+        });
+    }
 
     let router = shared.router.into_inner().expect("router poisoned");
     (runners, router)
 }
 
-/// Chooses the driver a plan admits: the one-shard loop for a single
-/// shard, windows when there are several shards and the lookahead is
-/// positive, the sequential merge otherwise.
-pub(crate) fn drive<C: EngineCore>(
-    runners: Vec<ShardRunner<C>>,
-    router: Option<Router>,
-    plan: &ShardPlan,
-    faults: &[FaultEvent],
-) -> (Vec<ShardRunner<C>>, Option<Router>) {
-    if plan.n_shards() == 1 {
-        drive_single(runners, router, faults)
-    } else if plan.windowed() {
-        drive_windowed(runners, router, plan, faults)
-    } else {
-        drive_sequential(runners, router, plan, faults)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const INF: f64 = f64::INFINITY;
+
+    #[test]
+    fn a_fault_goes_before_a_refresh_on_ties() {
+        assert_eq!(next_round(5.0, 3.0, 3.0, 1.0), Some(Round::Fault));
+        assert_eq!(next_round(5.0, 3.0, 4.0, 1.0), Some(Round::Refresh));
+        assert_eq!(next_round(5.0, 4.0, 3.0, 1.0), Some(Round::Fault));
+    }
+
+    #[test]
+    fn the_sweep_at_a_boundary_is_inclusive() {
+        let sweep = Some(Round::Window { limit: 3.0, inclusive: true });
+        assert_eq!(next_round(3.0, 3.0, INF, 1.0), sweep);
+        assert_eq!(next_round(3.0, INF, 3.0, 1.0), sweep);
+        assert_eq!(next_round(3.0, 3.0, 3.0, INF), sweep);
+    }
+
+    #[test]
+    fn windows_stop_short_of_the_next_boundary() {
+        let window = |limit| Some(Round::Window { limit, inclusive: false });
+        assert_eq!(next_round(1.0, 10.0, INF, 0.5), window(1.5));
+        assert_eq!(next_round(1.0, 10.0, 1.2, 0.5), window(1.2));
+    }
+
+    #[test]
+    fn infinite_lookahead_runs_to_the_boundary() {
+        let window = |limit| Some(Round::Window { limit, inclusive: false });
+        assert_eq!(next_round(1.0, 10.0, INF, INF), window(10.0));
+        assert_eq!(next_round(1.0, 10.0, 7.0, INF), window(7.0));
+        assert_eq!(next_round(1.0, INF, INF, INF), window(INF));
+    }
+
+    #[test]
+    fn no_round_once_every_shard_is_idle() {
+        assert_eq!(next_round(INF, 3.0, 2.0, 1.0), None);
+        assert_eq!(next_round(INF, INF, INF, INF), None);
     }
 }

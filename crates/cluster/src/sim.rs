@@ -30,10 +30,10 @@ impl<'a> ClusterSim<'a> {
         ClusterSim { config }
     }
 
-    /// Runs the simulation to completion on the single-threaded driver.
-    /// Deterministic in `seed`.
+    /// Runs the simulation to completion on one shard, on the calling
+    /// thread. Deterministic in `seed`.
     pub fn run(&self, seed: u64) -> ClusterReport {
-        self.run_on(seed, &ShardPlan::partition(&self.config.topology, 1), None, false, None).0
+        self.run_on(seed, 1, None, false, None).0
     }
 
     /// Runs the simulation partitioned into `shards` shard-local event
@@ -45,9 +45,9 @@ impl<'a> ClusterSim<'a> {
     /// lookahead (cross-shard hops with propagation latency, e.g.
     /// [`Topology::mesh_with_latency`]); a zero-lookahead partition (any
     /// zero-latency crossing hop) admits no conservative window at all,
-    /// so the shards are merged on one thread instead.
+    /// so it runs as the one-shard plan instead.
     pub fn run_sharded(&self, seed: u64, shards: usize) -> ClusterReport {
-        self.run_on(seed, &ShardPlan::partition(&self.config.topology, shards), None, false, None).0
+        self.run_on(seed, shards, None, false, None).0
     }
 
     /// Runs the simulation under a deterministic fault plan: link
@@ -64,8 +64,7 @@ impl<'a> ClusterSim<'a> {
     ///
     /// [`RetryPolicy`]: simcore::faults::RetryPolicy
     pub fn run_faulted(&self, seed: u64, shards: usize, faults: &FaultConfig) -> ClusterReport {
-        let plan = ShardPlan::partition(&self.config.topology, shards);
-        self.run_on(seed, &plan, None, false, Some(faults)).0
+        self.run_on(seed, shards, None, false, Some(faults)).0
     }
 
     /// [`ClusterSim::run_faulted`] with the observability layer attached
@@ -91,8 +90,7 @@ impl<'a> ClusterSim<'a> {
     /// [`workload::TraceSource::from_records`]) and replay it through
     /// [`crate::Workload::Trace`].
     pub fn run_recorded(&self, seed: u64, shards: usize) -> (ClusterReport, Vec<TraceRecord>) {
-        let plan = ShardPlan::partition(&self.config.topology, shards);
-        let (report, _, extras) = self.run_on(seed, &plan, None, true, None);
+        let (report, _, extras) = self.run_on(seed, shards, None, true, None);
         (report, extras.recorded.expect("recording was requested"))
     }
 
@@ -108,8 +106,7 @@ impl<'a> ClusterSim<'a> {
             matches!(self.config.workload, Workload::Trace(_)),
             "run_replayed needs a Workload::Trace config"
         );
-        let plan = ShardPlan::partition(&self.config.topology, shards);
-        let (report, _, extras) = self.run_on(seed, &plan, None, false, None);
+        let (report, _, extras) = self.run_on(seed, shards, None, false, None);
         (report, extras.replay.expect("trace workloads produce replay stats"))
     }
 
@@ -131,8 +128,7 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// The observed runs' shared shell: times the whole run on the wall
-    /// clock, and stands in an empty telemetry shell when `obs` is
-    /// disabled.
+    /// clock.
     fn observed(
         &self,
         seed: u64,
@@ -140,32 +136,38 @@ impl<'a> ClusterSim<'a> {
         obs: &ObsConfig,
         faults: Option<&FaultConfig>,
     ) -> (ClusterReport, ClusterObs) {
-        let plan = ShardPlan::partition(&self.config.topology, shards);
         let wall = std::time::Instant::now();
-        let (report, obs_out, _) = self.run_on(seed, &plan, Some(obs), false, faults);
-        let mut obs_out = obs_out.unwrap_or_else(|| ClusterObs::empty(shards, plan.driver_label()));
+        let (report, obs_out, _) = self.run_on(seed, shards, Some(obs), false, faults);
+        let mut obs_out = obs_out.expect("an observed run returns telemetry");
         obs_out.wall_secs = wall.elapsed().as_secs_f64();
         (report, obs_out)
     }
 
-    /// Picks the proxy model the workload needs and runs it on the shared
-    /// engine core.
+    /// Partitions the topology into `shards` shards, picks the proxy model
+    /// the workload needs and runs it on the shared engine core. A
+    /// multi-shard cut with zero lookahead admits no window; reports are
+    /// bit-identical at every shard count, so it runs as the one-shard
+    /// plan, and only its telemetry still reports the requested count.
     fn run_on(
         &self,
         seed: u64,
-        plan: &ShardPlan,
+        shards: usize,
         obs: Option<&ObsConfig>,
         record: bool,
         faults: Option<&FaultConfig>,
     ) -> (ClusterReport, Option<ClusterObs>, RunExtras) {
         let config = self.config;
         let topology = &config.topology;
+        let cut = ShardPlan::partition(topology, shards);
+        let shards = cut.n_shards();
+        let plan = if cut.lookahead() > 0.0 { cut } else { ShardPlan::partition(topology, 1) };
         let run = Run {
             topology,
             requests: config.requests_per_proxy,
             warmup: config.warmup_per_proxy,
             seed,
-            plan,
+            plan: &plan,
+            shards,
             obs,
             record,
             faults,

@@ -350,7 +350,10 @@ impl Topology {
 /// all handoffs its cut actually crosses: `+∞` when nothing crosses
 /// (shards are independent between digest epochs), and `0` when any
 /// crossing hop has zero latency — in which case no window is admissible
-/// and the driver falls back to sequential merged execution.
+/// and `ClusterSim` runs the one-shard plan instead (reports are
+/// bit-identical at every shard count). A one-shard plan crosses nothing,
+/// so the driver runs it on the calling thread, one window per boundary
+/// interval.
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
     n_shards: usize,
@@ -475,16 +478,11 @@ impl ShardPlan {
         self.lookahead
     }
 
-    /// Whether the conservative-window driver runs this plan: more than
-    /// one shard and a positive lookahead. Otherwise the shards merge on
-    /// one thread.
-    pub(crate) fn windowed(&self) -> bool {
-        self.n_shards > 1 && self.lookahead > 0.0
-    }
-
-    /// The driver name telemetry reports for this plan.
+    /// The driver name telemetry reports for this plan when it executes:
+    /// `"windowed"` when its shards run on threads, `"sequential"` for the
+    /// one-thread run.
     pub(crate) fn driver_label(&self) -> &'static str {
-        if self.windowed() {
+        if self.n_shards > 1 {
             "windowed"
         } else {
             "sequential"

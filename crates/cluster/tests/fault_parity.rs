@@ -151,8 +151,8 @@ fn empty_plan_is_bit_identical_to_the_unfaulted_run() {
 }
 
 /// A non-trivial plan is bit-identical across shard counts on the
-/// cooperative mesh (both drivers: the windowed one engages at > 1 shard
-/// with positive lookahead).
+/// cooperative mesh (one shard on the calling thread, and > 1 shard on
+/// threads, which the positive lookahead admits).
 #[test]
 fn fault_runs_are_bit_identical_across_shard_counts() {
     let config = coop_config(8, 0.05, 700);
@@ -189,9 +189,9 @@ fn fault_runs_are_shard_independent_on_every_engine() {
 /// from a request in the recorded trace (the recorder folds the issuing
 /// proxy into the client id), so the crashed proxy's own request and its
 /// crash tie. On the cooperative mesh (digest refreshes on) the one-shard
-/// loop must match the windowed driver at 2 and 4 shards; on a
-/// zero-latency `sharded_origin` topology it must match the sequential
-/// merge at 2 shards.
+/// run must match the windowed driver at 2 and 4 shards; on a
+/// zero-latency `sharded_origin` topology a 2-shard cut runs as the
+/// one-shard plan.
 #[test]
 fn crash_at_a_request_instant_is_shard_independent() {
     let crash_at_request = |config: &ClusterConfig<'_>, seed: u64| {

@@ -247,6 +247,18 @@ fn disabled_obs_is_an_empty_shell() {
     assert!(obs.to_json().render().contains("\"driver\""));
 }
 
+/// Telemetry reports the requested shard count clamped to the proxies,
+/// with observability on or off, on either driver label.
+#[test]
+fn obs_reports_the_clamped_shard_count() {
+    for (config, driver) in [(adaptive_config(), "sequential"), (coop_config(0.05), "windowed")] {
+        for obs in [probes(), ObsConfig::off()] {
+            let (_, o) = ClusterSim::new(&config).run_observed(13, 8, &obs);
+            assert_eq!((o.shards, o.driver), (4, driver), "obs enabled: {}", obs.enabled);
+        }
+    }
+}
+
 /// Both JSON artifacts parse back through the hand-rolled codec.
 #[test]
 fn artifacts_roundtrip_through_the_parser() {

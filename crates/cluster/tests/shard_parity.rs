@@ -2,9 +2,9 @@
 //! **bit-identical** reports for every shard count, equal to the
 //! single-threaded oracle (`ClusterSim::run`) — on the zero-latency
 //! E13/E14/E16-shaped configurations (where the conservative lookahead is
-//! zero and the shards run merged on one thread) *and* on latency-bearing
-//! meshes (where the shards run real conservative windows on their own
-//! threads).
+//! zero, so the cut runs as the one-shard plan and these cases compare a
+//! one-shard run with itself) *and* on latency-bearing meshes (where the
+//! shards run real conservative windows on their own threads).
 //!
 //! Bit-identity is asserted through `ClusterReport`'s derived
 //! `PartialEq` — every float compared exactly, not to a tolerance: the
@@ -16,6 +16,8 @@ use cluster::{
 };
 use coop::{CoopConfig, DigestConfig, PlacementPolicy, RefreshStrategy};
 use simcore::dist::Exponential;
+use simcore::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
+use simcore::ObsConfig;
 use workload::synth_web::SynthWebConfig;
 
 const SHARD_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
@@ -172,6 +174,59 @@ fn windowed_execution_is_stable_across_repeats() {
     for _ in 0..2 {
         assert_eq!(ClusterSim::new(&config).run_sharded(7, 8), first);
     }
+}
+
+/// The open loop with a catalog (MSHR on) on a latency mesh: its
+/// multi-shard runs cross scopes on threads, under an empty fault plan
+/// and under a crash + degrade + brownout plan. The same workload on a
+/// zero-latency cut runs as one shard, and its telemetry keeps the
+/// requested shard count.
+#[test]
+fn static_catalog_on_a_latency_mesh_is_shard_independent() {
+    let size = Exponential::with_mean(1.0);
+    let config = |topology| ClusterConfig {
+        topology,
+        workload: Workload::Static(StaticWorkload {
+            proxies: vec![StaticProxy { lambda: 14.0, h_prime: 0.3, n_f: 0.5, p: 0.8 }; 4],
+            size_dist: &size,
+            catalog_items: Some(40),
+        }),
+        requests_per_proxy: 3_000,
+        warmup_per_proxy: 600,
+    };
+    let mesh = config(Topology::mesh_with_latency(4, 50.0, 150.0, 45.0, 0.05));
+    assert!(ShardPlan::partition(&mesh.topology, 2).lookahead() > 0.0);
+    let chaos = FaultConfig {
+        plan: FaultPlan::new(vec![
+            FaultEvent {
+                t: 4.0,
+                kind: FaultKind::LinkDegrade { link: 0, loss: 0.3, latency_factor: 2.0 },
+            },
+            FaultEvent { t: 10.0, kind: FaultKind::OriginBrownout { delay: 0.3 } },
+            FaultEvent { t: 18.0, kind: FaultKind::ProxyCrash { proxy: 1 } },
+        ]),
+        retry: RetryPolicy::default(),
+    };
+    let sim = ClusterSim::new(&mesh);
+    let unfaulted = sim.run(37);
+    assert!(unfaulted.coalesced_requests() > 0, "the catalog no longer coalesces");
+    for (label, faults) in [("empty plan", FaultConfig::default()), ("chaos plan", chaos)] {
+        let base = sim.run_faulted(37, 1, &faults);
+        if label == "empty plan" {
+            assert_eq!(base, unfaulted, "the empty plan perturbed the run");
+        } else {
+            assert!(base.failed_fetches() > 0 && base.retries() > 0, "the plan does not bite");
+        }
+        for shards in [2, 4] {
+            assert_eq!(sim.run_faulted(37, shards, &faults), base, "{label} at {shards} shards");
+        }
+    }
+
+    let flat = config(Topology::sharded_origin(4, 2, 25.0, 12.0));
+    let (report, obs) = ClusterSim::new(&flat).run_observed(37, 4, &ObsConfig::on());
+    assert_eq!(report, ClusterSim::new(&flat).run(37));
+    assert_eq!(obs.profiles.len(), 1, "a zero-lookahead cut runs as one shard");
+    assert_eq!((obs.driver, obs.shards), ("sequential", 4));
 }
 
 /// The partitioner itself: balanced contiguous blocks, every entity

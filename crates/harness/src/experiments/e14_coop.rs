@@ -262,13 +262,14 @@ pub fn render(size: Size) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     const N: usize = 8_000;
     const W: usize = 1_600;
 
     #[test]
     fn render_contains_all_sections() {
-        let report = render(Size::Smoke).report;
+        let report = &smoke("coop").report;
         assert!(report.contains("Backbone relief"));
         assert!(report.contains("Digest epoch x placement x prefetch policy"));
         assert!(report.contains("full mesh vs ring"));

@@ -162,10 +162,11 @@ pub fn render(size: Size) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn render_contains_all_sections() {
-        let report = render(Size::Smoke).report;
+        let report = &smoke("scale").report;
         assert!(report.contains("scale sweep"));
         assert!(report.contains("Adaptive vs cooperative at scale"));
         assert!(report.contains("256"));

@@ -222,10 +222,11 @@ pub fn render(size: Size) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn render_contains_all_sections() {
-        let report = render(Size::Smoke).report;
+        let report = &smoke("delta").report;
         assert!(report.contains("digest deltas"));
         assert!(report.contains("full rebuild"));
         assert!(report.contains("Delta exchange traffic"));

@@ -189,10 +189,11 @@ pub fn render(size: Size) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn render_smoke_contains_all_sections() {
-        let report = render(Size::Smoke).report;
+        let report = &smoke("shard").report;
         assert!(report.contains("strong scaling"));
         assert!(report.contains("Shard ladder"));
         assert!(report.contains("bit-identical"));

@@ -286,11 +286,12 @@ fn dashboard(size: Size, top_k: usize) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn smoke_dashboard_contains_all_sections() {
-        let Rendered { report: text, section, .. } = render(Size::Smoke);
-        let section = section.expect("E18 writes a section");
+        let Rendered { report: text, section, .. } = smoke("obs");
+        let section = section.as_ref().expect("E18 writes a section");
         assert!(text.contains("Epoch-grid probes"));
         assert!(text.contains("backbone util"));
         assert!(text.contains("Request latency"));
@@ -314,8 +315,9 @@ mod tests {
         assert!(section.get("trace").and_then(|t| t.get("traces")).is_some());
     }
 
+    /// A second render in the same process repeats the shared one.
     #[test]
     fn smoke_dashboard_is_deterministic() {
-        assert_eq!(render(Size::Smoke).report, render(Size::Smoke).report);
+        assert_eq!(render(Size::Smoke).report, smoke("obs").report);
     }
 }

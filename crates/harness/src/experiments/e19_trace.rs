@@ -174,11 +174,12 @@ pub fn render(size: Size) -> Rendered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
     #[test]
     fn smoke_report_contains_all_sections() {
-        let Rendered { report: text, section, files } = render(Size::Smoke);
-        let section = section.expect("E19 writes a section");
+        let Rendered { report: text, section, files } = smoke("trace");
+        let section = section.as_ref().expect("E19 writes a section");
         assert!(text.contains("Latency attribution"));
         assert!(text.contains("slowest traces"));
         assert!(text.contains("Conservation"));
@@ -197,8 +198,9 @@ mod tests {
         assert!(!events.is_empty());
     }
 
+    /// A second render in the same process repeats the shared one.
     #[test]
     fn smoke_report_is_deterministic() {
-        assert_eq!(render(Size::Smoke).report, render(Size::Smoke).report);
+        assert_eq!(render(Size::Smoke).report, smoke("trace").report);
     }
 }

@@ -305,38 +305,43 @@ pub fn section(outcome: &Outcome) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
-    #[test]
-    fn smoke_pins_identity_and_memory() {
-        let (n, shards, total) = SMOKE;
-        let outcome = run(n, shards, total);
-        assert!(
-            outcome.replay_bit_identical(),
-            "the x1 replay must reproduce the recorded source run bit-for-bit"
-        );
-        assert!(
-            outcome.peak_resident_ok(),
-            "replay streams must never hold more than one chunk resident"
-        );
-        for r in &outcome.runs {
-            assert_eq!(
-                r.stats.records_replayed,
-                outcome.trace.len() as u64 * u64::from(r.scale),
-                "x{} replay must consume its whole scaled trace",
-                r.scale
-            );
-        }
-        let section = section(&outcome);
-        assert_eq!(section.get("replay_bit_identical"), Some(&Json::Bool(true)));
-        assert_eq!(section.get("peak_resident_ok"), Some(&Json::Bool(true)));
-        assert_eq!(
-            section.get("scales").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(SCALES.len())
-        );
+    fn num(node: &Json, key: &str) -> f64 {
+        node.get(key).and_then(Json::as_f64).unwrap_or_else(|| panic!("{key}: not a number"))
     }
 
+    /// The shared smoke run replays bit-identically, within one chunk
+    /// resident, and consumes its whole scaled trace at every scale.
+    #[test]
+    fn smoke_pins_identity_and_memory() {
+        let section = smoke("replay").section.as_ref().expect("E21 writes a section");
+        assert_eq!(
+            section.get("replay_bit_identical"),
+            Some(&Json::Bool(true)),
+            "the x1 replay must reproduce the recorded source run bit-for-bit"
+        );
+        assert_eq!(
+            section.get("peak_resident_ok"),
+            Some(&Json::Bool(true)),
+            "replay streams must never hold more than one chunk resident"
+        );
+        let records = num(section.get("source").expect("source row"), "records");
+        let scales = section.get("scales").and_then(Json::as_arr).expect("scales");
+        assert_eq!(scales.len(), SCALES.len());
+        for r in scales {
+            assert_eq!(
+                num(r, "records_replayed"),
+                records * num(r, "scale"),
+                "x{} replay must consume its whole scaled trace",
+                num(r, "scale")
+            );
+        }
+    }
+
+    /// A second render in the same process repeats the shared one.
     #[test]
     fn smoke_report_is_deterministic() {
-        assert_eq!(render(Size::Smoke).report, render(Size::Smoke).report);
+        assert_eq!(render(Size::Smoke).report, smoke("replay").report);
     }
 }

@@ -389,21 +389,13 @@ pub fn section(outcome: &Outcome) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke;
 
+    /// The shared smoke run holds every headline claim, and its showcase
+    /// crash wipes entries and forces a snapshot refresh.
     #[test]
     fn smoke_pins_the_headline_booleans() {
-        let (n, shards, requests) = SMOKE;
-        let outcome = run(n, shards, requests);
-        assert!(
-            outcome.zero_fault_identical,
-            "loss-0 faulted runs must be bit-identical to the plain engine"
-        );
-        assert!(outcome.graceful_with_retries(), "retries must degrade gracefully");
-        assert!(outcome.collapse_without_retries(), "no-retries must collapse at max loss");
-        assert!(outcome.mshr_conservation_ok(), "MSHR conservation law violated");
-        assert!(outcome.showcase.lost_entries > 0, "the showcase crash wiped nothing");
-        assert!(outcome.showcase.snapshot_flushes >= 1, "no forced snapshot after the crash");
-        let section = section(&outcome);
+        let section = smoke("chaos").section.as_ref().expect("E22 writes a section");
         for key in [
             "zero_fault_identical",
             "graceful_with_retries",
@@ -412,14 +404,19 @@ mod tests {
         ] {
             assert_eq!(section.get(key), Some(&Json::Bool(true)), "{key}");
         }
+        let showcase = section.get("showcase").expect("showcase row");
+        let count = |key| showcase.get(key).and_then(Json::as_f64).expect(key);
+        assert!(count("lost_entries") > 0.0, "the showcase crash wiped nothing");
+        assert!(count("snapshot_flushes") >= 1.0, "no forced snapshot after the crash");
         assert_eq!(
             section.get("cells").and_then(Json::as_arr).map(<[Json]>::len),
             Some(LOSSES.len() * POLICIES.len())
         );
     }
 
+    /// A second render in the same process repeats the shared one.
     #[test]
     fn smoke_report_is_deterministic() {
-        assert_eq!(render(Size::Smoke).report, render(Size::Smoke).report);
+        assert_eq!(render(Size::Smoke).report, smoke("chaos").report);
     }
 }

@@ -154,6 +154,17 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
+/// The smoke run of `name`, rendered once per test process and shared by
+/// every unit test that reads it.
+#[cfg(test)]
+pub(crate) fn smoke(name: &str) -> &'static Rendered {
+    use std::sync::OnceLock;
+    static RUNS: [OnceLock<Rendered>; EXPERIMENTS.len()] =
+        [const { OnceLock::new() }; EXPERIMENTS.len()];
+    let i = EXPERIMENTS.iter().position(|e| e.name == name && e.smoke).expect("a smoke size");
+    RUNS[i].get_or_init(|| (EXPERIMENTS[i].render)(Size::Smoke))
+}
+
 /// The paper's global parameters: λ = 30 everywhere; Figures 2/3 use
 /// s̄ = 1, b = 50; every figure has panels h′ = 0.0 and h′ = 0.3.
 pub mod paper {

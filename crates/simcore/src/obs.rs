@@ -484,7 +484,8 @@ impl FlightRecorder {
 #[derive(Clone, Debug)]
 pub struct ShardProfile {
     pub shard: usize,
-    /// Conservative windows driven (0 outside the windowed driver).
+    /// Conservative windows driven, boundary-instant sweeps included (a
+    /// one-shard run's windows span whole boundary intervals).
     pub windows: u64,
     /// Digest-refresh rounds participated in.
     pub refreshes: u64,

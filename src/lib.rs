@@ -148,10 +148,11 @@
 //! shards as timestamped effects through `simcore::par::Mailboxes`, and
 //! digest refreshes are barrier-applied payload flushes
 //! ([`coop::Router::apply_payloads`]). The contract is bit-identical
-//! reports across shard counts *and* against the single-threaded driver
-//! — zero-latency topologies (lookahead 0) fall back to a single-thread
-//! merge of the shard schedulers, so sharding never changes an answer
-//! anywhere (pinned by `cluster/tests/shard_parity.rs`). Experiment E17
+//! reports across shard counts *and* against the one-shard run — a single
+//! driver runs every plan, a one-shard plan on the calling thread, and
+//! zero-latency topologies (lookahead 0) run their multi-shard cuts as the
+//! one-shard plan, so sharding never changes an answer anywhere (pinned by
+//! `cluster/tests/shard_parity.rs`). Experiment E17
 //! (`cargo run --release -p harness -- shard`) runs the strong-scaling ladder
 //! over 256- and 512-proxy latency meshes (~32k and ~131k PS links) and
 //! records each rung's wall time and `speedup_vs_1shard` in section

@@ -4,8 +4,8 @@
 //! (integral values exact, every other float to 1e-9 relative).
 //!
 //! The parity suites pin drivers against each other — sharded against
-//! sequential, observed against unobserved, the legacy scan against the
-//! shard drivers — but every one of those drivers runs the same engine
+//! one shard, observed against unobserved, the legacy scan against the
+//! shard driver — but every one of those drivers runs the same engine
 //! handlers, so a change that moves all of them together is invisible to
 //! parity. These fixtures pin the absolute behaviour of each engine mode
 //! instead: the open loop with and without a catalog (the latter under
