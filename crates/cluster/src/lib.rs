@@ -143,7 +143,7 @@ pub use report::parity;
 pub use report::{ClusterReport, CoopReport, CurvePoint, LinkReport, NodeReport};
 pub use shard::EVENT_CLASS_NAMES;
 pub use sim::ClusterSim;
-pub use topology::{Discipline, Link, ShardPlan, Topology, TopologyBuilder};
+pub use topology::{Discipline, Link, LinkName, ShardPlan, Topology, TopologyBuilder};
 pub use workload::TraceSource;
 
 use simcore::dist::Sample;

@@ -470,7 +470,7 @@ pub fn report_to_json(r: &ClusterReport) -> Json {
             .iter()
             .map(|l| {
                 Json::obj()
-                    .set("name", Json::str(&l.name))
+                    .set("name", Json::str(l.name.to_string()))
                     .set("utilisation", Json::num(l.utilisation))
                     .set("bytes_carried", Json::num(l.bytes_carried))
                     .set("jobs_completed", Json::num(l.jobs_completed as f64))

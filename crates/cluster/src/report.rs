@@ -5,11 +5,13 @@
 //! in one mode (e.g. adaptive thresholds, prefetch goodput) are `Option`s
 //! and are always finite when present — `NaN` never appears in a report.
 
+use crate::topology::LinkName;
+
 /// Per-link measurements.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinkReport {
-    /// Topology name of the link.
-    pub name: String,
+    /// Topology name of the link (prints as text, compares with a `str`).
+    pub name: LinkName,
     /// Busy fraction over the run, `ρ` of this hop.
     pub utilisation: f64,
     /// Size-units carried (every job counted once per traversal).
@@ -147,7 +149,7 @@ impl ClusterReport {
 
     /// Finds a link report by topology name.
     pub fn link(&self, name: &str) -> Option<&LinkReport> {
-        self.links.iter().find(|l| l.name == name)
+        self.links.iter().find(|l| &l.name == name)
     }
 
     /// Size-units carried by the named link — the backbone load the

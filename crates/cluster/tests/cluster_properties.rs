@@ -310,8 +310,12 @@ fn cooperative_peers_carry_traffic() {
     let report = ClusterSim::new(&cfg).run(21);
     let coop = report.coop.expect("coop counters");
     assert!(coop.peer_fetches > 100, "peer fetches {}", coop.peer_fetches);
-    let peer_bytes: f64 =
-        report.links.iter().filter(|l| l.name.starts_with("peer[")).map(|l| l.bytes_carried).sum();
+    let peer_bytes: f64 = report
+        .links
+        .iter()
+        .filter(|l| l.name.to_string().starts_with("peer["))
+        .map(|l| l.bytes_carried)
+        .sum();
     assert!(peer_bytes > 0.0);
     for node in &report.nodes {
         assert!(node.peer_bytes.expect("peer bytes reported") >= 0.0);

@@ -11,8 +11,8 @@
 //! sharding must not even perturb floating-point accumulation order.
 
 use cluster::{
-    AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, CooperativeWorkload, ProxyPolicy,
-    ShardPlan, StaticProxy, StaticWorkload, Topology, Workload,
+    AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, CooperativeWorkload, Discipline,
+    ProxyPolicy, ShardPlan, StaticProxy, StaticWorkload, Topology, Workload,
 };
 use coop::{CoopConfig, DigestConfig, PlacementPolicy, RefreshStrategy};
 use simcore::dist::Exponential;
@@ -163,6 +163,73 @@ fn windowed_execution_matches_the_oracle() {
         );
         assert_shard_counts_agree(&config, 21, &format!("latency mesh {refresh:?}"));
     }
+}
+
+/// A custom six-proxy peer ring with two link latencies (tree links 0.04,
+/// ring segments 0.015). Peer routes take the shorter arc, one to three
+/// hops. The opposite pair `(0, 3)` is first set the long way round and
+/// then replaced, and most routes arrive out of slot order, so the
+/// builder's replacement and compaction paths both run.
+fn latency_ring() -> Topology {
+    const PS: Discipline = Discipline::ProcessorSharing;
+    let n = 6;
+    let mut b = Topology::builder(n, 1);
+    let backbone = b.add_link_latency("backbone", 150.0, 0.04, PS);
+    for p in 0..n {
+        let access = b.add_link_latency(format!("access[{p}]"), 50.0, 0.04, PS);
+        b.route(p, 0, &[access, backbone]);
+    }
+    // Segment `i` joins proxies `i` and `(i + 1) mod n`.
+    let ring: Vec<usize> =
+        (0..n).map(|i| b.add_link_latency(format!("ring[{i}]"), 45.0, 0.015, PS)).collect();
+    b.peer_route(0, 3, &[ring[5], ring[4], ring[3]]);
+    for p in 0..n {
+        for q in (0..n).filter(|&q| q != p) {
+            let cw = (q + n - p) % n;
+            let path: Vec<usize> = if cw <= n - cw {
+                (0..cw).map(|i| ring[(p + i) % n]).collect()
+            } else {
+                (1..=n - cw).map(|i| ring[(p + n - i) % n]).collect()
+            };
+            b.peer_route(p, q, &path);
+        }
+    }
+    b.build()
+}
+
+/// Multi-hop peer transfers on threads: on the latency ring every shard
+/// count runs real windows, peer routes forward hop by hop across shard
+/// boundaries, and the cooperative report must still equal the
+/// single-threaded oracle bit for bit, with and without an empty fault
+/// plan.
+#[test]
+fn multi_hop_peer_routes_are_shard_independent() {
+    let mut config = e14_coop_config(0.0, RefreshStrategy::Deltas);
+    config.topology = latency_ring();
+    let topology = &config.topology;
+    // Links: backbone 0, access 1..=6, ring segments 7..=12.
+    assert_eq!(topology.peer_route(0, 3), &[7, 8, 9], "the replaced route is the clockwise arc");
+    assert_eq!(topology.peer_route(5, 1), &[12, 7]);
+    assert_eq!(topology.peer_route(2, 1), &[8]);
+    for shards in [2, 3] {
+        let plan = ShardPlan::partition(topology, shards);
+        assert_eq!(plan.lookahead(), 0.015, "{shards} shards: a ring segment is the floor");
+    }
+    let sim = ClusterSim::new(&config);
+    let oracle = sim.run(31);
+    let coop = oracle.coop.as_ref().expect("a cooperative report");
+    assert!(coop.peer_fetches > 0, "no peer transfer ran");
+    for i in 0..6 {
+        assert!(oracle.link_bytes(&format!("ring[{i}]")) > 0.0, "ring[{i}] carried nothing");
+    }
+    for shards in [1, 2, 3] {
+        assert_eq!(sim.run_sharded(31, shards), oracle, "{shards} shards");
+        let faulted = sim.run_faulted(31, shards, &FaultConfig::default());
+        assert_eq!(faulted, oracle, "{shards} shards, empty fault plan");
+    }
+    let (report, obs) = sim.run_observed(31, 3, &ObsConfig::on());
+    assert_eq!(report, oracle);
+    assert_eq!((obs.driver, obs.profiles.len()), ("windowed", 3), "three shards on threads");
 }
 
 /// Same windowed run, repeated: thread scheduling must not leak into the

@@ -216,7 +216,7 @@ pub fn render(size: Size) -> Rendered {
     let mut links = Table::new("Link view of the adaptive run", &["link", "rho", "bytes", "jobs"]);
     for l in &adaptive.links {
         links.row(vec![
-            l.name.clone(),
+            l.name.to_string(),
             f(l.utilisation, 3),
             f(l.bytes_carried, 0),
             l.jobs_completed.to_string(),
