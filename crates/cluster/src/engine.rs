@@ -53,7 +53,7 @@ use coop::Router;
 use queueing::Completion;
 use simcore::faults::{FaultConfig, FaultKind};
 use simcore::obs::ObsConfig;
-use simcore::sched::TimedQueue;
+use simcore::sched::TimedQueues;
 use simcore::stats::{BatchMeans, Welford};
 use simcore::trace::{
     self, SpanEvent, SpanKind, TraceBuf, TraceStore, TF_FALSE_HIT, TF_MEASURED, TF_PREFETCH,
@@ -375,6 +375,12 @@ pub(crate) trait ProxyModel: Send {
 /// link of the scope, so a link costs no per-job table of its own, and the
 /// departures of every link event drain through one reused buffer: a link
 /// event allocates nothing once the slab and the buffer have grown.
+///
+/// Jobs waiting for a future instant (a link entry after propagation, a
+/// peer check, a delivery, a failure settlement) wait in four
+/// [`TimedQueues`] families, one queue per local link or proxy. Each
+/// family threads its queues through one node pool, so an idle link or
+/// proxy costs a `(head, tail)` pair and no allocation of its own.
 pub(crate) struct Transport<'a> {
     pub(crate) topology: &'a Topology,
     /// Origin shards; items partition over them by `item % n_shards`.
@@ -392,14 +398,17 @@ pub(crate) struct Transport<'a> {
     free: Vec<u32>,
     /// Departure buffer reused by every link event.
     done: Vec<Completion<u32>>,
-    /// Per-local-link queued arrivals (latency topologies only).
-    arrivals: Vec<TimedQueue<Job>>,
-    /// Per-local-proxy queued peer-serve checks.
-    checks: Vec<TimedQueue<Job>>,
-    /// Per-local-proxy queued response deliveries (`false_hit` flagged).
-    delivers: Vec<TimedQueue<(Job, bool)>>,
-    /// Per-local-proxy queued fetch-failure settlements (fault runs only).
-    fails: Vec<TimedQueue<Job>>,
+    /// Queued arrivals, one queue per local link (latency topologies
+    /// only: a zero-latency hop enters its link at once).
+    arrivals: TimedQueues<Job>,
+    /// Queued peer-serve checks, one queue per local proxy.
+    checks: TimedQueues<Job>,
+    /// Queued response deliveries (`false_hit` flagged), one queue per
+    /// local proxy.
+    delivers: TimedQueues<(Job, bool)>,
+    /// Queued fetch-failure settlements (fault runs only), one queue per
+    /// local proxy.
+    fails: TimedQueues<Job>,
     /// Fault schedule and retry policy when this run injects faults;
     /// `None` keeps every fault hook to one branch.
     faults: Option<&'a FaultConfig>,
@@ -435,10 +444,10 @@ impl<'a> Transport<'a> {
             slab: Vec::new(),
             free: Vec::new(),
             done: Vec::new(),
-            arrivals: (0..n_links).map(|_| TimedQueue::new()).collect(),
-            checks: (0..n_proxies).map(|_| TimedQueue::new()).collect(),
-            delivers: (0..n_proxies).map(|_| TimedQueue::new()).collect(),
-            fails: (0..n_proxies).map(|_| TimedQueue::new()).collect(),
+            arrivals: TimedQueues::new(n_links),
+            checks: TimedQueues::new(n_proxies),
+            delivers: TimedQueues::new(n_proxies),
+            fails: TimedQueues::new(n_proxies),
             faults: run.faults,
             seed: run.seed,
             effects: Vec::new(),
@@ -875,12 +884,12 @@ impl<M: ProxyModel> Engine<'_, M> {
         let tx = &self.tx;
         match class {
             CLASS_DEPART => tx.links[idx].next_event(),
-            CLASS_ARRIVE => tx.arrivals[idx].next_time(),
-            CLASS_CHECK => tx.checks[idx].next_time(),
-            CLASS_DELIVER => tx.delivers[idx].next_time(),
+            CLASS_ARRIVE => tx.arrivals.next_time(idx),
+            CLASS_CHECK => tx.checks.next_time(idx),
+            CLASS_DELIVER => tx.delivers.next_time(idx),
             CLASS_REQUEST => self.model.request_due(tx, idx),
             CLASS_PREFETCH => self.model.prefetch_due(tx, idx),
-            CLASS_FAIL => tx.fails[idx].next_time(),
+            CLASS_FAIL => tx.fails.next_time(idx),
             _ => unreachable!("unknown class {class}"),
         }
     }
@@ -894,17 +903,17 @@ impl<M: ProxyModel> Engine<'_, M> {
         match class {
             CLASS_DEPART => self.tx.on_link(t, idx),
             CLASS_ARRIVE => {
-                while let Some(job) = self.tx.arrivals[idx].pop_due(t) {
+                while let Some(job) = self.tx.arrivals.pop_due(idx, t) {
                     self.tx.arrive_now(idx, t, job);
                 }
             }
             CLASS_CHECK => {
-                while let Some(job) = self.tx.checks[idx].pop_due(t) {
+                while let Some(job) = self.tx.checks.pop_due(idx, t) {
                     self.check_now(idx, t, job);
                 }
             }
             CLASS_DELIVER => {
-                while let Some((job, false_hit)) = self.tx.delivers[idx].pop_due(t) {
+                while let Some((job, false_hit)) = self.tx.delivers.pop_due(idx, t) {
                     self.deliver_now(idx, t, job, false_hit);
                 }
             }
@@ -916,7 +925,7 @@ impl<M: ProxyModel> Engine<'_, M> {
             }
             CLASS_PREFETCH => self.model.on_prefetch(&mut self.tx, idx, router),
             CLASS_FAIL => {
-                while let Some(job) = self.tx.fails[idx].pop_due(t) {
+                while let Some(job) = self.tx.fails.pop_due(idx, t) {
                     self.fail_now(idx, t, job);
                 }
             }
@@ -964,22 +973,22 @@ impl<M: ProxyModel> Engine<'_, M> {
         match e {
             Effect::Arrive { link, t, job } => {
                 let l = tx.scope.link_local(link as usize).expect("arrive in scope");
-                tx.arrivals[l].push(t, job.id, job);
+                tx.arrivals.push(l, t, job.id, job);
                 tx.dirty.push((CLASS_ARRIVE, l));
             }
             Effect::Check { q, t, job } => {
                 let i = tx.scope.proxy_local(q as usize).expect("check in scope");
-                tx.checks[i].push(t, job.id, job);
+                tx.checks.push(i, t, job.id, job);
                 tx.dirty.push((CLASS_CHECK, i));
             }
             Effect::Deliver { p, t, job, false_hit } => {
                 let i = tx.scope.proxy_local(p as usize).expect("deliver in scope");
-                tx.delivers[i].push(t, job.id, (job, false_hit));
+                tx.delivers.push(i, t, job.id, (job, false_hit));
                 tx.dirty.push((CLASS_DELIVER, i));
             }
             Effect::Fail { p, t, job } => {
                 let i = tx.scope.proxy_local(p as usize).expect("fail in scope");
-                tx.fails[i].push(t, job.id, job);
+                tx.fails.push(i, t, job.id, job);
                 tx.dirty.push((CLASS_FAIL, i));
             }
         }
@@ -1368,7 +1377,9 @@ mod tests {
 
     /// Drives every shard of a `shards`-way run to its end and checks that
     /// each scope's job slab is entirely free again: every link has idled,
-    /// and no job was stranded in its slot.
+    /// and no job was stranded in its slot. Every pending queue has
+    /// drained too, and every node of each queue family's pool is back on
+    /// its free list.
     fn assert_slabs_free<M: ProxyModel>(
         topology: &Topology,
         shards: usize,
@@ -1396,7 +1407,20 @@ mod tests {
             assert!(!tx.slab.is_empty(), "shard {s}: no job ever entered a link");
             assert!(tx.links.iter().all(|l| l.next_event().is_none()), "shard {s}: a link is busy");
             assert_eq!(tx.free.len(), tx.slab.len(), "shard {s}: jobs left in the slab");
+            assert_drained(s, "arrival", &tx.arrivals);
+            assert_drained(s, "check", &tx.checks);
+            assert_drained(s, "deliver", &tx.delivers);
+            assert_drained(s, "fail", &tx.fails);
         }
+    }
+
+    /// Every queue of a drained family is empty and every pool node free.
+    fn assert_drained<T: Copy>(s: usize, family: &str, queues: &TimedQueues<T>) {
+        for q in 0..queues.n_queues() {
+            assert_eq!(queues.next_time(q), None, "shard {s}: {family} queue {q} holds entries");
+        }
+        assert!(queues.is_empty(), "shard {s}: {family} entries pending");
+        assert_eq!(queues.free_len(), queues.pool_len(), "shard {s}: {family} nodes not freed");
     }
 
     fn adaptive(n: usize) -> AdaptiveWorkload {
@@ -1458,6 +1482,32 @@ mod tests {
         let webs = SharedWebs::build(&w.base);
         let router = Router::new(4, w.base.cache_capacity, w.coop);
         assert_slabs_free(&topology, 2, None, Some(router), |scope| {
+            let synth = EngineWorkload::Synth(&w.base, &webs);
+            ClosedLoop::new(&topology, synth, Some(&w.coop), 7, scope)
+        });
+    }
+
+    /// A degraded backbone and access link stretch propagation sixfold;
+    /// once they are restored, later sends arrive before earlier ones
+    /// still in flight, so arrivals and deliveries are inserted into
+    /// their queues ahead of the tail.
+    #[test]
+    fn cooperative_latency_mesh_through_a_link_degrade_frees_every_slot() {
+        let topology = Topology::mesh_with_latency(4, 50.0, 150.0, 45.0, 0.05);
+        let w = CooperativeWorkload { base: adaptive(4), coop: CoopConfig::default() };
+        let webs = SharedWebs::build(&w.base);
+        let router = Router::new(4, w.base.cache_capacity, w.coop);
+        let degrade = |link| FaultKind::LinkDegrade { link, loss: 0.1, latency_factor: 6.0 };
+        let faults = FaultConfig {
+            plan: FaultPlan::new(vec![
+                FaultEvent { t: 4.0, kind: degrade(0) },
+                FaultEvent { t: 4.0, kind: degrade(1) },
+                FaultEvent { t: 8.0, kind: FaultKind::LinkUp { link: 0 } },
+                FaultEvent { t: 8.0, kind: FaultKind::LinkUp { link: 1 } },
+            ]),
+            retry: RetryPolicy::default(),
+        };
+        assert_slabs_free(&topology, 2, Some(&faults), Some(router), |scope| {
             let synth = EngineWorkload::Synth(&w.base, &webs);
             ClosedLoop::new(&topology, synth, Some(&w.coop), 7, scope)
         });

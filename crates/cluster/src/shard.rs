@@ -59,11 +59,12 @@
 //!   construction (that is what the lookahead guarantees), and same-time
 //!   events on different shards touch disjoint state, so any thread
 //!   interleaving yields the same end state as the global order.
-//! * **Mailbox delivery order is irrelevant**: received effects land in
-//!   per-entity [`simcore::sched::TimedQueue`]s keyed by
-//!   `(time, job id)`, and job ids are allocated per *proxy* (a
-//!   deterministic stream), so the replay order is a pure function of the
-//!   simulation, not of thread scheduling.
+//! * **Mailbox delivery order is irrelevant**: a received effect lands in
+//!   its entity's queue of a [`simcore::sched::TimedQueues`] family, which
+//!   sorts it by `(time, job id)` wherever the pool placed its node, and
+//!   job ids are allocated per *proxy* (a deterministic stream), so the
+//!   replay order is a pure function of the simulation, not of thread
+//!   scheduling.
 //! * **Floating-point accumulation order is preserved** because every
 //!   accumulator (per-proxy stats, per-link counters) is owned by exactly
 //!   one shard and fed in that shard's local event order — the global

@@ -9,8 +9,9 @@
 //!   place in O(log n), `pop` removes the root bottom-up, and `peek` is
 //!   O(1); [`sched::KeyLayout`] partitions the keys into classes whose
 //!   registration order is the same-instant firing order; and
-//!   [`sched::TimedQueue`], a sorted ring that appends in-order pushes,
-//!   holds the payloads a timer stream delivers.
+//!   [`sched::TimedQueues`], a family of sorted lists (one per timer
+//!   stream) threaded through one pooled node array, holds the payloads
+//!   the streams deliver.
 //!   Both `cluster` proxy models run on it; the paper's single-server
 //!   models (`queueing`, `netsim`) need no scheduler and step their own
 //!   loops.
@@ -88,7 +89,7 @@ pub use faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 pub use json::Json;
 pub use obs::{FlightRecord, FlightRecorder, ObsConfig, Registry, ShardProfile};
 pub use rng::Rng;
-pub use sched::{KeyLayout, Scheduler, TimedQueue};
+pub use sched::{KeyLayout, Scheduler, TimedQueues};
 pub use stats::{BatchMeans, Histogram, TimeWeighted, Welford};
 pub use trace::{SpanEvent, SpanKind, Trace, TraceBuf, TraceClass, TraceStore};
 
@@ -99,6 +100,6 @@ pub mod prelude {
     pub use crate::json::Json;
     pub use crate::obs::{ObsConfig, Registry};
     pub use crate::rng::Rng;
-    pub use crate::sched::{KeyLayout, Scheduler, TimedQueue};
+    pub use crate::sched::{KeyLayout, Scheduler, TimedQueues};
     pub use crate::stats::{BatchMeans, Histogram, TimeWeighted, Welford};
 }

@@ -19,9 +19,9 @@
 //!   messages of sender 0, then sender 1, and so on, each sender's in the
 //!   order it sent them, whatever the thread interleaving. Receivers still
 //!   sequence what they accept by their own timestamps/ids (e.g. via
-//!   `sched::TimedQueue`); the fixed delivery order only keeps per-shard
-//!   bookkeeping of the accepts themselves, such as scheduler re-arm
-//!   counts, reproducible.
+//!   `sched::TimedQueues`, one pooled family of sorted per-entity lists);
+//!   the fixed delivery order only keeps per-shard bookkeeping of the
+//!   accepts themselves, such as scheduler re-arm counts, reproducible.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};

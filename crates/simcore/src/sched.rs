@@ -7,7 +7,8 @@
 //! cancelled many times over a run. Every stream owns a small-integer
 //! **key**; arming the key again simply replaces the previous deadline.
 //! The scheduler carries no payloads: a stream that delivers data keeps
-//! it in a [`TimedQueue`] and arms its key at the queue's next time.
+//! it in one queue of a [`TimedQueues`] family and arms its key at that
+//! queue's next time.
 //!
 //! The heap holds **exactly one entry per armed key**, and a per-key
 //! position table says where it sits. A re-arm rewrites the key's entry
@@ -43,8 +44,6 @@
 //! assert_eq!(sched.pop(), Some((9.0, 0)));
 //! assert_eq!(sched.pop(), None);
 //! ```
-
-use std::collections::VecDeque;
 
 /// A partition of a scheduler's key space into ordered **classes** — the
 /// shard-handle API the `cluster` drivers build their timer layouts on.
@@ -112,73 +111,195 @@ impl KeyLayout {
     }
 }
 
-/// A deterministic time-ordered queue of pending payloads, keyed by
-/// `(time, id)` — the companion structure for timer streams that carry
-/// *data* (a link's in-flight arrivals, a proxy's pending deliveries).
+/// A family of deterministic time-ordered queues of pending payloads, each
+/// keyed by `(time, id)` — the companion structure for timer streams that
+/// carry *data* (the in-flight arrivals of every link, the pending
+/// deliveries of every proxy).
 ///
-/// The owning driver arms one [`Scheduler`] timer at
-/// [`TimedQueue::next_time`] and drains every entry due at the fired
-/// instant. Entries pop in ascending `(time, id)` order **regardless of
-/// insertion order**, which is what makes a mailbox-fed queue
-/// deterministic: messages arriving from concurrent senders are sequenced
-/// by their timestamps and stable ids, never by delivery race.
+/// The owning driver arms one [`Scheduler`] timer per queue at
+/// [`TimedQueues::next_time`] and drains every entry due at the fired
+/// instant. Each queue pops its entries in ascending `(time, id)` order
+/// **regardless of insertion order**, which is what makes a mailbox-fed
+/// queue deterministic: messages arriving from concurrent senders are
+/// sequenced by their timestamps and stable ids, never by delivery race.
 ///
-/// The queue is a sorted ring: a `VecDeque` of entries in ascending
-/// `(time, id)` order, packed like the scheduler's. A push that sorts
-/// after the back is appended, which is the common case (fixed-latency
-/// handoffs onto a link arrive in time order); any other push is inserted
-/// at its sorted position. `pop_due` pops the front.
+/// The `n` queues are sorted singly linked lists threaded through **one
+/// node pool**, with a free list: a queue costs its `(head, tail)` pair
+/// and nothing else, so a family of thousands of mostly idle queues (one
+/// per link of a peer mesh) allocates only as many nodes as entries were
+/// ever pending at once, and a popped node is reused by the next push to
+/// any queue. A push that sorts after its queue's tail is appended, which
+/// is the common case (fixed-latency handoffs onto a link arrive in time
+/// order); any other push is inserted at its sorted position by a walk
+/// from the head. `pop_due` pops the head.
+///
+/// Payloads are plain `Copy` values: a freed node keeps its stale payload
+/// until a push overwrites it.
+///
+/// ```
+/// use simcore::sched::TimedQueues;
+///
+/// let mut q = TimedQueues::new(2);
+/// q.push(0, 2.0, 7, "late");
+/// q.push(1, 1.0, 3, "other queue");
+/// q.push(0, 1.0, 9, "early");
+/// assert_eq!(q.next_time(0), Some(1.0));
+/// assert_eq!(q.pop_due(0, 1.0), Some("early"));
+/// assert_eq!(q.pop_due(0, 1.0), None, "the 2.0 entry is not due yet");
+/// assert_eq!(q.pop_due(1, 1.0), Some("other queue"));
+/// assert_eq!(q.pool_len(), 3);
+/// q.push(1, 4.0, 1, "reuses a freed node");
+/// assert_eq!((q.len(), q.pool_len()), (2, 3));
+/// ```
 #[derive(Debug)]
-pub struct TimedQueue<T> {
-    /// `(pack(time, id), payload)`, ascending.
-    ring: VecDeque<(u128, T)>,
+pub struct TimedQueues<T> {
+    /// `ends[q]`: the `(head, tail)` nodes of queue `q`, both [`NIL`]
+    /// when it is empty.
+    ends: Vec<[u32; 2]>,
+    /// Every node ever allocated: pending entries and free ones.
+    nodes: Vec<Node<T>>,
+    /// First node of the free list, or [`NIL`].
+    free: u32,
+    /// Entries pending across every queue.
+    len: usize,
 }
 
-impl<T> Default for TimedQueue<T> {
-    fn default() -> Self {
-        TimedQueue { ring: VecDeque::new() }
-    }
+/// One pooled entry of a [`TimedQueues`] family.
+#[derive(Clone, Copy, Debug)]
+struct Node<T> {
+    /// `pack(time, id)`.
+    key: u128,
+    /// The next node of this node's queue (ascending), or of the free
+    /// list; [`NIL`] at either list's end.
+    next: u32,
+    payload: T,
 }
 
-impl<T> TimedQueue<T> {
-    pub fn new() -> Self {
-        TimedQueue::default()
+/// The end of a [`TimedQueues`] list, and an empty queue's head and tail.
+const NIL: u32 = u32::MAX;
+
+impl<T: Copy> TimedQueues<T> {
+    /// `n` empty queues over an empty pool.
+    pub fn new(n: usize) -> Self {
+        TimedQueues { ends: vec![[NIL; 2]; n], nodes: Vec::new(), free: NIL, len: 0 }
     }
 
-    /// Enqueues `payload` to surface at `time`; `id` breaks time ties (it
-    /// must be unique per pending entry for the order to be total).
-    pub fn push(&mut self, time: f64, id: u64, payload: T) {
+    /// Number of queues in the family.
+    pub fn n_queues(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Enqueues `payload` on queue `q` to surface at `time`; `id` breaks
+    /// time ties (it must be unique per pending entry of the queue for the
+    /// order to be total).
+    pub fn push(&mut self, q: usize, time: f64, id: u64, payload: T) {
         assert!(time.is_finite(), "queued entry at non-finite time {time}");
-        let e = pack(time, id);
-        if self.ring.back().is_none_or(|&(back, _)| back <= e) {
-            self.ring.push_back((e, payload));
+        let key = pack(time, id);
+        let [head, tail] = self.ends[q];
+        let (prev, next) = if tail == NIL {
+            (NIL, NIL)
+        } else if self.nodes[tail as usize].key <= key {
+            (tail, NIL)
+        } else if key < self.nodes[head as usize].key {
+            (NIL, head)
         } else {
-            let i = self.ring.partition_point(|&(x, _)| x <= e);
-            self.ring.insert(i, (e, payload));
+            // head <= key < tail: after the last node that sorts <= key.
+            let mut prev = head;
+            loop {
+                let next = self.nodes[prev as usize].next;
+                if key < self.nodes[next as usize].key {
+                    break (prev, next);
+                }
+                prev = next;
+            }
+        };
+        let node = Node { key, next, payload };
+        let i = match self.free {
+            NIL => {
+                let i = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("fewer than 2^32 - 1 entries pending at once");
+                self.nodes.push(node);
+                i
+            }
+            i => {
+                self.free = self.nodes[i as usize].next;
+                self.nodes[i as usize] = node;
+                i
+            }
+        };
+        match prev {
+            NIL => self.ends[q][0] = i,
+            p => self.nodes[p as usize].next = i,
+        }
+        if next == NIL {
+            self.ends[q][1] = i;
+        }
+        self.len += 1;
+    }
+
+    /// When queue `q`'s earliest pending entry is due.
+    pub fn next_time(&self, q: usize) -> Option<f64> {
+        match self.ends[q][0] {
+            NIL => None,
+            head => Some(entry_time(self.nodes[head as usize].key)),
         }
     }
 
-    /// When the earliest pending entry is due.
-    pub fn next_time(&self) -> Option<f64> {
-        self.ring.front().map(|&(e, _)| entry_time(e))
-    }
-
-    /// Pops the earliest entry if it is due exactly at `time` — drivers
-    /// drain a fired instant with `while let Some(x) = q.pop_due(t)`.
-    pub fn pop_due(&mut self, time: f64) -> Option<T> {
-        if self.ring.front().is_some_and(|&(e, _)| entry_time(e) == time) {
-            self.ring.pop_front().map(|(_, payload)| payload)
-        } else {
-            None
+    /// Pops queue `q`'s earliest entry if it is due exactly at `time` —
+    /// drivers drain a fired instant with
+    /// `while let Some(x) = queues.pop_due(q, t)`.
+    pub fn pop_due(&mut self, q: usize, time: f64) -> Option<T> {
+        let head = self.ends[q][0];
+        if head == NIL || entry_time(self.nodes[head as usize].key) != time {
+            return None;
         }
+        let Node { next, payload, .. } = self.nodes[head as usize];
+        self.ends[q][0] = next;
+        if next == NIL {
+            self.ends[q][1] = NIL;
+        }
+        self.nodes[head as usize].next = self.free;
+        self.free = head;
+        self.len -= 1;
+        Some(payload)
     }
 
+    /// Entries pending on queue `q` (a walk of its list).
+    pub fn queue_len(&self, q: usize) -> usize {
+        self.walk(self.ends[q][0])
+    }
+
+    /// Entries pending across every queue.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.len == 0
+    }
+
+    /// Nodes in the pool, pending and free: the most entries ever pending
+    /// at once, since a push allocates only when the free list is empty.
+    pub fn pool_len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Nodes on the free list (a walk of it); equal to
+    /// [`TimedQueues::pool_len`] once every queue has drained.
+    pub fn free_len(&self) -> usize {
+        self.walk(self.free)
+    }
+
+    /// Length of the list that starts at node `i`.
+    fn walk(&self, mut i: u32) -> usize {
+        let mut n = 0;
+        while i != NIL {
+            n += 1;
+            i = self.nodes[i as usize].next;
+        }
+        n
     }
 }
 
@@ -193,7 +314,7 @@ const ARITY: usize = 4;
 /// `(f64::total_cmp(t), key)` order: the time's bits are mapped so that
 /// their unsigned order matches `total_cmp` (sign bit flipped for
 /// non-negative values, every bit flipped for negative ones) and sit
-/// above the key. [`TimedQueue`] packs `(time, id)` the same way.
+/// above the key. [`TimedQueues`] packs `(time, id)` the same way.
 #[inline]
 fn pack(t: f64, key: u64) -> u128 {
     let bits = t.to_bits();
@@ -613,16 +734,17 @@ mod tests {
 
     #[test]
     fn timed_queue_pops_by_time_then_id_not_insertion() {
-        let mut q = TimedQueue::new();
-        q.push(2.0, 7, "late");
-        q.push(1.0, 9, "tie-high");
-        q.push(1.0, 4, "tie-low");
-        assert_eq!(q.next_time(), Some(1.0));
-        assert_eq!(q.pop_due(1.0), Some("tie-low"));
-        assert_eq!(q.pop_due(1.0), Some("tie-high"));
-        assert_eq!(q.pop_due(1.0), None, "2.0 entry is not due yet");
-        assert_eq!(q.next_time(), Some(2.0));
-        assert_eq!(q.pop_due(2.0), Some("late"));
+        let mut q = TimedQueues::new(1);
+        q.push(0, 2.0, 7, "late");
+        q.push(0, 1.0, 9, "tie-high");
+        q.push(0, 1.0, 4, "tie-low");
+        assert_eq!(q.next_time(0), Some(1.0));
+        assert_eq!(q.pop_due(0, 1.0), Some("tie-low"));
+        assert_eq!(q.pop_due(0, 1.0), Some("tie-high"));
+        assert_eq!(q.pop_due(0, 1.0), None, "2.0 entry is not due yet");
+        assert_eq!(q.next_time(0), Some(2.0));
+        assert_eq!(q.pop_due(0, 2.0), Some("late"));
         assert!(q.is_empty());
+        assert_eq!(q.free_len(), q.pool_len());
     }
 }

@@ -5,11 +5,12 @@
 //! no superseded entry left behind in the heap. The op scripts run on a
 //! small key space (a shallow heap) and on a large one (a heap four or
 //! more levels deep, with partly filled last sibling groups). A second
-//! family replays `TimedQueue` pushes and pops against a sorted mirror.
+//! family replays `TimedQueues` pushes and pops against one sorted mirror
+//! per queue, on one queue and on many sharing one node pool.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use simcore::sched::{KeyLayout, Scheduler, TimedQueue};
+use simcore::sched::{KeyLayout, Scheduler, TimedQueues};
 
 /// One scripted operation against the scheduler.
 #[derive(Clone, Copy, Debug)]
@@ -125,15 +126,16 @@ fn replay(n_keys: usize, ops: &[Op]) -> Result<(usize, bool), TestCaseError> {
     Ok((max_len, deep_partial_pop))
 }
 
-/// One scripted operation against a [`TimedQueue`].
+/// One scripted operation against one queue of a [`TimedQueues`] family.
 #[derive(Clone, Copy, Debug)]
 enum QueueOp {
     /// Push at `t` under `id` (skipped when `id` is already pending).
     Push { t: f64, id: u64 },
-    /// Push `step` after the latest pending time: with `step > 0` the
-    /// append fast path, with `step == 0` a tie with the back entry.
+    /// Push `step` after the queue's latest pending time: with `step > 0`
+    /// the append fast path, with `step == 0` a tie with the tail entry.
     PushAfterBack { step: f64, id: u64 },
-    /// `pop_due` at `at`, or at the earliest pending time when `None`.
+    /// `pop_due` at `at`, or at the queue's earliest pending time when
+    /// `None`.
     Pop { at: Option<f64> },
 }
 
@@ -146,6 +148,68 @@ fn queue_op_strategy() -> impl Strategy<Value = QueueOp> {
     })
 }
 
+/// Replays `(queue, op)` scripts against a [`TimedQueues`] family of
+/// `n_queues` queues, checked at every step against one mirror per queue
+/// kept sorted in `(total_cmp time, id)` order: out-of-order pushes land
+/// at their sorted position, equal times pop by ascending id, `-0.0`
+/// sorts before `0.0` (and `pop_due`, which compares with `==`, treats
+/// them as one instant), in-order pushes take the append path, and no
+/// queue sees another's entries. The pool never holds more nodes than
+/// the most entries pending at once, so every freed node is reused; once
+/// the family is drained, every node is on the free list.
+fn replay_queues(n_queues: usize, ops: &[(usize, QueueOp)]) -> Result<(), TestCaseError> {
+    let mut q = TimedQueues::new(n_queues);
+    let mut mirrors: Vec<Vec<(f64, u64)>> = vec![Vec::new(); n_queues];
+    let mut peak = 0;
+    for &(qi, op) in ops {
+        let mirror = &mut mirrors[qi];
+        let push = match op {
+            QueueOp::Push { t, id } => Some((t, id)),
+            QueueOp::PushAfterBack { step, id } => {
+                Some((mirror.last().map_or(0.0, |&(back, _)| back) + step, id))
+            }
+            QueueOp::Pop { at } => {
+                let t = at.or(mirror.first().map(|&(front, _)| front)).unwrap_or(0.0);
+                let due = mirror.first().is_some_and(|&(front, _)| front == t);
+                let expected = due.then(|| mirror.remove(0));
+                prop_assert_eq!(q.pop_due(qi, t), expected.map(|(t, id)| (t.to_bits(), id)));
+                None
+            }
+        };
+        let fresh = |&(_, id): &(f64, u64)| mirror.iter().all(|&(_, pending)| pending != id);
+        if let Some((t, id)) = push.filter(fresh) {
+            q.push(qi, t, id, (t.to_bits(), id));
+            let at =
+                mirror.partition_point(|&(mt, mid)| mt.total_cmp(&t).then(mid.cmp(&id)).is_lt());
+            mirror.insert(at, (t, id));
+        }
+        prop_assert_eq!(q.queue_len(qi), mirrors[qi].len());
+        let live: usize = mirrors.iter().map(Vec::len).sum();
+        prop_assert_eq!(q.len(), live);
+        prop_assert_eq!(q.is_empty(), live == 0);
+        for (qj, mirror) in mirrors.iter().enumerate() {
+            prop_assert_eq!(
+                q.next_time(qj).map(f64::to_bits),
+                mirror.first().map(|&(t, _)| t.to_bits())
+            );
+        }
+        peak = peak.max(live);
+        prop_assert!(q.pool_len() <= peak, "{} nodes for {} live at peak", q.pool_len(), peak);
+    }
+    // Drain in time order per queue: each queue pops its mirror.
+    for (qi, mirror) in mirrors.iter().enumerate() {
+        let mut popped = Vec::new();
+        while let Some(t) = q.next_time(qi) {
+            popped.extend(std::iter::from_fn(|| q.pop_due(qi, t)));
+        }
+        let expected: Vec<(u64, u64)> = mirror.iter().map(|&(t, id)| (t.to_bits(), id)).collect();
+        prop_assert_eq!(popped, expected);
+    }
+    prop_assert!(q.is_empty());
+    prop_assert_eq!(q.free_len(), q.pool_len());
+    Ok(())
+}
+
 proptest! {
     /// The op-script property on a shallow heap of 12 keys.
     #[test]
@@ -155,46 +219,26 @@ proptest! {
         replay(12, &ops)?;
     }
 
-    /// The TimedQueue under interleaved pushes and pops, checked at every
-    /// step against a mirror kept sorted in `(total_cmp time, id)` order:
-    /// out-of-order pushes land at their sorted position, equal times pop
-    /// by ascending id, `-0.0` sorts before `0.0` (and `pop_due`, which
-    /// compares with `==`, treats them as one instant), and in-order
-    /// pushes take the append path.
+    /// One queue of the family under interleaved pushes and pops, checked
+    /// at every step against a sorted mirror (see [`replay_queues`]).
     #[test]
     fn timed_queue_matches_a_sorted_mirror(
         ops in proptest::collection::vec(queue_op_strategy(), 1..300),
     ) {
-        let mut q = TimedQueue::new();
-        let mut mirror: Vec<(f64, u64)> = Vec::new();
-        for op in ops {
-            let push = match op {
-                QueueOp::Push { t, id } => Some((t, id)),
-                QueueOp::PushAfterBack { step, id } => {
-                    Some((mirror.last().map_or(0.0, |&(back, _)| back) + step, id))
-                }
-                QueueOp::Pop { at } => {
-                    let t = at.or(mirror.first().map(|&(front, _)| front)).unwrap_or(0.0);
-                    let due = mirror.first().is_some_and(|&(front, _)| front == t);
-                    let expected = due.then(|| mirror.remove(0));
-                    prop_assert_eq!(q.pop_due(t), expected.map(|(t, id)| (t.to_bits(), id)));
-                    None
-                }
-            };
-            let fresh = |&(_, id): &(f64, u64)| mirror.iter().all(|&(_, pending)| pending != id);
-            if let Some((t, id)) = push.filter(fresh) {
-                q.push(t, id, (t.to_bits(), id));
-                let at = mirror
-                    .partition_point(|&(mt, mid)| mt.total_cmp(&t).then(mid.cmp(&id)).is_lt());
-                mirror.insert(at, (t, id));
-            }
-            prop_assert_eq!(q.len(), mirror.len());
-            prop_assert_eq!(q.is_empty(), mirror.is_empty());
-            prop_assert_eq!(
-                q.next_time().map(f64::to_bits),
-                mirror.first().map(|&(t, _)| t.to_bits())
-            );
-        }
+        let ops: Vec<(usize, QueueOp)> = ops.into_iter().map(|op| (0, op)).collect();
+        replay_queues(1, &ops)?;
+    }
+
+    /// Twelve queues sharing one pool under interleaved pushes and pops:
+    /// out-of-order times, equal times under distinct ids, and pops on
+    /// any queue between pushes to others. Each queue pops in the order
+    /// of its own sorted mirror, and the pool never grows past the peak
+    /// number of live entries (see [`replay_queues`]).
+    #[test]
+    fn timed_queues_match_per_queue_sorted_mirrors(
+        ops in proptest::collection::vec((0usize..12, queue_op_strategy()), 1..600),
+    ) {
+        replay_queues(12, &ops)?;
     }
 
     /// Draining a scheduler after arbitrary arming yields times in
@@ -295,9 +339,9 @@ proptest! {
         }
     }
 
-    /// A mailbox-fed [`TimedQueue`] replays entries in `(time, id)` order
-    /// no matter how the sends were interleaved — the property that makes
-    /// cross-shard message delivery order irrelevant.
+    /// A mailbox-fed queue of a [`TimedQueues`] family replays entries in
+    /// `(time, id)` order no matter how the sends were interleaved — the
+    /// property that makes cross-shard message delivery order irrelevant.
     #[test]
     fn timed_queue_order_is_insertion_invariant(
         mut entries in proptest::collection::vec((0.0..100.0f64, 0u64..10_000), 1..100),
@@ -305,18 +349,18 @@ proptest! {
         // Unique ids (the queue's contract: one pending entry per id).
         entries.sort_by_key(|e| e.1);
         entries.dedup_by_key(|e| e.1);
-        let mut forward = TimedQueue::new();
-        let mut backward = TimedQueue::new();
+        let mut forward = TimedQueues::new(1);
+        let mut backward = TimedQueues::new(1);
         for &(t, id) in &entries {
-            forward.push(t, id, (t, id));
+            forward.push(0, t, id, (t, id));
         }
         for &(t, id) in entries.iter().rev() {
-            backward.push(t, id, (t, id));
+            backward.push(0, t, id, (t, id));
         }
-        let drain = |q: &mut TimedQueue<(f64, u64)>| {
+        let drain = |q: &mut TimedQueues<(f64, u64)>| {
             let mut out = Vec::new();
-            while let Some(t) = q.next_time() {
-                while let Some(e) = q.pop_due(t) {
+            while let Some(t) = q.next_time(0) {
+                while let Some(e) = q.pop_due(0, t) {
                     out.push(e);
                 }
             }

@@ -95,9 +95,11 @@
 //! pop walks the hole from the root to a leaf along the smaller children
 //! and refills it from below. Every event costs O(log n) instead of the
 //! former O(links + proxies) scan. The payloads a timer delivers wait in
-//! a [`simcore::sched::TimedQueue`], a ring kept sorted by
-//! `(time, id)` that appends the in-order pushes fixed-latency links
-//! produce. Simultaneous events fire in ascending key
+//! that stream's queue of a [`simcore::sched::TimedQueues`] family: one
+//! sorted list per link or proxy, keyed by `(time, id)`, that appends the
+//! in-order pushes fixed-latency links produce, with every list of the
+//! family threaded through one pooled node array, so an idle link holds
+//! no allocation. Simultaneous events fire in ascending key
 //! order, which keeps runs bit-deterministic (pinned by old-vs-new engine
 //! parity tests against the retired scan driver in `cluster::legacy`).
 //! Digest refreshes and boundary faults are not timers: the shard drivers
