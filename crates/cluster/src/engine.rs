@@ -7,7 +7,7 @@
 //! speculation is only extra arrival rate into it. This module is that
 //! network, written once.
 //!
-//! * [`Transport`] owns one scope's link servers, the slab of jobs in
+//! * [`Transport`] owns one scope's link server table, the slab of jobs in
 //!   service, the per-entity arrival/check/deliver/fail queues, the effect
 //!   and dirty streams, the per-proxy [`Ledger`]s, span tracing, the
 //!   request recorder and the obs probes. [`Transport::launch`] resolves
@@ -45,12 +45,12 @@ use crate::shard::{
     self, BoundaryEntry, Effect, ShardRunner, CLASS_ARRIVE, CLASS_CHECK, CLASS_DELIVER,
     CLASS_DEPART, CLASS_FAIL, CLASS_PREFETCH, CLASS_REQUEST, N_CLASSES,
 };
-use crate::sim::{LinkState, Scope, ScopeIndex};
+use crate::sim::{Scope, ScopeIndex};
 use crate::topology::ShardPlan;
 use crate::Topology;
 use cachesim::{FetchOrigin, Mshr, Waiter};
 use coop::Router;
-use queueing::Completion;
+use queueing::{Completion, ServerTable};
 use simcore::faults::{FaultConfig, FaultKind};
 use simcore::obs::ObsConfig;
 use simcore::sched::TimedQueues;
@@ -369,15 +369,19 @@ pub(crate) trait ProxyModel: Send {
 
 /// One scope's network of queues: everything between the proxies.
 ///
-/// A job on one of the scope's links lives in the transport's slab, and the
-/// link server carries only its `u32` slot: entering a link parks the job
-/// in a free slot, leaving it frees the slot again. One slab serves every
-/// link of the scope, so a link costs no per-job table of its own, and the
-/// departures of every link event drain through one reused buffer: a link
-/// event allocates nothing once the slab and the buffer have grown.
+/// The scope's links are the servers of one [`ServerTable`], indexed by
+/// scope-local link id: a link is a row of scalars (clock, virtual time,
+/// busy time, job count, carried bytes) plus one queue of the table's
+/// pooled job family, so a link owns no object or heap block of its own,
+/// whether processor-sharing or FIFO. A job on one of the scope's links
+/// lives in the transport's slab, and the table carries only its `u32`
+/// slot: entering a link parks the job in a free slot, leaving it frees
+/// the slot again. The departures of every link event drain through one
+/// reused buffer, so a link event allocates nothing once the slab, the
+/// job pool and the buffer have grown.
 ///
 /// Jobs waiting for a future instant (a link entry after propagation, a
-/// peer check, a delivery, a failure settlement) wait in four
+/// peer check, a delivery, a failure settlement) wait in four more
 /// [`TimedQueues`] families, one queue per local link or proxy. Each
 /// family threads its queues through one node pool, so an idle link or
 /// proxy costs a `(head, tail)` pair and no allocation of its own.
@@ -387,7 +391,7 @@ pub(crate) struct Transport<'a> {
     pub(crate) n_shards: u64,
     pub(crate) scope: Scope,
     /// Local link servers, indexed by scope-local link id.
-    links: Vec<LinkState>,
+    servers: ServerTable,
     /// Per-local-proxy accounting.
     pub(crate) ledgers: Vec<Ledger>,
     /// Jobs currently on this scope's links, by slot. A job in a pending
@@ -439,7 +443,10 @@ impl<'a> Transport<'a> {
         Transport {
             topology,
             n_shards: topology.n_shards() as u64,
-            links: scope.links.iter().map(|&g| LinkState::new(&topology.links()[g])).collect(),
+            servers: ServerTable::new(scope.links.iter().map(|&g| {
+                let link = &topology.links()[g];
+                (link.bandwidth, link.discipline)
+            })),
             ledgers: (0..n_proxies).map(|_| Ledger::new()).collect(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -644,7 +651,7 @@ impl<'a> Transport<'a> {
         // Taken out for the loop, whose body needs `&mut self`; put back
         // (empty, capacity kept) at the end.
         let mut done = std::mem::take(&mut self.done);
-        self.links[l].on_event(t, &mut done);
+        self.servers.on_event(l, t, &mut done);
         if let Some(o) = self.obs.as_deref_mut() {
             o.jobs_completed(l, done.len());
         }
@@ -652,7 +659,7 @@ impl<'a> Transport<'a> {
         for c in done.drain(..) {
             let mut job = self.slab[c.tag as usize];
             self.free.push(c.tag);
-            self.links[l].bytes_carried += job.size;
+            self.servers.carry(l, job.size);
             let service = job.size / bandwidth;
             trace_job(&mut self.trace, &mut job, t, SpanKind::Dequeue, g_l as u64, service, 0);
             let route = job.path(self.topology);
@@ -689,7 +696,7 @@ impl<'a> Transport<'a> {
                     .expect("fewer than 2^32 jobs on one scope's links")
             }
         };
-        self.links[l].arrive(t, job.size, slot);
+        self.servers.arrive(l, t, job.size, slot);
         if let Some(o) = self.obs.as_deref_mut() {
             o.job_arrived(l);
         }
@@ -732,7 +739,7 @@ impl<M: ProxyModel> Engine<'_, M> {
     /// strictly before `g`" — the same state under every sharding.
     fn obs_tick(&mut self, t: f64) {
         let Some(mut o) = self.tx.obs.take() else { return };
-        o.tick(t, &self.tx.links, || self.aggregates());
+        o.tick(t, &self.tx.servers, || self.aggregates());
         self.tx.obs = Some(o);
     }
 
@@ -740,7 +747,7 @@ impl<M: ProxyModel> Engine<'_, M> {
     /// scope's registry for merging (`None` when unobserved).
     fn obs_finish(&mut self, t_end: f64) -> Option<Registry> {
         let mut o = self.tx.obs.take()?;
-        o.tick(t_end, &self.tx.links, || self.aggregates());
+        o.tick(t_end, &self.tx.servers, || self.aggregates());
         Some(o.finish())
     }
 
@@ -866,7 +873,7 @@ impl<M: ProxyModel> Engine<'_, M> {
 impl<M: ProxyModel> Engine<'_, M> {
     /// Local stream counts per class, in class order.
     pub(crate) fn class_counts(&self) -> [usize; N_CLASSES] {
-        let (l, p) = (self.tx.links.len(), self.tx.scope.proxies.len());
+        let (l, p) = (self.tx.servers.len(), self.tx.scope.proxies.len());
         [l, l, if M::PEERS { p } else { 0 }, p, p, p, p]
     }
 
@@ -883,7 +890,7 @@ impl<M: ProxyModel> Engine<'_, M> {
     pub(crate) fn due(&self, class: usize, idx: usize) -> Option<f64> {
         let tx = &self.tx;
         match class {
-            CLASS_DEPART => tx.links[idx].next_event(),
+            CLASS_DEPART => tx.servers.next_event(idx),
             CLASS_ARRIVE => tx.arrivals.next_time(idx),
             CLASS_CHECK => tx.checks.next_time(idx),
             CLASS_DELIVER => tx.delivers.next_time(idx),
@@ -1017,10 +1024,11 @@ impl<M: ProxyModel> Engine<'_, M> {
         move_into(&mut self.tx.dirty, out);
     }
 
-    /// Re-arms local link `idx`'s departure timer under `key` (the
-    /// server-revision fast path).
+    /// Re-arms local link `idx`'s departure timer under `key` — a no-op
+    /// unless the link's next departure may have moved (see
+    /// [`ServerTable::sync_timer`]).
     pub(crate) fn sync_link_timer(&mut self, idx: usize, sched: &mut Scheduler, key: usize) {
-        self.tx.links[idx].sync_timer(sched, key);
+        self.tx.servers.sync_timer(idx, sched, key);
     }
 
     /// Appends this scope's boundary payloads (cooperative models only).
@@ -1138,12 +1146,12 @@ pub(crate) fn merge_reports<M: ProxyModel>(
         .enumerate()
         .map(|(g, spec)| {
             let (ei, li) = index.link(g);
-            let state = &engines[ei].tx.links[li];
+            let servers = &engines[ei].tx.servers;
             LinkReport {
                 name: spec.name.clone(),
-                utilisation: if t_end > 0.0 { state.busy_time() / t_end } else { 0.0 },
-                bytes_carried: state.bytes_carried,
-                jobs_completed: state.jobs_completed,
+                utilisation: if t_end > 0.0 { servers.busy_time(li) / t_end } else { 0.0 },
+                bytes_carried: servers.bytes_carried(li),
+                jobs_completed: servers.jobs_completed(li),
             }
         })
         .collect();
@@ -1377,9 +1385,9 @@ mod tests {
 
     /// Drives every shard of a `shards`-way run to its end and checks that
     /// each scope's job slab is entirely free again: every link has idled,
-    /// and no job was stranded in its slot. Every pending queue has
-    /// drained too, and every node of each queue family's pool is back on
-    /// its free list.
+    /// and no job was stranded in its slot. Every link's job queue and
+    /// every pending queue has drained too, and every node of each queue
+    /// family's pool is back on its free list.
     fn assert_slabs_free<M: ProxyModel>(
         topology: &Topology,
         shards: usize,
@@ -1405,8 +1413,11 @@ mod tests {
         for (s, r) in runners.into_iter().enumerate() {
             let tx = r.into_parts().0.tx;
             assert!(!tx.slab.is_empty(), "shard {s}: no job ever entered a link");
-            assert!(tx.links.iter().all(|l| l.next_event().is_none()), "shard {s}: a link is busy");
             assert_eq!(tx.free.len(), tx.slab.len(), "shard {s}: jobs left in the slab");
+            let jobs = tx.servers.jobs();
+            assert!((0..jobs.n_queues()).all(|l| jobs.next_time(l).is_none()), "shard {s}: busy");
+            assert!(jobs.is_empty(), "shard {s}: link jobs pending");
+            assert_eq!(jobs.free_len(), jobs.pool_len(), "shard {s}: link job nodes not freed");
             assert_drained(s, "arrival", &tx.arrivals);
             assert_drained(s, "check", &tx.checks);
             assert_drained(s, "deliver", &tx.delivers);

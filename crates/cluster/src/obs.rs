@@ -26,8 +26,9 @@
 //! profiles and never touch simulation state.
 
 use crate::report::ClusterReport;
-use crate::sim::{LinkState, Scope};
+use crate::sim::Scope;
 use crate::topology::Topology;
+use queueing::ServerTable;
 use simcore::json::Json;
 use simcore::obs::{CounterId, Dist, DistId, FlightRecord, GaugeId, ObsConfig, SeriesId};
 use simcore::trace::{ClassAttribution, TraceStore, BUCKETS};
@@ -166,7 +167,7 @@ impl EngineObs {
     pub(crate) fn tick(
         &mut self,
         t: f64,
-        links: &[LinkState],
+        servers: &ServerTable,
         aggregates: impl FnOnce() -> (f64, f64),
     ) {
         if self.next_t > t {
@@ -176,7 +177,7 @@ impl EngineObs {
         let qdepth = self.qdepth_now as f64;
         while self.next_t <= t {
             for (li, &sid) in self.link_series.iter().enumerate() {
-                let busy = links[li].busy_time();
+                let busy = servers.busy_time(li);
                 let util = (busy - self.link_busy_last[li]) / self.grid;
                 self.link_busy_last[li] = busy;
                 self.reg.push_point(sid, util);

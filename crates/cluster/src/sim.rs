@@ -1,4 +1,5 @@
-//! The cluster simulator facade and shared link/scope machinery.
+//! The cluster simulator facade and the scope machinery shared by its
+//! drivers.
 
 use crate::closed_loop::{ClosedLoop, EngineWorkload, SharedWebs};
 use crate::engine::{ReplayStats, Run, RunExtras};
@@ -8,10 +9,8 @@ use crate::static_mode::OpenLoop;
 use crate::topology::ShardPlan;
 use crate::{ClusterConfig, Topology, Workload};
 use coop::Router;
-use queueing::{Completion, FifoServer, PsServer, Server};
 use simcore::faults::FaultConfig;
 use simcore::obs::ObsConfig;
-use simcore::Scheduler;
 use workload::TraceRecord;
 
 /// A multi-node discrete-event run over a [`crate::Topology`].
@@ -289,83 +288,5 @@ impl ScopeIndex {
     /// `(scope, local)` owning global link `g`.
     pub fn link(&self, g: usize) -> (usize, usize) {
         self.link_at[g]
-    }
-}
-
-/// One topology link instantiated as a queueing server. The server's tags
-/// are slot handles into the owning transport's job slab.
-pub(crate) struct LinkState {
-    server: LinkServer,
-    pub bytes_carried: f64,
-    pub jobs_completed: u64,
-    /// Server revision last mirrored into the scheduler (see
-    /// [`LinkState::sync_timer`]).
-    synced_rev: u64,
-}
-
-enum LinkServer {
-    Ps(PsServer<u32>),
-    Fifo(FifoServer<u32>),
-}
-
-impl LinkState {
-    pub fn new(link: &crate::Link) -> Self {
-        let server = match link.discipline {
-            crate::Discipline::ProcessorSharing => LinkServer::Ps(PsServer::new(link.bandwidth)),
-            crate::Discipline::Fifo => LinkServer::Fifo(FifoServer::new(link.bandwidth)),
-        };
-        LinkState { server, bytes_carried: 0.0, jobs_completed: 0, synced_rev: 0 }
-    }
-
-    pub fn arrive(&mut self, t: f64, work: f64, slot: u32) {
-        match &mut self.server {
-            LinkServer::Ps(s) => s.arrive(t, work, slot),
-            LinkServer::Fifo(s) => s.arrive(t, work, slot),
-        }
-    }
-
-    pub fn next_event(&self) -> Option<f64> {
-        match &self.server {
-            LinkServer::Ps(s) => s.next_event(),
-            LinkServer::Fifo(s) => s.next_event(),
-        }
-    }
-
-    /// Appends the departures at `t` to `out` (see [`Server::on_event`]).
-    pub fn on_event(&mut self, t: f64, out: &mut Vec<Completion<u32>>) {
-        let before = out.len();
-        match &mut self.server {
-            LinkServer::Ps(s) => s.on_event(t, out),
-            LinkServer::Fifo(s) => s.on_event(t, out),
-        }
-        self.jobs_completed += (out.len() - before) as u64;
-    }
-
-    pub fn busy_time(&self) -> f64 {
-        match &self.server {
-            LinkServer::Ps(s) => s.busy_time(),
-            LinkServer::Fifo(s) => s.busy_time(),
-        }
-    }
-
-    /// The server's next-event revision (see [`queueing::Server::revision`]).
-    pub fn revision(&self) -> u64 {
-        match &self.server {
-            LinkServer::Ps(s) => s.revision(),
-            LinkServer::Fifo(s) => s.revision(),
-        }
-    }
-
-    /// Mirrors this link's next departure into the indexed scheduler under
-    /// `key`. A no-op when the server revision has not moved since the last
-    /// sync, so re-syncing after every touched event costs nothing when
-    /// the deadline is unchanged.
-    pub fn sync_timer(&mut self, sched: &mut Scheduler, key: usize) {
-        let rev = self.revision();
-        if rev == self.synced_rev {
-            return;
-        }
-        self.synced_rev = rev;
-        sched.sync(key, self.next_event());
     }
 }

@@ -67,14 +67,9 @@ pub struct Link {
     pub discipline: Discipline,
 }
 
-/// Queueing discipline of one link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Discipline {
-    /// Processor sharing — the paper's model (insensitive to size dist).
-    ProcessorSharing,
-    /// First-in-first-out — the ablation discipline.
-    Fifo,
-}
+/// Queueing discipline of one link: the discipline of its server in the
+/// transport's [`queueing::ServerTable`].
+pub use queueing::Discipline;
 
 /// The name of a [`Link`], rendered only when printed.
 ///

@@ -232,6 +232,44 @@ fn multi_hop_peer_routes_are_shard_independent() {
     assert_eq!((obs.driver, obs.profiles.len()), ("windowed", 3), "three shards on threads");
 }
 
+/// The E13 proxies behind FIFO access links (45 units/s, latency 0.04)
+/// feeding one processor-sharing backbone (150 units/s, latency 0.04).
+fn fifo_access_tree() -> Topology {
+    let n = 6;
+    let mut b = Topology::builder(n, 1);
+    let backbone = b.add_link_latency("backbone", 150.0, 0.04, Discipline::ProcessorSharing);
+    for p in 0..n {
+        let access = b.add_link_latency(format!("access[{p}]"), 45.0, 0.04, Discipline::Fifo);
+        b.route(p, 0, &[access, backbone]);
+    }
+    b.build()
+}
+
+/// FIFO links on threads: the report is identical at one, two and three
+/// shards, the multi-shard runs cross scopes on threads, and every link
+/// obeys the work law `utilisation · duration · bandwidth = bytes carried`
+/// — a FIFO server that loses busy time to a queued arrival breaks it on
+/// the busier access links.
+#[test]
+fn fifo_access_links_are_shard_independent_and_conserve_work() {
+    let mut config = e13_adaptive_config();
+    config.topology = fifo_access_tree();
+    let sim = ClusterSim::new(&config);
+    let oracle = sim.run(41);
+    for shards in [2, 3] {
+        assert!(ShardPlan::partition(&config.topology, shards).lookahead() > 0.0);
+        let (report, obs) = sim.run_observed(41, shards, &ObsConfig::on());
+        assert_eq!(report, oracle, "{shards} shards");
+        assert_eq!((obs.driver, obs.profiles.len()), ("windowed", shards), "{shards} on threads");
+    }
+    for (spec, link) in config.topology.links().iter().zip(&oracle.links) {
+        assert!(link.jobs_completed > 0, "{} carried nothing", link.name);
+        let work = link.utilisation * oracle.duration * spec.bandwidth;
+        let err = (work - link.bytes_carried).abs() / link.bytes_carried;
+        assert!(err < 1e-6, "{}: busy work {work} vs {} carried", link.name, link.bytes_carried);
+    }
+}
+
 /// Same windowed run, repeated: thread scheduling must not leak into the
 /// report at all.
 #[test]

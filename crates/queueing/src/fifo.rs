@@ -15,30 +15,23 @@ struct FifoJob<T> {
 /// Non-preemptive FIFO single server.
 pub struct FifoServer<T> {
     capacity: f64,
+    /// When the server last went from idle to busy or finished a job:
+    /// busy time accrues from here at the next departure.
     tnow: f64,
     queue: VecDeque<FifoJob<T>>,
     /// Completion time of the job in service (the queue head).
     head_done: Option<f64>,
     busy: f64,
-    revision: u64,
 }
 
 impl<T> FifoServer<T> {
     pub fn new(capacity: f64) -> Self {
         assert!(capacity > 0.0);
-        FifoServer {
-            capacity,
-            tnow: 0.0,
-            queue: VecDeque::new(),
-            head_done: None,
-            busy: 0.0,
-            revision: 0,
-        }
+        FifoServer { capacity, tnow: 0.0, queue: VecDeque::new(), head_done: None, busy: 0.0 }
     }
 
     fn start_head(&mut self) {
         self.head_done = self.queue.front().map(|job| self.tnow + job.work / self.capacity);
-        self.revision += 1;
     }
 }
 
@@ -46,9 +39,11 @@ impl<T> Server<T> for FifoServer<T> {
     fn arrive(&mut self, t: f64, work: f64, tag: T) {
         assert!(work > 0.0);
         debug_assert!(t >= self.tnow - 1e-9);
-        self.tnow = t;
         self.queue.push_back(FifoJob { work, tag });
+        // Joining a busy queue leaves the clock alone: the busy interval
+        // since the last departure accrues at the next one.
         if self.head_done.is_none() {
+            self.tnow = t;
             self.start_head();
         }
     }
@@ -73,12 +68,6 @@ impl<T> Server<T> for FifoServer<T> {
 
     fn busy_time(&self) -> f64 {
         self.busy
-    }
-
-    /// Only moves when the head (and therefore `next_event`) changes: an
-    /// arrival that joins a busy queue leaves the revision alone.
-    fn revision(&self) -> u64 {
-        self.revision
     }
 }
 
@@ -137,20 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn revision_only_moves_when_next_event_changes() {
-        let mut server = FifoServer::new(1.0);
-        let r0 = server.revision();
-        server.arrive(0.0, 2.0, 0usize);
-        let r1 = server.revision();
-        assert!(r1 > r0, "first arrival starts the head");
-        server.arrive(0.5, 1.0, 1usize);
-        assert_eq!(server.revision(), r1, "joining a busy queue leaves next_event alone");
-        let t = server.next_event().unwrap();
-        server.on_event(t, &mut Vec::new());
-        assert!(server.revision() > r1, "a departure starts the next head");
-    }
-
-    #[test]
     fn busy_time_accounts_idle_gaps() {
         let mut server = FifoServer::new(1.0);
         server.arrive(0.0, 1.0, 0usize);
@@ -160,5 +135,18 @@ mod tests {
         let t = server.next_event().unwrap();
         server.on_event(t, &mut Vec::new());
         assert!((server.busy_time() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn busy_time_counts_the_interval_before_a_queued_arrival() {
+        // Capacity 1: the first job runs over [0, 1], the second (queued
+        // at 0.5) over [1, 2] — two busy seconds, none idle.
+        let mut server = FifoServer::new(1.0);
+        server.arrive(0.0, 1.0, 0usize);
+        server.arrive(0.5, 1.0, 1usize);
+        while let Some(t) = server.next_event() {
+            server.on_event(t, &mut Vec::new());
+        }
+        assert_eq!(server.busy_time(), 2.0);
     }
 }

@@ -22,24 +22,34 @@
 //! * [`fifo`] — an M/G/1-FIFO server used as the ablation baseline: FIFO is
 //!   *not* insensitive to the service distribution, PS is — exactly why the
 //!   paper's analysis needs PS.
+//! * [`table`] — many PS and FIFO servers in one [`ServerTable`]: flat
+//!   per-server scalars and one pooled job family, so a network of
+//!   thousands of links owns no per-link object or heap block. Its PS
+//!   servers run the same virtual clock as [`PsServer`] (see [`ps`]), and
+//!   its FIFO servers compute the same completion times as [`FifoServer`].
 //! * [`driver`] — a harness that feeds an arrival trace through any
 //!   [`Server`] and records per-job response times.
 //!
+//! Processor sharing therefore has two job containers — [`PsServer`]'s own
+//! min-heap and the table's pooled pairing heaps — and one clock.
+//!
 //! Departures come out through a buffer the owner passes in:
-//! [`Server::on_event`] appends the jobs that completed and leaves earlier
-//! entries alone, so an owner that clears and reuses one buffer handles
-//! every event without allocating.
+//! [`Server::on_event`] and [`ServerTable::on_event`] append the jobs that
+//! completed and leave earlier entries alone, so an owner that clears and
+//! reuses one buffer handles every event without allocating.
 
 pub mod driver;
 pub mod fifo;
 pub mod ps;
 pub mod rr;
+pub mod table;
 pub mod theory;
 
 pub use driver::{drive, Departure};
 pub use fifo::FifoServer;
 pub use ps::PsServer;
 pub use rr::RrServer;
+pub use table::{Discipline, ServerTable};
 
 /// A completed job: when it finished and the caller's tag.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -78,15 +88,6 @@ pub trait Server<T> {
 
     /// Total busy time (at least one job present) up to the last update.
     fn busy_time(&self) -> f64;
-
-    /// Monotone generation counter that moves every time the answer of
-    /// [`Server::next_event`] may have changed (an arrival that reshuffles
-    /// departure times, a processed event, a capacity change). Owners that
-    /// mirror the server into an indexed scheduler (`simcore::sched`)
-    /// re-arm its timer only when the revision moved, so arrivals that
-    /// leave the next departure untouched (e.g. joining a busy FIFO queue)
-    /// cost no heap churn.
-    fn revision(&self) -> u64;
 }
 
 #[cfg(test)]

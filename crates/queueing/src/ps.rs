@@ -5,14 +5,25 @@
 //! is the number of jobs present: it measures the cumulative work received
 //! by any one job. A job arriving at real time `t` with `w` units of work
 //! finishes when `V` reaches `V(t) + w`. Because all jobs drain at the same
-//! rate, departure order is arrival-`V` plus work — a min-heap on the finish
-//! virtual time gives O(log n) arrivals and departures, independent of how
-//! many service-rate changes occur in between (a naive implementation is
-//! O(n) per event).
+//! rate, departure order is arrival-`V` plus work — jobs kept in order of
+//! their finish virtual time give each departure as the head, independent
+//! of how many service-rate changes occur in between (a naive
+//! implementation is O(n) per event).
 //!
-//! Each job's tag lives in its heap entry, beside the `(finish_v, seq)`
-//! key the heap orders by, so a departure pops the tag with the key and
-//! the server keeps no second per-job table.
+//! That arithmetic lives once, in the crate-private `VirtualClock`:
+//! advancing `V` over an interval, the departure time of the head tag,
+//! and the departure test with its drift snap. Two job containers use
+//! it:
+//!
+//! * [`PsServer`] keeps its jobs in a min-heap of `(finish_v, seq)` keys,
+//!   each entry carrying the job's tag, so a departure pops the tag with
+//!   the key and the server keeps no second per-job table: O(log n) per
+//!   arrival and departure.
+//! * [`crate::table::ServerTable`] keeps the jobs of every server of a
+//!   table in one pooled `simcore::sched::TimedHeaps` family (pairing
+//!   heaps through one node pool) keyed by the same `(finish_v, seq)`
+//!   order, so a server owns no heap block of its own: O(1) per arrival,
+//!   O(log n) amortised per departure.
 
 use crate::{Completion, Server};
 use simcore::stats::TimeWeighted;
@@ -65,14 +76,11 @@ impl<T> Ord for PsEntry<T> {
 /// ```
 pub struct PsServer<T> {
     capacity: f64,
-    tnow: f64,
-    vnow: f64,
+    clock: VirtualClock,
     heap: BinaryHeap<PsEntry<T>>,
     next_seq: u64,
-    busy: f64,
     work_done: f64,
     in_system: TimeWeighted,
-    revision: u64,
 }
 
 impl<T> PsServer<T> {
@@ -81,14 +89,11 @@ impl<T> PsServer<T> {
         assert!(capacity > 0.0, "capacity must be positive");
         PsServer {
             capacity,
-            tnow: 0.0,
-            vnow: 0.0,
+            clock: VirtualClock::default(),
             heap: BinaryHeap::new(),
             next_seq: 0,
-            busy: 0.0,
             work_done: 0.0,
             in_system: TimeWeighted::new(),
-            revision: 0,
         }
     }
 
@@ -102,7 +107,6 @@ impl<T> PsServer<T> {
         assert!(capacity > 0.0, "capacity must stay positive");
         self.advance_clock(t);
         self.capacity = capacity;
-        self.revision += 1;
     }
 
     /// Cumulative work completed (units).
@@ -120,29 +124,18 @@ impl<T> PsServer<T> {
         if t_end <= 0.0 {
             0.0
         } else {
-            // Busy time through tnow; the server state is unchanged after.
-            let extra = if !self.heap.is_empty() { t_end - self.tnow } else { 0.0 };
-            (self.busy + extra.max(0.0)) / t_end
+            // Busy time through the clock; the server state is unchanged after.
+            let extra = if !self.heap.is_empty() { t_end - self.clock.t } else { 0.0 };
+            (self.clock.busy + extra.max(0.0)) / t_end
         }
     }
 
-    /// Advances the internal clock to `t`, accruing virtual time. Must not
-    /// skip over a pending departure (the `Server` contract).
+    /// Advances the internal clock to `t`, accruing virtual time and work.
     fn advance_clock(&mut self, t: f64) {
-        debug_assert!(t >= self.tnow - 1e-9, "time went backwards: {t} < {}", self.tnow);
-        let dt = (t - self.tnow).max(0.0);
-        let k = self.heap.len();
-        if k > 0 && dt > 0.0 {
-            let dv = self.capacity * dt / k as f64;
-            debug_assert!(
-                self.heap.peek().map(|e| self.vnow + dv <= e.finish_v + 1e-6).unwrap_or(true),
-                "advanced past a departure"
-            );
-            self.vnow += dv;
-            self.busy += dt;
-            self.work_done += self.capacity * dt;
-        }
-        self.tnow = t;
+        let heap = &self.heap;
+        let dt =
+            self.clock.advance(t, heap.len(), self.capacity, || heap.peek().map(|e| e.finish_v));
+        self.work_done += self.capacity * dt;
     }
 }
 
@@ -152,37 +145,24 @@ impl<T> Server<T> for PsServer<T> {
         self.advance_clock(t);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(PsEntry { finish_v: self.vnow + work, seq, tag });
+        self.heap.push(PsEntry { finish_v: self.clock.v + work, seq, tag });
         self.in_system.set(t, self.heap.len() as f64);
-        // Every arrival changes the sharing rate, so every departure moves.
-        self.revision += 1;
     }
 
     fn next_event(&self) -> Option<f64> {
-        self.heap.peek().map(|e| {
-            let remaining_v = (e.finish_v - self.vnow).max(0.0);
-            self.tnow + remaining_v * self.heap.len() as f64 / self.capacity
-        })
+        self.heap.peek().map(|e| self.clock.departure(e.finish_v, self.heap.len(), self.capacity))
     }
 
     fn on_event(&mut self, t: f64, out: &mut Vec<Completion<T>>) {
         self.advance_clock(t);
-        // Pop every job whose finish virtual time has been reached
-        // (simultaneous departures share the same finish_v up to fp noise).
         while let Some(top) = self.heap.peek() {
-            if top.finish_v <= self.vnow + 1e-9 {
-                let e = self.heap.pop().expect("peeked entry");
-                // Snap virtual time to the departure point to stop drift.
-                if e.finish_v > self.vnow {
-                    self.vnow = e.finish_v;
-                }
-                out.push(Completion { time: t, tag: e.tag });
-            } else {
+            if !self.clock.departs(top.finish_v) {
                 break;
             }
+            let e = self.heap.pop().expect("peeked entry");
+            out.push(Completion { time: t, tag: e.tag });
         }
         self.in_system.set(t, self.heap.len() as f64);
-        self.revision += 1;
     }
 
     fn in_system(&self) -> usize {
@@ -190,11 +170,76 @@ impl<T> Server<T> for PsServer<T> {
     }
 
     fn busy_time(&self) -> f64 {
-        self.busy
+        self.clock.busy
+    }
+}
+
+/// The virtual-time state of one processor-sharing server, and the one
+/// implementation of its arithmetic that [`PsServer`] and
+/// [`crate::table::ServerTable`] share.
+///
+/// `t` is the real time of the last update, `v` the virtual time `V(t)`
+/// (work received by any one job so far) and `busy` the real time spent
+/// with at least one job present. A server's jobs are ordered by finish
+/// tag `V(arrival) + work`; the head is the next to leave.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct VirtualClock {
+    pub(crate) t: f64,
+    pub(crate) v: f64,
+    pub(crate) busy: f64,
+}
+
+impl VirtualClock {
+    /// Advances to real time `t` with `k` jobs sharing `capacity`, and
+    /// returns the busy time accrued (zero when idle). `head` yields the
+    /// smallest finish tag present, which the advance must not pass (the
+    /// [`Server`] contract); only debug builds call it.
+    #[inline]
+    pub(crate) fn advance(
+        &mut self,
+        t: f64,
+        k: usize,
+        capacity: f64,
+        head: impl FnOnce() -> Option<f64>,
+    ) -> f64 {
+        debug_assert!(t >= self.t - 1e-9, "time went backwards: {t} < {}", self.t);
+        let dt = (t - self.t).max(0.0);
+        self.t = t;
+        if k > 0 && dt > 0.0 {
+            let dv = capacity * dt / k as f64;
+            debug_assert!(
+                head().is_none_or(|finish_v| self.v + dv <= finish_v + 1e-6),
+                "advanced past a departure"
+            );
+            self.v += dv;
+            self.busy += dt;
+            dt
+        } else {
+            0.0
+        }
     }
 
-    fn revision(&self) -> u64 {
-        self.revision
+    /// Real time at which the job with finish tag `head` leaves, while `k`
+    /// jobs share `capacity`.
+    #[inline]
+    pub(crate) fn departure(&self, head: f64, k: usize, capacity: f64) -> f64 {
+        let remaining_v = (head - self.v).max(0.0);
+        self.t + remaining_v * k as f64 / capacity
+    }
+
+    /// Whether the job with finish tag `finish_v` has reached its finish
+    /// virtual time (simultaneous departures share one tag up to float
+    /// noise). A departing tag ahead of the clock snaps the virtual time
+    /// to it, which stops drift.
+    #[inline]
+    pub(crate) fn departs(&mut self, finish_v: f64) -> bool {
+        if finish_v > self.v + 1e-9 {
+            return false;
+        }
+        if finish_v > self.v {
+            self.v = finish_v;
+        }
+        true
     }
 }
 
@@ -370,23 +415,6 @@ mod tests {
         server.set_capacity(1.0, 9.0); // 9 units left? no: 1 done, 9 left at rate 9
         let t = server.next_event().unwrap();
         assert!((t - 2.0).abs() < 1e-9, "departure {t}");
-    }
-
-    #[test]
-    fn every_arrival_moves_the_revision() {
-        // PS resharing shifts every departure on each arrival, so the
-        // revision must move every time.
-        let mut server = PsServer::new(1.0);
-        let r0 = server.revision();
-        server.arrive(0.0, 2.0, 0usize);
-        let r1 = server.revision();
-        assert!(r1 > r0);
-        server.arrive(0.5, 1.0, 1usize);
-        let r2 = server.revision();
-        assert!(r2 > r1, "a second arrival reshuffles departures");
-        let t = server.next_event().unwrap();
-        server.on_event(t, &mut Vec::new());
-        assert!(server.revision() > r2);
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub struct RrServer<T> {
     /// Work that the current slice will deliver.
     slice_work: f64,
     busy: f64,
-    revision: u64,
 }
 
 impl<T> RrServer<T> {
@@ -41,7 +40,6 @@ impl<T> RrServer<T> {
             slice_end: None,
             slice_work: 0.0,
             busy: 0.0,
-            revision: 0,
         }
     }
 
@@ -54,7 +52,6 @@ impl<T> RrServer<T> {
             self.slice_end = None;
             self.slice_work = 0.0;
         }
-        self.revision += 1;
     }
 }
 
@@ -62,9 +59,11 @@ impl<T> Server<T> for RrServer<T> {
     fn arrive(&mut self, t: f64, work: f64, tag: T) {
         assert!(work > 0.0);
         debug_assert!(t >= self.tnow - 1e-9);
-        self.tnow = t;
         self.queue.push_back(RrJob { remaining: work, tag });
+        // An arrival behind a running slice leaves the clock alone: the
+        // slice's busy interval accrues when it ends.
         if self.slice_end.is_none() {
+            self.tnow = t;
             self.start_slice();
         }
     }
@@ -94,12 +93,6 @@ impl<T> Server<T> for RrServer<T> {
 
     fn busy_time(&self) -> f64 {
         self.busy
-    }
-
-    /// Moves whenever a slice starts or the server drains — an arrival
-    /// behind a running slice does not disturb the next event.
-    fn revision(&self) -> u64 {
-        self.revision
     }
 }
 
@@ -183,5 +176,18 @@ mod tests {
         let last = out.iter().map(|&(_, t)| t).fold(0.0, f64::max);
         // 20 units of work at capacity 2 with no idling after t=0: ends at ≥ 10.
         assert!(last >= 10.0 - 1e-9, "last departure {last}");
+    }
+
+    #[test]
+    fn busy_time_counts_the_slice_before_a_queued_arrival() {
+        // Capacity 1, quantum 0.75: the two jobs of 1.0 keep the server
+        // busy from 0 to 2 although the second joins mid-slice at 0.5.
+        let mut server = RrServer::new(1.0, 0.75);
+        server.arrive(0.0, 1.0, 0usize);
+        server.arrive(0.5, 1.0, 1usize);
+        while let Some(t) = server.next_event() {
+            server.on_event(t, &mut Vec::new());
+        }
+        assert_eq!(server.busy_time(), 2.0);
     }
 }

@@ -11,7 +11,8 @@
 //!   registration order is the same-instant firing order; and
 //!   [`sched::TimedQueues`], a family of sorted lists (one per timer
 //!   stream) threaded through one pooled node array, holds the payloads
-//!   the streams deliver.
+//!   the streams deliver; [`sched::TimedHeaps`] is the same contract as
+//!   pooled pairing heaps, for queues pushed in any order.
 //!   Both `cluster` proxy models run on it; the paper's single-server
 //!   models (`queueing`, `netsim`) need no scheduler and step their own
 //!   loops.

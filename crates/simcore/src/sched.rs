@@ -7,8 +7,10 @@
 //! cancelled many times over a run. Every stream owns a small-integer
 //! **key**; arming the key again simply replaces the previous deadline.
 //! The scheduler carries no payloads: a stream that delivers data keeps
-//! it in one queue of a [`TimedQueues`] family and arms its key at that
-//! queue's next time.
+//! it in one queue of a [`TimedQueues`] family (sorted lists, for queues
+//! mostly pushed in order) or a [`TimedHeaps`] family (pairing heaps, for
+//! queues pushed in any order) and arms its key at that queue's next
+//! time.
 //!
 //! The heap holds **exactly one entry per armed key**, and a per-key
 //! position table says where it sits. A re-arm rewrites the key's entry
@@ -300,6 +302,188 @@ impl<T: Copy> TimedQueues<T> {
             i = self.nodes[i as usize].next;
         }
         n
+    }
+}
+
+/// A family of pooled min-heaps of pending payloads keyed by `(time, id)`:
+/// the [`TimedQueues`] contract for queues whose pushes land anywhere in
+/// their order, such as the jobs of processor-sharing servers, keyed by
+/// finish virtual time.
+///
+/// A sorted list pays a walk for every push that does not sort last, so a
+/// queue thousands deep turns each push into thousands of steps. Here
+/// each queue is a **pairing heap** threaded through one node pool with a
+/// free list: a push links the new node under the root or the root under
+/// it (O(1)), and a pop melds the root's children in two passes (O(log
+/// n) amortised). A queue still costs one root index and no allocation of
+/// its own, and a popped node is reused by the next push to any queue.
+/// Entries pop in ascending `(time, id)` order, so the pop sequence is a
+/// pure function of the pushed keys.
+///
+/// ```
+/// use simcore::sched::TimedHeaps;
+///
+/// let mut h = TimedHeaps::new(2);
+/// h.push(0, 3.0, 0, "late");
+/// h.push(0, 1.0, 1, "early");
+/// h.push(1, 2.0, 2, "other heap");
+/// h.push(0, 2.0, 3, "middle");
+/// assert_eq!(h.next_time(0), Some(1.0));
+/// let popped: Vec<_> = std::iter::from_fn(|| h.pop(0)).collect();
+/// assert_eq!(popped, ["early", "middle", "late"]);
+/// assert_eq!((h.len(), h.pool_len(), h.free_len()), (1, 4, 3));
+/// ```
+#[derive(Debug)]
+pub struct TimedHeaps<T> {
+    /// `roots[q]`: the root node of heap `q`, or [`NIL`] when empty.
+    roots: Vec<u32>,
+    /// Every node ever allocated: pending entries and free ones.
+    nodes: Vec<HeapNode<T>>,
+    /// First node of the free list (threaded through `sibling`), or
+    /// [`NIL`].
+    free: u32,
+    /// Entries pending across every heap.
+    len: usize,
+}
+
+/// One pooled entry of a [`TimedHeaps`] family.
+#[derive(Clone, Copy, Debug)]
+struct HeapNode<T> {
+    /// `pack(time, id)`.
+    key: u128,
+    /// First child, or [`NIL`].
+    child: u32,
+    /// Next sibling under the same parent, or the next node of the free
+    /// list; [`NIL`] at either list's end. A root's is unused.
+    sibling: u32,
+    payload: T,
+}
+
+impl<T: Copy> TimedHeaps<T> {
+    /// `n` empty heaps over an empty pool.
+    pub fn new(n: usize) -> Self {
+        TimedHeaps { roots: vec![NIL; n], nodes: Vec::new(), free: NIL, len: 0 }
+    }
+
+    /// Number of heaps in the family.
+    pub fn n_queues(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// Enqueues `payload` on heap `q` under `(time, id)`; `id` breaks time
+    /// ties (it must be unique per pending entry of the heap for the order
+    /// to be total).
+    pub fn push(&mut self, q: usize, time: f64, id: u64, payload: T) {
+        assert!(time.is_finite(), "queued entry at non-finite time {time}");
+        let node = HeapNode { key: pack(time, id), child: NIL, sibling: NIL, payload };
+        let i = match self.free {
+            NIL => {
+                let i = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("fewer than 2^32 - 1 entries pending at once");
+                self.nodes.push(node);
+                i
+            }
+            i => {
+                self.free = self.nodes[i as usize].sibling;
+                self.nodes[i as usize] = node;
+                i
+            }
+        };
+        let root = self.roots[q];
+        self.roots[q] = if root == NIL { i } else { self.link(root, i) };
+        self.len += 1;
+    }
+
+    /// The time of heap `q`'s earliest pending entry.
+    pub fn next_time(&self, q: usize) -> Option<f64> {
+        match self.roots[q] {
+            NIL => None,
+            root => Some(entry_time(self.nodes[root as usize].key)),
+        }
+    }
+
+    /// Pops heap `q`'s earliest entry, whatever its time.
+    pub fn pop(&mut self, q: usize) -> Option<T> {
+        let root = self.roots[q];
+        if root == NIL {
+            return None;
+        }
+        let HeapNode { child, payload, .. } = self.nodes[root as usize];
+        self.roots[q] = self.merge_pairs(child);
+        self.nodes[root as usize].sibling = self.free;
+        self.free = root;
+        self.len -= 1;
+        Some(payload)
+    }
+
+    /// Entries pending across every heap.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Nodes in the pool, pending and free: the most entries ever pending
+    /// at once.
+    pub fn pool_len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Nodes on the free list (a walk of it); equal to
+    /// [`TimedHeaps::pool_len`] once every heap has drained.
+    pub fn free_len(&self) -> usize {
+        let (mut n, mut i) = (0, self.free);
+        while i != NIL {
+            n += 1;
+            i = self.nodes[i as usize].sibling;
+        }
+        n
+    }
+
+    /// Melds the heaps rooted at `a` and `b`: the larger root becomes the
+    /// first child of the smaller, which is returned.
+    #[inline]
+    fn link(&mut self, a: u32, b: u32) -> u32 {
+        let (top, sub) =
+            if self.nodes[b as usize].key < self.nodes[a as usize].key { (b, a) } else { (a, b) };
+        self.nodes[sub as usize].sibling = self.nodes[top as usize].child;
+        self.nodes[top as usize].child = sub;
+        top
+    }
+
+    /// Melds the sibling list starting at `first` into one heap, returning
+    /// its root: pairs linked left to right, then the pair roots linked
+    /// right to left (the two-pass pairing that bounds a pop at O(log n)
+    /// amortised).
+    fn merge_pairs(&mut self, first: u32) -> u32 {
+        // Pass 1: each linked pair is pushed onto a stack threaded through
+        // `sibling`, so the stack holds the pairs last first.
+        let (mut stack, mut cur) = (NIL, first);
+        while cur != NIL {
+            let a = cur;
+            let b = self.nodes[a as usize].sibling;
+            let top = if b == NIL {
+                cur = NIL;
+                a
+            } else {
+                cur = self.nodes[b as usize].sibling;
+                self.link(a, b)
+            };
+            self.nodes[top as usize].sibling = stack;
+            stack = top;
+        }
+        // Pass 2: fold the stack into one heap.
+        let mut root = NIL;
+        while stack != NIL {
+            let next = self.nodes[stack as usize].sibling;
+            root = if root == NIL { stack } else { self.link(root, stack) };
+            stack = next;
+        }
+        root
     }
 }
 

@@ -6,11 +6,12 @@
 //! small key space (a shallow heap) and on a large one (a heap four or
 //! more levels deep, with partly filled last sibling groups). A second
 //! family replays `TimedQueues` pushes and pops against one sorted mirror
-//! per queue, on one queue and on many sharing one node pool.
+//! per queue, on one queue and on many sharing one node pool, and a third
+//! does the same for the pairing heaps of `TimedHeaps`.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use simcore::sched::{KeyLayout, Scheduler, TimedQueues};
+use simcore::sched::{KeyLayout, Scheduler, TimedHeaps, TimedQueues};
 
 /// One scripted operation against the scheduler.
 #[derive(Clone, Copy, Debug)]
@@ -210,6 +211,59 @@ fn replay_queues(n_queues: usize, ops: &[(usize, QueueOp)]) -> Result<(), TestCa
     Ok(())
 }
 
+/// Replays `(heap, push or pop)` scripts against a [`TimedHeaps`] family
+/// of `n_heaps` heaps, checked at every step against one mirror per heap
+/// kept sorted in `(total_cmp time, id)` order: every pop returns its
+/// mirror's first entry, every heap's next time matches, and the pool
+/// never holds more nodes than the most entries pending at once. After a
+/// final drain every node is on the free list.
+fn replay_heaps(n_heaps: usize, ops: &[(usize, Option<(f64, u64)>)]) -> Result<(), TestCaseError> {
+    let mut h = TimedHeaps::new(n_heaps);
+    let mut mirrors: Vec<Vec<(f64, u64)>> = vec![Vec::new(); n_heaps];
+    let mut peak = 0;
+    for &(hi, op) in ops {
+        let mirror = &mut mirrors[hi];
+        match op {
+            Some((t, id)) if mirror.iter().all(|&(_, pending)| pending != id) => {
+                h.push(hi, t, id, (t.to_bits(), id));
+                let at = mirror
+                    .partition_point(|&(mt, mid)| mt.total_cmp(&t).then(mid.cmp(&id)).is_lt());
+                mirror.insert(at, (t, id));
+            }
+            Some(_) => {}
+            None => {
+                let expected = (!mirror.is_empty()).then(|| mirror.remove(0));
+                prop_assert_eq!(h.pop(hi), expected.map(|(t, id)| (t.to_bits(), id)));
+            }
+        }
+        let live: usize = mirrors.iter().map(Vec::len).sum();
+        prop_assert_eq!(h.len(), live);
+        for (hj, mirror) in mirrors.iter().enumerate() {
+            prop_assert_eq!(
+                h.next_time(hj).map(f64::to_bits),
+                mirror.first().map(|&(t, _)| t.to_bits())
+            );
+        }
+        peak = peak.max(live);
+        prop_assert!(h.pool_len() <= peak, "{} nodes for {} live at peak", h.pool_len(), peak);
+    }
+    for (hi, mirror) in mirrors.iter().enumerate() {
+        let popped: Vec<(u64, u64)> = std::iter::from_fn(|| h.pop(hi)).collect();
+        let expected: Vec<(u64, u64)> = mirror.iter().map(|&(t, id)| (t.to_bits(), id)).collect();
+        prop_assert_eq!(popped, expected);
+    }
+    prop_assert!(h.is_empty());
+    prop_assert_eq!(h.free_len(), h.pool_len());
+    Ok(())
+}
+
+/// Pushes (out-of-order times, grid ties, signed zeros; ids from a small
+/// range, so some repeat and are skipped) three times as often as pops.
+fn heap_op_strategy(n_heaps: usize) -> impl Strategy<Value = (usize, Option<(f64, u64)>)> {
+    (0..n_heaps, 0u32..4, time_strategy(), 0u64..256)
+        .prop_map(|(hi, kind, t, id)| (hi, (kind < 3).then_some((t, id))))
+}
+
 proptest! {
     /// The op-script property on a shallow heap of 12 keys.
     #[test]
@@ -239,6 +293,25 @@ proptest! {
         ops in proptest::collection::vec((0usize..12, queue_op_strategy()), 1..600),
     ) {
         replay_queues(12, &ops)?;
+    }
+
+    /// One pairing heap, pushed three times as often as popped, so it
+    /// grows hundreds deep and every pop melds long sibling lists (see
+    /// [`replay_heaps`]).
+    #[test]
+    fn timed_heap_matches_a_sorted_mirror(
+        ops in proptest::collection::vec(heap_op_strategy(1), 1..600),
+    ) {
+        replay_heaps(1, &ops)?;
+    }
+
+    /// Eight pairing heaps sharing one pool under interleaved pushes and
+    /// pops.
+    #[test]
+    fn timed_heaps_match_per_heap_sorted_mirrors(
+        ops in proptest::collection::vec(heap_op_strategy(8), 1..600),
+    ) {
+        replay_heaps(8, &ops)?;
     }
 
     /// Draining a scheduler after arbitrary arming yields times in

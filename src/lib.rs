@@ -39,7 +39,7 @@
 //! | Re-export | Crate | Contents |
 //! |-----------|-------|----------|
 //! | [`core`] | `prefetch-core` | the paper's equations: Models A/B/AB, thresholds, `G`, `C`, §4 estimator, adaptive controller |
-//! | [`queueing`] | `queueing` | M/G/1-PS theory + PS/RR/FIFO server simulations (with next-event revision counters) |
+//! | [`queueing`] | `queueing` | M/G/1-PS theory + PS/RR/FIFO server simulations + the pooled PS/FIFO server table the cluster's links run on |
 //! | [`simcore`] | `simcore` | indexed event scheduler (`sched`), PRNG, distributions, statistics, faults, observability |
 //! | [`workload`] | `workload` | catalogs, arrival processes, Markov streams, traces |
 //! | [`cachesim`] | `cachesim` | LRU/LFU/FIFO/CLOCK/random caches + §4 tagging |
@@ -86,8 +86,8 @@
 //! Both cluster engines run on [`simcore::sched::Scheduler`], an indexed
 //! event queue: a 4-ary min-heap over a fixed key space with one timer
 //! per event stream — a departure timer per link (re-armed from the
-//! queueing server's `next_event` only when its
-//! [`queueing::Server::revision`] counter moved), a queued-arrival timer
+//! link's [`queueing::ServerTable`] row only when its stale flag says the
+//! next departure may have moved), a queued-arrival timer
 //! per link, and per proxy a peer-check (cooperative model only),
 //! delivery, request, prefetch and fetch-failure timer. The heap holds
 //! one entry per armed timer, and a position table lets a re-arm or
@@ -99,7 +99,9 @@
 //! sorted list per link or proxy, keyed by `(time, id)`, that appends the
 //! in-order pushes fixed-latency links produce, with every list of the
 //! family threaded through one pooled node array, so an idle link holds
-//! no allocation. Simultaneous events fire in ascending key
+//! no allocation. The jobs in service wait the same way, in the link
+//! server table's pooled pairing heaps ([`simcore::sched::TimedHeaps`]).
+//! Simultaneous events fire in ascending key
 //! order, which keeps runs bit-deterministic (pinned by old-vs-new engine
 //! parity tests against the retired scan driver in `cluster::legacy`).
 //! Digest refreshes and boundary faults are not timers: the shard drivers
