@@ -326,6 +326,7 @@ impl Topology {
         latency: f64,
     ) -> Topology {
         let mut b = Topology::builder(n_proxies, 1);
+        b.links.reserve_exact(1 + n_proxies + n_proxies * n_proxies.saturating_sub(1) / 2);
         let backbone = b.add_link_latency(
             "backbone",
             backbone_bandwidth,
@@ -341,19 +342,40 @@ impl Topology {
             );
             b.route(p, 0, &[l, backbone]);
         }
+        // Peer links follow in `(p, q > p)` order, so the pair `(a, b)`,
+        // `a < b`, is link `pair_start[a] + b - a - 1`.
+        let mut pair_start = Vec::with_capacity(n_proxies);
         for p in 0..n_proxies {
+            pair_start.push(b.links.len());
             for q in p + 1..n_proxies {
-                let l = b.add_link_latency(
+                b.add_link_latency(
                     LinkName::pair("peer", p, q),
                     peer_bandwidth,
                     latency,
                     Discipline::ProcessorSharing,
                 );
-                b.peer_route(p, q, &[l]);
-                b.peer_route(q, p, &[l]);
             }
         }
-        b.build()
+        let mut t = b.build();
+        if n_proxies > 1 {
+            // One one-link row per ordered pair, written in slot order: the
+            // table `peer_route` would stage, without its per-call checks.
+            let n = n_proxies;
+            let mut peers = Routes { start: Vec::with_capacity(n * n + 1), ids: Vec::new() };
+            peers.ids.reserve_exact(n * (n - 1));
+            peers.start.push(0);
+            for p in 0..n {
+                for q in 0..n {
+                    if p != q {
+                        let (lo, hi) = (p.min(q), p.max(q));
+                        peers.ids.push(pair_start[lo] + hi - lo - 1);
+                    }
+                    peers.start.push(offset(peers.ids.len()));
+                }
+            }
+            t.peer_routes = peers;
+        }
+        t
     }
 
     /// A two-tier tree plus a peer *ring*: proxy `p` links to `(p+1) mod n`

@@ -6,7 +6,8 @@
 //! * [`sched`] — the event core. [`sched::Scheduler`] is a position-tracked
 //!   4-ary min-heap over a fixed key space holding one entry per armed
 //!   timer, so re-arming or cancelling a timer stream moves its entry in
-//!   place in O(log n), `pop` removes the root bottom-up, and `peek` is
+//!   place in O(log n), `pop` leaves the root slot open for the fired
+//!   stream's re-arm to fill (one heap repair for both), and `peek` is
 //!   O(1); [`sched::KeyLayout`] partitions the keys into classes whose
 //!   registration order is the same-instant firing order; and
 //!   [`sched::TimedQueues`], a family of sorted lists (one per timer

@@ -20,12 +20,17 @@
 //! `(time, key)` into one `u128` whose integer order is the
 //! `(f64::total_cmp, key)` order, so a sift step is one integer compare.
 //!
-//! [`Scheduler::pop`] removes the root **bottom-up**: it walks the hole
-//! from the root down the min-child path to a leaf, without comparing
-//! against the heap's last entry, and then sifts that last entry up from
-//! the leaf. An entry from the bottom level seldom climbs far, so the walk
-//! saves most of the comparisons a classic sift-down makes against it at
-//! every level. The smallest of a full group of four
+//! [`Scheduler::pop`] **defers the root's repair**: it disarms the fired
+//! key and leaves the root slot open. A simulation re-arms the stream
+//! that just fired more often than it does anything else next (about
+//! three pops in four on the cluster workloads), and that re-arm drops
+//! its new entry into the open slot and sifts it down from the root, so
+//! a pop plus its re-arm cost one heap repair instead of two. Any other
+//! mutation first closes the slot by moving the heap's last entry to the
+//! root and sifting it down: a re-arm of a key that is still armed, a
+//! [`Scheduler::cancel`], or the next pop. Meanwhile [`Scheduler::peek`]
+//! reads the least of the root's children, and [`Scheduler::len`] does
+//! not count the open slot. The smallest of a full group of four
 //! children is picked by a two-level tournament (two independent pairwise
 //! compares, then one), not a serial scan.
 //!
@@ -545,8 +550,13 @@ fn min_child(heap: &[u128], first: usize, n: usize) -> usize {
 /// exactly one entry per armed key, ordered by `(time, key)`.
 #[derive(Default)]
 pub struct Scheduler {
-    /// Packed `(time, key)` entries ([`pack`]), a 4-ary min-heap.
+    /// Packed `(time, key)` entries ([`pack`]), a 4-ary min-heap. While
+    /// `hole` is set, `heap[0]` is a dead slot and the root's children
+    /// head valid sub-heaps.
     heap: Vec<u128>,
+    /// The last [`Scheduler::pop`] left the root slot empty (see the
+    /// module docs).
+    hole: bool,
     /// `pos[key]`: index of the key's entry in `heap`, or [`DISARMED`].
     pos: Vec<u32>,
     /// Arms performed (first arms and re-arms).
@@ -564,7 +574,7 @@ impl Scheduler {
     /// A scheduler with keys `0..n`, all disarmed.
     pub fn with_timers(n: usize) -> Self {
         assert!(n <= DISARMED as usize, "{n} timer keys overflow the position table");
-        Scheduler { heap: Vec::new(), pos: vec![DISARMED; n], arms: 0, cancels: 0 }
+        Scheduler { heap: Vec::new(), hole: false, pos: vec![DISARMED; n], arms: 0, cancels: 0 }
     }
 
     /// Registers one more timer stream; returns its key (sequential).
@@ -579,14 +589,15 @@ impl Scheduler {
         self.pos.len()
     }
 
-    /// Number of currently armed timers — also the heap's size, since the
-    /// heap holds one entry per armed key and nothing else.
+    /// Number of currently armed timers: the heap holds one entry per
+    /// armed key, plus the root slot a pop left open, which is not
+    /// counted.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.hole)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Arms performed so far, first arms and re-arms alike (a
@@ -615,6 +626,14 @@ impl Scheduler {
         assert!(t.is_finite(), "timer {key} armed at non-finite time {t}");
         self.arms += 1;
         let e = pack(t, key as u64);
+        if self.pos[key] == DISARMED && self.hole {
+            // Typically the stream that just fired: its new deadline
+            // fills the root slot its pop left open.
+            self.hole = false;
+            self.sift_down(0, e);
+            return;
+        }
+        self.close_hole();
         match self.pos[key] {
             DISARMED => {
                 self.heap.push(e);
@@ -633,10 +652,10 @@ impl Scheduler {
 
     /// Disarms `key`; a no-op when it is not armed.
     pub fn cancel(&mut self, key: usize) {
-        let i = self.pos[key];
-        if i != DISARMED {
+        if self.pos[key] != DISARMED {
             self.cancels += 1;
-            self.remove_at(i as usize);
+            self.close_hole();
+            self.remove_at(self.pos[key] as usize);
         }
     }
 
@@ -653,37 +672,44 @@ impl Scheduler {
         }
     }
 
-    /// Earliest armed `(time, key)` without firing it.
+    /// Earliest armed `(time, key)` without firing it: the root, or with
+    /// the root slot open, the least of its (at most four) children.
     pub fn peek(&self) -> Option<(f64, usize)> {
-        self.heap.first().map(|&e| (entry_time(e), entry_key(e)))
+        let top = if self.hole {
+            let n = self.heap.len();
+            if n == 1 {
+                return None;
+            }
+            self.heap[min_child(&self.heap, 1, n)]
+        } else {
+            *self.heap.first()?
+        };
+        Some((entry_time(top), entry_key(top)))
     }
 
     /// Fires the earliest armed timer: returns `(time, key)` and disarms
-    /// the key (re-arm it to keep the stream going). Removes the root
-    /// bottom-up (see the module docs).
+    /// the key (re-arm it to keep the stream going). Leaves the root slot
+    /// open for that re-arm to fill (see the module docs).
     pub fn pop(&mut self) -> Option<(f64, usize)> {
+        self.close_hole();
         let &top = self.heap.first()?;
         self.pos[entry_key(top)] = DISARMED;
-        let last = self.heap.pop().expect("popping a non-empty heap");
-        let n = self.heap.len();
-        if n > 0 {
-            // Walk the hole at the root down the min-child path to a leaf,
-            // then refill it from the former last entry.
-            let mut i = 0;
-            loop {
-                let first = ARITY * i + 1;
-                if first >= n {
-                    break;
-                }
-                let child = min_child(&self.heap, first, n);
-                let c = self.heap[child];
-                self.heap[i] = c;
-                self.pos[entry_key(c)] = i as u32;
-                i = child;
-            }
-            self.sift_up(i, last);
-        }
+        self.hole = true;
         Some((entry_time(top), entry_key(top)))
+    }
+
+    /// Refills the root slot a pop left open, if any: the heap's last
+    /// entry moves to the root and sifts down.
+    #[inline]
+    fn close_hole(&mut self) {
+        if !self.hole {
+            return;
+        }
+        self.hole = false;
+        let last = self.heap.pop().expect("an open root slot is a heap slot");
+        if !self.heap.is_empty() {
+            self.sift_down(0, last);
+        }
     }
 
     /// Removes the entry at heap index `i` and disarms its key.

@@ -2,9 +2,11 @@
 //! interleavings of arm / re-arm / cancel / pop, events fire in
 //! nondecreasing time with a stable ascending-key tie order, and every
 //! fired event matches the *latest* deadline its key was armed with, with
-//! no superseded entry left behind in the heap. The op scripts run on a
-//! small key space (a shallow heap) and on a large one (a heap four or
-//! more levels deep, with partly filled last sibling groups). A second
+//! no superseded entry left behind in the heap. The op scripts re-arm the
+//! key a pop just fired often enough to fill the root slot that pop left
+//! open, and run on a small key space (a shallow heap) and on a large one
+//! (a heap four or more levels deep, with partly filled last sibling
+//! groups). Unit tests pin the open slot's edges. A second
 //! family replays `TimedQueues` pushes and pops against one sorted mirror
 //! per queue, on one queue and on many sharing one node pool, and a third
 //! does the same for the pairing heaps of `TimedHeaps`.
@@ -13,10 +15,14 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use simcore::sched::{KeyLayout, Scheduler, TimedHeaps, TimedQueues};
 
-/// One scripted operation against the scheduler.
+/// One scripted operation against the scheduler. `RearmPopped` re-arms
+/// the key the latest pop fired (nothing before any pop): the
+/// recurring-stream pattern, which fills the root slot a pop leaves open
+/// when no other mutation came between.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Schedule { key: usize, t: f64 },
+    RearmPopped { t: f64 },
     Sync { key: usize, t: Option<f64> },
     Cancel { key: usize },
     Peek,
@@ -37,13 +43,14 @@ fn time_strategy() -> impl Strategy<Value = f64> {
 
 fn op_strategy(n_keys: usize) -> impl Strategy<Value = Op> {
     // Discriminant-weighted mix: mostly arms, some pops, a few cancels.
-    (0u32..10, 0..n_keys, time_strategy()).prop_map(|(kind, key, t)| match kind {
+    (0u32..12, 0..n_keys, time_strategy()).prop_map(|(kind, key, t)| match kind {
         0..=3 => Op::Schedule { key, t },
         4 => Op::Sync { key, t: Some(t) },
         5 => Op::Sync { key, t: None },
         6 => Op::Cancel { key },
         7 => Op::Peek,
-        _ => Op::Pop,
+        8..=9 => Op::Pop,
+        _ => Op::RearmPopped { t },
     })
 }
 
@@ -65,66 +72,104 @@ fn bits(ev: Option<(f64, usize)>) -> Option<(u64, usize)> {
 /// (levels 0–3 hold 1 + 4 + 16 + 64 = 85 entries).
 const DEPTH_4_LEN: usize = 86;
 
+/// Which deep repairs of the root slot a [`replay`] reached: a sift from
+/// the root over a heap of at least [`DEPTH_4_LEN`] entries whose last
+/// sibling group was partly filled, once when a re-arm filled the slot a
+/// pop left open and once when another mutation closed it.
+#[derive(Default)]
+struct DeepRepairs {
+    max_len: usize,
+    fill: bool,
+    close: bool,
+}
+
 /// Replays an op script against a scheduler over `n_keys` keys and a
 /// mirror of "latest deadline per key" state: every pop returns exactly
 /// the earliest (time, key) armed in the mirror, so the full pop sequence
 /// is nondecreasing in time, ties resolve by ascending key, and superseded
 /// or cancelled deadlines never fire. After every op, `peek` agrees with
-/// the mirror's minimum, `armed` with every key's mirrored deadline, and
-/// the heap holds no more entries than there are armed keys.
+/// the mirror's minimum, `armed` with every key's mirrored deadline,
+/// `arms` and `cancels` with the mirror's own counts, and the heap holds
+/// no more entries than there are armed keys.
 ///
-/// Returns the largest heap size reached and whether a pop walked a heap
-/// of at least [`DEPTH_4_LEN`] entries whose last sibling group was
-/// partly filled.
-fn replay(n_keys: usize, ops: &[Op]) -> Result<(usize, bool), TestCaseError> {
+/// The mirror also tracks whether the root slot is open (a pop fired and
+/// nothing has mutated the heap since), to record which deep repairs of
+/// that slot the script reached.
+fn replay(n_keys: usize, ops: &[Op]) -> Result<DeepRepairs, TestCaseError> {
     let mut sched = Scheduler::with_timers(n_keys);
     let mut mirror: Vec<Option<f64>> = vec![None; n_keys];
-    let (mut max_len, mut deep_partial_pop) = (0, false);
+    let (mut arms, mut cancels) = (0u64, 0u64);
+    let (mut popped, mut hole) = (None, false);
+    let mut deep = DeepRepairs::default();
+    // A sift from the root over `n` entries: children of node p sit at
+    // 4p+1..=4p+4, so the last group is full exactly when n % 4 == 1.
+    let deep_partial = |n: usize| n >= DEPTH_4_LEN && n % 4 != 1;
     for &op in ops {
-        match op {
-            Op::Schedule { key, t } => {
-                sched.schedule(key, t);
-                mirror[key] = Some(t);
+        let live = mirror.iter().flatten().count();
+        // The arm or disarm this op makes, if any: `(key, deadline)`.
+        let change = match op {
+            Op::Schedule { key, t } => Some((key, Some(t))),
+            Op::RearmPopped { t } => popped.map(|key| (key, Some(t))),
+            // `sync` compares with `==`, so re-syncing `-0.0` onto an
+            // armed `0.0` (or back) keeps the armed encoding.
+            Op::Sync { key, t } => (mirror[key] != t).then_some((key, t)),
+            Op::Cancel { key } => mirror[key].is_some().then_some((key, None)),
+            Op::Peek | Op::Pop => None,
+        };
+        if hole && (change.is_some() || matches!(op, Op::Pop)) {
+            hole = false;
+            match change {
+                // An arm of a disarmed key fills the open slot; any other
+                // mutation closes it first.
+                Some((key, Some(_))) if mirror[key].is_none() => {
+                    deep.fill |= deep_partial(live + 1)
+                }
+                _ => deep.close |= deep_partial(live),
             }
-            Op::Sync { key, t } => {
-                sched.sync(key, t);
-                // `sync` compares with `==`, so re-syncing `-0.0` onto
-                // an armed `0.0` (or back) keeps the armed encoding.
-                if mirror[key] != t {
-                    mirror[key] = t;
+        }
+        match op {
+            Op::Schedule { key, t } => sched.schedule(key, t),
+            Op::RearmPopped { t } => {
+                if let Some(key) = popped {
+                    sched.schedule(key, t);
                 }
             }
-            Op::Cancel { key } => {
-                sched.cancel(key);
-                mirror[key] = None;
-            }
+            Op::Sync { key, t } => sched.sync(key, t),
+            Op::Cancel { key } => sched.cancel(key),
             Op::Peek => {
                 prop_assert_eq!(bits(sched.peek()), bits(mirror_min(&mirror)));
             }
             Op::Pop => {
-                // The hole walk runs over the n = len - 1 entries left
-                // once the root leaves. Children of node p sit at
-                // 4p+1..=4p+4, so their last group is full exactly when
-                // n % 4 == 1.
-                let n = sched.len().saturating_sub(1);
-                deep_partial_pop |= n >= DEPTH_4_LEN && n % 4 != 1;
                 let expected = mirror_min(&mirror);
                 prop_assert_eq!(bits(sched.pop()), bits(expected));
                 if let Some((_, k)) = expected {
                     mirror[k] = None;
+                    popped = Some(k);
+                    hole = true;
                 }
             }
         }
-        // `len` is the heap's size: equal to the armed count means no
-        // stale entry survives a re-arm, cancel or pop.
-        prop_assert_eq!(sched.len(), mirror.iter().flatten().count());
+        if let Some((key, t)) = change {
+            match t {
+                Some(_) => arms += 1,
+                None => cancels += 1,
+            }
+            mirror[key] = t;
+        }
+        // `len` is the heap's size less an open root slot: equal to the
+        // armed count means no stale entry survives a re-arm, cancel or
+        // pop.
+        let live = mirror.iter().flatten().count();
+        prop_assert_eq!(sched.len(), live);
+        prop_assert_eq!(sched.is_empty(), live == 0);
         prop_assert_eq!(bits(sched.peek()), bits(mirror_min(&mirror)));
+        prop_assert_eq!((sched.arms(), sched.cancels()), (arms, cancels));
         for (key, &t) in mirror.iter().enumerate() {
             prop_assert_eq!(sched.armed(key).map(f64::to_bits), t.map(f64::to_bits));
         }
-        max_len = max_len.max(sched.len());
+        deep.max_len = deep.max_len.max(live);
     }
-    Ok((max_len, deep_partial_pop))
+    Ok(deep)
 }
 
 /// One scripted operation against one queue of a [`TimedQueues`] family.
@@ -454,16 +499,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The op-script property on 256 keys with long scripts: the heap
-    /// grows to four or more levels, and pops run with the last sibling
-    /// group partly filled, so the bottom-up hole walk, the tournament
-    /// and the partial-group scan all meet deep heaps.
+    /// grows to four or more levels, and the root slot a pop leaves open
+    /// is both filled and closed with the last sibling group partly
+    /// filled, so both sifts from the root, the tournament and the
+    /// partial-group scan all meet deep heaps.
     #[test]
     fn deep_heap_pops_return_the_earliest_live_deadline(
         ops in proptest::collection::vec(op_strategy(256), 1_500..3_000),
     ) {
-        let (max_len, deep_partial_pop) = replay(256, &ops)?;
-        prop_assert!(max_len >= DEPTH_4_LEN, "heap peaked at {} entries", max_len);
-        prop_assert!(deep_partial_pop, "no pop on a deep heap with a partial last group");
+        let deep = replay(256, &ops)?;
+        prop_assert!(deep.max_len >= DEPTH_4_LEN, "heap peaked at {} entries", deep.max_len);
+        prop_assert!(deep.fill, "no deep fill of the root slot with a partial last group");
+        prop_assert!(deep.close, "no deep close of the root slot with a partial last group");
     }
 }
 
@@ -481,4 +528,77 @@ fn negative_zero_fires_before_positive_zero() {
         assert_eq!(bits(sched.pop()), Some((0.0f64.to_bits(), first)));
         assert_eq!(sched.pop(), None);
     }
+}
+
+/// Popping the only armed timer leaves an open root slot and nothing
+/// else: the scheduler reads empty, a second pop finds nothing, and the
+/// next arm (of any key) fills the slot.
+#[test]
+fn popping_the_last_entry_leaves_an_empty_scheduler() {
+    let mut sched = Scheduler::with_timers(2);
+    sched.schedule(0, 1.0);
+    assert_eq!(sched.pop(), Some((1.0, 0)));
+    assert_eq!((sched.peek(), sched.len(), sched.is_empty()), (None, 0, true));
+    assert_eq!(sched.armed(0), None);
+    assert_eq!(sched.pop(), None);
+    assert_eq!((sched.peek(), sched.len(), sched.is_empty()), (None, 0, true));
+    // A fill into an otherwise empty heap: the new entry is the root.
+    assert_eq!(sched.pop(), None);
+    sched.schedule(0, 2.0);
+    assert_eq!(sched.pop(), Some((2.0, 0)));
+    sched.schedule(1, 5.0);
+    assert_eq!((sched.peek(), sched.len(), sched.is_empty()), (Some((5.0, 1)), 1, false));
+    assert_eq!(sched.pop(), Some((5.0, 1)));
+    assert_eq!((sched.pop(), sched.len()), (None, 0));
+    assert_eq!((sched.arms(), sched.cancels()), (3, 0));
+}
+
+/// With the root slot open, `peek` is the least of the root's 1–4
+/// children, wherever that child sits in the group, and `len` counts
+/// only the children.
+#[test]
+fn peek_over_an_open_root_slot_reads_its_children() {
+    for children in 1..=4usize {
+        for min_at in 1..=children {
+            let mut sched = Scheduler::with_timers(children + 1);
+            // Key 0 is the root; arming keys 1..=children later than it,
+            // in key order, places key j at heap slot j.
+            sched.schedule(0, 0.0);
+            for key in 1..=children {
+                sched.schedule(key, if key == min_at { 1.0 } else { 10.0 + key as f64 });
+            }
+            assert_eq!(sched.pop(), Some((0.0, 0)));
+            assert_eq!(sched.peek(), Some((1.0, min_at)), "{children} children, min at {min_at}");
+            assert_eq!((sched.len(), sched.is_empty()), (children, false));
+            // Draining closes the slot and keeps the order.
+            let mut fired: Vec<usize> =
+                std::iter::from_fn(|| sched.pop()).map(|(_, k)| k).collect();
+            assert_eq!(fired.remove(0), min_at);
+            assert!(fired.windows(2).all(|w| w[0] < w[1]), "{fired:?}");
+        }
+    }
+}
+
+/// The `-0.0`/`0.0` tie with the root slot open: `peek` over the
+/// children and a fill into the slot both order `-0.0` first.
+#[test]
+fn negative_zero_orders_first_with_the_root_slot_open() {
+    let neg = (-0.0f64).to_bits();
+    let pos = 0.0f64.to_bits();
+    let mut sched = Scheduler::with_timers(3);
+    sched.schedule(0, -5.0);
+    sched.schedule(1, 0.0);
+    sched.schedule(2, -0.0);
+    assert_eq!(sched.pop(), Some((-5.0, 0)));
+    assert_eq!(bits(sched.peek()), Some((neg, 2)));
+    // The fill ties with key 1 at `0.0` and sorts after `-0.0`.
+    sched.schedule(0, 0.0);
+    assert_eq!(bits(sched.peek()), Some((neg, 2)));
+    assert_eq!(bits(sched.pop()), Some((neg, 2)));
+    assert_eq!(bits(sched.peek()), Some((pos, 0)));
+    // A `-0.0` fill into the slot goes ahead of both `0.0` entries.
+    sched.schedule(2, -0.0);
+    assert_eq!(bits(sched.peek()), Some((neg, 2)));
+    let drained: Vec<_> = std::iter::from_fn(|| bits(sched.pop())).collect();
+    assert_eq!(drained, [(neg, 2), (pos, 0), (pos, 1)]);
 }
