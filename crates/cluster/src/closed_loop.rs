@@ -41,12 +41,12 @@
 //! predictors and request sources, and what a request, a prefetch
 //! decision, a peer check, a delivery, a crash and a digest loss do to
 //! them. Everything between the proxies — link servers, propagation,
-//! faults and retries, effects across instants and scopes, tracing,
-//! recording, obs probes — is the shared transport of [`crate::engine`],
-//! the same one the open loop ([`crate::static_mode`]) runs on. Event
-//! *selection* lives in the [`crate::shard`] driver, conservative time
-//! windows over one thread per shard (the calling thread for one shard).
-//! Handlers never reach outside
+//! faults and retries, effects across instants and scopes, and the probe
+//! seam that tracing, recording and metrics consume — is the shared
+//! transport of [`crate::engine`], the same one the open loop
+//! ([`crate::static_mode`]) runs on. Event *selection* lives in the
+//! [`crate::shard`] driver, conservative time windows over one thread per
+//! shard (the calling thread for one shard). Handlers never reach outside
 //! their **scope** (some subset of proxies and link servers, or all of
 //! them): anything an event does to an entity at a later instant or in
 //! another scope is a timestamped effect which the driver settles —
@@ -63,9 +63,7 @@
 //! compaction fallback), and the driver flushes them to the shared router
 //! at the epoch boundary.
 
-use crate::engine::{
-    settle_waiters, trace_job, trace_point, Dest, Job, JobKind, Ledger, ProxyModel, Transport,
-};
+use crate::engine::{Dest, Job, JobKind, Ledger, ProxyModel, Transport};
 use crate::report::NodeReport;
 use crate::shard::BoundaryEntry;
 use crate::sim::{proxy_seed, Scope};
@@ -313,7 +311,7 @@ impl SharedWebs {
 
 /// One proxy's lazy cursor into a replayed trace. The stream covers the
 /// *whole* trace; this proxy consumes only the records whose client id is
-/// congruent to it modulo the recording's proxy count (the recorder folds
+/// congruent to it modulo the recording's proxy count (a recording folds
 /// the source proxy into the client's low digits), so every proxy stays at
 /// O(chunk) resident bytes regardless of trace length.
 struct TraceFeed {
@@ -334,7 +332,7 @@ enum Source {
 
 impl Source {
     /// Next request for this proxy; `None` when a replayed trace runs out.
-    /// Synthetic streams are endless. Replay decodes the recorder's
+    /// Synthetic streams are endless. Replay decodes the recording's
     /// client folding, so a re-recorded replay round-trips.
     fn next_request(&mut self, rng: &mut Rng) -> Option<TraceRecord> {
         match self {
@@ -599,16 +597,13 @@ impl ProxyModel for ClosedLoop {
         let req = p.pending.take().expect("request due");
         p.pending = p.source.next_request(&mut p.rng);
         let t = req.time;
-        let (in_window, rid) = tx.count_request(i);
-        if let Some(rec) = tx.recorder.as_mut() {
-            // Fold the proxy into the client id so replay can route the
-            // record back (`client % n_proxies == proxy`) while keeping
-            // the original client recoverable by division.
-            let stride = tx.topology.n_proxies() as u32;
-            rec[i].push(TraceRecord::new(t, me as u32 + stride * req.client, req.item, req.size));
-        }
-        let mf = if in_window { TF_MEASURED } else { 0 };
-        let lg = &mut tx.ledgers[i];
+        // A recording folds the proxy into the client id so replay can
+        // route the record back (`client % n_proxies == proxy`) while
+        // keeping the original client recoverable by division.
+        let stride = tx.topology.n_proxies() as u32;
+        let (in_window, rid) = tx.count_request(i, || {
+            TraceRecord::new(t, me as u32 + stride * req.client, req.item, req.size)
+        });
 
         // One probe consults the cache *and* the outstanding-fetch table:
         // a miss on an in-flight item joins the fetch's FIFO waiter queue
@@ -619,10 +614,7 @@ impl ProxyModel for ClosedLoop {
         match p.cache.probe_via(&mut p.mshr, req.item, t, req.size, waiter) {
             MshrAccess::Hit(AccessKind::HitTagged) => {
                 p.controller.on_cache_hit(t, EntryStatus::Tagged, req.size);
-                trace_point(&mut tx.trace, rid, t, SpanKind::Hit, me as u64, 0.0, req.item.0, mf);
-                if in_window {
-                    lg.hit(&mut tx.obs);
-                }
+                tx.hit(i, t, rid, req.item, in_window);
             }
             MshrAccess::Hit(AccessKind::HitUntagged) => {
                 p.controller.on_cache_hit(t, EntryStatus::Untagged, req.size);
@@ -634,10 +626,7 @@ impl ProxyModel for ClosedLoop {
                     .remove(&req.item)
                     .expect("untagged cache entry must have a recorded prefetch cost");
                 p.used_prefetch_bytes += cost;
-                trace_point(&mut tx.trace, rid, t, SpanKind::Hit, me as u64, 0.0, req.item.0, mf);
-                if in_window {
-                    lg.hit(&mut tx.obs);
-                }
+                tx.hit(i, t, rid, req.item, in_window);
             }
             MshrAccess::Hit(AccessKind::Miss) => unreachable!("probe_via maps misses"),
             // Joined the in-flight fetch instead of duplicating the
@@ -647,7 +636,7 @@ impl ProxyModel for ClosedLoop {
             }
             MshrAccess::Fetch { tracked } => {
                 p.controller.on_miss(t, req.size);
-                lg.demand_bytes += req.size;
+                tx.ledgers[i].demand_bytes += req.size;
                 fetch = Some(tracked);
             }
         }
@@ -667,7 +656,7 @@ impl ProxyModel for ClosedLoop {
                 trace: rid,
                 tseq: 0,
             };
-            tx.issue(job, t, t, mf);
+            tx.issue(job, t, t, if in_window { TF_MEASURED } else { 0 });
         }
 
         // Predict and prefetch.
@@ -685,9 +674,7 @@ impl ProxyModel for ClosedLoop {
         if threshold.is_finite() {
             let cands = &mut self.candidates;
             p.predictor.candidates_into(knobs.max_candidates, cands);
-            if let Some(o) = tx.obs.as_deref_mut() {
-                o.predictions(cands.len() as u64);
-            }
+            tx.predictions(cands.len());
             let size_aware =
                 knobs.delayed.size_aware && matches!(knobs.policy, ProxyPolicy::Adaptive);
             let scale = tx.ledgers[i].retrievals.mean();
@@ -746,9 +733,6 @@ impl ProxyModel for ClosedLoop {
             lg.prefetch_jobs += 1;
             lg.prefetch_bytes += pfx.size;
             let id = lg.next_job_id(me);
-            if let Some(o) = tx.obs.as_deref_mut() {
-                o.prefetch_issued();
-            }
             let job = Job {
                 id,
                 proxy: me as u32,
@@ -786,15 +770,7 @@ impl ProxyModel for ClosedLoop {
             // cancellation instant instead of silently dropping their
             // measured access times (the waiter-leak bug).
             if let Some(entry) = p.mshr.complete(&pfx.item) {
-                settle_waiters(
-                    &mut tx.trace,
-                    &mut tx.obs,
-                    &mut tx.ledgers[i],
-                    &entry.waiters,
-                    pfx.due,
-                    me as u64,
-                    pfx.item.0,
-                );
+                tx.settle_waiters(i, &entry.waiters, pfx.due, pfx.item, false);
             }
         }
     }
@@ -821,7 +797,7 @@ impl ProxyModel for ClosedLoop {
             fwd.hop = 0;
             fwd.spent += fwd.size;
             let fp = fwd.proxy as u64;
-            trace_job(&mut tx.trace, &mut fwd, t, SpanKind::Redirect, fp, 0.0, TF_FALSE_HIT);
+            tx.span(&mut fwd, t, SpanKind::Redirect, fp, 0.0, TF_FALSE_HIT);
             self.proxies[i].peer_false_hits += 1;
             let lg = &mut tx.ledgers[i];
             match job.kind {
@@ -831,16 +807,14 @@ impl ProxyModel for ClosedLoop {
             tx.launch(t, fwd);
             return;
         }
-        let jp = job.proxy as u64;
-        trace_job(&mut tx.trace, &mut job, t, SpanKind::Deliver, jp, 0.0, 0);
+        tx.delivered(i, t, &mut job);
         let p = &mut self.proxies[i];
-        let lg = &mut tx.ledgers[i];
         if matches!(job.dest, Dest::Peer(_)) {
             p.peer_fetches += 1;
             p.peer_bytes += job.size;
         }
         match job.kind {
-            JobKind::Demand { measured } => {
+            JobKind::Demand { .. } => {
                 let evicted = &mut self.evicted;
                 evicted.clear();
                 let admitted = p.cache.charge_after_fetch(job.item, job.size, evicted);
@@ -849,12 +823,8 @@ impl ProxyModel for ClosedLoop {
                 // already settled by a concurrent (bypassed) fetch, or a
                 // bypassed fetch itself, yields `None` here.
                 let entry = p.mshr.complete(&job.item);
-                if measured {
-                    lg.fetched(&mut tx.obs, t - job.issued);
-                }
                 let waiters = entry.map(|e| e.waiters).unwrap_or_default();
-                let residual_sum =
-                    settle_waiters(&mut tx.trace, &mut tx.obs, lg, &waiters, t, jp, job.item.0);
+                let residual_sum = tx.settle_waiters(i, &waiters, t, job.item, false);
                 if let Some(agg) = p.agg.as_mut() {
                     // The blocking fetch is charged its own latency plus
                     // every waiter's residual — the key's aggregate delay.
@@ -862,10 +832,7 @@ impl ProxyModel for ClosedLoop {
                     p.cache.set_value(job.item, score);
                 }
             }
-            JobKind::Prefetch { measured } => {
-                if measured {
-                    lg.total_job_time += t - job.issued;
-                }
+            JobKind::Prefetch { .. } => {
                 let entry = p.mshr.complete(&job.item);
                 let waiters = entry.map(|e| e.waiters).unwrap_or_default();
                 if !waiters.is_empty() {
@@ -879,8 +846,7 @@ impl ProxyModel for ClosedLoop {
                     let admitted = p.cache.charge_after_fetch(job.item, job.size, evicted);
                     note_cache_change(&mut self.deltas, i, p, job.item, admitted, evicted);
                     p.used_prefetch_bytes += job.spent;
-                    let residual_sum =
-                        settle_waiters(&mut tx.trace, &mut tx.obs, lg, &waiters, t, jp, job.item.0);
+                    let residual_sum = tx.settle_waiters(i, &waiters, t, job.item, false);
                     if let Some(agg) = p.agg.as_mut() {
                         // A prefetch the demand stream caught up with:
                         // only the residuals were felt as delay.

@@ -9,9 +9,14 @@
 //!
 //! * [`Transport`] owns one scope's link server table, the slab of jobs in
 //!   service, the per-entity arrival/check/deliver/fail queues, the effect
-//!   and dirty streams, the per-proxy [`Ledger`]s, span tracing, the
-//!   request recorder and the obs probes. [`Transport::launch`] resolves
-//!   a fetch's whole fault schedule — latency inflation, loss, timeout,
+//!   and dirty streams, the per-proxy [`Ledger`]s and the scope's one
+//!   probe seam, [`Probe`]. Handlers emit each job-lifecycle event
+//!   (`Transport::span`) and each access-time sample (a hit, a delivery,
+//!   a settled waiter, a failed fetch) through the transport, which
+//!   updates the ledger and hands the probe one copy; the metrics
+//!   registry, the span buffer and the request recorder consume it there,
+//!   so no handler names a consumer. [`Transport::launch`] resolves a
+//!   fetch's whole fault schedule — latency inflation, loss, timeout,
 //!   retry, backoff, peer failover — analytically at launch.
 //! * A [`ProxyModel`] is what differs between the behaviours: per-proxy
 //!   state, when requests and prefetches come due and what they do, what
@@ -39,7 +44,7 @@
 //! the same RNG draws, float operations and effect emissions as an
 //! unfaulted run.
 
-use crate::obs::{ClusterObs, EngineObs};
+use crate::obs::{ClusterObs, Probe};
 use crate::report::{ClusterReport, CoopReport, LinkReport, NodeReport};
 use crate::shard::{
     self, BoundaryEntry, Effect, ShardRunner, CLASS_ARRIVE, CLASS_CHECK, CLASS_DELIVER,
@@ -55,10 +60,8 @@ use simcore::faults::{FaultConfig, FaultKind};
 use simcore::obs::ObsConfig;
 use simcore::sched::TimedQueues;
 use simcore::stats::{BatchMeans, Welford};
-use simcore::trace::{
-    self, SpanEvent, SpanKind, TraceBuf, TraceStore, TF_FALSE_HIT, TF_MEASURED, TF_PREFETCH,
-};
-use simcore::{Registry, Scheduler};
+use simcore::trace::{SpanEvent, SpanKind, TraceStore, TF_FALSE_HIT, TF_MEASURED, TF_PREFETCH};
+use simcore::Scheduler;
 use workload::{ItemId, TraceRecord};
 
 /// Demand fetch or speculative transfer; `measured` marks jobs issued
@@ -122,71 +125,11 @@ impl Job {
     }
 }
 
-/// Mirrors one access-time sample into the latency probe. A free function
-/// over the `obs` field alone, so call sites holding a `&mut` ledger can
-/// still record (disjoint-field borrows).
-#[inline]
-fn obs_lat(obs: &mut Option<Box<EngineObs>>, x: f64) {
-    if let Some(o) = obs.as_deref_mut() {
-        o.latency(x);
-    }
-}
-
-/// Appends one span record for a traced job and advances its per-trace
-/// sequence counter. A free function over the buffer alone, so call sites
-/// holding a `&mut` proxy or ledger can record.
-#[inline]
-pub(crate) fn trace_job(
-    buf: &mut Option<Box<TraceBuf>>,
-    job: &mut Job,
-    t: f64,
-    kind: SpanKind,
-    entity: u64,
-    aux: f64,
-    flags: u8,
-) {
-    if let Some(b) = buf.as_deref_mut() {
-        if job.trace != 0 {
-            let seq = job.tseq;
-            job.tseq += 1;
-            b.push(SpanEvent {
-                trace: job.trace,
-                seq,
-                t,
-                kind,
-                entity,
-                aux,
-                item: job.item.0,
-                flags,
-            });
-        }
-    }
-}
-
-/// Appends a single-record trace (a cache hit or an in-flight wait).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn trace_point(
-    buf: &mut Option<Box<TraceBuf>>,
-    id: u64,
-    t: f64,
-    kind: SpanKind,
-    entity: u64,
-    aux: f64,
-    item: u64,
-    flags: u8,
-) {
-    if id != 0 {
-        if let Some(b) = buf.as_deref_mut() {
-            b.push(SpanEvent { trace: id, seq: 0, t, kind, entity, aux, item, flags });
-        }
-    }
-}
-
 /// Per-proxy accounting every model keeps the same way: request and job
 /// counters, access-time statistics, byte volumes, delayed hits and fault
-/// tallies. The transport owns it (launch charges timeouts, retries and
-/// failovers here); the models' handlers feed the rest.
+/// tallies. The transport owns it: launch charges timeouts, retries and
+/// failovers here, and every access-time sample lands here through the
+/// transport's hooks; the models' handlers feed the byte and job counters.
 pub(crate) struct Ledger {
     job_seq: u64,
     /// Requests issued so far, warm-up included.
@@ -249,75 +192,6 @@ impl Ledger {
     pub(crate) fn next_job_id(&mut self, proxy: usize) -> u64 {
         self.job_seq += 1;
         ((proxy as u64) << 40) | self.job_seq
-    }
-
-    /// A measured request served at once: zero access time.
-    pub(crate) fn hit(&mut self, obs: &mut Option<Box<EngineObs>>) {
-        self.access_times.push(0.0);
-        obs_lat(obs, 0.0);
-        self.hits += 1;
-    }
-
-    /// A measured demand fetch landed after `sojourn`.
-    pub(crate) fn fetched(&mut self, obs: &mut Option<Box<EngineObs>>, sojourn: f64) {
-        self.access_times.push(sojourn);
-        self.retrievals.push(sojourn);
-        self.total_job_time += sojourn;
-        obs_lat(obs, sojourn);
-    }
-}
-
-/// Settles a completed MSHR entry's waiters at `t`, in FIFO order: one
-/// `Wait` span per waiter; measured waiters record their residual wait as
-/// an access time and count as **delayed hits**. Returns the sum of all
-/// waiters' residual waits — the aggregate-delay charge the blocking key
-/// accrues beyond the fetch's own latency.
-pub(crate) fn settle_waiters(
-    trace: &mut Option<Box<TraceBuf>>,
-    obs: &mut Option<Box<EngineObs>>,
-    lg: &mut Ledger,
-    waiters: &[Waiter],
-    t: f64,
-    proxy: u64,
-    item: u64,
-) -> f64 {
-    let mut residual_sum = 0.0;
-    for w in waiters {
-        let wf = if w.measured { TF_MEASURED } else { 0 };
-        trace_point(trace, w.trace, t, SpanKind::Wait, proxy, w.t, item, wf);
-        residual_sum += t - w.t;
-        if w.measured {
-            lg.delayed_hits += 1;
-            lg.residual.push(t - w.t);
-            lg.access_times.push(t - w.t);
-            obs_lat(obs, t - w.t);
-        }
-    }
-    residual_sum
-}
-
-/// Settles the waiters of a **failed** fetch at `t`: their wait ends with
-/// a failure, not data, so they count toward unavailability instead of
-/// delayed hits. Each measured waiter still records the full wall-clock it
-/// spent blocked as an access time — graceful degradation is visible in
-/// `t̄`, not hidden from it.
-fn settle_failed_waiters(
-    trace: &mut Option<Box<TraceBuf>>,
-    obs: &mut Option<Box<EngineObs>>,
-    lg: &mut Ledger,
-    waiters: &[Waiter],
-    t: f64,
-    proxy: u64,
-    item: u64,
-) {
-    for w in waiters {
-        let wf = if w.measured { TF_MEASURED } else { 0 };
-        trace_point(trace, w.trace, t, SpanKind::Wait, proxy, w.t, item, wf);
-        if w.measured {
-            lg.measured_failed += 1;
-            lg.access_times.push(t - w.t);
-            obs_lat(obs, t - w.t);
-        }
     }
 }
 
@@ -426,19 +300,14 @@ pub(crate) struct Transport<'a> {
     t_end: f64,
     warm: u64,
     pub(crate) n_requests: u64,
-    /// Probe state when this run is observed; `None` (the default) keeps
-    /// every hook to a single branch.
-    pub(crate) obs: Option<Box<EngineObs>>,
-    /// Span buffer when this run is traced; same zero-overhead contract.
-    pub(crate) trace: Option<Box<TraceBuf>>,
-    /// Per-local-proxy recorded requests when this run records a trace.
-    pub(crate) recorder: Option<Vec<Vec<TraceRecord>>>,
+    /// The probe seam, `Some` when the run is observed or recorded;
+    /// `None` keeps every hook to a single branch.
+    probe: Option<Box<Probe>>,
 }
 
 impl<'a> Transport<'a> {
     fn new(run: &Run<'a>, scope: Scope) -> Self {
         let topology = run.topology;
-        let trace_every = run.obs.filter(|c| c.enabled).map_or(0, |c| c.trace_every);
         let (n_links, n_proxies) = (scope.links.len(), scope.proxies.len());
         Transport {
             topology,
@@ -462,17 +331,19 @@ impl<'a> Transport<'a> {
             t_end: 0.0,
             warm: run.warmup as u64,
             n_requests: run.requests as u64,
-            obs: None,
-            trace: (trace_every > 0).then(|| Box::new(TraceBuf::new(trace_every))),
-            recorder: run.record.then(|| vec![Vec::new(); n_proxies]),
+            probe: None,
             scope,
         }
     }
 
     /// Counts local proxy `i`'s next request, returning whether it falls
-    /// inside the measurement window and its head-sampled trace id (a pure
-    /// hash of `(proxy, request index)`, identical under every sharding).
-    pub(crate) fn count_request(&mut self, i: usize) -> (bool, u64) {
+    /// inside the measurement window and its head-sampled trace id; a
+    /// recording run records the request `rec` builds.
+    pub(crate) fn count_request(
+        &mut self,
+        i: usize,
+        rec: impl FnOnce() -> TraceRecord,
+    ) -> (bool, u64) {
         let lg = &mut self.ledgers[i];
         let idx = lg.issued;
         lg.issued += 1;
@@ -480,18 +351,148 @@ impl<'a> Transport<'a> {
         if in_window {
             lg.measured += 1;
         }
-        let me = self.scope.proxies[i] as u64;
-        let rid = self.trace.as_deref().map_or(0, |b| b.admit(trace::request_trace_id(me, idx)));
+        let rid = match self.probe.as_deref_mut() {
+            Some(p) => p.request(i, self.scope.proxies[i] as u64, idx, rec),
+            None => 0,
+        };
         (in_window, rid)
     }
 
     /// Head-sampling decision for prefetch job `id` of global proxy `me`.
-    /// The prefetch-id stream mirrors the job-id stream: the low 40 bits
-    /// of `id` are the proxy's job sequence number.
     pub(crate) fn prefetch_trace(&self, me: usize, id: u64) -> u64 {
-        self.trace
-            .as_deref()
-            .map_or(0, |b| b.admit(trace::prefetch_trace_id(me as u64, id & ((1 << 40) - 1))))
+        self.probe.as_deref().map_or(0, |p| p.prefetch_trace(me as u64, id))
+    }
+
+    /// Notes one predictor scoring call that produced `n` candidates.
+    pub(crate) fn predictions(&mut self, n: usize) {
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.predictions(n as u64);
+        }
+    }
+
+    /// Emits one job-lifecycle event of `job` — `kind` at `t` on `entity`
+    /// — to the probe, advancing the job's per-trace sequence number.
+    #[inline]
+    pub(crate) fn span(
+        &mut self,
+        job: &mut Job,
+        t: f64,
+        kind: SpanKind,
+        entity: u64,
+        aux: f64,
+        flags: u8,
+    ) {
+        if let Some(p) = self.probe.as_deref_mut() {
+            let seq = job.tseq;
+            job.tseq += 1;
+            p.event(SpanEvent {
+                trace: job.trace,
+                seq,
+                t,
+                kind,
+                entity,
+                aux,
+                item: job.item.0,
+                flags,
+            });
+        }
+    }
+
+    /// Emits the single-record `kind` span (a hit or a settled wait) of
+    /// request trace `id` at local proxy `i`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn point(
+        &mut self,
+        id: u64,
+        i: usize,
+        t: f64,
+        kind: SpanKind,
+        aux: f64,
+        item: ItemId,
+        flags: u8,
+    ) {
+        if let Some(p) = self.probe.as_deref_mut() {
+            let entity = self.scope.proxies[i] as u64;
+            p.event(SpanEvent { trace: id, seq: 0, t, kind, entity, aux, item: item.0, flags });
+        }
+    }
+
+    /// One measured access time `x` of local proxy `i`: the ledger's
+    /// sample and the latency histogram's, in one call.
+    #[inline]
+    fn access_time(&mut self, i: usize, x: f64) {
+        self.ledgers[i].access_times.push(x);
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.latency(x);
+        }
+    }
+
+    /// Local proxy `i` serves a request from its cache at `t`: the `Hit`
+    /// span of request trace `rid`, and for a `measured` request a hit
+    /// with zero access time.
+    pub(crate) fn hit(&mut self, i: usize, t: f64, rid: u64, item: ItemId, measured: bool) {
+        let flags = if measured { TF_MEASURED } else { 0 };
+        self.point(rid, i, t, SpanKind::Hit, 0.0, item, flags);
+        if measured {
+            self.ledgers[i].hits += 1;
+            self.access_time(i, 0.0);
+        }
+    }
+
+    /// `job` lands at its requesting proxy, local index `i`, at `t`: its
+    /// `Deliver` span, and its sojourn in the ledger when measured. A
+    /// measured demand fetch's sojourn is its request's access time.
+    pub(crate) fn delivered(&mut self, i: usize, t: f64, job: &mut Job) {
+        let jp = job.proxy as u64;
+        self.span(job, t, SpanKind::Deliver, jp, 0.0, 0);
+        let sojourn = t - job.issued;
+        match job.kind {
+            JobKind::Demand { measured: true } => {
+                let lg = &mut self.ledgers[i];
+                lg.retrievals.push(sojourn);
+                lg.total_job_time += sojourn;
+                self.access_time(i, sojourn);
+            }
+            JobKind::Prefetch { measured: true } => self.ledgers[i].total_job_time += sojourn,
+            _ => {}
+        }
+    }
+
+    /// Settles an MSHR entry's waiters at local proxy `i` at `t`, in FIFO
+    /// order: one `Wait` span per waiter, and each measured waiter's
+    /// residual wait recorded as an access time. Data ends the wait of a
+    /// **delayed hit**; a `failed` fetch ends it with a failure instead,
+    /// counted toward unavailability — graceful degradation is visible in
+    /// `t̄`, not hidden from it. Returns the sum of all waiters' residual
+    /// waits — the aggregate-delay charge the blocking key accrues beyond
+    /// the fetch's own latency.
+    pub(crate) fn settle_waiters(
+        &mut self,
+        i: usize,
+        waiters: &[Waiter],
+        t: f64,
+        item: ItemId,
+        failed: bool,
+    ) -> f64 {
+        let mut residual_sum = 0.0;
+        for w in waiters {
+            let flags = if w.measured { TF_MEASURED } else { 0 };
+            self.point(w.trace, i, t, SpanKind::Wait, w.t, item, flags);
+            let wait = t - w.t;
+            residual_sum += wait;
+            if w.measured {
+                let lg = &mut self.ledgers[i];
+                if failed {
+                    lg.measured_failed += 1;
+                } else {
+                    lg.delayed_hits += 1;
+                    lg.residual.push(wait);
+                }
+                self.access_time(i, wait);
+            }
+        }
+        residual_sum
     }
 
     /// Propagation latency into global link `g` at `now`, inflated by any
@@ -628,7 +629,7 @@ impl<'a> Transport<'a> {
                 self.ledgers[i].retries += 1;
                 let next = expiry + fc.retry.backoff(self.seed, job.id, attempt);
                 let jp = job.proxy as u64;
-                trace_job(&mut self.trace, &mut job, next, SpanKind::Retry, jp, expiry, 0);
+                self.span(&mut job, next, SpanKind::Retry, jp, expiry, 0);
                 t_att = next;
             } else {
                 self.effects.push(Effect::Fail { p: job.proxy, t: expiry, job });
@@ -641,7 +642,7 @@ impl<'a> Transport<'a> {
     /// made — and launches it at `t`.
     pub(crate) fn issue(&mut self, mut job: Job, t: f64, decided: f64, flags: u8) {
         let jp = job.proxy as u64;
-        trace_job(&mut self.trace, &mut job, t, SpanKind::Issue, jp, decided, flags);
+        self.span(&mut job, t, SpanKind::Issue, jp, decided, flags);
         self.launch(t, job);
     }
 
@@ -652,16 +653,13 @@ impl<'a> Transport<'a> {
         // (empty, capacity kept) at the end.
         let mut done = std::mem::take(&mut self.done);
         self.servers.on_event(l, t, &mut done);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.jobs_completed(l, done.len());
-        }
         let bandwidth = self.topology.links()[g_l].bandwidth;
         for c in done.drain(..) {
             let mut job = self.slab[c.tag as usize];
             self.free.push(c.tag);
             self.servers.carry(l, job.size);
             let service = job.size / bandwidth;
-            trace_job(&mut self.trace, &mut job, t, SpanKind::Dequeue, g_l as u64, service, 0);
+            self.span(&mut job, t, SpanKind::Dequeue, g_l as u64, service, 0);
             let route = job.path(self.topology);
             if job.hop + 1 < route.len() {
                 // Tandem hop: forward to the next link unchanged.
@@ -684,7 +682,7 @@ impl<'a> Transport<'a> {
     /// `job` enters local link `l`'s server at `t`.
     fn arrive_now(&mut self, l: usize, t: f64, mut job: Job) {
         let g_l = self.scope.links[l] as u64;
-        trace_job(&mut self.trace, &mut job, t, SpanKind::Enqueue, g_l, 0.0, 0);
+        self.span(&mut job, t, SpanKind::Enqueue, g_l, 0.0, 0);
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = job;
@@ -697,9 +695,6 @@ impl<'a> Transport<'a> {
             }
         };
         self.servers.arrive(l, t, job.size, slot);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.job_arrived(l);
-        }
         self.dirty.push((CLASS_DEPART, l));
     }
 }
@@ -725,30 +720,24 @@ pub(crate) struct Engine<'a, M> {
     model: M,
 }
 
-impl<M: ProxyModel> Engine<'_, M> {
-    /// `(cache occupancy bytes, outstanding fetches)` across the scope.
-    fn aggregates(&self) -> (f64, f64) {
-        let outstanding: usize =
-            (0..self.tx.scope.proxies.len()).map(|i| self.model.mshr(i).map_or(0, Mshr::len)).sum();
-        (self.model.cache_bytes(), outstanding as f64)
-    }
+/// `(cache occupancy bytes, outstanding fetches)` across a scope of
+/// `n_proxies` proxies.
+fn aggregates<M: ProxyModel>(model: &M, n_proxies: usize) -> (f64, f64) {
+    let outstanding: usize = (0..n_proxies).map(|i| model.mshr(i).map_or(0, Mshr::len)).sum();
+    (model.cache_bytes(), outstanding as f64)
+}
 
+impl<M: ProxyModel> Engine<'_, M> {
     /// Flushes every sampling-grid point at or before `t`. Called at the
     /// entry of every dispatch and `apply_now` **before** any state
     /// mutation at `t`, so a grid point `g` always samples "all events
     /// strictly before `g`" — the same state under every sharding.
     fn obs_tick(&mut self, t: f64) {
-        let Some(mut o) = self.tx.obs.take() else { return };
-        o.tick(t, &self.tx.servers, || self.aggregates());
-        self.tx.obs = Some(o);
-    }
-
-    /// Final grid flush at the cluster-wide `t_end`, returning this
-    /// scope's registry for merging (`None` when unobserved).
-    fn obs_finish(&mut self, t_end: f64) -> Option<Registry> {
-        let mut o = self.tx.obs.take()?;
-        o.tick(t_end, &self.tx.servers, || self.aggregates());
-        Some(o.finish())
+        let Some(p) = self.tx.probe.as_deref_mut() else { return };
+        if let Some(o) = p.obs.as_mut() {
+            let (model, n) = (&self.model, self.tx.scope.proxies.len());
+            o.tick(t, &self.tx.servers, || aggregates(model, n));
+        }
     }
 
     /// The peer-serve check of `job` at local proxy `i` (= `job.dest`'s
@@ -761,7 +750,7 @@ impl<M: ProxyModel> Engine<'_, M> {
         debug_assert!(matches!(job.dest, Dest::Peer(q) if me == q as usize));
         let holds = self.model.holds(i, job.item);
         let (aux, flags) = if holds { (1.0, 0) } else { (0.0, TF_FALSE_HIT) };
-        trace_job(&mut tx.trace, &mut job, t, SpanKind::Check, me as u64, aux, flags);
+        tx.span(&mut job, t, SpanKind::Check, me as u64, aux, flags);
         let route = job.path(tx.topology);
         tx.send_deliver(route, t, job, !holds);
     }
@@ -787,19 +776,18 @@ impl<M: ProxyModel> Engine<'_, M> {
         debug_assert_eq!(tx.scope.proxies[i], job.proxy as usize);
         let jp = job.proxy as u64;
         let pf = if matches!(job.kind, JobKind::Prefetch { .. }) { TF_PREFETCH } else { 0 };
-        trace_job(&mut tx.trace, &mut job, t, SpanKind::Failed, jp, 0.0, pf);
-        let lg = &mut tx.ledgers[i];
-        lg.failed_fetches += 1;
+        tx.span(&mut job, t, SpanKind::Failed, jp, 0.0, pf);
+        tx.ledgers[i].failed_fetches += 1;
         let mshr = self.model.mshr_mut(i);
         let entry = match job.kind {
             JobKind::Demand { measured } => {
+                let lg = &mut tx.ledgers[i];
                 lg.demand_bytes -= job.size;
                 if measured {
                     let sojourn = t - job.issued;
                     lg.measured_failed += 1;
-                    lg.access_times.push(sojourn);
                     lg.total_job_time += sojourn;
-                    obs_lat(&mut tx.obs, sojourn);
+                    tx.access_time(i, sojourn);
                 }
                 mshr.and_then(|m| {
                     if !job.tracked {
@@ -820,7 +808,7 @@ impl<M: ProxyModel> Engine<'_, M> {
                 })
             }
             JobKind::Prefetch { .. } => {
-                lg.prefetch_bytes -= job.size;
+                tx.ledgers[i].prefetch_bytes -= job.size;
                 // Duplicate reservations are filtered on the table, so a
                 // Prefetch-origin entry for this item is this job's. (The
                 // open loop's itemless prefetches never match one.)
@@ -836,15 +824,7 @@ impl<M: ProxyModel> Engine<'_, M> {
             }
         };
         if let Some(entry) = entry {
-            settle_failed_waiters(
-                &mut tx.trace,
-                &mut tx.obs,
-                lg,
-                &entry.waiters,
-                t,
-                jp,
-                job.item.0,
-            );
+            tx.settle_waiters(i, &entry.waiters, t, job.item, true);
         }
     }
 
@@ -857,13 +837,11 @@ impl<M: ProxyModel> Engine<'_, M> {
         tx.t_end = tx.t_end.max(t);
         self.model.crash(i);
         let Some(mshr) = self.model.mshr_mut(i) else { return };
-        let jp = tx.scope.proxies[i] as u64;
-        let lg = &mut tx.ledgers[i];
         for (item, entry) in mshr.drain_failed() {
             if entry.origin == FetchOrigin::Demand {
-                lg.failed_fetches += 1;
+                tx.ledgers[i].failed_fetches += 1;
             }
-            settle_failed_waiters(&mut tx.trace, &mut tx.obs, lg, &entry.waiters, t, jp, item.0);
+            tx.settle_waiters(i, &entry.waiters, t, item, true);
         }
     }
 }
@@ -924,12 +902,7 @@ impl<M: ProxyModel> Engine<'_, M> {
                     self.deliver_now(idx, t, job, false_hit);
                 }
             }
-            CLASS_REQUEST => {
-                if let Some(o) = self.tx.obs.as_deref_mut() {
-                    o.request();
-                }
-                self.model.on_request(&mut self.tx, idx, router);
-            }
+            CLASS_REQUEST => self.model.on_request(&mut self.tx, idx, router),
             CLASS_PREFETCH => self.model.on_prefetch(&mut self.tx, idx, router),
             CLASS_FAIL => {
                 while let Some(job) = self.tx.fails.pop_due(idx, t) {
@@ -1277,12 +1250,10 @@ impl<'a> Run<'a> {
         let runners: Vec<ShardRunner<'a, M>> = (0..self.plan.n_shards())
             .map(|s| {
                 let mut engine = self.shard(s, &model);
+                let scope = &engine.tx.scope;
+                engine.tx.probe = Probe::new(obs_cfg, grid, self.record, self.topology, scope);
                 match obs_cfg {
-                    Some(cfg) => {
-                        let probes = EngineObs::new(cfg, grid, self.topology, &engine.tx.scope);
-                        engine.tx.obs = Some(Box::new(probes));
-                        ShardRunner::new(engine).with_obs(s, cfg)
-                    }
+                    Some(cfg) => ShardRunner::new(engine).with_obs(s, cfg),
                     None => ShardRunner::new(engine),
                 }
             })
@@ -1301,22 +1272,34 @@ impl<'a> Run<'a> {
             engines.push(core);
         }
 
+        // Each probe's consumers, merged: the registries after a final grid
+        // flush at the cluster-wide end, the span buffers concatenated in
+        // shard order (the store's total sort makes the merge
+        // order-independent anyway), and the recorded requests by global
+        // proxy.
+        let t_end = engines.iter().map(|e| e.tx.t_end).fold(0.0, f64::max);
+        let mut registries = Vec::new();
+        let mut events = Vec::new();
+        let mut recordings = Vec::new();
+        for e in &mut engines {
+            let Some(probe) = e.tx.probe.take() else { continue };
+            let Probe { obs, trace, recorder } = *probe;
+            if let Some(mut o) = obs {
+                o.tick(t_end, &e.tx.servers, || aggregates(&e.model, e.tx.scope.proxies.len()));
+                registries.push(o.finish());
+            }
+            events.extend(trace.map(|b| b.events).unwrap_or_default());
+            if let Some(recs) = recorder {
+                recordings.extend(e.tx.scope.proxies.iter().copied().zip(recs));
+            }
+        }
+
         let cluster_obs = self.obs.map(|c| {
             if !c.enabled {
                 return ClusterObs::empty(self.shards, self.plan.driver_label());
             }
-            let t_end = engines.iter().map(|e| e.tx.t_end).fold(0.0, f64::max);
-            let registries: Vec<Registry> =
-                engines.iter_mut().filter_map(|e| e.obs_finish(t_end)).collect();
-            // Span buffers concatenate in shard order; the store's total
-            // sort makes the merge order-independent anyway.
-            let traces = (c.trace_every > 0).then(|| {
-                let mut events = Vec::new();
-                for e in &mut engines {
-                    events.extend(e.tx.trace.take().map(|b| b.events).unwrap_or_default());
-                }
-                TraceStore::from_events(events, c.trace_every)
-            });
+            let traces =
+                (c.trace_every > 0).then(|| TraceStore::from_events(events, c.trace_every));
             let mut out = crate::obs::assemble(
                 registries,
                 profiles,
@@ -1346,14 +1329,7 @@ impl<'a> Run<'a> {
             out
         });
 
-        let recorded = self.record.then(|| {
-            let mut parts = Vec::new();
-            for e in &mut engines {
-                let recs = e.tx.recorder.take().unwrap_or_default();
-                parts.extend(e.tx.scope.proxies.iter().copied().zip(recs));
-            }
-            merge_recorded(parts)
-        });
+        let recorded = self.record.then(|| merge_recorded(recordings));
         let replay = engines
             .iter()
             .filter_map(|e| e.model.replay_stats(&e.tx.ledgers))

@@ -1,13 +1,17 @@
-//! Cluster-layer observability: engine probes and the merged run telemetry.
+//! Cluster-layer observability: the engine's probe seam and the merged
+//! run telemetry, built on [`simcore::obs`] and [`simcore::trace`].
 //!
-//! Two layers live here, both built on [`simcore::obs`]:
-//!
-//! * [`EngineObs`] (crate-private) — the per-engine probe state. Each shard
-//!   engine owns at most one, boxed behind an `Option`, so the disabled
-//!   case costs one branch per hook. It tracks a metrics [`Registry`], the
-//!   request-latency histogram, predictor/prefetch counters, and epoch-grid
-//!   time series (per-link utilisation, aggregate queue depth, cache
-//!   occupancy, outstanding prefetches) sampled on a fixed grid.
+//! * [`Probe`] (crate-private) — the one seam between the engine's
+//!   handlers and whatever watches them. Each shard engine owns at most
+//!   one, boxed behind an `Option`, so a run that neither observes nor
+//!   records pays one branch per hook. Handlers emit job-lifecycle events
+//!   ([`SpanEvent`]s) and access-time samples into it; its consumers are
+//!   the [`EngineObs`] metrics, the [`TraceBuf`] span buffer and the
+//!   recorded requests, each present only when the run asked for it.
+//! * [`EngineObs`] (crate-private) — a metrics [`Registry`]: the
+//!   request-latency histogram, request/predictor/prefetch counters, and
+//!   epoch-grid time series (per-link utilisation, aggregate queue depth,
+//!   cache occupancy, outstanding prefetches) sampled on a fixed grid.
 //! * [`ClusterObs`] (public) — what a run hands back: the per-shard
 //!   registries merged into one, shard runtime profiles, the flight-
 //!   recorder tail, and the driver/wall metadata. Renders to the
@@ -15,15 +19,18 @@
 //!
 //! # Determinism contract
 //!
-//! Probes only *read* simulation state and only at points that are a pure
-//! function of each entity's own event history: every public handler (and
-//! the cross-shard `apply_now` path) ticks the sampling grid *before*
-//! mutating state, so the sample for grid point `g` always reflects "all
-//! events strictly before `g`" under every sharding. No RNG is drawn, no
-//! event is scheduled, and nothing observable feeds back into the engine,
-//! so `ClusterReport` is bit-identical with observability on or off (the
-//! parity suite pins this). Wall-clock readings exist only in the driver
-//! profiles and never touch simulation state.
+//! The probe only *reads*: handlers hand it copies of what they computed
+//! anyway, no RNG is drawn, no event is scheduled, and the only job field
+//! it advances is the span sequence number that only traces read. So
+//! `ClusterReport` is bit-identical with every consumer on or off (the
+//! obs, trace and replay parity suites pin this), and since each
+//! access-time sample reaches the ledger and the histogram in one call,
+//! the histogram holds exactly the report's samples. Every public handler
+//! (and the cross-shard `apply_now` path) ticks the sampling grid
+//! *before* mutating state, so the sample for grid point `g` reflects
+//! "all events strictly before `g`" under every sharding. Wall-clock
+//! readings exist only in the driver profiles and never touch simulation
+//! state.
 
 use crate::report::ClusterReport;
 use crate::sim::Scope;
@@ -31,8 +38,11 @@ use crate::topology::Topology;
 use queueing::ServerTable;
 use simcore::json::Json;
 use simcore::obs::{CounterId, Dist, DistId, FlightRecord, GaugeId, ObsConfig, SeriesId};
-use simcore::trace::{ClassAttribution, TraceStore, BUCKETS};
+use simcore::trace::{
+    self, ClassAttribution, SpanEvent, SpanKind, TraceBuf, TraceStore, BUCKETS, TF_PREFETCH,
+};
 use simcore::{Registry, ShardProfile};
+use workload::TraceRecord;
 
 /// Upper bound on per-link utilisation series shipped in the JSON artifact.
 /// The registry always keeps every link; the artifact reports the backbone
@@ -42,9 +52,105 @@ const MAX_LINK_SERIES: usize = 16;
 /// Flight records shipped in the JSON artifact (newest retained records).
 const MAX_FLIGHT_JSON: usize = 64;
 
-/// Per-engine probe state. One per shard engine, attached only when a run
-/// is observed; every hook in the engines starts with a branch on the
-/// engine's `Option<Box<EngineObs>>`.
+/// The engine's one probe seam: every job-lifecycle event and access-time
+/// sample a handler emits passes through here to the consumers the run
+/// asked for. A shard engine holds `Option<Box<Probe>>`, `Some` exactly
+/// when the run is observed or recorded.
+pub(crate) struct Probe {
+    /// Metrics, latency histogram and grid series (observed runs).
+    pub(crate) obs: Option<EngineObs>,
+    /// Head-sampled span records (observed runs with `trace_every > 0`).
+    pub(crate) trace: Option<TraceBuf>,
+    /// Issued requests, one list per local proxy (recording runs).
+    pub(crate) recorder: Option<Vec<Vec<TraceRecord>>>,
+}
+
+impl Probe {
+    /// The probe of one scope: `None` unless the run is observed (an
+    /// enabled `cfg`) or recorded.
+    pub(crate) fn new(
+        cfg: Option<&ObsConfig>,
+        grid: f64,
+        record: bool,
+        topology: &Topology,
+        scope: &Scope,
+    ) -> Option<Box<Probe>> {
+        if cfg.is_none() && !record {
+            return None;
+        }
+        Some(Box::new(Probe {
+            obs: cfg.map(|c| EngineObs::new(c, grid, topology, scope)),
+            trace: cfg.filter(|c| c.trace_every > 0).map(|c| TraceBuf::new(c.trace_every)),
+            recorder: record.then(|| vec![Vec::new(); scope.proxies.len()]),
+        }))
+    }
+
+    /// One job-lifecycle event. The registry counts link occupancy and
+    /// prefetch issues from it; the span buffer keeps it when its trace
+    /// is head-sampled (a nonzero trace id).
+    #[inline]
+    pub(crate) fn event(&mut self, ev: SpanEvent) {
+        if let Some(o) = self.obs.as_mut() {
+            o.event(&ev);
+        }
+        if ev.trace != 0 {
+            if let Some(b) = self.trace.as_mut() {
+                b.push(ev);
+            }
+        }
+    }
+
+    /// One user-perceived access-time sample (hits are 0.0 by the
+    /// report's convention).
+    #[inline]
+    pub(crate) fn latency(&mut self, x: f64) {
+        if let Some(o) = self.obs.as_mut() {
+            o.reg.record(o.latency, x);
+        }
+    }
+
+    /// Request `idx` of global proxy `me` (local index `i`) arrives: it is
+    /// counted, recorded as `rec` builds it, and its trace id returned
+    /// when head-sampled (0 otherwise) — a pure hash of `(proxy, request
+    /// index)`, identical under every sharding.
+    #[inline]
+    pub(crate) fn request(
+        &mut self,
+        i: usize,
+        me: u64,
+        idx: u64,
+        rec: impl FnOnce() -> TraceRecord,
+    ) -> u64 {
+        if let Some(o) = self.obs.as_mut() {
+            o.reg.inc(o.requests, 1);
+        }
+        if let Some(r) = self.recorder.as_mut() {
+            r[i].push(rec());
+        }
+        self.trace.as_ref().map_or(0, |b| b.admit(trace::request_trace_id(me, idx)))
+    }
+
+    /// Head-sampling decision for prefetch job `id` of global proxy `me`.
+    /// The prefetch-id stream mirrors the job-id stream: the low 40 bits
+    /// of `id` are the proxy's job sequence number.
+    #[inline]
+    pub(crate) fn prefetch_trace(&self, me: u64, id: u64) -> u64 {
+        self.trace
+            .as_ref()
+            .map_or(0, |b| b.admit(trace::prefetch_trace_id(me, id & ((1 << 40) - 1))))
+    }
+
+    /// One predictor scoring call that produced `n` candidates.
+    #[inline]
+    pub(crate) fn predictions(&mut self, n: u64) {
+        if let Some(o) = self.obs.as_mut() {
+            o.reg.inc(o.pred_calls, 1);
+            o.reg.inc(o.predictions, n);
+        }
+    }
+}
+
+/// The metrics consumer of one shard engine's [`Probe`].
 pub(crate) struct EngineObs {
     /// Sampling grid in simulation seconds; `<= 0` disables series probes.
     grid: f64,
@@ -66,15 +172,14 @@ pub(crate) struct EngineObs {
     /// at the previous grid point.
     link_series: Vec<SeriesId>,
     link_busy_last: Vec<f64>,
-    /// Jobs currently queued or in service per local link (arrivals minus
-    /// completions), maintained by the engine hooks.
-    link_jobs: Vec<i64>,
+    /// Jobs queued or in service across the scope's links (enqueues minus
+    /// dequeues), and its high-water mark.
     qdepth_now: i64,
     qdepth_hwm: i64,
 }
 
 impl EngineObs {
-    pub(crate) fn new(cfg: &ObsConfig, grid: f64, topology: &Topology, scope: &Scope) -> EngineObs {
+    fn new(cfg: &ObsConfig, grid: f64, topology: &Topology, scope: &Scope) -> EngineObs {
         let mut reg = Registry::new();
         let latency =
             reg.dist_hist("latency.access", cfg.latency_lo, cfg.latency_hi, cfg.latency_bins);
@@ -96,7 +201,6 @@ impl EngineObs {
         } else {
             (None, None, None, Vec::new())
         };
-        let n_links = scope.links.len();
         EngineObs {
             grid,
             k: 0,
@@ -112,52 +216,25 @@ impl EngineObs {
             s_inflight,
             s_qdepth,
             link_series,
-            link_busy_last: vec![0.0; if grid > 0.0 { n_links } else { 0 }],
-            link_jobs: vec![0; n_links],
+            link_busy_last: vec![0.0; if grid > 0.0 { scope.links.len() } else { 0 }],
             qdepth_now: 0,
             qdepth_hwm: 0,
         }
     }
 
-    /// Mirrors one user-perceived access-time sample into the latency
-    /// distribution (hits are 0.0 by the report's convention).
+    /// Counts what the registry tracks of one job-lifecycle event: a job
+    /// entering or leaving a link, and a prefetch issue.
     #[inline]
-    pub(crate) fn latency(&mut self, x: f64) {
-        self.reg.record(self.latency, x);
-    }
-
-    #[inline]
-    pub(crate) fn request(&mut self) {
-        self.reg.inc(self.requests, 1);
-    }
-
-    /// Notes one predictor scoring call that produced `n` candidates.
-    #[inline]
-    pub(crate) fn predictions(&mut self, n: u64) {
-        self.reg.inc(self.pred_calls, 1);
-        self.reg.inc(self.predictions, n);
-    }
-
-    #[inline]
-    pub(crate) fn prefetch_issued(&mut self) {
-        self.reg.inc(self.prefetches, 1);
-    }
-
-    /// A job entered service or queue on local link `l`.
-    #[inline]
-    pub(crate) fn job_arrived(&mut self, l: usize) {
-        self.link_jobs[l] += 1;
-        self.qdepth_now += 1;
-        if self.qdepth_now > self.qdepth_hwm {
-            self.qdepth_hwm = self.qdepth_now;
+    fn event(&mut self, ev: &SpanEvent) {
+        match ev.kind {
+            SpanKind::Enqueue => {
+                self.qdepth_now += 1;
+                self.qdepth_hwm = self.qdepth_hwm.max(self.qdepth_now);
+            }
+            SpanKind::Dequeue => self.qdepth_now -= 1,
+            SpanKind::Issue if ev.flags & TF_PREFETCH != 0 => self.reg.inc(self.prefetches, 1),
+            _ => {}
         }
-    }
-
-    /// `n` jobs finished service on local link `l`.
-    #[inline]
-    pub(crate) fn jobs_completed(&mut self, l: usize, n: usize) {
-        self.link_jobs[l] -= n as i64;
-        self.qdepth_now -= n as i64;
     }
 
     /// Flushes every grid point `<= t`. `aggregates` returns the scope's

@@ -10,21 +10,18 @@
 //! is pinned by a test against 1e-6.
 //!
 //! The module is a [`ProxyModel`] on the shared transport of
-//! [`crate::engine`] — the links, effects, fault handling, tracing,
-//! recording and obs probes the closed loop ([`crate::closed_loop`]) runs
-//! on — so the [`crate::shard`] drivers and the retired scan in
-//! [`crate::legacy`] drive it unchanged. Every open-loop transfer is an
-//! origin fetch.
+//! [`crate::engine`] — the links, effects, fault handling and probe seam
+//! the closed loop ([`crate::closed_loop`]) runs on — so the
+//! [`crate::shard`] drivers and the retired scan in [`crate::legacy`]
+//! drive it unchanged. Every open-loop transfer is an origin fetch.
 
-use crate::engine::{
-    settle_waiters, trace_job, trace_point, Dest, Job, JobKind, ProxyModel, Transport,
-};
+use crate::engine::{Dest, Job, JobKind, ProxyModel, Transport};
 use crate::sim::{proxy_seed, Scope};
 use crate::StaticWorkload;
 use cachesim::{FetchDecision, Mshr, Waiter};
 use coop::Router;
 use simcore::rng::Rng;
-use simcore::trace::{SpanKind, TF_MEASURED, TF_PREFETCH};
+use simcore::trace::{TF_MEASURED, TF_PREFETCH};
 use workload::{ItemId, TraceRecord};
 
 /// The item of open-loop transfers that fetch no concrete item: the
@@ -108,52 +105,43 @@ impl ProxyModel for OpenLoop<'_> {
         let n_shards = tx.n_shards;
         let p = &mut self.proxies[i];
         let t = p.next_request_t;
-        let (in_window, rid) = tx.count_request(i);
-        p.in_window = in_window;
-        let mf = if in_window { TF_MEASURED } else { 0 };
-        let lg = &mut tx.ledgers[i];
-        if p.rng.chance(p.h) {
-            if let Some(rec) = tx.recorder.as_mut() {
-                // A Bernoulli hit draws no item or size; record the
-                // itemless sentinel so the stream stays replayable.
-                rec[i].push(TraceRecord::new(t, me as u32, NO_ITEM, 0.0));
+        // A Bernoulli hit draws no item or size (it is recorded with the
+        // itemless sentinel, so the stream stays replayable). A miss in
+        // catalog mode draws a concrete item id (shard = item mod
+        // n_shards); the itemless flow keeps the exact draw order of
+        // `netsim::parametric` (a shard id is drawn only on sharded
+        // topologies).
+        let hit = p.rng.chance(p.h);
+        let (size, item, shard) = if hit {
+            (0.0, NO_ITEM, 0)
+        } else {
+            let size = self.w.size_dist.sample(&mut p.rng);
+            match self.w.catalog_items {
+                Some(n) => {
+                    let item = ItemId(p.rng.below(n));
+                    (size, item, item.0 % n_shards)
+                }
+                None => (size, NO_ITEM, if n_shards > 1 { p.rng.below(n_shards) } else { 0 }),
             }
-            trace_point(&mut tx.trace, rid, t, SpanKind::Hit, me as u64, 0.0, NO_ITEM.0, mf);
-            if p.in_window {
-                lg.hit(&mut tx.obs);
-            }
-            p.next_request_t = t + p.rng.exp(p.lambda);
+        };
+        let (measured, rid) = tx.count_request(i, || TraceRecord::new(t, me as u32, item, size));
+        p.in_window = measured;
+        p.next_request_t = t + p.rng.exp(p.lambda);
+        if hit {
+            tx.hit(i, t, rid, NO_ITEM, measured);
             return;
         }
-        let size = self.w.size_dist.sample(&mut p.rng);
-        let measured = p.in_window;
-        // Catalog mode draws a concrete item id (shard = item mod
-        // n_shards) and consults the MSHR table — a miss for an in-flight
+        // Catalog mode consults the MSHR table: a miss for an in-flight
         // item coalesces onto its waiter queue instead of launching a
-        // second transfer. The itemless flow keeps the exact draw order
-        // of `netsim::parametric` (a shard id is drawn only on sharded
-        // topologies).
-        let (item, shard, launch) = match self.w.catalog_items {
-            Some(n) => {
-                let item = ItemId(p.rng.below(n));
-                let waiter = Waiter { t, measured, trace: rid };
-                let decision = p
-                    .mshr
-                    .as_mut()
-                    .expect("catalog mode carries a table")
-                    .on_demand_miss(item, t, size, waiter);
-                // Unbounded coalescing: never a bypass.
-                (item, item.0 % n_shards, decision == FetchDecision::Launch)
-            }
-            None => (NO_ITEM, if n_shards > 1 { p.rng.below(n_shards) } else { 0 }, true),
-        };
-        if let Some(rec) = tx.recorder.as_mut() {
-            rec[i].push(TraceRecord::new(t, me as u32, item, size));
-        }
-        p.next_request_t = t + p.rng.exp(p.lambda);
-        // A coalesced miss launches no job: its Wait span and access time
-        // land when the blocking fetch settles.
+        // second transfer (unbounded coalescing: never a bypass), and its
+        // Wait span and access time land when the blocking fetch settles.
+        let waiter = Waiter { t, measured, trace: rid };
+        let launch = p
+            .mshr
+            .as_mut()
+            .is_none_or(|m| m.on_demand_miss(item, t, size, waiter) == FetchDecision::Launch);
         if launch {
+            let lg = &mut tx.ledgers[i];
             lg.demand_bytes += size;
             let job = Job {
                 id: lg.next_job_id(me),
@@ -170,7 +158,7 @@ impl ProxyModel for OpenLoop<'_> {
                 trace: rid,
                 tseq: 0,
             };
-            tx.issue(job, t, t, mf);
+            tx.issue(job, t, t, if measured { TF_MEASURED } else { 0 });
         }
     }
 
@@ -178,9 +166,6 @@ impl ProxyModel for OpenLoop<'_> {
     /// — it never touches the MSHR table.
     fn on_prefetch(&mut self, tx: &mut Transport<'_>, i: usize, _router: Option<&Router>) {
         let me = tx.scope.proxies[i];
-        if let Some(o) = tx.obs.as_deref_mut() {
-            o.prefetch_issued();
-        }
         let p = &mut self.proxies[i];
         let t = p.next_prefetch_t;
         let size = self.w.size_dist.sample(&mut p.prefetch_rng);
@@ -221,35 +206,13 @@ impl ProxyModel for OpenLoop<'_> {
         mut job: Job,
         _false_hit: bool,
     ) {
-        let jp = job.proxy as u64;
-        trace_job(&mut tx.trace, &mut job, t, SpanKind::Deliver, jp, 0.0, 0);
-        let sojourn = t - job.issued;
-        let lg = &mut tx.ledgers[i];
-        match job.kind {
-            JobKind::Demand { measured } => {
-                if measured {
-                    lg.fetched(&mut tx.obs, sojourn);
-                }
-                // Catalog mode: the landing settles the item's outstanding
-                // entry — every coalesced waiter's clock stops now, in
-                // FIFO order.
-                let mshr = self.proxies[i].mshr.as_mut();
-                if let Some(entry) = mshr.and_then(|m| m.complete(&job.item)) {
-                    settle_waiters(
-                        &mut tx.trace,
-                        &mut tx.obs,
-                        lg,
-                        &entry.waiters,
-                        t,
-                        jp,
-                        job.item.0,
-                    );
-                }
-            }
-            JobKind::Prefetch { measured } => {
-                if measured {
-                    lg.total_job_time += sojourn;
-                }
+        tx.delivered(i, t, &mut job);
+        if matches!(job.kind, JobKind::Demand { .. }) {
+            // Catalog mode: the landing settles the item's outstanding
+            // entry — every coalesced waiter's clock stops now, in FIFO
+            // order.
+            if let Some(entry) = self.proxies[i].mshr.as_mut().and_then(|m| m.complete(&job.item)) {
+                tx.settle_waiters(i, &entry.waiters, t, job.item, false);
             }
         }
     }

@@ -12,10 +12,11 @@
 
 use cluster::{
     report_to_json, AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim,
-    CooperativeWorkload, ProxyPolicy, StaticProxy, StaticWorkload, Topology, Workload,
+    CooperativeWorkload, ProxyPolicy, ShardPlan, StaticProxy, StaticWorkload, Topology, Workload,
 };
 use coop::{CoopConfig, DigestConfig, PlacementPolicy, RefreshStrategy};
 use simcore::dist::Exponential;
+use simcore::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 use simcore::{Json, ObsConfig};
 use workload::synth_web::SynthWebConfig;
 
@@ -98,6 +99,17 @@ fn static_config(size: &(dyn simcore::dist::Sample + Sync)) -> ClusterConfig<'_>
     }
 }
 
+/// `config` moved onto a 4-proxy latency mesh: its 2-shard cut has
+/// positive lookahead, so every multi-shard run of it starts threads.
+fn on_latency_mesh(config: ClusterConfig<'_>) -> ClusterConfig<'_> {
+    let config = ClusterConfig {
+        topology: Topology::mesh_with_latency(4, 50.0, 150.0, 45.0, 0.05),
+        ..config
+    };
+    assert!(ShardPlan::partition(&config.topology, 2).lookahead() > 0.0);
+    config
+}
+
 fn probes() -> ObsConfig {
     ObsConfig::on().with_sample_every(1.0).with_flight_capacity(256)
 }
@@ -116,6 +128,7 @@ fn assert_obs_is_invisible(config: &ClusterConfig<'_>, seed: u64, label: &str) {
 #[test]
 fn observation_is_invisible_adaptive() {
     assert_obs_is_invisible(&adaptive_config(), 13, "adaptive");
+    assert_obs_is_invisible(&on_latency_mesh(adaptive_config()), 13, "adaptive latency mesh");
 }
 
 #[test]
@@ -132,6 +145,61 @@ fn observation_is_invisible_on_the_windowed_driver() {
 fn observation_is_invisible_static() {
     let size = Exponential::with_mean(1.0);
     assert_obs_is_invisible(&static_config(&size), 29, "static");
+    assert_obs_is_invisible(&on_latency_mesh(static_config(&size)), 29, "static latency mesh");
+}
+
+/// The latency histogram mirrors the report's access times: one sample
+/// per measured request (hits, delayed hits, fetches, and failed fetches
+/// and their waiters alike), and a mean equal to the report's
+/// count-weighted mean access time. Checked on the static catalog and the
+/// cooperative closed loop, threaded at 2 and 4 shards, under an empty
+/// plan and a chaos plan whose failures settle through the failure path.
+#[test]
+fn latency_histogram_mirrors_every_access_time() {
+    let size = Exponential::with_mean(1.0);
+    let catalog = on_latency_mesh(ClusterConfig {
+        topology: Topology::sharded_origin(4, 2, 25.0, 12.0),
+        workload: Workload::Static(StaticWorkload {
+            proxies: vec![StaticProxy { lambda: 14.0, h_prime: 0.3, n_f: 0.5, p: 0.8 }; 4],
+            size_dist: &size,
+            catalog_items: Some(40),
+        }),
+        requests_per_proxy: 3_000,
+        warmup_per_proxy: 600,
+    });
+    let chaos = FaultConfig {
+        plan: FaultPlan::new(vec![
+            FaultEvent {
+                t: 4.0,
+                kind: FaultKind::LinkDegrade { link: 0, loss: 0.3, latency_factor: 2.0 },
+            },
+            FaultEvent { t: 10.0, kind: FaultKind::OriginBrownout { delay: 0.3 } },
+            FaultEvent { t: 18.0, kind: FaultKind::ProxyCrash { proxy: 1 } },
+        ]),
+        retry: RetryPolicy::default(),
+    };
+    for (label, config) in [("static catalog", catalog), ("coop", coop_config(0.05))] {
+        let sim = ClusterSim::new(&config);
+        for (plan, faults) in
+            [("empty plan", FaultConfig::default()), ("chaos plan", chaos.clone())]
+        {
+            for shards in SHARD_COUNTS {
+                let l = format!("{label}, {plan}, {shards} shards");
+                let (report, obs) = sim.run_faulted_observed(37, shards, &faults, &probes());
+                if plan == "chaos plan" {
+                    assert!(report.failed_fetches() > 0, "{l}: the plan does not bite");
+                }
+                let lat = obs.latency().expect("latency dist");
+                let measured: u64 = report.nodes.iter().map(|n| n.measured_requests).sum();
+                assert_eq!(lat.moments.count(), measured, "{l}: samples vs measured requests");
+                let (got, want) = (lat.moments.mean(), report.mean_access_time);
+                assert!(
+                    (got - want).abs() <= 1e-12 * want.abs(),
+                    "{l}: histogram mean {got} vs report mean {want}"
+                );
+            }
+        }
+    }
 }
 
 /// Telemetry itself is deterministic across shard counts: counters are

@@ -18,7 +18,7 @@
 
 use cluster::{
     AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, DelayedHitsConfig, ProxyPolicy,
-    StaticProxy, StaticWorkload, Topology, TraceSource, TraceWorkload, Workload,
+    ShardPlan, StaticProxy, StaticWorkload, Topology, TraceSource, TraceWorkload, Workload,
 };
 use simcore::dist::Exponential;
 use workload::events::{encode_events, RECORD_BYTES};
@@ -151,8 +151,8 @@ fn replay_memory_stays_chunk_bounded() {
 #[test]
 fn static_recording_encodes_valid_events() {
     let size = Exponential::with_mean(1.0);
-    let config = ClusterConfig {
-        topology: Topology::sharded_origin(4, 2, 25.0, 12.0),
+    let config = |topology| ClusterConfig {
+        topology,
         workload: Workload::Static(StaticWorkload {
             proxies: vec![StaticProxy { lambda: 12.0, h_prime: 0.3, n_f: 0.5, p: 0.8 }; 4],
             size_dist: &size,
@@ -161,14 +161,20 @@ fn static_recording_encodes_valid_events() {
         requests_per_proxy: 2_000,
         warmup_per_proxy: 400,
     };
-    let (_, trace) = ClusterSim::new(&config).run_recorded(19, 2);
-    assert_eq!(trace.len(), 4 * 2_000);
-    let bytes = encode_events(&trace).expect("static recording encodes");
-    let decoded: Vec<_> = workload::TraceStream::open(&bytes[..])
-        .expect("header parses")
-        .collect::<Result<_, _>>()
-        .expect("records validate");
-    assert_eq!(decoded, trace, "static recording must stream-decode to itself");
+    // The latency mesh's 2-shard cut has positive lookahead, so that row
+    // records on two threads.
+    let mesh = Topology::mesh_with_latency(4, 50.0, 150.0, 45.0, 0.05);
+    assert!(ShardPlan::partition(&mesh, 2).lookahead() > 0.0);
+    for topology in [Topology::sharded_origin(4, 2, 25.0, 12.0), mesh] {
+        let (_, trace) = ClusterSim::new(&config(topology)).run_recorded(19, 2);
+        assert_eq!(trace.len(), 4 * 2_000);
+        let bytes = encode_events(&trace).expect("static recording encodes");
+        let decoded: Vec<_> = workload::TraceStream::open(&bytes[..])
+            .expect("header parses")
+            .collect::<Result<_, _>>()
+            .expect("records validate");
+        assert_eq!(decoded, trace, "static recording must stream-decode to itself");
+    }
 }
 
 /// A scaled superposition (disjoint key spaces, dilated copies) replays

@@ -14,7 +14,7 @@
 
 use cluster::{
     AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, CooperativeWorkload,
-    DelayedHitsConfig, ProxyPolicy, StaticProxy, StaticWorkload, Topology, Workload,
+    DelayedHitsConfig, ProxyPolicy, ShardPlan, StaticProxy, StaticWorkload, Topology, Workload,
 };
 use coop::{CoopConfig, DigestConfig, PlacementPolicy, RefreshStrategy};
 use simcore::dist::Exponential;
@@ -101,6 +101,17 @@ fn static_config(size: &(dyn simcore::dist::Sample + Sync)) -> ClusterConfig<'_>
     }
 }
 
+/// `config` moved onto a 4-proxy latency mesh: its 2-shard cut has
+/// positive lookahead, so every multi-shard run of it starts threads.
+fn on_latency_mesh(config: ClusterConfig<'_>) -> ClusterConfig<'_> {
+    let config = ClusterConfig {
+        topology: Topology::mesh_with_latency(4, 50.0, 150.0, 45.0, 0.05),
+        ..config
+    };
+    assert!(ShardPlan::partition(&config.topology, 2).lookahead() > 0.0);
+    config
+}
+
 fn traced(every: u64) -> ObsConfig {
     ObsConfig::on().with_sample_every(1.0).with_flight_capacity(128).with_trace_every(every)
 }
@@ -125,6 +136,8 @@ fn assert_tracing_is_invisible(config: &ClusterConfig<'_>, seed: u64, every: u64
 #[test]
 fn tracing_is_invisible_adaptive() {
     assert_tracing_is_invisible(&adaptive_config(None), 13, 4, "adaptive");
+    let mesh = on_latency_mesh(adaptive_config(None));
+    assert_tracing_is_invisible(&mesh, 13, 4, "adaptive latency mesh");
 }
 
 #[test]
@@ -141,6 +154,8 @@ fn tracing_is_invisible_on_the_windowed_driver() {
 fn tracing_is_invisible_static() {
     let size = Exponential::with_mean(1.0);
     assert_tracing_is_invisible(&static_config(&size), 29, 1, "static");
+    let mesh = on_latency_mesh(static_config(&size));
+    assert_tracing_is_invisible(&mesh, 29, 1, "static latency mesh");
 }
 
 /// The merged [`TraceStore`] is bit-identical (derived `PartialEq`, every
@@ -383,6 +398,8 @@ fn delayed_hit_aggregates_match_the_traces_adaptive() {
 fn delayed_hit_aggregates_match_the_traces_static() {
     let size = Exponential::with_mean(1.0);
     assert_delayed_aggregates_match(&delayed_static_config(&size), 79, "delayed static");
+    let mesh = on_latency_mesh(delayed_static_config(&size));
+    assert_delayed_aggregates_match(&mesh, 79, "delayed static latency mesh");
 }
 
 /// The trace-derived registry aggregates and both JSON artifacts agree

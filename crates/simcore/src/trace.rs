@@ -6,8 +6,9 @@
 //! pending-prefetch stall. It follows the same contract as the metrics
 //! layer:
 //!
-//! * **Zero overhead when off.** Engines hold an `Option<Box<TraceBuf>>`;
-//!   with tracing disabled every record site reduces to one branch.
+//! * **Zero overhead when off.** The cluster engine keeps its [`TraceBuf`]
+//!   behind one optional probe; with tracing (and every other consumer)
+//!   disabled every record site reduces to one branch.
 //! * **Report-bit-identical on/off.** Recording only *reads* simulation
 //!   state: no RNG draw, no event, nothing fed back.
 //! * **Deterministic head sampling.** A request's trace id is a pure hash
@@ -143,8 +144,7 @@ pub struct SpanEvent {
 }
 
 /// Per-engine span buffer: the head-sampling modulus and an append-only
-/// event list. Engines hold `Option<Box<TraceBuf>>` — `None` when tracing
-/// is off, so every record site costs one branch.
+/// event list. An engine holds one only when tracing is on.
 #[derive(Debug)]
 pub struct TraceBuf {
     every: u64,
