@@ -1221,8 +1221,8 @@ impl<'a> Run<'a> {
 
     /// Runs every shard of the plan under [`shard::drive`] and merges the
     /// results. The report is bit-identical with observability, tracing or
-    /// recording on or off (pinned by `obs_parity.rs`, `trace_parity.rs`,
-    /// `replay_parity.rs`); the telemetry is `Some` exactly when an obs
+    /// recording on or off (pinned by the parity matrix in
+    /// `shard_parity.rs`); the telemetry is `Some` exactly when an obs
     /// config was passed, and an empty shell when that config is disabled.
     pub(crate) fn drive<M: ProxyModel>(
         &self,

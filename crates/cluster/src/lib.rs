@@ -41,12 +41,12 @@
 //! before a barrier exchanges in-flight transfers through per-shard
 //! mailboxes. Determinism is contractual, not statistical: for a fixed
 //! seed the [`ClusterReport`] is **bit-identical** across shard counts
-//! and equal to the single-threaded [`ClusterSim::run`] (pinned by
-//! `tests/shard_parity.rs`). One driver runs every plan: a one-shard plan
-//! crosses nothing, so its lookahead is infinite and it runs on the
-//! calling thread; on zero-latency topologies a multi-shard cut has
-//! lookahead zero, admits no window, and runs as the one-shard plan
-//! instead. Experiment E17 drives the strong-scaling ladder over
+//! and equal to the single-threaded [`ClusterSim::run`] (pinned by the
+//! parity matrix, `tests/shard_parity.rs`). One driver runs every plan: a
+//! one-shard plan crosses nothing, so its lookahead is infinite and it
+//! runs on the calling thread; on zero-latency topologies a multi-shard
+//! cut has lookahead zero, admits no window, and runs as the one-shard
+//! plan instead. Experiment E17 drives the strong-scaling ladder over
 //! 256/512-proxy latency meshes (~32k/~131k PS links).
 //!
 //! ## Observability
@@ -59,10 +59,10 @@
 //! per-shard driver profiles, and a flight-recorder tail of recent
 //! dispatches and cross-shard effects. Probes are pure observers: the
 //! report stays bit-identical with observability on or off, at every
-//! shard count (`tests/obs_parity.rs`), and the disabled default costs
-//! one branch per hook. [`report_to_json`] and [`ClusterObs::to_json`]
-//! serialise both halves with the workspace's hand-rolled JSON codec
-//! for the `OBS_cluster.json` artifact.
+//! shard count (the parity matrix, `tests/shard_parity.rs`), and the
+//! disabled default costs one branch per hook. [`report_to_json`] and
+//! [`ClusterObs::to_json`] serialise both halves with the workspace's
+//! hand-rolled JSON codec for the `OBS_cluster.json` artifact.
 //!
 //! ## One engine core, two proxy models
 //!

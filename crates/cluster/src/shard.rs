@@ -551,7 +551,7 @@ fn run_shard<M: ProxyModel>(me: usize, runner: &mut ShardRunner<'_, M>, s: &Shar
 /// is re-raised here. Requires `plan.lookahead() > 0`: `ClusterSim` runs a
 /// multi-shard cut with zero lookahead as the one-shard plan. Every shard
 /// count evolves the same state (see the module docs for the argument;
-/// `shard_parity.rs` for the pin).
+/// the parity matrix in `shard_parity.rs` for the pin).
 pub(crate) fn drive<'a, M: ProxyModel>(
     mut runners: Vec<ShardRunner<'a, M>>,
     router: Option<Router>,

@@ -38,13 +38,13 @@ impl<'a> ClusterSim<'a> {
     /// Runs the simulation partitioned into `shards` shard-local event
     /// loops (see the `shard` module for the protocol). Deterministic in
     /// `seed` **and in `shards`**: the report is bit-identical to
-    /// [`ClusterSim::run`] for every shard count — the property
-    /// `cluster/tests/shard_parity.rs` pins. Shards execute on their own
-    /// threads whenever the partition admits a positive conservative
-    /// lookahead (cross-shard hops with propagation latency, e.g.
-    /// [`Topology::mesh_with_latency`]); a zero-lookahead partition (any
-    /// zero-latency crossing hop) admits no conservative window at all,
-    /// so it runs as the one-shard plan instead.
+    /// [`ClusterSim::run`] for every shard count — the property the parity
+    /// matrix in `cluster/tests/shard_parity.rs` pins. Shards execute on
+    /// their own threads whenever the partition admits a positive
+    /// conservative lookahead (cross-shard hops with propagation latency,
+    /// e.g. [`Topology::mesh_with_latency`]); a zero-lookahead partition (any
+    /// zero-latency crossing hop) admits no conservative window at all, so it
+    /// runs as the one-shard plan instead.
     pub fn run_sharded(&self, seed: u64, shards: usize) -> ClusterReport {
         self.run_on(seed, shards, None, false, None).0
     }
@@ -54,7 +54,8 @@ impl<'a> ClusterSim<'a> {
     /// losses injected at scheduled virtual times, with per-fetch
     /// timeout–retry–backoff governed by the plan's [`RetryPolicy`].
     ///
-    /// Two pinned determinism properties (`cluster/tests/fault_parity.rs`):
+    /// Two determinism properties, pinned by the fault columns of the
+    /// parity matrix (`cluster/tests/shard_parity.rs`):
     /// an **empty** plan is bit-identical to [`ClusterSim::run_sharded`]
     /// at the same `(seed, shards)` — the fault machinery adds no RNG
     /// draws, float operations, or event reorderings until a fault
@@ -114,9 +115,9 @@ impl<'a> ClusterSim<'a> {
     ///
     /// The report is **bit-identical** to [`ClusterSim::run_sharded`] at
     /// the same `(seed, shards)` whether `obs` is enabled or not — probes
-    /// never draw RNG, reorder events, or feed anything back (pinned by
-    /// `cluster/tests/obs_parity.rs`). With `obs.enabled == false` the
-    /// telemetry comes back as an empty shell.
+    /// never draw RNG, reorder events, or feed anything back (pinned by the
+    /// parity matrix, `cluster/tests/shard_parity.rs`). With `obs.enabled ==
+    /// false` the telemetry comes back as an empty shell.
     pub fn run_observed(
         &self,
         seed: u64,

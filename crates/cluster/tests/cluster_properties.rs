@@ -2,11 +2,14 @@
 //! validated single-path simulator, determinism, and the multi-node
 //! phenomena the topology exists to expose.
 
+mod common;
+
 use cluster::{
-    AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, CooperativeWorkload, ProxyPolicy,
-    StaticProxy, StaticWorkload, Topology, Workload,
+    AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, ProxyPolicy, StaticProxy,
+    StaticWorkload, Topology, Workload,
 };
-use coop::{CoopConfig, DigestConfig, PlacementPolicy};
+use common::{adaptive, coop};
+use coop::{CoopConfig, PlacementPolicy, RefreshStrategy};
 use netsim::parametric::{self, ParametricConfig};
 use prefetch_core::SystemParams;
 use simcore::dist::Exponential;
@@ -89,27 +92,7 @@ fn same_seed_identical_report() {
     assert_eq!(sim.run(42), sim.run(42));
     assert_ne!(sim.run(42), sim.run(43), "different seeds must differ");
 
-    let adaptive = ClusterConfig {
-        topology: Topology::sharded_origin(3, 2, 40.0, 90.0),
-        workload: Workload::Adaptive(AdaptiveWorkload {
-            proxies: (0..3)
-                .map(|i| SynthWebConfig {
-                    lambda: 10.0 + 8.0 * i as f64,
-                    ..SynthWebConfig::default()
-                })
-                .collect(),
-            cache_capacity: 32,
-            cache_bytes: None,
-            max_candidates: 3,
-            prefetch_jitter: 0.01,
-            policy: ProxyPolicy::Adaptive,
-            predictor: CandidateSource::Oracle,
-            shared_structure_seed: None,
-            delayed: Default::default(),
-        }),
-        requests_per_proxy: 12_000,
-        warmup_per_proxy: 3_000,
-    };
+    let adaptive = adaptive(3, 12_000);
     let sim = ClusterSim::new(&adaptive);
     assert_eq!(sim.run(7), sim.run(7));
 }
@@ -248,33 +231,6 @@ fn adaptive_byte_accounting() {
     }
 }
 
-/// A cooperative workload over a peer mesh: every proxy serves the same
-/// item universe (shared structure seed), so peers can answer each
-/// other's misses.
-fn coop_workload(n_proxies: usize, lambda: f64, coop: CoopConfig) -> ClusterConfig<'static> {
-    ClusterConfig {
-        topology: Topology::mesh(n_proxies, 50.0, 70.0, 45.0),
-        workload: Workload::Cooperative(CooperativeWorkload {
-            base: AdaptiveWorkload {
-                proxies: (0..n_proxies)
-                    .map(|_| SynthWebConfig { lambda, link_skew: 0.3, ..SynthWebConfig::default() })
-                    .collect(),
-                cache_capacity: 48,
-                cache_bytes: None,
-                max_candidates: 3,
-                prefetch_jitter: 0.01,
-                policy: ProxyPolicy::Adaptive,
-                predictor: CandidateSource::Oracle,
-                shared_structure_seed: Some(4242),
-                delayed: Default::default(),
-            },
-            coop,
-        }),
-        requests_per_proxy: 20_000,
-        warmup_per_proxy: 4_000,
-    }
-}
-
 /// Same seed ⇒ structurally identical report in cooperative mode, across
 /// both placement policies (the determinism property the digest/placement
 /// machinery must preserve).
@@ -284,15 +240,9 @@ fn cooperative_same_seed_identical_report() {
         PlacementPolicy::Static,
         PlacementPolicy::LoadAware { divergence: 0.05, step: 4, min_vnodes: 8 },
     ] {
-        let cfg = coop_workload(
-            3,
-            14.0,
-            CoopConfig {
-                placement: policy,
-                digest: DigestConfig { epoch: 2.0, bits_per_entry: 10, hashes: 4 },
-                ..CoopConfig::default()
-            },
-        );
+        let mut cfg = coop(3, 20_000, RefreshStrategy::Deltas);
+        let Workload::Cooperative(w) = &mut cfg.workload else { unreachable!() };
+        w.coop.placement = policy;
         let sim = ClusterSim::new(&cfg);
         let a = sim.run(9);
         assert_eq!(a, sim.run(9), "policy {policy:?}");
@@ -306,7 +256,9 @@ fn cooperative_same_seed_identical_report() {
 /// of misses, and those transfers ride the peer links, not the backbone.
 #[test]
 fn cooperative_peers_carry_traffic() {
-    let cfg = coop_workload(3, 14.0, CoopConfig::default());
+    let mut cfg = coop(3, 20_000, RefreshStrategy::Deltas);
+    let Workload::Cooperative(w) = &mut cfg.workload else { unreachable!() };
+    w.coop = CoopConfig::default();
     let report = ClusterSim::new(&cfg).run(21);
     let coop = report.coop.expect("coop counters");
     assert!(coop.peer_fetches > 100, "peer fetches {}", coop.peer_fetches);

@@ -16,121 +16,12 @@
 //! and therefore no digest stream; its byte counters flow straight from
 //! the size distribution and are covered by the engine-parity suite.)
 
+mod common;
+
 use cluster::parity::{assert_reports_match, assert_reports_match_modulo_digest_traffic};
-use cluster::{
-    AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterReport, ClusterSim,
-    CooperativeWorkload, ProxyPolicy, Topology, Workload,
-};
-use coop::{CoopConfig, DigestConfig, PlacementPolicy, RefreshStrategy};
-use workload::synth_web::SynthWebConfig;
-
-/// The E13-shaped adaptive deployment (no cooperative layer: both
-/// strategies are trivially inert, which the suite still pins — attaching
-/// a refresh strategy must not perturb a digest-less run).
-fn e13_adaptive_config() -> ClusterConfig<'static> {
-    ClusterConfig {
-        topology: Topology::sharded_origin(3, 2, 45.0, 80.0),
-        workload: Workload::Adaptive(AdaptiveWorkload {
-            proxies: [8.0, 18.0, 30.0]
-                .iter()
-                .map(|&lambda| SynthWebConfig {
-                    lambda,
-                    link_skew: 0.3,
-                    ..SynthWebConfig::default()
-                })
-                .collect(),
-            cache_capacity: 32,
-            cache_bytes: None,
-            max_candidates: 3,
-            prefetch_jitter: 0.01,
-            policy: ProxyPolicy::Adaptive,
-            predictor: CandidateSource::Oracle,
-            shared_structure_seed: None,
-            delayed: Default::default(),
-        }),
-        requests_per_proxy: 8_000,
-        warmup_per_proxy: 1_600,
-    }
-}
-
-/// The E14-shaped cooperative deployment: 3-proxy peer mesh, identical
-/// item universes, short digest epoch, load-aware placement.
-fn e14_coop_config(strategy: RefreshStrategy, epoch: f64) -> ClusterConfig<'static> {
-    ClusterConfig {
-        topology: Topology::mesh(3, 50.0, 70.0, 45.0),
-        workload: Workload::Cooperative(CooperativeWorkload {
-            base: AdaptiveWorkload {
-                proxies: (0..3)
-                    .map(|_| SynthWebConfig {
-                        lambda: 14.0,
-                        link_skew: 0.3,
-                        ..SynthWebConfig::default()
-                    })
-                    .collect(),
-                cache_capacity: 48,
-                cache_bytes: None,
-                max_candidates: 3,
-                prefetch_jitter: 0.01,
-                policy: ProxyPolicy::Adaptive,
-                predictor: CandidateSource::Oracle,
-                shared_structure_seed: Some(99),
-                delayed: Default::default(),
-            },
-            coop: CoopConfig {
-                placement: PlacementPolicy::LoadAware { divergence: 0.05, step: 4, min_vnodes: 8 },
-                digest: DigestConfig { epoch, bits_per_entry: 10, hashes: 4 },
-                refresh: strategy,
-                ..CoopConfig::default()
-            },
-        }),
-        requests_per_proxy: 8_000,
-        warmup_per_proxy: 1_600,
-    }
-}
-
-/// Per-proxy cache byte budget of the E16-shaped deployment.
-const E16_CACHE_BYTES: f64 = 160.0;
-
-/// The E16-shaped deployment: a wider peer mesh with **byte-addressed**
-/// caches and markedly heterogeneous object sizes (heavy Pareto tail), so
-/// byte-driven multi-evictions feed the delta streams. Caches are sized
-/// in the regime delta exchange is built for — per-epoch churn well below
-/// capacity — which is where real summary caches live (a proxy does not
-/// turn its whole cache over between refreshes).
-fn e16_byte_config(strategy: RefreshStrategy) -> ClusterConfig<'static> {
-    let n = 8;
-    ClusterConfig {
-        topology: Topology::mesh(n, 50.0, 25.0 * n as f64, 45.0),
-        workload: Workload::Cooperative(CooperativeWorkload {
-            base: AdaptiveWorkload {
-                proxies: (0..n)
-                    .map(|_| SynthWebConfig {
-                        lambda: 14.0,
-                        link_skew: 0.3,
-                        size_shape: 1.6,
-                        ..SynthWebConfig::default()
-                    })
-                    .collect(),
-                cache_capacity: 192,
-                cache_bytes: Some(E16_CACHE_BYTES),
-                max_candidates: 3,
-                prefetch_jitter: 0.01,
-                policy: ProxyPolicy::Adaptive,
-                predictor: CandidateSource::Oracle,
-                shared_structure_seed: Some(99),
-                delayed: Default::default(),
-            },
-            coop: CoopConfig {
-                placement: PlacementPolicy::LoadAware { divergence: 0.05, step: 4, min_vnodes: 8 },
-                digest: DigestConfig { epoch: 1.0, bits_per_entry: 10, hashes: 4 },
-                refresh: strategy,
-                ..CoopConfig::default()
-            },
-        }),
-        requests_per_proxy: 3_000,
-        warmup_per_proxy: 600,
-    }
-}
+use cluster::{ClusterConfig, ClusterReport, ClusterSim, Workload};
+use common::{adaptive, byte_budget, coop, flat, with_epoch};
+use coop::RefreshStrategy;
 
 /// Runs a cooperative config under both strategies and pins report
 /// parity. Digest-exchange volume legitimately differs between the
@@ -154,8 +45,8 @@ fn e13_adaptive_is_strategy_invariant() {
     // No router → no digests: the runs must be *fully* identical,
     // digest-traffic counters (all zero) included.
     for seed in [13u64, 71] {
-        let a = ClusterSim::new(&e13_adaptive_config()).run(seed);
-        let b = ClusterSim::new(&e13_adaptive_config()).run(seed);
+        let a = ClusterSim::new(&adaptive(3, 8_000)).run(seed);
+        let b = ClusterSim::new(&adaptive(3, 8_000)).run(seed);
         assert_reports_match(&a, &b, &format!("e13 seed {seed}"));
         assert_eq!(a.digest_bytes(), 0);
     }
@@ -165,8 +56,8 @@ fn e13_adaptive_is_strategy_invariant() {
 fn e14_coop_delta_matches_full_rebuild() {
     for (seed, epoch) in [(14u64, 2.0), (77, 0.5), (5, 8.0)] {
         assert_delta_full_parity(
-            &e14_coop_config(RefreshStrategy::Deltas, epoch),
-            &e14_coop_config(RefreshStrategy::FullRebuild, epoch),
+            &with_epoch(coop(3, 8_000, RefreshStrategy::Deltas), epoch),
+            &with_epoch(coop(3, 8_000, RefreshStrategy::FullRebuild), epoch),
             seed,
             &format!("e14 seed {seed} epoch {epoch}"),
         );
@@ -177,8 +68,8 @@ fn e14_coop_delta_matches_full_rebuild() {
 fn e16_byte_addressed_delta_matches_full_rebuild() {
     for seed in [16u64, 99] {
         let (by_delta, by_full) = assert_delta_full_parity(
-            &e16_byte_config(RefreshStrategy::Deltas),
-            &e16_byte_config(RefreshStrategy::FullRebuild),
+            &byte_budget(8, 3_000, RefreshStrategy::Deltas),
+            &byte_budget(8, 3_000, RefreshStrategy::FullRebuild),
             seed,
             &format!("e16 seed {seed}"),
         );
@@ -198,13 +89,16 @@ fn e16_byte_addressed_delta_matches_full_rebuild() {
 /// debug-asserts exact conservation per proxy on every run).
 #[test]
 fn byte_budget_and_conservation_hold_under_heterogeneous_sizes() {
-    let report = ClusterSim::new(&e16_byte_config(RefreshStrategy::Deltas)).run(7);
+    let config = byte_budget(8, 3_000, RefreshStrategy::Deltas);
+    let Workload::Cooperative(w) = &config.workload else { unreachable!() };
+    let budget = w.base.cache_bytes.expect("a byte budget");
+    let report = ClusterSim::new(&config).run(7);
     let mut prefetched_any = false;
     for node in &report.nodes {
         let used = node.cache_used_bytes.expect("closed loop reports cache occupancy");
         assert!(
-            used <= E16_CACHE_BYTES + 1e-9,
-            "proxy {}: occupancy {used} B exceeds budget {E16_CACHE_BYTES} B",
+            used <= budget + 1e-9,
+            "proxy {}: occupancy {used} B exceeds budget {budget} B",
             node.proxy
         );
         let good = node.goodput_bytes.expect("adaptive mode reports goodput");
@@ -220,10 +114,11 @@ fn byte_budget_and_conservation_hold_under_heterogeneous_sizes() {
 
 /// The engine-parity oracle still holds with the delta strategy in force:
 /// the legacy scan driver and the indexed scheduler produce identical
-/// reports when both run delta refreshes.
+/// reports when both run delta refreshes (on zero latency: the scan
+/// predates link latency).
 #[test]
 fn legacy_driver_parity_holds_under_delta_refresh() {
-    let config = e16_byte_config(RefreshStrategy::Deltas);
+    let config = flat(byte_budget(8, 3_000, RefreshStrategy::Deltas));
     let new = ClusterSim::new(&config).run(21);
     let old = cluster::legacy::run(&config, 21);
     assert_reports_match(&new, &old, "legacy vs scheduler, delta mode");

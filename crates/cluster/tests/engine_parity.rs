@@ -9,119 +9,49 @@
 //! E14-shaped cooperative configurations (and the open-loop mode), across
 //! seeds.
 
+mod common;
+
 use cluster::parity::assert_reports_match;
 use cluster::{
-    legacy, AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, CooperativeWorkload,
-    ProxyPolicy, StaticProxy, StaticWorkload, Topology, Workload,
+    legacy, AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, ProxyPolicy, Topology,
+    Workload,
 };
-use coop::{CoopConfig, DigestConfig, PlacementPolicy};
-use simcore::dist::Exponential;
+use common::{adaptive, coop, flat, static_itemless, with_epoch};
+use coop::RefreshStrategy;
 use workload::synth_web::SynthWebConfig;
 
-/// The E13-shaped adaptive deployment: 3 proxies over 2 origin shards,
-/// heterogeneous local load, oracle candidates, jittered prefetch pacing.
-fn e13_adaptive_config(policy: ProxyPolicy) -> ClusterConfig<'static> {
-    ClusterConfig {
-        topology: Topology::sharded_origin(3, 2, 45.0, 80.0),
-        workload: Workload::Adaptive(AdaptiveWorkload {
-            proxies: [8.0, 18.0, 30.0]
-                .iter()
-                .map(|&lambda| SynthWebConfig {
-                    lambda,
-                    link_skew: 0.3,
-                    ..SynthWebConfig::default()
-                })
-                .collect(),
-            cache_capacity: 32,
-            cache_bytes: None,
-            max_candidates: 3,
-            prefetch_jitter: 0.01,
-            policy,
-            predictor: CandidateSource::Oracle,
-            shared_structure_seed: None,
-            delayed: Default::default(),
-        }),
-        requests_per_proxy: 12_000,
-        warmup_per_proxy: 2_400,
-    }
-}
-
-/// The E14-shaped cooperative deployment: 3-proxy peer mesh, identical
-/// item universes, short digest epoch, load-aware placement.
-fn e14_coop_config(epoch: f64) -> ClusterConfig<'static> {
-    ClusterConfig {
-        topology: Topology::mesh(3, 50.0, 70.0, 45.0),
-        workload: Workload::Cooperative(CooperativeWorkload {
-            base: AdaptiveWorkload {
-                proxies: (0..3)
-                    .map(|_| SynthWebConfig {
-                        lambda: 14.0,
-                        link_skew: 0.3,
-                        ..SynthWebConfig::default()
-                    })
-                    .collect(),
-                cache_capacity: 48,
-                cache_bytes: None,
-                max_candidates: 3,
-                prefetch_jitter: 0.01,
-                policy: ProxyPolicy::Adaptive,
-                predictor: CandidateSource::Oracle,
-                shared_structure_seed: Some(99),
-                delayed: Default::default(),
-            },
-            coop: CoopConfig {
-                placement: PlacementPolicy::LoadAware { divergence: 0.05, step: 4, min_vnodes: 8 },
-                digest: DigestConfig { epoch, bits_per_entry: 10, hashes: 4 },
-                ..CoopConfig::default()
-            },
-        }),
-        requests_per_proxy: 10_000,
-        warmup_per_proxy: 2_000,
-    }
+/// The scheduler and the legacy scan agree on `config` at `seed`. The
+/// scan predates link latency, so `config` must be [`flat`].
+fn assert_legacy_matches(config: &ClusterConfig<'_>, seed: u64, label: &str) {
+    let new = ClusterSim::new(config).run(seed);
+    assert_reports_match(&new, &legacy::run(config, seed), label);
 }
 
 #[test]
 fn adaptive_engine_parity_old_vs_new() {
+    let mut config = flat(adaptive(3, 12_000));
     for seed in [13u64, 71] {
-        let config = e13_adaptive_config(ProxyPolicy::Adaptive);
-        let new = ClusterSim::new(&config).run(seed);
-        let old = legacy::run(&config, seed);
-        assert_reports_match(&new, &old, &format!("adaptive seed {seed}"));
+        assert_legacy_matches(&config, seed, &format!("adaptive seed {seed}"));
     }
     // The no-prefetch baseline exercises the request path alone.
-    let config = e13_adaptive_config(ProxyPolicy::NoPrefetch);
-    let new = ClusterSim::new(&config).run(13);
-    let old = legacy::run(&config, 13);
-    assert_reports_match(&new, &old, "no-prefetch");
+    let Workload::Adaptive(w) = &mut config.workload else { unreachable!() };
+    w.policy = ProxyPolicy::NoPrefetch;
+    assert_legacy_matches(&config, 13, "no-prefetch");
 }
 
 #[test]
 fn cooperative_engine_parity_old_vs_new() {
     for (seed, epoch) in [(14u64, 2.0), (77, 0.5)] {
-        let config = e14_coop_config(epoch);
-        let new = ClusterSim::new(&config).run(seed);
-        let old = legacy::run(&config, seed);
-        assert_reports_match(&new, &old, &format!("coop seed {seed} epoch {epoch}"));
+        let config = flat(with_epoch(coop(3, 10_000, RefreshStrategy::Deltas), epoch));
+        assert_legacy_matches(&config, seed, &format!("coop seed {seed} epoch {epoch}"));
     }
 }
 
 #[test]
 fn static_engine_parity_old_vs_new() {
-    let size = Exponential::with_mean(1.0);
-    let config = ClusterConfig {
-        topology: Topology::sharded_origin(3, 2, 25.0, 30.0),
-        workload: Workload::Static(StaticWorkload {
-            proxies: vec![StaticProxy { lambda: 10.0, h_prime: 0.3, n_f: 0.5, p: 0.8 }; 3],
-            size_dist: &size,
-            catalog_items: None,
-        }),
-        requests_per_proxy: 20_000,
-        warmup_per_proxy: 4_000,
-    };
+    let config = flat(static_itemless(3, 20_000));
     for seed in [13u64, 29] {
-        let new = ClusterSim::new(&config).run(seed);
-        let old = legacy::run(&config, seed);
-        assert_reports_match(&new, &old, &format!("static seed {seed}"));
+        assert_legacy_matches(&config, seed, &format!("static seed {seed}"));
     }
 }
 
@@ -131,7 +61,7 @@ fn static_engine_parity_old_vs_new() {
 #[test]
 fn digest_epochs_match_the_grid_exactly() {
     for epoch in [0.5, 2.0, 8.0] {
-        let config = e14_coop_config(epoch);
+        let config = with_epoch(coop(3, 10_000, RefreshStrategy::Deltas), epoch);
         let report = ClusterSim::new(&config).run(21);
         let epochs = report.coop.expect("coop counters").router.digest_epochs;
         let expected = (report.duration / epoch).floor() as u64;
@@ -184,8 +114,7 @@ fn pending_prefetch_never_finds_item_cached() {
 /// the prefetched volume exactly, and goodput never exceeds it.
 #[test]
 fn goodput_plus_badput_conserves_prefetched_bytes() {
-    let config = e13_adaptive_config(ProxyPolicy::Adaptive);
-    let report = ClusterSim::new(&config).run(5);
+    let report = ClusterSim::new(&adaptive(3, 12_000)).run(5);
     let mut prefetched_any = false;
     for node in &report.nodes {
         let good = node.goodput_bytes.expect("adaptive mode reports goodput");
@@ -208,7 +137,7 @@ fn goodput_plus_badput_conserves_prefetched_bytes() {
 
     // Cooperative runs pay false-hit fallbacks on prefetch transfers too;
     // the conservation identity must survive the double-path costs.
-    let coop = ClusterSim::new(&e14_coop_config(2.0)).run(3);
+    let coop = ClusterSim::new(&coop(3, 10_000, RefreshStrategy::Deltas)).run(3);
     for node in &coop.nodes {
         let good = node.goodput_bytes.unwrap();
         let bad = node.badput_bytes.unwrap();

@@ -1,17 +1,20 @@
 //! Determinism contracts of the fault-injection layer (the E22 tentpole).
 //!
 //! Two pinned properties, both structural `assert_eq!` on the derived
-//! `PartialEq` — every float bit-exact, no tolerance:
+//! `PartialEq` — every float bit-exact, no tolerance — and both columns
+//! of the parity matrix (`shard_parity.rs`) on every engine:
 //!
 //! * **Empty plan ⇒ zero perturbation.** `run_faulted` with
-//!   `FaultConfig::default()` is bit-identical to the unfaulted run on
-//!   every engine and every shard count: the fault machinery adds no RNG
-//!   draws, float operations, or event reorderings until a fault fires.
+//!   `FaultConfig::default()` is bit-identical to the unfaulted run: the
+//!   fault machinery adds no RNG draws, float operations, or event
+//!   reorderings until a fault fires.
 //! * **Sharding-independence under faults.** A non-trivial plan — link
 //!   flaps, degradation loss, proxy crashes, digest losses, origin
 //!   brownouts and blackouts, retries and failovers — produces the same
-//!   report (and the same traces) at shard counts 1, 2, 4, and 8.
+//!   report (and the same traces) at every shard count.
 //!
+//! This suite adds the wider and sharper cases: eight proxies down to one
+//! per shard, a crash tied with a request, and trace stores under faults.
 //! Plus the satellite invariants: the MSHR conservation law
 //! `origin_fetches + coalesced + failed == demand_misses` holds under
 //! every fault mix; retries degrade gracefully where no-retries collapse;
@@ -19,144 +22,22 @@
 //! backoff schedule is deterministic, monotone, and jitter-bounded
 //! (property-tested).
 
-use cluster::{
-    AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, CooperativeWorkload, ProxyPolicy,
-    StaticProxy, StaticWorkload, Topology, Workload,
-};
-use coop::{CoopConfig, DigestConfig, PlacementPolicy, RefreshStrategy};
+mod common;
+
+use cluster::{ClusterConfig, ClusterSim};
+use common::{adaptive, chaos, coop, flat, static_catalog, traced};
+use coop::RefreshStrategy;
 use proptest::prelude::*;
-use simcore::dist::Exponential;
 use simcore::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 use simcore::trace::TraceClass;
-use simcore::ObsConfig;
-use workload::synth_web::SynthWebConfig;
-
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn coop_config(n: usize, latency: f64, requests: usize) -> ClusterConfig<'static> {
-    ClusterConfig {
-        topology: Topology::mesh_with_latency(n, 50.0, 150.0, 45.0, latency),
-        workload: Workload::Cooperative(CooperativeWorkload {
-            base: AdaptiveWorkload {
-                proxies: (0..n)
-                    .map(|_| SynthWebConfig {
-                        lambda: 12.0,
-                        link_skew: 0.3,
-                        ..SynthWebConfig::default()
-                    })
-                    .collect(),
-                cache_capacity: 48,
-                cache_bytes: None,
-                max_candidates: 3,
-                prefetch_jitter: 0.01,
-                policy: ProxyPolicy::Adaptive,
-                predictor: CandidateSource::Oracle,
-                shared_structure_seed: Some(99),
-                delayed: Default::default(),
-            },
-            coop: CoopConfig {
-                placement: PlacementPolicy::LoadAware { divergence: 0.05, step: 4, min_vnodes: 8 },
-                digest: DigestConfig { epoch: 2.0, bits_per_entry: 10, hashes: 4 },
-                refresh: RefreshStrategy::Deltas,
-                ..CoopConfig::default()
-            },
-        }),
-        requests_per_proxy: requests,
-        warmup_per_proxy: requests / 5,
-    }
-}
-
-fn adaptive_config() -> ClusterConfig<'static> {
-    ClusterConfig {
-        topology: Topology::sharded_origin(4, 2, 45.0, 80.0),
-        workload: Workload::Adaptive(AdaptiveWorkload {
-            proxies: [8.0, 18.0, 30.0, 11.0]
-                .iter()
-                .map(|&lambda| SynthWebConfig {
-                    lambda,
-                    link_skew: 0.3,
-                    ..SynthWebConfig::default()
-                })
-                .collect(),
-            cache_capacity: 32,
-            cache_bytes: None,
-            max_candidates: 3,
-            prefetch_jitter: 0.01,
-            policy: ProxyPolicy::Adaptive,
-            predictor: CandidateSource::Oracle,
-            shared_structure_seed: None,
-            delayed: Default::default(),
-        }),
-        requests_per_proxy: 1_200,
-        warmup_per_proxy: 240,
-    }
-}
-
-fn static_config(size: &(dyn simcore::dist::Sample + Sync)) -> ClusterConfig<'_> {
-    ClusterConfig {
-        topology: Topology::sharded_origin(4, 2, 25.0, 12.0),
-        workload: Workload::Static(StaticWorkload {
-            proxies: vec![StaticProxy { lambda: 14.0, h_prime: 0.3, n_f: 0.5, p: 0.8 }; 4],
-            size_dist: size,
-            catalog_items: Some(40),
-        }),
-        requests_per_proxy: 3_000,
-        warmup_per_proxy: 600,
-    }
-}
-
-/// A plan exercising every fault kind: flapping links, a degraded lossy
-/// link, a proxy crash, a digest loss, and an origin brownout followed by
-/// a short blackout.
-fn chaos_plan() -> FaultPlan {
-    FaultPlan::new(vec![
-        FaultEvent {
-            t: 4.0,
-            kind: FaultKind::LinkDegrade { link: 0, loss: 0.4, latency_factor: 2.0 },
-        },
-        FaultEvent { t: 8.0, kind: FaultKind::LinkDown { link: 1 } },
-        FaultEvent { t: 12.0, kind: FaultKind::LinkUp { link: 1 } },
-        FaultEvent { t: 14.0, kind: FaultKind::OriginBrownout { delay: 0.3 } },
-        FaultEvent { t: 18.0, kind: FaultKind::ProxyCrash { proxy: 1 } },
-        FaultEvent { t: 22.0, kind: FaultKind::DigestLoss { proxy: 2 } },
-        FaultEvent { t: 26.0, kind: FaultKind::OriginBlackout },
-        FaultEvent { t: 29.0, kind: FaultKind::OriginRestore },
-        FaultEvent { t: 32.0, kind: FaultKind::LinkUp { link: 0 } },
-    ])
-}
-
-fn chaos_config() -> FaultConfig {
-    FaultConfig { plan: chaos_plan(), retry: RetryPolicy::default() }
-}
-
-/// Empty plan, every engine, every shard count: bit-identical to the
-/// unfaulted run — `assert_eq!` on the full report, no tolerance.
-#[test]
-fn empty_plan_is_bit_identical_to_the_unfaulted_run() {
-    let size = Exponential::with_mean(1.0);
-    let configs: [(&str, ClusterConfig<'_>); 3] = [
-        ("coop", coop_config(4, 0.05, 800)),
-        ("adaptive", adaptive_config()),
-        ("static", static_config(&size)),
-    ];
-    let empty = FaultConfig::default();
-    for (label, config) in &configs {
-        let sim = ClusterSim::new(config);
-        for shards in SHARD_COUNTS {
-            let oracle = sim.run_sharded(17, shards);
-            let faulted = sim.run_faulted(17, shards, &empty);
-            assert_eq!(faulted, oracle, "{label}: empty plan at {shards} shards");
-        }
-    }
-}
 
 /// A non-trivial plan is bit-identical across shard counts on the
 /// cooperative mesh (one shard on the calling thread, and > 1 shard on
 /// threads, which the positive lookahead admits).
 #[test]
 fn fault_runs_are_bit_identical_across_shard_counts() {
-    let config = coop_config(8, 0.05, 700);
-    let fc = chaos_config();
+    let config = coop(8, 700, RefreshStrategy::Deltas);
+    let fc = chaos();
     let sim = ClusterSim::new(&config);
     let base = sim.run_faulted(23, 1, &fc);
     // The plan actually bites: failures, retries, and a crash all fire.
@@ -169,29 +50,13 @@ fn fault_runs_are_bit_identical_across_shard_counts() {
     }
 }
 
-/// The same contract on the other two engines (origin-only routes).
-#[test]
-fn fault_runs_are_shard_independent_on_every_engine() {
-    let size = Exponential::with_mean(1.0);
-    let fc = chaos_config();
-    for (label, config) in [("adaptive", adaptive_config()), ("static", static_config(&size))] {
-        let sim = ClusterSim::new(&config);
-        let base = sim.run_faulted(31, 1, &fc);
-        assert!(base.failed_fetches() > 0, "{label}: plan produced no failures");
-        for shards in [2, 4, 8] {
-            assert_eq!(sim.run_faulted(31, shards, &fc), base, "{label} at {shards} shards");
-        }
-    }
-}
-
 /// A boundary fault at exactly an event's instant: the event fires
 /// before the boundary on every driver. The crash time and victim come
 /// from a request in the recorded trace (the recorder folds the issuing
 /// proxy into the client id), so the crashed proxy's own request and its
-/// crash tie. On the cooperative mesh (digest refreshes on) the one-shard
-/// run must match the windowed driver at 2 and 4 shards; on a
-/// zero-latency `sharded_origin` topology a 2-shard cut runs as the
-/// one-shard plan.
+/// crash tie. The one-shard run must match the windowed driver at 2 and 4
+/// shards, on the cooperative mesh (digest refreshes on) and on the
+/// adaptive engine's two-shard origin.
 #[test]
 fn crash_at_a_request_instant_is_shard_independent() {
     let crash_at_request = |config: &ClusterConfig<'_>, seed: u64| {
@@ -202,21 +67,20 @@ fn crash_at_a_request_instant_is_shard_independent() {
         (proxy, FaultConfig { plan: FaultPlan::new(vec![crash]), retry: RetryPolicy::default() })
     };
 
-    let coop = coop_config(4, 0.05, 700);
-    let (victim, fc) = crash_at_request(&coop, 59);
-    let sim = ClusterSim::new(&coop);
-    let base = sim.run_faulted(59, 1, &fc);
-    assert!(base.nodes[victim].lost_entries > 0, "coop: crash wiped nothing");
-    for shards in [2, 4] {
-        assert_eq!(sim.run_faulted(59, shards, &fc), base, "coop: crash tie at {shards} shards");
+    let configs = [
+        ("coop", coop(4, 700, RefreshStrategy::Deltas), 59),
+        ("sharded_origin", adaptive(4, 1_200), 61),
+    ];
+    for (label, config, seed) in configs {
+        let (victim, fc) = crash_at_request(&config, seed);
+        let sim = ClusterSim::new(&config);
+        let base = sim.run_faulted(seed, 1, &fc);
+        assert!(base.nodes[victim].lost_entries > 0, "{label}: crash wiped nothing");
+        for shards in [2, 4] {
+            let report = sim.run_faulted(seed, shards, &fc);
+            assert_eq!(report, base, "{label}: crash tie at {shards} shards");
+        }
     }
-
-    let origin = adaptive_config();
-    let (victim, fc) = crash_at_request(&origin, 61);
-    let sim = ClusterSim::new(&origin);
-    let base = sim.run_faulted(61, 1, &fc);
-    assert!(base.nodes[victim].lost_entries > 0, "sharded_origin: crash wiped nothing");
-    assert_eq!(sim.run_faulted(61, 2, &fc), base, "sharded_origin: crash tie at 2 shards");
 }
 
 /// Traces under faults: bit-identical stores across shard counts, every
@@ -224,11 +88,10 @@ fn crash_at_a_request_instant_is_shard_independent() {
 /// segments), and failed fetches surface as `TraceClass::Failed`.
 #[test]
 fn fault_traces_are_bit_identical_and_conservative() {
-    let config = coop_config(4, 0.05, 700);
-    let fc = chaos_config();
-    let probes = ObsConfig::on().with_sample_every(1.0).with_trace_every(1);
+    let config = coop(4, 700, RefreshStrategy::Deltas);
+    let fc = chaos();
     let sim = ClusterSim::new(&config);
-    let (report, base) = sim.run_faulted_observed(37, 1, &fc, &probes);
+    let (report, base) = sim.run_faulted_observed(37, 1, &fc, &traced(1));
     let base = base.traces.expect("tracing ran");
     let mut failed = 0u64;
     for tr in &base.traces {
@@ -247,27 +110,28 @@ fn fault_traces_are_bit_identical_and_conservative() {
     }
     assert!(failed > 0, "no failed traces despite {} failed fetches", report.failed_fetches());
     for shards in [2, 4] {
-        let (_, obs) = sim.run_faulted_observed(37, shards, &fc, &probes);
+        let (_, obs) = sim.run_faulted_observed(37, shards, &fc, &traced(1));
         assert_eq!(obs.traces.expect("tracing ran"), base, "trace store at {shards} shards");
     }
 }
 
 /// The MSHR conservation law survives every fault mix, on both engines
 /// with a table — checked from the report in release builds (the engines
-/// also debug-assert it at report time).
+/// also debug-assert it at report time): threaded at two shards, and on
+/// the static catalog's zero-latency origin at one.
 #[test]
 fn mshr_conservation_holds_under_faults() {
-    let fc = chaos_config();
-    let coop = coop_config(4, 0.05, 800);
-    let report = ClusterSim::new(&coop).run_faulted(41, 2, &fc);
-    assert!(report.failed_fetches() > 0, "coop: plan produced no failures");
-    assert!(report.mshr_conservation_ok(), "coop: conservation law violated");
-
-    let size = Exponential::with_mean(1.0);
-    let catalog = static_config(&size);
-    let report = ClusterSim::new(&catalog).run_faulted(43, 2, &fc);
-    assert!(report.failed_fetches() > 0, "static: plan produced no failures");
-    assert!(report.mshr_conservation_ok(), "static: conservation law violated");
+    let fc = chaos();
+    let runs: [(&str, ClusterConfig<'_>, u64, usize); 3] = [
+        ("coop", coop(4, 800, RefreshStrategy::Deltas), 41, 2),
+        ("static", static_catalog(4, 3_000), 43, 2),
+        ("flat static", flat(static_catalog(4, 3_000)), 43, 1),
+    ];
+    for (label, config, seed, shards) in runs {
+        let report = ClusterSim::new(&config).run_faulted(seed, shards, &fc);
+        assert!(report.failed_fetches() > 0, "{label}: plan produced no failures");
+        assert!(report.mshr_conservation_ok(), "{label}: conservation law violated");
+    }
 }
 
 /// Retries buy graceful degradation: on a lossy mesh, the retry policy
@@ -275,7 +139,7 @@ fn mshr_conservation_holds_under_faults() {
 /// cost of a visible retry count.
 #[test]
 fn retries_degrade_gracefully_where_no_retries_collapse() {
-    let config = coop_config(4, 0.05, 800);
+    let config = coop(4, 800, RefreshStrategy::Deltas);
     // Every link lossy for the whole run.
     let n_links = config.topology.links().len();
     let plan = FaultPlan::new(
@@ -312,7 +176,7 @@ fn retries_degrade_gracefully_where_no_retries_collapse() {
 /// pure-deltas strategy, and the wiped entries are reported.
 #[test]
 fn crash_recovery_forces_a_snapshot_refresh() {
-    let config = coop_config(4, 0.05, 800);
+    let config = coop(4, 800, RefreshStrategy::Deltas);
     let fc = FaultConfig {
         plan: FaultPlan::new(vec![FaultEvent {
             t: 20.0,

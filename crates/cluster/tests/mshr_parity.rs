@@ -1,11 +1,9 @@
-//! MSHR-mode determinism and delayed-hits behaviour.
-//!
-//! Every delayed-hits configuration — coalescing on/off, bounded entry
-//! budgets, aggregate-delay ranking, size-aware thresholds, the static
-//! catalog mode — must leave the sharded driver **bit-identical** to the
-//! single-threaded oracle at every shard count, exactly like the default
-//! engines (`shard_parity.rs`). On top of parity, this suite pins the
-//! delayed-hits physics the refactor exists for:
+//! Delayed-hits behaviour. That every delayed-hits configuration —
+//! coalescing on/off, bounded entry budgets, aggregate-delay ranking,
+//! size-aware thresholds, the static catalog mode — leaves the sharded
+//! driver **bit-identical** to the single-threaded one is a set of rows of
+//! the parity matrix (`shard_parity.rs`). This suite pins the delayed-hits
+//! physics the MSHR table exists for:
 //!
 //! * at backbone latencies the fetch window spans later requests, so the
 //!   coalescing table settles some of them as **delayed hits** and makes
@@ -15,134 +13,10 @@
 //!   accumulated waiting) beats plain recency on mean access time in a
 //!   pinned high-latency cell.
 
-use cluster::{
-    AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterReport, ClusterSim, DelayedHitsConfig,
-    ProxyPolicy, RankingMode, StaticProxy, StaticWorkload, Topology, Workload,
-};
-use simcore::dist::Exponential;
-use workload::synth_web::SynthWebConfig;
+mod common;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn assert_shard_counts_agree(config: &ClusterConfig<'_>, seed: u64, label: &str) -> ClusterReport {
-    let oracle = ClusterSim::new(config).run(seed);
-    for shards in SHARD_COUNTS {
-        let sharded = ClusterSim::new(config).run_sharded(seed, shards);
-        assert_eq!(
-            sharded, oracle,
-            "{label}: report at {shards} shards differs from the single-threaded oracle"
-        );
-    }
-    oracle
-}
-
-/// A latency-bearing deployment where fetch windows span many requests:
-/// high load and a slow, high-latency backbone. This is the regime where
-/// delayed hits exist at all.
-fn delayed_config(delayed: DelayedHitsConfig) -> ClusterConfig<'static> {
-    ClusterConfig {
-        topology: Topology::mesh_with_latency(4, 60.0, 25.0, 45.0, 0.08),
-        workload: Workload::Adaptive(AdaptiveWorkload {
-            proxies: (0..4)
-                .map(|i| SynthWebConfig {
-                    lambda: 24.0 + 4.0 * i as f64,
-                    n_items: 160,
-                    link_skew: 0.3,
-                    ..SynthWebConfig::default()
-                })
-                .collect(),
-            cache_capacity: 24,
-            cache_bytes: None,
-            max_candidates: 3,
-            prefetch_jitter: 0.01,
-            policy: ProxyPolicy::Adaptive,
-            predictor: CandidateSource::Oracle,
-            shared_structure_seed: None,
-            delayed,
-        }),
-        requests_per_proxy: 3_000,
-        warmup_per_proxy: 600,
-    }
-}
-
-#[test]
-fn coalescing_sharding_is_invisible() {
-    let report = assert_shard_counts_agree(
-        &delayed_config(DelayedHitsConfig::default()),
-        20,
-        "mshr coalescing",
-    );
-    assert!(
-        report.delayed_hits() > 0,
-        "the high-latency cell must settle some delayed hits, got none"
-    );
-}
-
-#[test]
-fn independent_sharding_is_invisible() {
-    let report = assert_shard_counts_agree(
-        &delayed_config(DelayedHitsConfig { coalesce: false, ..Default::default() }),
-        20,
-        "mshr independent",
-    );
-    assert_eq!(report.delayed_hits(), 0, "independent mode must never coalesce");
-}
-
-#[test]
-fn budgeted_sharding_is_invisible() {
-    let report = assert_shard_counts_agree(
-        &delayed_config(DelayedHitsConfig { mshr_entries: Some(4), ..Default::default() }),
-        20,
-        "mshr budgeted",
-    );
-    let rejections: u64 = report.nodes.iter().filter_map(|n| n.mshr_rejections).sum();
-    assert!(rejections > 0, "a 4-entry budget at this load must refuse some allocations");
-}
-
-#[test]
-fn ranked_sharding_is_invisible() {
-    assert_shard_counts_agree(
-        &delayed_config(DelayedHitsConfig {
-            ranking: RankingMode::AggregateDelay,
-            ..Default::default()
-        }),
-        20,
-        "mshr ranked",
-    );
-}
-
-#[test]
-fn size_aware_sharding_is_invisible() {
-    assert_shard_counts_agree(
-        &delayed_config(DelayedHitsConfig { size_aware: true, ..Default::default() }),
-        20,
-        "mshr size-aware",
-    );
-}
-
-#[test]
-fn static_catalog_sharding_is_invisible() {
-    let size = Exponential::with_mean(1.0);
-    let config = ClusterConfig {
-        topology: Topology::sharded_origin(5, 2, 25.0, 12.0),
-        workload: Workload::Static(StaticWorkload {
-            proxies: vec![StaticProxy { lambda: 14.0, h_prime: 0.3, n_f: 0.5, p: 0.8 }; 5],
-            size_dist: &size,
-            catalog_items: Some(40),
-        }),
-        requests_per_proxy: 6_000,
-        warmup_per_proxy: 1_200,
-    };
-    let report = assert_shard_counts_agree(&config, 31, "static catalog");
-    assert!(
-        report.delayed_hits() > 0,
-        "a 40-item catalog over a slow origin must settle some delayed hits"
-    );
-    assert!(
-        report.coalesced_requests() > 0 && report.origin_fetches() > 0,
-        "catalog mode must populate the MSHR aggregates"
-    );
-}
+use cluster::{ClusterSim, DelayedHitsConfig, RankingMode};
+use common::mshr;
 
 /// The coalescing win: at equal offered load over the same slow backbone,
 /// the coalescing table launches strictly fewer origin fetches than the
@@ -150,12 +24,9 @@ fn static_catalog_sharding_is_invisible() {
 /// and the counters reconcile exactly.
 #[test]
 fn coalescing_launches_strictly_fewer_origin_fetches() {
-    let coalescing = ClusterSim::new(&delayed_config(DelayedHitsConfig::default())).run(22);
-    let independent = ClusterSim::new(&delayed_config(DelayedHitsConfig {
-        coalesce: false,
-        ..Default::default()
-    }))
-    .run(22);
+    let coalescing = ClusterSim::new(&mshr(DelayedHitsConfig::default(), 3_000)).run(22);
+    let independent = DelayedHitsConfig { coalesce: false, ..Default::default() };
+    let independent = ClusterSim::new(&mshr(independent, 3_000)).run(22);
     assert!(
         coalescing.coalesced_requests() > 0,
         "no coalescing happened — the cell no longer exercises delayed hits"
@@ -174,12 +45,9 @@ fn coalescing_launches_strictly_fewer_origin_fetches() {
 /// yields a lower mean access time than plain recency.
 #[test]
 fn aggregate_delay_ranking_beats_recency() {
-    let recency = ClusterSim::new(&delayed_config(DelayedHitsConfig::default())).run(23);
-    let ranked = ClusterSim::new(&delayed_config(DelayedHitsConfig {
-        ranking: RankingMode::AggregateDelay,
-        ..Default::default()
-    }))
-    .run(23);
+    let recency = ClusterSim::new(&mshr(DelayedHitsConfig::default(), 3_000)).run(23);
+    let ranked = DelayedHitsConfig { ranking: RankingMode::AggregateDelay, ..Default::default() };
+    let ranked = ClusterSim::new(&mshr(ranked, 3_000)).run(23);
     assert!(
         ranked.mean_access_time < recency.mean_access_time,
         "aggregate-delay ranking must beat recency on mean access time: {} vs {}",

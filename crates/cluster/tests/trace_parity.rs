@@ -1,169 +1,32 @@
-//! Causal tracing must follow the observability contract: attaching span
-//! probes cannot perturb the simulation ([`cluster::ClusterReport`]
-//! bit-identical with tracing on vs the untraced sequential oracle, at
-//! every shard count, on all three engines), and the traces themselves
-//! must be **bit-identical across shard counts** — span buffers merge on
-//! the `(trace, seq)` total key, so sharding can't reorder anything.
+//! Causal tracing must follow the observability contract. That tracing
+//! leaves the [`cluster::ClusterReport`] bit-identical, and that the
+//! traces themselves are **bit-identical across shard counts** (span
+//! buffers merge on the `(trace, seq)` total key, so sharding can't
+//! reorder anything), are columns of the parity matrix
+//! (`shard_parity.rs`), on every engine.
 //!
-//! The second half cross-checks the extracted traces against the report's
-//! own statistics (the satellite-2 requirement): with `trace_every = 1`
-//! the per-proxy class counts reproduce `measured_requests`/`hit_ratio`
-//! exactly, and the mean of measured demand-trace latencies agrees with
-//! `mean_retrieval_time` to 1e-9 — two independent measurement paths over
-//! the same events.
+//! This suite checks the traces themselves, and cross-checks them against
+//! the report's own statistics (the satellite-2 requirement): with
+//! `trace_every = 1` the per-proxy class counts reproduce
+//! `measured_requests`/`hit_ratio` exactly, and the mean of measured
+//! demand-trace latencies agrees with `mean_retrieval_time` to 1e-9 — two
+//! independent measurement paths over the same events.
 
-use cluster::{
-    AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, CooperativeWorkload,
-    DelayedHitsConfig, ProxyPolicy, ShardPlan, StaticProxy, StaticWorkload, Topology, Workload,
-};
-use coop::{CoopConfig, DigestConfig, PlacementPolicy, RefreshStrategy};
-use simcore::dist::Exponential;
+mod common;
+
+use cluster::{ClusterConfig, ClusterSim, DelayedHitsConfig, Workload};
+use common::{adaptive, close, coop, mshr, static_catalog, static_itemless, traced};
+use coop::RefreshStrategy;
 use simcore::trace::{SegKind, TraceClass};
 use simcore::{Json, ObsConfig};
-use workload::synth_web::SynthWebConfig;
-
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-fn coop_config(n: usize, latency: f64, requests: usize) -> ClusterConfig<'static> {
-    let topology = if latency > 0.0 {
-        Topology::mesh_with_latency(n, 50.0, 150.0, 45.0, latency)
-    } else {
-        Topology::mesh(n, 50.0, 150.0, 45.0)
-    };
-    ClusterConfig {
-        topology,
-        workload: Workload::Cooperative(CooperativeWorkload {
-            base: AdaptiveWorkload {
-                proxies: (0..n)
-                    .map(|_| SynthWebConfig {
-                        lambda: 12.0,
-                        link_skew: 0.3,
-                        ..SynthWebConfig::default()
-                    })
-                    .collect(),
-                cache_capacity: 48,
-                cache_bytes: None,
-                max_candidates: 3,
-                prefetch_jitter: 0.01,
-                policy: ProxyPolicy::Adaptive,
-                predictor: CandidateSource::Oracle,
-                shared_structure_seed: Some(99),
-                delayed: Default::default(),
-            },
-            coop: CoopConfig {
-                placement: PlacementPolicy::LoadAware { divergence: 0.05, step: 4, min_vnodes: 8 },
-                digest: DigestConfig { epoch: 2.0, bits_per_entry: 10, hashes: 4 },
-                refresh: RefreshStrategy::Deltas,
-                ..CoopConfig::default()
-            },
-        }),
-        requests_per_proxy: requests,
-        warmup_per_proxy: requests / 5,
-    }
-}
-
-fn adaptive_config(cache_bytes: Option<f64>) -> ClusterConfig<'static> {
-    ClusterConfig {
-        topology: Topology::sharded_origin(4, 2, 45.0, 80.0),
-        workload: Workload::Adaptive(AdaptiveWorkload {
-            proxies: [8.0, 18.0, 30.0, 11.0]
-                .iter()
-                .map(|&lambda| SynthWebConfig {
-                    lambda,
-                    link_skew: 0.3,
-                    ..SynthWebConfig::default()
-                })
-                .collect(),
-            cache_capacity: 32,
-            cache_bytes,
-            max_candidates: 3,
-            prefetch_jitter: 0.01,
-            policy: ProxyPolicy::Adaptive,
-            predictor: CandidateSource::Oracle,
-            shared_structure_seed: None,
-            delayed: Default::default(),
-        }),
-        requests_per_proxy: 1_200,
-        warmup_per_proxy: 240,
-    }
-}
-
-fn static_config(size: &(dyn simcore::dist::Sample + Sync)) -> ClusterConfig<'_> {
-    ClusterConfig {
-        topology: Topology::sharded_origin(4, 2, 25.0, 30.0),
-        workload: Workload::Static(StaticWorkload {
-            proxies: vec![StaticProxy { lambda: 10.0, h_prime: 0.3, n_f: 0.5, p: 0.8 }; 4],
-            size_dist: size,
-            catalog_items: None,
-        }),
-        requests_per_proxy: 3_000,
-        warmup_per_proxy: 600,
-    }
-}
-
-/// `config` moved onto a 4-proxy latency mesh: its 2-shard cut has
-/// positive lookahead, so every multi-shard run of it starts threads.
-fn on_latency_mesh(config: ClusterConfig<'_>) -> ClusterConfig<'_> {
-    let config = ClusterConfig {
-        topology: Topology::mesh_with_latency(4, 50.0, 150.0, 45.0, 0.05),
-        ..config
-    };
-    assert!(ShardPlan::partition(&config.topology, 2).lookahead() > 0.0);
-    config
-}
-
-fn traced(every: u64) -> ObsConfig {
-    ObsConfig::on().with_sample_every(1.0).with_flight_capacity(128).with_trace_every(every)
-}
-
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
-}
-
-/// Tracing on must yield the exact report the untraced sequential oracle
-/// produces, at every shard count — spans read state, never touch it.
-fn assert_tracing_is_invisible(config: &ClusterConfig<'_>, seed: u64, every: u64, label: &str) {
-    let oracle = ClusterSim::new(config).run(seed);
-    for shards in SHARD_COUNTS {
-        let (report, obs) = ClusterSim::new(config).run_observed(seed, shards, &traced(every));
-        assert_eq!(report, oracle, "{label}: traced report at {shards} shards vs oracle");
-        let store = obs.traces.as_ref().expect("tracing ran");
-        assert!(!store.traces.is_empty(), "{label}: {shards} shards sampled nothing");
-        assert_eq!(store.every, every.max(1), "{label}: sampling modulus");
-    }
-}
-
-#[test]
-fn tracing_is_invisible_adaptive() {
-    assert_tracing_is_invisible(&adaptive_config(None), 13, 4, "adaptive");
-    let mesh = on_latency_mesh(adaptive_config(None));
-    assert_tracing_is_invisible(&mesh, 13, 4, "adaptive latency mesh");
-}
-
-#[test]
-fn tracing_is_invisible_cooperative() {
-    assert_tracing_is_invisible(&coop_config(4, 0.0, 1_000), 14, 1, "coop merged");
-}
-
-#[test]
-fn tracing_is_invisible_on_the_windowed_driver() {
-    assert_tracing_is_invisible(&coop_config(4, 0.05, 1_000), 21, 2, "coop windowed");
-}
-
-#[test]
-fn tracing_is_invisible_static() {
-    let size = Exponential::with_mean(1.0);
-    assert_tracing_is_invisible(&static_config(&size), 29, 1, "static");
-    let mesh = on_latency_mesh(static_config(&size));
-    assert_tracing_is_invisible(&mesh, 29, 1, "static latency mesh");
-}
 
 /// The merged [`TraceStore`] is bit-identical (derived `PartialEq`, every
-/// float exact) at shard counts 1, 2, 4 and 8: per-job sequence numbers
-/// make `(trace, seq)` a total order no sharding can disturb.
+/// float exact) down to one proxy per shard: eight proxies at 1, 2, 4 and
+/// 8 shards (the matrix stops at four). Per-job sequence numbers make
+/// `(trace, seq)` a total order no sharding can disturb.
 #[test]
 fn traces_are_bit_identical_across_shard_counts() {
-    let config = coop_config(8, 0.05, 600);
+    let config = coop(8, 600, RefreshStrategy::Deltas);
     let (_, base) = ClusterSim::new(&config).run_observed(35, 1, &traced(2));
     let base = base.traces.expect("tracing ran");
     assert!(base.traces.len() > 10, "base sampled {} traces", base.traces.len());
@@ -180,7 +43,7 @@ fn traces_are_bit_identical_across_shard_counts() {
 /// attribution conserves time by construction, not by luck.
 #[test]
 fn segments_conserve_end_to_end_latency() {
-    let config = coop_config(4, 0.05, 1_200);
+    let config = coop(4, 1_200, RefreshStrategy::Deltas);
     let (report, obs) = ClusterSim::new(&config).run_observed(41, 4, &traced(1));
     let store = obs.traces.expect("tracing ran");
     let mut wasted_legs = 0u64;
@@ -281,64 +144,25 @@ fn assert_trace_stats_match_report(config: &ClusterConfig<'_>, seed: u64, label:
 
 #[test]
 fn trace_stats_match_the_report_adaptive() {
-    assert_trace_stats_match_report(&adaptive_config(None), 47, "adaptive");
+    assert_trace_stats_match_report(&adaptive(4, 1_200), 47, "adaptive");
 }
 
 #[test]
 fn trace_stats_match_the_report_cooperative() {
-    assert_trace_stats_match_report(&coop_config(4, 0.05, 1_200), 53, "coop windowed");
+    assert_trace_stats_match_report(&coop(4, 1_200, RefreshStrategy::Deltas), 53, "coop windowed");
 }
 
 #[test]
 fn trace_stats_match_the_report_byte_budget() {
-    assert_trace_stats_match_report(&adaptive_config(Some(24.0)), 59, "byte budget");
+    let mut config = adaptive(4, 1_200);
+    let Workload::Adaptive(w) = &mut config.workload else { unreachable!() };
+    w.cache_bytes = Some(24.0);
+    assert_trace_stats_match_report(&config, 59, "byte budget");
 }
 
 #[test]
 fn trace_stats_match_the_report_static() {
-    let size = Exponential::with_mean(1.0);
-    assert_trace_stats_match_report(&static_config(&size), 61, "static");
-}
-
-/// A latency-bearing adaptive deployment whose fetch windows span later
-/// requests — the regime where the MSHR table settles delayed hits.
-fn delayed_adaptive_config() -> ClusterConfig<'static> {
-    ClusterConfig {
-        topology: Topology::mesh_with_latency(4, 60.0, 25.0, 45.0, 0.08),
-        workload: Workload::Adaptive(AdaptiveWorkload {
-            proxies: (0..4)
-                .map(|i| SynthWebConfig {
-                    lambda: 24.0 + 4.0 * i as f64,
-                    n_items: 160,
-                    link_skew: 0.3,
-                    ..SynthWebConfig::default()
-                })
-                .collect(),
-            cache_capacity: 24,
-            cache_bytes: None,
-            max_candidates: 3,
-            prefetch_jitter: 0.01,
-            policy: ProxyPolicy::Adaptive,
-            predictor: CandidateSource::Oracle,
-            shared_structure_seed: None,
-            delayed: DelayedHitsConfig::default(),
-        }),
-        requests_per_proxy: 1_500,
-        warmup_per_proxy: 300,
-    }
-}
-
-fn delayed_static_config(size: &(dyn simcore::dist::Sample + Sync)) -> ClusterConfig<'_> {
-    ClusterConfig {
-        topology: Topology::sharded_origin(4, 2, 25.0, 12.0),
-        workload: Workload::Static(StaticWorkload {
-            proxies: vec![StaticProxy { lambda: 14.0, h_prime: 0.3, n_f: 0.5, p: 0.8 }; 4],
-            size_dist: size,
-            catalog_items: Some(40),
-        }),
-        requests_per_proxy: 3_000,
-        warmup_per_proxy: 600,
-    }
+    assert_trace_stats_match_report(&static_itemless(4, 3_000), 61, "static");
 }
 
 /// Satellite 2, delayed-hits half: the trace layer and the MSHR report
@@ -391,22 +215,20 @@ fn assert_delayed_aggregates_match(config: &ClusterConfig<'_>, seed: u64, label:
 
 #[test]
 fn delayed_hit_aggregates_match_the_traces_adaptive() {
-    assert_delayed_aggregates_match(&delayed_adaptive_config(), 73, "delayed adaptive");
+    let config = mshr(DelayedHitsConfig::default(), 1_500);
+    assert_delayed_aggregates_match(&config, 73, "delayed adaptive");
 }
 
 #[test]
 fn delayed_hit_aggregates_match_the_traces_static() {
-    let size = Exponential::with_mean(1.0);
-    assert_delayed_aggregates_match(&delayed_static_config(&size), 79, "delayed static");
-    let mesh = on_latency_mesh(delayed_static_config(&size));
-    assert_delayed_aggregates_match(&mesh, 79, "delayed static latency mesh");
+    assert_delayed_aggregates_match(&static_catalog(4, 3_000), 79, "delayed static");
 }
 
 /// The trace-derived registry aggregates and both JSON artifacts agree
 /// with the store they were computed from.
 #[test]
 fn attribution_aggregates_and_artifacts_are_consistent() {
-    let config = coop_config(4, 0.05, 1_000);
+    let config = coop(4, 1_000, RefreshStrategy::Deltas);
     let (_, obs) = ClusterSim::new(&config).run_observed(67, 2, &traced(2));
     let store = obs.traces.as_ref().expect("tracing ran");
 
@@ -448,7 +270,7 @@ fn attribution_aggregates_and_artifacts_are_consistent() {
 /// keeps the store absent and the aggregates unregistered.
 #[test]
 fn tracing_off_leaves_no_store() {
-    let config = adaptive_config(None);
+    let config = adaptive(4, 1_200);
     let (_, obs) =
         ClusterSim::new(&config).run_observed(13, 2, &ObsConfig::on().with_sample_every(1.0));
     assert!(obs.traces.is_none());
@@ -459,14 +281,17 @@ fn tracing_off_leaves_no_store() {
 
 /// Head sampling is a per-trace-id filter: the `every = 4` store is the
 /// restriction of the `every = 1` store to the sampled ids, trace for
-/// trace (same extraction, same floats).
+/// trace (same extraction, same floats), and the report does not depend
+/// on the modulus.
 #[test]
 fn sampled_store_is_a_restriction_of_the_full_store() {
-    let config = coop_config(4, 0.05, 800);
-    let (_, full) = ClusterSim::new(&config).run_observed(71, 2, &traced(1));
-    let (_, thin) = ClusterSim::new(&config).run_observed(71, 2, &traced(4));
+    let config = coop(4, 800, RefreshStrategy::Deltas);
+    let (full_report, full) = ClusterSim::new(&config).run_observed(71, 2, &traced(1));
+    let (thin_report, thin) = ClusterSim::new(&config).run_observed(71, 2, &traced(4));
+    assert_eq!(thin_report, full_report, "the sampling modulus perturbed the run");
     let full = full.traces.expect("tracing ran");
     let thin = thin.traces.expect("tracing ran");
+    assert_eq!(thin.every, 4, "sampling modulus");
     assert!(thin.traces.len() < full.traces.len(), "sampling thinned nothing");
     for tr in &thin.traces {
         assert_eq!(tr.id % 4, 0, "unsampled id {:#x} admitted", tr.id);

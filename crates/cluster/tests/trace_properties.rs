@@ -14,18 +14,16 @@
 //!   conserves latency, and the store is bit-identical to the
 //!   single-shard run's.
 
-use cluster::{
-    AdaptiveWorkload, CandidateSource, ClusterConfig, ClusterSim, CooperativeWorkload, ProxyPolicy,
-    Topology, Workload,
-};
-use coop::{CoopConfig, DigestConfig, PlacementPolicy, RefreshStrategy};
+mod common;
+
+use cluster::{ClusterSim, ShardPlan};
+use common::{close, coop, flat, traced};
+use coop::RefreshStrategy;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simcore::trace::{
     SegKind, SpanEvent, SpanKind, TraceStore, TF_FALSE_HIT, TF_MEASURED, TF_PREFETCH,
 };
-use simcore::ObsConfig;
-use workload::synth_web::SynthWebConfig;
 
 /// Builds one synthetic job lifecycle: issue (optionally after a pending
 /// stall), `retries` timed-out attempts each `(timeout, backoff)` long,
@@ -102,48 +100,6 @@ fn synth_lifecycle(
     (events, totals, wasted)
 }
 
-fn tiny_coop_config(latency_on: bool) -> ClusterConfig<'static> {
-    let topology = if latency_on {
-        Topology::mesh_with_latency(4, 50.0, 150.0, 45.0, 0.05)
-    } else {
-        Topology::mesh(4, 50.0, 150.0, 45.0)
-    };
-    ClusterConfig {
-        topology,
-        workload: Workload::Cooperative(CooperativeWorkload {
-            base: AdaptiveWorkload {
-                proxies: (0..4)
-                    .map(|_| SynthWebConfig {
-                        lambda: 10.0,
-                        link_skew: 0.3,
-                        ..SynthWebConfig::default()
-                    })
-                    .collect(),
-                cache_capacity: 32,
-                cache_bytes: None,
-                max_candidates: 3,
-                prefetch_jitter: 0.01,
-                policy: ProxyPolicy::Adaptive,
-                predictor: CandidateSource::Oracle,
-                shared_structure_seed: Some(7),
-                delayed: Default::default(),
-            },
-            coop: CoopConfig {
-                placement: PlacementPolicy::LoadAware { divergence: 0.05, step: 4, min_vnodes: 8 },
-                digest: DigestConfig { epoch: 2.0, bits_per_entry: 10, hashes: 4 },
-                refresh: RefreshStrategy::Deltas,
-                ..CoopConfig::default()
-            },
-        }),
-        requests_per_proxy: 300,
-        warmup_per_proxy: 60,
-    }
-}
-
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -207,9 +163,13 @@ proptest! {
         shards_sel in 0usize..2,
         latency_on in any::<bool>(),
     ) {
-        let config = tiny_coop_config(latency_on);
-        let probes = ObsConfig::on().with_sample_every(1.0).with_trace_every(1);
-        let (report, base) = ClusterSim::new(&config).run_observed(seed, 1, &probes);
+        let config = coop(4, 300, RefreshStrategy::Deltas);
+        let config = if latency_on { config } else { flat(config) };
+        let shards = [2, 4][shards_sel];
+        // Only the latency arm runs its shards on threads.
+        let lookahead = ShardPlan::partition(&config.topology, shards).lookahead();
+        prop_assert_eq!(lookahead > 0.0, latency_on, "lookahead {}", lookahead);
+        let (report, base) = ClusterSim::new(&config).run_observed(seed, 1, &traced(1));
         let base = base.traces.expect("tracing ran");
         prop_assert!(!base.traces.is_empty());
         for tr in &base.traces {
@@ -218,8 +178,7 @@ proptest! {
                 "trace {:#x}: {} vs {}", tr.id, tr.segment_sum(), tr.latency());
             prop_assert!(tr.start <= tr.end && tr.end <= report.duration);
         }
-        let shards = [2, 4][shards_sel];
-        let (_, obs) = ClusterSim::new(&config).run_observed(seed, shards, &probes);
+        let (_, obs) = ClusterSim::new(&config).run_observed(seed, shards, &traced(1));
         prop_assert_eq!(obs.traces.as_ref(), Some(&base),
             "store differs at {} shards", shards);
     }

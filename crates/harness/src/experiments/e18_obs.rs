@@ -10,11 +10,11 @@
 //! (section `e18_obs`) for the ROADMAP-3/5 work to consume.
 //!
 //! The dashboard on stdout carries only deterministic quantities — every
-//! sample is virtual-time-gridded and obs-parity pins that attaching the
-//! probes never perturbs the report — so the report is byte-stable
-//! run-to-run. Wall-clock telemetry (events/sec, preds/sec, window-drain
-//! and barrier-wait profiles) is machine-dependent and goes to stderr and
-//! the JSON artifact, exactly like E17's scaling numbers.
+//! sample is virtual-time-gridded and the cluster's parity matrix pins
+//! that attaching the probes never perturbs the report — so the report is
+//! byte-stable run-to-run. Wall-clock telemetry (events/sec, preds/sec,
+//! window-drain and barrier-wait profiles) is machine-dependent and goes
+//! to stderr and the JSON artifact, exactly like E17's scaling numbers.
 
 use crate::asciiplot::sparkline;
 use crate::experiments::{Rendered, Size};
@@ -108,8 +108,8 @@ pub fn render(size: Size) -> Rendered {
 
 /// Like [`render`], but with span tracing on (the `--top-k` flag): the
 /// dashboard gains E19's `k` slowest traces. Tracing is a pure observer
-/// (`cluster/tests/trace_parity.rs` pins the report bit-identical either
-/// way), so every other section is unchanged.
+/// (the parity matrix in `cluster/tests/shard_parity.rs` pins the report
+/// bit-identical either way), so every other section is unchanged.
 pub fn render_top_k(size: Size, k: usize) -> Rendered {
     dashboard(size, k.max(1))
 }

@@ -156,7 +156,7 @@
 //! driver runs every plan, a one-shard plan on the calling thread, and
 //! zero-latency topologies (lookahead 0) run their multi-shard cuts as the
 //! one-shard plan, so sharding never changes an answer anywhere (pinned by
-//! `cluster/tests/shard_parity.rs`). Experiment E17
+//! the parity matrix, `cluster/tests/shard_parity.rs`). Experiment E17
 //! (`cargo run --release -p harness -- shard`) runs the strong-scaling ladder
 //! over 256- and 512-proxy latency meshes (~32k and ~131k PS links) and
 //! records each rung's wall time and `speedup_vs_1shard` in section
@@ -201,8 +201,8 @@
 //!
 //! Two contracts hold everywhere. **Determinism:** the probes never draw
 //! RNG, reorder events, or feed back — the report is bit-identical with
-//! observability on or off, at every shard count
-//! (`cluster/tests/obs_parity.rs`); only wall-clock fields differ
+//! observability on or off, at every shard count (the parity matrix,
+//! `cluster/tests/shard_parity.rs`); only wall-clock fields differ
 //! run-to-run, and they live strictly in the telemetry, never the
 //! report. **Zero overhead when off:** with the default
 //! [`simcore::ObsConfig::off`] the engines carry a `None` sink and every
@@ -260,8 +260,8 @@
 //!
 //! The same two contracts hold: reports are bit-identical with tracing
 //! on or off, traces are bit-identical across shard counts, and the
-//! default `trace_every = 0` costs one branch per seam
-//! (`cluster/tests/trace_parity.rs`, plus proptests in
+//! default `trace_every = 0` costs one branch per seam (the parity
+//! matrix, `cluster/tests/shard_parity.rs`, plus proptests in
 //! `trace_properties.rs`). Experiment E19 (`cargo run --release -p harness --
 //! trace`) renders the per-class latency-attribution table and the top-K
 //! slowest traces, writes section `e19_trace` of `OBS_cluster.json`, and
@@ -327,8 +327,8 @@
 //! `mshr_rejections`) land in [`cluster::NodeReport`], roll up on
 //! [`cluster::ClusterReport`], and cross-check exactly against the trace
 //! layer's `DelayedHit` spans (`cluster/tests/trace_parity.rs`); shard
-//! parity holds bit-identically in every MSHR configuration
-//! (`cluster/tests/mshr_parity.rs`).
+//! parity holds bit-identically in every MSHR configuration (the MSHR
+//! rows of the parity matrix, `cluster/tests/shard_parity.rs`).
 //!
 //! ## Trace replay: record once, rerun exactly, scale by superposition
 //!
@@ -349,8 +349,9 @@
 //! and the learned Markov predictor only proposes items the replay has
 //! already seen, a replay on the recording topology reproduces the source
 //! [`cluster::ClusterReport`] bit-for-bit (derived `PartialEq`, no
-//! tolerance — `cluster/tests/replay_parity.rs` pins it at shard counts
-//! {1, 2, 4, 8}):
+//! tolerance — `cluster/tests/replay_parity.rs` pins it, and the parity
+//! matrix in `cluster/tests/shard_parity.rs` pins the replay at shard
+//! counts 1–4):
 //!
 //! ```
 //! use cluster::{ClusterSim, TraceSource, TraceWorkload, Workload};
@@ -416,9 +417,10 @@
 //! jitter, a bounded retry budget, and — on the cooperative mesh —
 //! failover to the origin when every path to a peer is dark. Two
 //! determinism contracts are pinned bit-identically (derived `PartialEq`,
-//! `cluster/tests/fault_parity.rs`): an **empty plan** reproduces the
-//! unfaulted run exactly, and any plan produces the same report and
-//! traces at shard counts {1, 2, 4, 8}:
+//! the parity matrix in `cluster/tests/shard_parity.rs`, and
+//! `cluster/tests/fault_parity.rs` down to one proxy per shard): an
+//! **empty plan** reproduces the unfaulted run exactly, and any plan
+//! produces the same report and traces at every shard count:
 //!
 //! ```
 //! use cluster::ClusterSim;
