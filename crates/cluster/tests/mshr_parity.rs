@@ -2,7 +2,8 @@
 //! coalescing on/off, bounded entry budgets, aggregate-delay ranking,
 //! size-aware thresholds, the static catalog mode — leaves the sharded
 //! driver **bit-identical** to the single-threaded one is a set of rows of
-//! the parity matrix (`shard_parity.rs`). This suite pins the delayed-hits
+//! the parity matrix (`shard_parity.rs`); the static catalog is checked
+//! here once more on uneven shard blocks. This suite pins the delayed-hits
 //! physics the MSHR table exists for:
 //!
 //! * at backbone latencies the fetch window spans later requests, so the
@@ -15,8 +16,29 @@
 
 mod common;
 
-use cluster::{ClusterSim, DelayedHitsConfig, RankingMode};
-use common::mshr;
+use cluster::{ClusterSim, DelayedHitsConfig, RankingMode, ShardPlan};
+use common::{mshr, static_catalog, SHARD_COUNTS};
+
+/// The static catalog on five proxies, so two to four shards cut it into
+/// uneven blocks (the matrix's row has four): the report is bit-identical
+/// at every matrix shard count, every multi-shard cut runs on threads,
+/// and the catalog settles some requests as delayed hits.
+#[test]
+fn static_catalog_sharding_is_invisible() {
+    let config = static_catalog(5, 1_200);
+    let sim = ClusterSim::new(&config);
+    let one = sim.run(31);
+    for shards in SHARD_COUNTS.into_iter().filter(|&k| k > 1) {
+        let lookahead = ShardPlan::partition(&config.topology, shards).lookahead();
+        assert!(lookahead > 0.0, "{shards} shards would not run on threads");
+        assert_eq!(sim.run_sharded(31, shards), one, "{shards} shards vs 1 shard");
+    }
+    assert!(one.delayed_hits() > 0, "a 40-item catalog over a slow origin must settle some");
+    assert!(
+        one.coalesced_requests() > 0 && one.origin_fetches() > 0,
+        "catalog mode must populate the MSHR aggregates"
+    );
+}
 
 /// The coalescing win: at equal offered load over the same slow backbone,
 /// the coalescing table launches strictly fewer origin fetches than the

@@ -3,20 +3,64 @@
 //! perturb the simulation at all. The bit-identity of the report with
 //! probes on and off, at every shard count, is a column of the parity
 //! matrix (`shard_parity.rs`): obs draws no RNG, schedules no events, and
-//! feeds nothing back.
+//! feeds nothing back. The `observation_is_invisible_*` tests here repeat
+//! it under the probe settings that column does not use.
 //!
-//! This suite sanity-checks the telemetry itself: the metrics that
+//! This suite also sanity-checks the telemetry itself: the metrics that
 //! E18's dashboard and `OBS_cluster.json` rely on actually accumulate,
 //! series from different shards line up on one grid, and the JSON
 //! artifact round-trips through `simcore::Json::parse`.
 
 mod common;
 
-use cluster::{report_to_json, ClusterSim};
-use common::{adaptive, chaos, coop, probes, static_catalog, SHARD_COUNTS};
+use cluster::{report_to_json, ClusterConfig, ClusterSim};
+use common::{adaptive, chaos, coop, probes, static_catalog, static_itemless, SHARD_COUNTS};
 use coop::RefreshStrategy;
 use simcore::faults::FaultConfig;
 use simcore::{Json, ObsConfig};
+
+/// Obs is invisible under the probe settings the matrix's obs column does
+/// not use: `ObsConfig::on()`'s natural series grid (none on the open and
+/// adaptive loops, the digest epoch on the cooperative one), and a grid
+/// four times denser than the matrix's with an 8-entry flight ring that
+/// wraps. At every matrix shard count the report equals the plain one,
+/// and obs reports the shard count and the driver that ran it (windowed,
+/// so on threads, above one shard).
+fn assert_obs_is_invisible(config: &ClusterConfig<'_>, seed: u64) {
+    let sim = ClusterSim::new(config);
+    let dense = ObsConfig::on().with_sample_every(0.25).with_flight_capacity(8);
+    for shards in SHARD_COUNTS {
+        let plain = sim.run_sharded(seed, shards);
+        let driver = if shards > 1 { "windowed" } else { "sequential" };
+        for (label, probes) in [("natural grid", ObsConfig::on()), ("dense grid", dense.clone())] {
+            let (report, obs) = sim.run_observed(seed, shards, &probes);
+            assert_eq!(report, plain, "{label}: obs-on report at {shards} shards vs plain");
+            assert_eq!((obs.shards, obs.driver), (shards, driver), "{label}: {shards} shards");
+        }
+    }
+}
+
+#[test]
+fn observation_is_invisible_static() {
+    assert_obs_is_invisible(&static_itemless(4, 1_000), 29);
+}
+
+#[test]
+fn observation_is_invisible_adaptive() {
+    assert_obs_is_invisible(&adaptive(4, 800), 13);
+}
+
+#[test]
+fn observation_is_invisible_cooperative() {
+    assert_obs_is_invisible(&coop(4, 1_000, RefreshStrategy::Deltas), 14);
+}
+
+/// Full digest rebuilds: each digest boundary is a global synchronisation
+/// point of the windows, and the natural series grid samples on it.
+#[test]
+fn observation_is_invisible_on_the_windowed_driver() {
+    assert_obs_is_invisible(&coop(4, 1_000, RefreshStrategy::FullRebuild), 21);
+}
 
 /// The latency histogram mirrors the report's access times: one sample
 /// per measured request (hits, delayed hits, fetches, and failed fetches

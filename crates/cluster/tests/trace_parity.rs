@@ -3,7 +3,9 @@
 //! traces themselves are **bit-identical across shard counts** (span
 //! buffers merge on the `(trace, seq)` total key, so sharding can't
 //! reorder anything), are columns of the parity matrix
-//! (`shard_parity.rs`), on every engine.
+//! (`shard_parity.rs`), on every engine. That column traces every
+//! request; the `tracing_is_invisible_*` tests here repeat it under head
+//! sampling.
 //!
 //! This suite checks the traces themselves, and cross-checks them against
 //! the report's own statistics (the satellite-2 requirement): with
@@ -15,10 +17,50 @@
 mod common;
 
 use cluster::{ClusterConfig, ClusterSim, DelayedHitsConfig, Workload};
-use common::{adaptive, close, coop, mshr, static_catalog, static_itemless, traced};
+use common::{adaptive, close, coop, mshr, static_catalog, static_itemless, traced, SHARD_COUNTS};
 use coop::RefreshStrategy;
 use simcore::trace::{SegKind, TraceClass};
 use simcore::{Json, ObsConfig};
+
+/// Head-sampled tracing (one trace id in `every`) is invisible: at every
+/// matrix shard count the traced report equals the plain one, the store
+/// keeps the sampling modulus and holds some traces, and it equals the
+/// one-shard store.
+fn assert_tracing_is_invisible(config: &ClusterConfig<'_>, seed: u64, every: u64) {
+    let sim = ClusterSim::new(config);
+    let mut base = None;
+    for shards in SHARD_COUNTS {
+        let (report, obs) = sim.run_observed(seed, shards, &traced(every));
+        assert_eq!(report, sim.run_sharded(seed, shards), "traced report at {shards} shards");
+        let store = obs.traces.expect("tracing ran");
+        assert!(!store.traces.is_empty(), "{shards} shards sampled nothing");
+        assert_eq!(store.every, every, "{shards} shards: sampling modulus");
+        let base = base.get_or_insert_with(|| store.clone());
+        assert_eq!(&store, base, "trace store at {shards} shards vs 1 shard");
+    }
+}
+
+#[test]
+fn tracing_is_invisible_static() {
+    assert_tracing_is_invisible(&static_itemless(4, 1_000), 29, 2);
+}
+
+#[test]
+fn tracing_is_invisible_adaptive() {
+    assert_tracing_is_invisible(&adaptive(4, 800), 13, 4);
+}
+
+#[test]
+fn tracing_is_invisible_cooperative() {
+    assert_tracing_is_invisible(&coop(4, 1_000, RefreshStrategy::Deltas), 14, 3);
+}
+
+/// Full digest rebuilds: each digest boundary is a global synchronisation
+/// point of the windows.
+#[test]
+fn tracing_is_invisible_on_the_windowed_driver() {
+    assert_tracing_is_invisible(&coop(4, 1_000, RefreshStrategy::FullRebuild), 21, 2);
+}
 
 /// The merged [`TraceStore`] is bit-identical (derived `PartialEq`, every
 /// float exact) down to one proxy per shard: eight proxies at 1, 2, 4 and
